@@ -19,7 +19,7 @@
 
 //! ```
 
-use campaign::{CampaignConfig, StateError};
+use campaign::{hex_decode, hex_encode, CampaignConfig, StateError};
 use compdiff::{minimize, CompDiff, CompDiffAfl, DiffConfig, Discrepancy, Json};
 use fuzzing::{FuzzConfig, Rng};
 use minc_compile::CompilerImpl;
@@ -99,7 +99,9 @@ USAGE:
                            'suppress@msan,fire@ubsan:shift-out-of-bounds#1'
       --json               machine-readable output (stable schema)
   compdiff campaign [options]            parallel campaign over the target catalog
-      --workers <n>          worker threads (default 4)
+      --workers <n>          worker threads (default 4; results and, under
+                             --fixed-clock, report and metrics stream are
+                             identical at any count)
       --execs-per-target <n> fuzz-binary budget per target (default 2000)
       --shards <n>           seed shards per target (default 4)
       --seed <n>             campaign RNG seed (default 0xCA3D)
@@ -121,8 +123,8 @@ USAGE:
       --sancheck             post-fuzz sanitizer audit over every selected
                              target (publishes sancheck.* metrics)
       --vm-mode <m>          execution backend: interp|block (default block)
-      --workers-proc <n>     run as a coordinator over n worker *processes*
-                             (JSONL socket protocol; scales past one core)
+      --workers-proc <n>     run the workers as n *processes* instead
+                             (JSON frames over a local socket)
       --status-addr-out <p>  write the live status endpoint's host:port to <p>
   compdiff campaign-worker --connect <host:port>
                                          one worker process (spawned by the
@@ -537,9 +539,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         let plan = campaign::FaultPlan::parse(&spec, cfg.seed)
             .map_err(|e| format!("bad --fault-plan: {e}"))?;
         cfg.fault_plan = Some(std::sync::Arc::new(plan));
-        // The spec travels too, so coordinator mode can re-parse it in
-        // each worker process.
-        cfg.fault_plan_spec = Some(spec);
     }
     if let Some(list) = flag_value(args, "--targets") {
         cfg.target_filter = Some(list.split(',').map(|s| s.trim().to_string()).collect());
@@ -637,21 +636,6 @@ fn parse_u64_flag(args: &[String], name: &str, default: u64) -> Result<u64, Stri
     }
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd hex length in `{s}`"));
-    }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16).map_err(|_| format!("bad hex in `{s}`"))
-        })
-        .collect()
-}
-
 fn progen_generate(args: &[String]) -> Result<(), String> {
     let seed = parse_u64_flag(args, "--seed", 1)?;
     let count = parse_u64_flag(args, "--count", 1)?;
@@ -693,22 +677,15 @@ fn progen_telemetry(args: &[String]) -> Result<std::sync::Arc<telemetry::Telemet
                 .map_err(|_| format!("bad --fixed-clock `{v}`"))?,
         ),
     };
-    let tel = match (flag_value(args, "--metrics-out"), fixed) {
-        (Some(path), t) => {
+    Ok(match flag_value(args, "--metrics-out") {
+        Some(path) => {
             let file =
                 std::fs::File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
             let rec = telemetry::JsonlRecorder::new(std::io::BufWriter::new(file));
-            match t {
-                Some(us) => telemetry::Telemetry::new(telemetry::TestClock::fixed(us), rec),
-                None => telemetry::Telemetry::new(telemetry::MonotonicClock::new(), rec),
-            }
+            telemetry::Telemetry::clocked(fixed, rec)
         }
-        (None, Some(us)) => {
-            telemetry::Telemetry::new(telemetry::TestClock::fixed(us), telemetry::NoopRecorder)
-        }
-        (None, None) => telemetry::Telemetry::disabled(),
-    };
-    Ok(tel)
+        None => telemetry::Telemetry::clocked(fixed, telemetry::NoopRecorder),
+    })
 }
 
 fn progen_evolve(args: &[String]) -> Result<(), String> {

@@ -15,15 +15,16 @@
 //! later worker that touches the target.
 
 use crate::faults::{panic_message, FaultKind, FaultPlan};
+use crate::CampaignTelemetry;
 use compdiff::{hash64, CompDiff, DiffConfig};
 use minc::FrontendError;
 use minc_compile::{Binary, CompilerImpl};
 use minc_vm::BlockProgram;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use targets::Target;
+use telemetry::Counter;
 
 /// One target, fully compiled: the differential engine over the `k`
 /// implementations plus the fuzz binary. Immutable after construction, so
@@ -111,22 +112,35 @@ struct Slot(Mutex<Option<Arc<CompiledTarget>>>);
 #[derive(Default)]
 pub struct BinaryCache {
     slots: Mutex<HashMap<String, Arc<Slot>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    blocks_translated: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    blocks_translated: Arc<Counter>,
 }
 
 /// Locks a mutex, shrugging off poison: every write the cache makes under
 /// its locks is either complete or absent (the slot stays `None` when a
 /// compile unwinds), so a poisoned lock carries no torn state.
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl BinaryCache {
-    /// Empty cache.
+    /// Empty cache with counters of its own.
     pub fn new() -> Self {
         BinaryCache::default()
+    }
+
+    /// Empty cache that counts into `ctel`'s registry:
+    /// `campaign.cache_hits`, `campaign.cache_misses`, and its up-front
+    /// block translations into `vm.blocks_translated`, so the counts
+    /// merge like every other metric of the worker that made them.
+    pub fn counting_into(ctel: &CampaignTelemetry) -> Self {
+        BinaryCache {
+            hits: Arc::clone(&ctel.cache_hits),
+            misses: Arc::clone(&ctel.cache_misses),
+            blocks_translated: Arc::clone(&ctel.blocks_translated),
+            ..BinaryCache::default()
+        }
     }
 
     /// Returns the compiled form of `target`, compiling it on first use.
@@ -157,7 +171,7 @@ impl BinaryCache {
         };
         let mut guard = lock_clean(&slot.0);
         if let Some(ct) = guard.as_ref() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.inc();
             return Ok(Arc::clone(ct));
         }
         let injected = faults.and_then(|p| p.fire_compile(name, attempt));
@@ -166,7 +180,7 @@ impl BinaryCache {
                 "fault plan failed compile of `{name}` (attempt {attempt})"
             )));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc();
         // `catch_unwind` so a panicking backend fails this lookup instead
         // of the whole campaign. On unwind the slot guard still holds
         // `None` — nothing partial is published, which is what makes the
@@ -209,8 +223,7 @@ impl BinaryCache {
             Ok(Err(e)) => return Err(CacheError::Frontend(e)),
             Err(payload) => return Err(CacheError::Panic(panic_message(payload.as_ref()))),
         };
-        self.blocks_translated
-            .fetch_add(ct.block_count(), Ordering::Relaxed);
+        self.blocks_translated.add(ct.block_count());
         *guard = Some(Arc::clone(&ct));
         Ok(ct)
     }
@@ -218,16 +231,7 @@ impl BinaryCache {
     /// `(hits, misses)` — misses equal the number of compiles started
     /// (including ones that failed or panicked).
     pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Superblocks translated by this cache's up-front per-binary
-    /// translation (reported as `vm.blocks_translated`).
-    pub fn blocks_translated(&self) -> u64 {
-        self.blocks_translated.load(Ordering::Relaxed)
+        (self.hits.get(), self.misses.get())
     }
 }
 

@@ -1,136 +1,103 @@
-//! The coordinator side of the multi-process campaign (DESIGN.md §17).
+//! The coordinator: the campaign's one scheduler (DESIGN.md §17).
 //!
-//! [`run_procs`] owns everything a campaign must have exactly one of:
-//! the shard queues and lease table, the checkpoint writer, the
-//! campaign-wide signature dedup (via the shared [`ResultHandler`]), and
-//! the metric registry the status endpoint and final snapshot read.
-//! Worker *processes* own nothing durable — they connect over a local
-//! TCP socket, receive the campaign config, and trade
-//! `lease_req`/`lease`/`done`/`failed` frames until the coordinator
-//! broadcasts `shutdown`.
+//! [`run`] owns everything a campaign must have exactly one of: the
+//! shard queues and lease table, the retry/quarantine ledger, the
+//! checkpoint writer, the campaign-wide signature dedup, the event
+//! buffer, and the metric registry the status endpoint and final
+//! snapshot read.
+//! Workers own nothing durable. They come and go through a
+//! [`Transport`] — threads of this process or worker processes — and
+//! trade `lease_req`/`lease`/`done`/`failed` [`Frame`]s until the
+//! coordinator broadcasts `shutdown`.
 //!
 //! Determinism: shards are *partitioned* round-robin across the `n`
 //! logical worker indexes (no stealing), each job's RNG seed depends
-//! only on `(campaign seed, target, shard)`, retries re-queue at the
-//! same [`retry_backoff`] position the in-process pool uses, and events
-//! are buffered and re-sorted into canonical [`crate::EventKey`] order
-//! before they hit the recorder. A clean 1-worker-process campaign is
-//! therefore byte-identical — report and metrics stream — to the
-//! in-process `workers = 1` run, and any clean N-process campaign is
-//! byte-identical to itself across runs.
+//! only on `(campaign seed, target, shard)`, retries re-queue at a
+//! [`retry_backoff`] position, events are buffered and re-sorted into
+//! canonical [`crate::EventKey`] order before they hit the recorder, and
+//! worker metric snapshots merge commutatively. A clean campaign is
+//! therefore byte-identical — report and metrics stream — across runs
+//! at any worker count, and across the two transports at equal counts.
 //!
-//! Fault tolerance: a worker that dies or drops its connection
-//! mid-lease surfaces as EOF on its socket; the coordinator reclaims
-//! the lease as a [`FailureKind::Lost`] attempt (feeding the ordinary
-//! retry/quarantine policy) and respawns a replacement process while
-//! its shard queue is non-empty. A worker that hangs without renewing
-//! is reclaimed the same way after `lease_timeout_ms`.
+//! Fault tolerance: a worker that dies or loses its link mid-lease
+//! surfaces as [`Ev::Gone`]; the coordinator reclaims the lease as a
+//! [`FailureKind::Lost`] attempt (feeding the ordinary retry/quarantine
+//! policy) and starts a replacement while its shard queue is non-empty.
+//! A worker that hangs without renewing is reclaimed the same way after
+//! [`LEASE_TIMEOUT`].
 
-use crate::proto::{
-    config_frame, frame_type, lease_frame, read_frame, tagged, vm_from_json, write_frame,
-};
+use crate::policy::{Disposition, FaultLedger, RetryPolicy};
+use crate::proto::Frame;
 use crate::scheduler::{retry_backoff, Decision, Job, JobFailure, JobOutput, JobResult};
-use crate::state::{FailureKind, JobRecord};
+use crate::state::{CampaignState, FailureKind, FailureRecord, StateError};
+use crate::stats::CampaignStats;
 use crate::telem::CampaignTelemetry;
-use crate::{
-    build_telemetry, prepare, CampaignConfig, CampaignError, CampaignReport, Prepared,
-    ResultHandler,
-};
+use crate::transport::{Procs, Threads};
+use crate::{build_telemetry, prepare, CampaignConfig, CampaignError, CampaignReport, Prepared};
 use compdiff::Json;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{BufReader, BufWriter};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use targets::Target;
-use telemetry::{MetricRegistry, Telemetry};
+use telemetry::MetricRegistry;
 
 /// How often the main loop wakes with no traffic: lease-expiry scans and
-/// child reaping run at this cadence.
+/// worker reaping run at this cadence.
 const TICK: Duration = Duration::from_millis(200);
 
-/// Replacement processes granted beyond the initial `n` before the
-/// coordinator gives up (a crash-looping worker binary would otherwise
-/// respawn forever).
+/// Time without a renewal after which a lease is reclaimed and its job
+/// re-queued. Wall-clock by necessity (a hung worker is a wall-clock
+/// phenomenon), which is why it dwarfs the workers' renewal period.
+const LEASE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Replacement workers granted beyond the initial `n` before the
+/// coordinator gives up (a crash-looping worker would otherwise respawn
+/// forever).
 const RESPAWN_SLACK: usize = 256;
 
-/// The lost-lease failure message for a closed connection (worker death
-/// or injected drop — indistinguishable at the socket, by design).
-const MSG_CONN_LOST: &str = "worker process lost mid-lease (connection closed)";
+/// The lost-lease failure message for a closed link (worker death or
+/// injected drop — indistinguishable to the coordinator, by design).
+const MSG_LINK_LOST: &str = "worker lost mid-lease (link closed)";
 
-/// Locates the worker executable the coordinator spawns: the config's
-/// `worker_exe` if set, else `$COMPDIFF_WORKER_EXE`, else the running
-/// `compdiff` binary itself, else a `compdiff` next to (or one directory
-/// above) the current executable — the latter finds `target/<profile>/
-/// compdiff` from test and bench binaries in `target/<profile>/deps/`.
-///
-/// # Errors
-///
-/// [`CampaignError::Proto`] when no candidate exists.
-pub fn resolve_worker_exe(cfg: &CampaignConfig) -> Result<PathBuf, CampaignError> {
-    if let Some(exe) = &cfg.worker_exe {
-        return Ok(exe.clone());
-    }
-    if let Ok(exe) = std::env::var("COMPDIFF_WORKER_EXE") {
-        return Ok(PathBuf::from(exe));
-    }
-    let exe = std::env::current_exe()
-        .map_err(|e| CampaignError::Proto(format!("cannot locate current executable: {e}")))?;
-    if exe.file_stem().and_then(|s| s.to_str()) == Some("compdiff") {
-        return Ok(exe);
-    }
-    if let Some(dir) = exe.parent() {
-        let sibling = dir.join("compdiff");
-        if sibling.is_file() {
-            return Ok(sibling);
-        }
-        if let Some(up) = dir.parent() {
-            let above = up.join("compdiff");
-            if above.is_file() {
-                return Ok(above);
-            }
-        }
-    }
-    Err(CampaignError::Proto(
-        "cannot locate the compdiff worker executable; set CampaignConfig::worker_exe \
-         or the COMPDIFF_WORKER_EXE environment variable"
-            .to_string(),
-    ))
-}
-
-/// What the socket threads deliver to the single-threaded main loop.
-enum Ev {
-    /// A worker process said hello; `out` feeds its writer thread and
-    /// `sever` is a handle the coordinator can `shutdown()` to force the
-    /// connection closed (dropping the writer alone does not EOF the
-    /// worker while other clones of the socket live).
-    Hello {
-        conn: u64,
-        out: mpsc::Sender<Json>,
-        sever: Option<TcpStream>,
-    },
+/// What transports deliver to the single-threaded main loop.
+pub(crate) enum Ev {
+    /// A worker came up; `out` feeds its inbound frames. Dropping `out`
+    /// severs the worker: a thread's inbox closes, and a process's writer
+    /// thread shuts its socket down.
+    Hello { conn: u64, out: mpsc::Sender<Frame> },
     /// One frame from a connected worker.
-    Frame { conn: u64, frame: Json },
-    /// The worker's connection closed (clean bye or mid-lease death).
+    Frame { conn: u64, frame: Box<Frame> },
+    /// A worker sent a frame that does not decode.
+    Malformed(String),
+    /// The worker's link closed (after `bye`, or mid-lease).
     Gone { conn: u64 },
     /// A status client wants the live progress object.
     Status { reply: mpsc::Sender<Json> },
 }
 
-/// Per-connection coordinator state.
+/// How the coordinator starts and stops workers. A started worker
+/// announces itself with [`Ev::Hello`], talks in [`Ev::Frame`]s, and
+/// ends with [`Ev::Gone`]; severing needs no transport hook (see
+/// [`Ev::Hello`]).
+pub(crate) trait Transport {
+    /// Starts one worker.
+    fn spawn(&mut self) -> Result<(), CampaignError>;
+    /// Collects workers that have exited, without waiting.
+    fn reap(&mut self);
+    /// Teardown, after every link is dropped: waits for all workers.
+    fn join(&mut self);
+}
+
+/// Per-link coordinator state.
 struct ConnState {
-    /// The logical worker index (deque) this process serves.
+    /// The logical worker index (queue) this worker serves.
     widx: usize,
-    /// Frames to the writer thread.
-    out: mpsc::Sender<Json>,
-    /// A socket handle for forcing the connection closed.
-    sever: Option<TcpStream>,
+    /// Frames to the worker; `None` once severed.
+    out: Option<mpsc::Sender<Frame>>,
     /// The lease this worker currently holds, if any.
     lease: Option<u64>,
-    /// True if the worker asked for a lease while its deque was empty —
+    /// True if the worker asked for a lease while its queue was empty —
     /// a retry landing there re-grants immediately.
     parked: bool,
 }
@@ -142,99 +109,67 @@ struct LeaseInfo {
     last_renew: Instant,
 }
 
-/// Reads one frame, forwards the stream to the main loop, and (for
-/// worker connections) owns the writer thread. Runs on its own thread
-/// per accepted connection.
-fn serve_conn(stream: TcpStream, id: u64, ev_tx: &mpsc::Sender<Ev>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let Ok(Some(first)) = read_frame(&mut reader) else {
-        return;
-    };
-    match frame_type(&first) {
-        Some("status") => {
-            let (tx, rx) = mpsc::channel();
-            if ev_tx.send(Ev::Status { reply: tx }).is_err() {
-                return;
-            }
-            if let Ok(reply) = rx.recv() {
-                let mut w = BufWriter::new(stream);
-                let _ = write_frame(&mut w, &reply);
-            }
-        }
-        Some("hello") => {
-            let sever = stream.try_clone().ok();
-            let (out_tx, out_rx) = mpsc::channel::<Json>();
-            let writer = std::thread::spawn(move || {
-                let mut w = BufWriter::new(stream);
-                for frame in out_rx {
-                    if write_frame(&mut w, &frame).is_err() {
-                        break;
-                    }
-                }
-            });
-            if ev_tx
-                .send(Ev::Hello {
-                    conn: id,
-                    out: out_tx,
-                    sever,
-                })
-                .is_err()
-            {
-                return;
-            }
-            while let Ok(Some(frame)) = read_frame(&mut reader) {
-                if ev_tx.send(Ev::Frame { conn: id, frame }).is_err() {
-                    break;
-                }
-            }
-            let _ = ev_tx.send(Ev::Gone { conn: id });
-            let _ = writer.join();
-        }
-        _ => {}
-    }
-}
+/// Canonical event order: `(target index, shard, done-after-failures
+/// flag, attempt, failure-before-quarantine rank)`. Results arrive in
+/// completion order, which is not deterministic at N > 1 workers;
+/// events sorted by this key are.
+type EventKey = (usize, u32, u8, u32, u8);
+
+/// One buffered telemetry event: canonical sort key, event name, fields.
+type BufferedEvent = (EventKey, &'static str, Vec<(&'static str, Json)>);
 
 /// The single-threaded campaign brain: every field that must exist
 /// exactly once, mutated only from the event loop.
 struct Coordinator<'a> {
     cfg: &'a CampaignConfig,
-    tel: &'a Arc<Telemetry>,
     ctel: &'a CampaignTelemetry,
     selected: &'a [Target],
-    handler: ResultHandler<'a>,
-    /// Logical worker indexes (deque count) — *not* live process count.
+    transport: Box<dyn Transport>,
+    /// The open checkpoint, if any; this is its only writer.
+    state: Option<CampaignState>,
+    /// Checkpointing was disabled after a persistent append failure.
+    degraded: bool,
+    /// The aggregator, pre-loaded with checkpoint-replayed jobs.
+    stats: CampaignStats,
+    policy: RetryPolicy,
+    /// Retry/quarantine state, pre-loaded from the checkpoint.
+    ledger: FaultLedger,
+    /// Job attempts resolved in this run (`stop_after_jobs`,
+    /// `progress_every`).
+    resolved: usize,
+    started: Instant,
+    /// Events held for the canonical-order flush at the end, so the
+    /// recorded stream does not depend on completion order
+    /// (`progress_every` is the live view).
+    events: Vec<BufferedEvent>,
+    /// Logical worker indexes (queue count) — *not* live worker count.
     n: usize,
-    /// Per-index shard queues; index `i` gets jobs `i, i+n, i+2n, ...`.
+    /// Per-index shard queues: job (target `t`, shard `s`) goes to queue
+    /// `(t + s) % n`. Each target's shards rotate across the queues, so
+    /// per-shard-index cost differences (shards slice the seed corpus
+    /// differently) do not pile up on one worker, and a job's queue is a
+    /// pure function of its identity.
     deques: Vec<VecDeque<Job>>,
     /// Jobs queued or leased but not yet resolved.
     outstanding: usize,
     conns: HashMap<u64, ConnState>,
     leases: HashMap<u64, LeaseInfo>,
     lease_seq: u64,
-    /// Worker indexes with no live connection serving them.
+    /// Worker indexes with no live worker serving them.
     free_idx: BTreeSet<usize>,
     /// Queued jobs dropped by quarantine sweeps.
     swept: Vec<Job>,
+    /// Set by `stop_after_jobs`: the campaign aborts (the report says so).
     stopping: bool,
     finishing: bool,
-    children: Vec<Child>,
-    /// Total processes ever spawned (respawn-cap accounting).
+    /// Total workers ever started (respawn-cap accounting).
     spawned: usize,
-    /// Processes spawned but not yet hello'd.
+    /// Workers started but not yet hello'd.
     pending_spawns: usize,
-    exe: PathBuf,
-    addr: String,
-    /// Latest metric snapshot per connection (a respawned process gets a
-    /// fresh connection id, so dead workers' final snapshots survive).
+    /// Latest metric snapshot per link (a replacement worker gets a
+    /// fresh link id, so dead workers' last snapshots survive).
     worker_metrics: HashMap<u64, Json>,
-    /// Summed worker-side binary-cache (hits, misses) from bye frames.
-    cache_sums: (u64, u64),
-    /// Summed worker-side cache block translations from bye frames.
-    blocks_sum: u64,
-    /// First unrecoverable protocol error; aborts the event loop.
+    /// First unrecoverable error; aborts the event loop.
     fatal: Option<CampaignError>,
 }
 
@@ -243,29 +178,26 @@ impl Coordinator<'_> {
         self.fatal.get_or_insert(e);
     }
 
-    fn ack(&self, conn: u64) {
-        if let Some(c) = self.conns.get(&conn) {
-            let _ = c.out.send(tagged("ack"));
+    fn send(&self, conn: u64, frame: Frame) {
+        if let Some(out) = self.conns.get(&conn).and_then(|c| c.out.as_ref()) {
+            let _ = out.send(frame);
         }
     }
 
-    /// Forces `conn`'s socket closed. Its serve thread will deliver
-    /// `Gone` shortly after.
-    fn sever(&self, conn: u64) {
-        if let Some(c) = self.conns.get(&conn) {
-            if let Some(s) = &c.sever {
-                let _ = s.shutdown(Shutdown::Both);
-            }
+    /// Cuts `conn`'s link. `Gone` follows once the worker notices.
+    fn sever(&mut self, conn: u64) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.out = None;
         }
     }
 
     fn broadcast_shutdown(&self) {
-        for c in self.conns.values() {
-            let _ = c.out.send(tagged("shutdown"));
+        for &conn in self.conns.keys() {
+            self.send(conn, Frame::Shutdown);
         }
     }
 
-    /// The free worker index most in need of a process: longest deque,
+    /// The free worker index most in need of a worker: longest queue,
     /// ties to the smallest index.
     fn pick_index(&self) -> Option<usize> {
         self.free_idx
@@ -281,22 +213,14 @@ impl Coordinator<'_> {
                 self.spawned, self.n
             )));
         }
-        let child = Command::new(&self.exe)
-            .args(["campaign-worker", "--connect", &self.addr])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()
-            .map_err(|e| {
-                CampaignError::Proto(format!("cannot spawn worker `{}`: {e}", self.exe.display()))
-            })?;
-        self.children.push(child);
+        self.transport.spawn()?;
         self.spawned += 1;
         self.pending_spawns += 1;
         self.ctel.workers_spawned.inc();
         Ok(())
     }
 
-    /// Spawns processes until every free index with queued work has one
+    /// Starts workers until every free index with queued work has one
     /// on the way. The only respawn site, so a burst of lost leases
     /// cannot over-spawn.
     fn ensure_workers(&mut self) {
@@ -316,10 +240,10 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Resolves `job` as a lost lease (worker death, dropped connection,
-    /// or expiry) through the ordinary failure policy.
+    /// Resolves `job` as a lost lease (worker death, severed link, or
+    /// expiry) through the ordinary failure policy.
     fn lost(&mut self, widx: usize, job: Job, message: &str) {
-        let decision = self.handler.on_result(JobResult::Failed(JobFailure {
+        let decision = self.on_result(JobResult::Failed(JobFailure {
             worker: widx,
             job,
             target: self.selected[job.target_index].spec.name.clone(),
@@ -328,6 +252,186 @@ impl Coordinator<'_> {
             dur_us: 0,
         }));
         self.apply_decision(decision);
+    }
+
+    /// Buffers one event for the canonical-order flush.
+    fn emit(&mut self, key: EventKey, name: &'static str, fields: Vec<(&'static str, Json)>) {
+        if self.ctel.tel.events_enabled() {
+            self.events.push((key, name, fields));
+        }
+    }
+
+    /// Applies one resolved job attempt — checkpoint, aggregate, event,
+    /// retry/quarantine disposition — and returns the queue's next move.
+    fn on_result(&mut self, result: JobResult) -> Decision {
+        let int = |n: u64| Json::Int(n as i64);
+        let mut decision = Decision::Continue;
+        match result {
+            JobResult::Done(out) => {
+                // Checkpoint first, aggregate second: a job is "done"
+                // only once its record is durably on disk (or
+                // checkpointing has been degraded away).
+                self.persist(|st| st.append_job(out.record.clone()));
+                self.stats.absorb(Some(out.worker), &out.record);
+                let (rec, vm) = (&out.record, &out.vm);
+                let ti = self
+                    .selected
+                    .iter()
+                    .position(|t| t.spec.name == rec.target)
+                    .unwrap_or(0);
+                self.emit(
+                    (ti, rec.shard, 1, 0, 0),
+                    "job",
+                    vec![
+                        ("target", Json::Str(rec.target.clone())),
+                        ("shard", int(rec.shard.into())),
+                        ("worker", int(out.worker as u64)),
+                        ("dur_us", int(out.dur_us)),
+                        ("execs", int(rec.execs)),
+                        ("oracle_execs", int(rec.oracle_execs)),
+                        ("divergent", int(rec.divergent)),
+                        ("crashes", int(rec.crashes)),
+                        ("signatures", int(rec.signatures.len() as u64)),
+                        ("pages_restored", int(vm.pages_restored)),
+                        ("pages_materialized", int(vm.pages_materialized)),
+                        ("bulk_builtin_ops", int(vm.bulk_builtin_ops)),
+                        ("fallback_builtin_ops", int(vm.fallback_builtin_ops)),
+                        ("block_exec", int(vm.block_exec)),
+                        ("interp_fallback", int(vm.interp_fallback)),
+                    ],
+                );
+                if !self.cfg.quiet {
+                    let line = self.stats.progress_line();
+                    eprintln!("{line} <- {}#{}", rec.target, rec.shard);
+                }
+            }
+            JobResult::Failed(f) => {
+                let job = f.job;
+                self.stats.note_failure(&f.target);
+                if f.kind == FailureKind::Panic {
+                    self.ctel.worker_panics.inc();
+                }
+                self.persist(|st| {
+                    st.append_failure(FailureRecord {
+                        target: f.target.clone(),
+                        shard: job.shard,
+                        attempt: job.attempt,
+                        kind: f.kind,
+                        message: f.message.clone(),
+                    })
+                });
+                let disposition =
+                    self.ledger
+                        .note_failure(&self.policy, &f.target, job.shard, job.attempt);
+                self.emit(
+                    (job.target_index, job.shard, 0, job.attempt, 0),
+                    "failure",
+                    vec![
+                        ("target", Json::Str(f.target.clone())),
+                        ("shard", int(job.shard.into())),
+                        ("attempt", int(job.attempt.into())),
+                        ("kind", Json::Str(f.kind.to_string())),
+                        ("worker", int(f.worker as u64)),
+                        ("message", Json::Str(f.message.clone())),
+                    ],
+                );
+                if !self.cfg.quiet {
+                    eprintln!(
+                        "{} !! {}#{} attempt {} failed ({}): {}",
+                        self.stats.progress_line(),
+                        f.target,
+                        job.shard,
+                        job.attempt,
+                        f.kind,
+                        f.message
+                    );
+                }
+                match disposition {
+                    Disposition::Retry { next_attempt } => {
+                        self.stats.note_retry();
+                        self.ctel.job_retries.inc();
+                        decision = Decision::Retry(Job {
+                            attempt: next_attempt,
+                            ..job
+                        });
+                    }
+                    Disposition::Quarantine => {
+                        self.stats.note_failed_job();
+                        self.stats.note_quarantine(&f.target);
+                        let quarantined = self.ledger.quarantined.len() as u64;
+                        self.ctel.targets_quarantined.set(quarantined);
+                        let failures = self.ledger.target_failures.get(&f.target).copied();
+                        self.emit(
+                            (job.target_index, job.shard, 0, job.attempt, 1),
+                            "quarantine",
+                            vec![
+                                ("target", Json::Str(f.target.clone())),
+                                ("failures", int(failures.unwrap_or(0).into())),
+                            ],
+                        );
+                        if !self.cfg.quiet {
+                            eprintln!("quarantined {} after repeated failures", f.target);
+                        }
+                        decision = Decision::Quarantine {
+                            target_index: job.target_index,
+                        };
+                    }
+                    Disposition::Exhausted | Disposition::AlreadyQuarantined => {
+                        self.stats.note_failed_job();
+                    }
+                }
+            }
+        }
+        self.resolved += 1;
+        if self.cfg.progress_every > 0 && self.resolved.is_multiple_of(self.cfg.progress_every) {
+            let secs = self.started.elapsed().as_secs_f64().max(1e-9);
+            let rate = self.stats.execs as f64 / secs;
+            eprintln!("{} [{rate:.0} execs/sec]", self.stats.progress_line());
+        }
+        match self.cfg.stop_after_jobs {
+            Some(k) if self.resolved >= k => Decision::Stop,
+            _ => decision,
+        }
+    }
+
+    /// Appends one checkpoint record with the repair-then-degrade
+    /// policy: a failed append is repaired (truncating any partial
+    /// write) and retried once; if the retry or the fsync also fails,
+    /// checkpointing is disabled for the rest of the campaign
+    /// (`degraded`) and the campaign carries on — durability is
+    /// best-effort, forward progress is not. This is what turns a flaky
+    /// checkpoint disk into a degraded report instead of an abort or a
+    /// hang.
+    fn persist(&mut self, append: impl Fn(&mut CampaignState) -> Result<(), StateError>) {
+        let (ctel, quiet) = (self.ctel, self.cfg.quiet);
+        let Some(st) = self.state.as_mut().filter(|_| !self.degraded) else {
+            return;
+        };
+        let t0 = ctel.tel.now_micros();
+        let mut result = append(st);
+        if let Err(e) = &result {
+            ctel.checkpoint_errors.inc();
+            if !quiet {
+                eprintln!("checkpoint append failed ({e}); repairing and retrying");
+            }
+            result = st.repair().and_then(|()| append(st));
+        }
+        let synced = result.and_then(|()| {
+            ctel.checkpoint_write_us
+                .record(ctel.tel.now_micros().saturating_sub(t0));
+            let t1 = ctel.tel.now_micros();
+            st.sync()?;
+            ctel.checkpoint_sync_us
+                .record(ctel.tel.now_micros().saturating_sub(t1));
+            Ok(())
+        });
+        if let Err(e) = synced {
+            ctel.checkpoint_errors.inc();
+            self.degraded = true;
+            if !quiet {
+                eprintln!("checkpointing disabled for the rest of the campaign: {e}");
+            }
+        }
     }
 
     fn maybe_finish(&mut self) {
@@ -344,9 +448,8 @@ impl Coordinator<'_> {
                 self.maybe_finish();
             }
             Decision::Retry(job) => {
-                // Identical backoff math to the in-process pool: the
-                // retry lands mid-deque at a position derived only from
-                // the campaign seed and the job identity.
+                // The retry lands mid-queue at a position derived only
+                // from the campaign seed and the job identity.
                 let name = self.selected[job.target_index].spec.name.as_str();
                 let back = retry_backoff(self.cfg.seed, name, job.shard, job.attempt);
                 let d = (back % self.n as u64) as usize;
@@ -387,30 +490,24 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Answers a `lease_req`: pop the connection's own deque (no
-    /// stealing — partitioning is what keeps N processes deterministic)
-    /// or park the worker until a retry lands there.
+    /// Answers a `lease_req`: pop the worker's own queue (no stealing —
+    /// partitioning is what keeps N workers deterministic) or park the
+    /// worker until a retry lands there.
     fn try_grant(&mut self, conn: u64) {
         if self.finishing || self.stopping {
-            if let Some(c) = self.conns.get(&conn) {
-                let _ = c.out.send(tagged("shutdown"));
-            }
+            self.send(conn, Frame::Shutdown);
             return;
         }
         let (widx, job) = {
             let Some(c) = self.conns.get_mut(&conn) else {
                 return;
             };
-            match self.deques[c.widx].pop_front() {
-                Some(job) => {
-                    c.parked = false;
-                    (c.widx, job)
-                }
-                None => {
-                    c.parked = true;
-                    return;
-                }
-            }
+            let Some(job) = self.deques[c.widx].pop_front() else {
+                c.parked = true;
+                return;
+            };
+            c.parked = false;
+            (c.widx, job)
         };
         self.lease_seq += 1;
         let lease = self.lease_seq;
@@ -421,11 +518,11 @@ impl Coordinator<'_> {
             .as_deref()
             .is_some_and(|p| p.fire_conn(lease))
         {
-            // Injected connection drop: sever instead of granting. The
-            // popped job is immediately a lost lease; `Gone` follows and
-            // respawns a replacement for the queue.
+            // Injected link drop: sever instead of granting. The popped
+            // job is immediately a lost lease; `Gone` follows and a
+            // replacement worker takes over the queue.
             self.sever(conn);
-            self.lost(widx, job, MSG_CONN_LOST);
+            self.lost(widx, job, MSG_LINK_LOST);
             return;
         }
         self.leases.insert(
@@ -438,108 +535,84 @@ impl Coordinator<'_> {
         );
         if let Some(c) = self.conns.get_mut(&conn) {
             c.lease = Some(lease);
-            let _ = c.out.send(lease_frame(lease, job));
         }
+        self.send(conn, Frame::Lease { lease, job });
     }
 
-    /// Applies a `done`/`failed` frame: resolve the lease, feed the
-    /// shared result handler, answer `ack`.
-    fn handle_result(&mut self, conn: u64, frame: &Json) {
-        if let Some(m) = frame.get("metrics") {
-            self.worker_metrics.insert(conn, m.clone());
-        }
-        let Some(lease) = frame.get("lease").and_then(Json::as_u64) else {
-            self.fail(CampaignError::Proto(
-                "result frame without a lease".to_string(),
-            ));
-            return;
-        };
+    /// Applies a `done`/`failed` result: resolve the lease, feed the
+    /// shared result handler, answer `ack`. `make` builds the result
+    /// from the worker index, the leased job, and its target name.
+    fn resolve(
+        &mut self,
+        conn: u64,
+        lease: u64,
+        make: impl FnOnce(usize, Job, String) -> JobResult,
+    ) {
         let Some(li) = self.leases.remove(&lease) else {
             // The lease was already reclaimed (expired or severed); the
             // job re-ran elsewhere. First resolution won, drop this one.
             self.ctel.stale_results.inc();
-            self.ack(conn);
+            self.send(conn, Frame::Ack);
             return;
         };
-        if let Some(c) = self.conns.get_mut(&conn) {
-            c.lease = None;
-        }
-        if self.stopping {
-            // Stop parity with the in-process pool: in-flight results
-            // are dropped, but the worker is still acked so it reaches
-            // its shutdown cleanly.
-            self.ack(conn);
-            return;
-        }
-        let widx = self.conns.get(&conn).map_or(0, |c| c.widx);
-        let result = if frame_type(frame) == Some("done") {
-            let record = frame
-                .get("record")
-                .ok_or_else(|| "done frame without a record".to_string())
-                .and_then(JobRecord::from_json);
-            match record {
-                Ok(record) => JobResult::Done(JobOutput {
-                    worker: widx,
-                    record,
-                    dur_us: frame.get("dur_us").and_then(Json::as_u64).unwrap_or(0),
-                    vm: frame.get("vm").map(vm_from_json).unwrap_or_default(),
-                }),
-                Err(e) => {
-                    self.fail(CampaignError::Proto(format!("bad done frame: {e}")));
-                    return;
-                }
+        let widx = match self.conns.get_mut(&conn) {
+            Some(c) => {
+                c.lease = None;
+                c.widx
             }
-        } else {
-            let kind = frame
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "failed frame without a kind".to_string())
-                .and_then(FailureKind::parse);
-            match kind {
-                Ok(kind) => JobResult::Failed(JobFailure {
-                    worker: widx,
-                    job: li.job,
-                    target: self.selected[li.job.target_index].spec.name.clone(),
-                    kind,
-                    message: frame
-                        .get("message")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    dur_us: frame.get("dur_us").and_then(Json::as_u64).unwrap_or(0),
-                }),
-                Err(e) => {
-                    self.fail(CampaignError::Proto(format!("bad failed frame: {e}")));
-                    return;
-                }
-            }
+            None => 0,
         };
-        let decision = self.handler.on_result(result);
-        self.apply_decision(decision);
-        self.ack(conn);
+        // Once stopping, in-flight results are dropped, but the worker
+        // is still acked so it reaches its shutdown cleanly.
+        if !self.stopping {
+            let target = self.selected[li.job.target_index].spec.name.clone();
+            let decision = self.on_result(make(widx, li.job, target));
+            self.apply_decision(decision);
+        }
+        self.send(conn, Frame::Ack);
     }
 
-    fn handle_frame(&mut self, conn: u64, frame: Json) {
-        match frame_type(&frame) {
-            Some("lease_req") => self.try_grant(conn),
-            Some("renew") => {
-                if let Some(l) = frame.get("lease").and_then(Json::as_u64) {
-                    if let Some(li) = self.leases.get_mut(&l) {
-                        li.last_renew = Instant::now();
-                    }
+    fn handle_frame(&mut self, conn: u64, frame: Frame) {
+        match frame {
+            Frame::LeaseReq => self.try_grant(conn),
+            Frame::Renew { lease } => {
+                if let Some(li) = self.leases.get_mut(&lease) {
+                    li.last_renew = Instant::now();
                 }
             }
-            Some("done") | Some("failed") => self.handle_result(conn, &frame),
-            Some("bye") => {
-                let u = |k: &str| frame.get(k).and_then(Json::as_u64).unwrap_or(0);
-                self.cache_sums.0 += u("cache_hits");
-                self.cache_sums.1 += u("cache_misses");
-                self.blocks_sum += u("blocks_translated");
-                if let Some(m) = frame.get("metrics") {
-                    self.worker_metrics.insert(conn, m.clone());
-                }
+            Frame::Done {
+                lease,
+                out,
+                metrics,
+            } => {
+                self.worker_metrics.insert(conn, metrics);
+                self.resolve(conn, lease, |worker, _, _| {
+                    JobResult::Done(JobOutput { worker, ..out })
+                });
             }
-            _ => {}
+            Frame::Failed {
+                lease,
+                kind,
+                message,
+                dur_us,
+                metrics,
+            } => {
+                self.worker_metrics.insert(conn, metrics);
+                self.resolve(conn, lease, |worker, job, target| {
+                    JobResult::Failed(JobFailure {
+                        worker,
+                        job,
+                        target,
+                        kind,
+                        message,
+                        dur_us,
+                    })
+                });
+            }
+            Frame::Bye { metrics } => {
+                self.worker_metrics.insert(conn, metrics);
+            }
+            Frame::Lease { .. } | Frame::Ack | Frame::Shutdown => {}
         }
     }
 
@@ -548,11 +621,9 @@ impl Coordinator<'_> {
             return;
         };
         self.free_idx.insert(c.widx);
-        if let Some(lease) = c.lease {
-            if let Some(li) = self.leases.remove(&lease) {
-                if !self.stopping {
-                    self.lost(c.widx, li.job, MSG_CONN_LOST);
-                }
+        if let Some(li) = c.lease.and_then(|l| self.leases.remove(&l)) {
+            if !self.stopping {
+                self.lost(c.widx, li.job, MSG_LINK_LOST);
             }
         }
         self.ensure_workers();
@@ -560,32 +631,31 @@ impl Coordinator<'_> {
 
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::Hello { conn, out, sever } => {
+            Ev::Hello { conn, out } => {
                 if self.finishing || self.stopping {
-                    // A straggler connecting after the campaign drained:
+                    // A straggler arriving after the campaign drained:
                     // shut it down without tracking it.
-                    let _ = out.send(tagged("shutdown"));
+                    let _ = out.send(Frame::Shutdown);
                     return;
                 }
                 self.pending_spawns = self.pending_spawns.saturating_sub(1);
                 let Some(widx) = self.pick_index() else {
-                    let _ = out.send(tagged("shutdown"));
+                    let _ = out.send(Frame::Shutdown);
                     return;
                 };
                 self.free_idx.remove(&widx);
-                let _ = out.send(config_frame(self.cfg, self.selected));
                 self.conns.insert(
                     conn,
                     ConnState {
                         widx,
-                        out,
-                        sever,
+                        out: Some(out),
                         lease: None,
                         parked: false,
                     },
                 );
             }
-            Ev::Frame { conn, frame } => self.handle_frame(conn, frame),
+            Ev::Frame { conn, frame } => self.handle_frame(conn, *frame),
+            Ev::Malformed(e) => self.fail(CampaignError::Proto(e)),
             Ev::Gone { conn } => self.handle_gone(conn),
             Ev::Status { reply } => {
                 let _ = reply.send(self.status());
@@ -593,18 +663,12 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Reclaims leases whose workers stopped renewing. Wall-clock by
-    /// necessity (a hung worker is a wall-clock phenomenon), which is
-    /// why `lease_timeout_ms` must dwarf `renew_ms`.
+    /// Reclaims leases whose workers stopped renewing.
     fn expire_leases(&mut self) {
-        if self.cfg.lease_timeout_ms == 0 {
-            return;
-        }
-        let timeout = Duration::from_millis(self.cfg.lease_timeout_ms);
         let expired: Vec<u64> = self
             .leases
             .iter()
-            .filter(|(_, li)| li.last_renew.elapsed() >= timeout)
+            .filter(|(_, li)| li.last_renew.elapsed() >= LEASE_TIMEOUT)
             .map(|(&l, _)| l)
             .collect();
         for l in expired {
@@ -625,22 +689,15 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Reaps exited worker processes (avoids zombie accumulation during
-    /// long campaigns with respawns).
-    fn reap(&mut self) {
-        self.children
-            .retain_mut(|child| !matches!(child.try_wait(), Ok(Some(_))));
-    }
-
     /// The live status object: progress counters plus a merged metric
     /// snapshot (coordinator registry + every worker's latest snapshot).
     fn status(&self) -> Json {
         let reg = MetricRegistry::new();
-        reg.merge_snapshot(&self.tel.registry().snapshot());
+        reg.merge_snapshot(&self.ctel.tel.registry().snapshot());
         for m in self.worker_metrics.values() {
             reg.merge_snapshot(m);
         }
-        let st = &self.handler.stats;
+        let st = &self.stats;
         Json::obj(vec![
             ("t", Json::Str("status".to_string())),
             ("jobs_total", Json::Int(st.jobs_total as i64)),
@@ -656,16 +713,93 @@ impl Coordinator<'_> {
             ("metrics", reg.snapshot()),
         ])
     }
+
+    /// Teardown and epilogue: drop every link still open (only a fatal
+    /// error leaves any), wait for the workers, merge their metric
+    /// snapshots, then quarantine-swept accounting, the post-fuzz
+    /// sanitizer audit, the final metric readings, buffered events in
+    /// canonical order, the metrics snapshot event, and the report.
+    /// Under a fixed clock, `elapsed` derives from the telemetry clock so
+    /// the report renders byte-identically across runs and transports.
+    fn finish(mut self, started_us: u64) -> Result<CampaignReport, CampaignError> {
+        self.conns.clear();
+        self.transport.join();
+        if let Some(e) = self.fatal.take() {
+            return Err(e);
+        }
+        // Commutative merges — HashMap order does not matter.
+        for m in self.worker_metrics.values() {
+            self.ctel.tel.registry().merge_snapshot(m);
+        }
+        for j in &self.swept {
+            self.stats
+                .note_skipped(&self.selected[j.target_index].spec.name, 1);
+        }
+
+        // Post-fuzz sanitizer audit: run the meta-oracle over every
+        // selected target so the metrics snapshot carries the
+        // sanitizer-trust evidence (`sancheck.*`) next to the divergence
+        // counters. Like the pre-fuzz lint this is metrics-only — no
+        // events — so the event stream stays byte-identical run to run.
+        if self.cfg.sancheck {
+            let scfg = sancheck::SancheckConfig {
+                vm: self.cfg.diff_config.vm.clone(),
+                ..sancheck::SancheckConfig::default()
+            };
+            for t in self.selected {
+                let t0 = self.ctel.tel.now_micros();
+                if let Ok(report) = sancheck::check_source(&t.src, &scfg) {
+                    self.ctel
+                        .record_sancheck(&report, self.ctel.tel.now_micros().saturating_sub(t0));
+                }
+            }
+        }
+
+        let cache = (self.ctel.cache_hits.get(), self.ctel.cache_misses.get());
+        let elapsed_us = self.ctel.tel.now_micros().saturating_sub(started_us);
+        self.ctel.record_execs_per_sec(self.stats.execs, elapsed_us);
+        self.events.sort_by_key(|e| e.0);
+        for (_, name, fields) in std::mem::take(&mut self.events) {
+            self.ctel.tel.event(name, fields);
+        }
+        let metrics = self.ctel.tel.registry().snapshot();
+        self.ctel
+            .tel
+            .event("metrics", vec![("metrics", metrics.clone())]);
+        self.ctel.tel.flush();
+
+        let elapsed = if self.cfg.fixed_clock_us.is_some() {
+            Duration::from_micros(elapsed_us)
+        } else {
+            self.started.elapsed()
+        };
+        Ok(CampaignReport {
+            stats: self.stats,
+            elapsed,
+            cache,
+            checkpoint: self.state.map(|s| s.path().to_path_buf()),
+            aborted: self.stopping,
+            checkpoint_degraded: self.degraded,
+            metrics,
+        })
+    }
 }
 
-/// Runs the campaign as a coordinator over `cfg.workers_proc` worker
-/// processes. Same contract as the in-process path: identical results,
-/// identical report shape, partial results instead of aborts.
-pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
-    let n = cfg.workers_proc.unwrap_or(1).max(1);
-    let started = Instant::now();
+/// Runs a campaign to completion (or to `stop_after_jobs`): one
+/// coordinator over `workers` threads, or over `workers_proc` worker
+/// processes when that field is set. Identical results and report shape
+/// either way; partial results instead of aborts.
+///
+/// # Errors
+///
+/// Fails if the target filter matches nothing, the checkpoint is
+/// unusable ([`crate::StateError`]), or the worker protocol breaks down
+/// ([`CampaignError::Proto`]).
+pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
+    let n = cfg.workers_proc.unwrap_or(cfg.workers).max(1);
     let tel = build_telemetry(cfg)?;
     let started_us = tel.now_micros();
+    let started = Instant::now();
     let ctel = CampaignTelemetry::new(Arc::clone(&tel));
     let Prepared {
         selected,
@@ -674,55 +808,30 @@ pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, Campaign
         stats,
         ledger,
         policy,
-    } = prepare(cfg, &tel, &ctel, n)?;
-    let mut handler = ResultHandler::new(cfg, &tel, &ctel, &selected, state, stats, ledger, policy);
-    handler.started = started;
-    // Results arrive in socket order; buffering + the canonical EventKey
-    // sort is what keeps the recorded stream deterministic.
-    handler.buffer_events = true;
-
-    let exe = resolve_worker_exe(cfg)?;
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| CampaignError::Proto(format!("cannot bind coordinator socket: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| CampaignError::Proto(format!("cannot read coordinator address: {e}")))?
-        .to_string();
-    if let Some(path) = &cfg.status_addr_out {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| CampaignError::Proto(format!("cannot write status address file: {e}")))?;
-    }
+    } = prepare(cfg, &ctel, n)?;
 
     let (ev_tx, ev_rx) = mpsc::channel::<Ev>();
-    let stop_accept = Arc::new(AtomicBool::new(false));
-    let accept_handle = {
-        let ev_tx = ev_tx.clone();
-        let stop_accept = Arc::clone(&stop_accept);
-        std::thread::spawn(move || {
-            let mut next_id: u64 = 0;
-            for stream in listener.incoming() {
-                if stop_accept.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                next_id += 1;
-                let id = next_id;
-                let ev_tx = ev_tx.clone();
-                std::thread::spawn(move || serve_conn(stream, id, &ev_tx));
-            }
-        })
+    let transport: Box<dyn Transport> = match cfg.workers_proc {
+        Some(_) => Box::new(Procs::start(cfg, &selected, ev_tx)?),
+        None => Box::new(Threads::new(cfg, &selected, &ctel, ev_tx)),
     };
-
     let mut deques: Vec<VecDeque<Job>> = (0..n).map(|_| VecDeque::new()).collect();
-    for (i, &job) in pending.iter().enumerate() {
-        deques[i % n].push_back(job);
+    for &job in &pending {
+        deques[(job.target_index + job.shard as usize) % n].push_back(job);
     }
     let mut co = Coordinator {
         cfg,
-        tel: &tel,
         ctel: &ctel,
         selected: &selected,
-        handler,
+        transport,
+        state,
+        degraded: false,
+        stats,
+        policy,
+        ledger,
+        resolved: 0,
+        started,
+        events: Vec::new(),
         n,
         outstanding: pending.len(),
         deques,
@@ -733,14 +842,9 @@ pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, Campaign
         swept: Vec::new(),
         stopping: false,
         finishing: false,
-        children: Vec::new(),
         spawned: 0,
         pending_spawns: 0,
-        exe,
-        addr: addr.clone(),
         worker_metrics: HashMap::new(),
-        cache_sums: (0, 0),
-        blocks_sum: 0,
         fatal: None,
     };
     if co.outstanding == 0 {
@@ -755,63 +859,16 @@ pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, Campaign
         }
     }
 
-    loop {
-        if co.fatal.is_some() {
-            break;
-        }
-        if (co.finishing || co.stopping) && co.conns.is_empty() {
-            break;
-        }
+    while co.fatal.is_none() && !((co.finishing || co.stopping) && co.conns.is_empty()) {
         match ev_rx.recv_timeout(TICK) {
             Ok(ev) => co.handle(ev),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
+            Err(RecvTimeoutError::Timeout) => {
                 co.expire_leases();
-                co.reap();
+                co.transport.reap();
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
 
-    // Teardown: stop accepting (the dummy connection unblocks the
-    // blocking accept), close every worker connection, reap children.
-    stop_accept.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(&addr);
-    let _ = accept_handle.join();
-    let Coordinator {
-        handler,
-        mut children,
-        swept,
-        worker_metrics,
-        cache_sums,
-        blocks_sum,
-        fatal,
-        ..
-    } = co;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    for mut child in children.drain(..) {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) | Err(_) => break,
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
-    }
-    if let Some(e) = fatal {
-        return Err(e);
-    }
-
-    // Fold every worker's final metric snapshot into the campaign
-    // registry (commutative merges — HashMap order does not matter), so
-    // the final snapshot reads identically to the in-process run.
-    for m in worker_metrics.values() {
-        tel.registry().merge_snapshot(m);
-    }
-    Ok(handler.finalize(&swept, &selected, cache_sums, blocks_sum, started_us))
+    co.finish(started_us)
 }

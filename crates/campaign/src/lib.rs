@@ -2,22 +2,24 @@
 //!
 //! The paper's evaluation fuzzes 23 targets × 24 hours with CompDiff
 //! attached; this crate is the orchestrator that makes that workload
-//! practical: a work-stealing [`scheduler`] shards every target's budget
-//! into (target × seed-slice) jobs across N worker threads, a shared
-//! [`cache::BinaryCache`] compiles each target's ten differential binaries
-//! (plus the fuzz binary) exactly once, a crash-resilient
-//! [`state::CampaignState`] checkpoints each finished job to a JSONL file
-//! so a killed campaign resumes where it stopped, and a
+//! practical. One coordinator shards every target's budget into (target ×
+//! seed-slice) [`scheduler`] jobs and leases them out, partitioned
+//! round-robin, to N workers — threads of this process, or worker
+//! processes over a local socket; the same coordinator loop drives both
+//! (DESIGN.md §17). A [`cache::BinaryCache`] compiles each target's ten
+//! differential binaries (plus the fuzz binary) once per process, a
+//! crash-resilient [`state::CampaignState`] checkpoints each finished job
+//! to a JSONL file so a killed campaign resumes where it stopped, and a
 //! [`stats::CampaignStats`] aggregator dedups discrepancies campaign-wide
 //! by [`compdiff::signature_of`].
 //!
-//! Campaigns are deterministic in their *results*: each job's fuzzing RNG
-//! is seeded from `(campaign seed, target, shard)` only, so the deduped
-//! signature set is identical at any worker count — completion order is
-//! the only thing parallelism changes.
+//! Campaigns are deterministic: each job's fuzzing RNG is seeded from
+//! `(campaign seed, target, shard)` only, so the deduped signature set is
+//! identical at any worker count, and under a fixed clock the report and
+//! the metrics stream are byte-identical across runs at any worker count.
 //!
 //! Campaigns are also *fault-tolerant*: a panicking job or compile is
-//! caught ([`scheduler`], [`cache`]) and becomes a structured
+//! caught ([`worker`], [`cache`]) and becomes a structured
 //! [`state::FailureRecord`]; failed jobs are retried with deterministic
 //! backoff and repeatedly failing targets are quarantined
 //! ([`policy`]); checkpoints are fsynced per record and survive
@@ -49,12 +51,14 @@ pub mod scheduler;
 pub mod state;
 pub mod stats;
 pub mod telem;
+mod transport;
 pub mod worker;
 
 pub use cache::{BinaryCache, CacheError, CompiledTarget};
-pub use coordinator::resolve_worker_exe;
+pub use coordinator::run;
 pub use faults::{FaultKind, FaultPlan};
 pub use policy::{Disposition, FaultLedger, RetryPolicy};
+pub use proto::{hex_decode, hex_encode};
 pub use scheduler::{execs_for_shard, job_seed, retry_backoff, Decision, Job, JobResult};
 pub use state::{
     CampaignHeader, CampaignState, FailureKind, FailureRecord, JobRecord, StateError,
@@ -62,23 +66,24 @@ pub use state::{
 };
 pub use stats::{CampaignStats, TargetStats};
 pub use telem::CampaignTelemetry;
+pub use transport::resolve_worker_exe;
 pub use worker::{query_status, run_worker};
 
 use compdiff::{DiffConfig, Json};
 use minc_compile::CompilerImpl;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use targets::{SharedSource, Target};
-use telemetry::{JsonlRecorder, MonotonicClock, NoopRecorder, Telemetry, TestClock};
+use telemetry::{JsonlRecorder, NoopRecorder, Telemetry};
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Worker threads.
+    /// Worker threads (when `workers_proc` is unset).
     pub workers: usize,
     /// Fuzz-binary execution budget per target (split across shards).
     pub execs_per_target: u64,
@@ -114,6 +119,7 @@ pub struct CampaignConfig {
     pub quarantine_after: u32,
     /// Deterministic fault-injection plan; `None` (the production
     /// default) reduces every injection point to one `Option` check.
+    /// Worker processes receive it as its spec string.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Suppress the live progress line.
     pub quiet: bool,
@@ -124,7 +130,7 @@ pub struct CampaignConfig {
     /// `0` disables periodic progress.
     pub progress_every: usize,
     /// Pin the telemetry clock to this fixed microsecond reading instead
-    /// of wall time. With one worker this makes the event stream
+    /// of wall time. This makes the report and the event stream
     /// byte-identical across runs (the determinism test hook).
     pub fixed_clock_us: Option<u64>,
     /// Inputs per batched oracle sweep: each differential binary runs the
@@ -136,25 +142,16 @@ pub struct CampaignConfig {
     /// fuzzing finishes, publishing `sancheck.*` metrics (site counts,
     /// sanitizer false negatives/alarms, cross-impl verdict splits).
     pub sancheck: bool,
-    /// Run the campaign as a coordinator over this many worker
-    /// *processes* (the JSONL socket protocol; see DESIGN.md §17)
-    /// instead of the in-process thread pool. `None` (the default) keeps
-    /// the in-process path.
+    /// Run the workers as this many *processes* (JSON frames over a
+    /// local socket; see DESIGN.md §17) instead of `workers` threads.
+    /// `None` (the default) keeps the workers in-process.
     pub workers_proc: Option<usize>,
     /// Worker executable the coordinator spawns; `None` resolves the
     /// `compdiff` binary next to the current executable.
     pub worker_exe: Option<PathBuf>,
-    /// The textual fault-plan spec, carried alongside `fault_plan` so
-    /// worker processes can re-parse it under the campaign seed
-    /// (`Arc<FaultPlan>` does not cross a process boundary).
-    pub fault_plan_spec: Option<String>,
-    /// Milliseconds without a renewal after which a lease is reclaimed
-    /// and its job re-queued; `0` disables expiry (coordinator mode).
-    pub lease_timeout_ms: u64,
-    /// Worker lease-renewal period in milliseconds (coordinator mode).
-    pub renew_ms: u64,
     /// Write the coordinator's status-endpoint address (`host:port`
-    /// plus a newline) to this file once it is listening.
+    /// plus a newline) to this file once it is listening (worker
+    /// processes only).
     pub status_addr_out: Option<PathBuf>,
 }
 
@@ -184,9 +181,6 @@ impl Default for CampaignConfig {
             sancheck: false,
             workers_proc: None,
             worker_exe: None,
-            fault_plan_spec: None,
-            lease_timeout_ms: 30_000,
-            renew_ms: 500,
             status_addr_out: None,
         }
     }
@@ -203,10 +197,8 @@ pub enum CampaignError {
     UnknownTarget(String),
     /// The `metrics_out` stream could not be created.
     Metrics(std::io::Error),
-    /// Invalid configuration (e.g. an unparseable fault-plan spec).
-    Config(String),
     /// The coordinator/worker protocol failed (socket setup, worker
-    /// spawn, or a malformed frame).
+    /// spawn, an over-cap config frame, or a malformed frame).
     Proto(String),
 }
 
@@ -216,7 +208,6 @@ impl std::fmt::Display for CampaignError {
             CampaignError::State(e) => write!(f, "{e}"),
             CampaignError::UnknownTarget(m) => write!(f, "{m}"),
             CampaignError::Metrics(e) => write!(f, "cannot open metrics stream: {e}"),
-            CampaignError::Config(m) => write!(f, "invalid campaign config: {m}"),
             CampaignError::Proto(m) => write!(f, "campaign protocol error: {m}"),
         }
     }
@@ -266,63 +257,7 @@ impl CampaignReport {
     }
 }
 
-/// Runs a campaign to completion (or to `stop_after_jobs`): the
-/// in-process thread pool by default, or a coordinator over
-/// `workers_proc` worker processes when that field is set.
-///
-/// # Errors
-///
-/// Fails if the target filter matches nothing, the checkpoint is
-/// unusable ([`StateError`]), the fault-plan spec does not parse, or —
-/// in coordinator mode — the protocol breaks down
-/// ([`CampaignError::Proto`]).
-pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
-    let mut cfg = cfg.clone();
-    if cfg.fault_plan.is_none() {
-        if let Some(spec) = &cfg.fault_plan_spec {
-            let plan = FaultPlan::parse(spec, cfg.seed).map_err(CampaignError::Config)?;
-            cfg.fault_plan = Some(Arc::new(plan));
-        }
-    }
-    if cfg.workers_proc.is_some() {
-        coordinator::run_procs(&cfg)
-    } else {
-        run_in_process(&cfg)
-    }
-}
-
-/// The original single-process campaign: a work-stealing thread pool in
-/// this process.
-fn run_in_process(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
-    let started = Instant::now();
-    let tel = build_telemetry(cfg)?;
-    let started_us = tel.now_micros();
-    let ctel = CampaignTelemetry::new(Arc::clone(&tel));
-    let Prepared {
-        selected,
-        pending,
-        state,
-        stats,
-        ledger,
-        policy,
-    } = prepare(cfg, &tel, &ctel, cfg.workers.max(1))?;
-
-    let cache = BinaryCache::new();
-    let mut handler = ResultHandler::new(cfg, &tel, &ctel, &selected, state, stats, ledger, policy);
-    handler.started = started;
-    let pool_outcome = scheduler::run_pool(&selected, &cache, cfg, &ctel, &pending, |result| {
-        handler.on_result(result)
-    });
-    Ok(handler.finalize(
-        &pool_outcome.swept,
-        &selected,
-        cache.counters(),
-        cache.blocks_translated(),
-        started_us,
-    ))
-}
-
-/// Everything a campaign (either mode) sets up before jobs run.
+/// Everything a campaign sets up before jobs run.
 pub(crate) struct Prepared {
     /// The selected targets, in schedule order.
     pub(crate) selected: Vec<Target>,
@@ -338,12 +273,11 @@ pub(crate) struct Prepared {
     pub(crate) policy: RetryPolicy,
 }
 
-/// The shared campaign preamble: target selection, the pre-fuzz lint
-/// pass, checkpoint open (create or resume), failure-history replay, and
-/// the pending-job filter.
+/// The campaign preamble: target selection, the pre-fuzz lint pass,
+/// checkpoint open (create or resume), failure-history replay, and the
+/// pending-job filter.
 pub(crate) fn prepare(
     cfg: &CampaignConfig,
-    tel: &Arc<Telemetry>,
     ctel: &CampaignTelemetry,
     workers: usize,
 ) -> Result<Prepared, CampaignError> {
@@ -356,9 +290,9 @@ pub(crate) fn prepare(
     // so the event stream stays byte-identical run to run.
     let lint = staticheck_ir::UnstableLint::new();
     for t in &selected {
-        let t0 = tel.now_micros();
+        let t0 = ctel.tel.now_micros();
         if let Ok(findings) = lint.run_source(&t.src) {
-            ctel.record_lint(&findings, tel.now_micros().saturating_sub(t0));
+            ctel.record_lint(&findings, ctel.tel.now_micros().saturating_sub(t0));
         }
     }
 
@@ -447,398 +381,18 @@ pub(crate) fn prepare(
     })
 }
 
-/// Canonical event order for coordinator-mode buffering: `(target
-/// index, shard, done-after-failures flag, attempt, failure-before-
-/// quarantine rank)`. A clean single-worker in-process run emits its
-/// events in exactly this order already, so sorting buffered
-/// coordinator events by this key reproduces that stream byte for byte.
-pub(crate) type EventKey = (usize, u32, u8, u32, u8);
-
-/// One buffered telemetry event: canonical sort key, event name, fields.
-type BufferedEvent = (EventKey, &'static str, Vec<(&'static str, Json)>);
-
-/// The campaign's per-result state machine, shared verbatim by the
-/// in-process pool and the coordinator: checkpoint-then-aggregate,
-/// event emission, retry/quarantine dispositions, and `stop_after_jobs`
-/// accounting. The coordinator sets `buffer_events` so events can be
-/// re-sorted into canonical order before hitting the recorder (results
-/// arrive in socket order, which is not deterministic at N > 1).
-pub(crate) struct ResultHandler<'a> {
-    cfg: &'a CampaignConfig,
-    tel: &'a Arc<Telemetry>,
-    ctel: &'a CampaignTelemetry,
-    policy: RetryPolicy,
-    pub(crate) state: Option<CampaignState>,
-    pub(crate) degraded: bool,
-    pub(crate) stats: CampaignStats,
-    pub(crate) ledger: FaultLedger,
-    live_resolved: usize,
-    pub(crate) aborted: bool,
-    started: Instant,
-    pub(crate) buffer_events: bool,
-    buffered: Vec<BufferedEvent>,
-    target_index_of: BTreeMap<String, usize>,
-}
-
-impl<'a> ResultHandler<'a> {
-    #[allow(clippy::too_many_arguments)] // a constructor over `Prepared`'s parts
-    pub(crate) fn new(
-        cfg: &'a CampaignConfig,
-        tel: &'a Arc<Telemetry>,
-        ctel: &'a CampaignTelemetry,
-        selected: &[Target],
-        state: Option<CampaignState>,
-        stats: CampaignStats,
-        ledger: FaultLedger,
-        policy: RetryPolicy,
-    ) -> Self {
-        ResultHandler {
-            cfg,
-            tel,
-            ctel,
-            policy,
-            state,
-            degraded: false,
-            stats,
-            ledger,
-            live_resolved: 0,
-            aborted: false,
-            started: Instant::now(),
-            buffer_events: false,
-            buffered: Vec::new(),
-            target_index_of: selected
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (t.spec.name.to_string(), i))
-                .collect(),
-        }
-    }
-
-    /// Emits (or buffers) one event.
-    fn emit(&mut self, key: EventKey, name: &'static str, fields: Vec<(&'static str, Json)>) {
-        if !self.tel.events_enabled() {
-            return;
-        }
-        if self.buffer_events {
-            self.buffered.push((key, name, fields));
-        } else {
-            self.tel.event(name, fields);
-        }
-    }
-
-    /// Applies one resolved job attempt and returns the scheduler's next
-    /// move. Exactly the in-process coordinator loop's body.
-    pub(crate) fn on_result(&mut self, result: JobResult) -> Decision {
-        let mut decision = Decision::Continue;
-        match result {
-            JobResult::Done(out) => {
-                // Checkpoint first, aggregate second: a job is "done"
-                // only once its record is durably on disk (or
-                // checkpointing has been degraded away).
-                persist(
-                    &mut self.state,
-                    &mut self.degraded,
-                    self.ctel,
-                    self.cfg.quiet,
-                    Rec::Job(out.record.clone()),
-                );
-                self.stats.absorb(Some(out.worker), &out.record);
-                let ti = self
-                    .target_index_of
-                    .get(&out.record.target)
-                    .copied()
-                    .unwrap_or(0);
-                self.emit(
-                    (ti, out.record.shard, 1, 0, 0),
-                    "job",
-                    vec![
-                        ("target", Json::Str(out.record.target.clone())),
-                        ("shard", Json::Int(i64::from(out.record.shard))),
-                        ("worker", Json::Int(out.worker as i64)),
-                        ("dur_us", Json::Int(out.dur_us as i64)),
-                        ("execs", Json::Int(out.record.execs as i64)),
-                        ("oracle_execs", Json::Int(out.record.oracle_execs as i64)),
-                        ("divergent", Json::Int(out.record.divergent as i64)),
-                        ("crashes", Json::Int(out.record.crashes as i64)),
-                        ("signatures", Json::Int(out.record.signatures.len() as i64)),
-                        ("pages_restored", Json::Int(out.vm.pages_restored as i64)),
-                        (
-                            "pages_materialized",
-                            Json::Int(out.vm.pages_materialized as i64),
-                        ),
-                        (
-                            "bulk_builtin_ops",
-                            Json::Int(out.vm.bulk_builtin_ops as i64),
-                        ),
-                        (
-                            "fallback_builtin_ops",
-                            Json::Int(out.vm.fallback_builtin_ops as i64),
-                        ),
-                        ("block_exec", Json::Int(out.vm.block_exec as i64)),
-                        ("interp_fallback", Json::Int(out.vm.interp_fallback as i64)),
-                    ],
-                );
-                if !self.cfg.quiet {
-                    eprintln!(
-                        "{} <- {}#{}",
-                        self.stats.progress_line(),
-                        out.record.target,
-                        out.record.shard
-                    );
-                }
-            }
-            JobResult::Failed(f) => {
-                self.stats.note_failure(&f.target);
-                if f.kind == FailureKind::Panic {
-                    self.ctel.worker_panics.inc();
-                }
-                persist(
-                    &mut self.state,
-                    &mut self.degraded,
-                    self.ctel,
-                    self.cfg.quiet,
-                    Rec::Fail(FailureRecord {
-                        target: f.target.clone(),
-                        shard: f.job.shard,
-                        attempt: f.job.attempt,
-                        kind: f.kind,
-                        message: f.message.clone(),
-                    }),
-                );
-                let disposition =
-                    self.ledger
-                        .note_failure(&self.policy, &f.target, f.job.shard, f.job.attempt);
-                self.emit(
-                    (f.job.target_index, f.job.shard, 0, f.job.attempt, 0),
-                    "failure",
-                    vec![
-                        ("target", Json::Str(f.target.clone())),
-                        ("shard", Json::Int(i64::from(f.job.shard))),
-                        ("attempt", Json::Int(i64::from(f.job.attempt))),
-                        ("kind", Json::Str(f.kind.to_string())),
-                        ("worker", Json::Int(f.worker as i64)),
-                        ("message", Json::Str(f.message.clone())),
-                    ],
-                );
-                if !self.cfg.quiet {
-                    eprintln!(
-                        "{} !! {}#{} attempt {} failed ({}): {}",
-                        self.stats.progress_line(),
-                        f.target,
-                        f.job.shard,
-                        f.job.attempt,
-                        f.kind,
-                        f.message
-                    );
-                }
-                match disposition {
-                    Disposition::Retry { next_attempt } => {
-                        self.stats.note_retry();
-                        self.ctel.job_retries.inc();
-                        decision = Decision::Retry(Job {
-                            target_index: f.job.target_index,
-                            shard: f.job.shard,
-                            attempt: next_attempt,
-                        });
-                    }
-                    Disposition::Quarantine => {
-                        self.stats.note_failed_job();
-                        self.stats.note_quarantine(&f.target);
-                        self.ctel
-                            .targets_quarantined
-                            .set(self.ledger.quarantined.len() as u64);
-                        let failures = self
-                            .ledger
-                            .target_failures
-                            .get(&f.target)
-                            .copied()
-                            .unwrap_or(0);
-                        self.emit(
-                            (f.job.target_index, f.job.shard, 0, f.job.attempt, 1),
-                            "quarantine",
-                            vec![
-                                ("target", Json::Str(f.target.clone())),
-                                ("failures", Json::Int(i64::from(failures))),
-                            ],
-                        );
-                        if !self.cfg.quiet {
-                            eprintln!("quarantined {} after repeated failures", f.target);
-                        }
-                        decision = Decision::Quarantine {
-                            target_index: f.job.target_index,
-                        };
-                    }
-                    Disposition::Exhausted | Disposition::AlreadyQuarantined => {
-                        self.stats.note_failed_job();
-                    }
-                }
-            }
-        }
-        self.live_resolved += 1;
-        if self.cfg.progress_every > 0 && self.live_resolved.is_multiple_of(self.cfg.progress_every)
-        {
-            let secs = self.started.elapsed().as_secs_f64().max(1e-9);
-            eprintln!(
-                "{} [{:.0} execs/sec]",
-                self.stats.progress_line(),
-                self.stats.execs as f64 / secs
-            );
-        }
-        match self.cfg.stop_after_jobs {
-            Some(k) if self.live_resolved >= k => {
-                self.aborted = true;
-                Decision::Stop
-            }
-            _ => decision,
-        }
-    }
-
-    /// The shared campaign epilogue: quarantine-swept accounting, the
-    /// post-fuzz sanitizer audit, the final metric readings, buffered
-    /// events in canonical order, the metrics snapshot event, and the
-    /// report. Under a fixed clock, `elapsed` derives from the telemetry
-    /// clock so the report renders byte-identically across runs and
-    /// modes.
-    pub(crate) fn finalize(
-        mut self,
-        swept: &[Job],
-        selected: &[Target],
-        cache: (u64, u64),
-        blocks_translated: u64,
-        started_us: u64,
-    ) -> CampaignReport {
-        for j in swept {
-            self.stats
-                .note_skipped(&selected[j.target_index].spec.name, 1);
-        }
-
-        // Post-fuzz sanitizer audit: run the meta-oracle over every
-        // selected target so the metrics snapshot carries the
-        // sanitizer-trust evidence (`sancheck.*`) next to the divergence
-        // counters. Like the pre-fuzz lint this is metrics-only — no
-        // events — so the event stream stays byte-identical run to run.
-        if self.cfg.sancheck {
-            let scfg = sancheck::SancheckConfig {
-                vm: self.cfg.diff_config.vm.clone(),
-                ..sancheck::SancheckConfig::default()
-            };
-            for t in selected {
-                let t0 = self.tel.now_micros();
-                if let Ok(report) = sancheck::check_source(&t.src, &scfg) {
-                    self.ctel
-                        .record_sancheck(&report, self.tel.now_micros().saturating_sub(t0));
-                }
-            }
-        }
-
-        self.ctel.record_cache(cache);
-        self.ctel.record_blocks_translated(blocks_translated);
-        self.ctel.record_execs_per_sec(
-            self.stats.execs,
-            self.tel.now_micros().saturating_sub(started_us),
-        );
-        let mut buffered = std::mem::take(&mut self.buffered);
-        buffered.sort_by_key(|e| e.0);
-        for (_, name, fields) in buffered {
-            self.tel.event(name, fields);
-        }
-        let metrics = self.tel.registry().snapshot();
-        self.tel
-            .event("metrics", vec![("metrics", metrics.clone())]);
-        self.tel.flush();
-
-        let elapsed = if self.cfg.fixed_clock_us.is_some() {
-            Duration::from_micros(self.tel.now_micros().saturating_sub(started_us))
-        } else {
-            self.started.elapsed()
-        };
-        CampaignReport {
-            stats: self.stats,
-            elapsed,
-            cache,
-            checkpoint: self.state.map(|s| s.path().to_path_buf()),
-            aborted: self.aborted,
-            checkpoint_degraded: self.degraded,
-            metrics,
-        }
-    }
-}
-
-/// A checkpointable record, job or failure, for [`persist`].
-enum Rec {
-    Job(JobRecord),
-    Fail(FailureRecord),
-}
-
-fn append_rec(st: &mut CampaignState, rec: &Rec) -> Result<(), StateError> {
-    match rec {
-        Rec::Job(r) => st.append_job(r.clone()),
-        Rec::Fail(r) => st.append_failure(r.clone()),
-    }
-}
-
-/// Appends one record with the repair-then-degrade policy: a failed
-/// append is repaired (truncating any partial write) and retried once;
-/// if the retry or the fsync also fails, checkpointing is disabled for
-/// the rest of the campaign (`degraded`) and the campaign carries on —
-/// durability is best-effort, forward progress is not. This is what
-/// turns a flaky checkpoint disk into a degraded report instead of an
-/// abort or a hang.
-fn persist(
-    state: &mut Option<CampaignState>,
-    degraded: &mut bool,
-    ctel: &CampaignTelemetry,
-    quiet: bool,
-    rec: Rec,
-) {
-    if *degraded {
-        return;
-    }
-    let Some(st) = state.as_mut() else { return };
-    let t0 = ctel.tel.now_micros();
-    let mut result = append_rec(st, &rec);
-    if let Err(e) = &result {
-        ctel.checkpoint_errors.inc();
-        if !quiet {
-            eprintln!("checkpoint append failed ({e}); repairing and retrying");
-        }
-        result = st.repair().and_then(|()| append_rec(st, &rec));
-    }
-    let synced = result.and_then(|()| {
-        ctel.checkpoint_write_us
-            .record(ctel.tel.now_micros().saturating_sub(t0));
-        let t1 = ctel.tel.now_micros();
-        st.sync()?;
-        ctel.checkpoint_sync_us
-            .record(ctel.tel.now_micros().saturating_sub(t1));
-        Ok(())
-    });
-    if let Err(e) = synced {
-        ctel.checkpoint_errors.inc();
-        *degraded = true;
-        if !quiet {
-            eprintln!("checkpointing disabled for the rest of the campaign: {e}");
-        }
-    }
-}
-
 /// Assembles the campaign's [`Telemetry`] from the config: a JSONL
 /// recorder when `metrics_out` is set (otherwise no-op; the registry
-/// aggregates either way), over a monotonic or pinned test clock.
+/// aggregates either way).
 fn build_telemetry(cfg: &CampaignConfig) -> Result<Arc<Telemetry>, CampaignError> {
-    let tel = match (&cfg.metrics_out, cfg.fixed_clock_us) {
-        (Some(path), clock) => {
+    Ok(match &cfg.metrics_out {
+        Some(path) => {
             let file = File::create(path).map_err(CampaignError::Metrics)?;
             let rec = JsonlRecorder::new(BufWriter::new(file));
-            match clock {
-                Some(t) => Telemetry::new(TestClock::fixed(t), rec),
-                None => Telemetry::new(MonotonicClock::new(), rec),
-            }
+            Telemetry::clocked(cfg.fixed_clock_us, rec)
         }
-        (None, Some(t)) => Telemetry::new(TestClock::fixed(t), NoopRecorder),
-        (None, None) => Telemetry::new(MonotonicClock::new(), NoopRecorder),
-    };
-    Ok(tel)
+        None => Telemetry::clocked(cfg.fixed_clock_us, NoopRecorder),
+    })
 }
 
 fn select_targets(cfg: &CampaignConfig) -> Result<Vec<Target>, CampaignError> {

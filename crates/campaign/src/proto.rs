@@ -1,33 +1,196 @@
-//! The coordinator/worker wire protocol: line-delimited JSON frames
-//! over a local TCP socket (see DESIGN.md §17).
+//! The coordinator/worker protocol: the typed [`Frame`]s every worker
+//! link carries, and their JSON codec for the process transport (see
+//! DESIGN.md §17).
 //!
-//! Every frame is one `compdiff::Json` object on one line, tagged with a
-//! `"t"` field. The conversation:
+//! Worker threads exchange [`Frame`] values over `mpsc` as they are.
+//! Worker processes exchange them as line-delimited JSON over a local
+//! TCP socket: one `compdiff::Json` object per line, tagged with a `"t"`
+//! field. This module is the only place a frame is JSON-encoded. The
+//! conversation:
 //!
 //! ```text
-//! worker → hello {pid}                 coordinator → config {campaign...}
+//! worker → hello {pid}                 coordinator → config {campaign...}   (processes only)
 //! worker → lease_req                   coordinator → lease {lease, target, shard, attempt}
 //! worker → renew {lease}               (no reply; refreshes the expiry clock)
 //! worker → done {lease, record, ...}   coordinator → ack
 //! worker → failed {lease, kind, ...}   coordinator → ack
 //! (campaign drained)                   coordinator → shutdown
-//! worker → bye {cache counters, metrics}, closes
+//! worker → bye {metrics}, closes
 //! anyone → status                      coordinator → status {progress...}, closes
 //! ```
 //!
-//! The config frame carries everything a worker needs to rebuild its
-//! `CampaignConfig` and target set; targets travel as (name, magic, src,
-//! hex seeds) and are recompiled by the worker's own `BinaryCache`.
-//! `DiffConfig::filters` does not cross the wire — the CLI cannot set
-//! filters, so campaign workers always run with the default (empty)
-//! filter set, same as the in-process path.
+//! The config frame carries everything a worker process needs to
+//! rebuild its `CampaignConfig` and target set; targets travel as (name,
+//! magic, src, hex seeds) and are recompiled by the worker's own
+//! `BinaryCache`. `DiffConfig::filters` does not cross the wire — the
+//! CLI cannot set filters, so campaign workers always run with the
+//! default (empty) filter set. No line may exceed [`MAX_FRAME_BYTES`]:
+//! the status endpoint accepts connections from any local process, so a
+//! reader never buffers an unbounded line.
 
-use crate::{CampaignConfig, FailureKind, JobRecord};
+use crate::scheduler::{Job, JobOutput};
+use crate::{CampaignConfig, FailureKind, FaultPlan, JobRecord};
 use compdiff::Json;
 use minc_compile::CompilerImpl;
 use minc_vm::{SessionStats, VmMode};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+use std::sync::Arc;
 use targets::{Target, TargetSpec};
+
+/// The largest frame, newline included, a reader accepts. A catalog
+/// config frame is under 100 KB.
+pub(crate) const MAX_FRAME_BYTES: usize = 4 << 20;
+
+/// One message on a worker link, in either direction.
+#[derive(Debug)]
+pub(crate) enum Frame {
+    /// Worker → coordinator: ready for a job.
+    LeaseReq,
+    /// Coordinator → worker: run `job` under lease id `lease`.
+    Lease { lease: u64, job: Job },
+    /// Worker → coordinator: still working on `lease`.
+    Renew { lease: u64 },
+    /// Worker → coordinator: the leased job finished. `out.worker` is 0
+    /// on the link; the coordinator stamps its own worker index.
+    Done {
+        lease: u64,
+        out: JobOutput,
+        metrics: Json,
+    },
+    /// Worker → coordinator: the leased attempt failed.
+    Failed {
+        lease: u64,
+        kind: FailureKind,
+        message: String,
+        dur_us: u64,
+        metrics: Json,
+    },
+    /// Coordinator → worker: result applied; ask for the next lease.
+    Ack,
+    /// Coordinator → worker: the campaign is over.
+    Shutdown,
+    /// Worker → coordinator: final metric snapshot, then the link closes.
+    Bye { metrics: Json },
+}
+
+impl Frame {
+    /// The JSON form of this frame.
+    pub(crate) fn to_json(&self) -> Json {
+        let (tag, mut fields) = match self {
+            Frame::LeaseReq => ("lease_req", vec![]),
+            Frame::Lease { lease, job } => (
+                "lease",
+                vec![
+                    ("lease", Json::Int(*lease as i64)),
+                    ("target", Json::Int(job.target_index as i64)),
+                    ("shard", Json::Int(i64::from(job.shard))),
+                    ("attempt", Json::Int(i64::from(job.attempt))),
+                ],
+            ),
+            Frame::Renew { lease } => ("renew", vec![("lease", Json::Int(*lease as i64))]),
+            Frame::Done {
+                lease,
+                out,
+                metrics,
+            } => (
+                "done",
+                vec![
+                    ("lease", Json::Int(*lease as i64)),
+                    ("record", out.record.to_json()),
+                    ("dur_us", Json::Int(out.dur_us as i64)),
+                    ("vm", vm_to_json(&out.vm)),
+                    ("metrics", metrics.clone()),
+                ],
+            ),
+            Frame::Failed {
+                lease,
+                kind,
+                message,
+                dur_us,
+                metrics,
+            } => (
+                "failed",
+                vec![
+                    ("lease", Json::Int(*lease as i64)),
+                    ("kind", Json::Str(kind.as_str().to_string())),
+                    ("message", Json::Str(message.clone())),
+                    ("dur_us", Json::Int(*dur_us as i64)),
+                    ("metrics", metrics.clone()),
+                ],
+            ),
+            Frame::Ack => ("ack", vec![]),
+            Frame::Shutdown => ("shutdown", vec![]),
+            Frame::Bye { metrics } => ("bye", vec![("metrics", metrics.clone())]),
+        };
+        fields.insert(0, ("t", Json::Str(tag.to_string())));
+        Json::obj(fields)
+    }
+
+    /// Decodes a frame.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown tag or the missing or malformed field.
+    pub(crate) fn from_json(v: &Json) -> Result<Frame, String> {
+        let tag = frame_type(v).unwrap_or("");
+        let u = |k: &str| {
+            v.get(k)
+                .and_then(Json::as_u64)
+                .ok_or(format!("{tag} frame missing {k}"))
+        };
+        let small = |k: &str| u32::try_from(u(k)?).map_err(|_| format!("{tag} frame: bad {k}"));
+        let metrics = || {
+            v.get("metrics")
+                .cloned()
+                .ok_or(format!("{tag} frame missing metrics"))
+        };
+        Ok(match tag {
+            "lease_req" => Frame::LeaseReq,
+            "lease" => Frame::Lease {
+                lease: u("lease")?,
+                job: Job {
+                    target_index: usize::try_from(u("target")?).map_err(|e| e.to_string())?,
+                    shard: small("shard")?,
+                    attempt: small("attempt")?,
+                },
+            },
+            "renew" => Frame::Renew { lease: u("lease")? },
+            "done" => Frame::Done {
+                lease: u("lease")?,
+                out: JobOutput {
+                    worker: 0,
+                    record: JobRecord::from_json(
+                        v.get("record").ok_or("done frame missing record")?,
+                    )?,
+                    dur_us: u("dur_us")?,
+                    vm: v.get("vm").map(vm_from_json).unwrap_or_default(),
+                },
+                metrics: metrics()?,
+            },
+            "failed" => Frame::Failed {
+                lease: u("lease")?,
+                kind: FailureKind::parse(
+                    v.get("kind")
+                        .and_then(Json::as_str)
+                        .ok_or("failed frame missing kind")?,
+                )?,
+                message: v
+                    .get("message")
+                    .and_then(Json::as_str)
+                    .unwrap_or("")
+                    .to_string(),
+                dur_us: u("dur_us")?,
+                metrics: metrics()?,
+            },
+            "ack" => Frame::Ack,
+            "shutdown" => Frame::Shutdown,
+            "bye" => Frame::Bye {
+                metrics: metrics()?,
+            },
+            other => return Err(format!("unknown frame type `{other}`")),
+        })
+    }
+}
 
 /// Writes one frame: compact JSON, newline, flush.
 pub(crate) fn write_frame(w: &mut impl Write, v: &Json) -> std::io::Result<()> {
@@ -35,15 +198,24 @@ pub(crate) fn write_frame(w: &mut impl Write, v: &Json) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame; `Ok(None)` is a clean EOF (peer closed).
+/// Reads one frame; `Ok(None)` is a clean EOF (peer closed). A line
+/// longer than [`MAX_FRAME_BYTES`] fails with `InvalidData` after
+/// buffering at most one byte past the cap.
 pub(crate) fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<Json>> {
+    let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let n = r.take(MAX_FRAME_BYTES as u64 + 1).read_line(&mut line)?;
+    if n == 0 {
         return Ok(None);
+    }
+    if n > MAX_FRAME_BYTES {
+        return Err(invalid(format!(
+            "frame exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )));
     }
     Json::parse(line.trim_end())
         .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|e| invalid(e.to_string()))
 }
 
 /// The frame's `"t"` tag.
@@ -56,93 +228,79 @@ pub(crate) fn tagged(tag: &str) -> Json {
     Json::obj(vec![("t", Json::Str(tag.to_string()))])
 }
 
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
+/// Lower-case hex of `bytes`.
+pub fn hex_encode(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
+/// Parses the output of [`hex_encode`].
+///
+/// # Errors
+///
+/// Odd length or a non-hex digit (never a panic, whatever the input).
+pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err(format!("odd-length hex string `{s}`"));
     }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16)
-                .map_err(|_| format!("bad hex string `{s}`"))
+    let nibble = |c: u8| char::from(c).to_digit(16);
+    s.as_bytes()
+        .chunks(2)
+        .map(|p| match (nibble(p[0]), nibble(p[1])) {
+            (Some(hi), Some(lo)) => Ok((hi * 16 + lo) as u8),
+            _ => Err(format!("bad hex string `{s}`")),
         })
         .collect()
 }
 
 /// Serializes the campaign parameters plus the selected targets into
-/// the config frame the coordinator sends after `hello`.
+/// the config frame a worker process receives after `hello`.
 pub(crate) fn config_frame(cfg: &CampaignConfig, targets: &[Target]) -> Json {
-    let targets_json: Vec<Json> = targets
+    let int = |n: u64| Json::Int(n as i64);
+    let vm = &cfg.diff_config.vm;
+    let targets_json = targets
         .iter()
         .map(|t| {
+            let magic = t.spec.magic.iter().map(|&b| int(b.into())).collect();
+            let seeds = t.seeds.iter().map(|s| Json::Str(hex_encode(s))).collect();
             Json::obj(vec![
                 ("name", Json::Str(t.spec.name.clone())),
-                (
-                    "magic",
-                    Json::Array(vec![
-                        Json::Int(i64::from(t.spec.magic[0])),
-                        Json::Int(i64::from(t.spec.magic[1])),
-                    ]),
-                ),
+                ("magic", Json::Array(magic)),
                 ("src", Json::Str(t.src.clone())),
-                (
-                    "seeds",
-                    Json::Array(t.seeds.iter().map(|s| Json::Str(hex_encode(s))).collect()),
-                ),
+                ("seeds", Json::Array(seeds)),
             ])
         })
         .collect();
+    let spec = |p: &Arc<FaultPlan>| Json::Str(p.spec().to_string());
     Json::obj(vec![
         ("t", Json::Str("config".to_string())),
-        ("seed", Json::Int(cfg.seed as i64)),
-        ("execs_per_target", Json::Int(cfg.execs_per_target as i64)),
-        ("shards", Json::Int(i64::from(cfg.shards_per_target))),
-        ("max_input_len", Json::Int(cfg.max_input_len as i64)),
-        ("batch_size", Json::Int(cfg.batch_size as i64)),
+        ("seed", int(cfg.seed)),
+        ("execs_per_target", int(cfg.execs_per_target)),
+        ("shards", int(cfg.shards_per_target.into())),
+        ("max_input_len", int(cfg.max_input_len as u64)),
+        ("batch_size", int(cfg.batch_size as u64)),
         ("fuzz_impl", Json::Str(cfg.fuzz_impl.to_string())),
-        ("vm_mode", Json::Str(cfg.diff_config.vm.mode.to_string())),
-        (
-            "step_limit",
-            Json::Int(cfg.diff_config.vm.step_limit as i64),
-        ),
-        (
-            "max_frames",
-            Json::Int(cfg.diff_config.vm.max_frames as i64),
-        ),
-        (
-            "heap_limit",
-            Json::Int(cfg.diff_config.vm.heap_limit as i64),
-        ),
+        ("vm_mode", Json::Str(vm.mode.to_string())),
+        ("step_limit", int(vm.step_limit)),
+        ("max_frames", int(vm.max_frames as u64)),
+        ("heap_limit", int(vm.heap_limit)),
         (
             "timeout_escalations",
-            Json::Int(i64::from(cfg.diff_config.timeout_escalations)),
+            int(cfg.diff_config.timeout_escalations.into()),
         ),
-        (
-            "fixed_clock_us",
-            match cfg.fixed_clock_us {
-                Some(t) => Json::Int(t as i64),
-                None => Json::Null,
-            },
-        ),
+        ("fixed_clock_us", cfg.fixed_clock_us.map_or(Json::Null, int)),
         (
             "fault_plan",
-            match &cfg.fault_plan_spec {
-                Some(spec) => Json::Str(spec.clone()),
-                None => Json::Null,
-            },
+            cfg.fault_plan.as_ref().map_or(Json::Null, spec),
         ),
-        ("renew_ms", Json::Int(cfg.renew_ms as i64)),
         ("targets", Json::Array(targets_json)),
     ])
 }
 
 /// Rebuilds the worker-side `CampaignConfig` and target set from a
-/// config frame. The reconstructed `Target`s carry wire placeholders for
-/// the catalog-only metadata (`input_type`, `version`, `bugs`) — the
-/// campaign path compiles from `src` and never reads those fields.
+/// config frame, re-parsing the fault plan under the campaign seed. The
+/// reconstructed `Target`s carry wire placeholders for the catalog-only
+/// metadata (`input_type`, `version`, `bugs`) — the campaign path
+/// compiles from `src` and never reads those fields.
 pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), String> {
     let int = |k: &str| {
         v.get(k)
@@ -156,7 +314,6 @@ pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), St
         max_input_len: usize::try_from(int("max_input_len")?)
             .map_err(|_| "max_input_len out of range")?,
         batch_size: usize::try_from(int("batch_size")?).map_err(|_| "batch_size out of range")?,
-        renew_ms: int("renew_ms")? as u64,
         ..CampaignConfig::default()
     };
     let fuzz_impl = v
@@ -180,8 +337,8 @@ pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), St
         Some(Json::Null) | None => None,
         Some(t) => Some(t.as_i64().ok_or("bad fixed_clock_us")? as u64),
     };
-    cfg.fault_plan_spec = match v.get("fault_plan") {
-        Some(Json::Str(s)) => Some(s.clone()),
+    cfg.fault_plan = match v.get("fault_plan") {
+        Some(Json::Str(spec)) => Some(Arc::new(FaultPlan::parse(spec, cfg.seed)?)),
         _ => None,
     };
 
@@ -235,92 +392,37 @@ pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), St
     Ok((cfg, targets))
 }
 
+/// The `done` frame's VM-statistics fields, by wire name.
+fn vm_fields(vm: &mut SessionStats) -> [(&'static str, &mut u64); 11] {
+    [
+        ("runs", &mut vm.runs),
+        ("pages_restored", &mut vm.pages_restored),
+        ("pages_materialized", &mut vm.pages_materialized),
+        ("bulk_builtin_ops", &mut vm.bulk_builtin_ops),
+        ("fallback_builtin_ops", &mut vm.fallback_builtin_ops),
+        ("poisoned_rebuilds", &mut vm.poisoned_rebuilds),
+        ("blocks_translated", &mut vm.blocks_translated),
+        ("block_cache_hits", &mut vm.block_cache_hits),
+        ("block_exec", &mut vm.block_exec),
+        ("interp_fallback", &mut vm.interp_fallback),
+        ("loader_skips", &mut vm.loader_skips),
+    ]
+}
+
 /// Serializes one job's VM-session statistics for the `done` frame.
 pub(crate) fn vm_to_json(vm: &SessionStats) -> Json {
-    Json::obj(vec![
-        ("runs", Json::Int(vm.runs as i64)),
-        ("pages_restored", Json::Int(vm.pages_restored as i64)),
-        (
-            "pages_materialized",
-            Json::Int(vm.pages_materialized as i64),
-        ),
-        ("bulk_builtin_ops", Json::Int(vm.bulk_builtin_ops as i64)),
-        (
-            "fallback_builtin_ops",
-            Json::Int(vm.fallback_builtin_ops as i64),
-        ),
-        ("poisoned_rebuilds", Json::Int(vm.poisoned_rebuilds as i64)),
-        ("blocks_translated", Json::Int(vm.blocks_translated as i64)),
-        ("block_cache_hits", Json::Int(vm.block_cache_hits as i64)),
-        ("block_exec", Json::Int(vm.block_exec as i64)),
-        ("interp_fallback", Json::Int(vm.interp_fallback as i64)),
-        ("loader_skips", Json::Int(vm.loader_skips as i64)),
-    ])
+    let mut vm = *vm;
+    let fields = vm_fields(&mut vm).map(|(k, v)| (k, Json::Int(*v as i64)));
+    Json::obj(fields.to_vec())
 }
 
 /// Reads the VM statistics back out of a `done` frame.
 pub(crate) fn vm_from_json(v: &Json) -> SessionStats {
-    let u = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
-    SessionStats {
-        runs: u("runs"),
-        pages_restored: u("pages_restored"),
-        pages_materialized: u("pages_materialized"),
-        bulk_builtin_ops: u("bulk_builtin_ops"),
-        fallback_builtin_ops: u("fallback_builtin_ops"),
-        poisoned_rebuilds: u("poisoned_rebuilds"),
-        blocks_translated: u("blocks_translated"),
-        block_cache_hits: u("block_cache_hits"),
-        block_exec: u("block_exec"),
-        interp_fallback: u("interp_fallback"),
-        loader_skips: u("loader_skips"),
+    let mut vm = SessionStats::default();
+    for (k, field) in vm_fields(&mut vm) {
+        *field = v.get(k).and_then(Json::as_u64).unwrap_or(0);
     }
-}
-
-/// The coordinator's lease grant.
-pub(crate) fn lease_frame(lease: u64, job: crate::Job) -> Json {
-    Json::obj(vec![
-        ("t", Json::Str("lease".to_string())),
-        ("lease", Json::Int(lease as i64)),
-        ("target", Json::Int(job.target_index as i64)),
-        ("shard", Json::Int(i64::from(job.shard))),
-        ("attempt", Json::Int(i64::from(job.attempt))),
-    ])
-}
-
-/// The worker's successful-job report.
-pub(crate) fn done_frame(
-    lease: u64,
-    record: &JobRecord,
-    dur_us: u64,
-    vm: &SessionStats,
-    metrics: Json,
-) -> Json {
-    Json::obj(vec![
-        ("t", Json::Str("done".to_string())),
-        ("lease", Json::Int(lease as i64)),
-        ("record", record.to_json()),
-        ("dur_us", Json::Int(dur_us as i64)),
-        ("vm", vm_to_json(vm)),
-        ("metrics", metrics),
-    ])
-}
-
-/// The worker's failed-attempt report.
-pub(crate) fn failed_frame(
-    lease: u64,
-    kind: FailureKind,
-    message: &str,
-    dur_us: u64,
-    metrics: Json,
-) -> Json {
-    Json::obj(vec![
-        ("t", Json::Str("failed".to_string())),
-        ("lease", Json::Int(lease as i64)),
-        ("kind", Json::Str(kind.as_str().to_string())),
-        ("message", Json::Str(message.to_string())),
-        ("dur_us", Json::Int(dur_us as i64)),
-        ("metrics", metrics),
-    ])
+    vm
 }
 
 #[cfg(test)]
@@ -341,6 +443,78 @@ mod tests {
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
     }
 
+    /// An over-cap line is refused with `InvalidData` instead of being
+    /// buffered whole; a frame exactly at the cap still reads.
+    #[test]
+    fn oversized_frames_are_refused_through_a_pipe() {
+        let fits = format!("\"{}\"\n", "a".repeat(MAX_FRAME_BYTES - 3));
+        assert_eq!(fits.len(), MAX_FRAME_BYTES);
+        let mut r = std::io::BufReader::new(fits.as_bytes());
+        assert!(read_frame(&mut r).unwrap().is_some(), "at the cap");
+
+        let mut huge = vec![b'a'; MAX_FRAME_BYTES + 10];
+        huge.push(b'\n');
+        let mut r = std::io::BufReader::new(huge.as_slice());
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("cap"), "{err}");
+    }
+
+    #[test]
+    fn typed_frames_roundtrip_through_json() {
+        let metrics = Json::obj(vec![("counters", Json::obj(vec![]))]);
+        let frames = vec![
+            Frame::LeaseReq,
+            Frame::Lease {
+                lease: 7,
+                job: Job {
+                    target_index: 3,
+                    shard: 2,
+                    attempt: 1,
+                },
+            },
+            Frame::Renew { lease: 7 },
+            Frame::Done {
+                lease: 7,
+                out: JobOutput {
+                    worker: 0,
+                    record: JobRecord {
+                        target: "jq".to_string(),
+                        shard: 2,
+                        execs: 10,
+                        oracle_execs: 100,
+                        divergent: 1,
+                        crashes: 0,
+                        signatures: vec!["sig".to_string()],
+                    },
+                    dur_us: 5,
+                    vm: SessionStats {
+                        block_exec: 9,
+                        ..SessionStats::default()
+                    },
+                },
+                metrics: metrics.clone(),
+            },
+            Frame::Failed {
+                lease: 8,
+                kind: FailureKind::Panic,
+                message: "boom".to_string(),
+                dur_us: 3,
+                metrics: metrics.clone(),
+            },
+            Frame::Ack,
+            Frame::Shutdown,
+            Frame::Bye { metrics },
+        ];
+        for f in frames {
+            let wire = Json::parse(&f.to_json().render()).unwrap();
+            let back = Frame::from_json(&wire).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{f:?}"));
+        }
+        assert!(Frame::from_json(&tagged("nope")).is_err());
+        assert!(Frame::from_json(&tagged("done")).is_err(), "missing fields");
+    }
+
     #[test]
     fn config_frame_roundtrips_parameters_and_targets() {
         let mut cfg = CampaignConfig {
@@ -349,9 +523,10 @@ mod tests {
             shards_per_target: 3,
             max_input_len: 48,
             batch_size: 8,
-            fault_plan_spec: Some("die@tcpdump#0".to_string()),
+            fault_plan: Some(Arc::new(
+                FaultPlan::parse("die@tcpdump#0", u64::MAX - 3).unwrap(),
+            )),
             fixed_clock_us: Some(5),
-            renew_ms: 250,
             ..CampaignConfig::default()
         };
         cfg.diff_config.vm.mode = VmMode::Interp;
@@ -379,8 +554,10 @@ mod tests {
         assert_eq!(got_cfg.diff_config.vm.mode, VmMode::Interp);
         assert_eq!(got_cfg.diff_config.vm.step_limit, 12_345);
         assert_eq!(got_cfg.fixed_clock_us, Some(5));
-        assert_eq!(got_cfg.fault_plan_spec.as_deref(), Some("die@tcpdump#0"));
-        assert_eq!(got_cfg.renew_ms, 250);
+        assert_eq!(
+            got_cfg.fault_plan.as_ref().map(|p| p.spec()),
+            Some("die@tcpdump#0")
+        );
         assert_eq!(got_targets.len(), 1);
         assert_eq!(got_targets[0].spec.name, "tcpdump");
         assert_eq!(got_targets[0].spec.magic, [0xD4, 0xC3]);

@@ -38,14 +38,14 @@ pub struct CampaignTelemetry {
     pub worker_panics: Arc<Counter>,
     /// `campaign.job_retries` — failed attempts that were requeued.
     pub job_retries: Arc<Counter>,
-    /// `campaign.leases_granted` — jobs handed to a worker (thread pops
-    /// in-process; lease grants in coordinator/worker mode).
+    /// `campaign.leases_granted` — lease grants to workers (threads or
+    /// processes alike).
     pub leases_granted: Arc<Counter>,
     /// `campaign.leases_expired` — leases reclaimed because the holding
-    /// worker process stopped renewing them.
+    /// worker stopped renewing them.
     pub leases_expired: Arc<Counter>,
-    /// `campaign.workers_spawned` — workers started (threads in-process;
-    /// processes, including respawns, in coordinator/worker mode).
+    /// `campaign.workers_spawned` — workers started, threads or
+    /// processes, including respawns after a lost worker.
     pub workers_spawned: Arc<Counter>,
     /// `campaign.stale_results` — results that arrived for a lease that
     /// had already expired and been re-queued (the result is dropped).
@@ -53,10 +53,10 @@ pub struct CampaignTelemetry {
     /// `campaign.targets_quarantined` — targets degraded out of the
     /// schedule after repeated failures.
     pub targets_quarantined: Arc<Gauge>,
-    /// `campaign.cache_hits` — binary-cache reuses (set at campaign end).
-    pub cache_hits: Arc<Gauge>,
-    /// `campaign.cache_misses` — compiles performed (set at campaign end).
-    pub cache_misses: Arc<Gauge>,
+    /// `campaign.cache_hits` — binary-cache reuses.
+    pub cache_hits: Arc<Counter>,
+    /// `campaign.cache_misses` — compiles performed.
+    pub cache_misses: Arc<Counter>,
     /// `lint.scan_us` — per-target pre-fuzz unstable-code lint latency.
     pub lint_scan_us: Arc<Histogram>,
     /// `sancheck.scan_us` — per-target post-fuzz sanitizer-audit latency.
@@ -146,8 +146,8 @@ impl CampaignTelemetry {
             workers_spawned: r.counter("campaign.workers_spawned"),
             stale_results: r.counter("campaign.stale_results"),
             targets_quarantined: r.gauge("campaign.targets_quarantined"),
-            cache_hits: r.gauge("campaign.cache_hits"),
-            cache_misses: r.gauge("campaign.cache_misses"),
+            cache_hits: r.counter("campaign.cache_hits"),
+            cache_misses: r.counter("campaign.cache_misses"),
             lint_scan_us: r.histogram("lint.scan_us"),
             sancheck_scan_us: r.histogram("sancheck.scan_us"),
             sancheck_sites: r.counter("sancheck.sites"),
@@ -208,9 +208,9 @@ impl CampaignTelemetry {
         self.loader_skips.add(vm.loader_skips);
     }
 
-    /// Adds superblocks translated outside any session — the
-    /// `BinaryCache` translates each compiled binary once up front and
-    /// reports the total at campaign end.
+    /// Adds superblocks translated outside any session (a cache made
+    /// with [`crate::BinaryCache::counting_into`] counts its up-front
+    /// translations here by itself).
     pub fn record_blocks_translated(&self, blocks: u64) {
         self.blocks_translated.add(blocks);
     }
@@ -239,10 +239,12 @@ impl CampaignTelemetry {
         self.sancheck_splits.add(report.divergences.len() as u64);
     }
 
-    /// Publishes the binary cache's final `(hits, misses)`.
+    /// Adds binary-cache `(hits, misses)` counted outside the registry
+    /// (a cache made with [`crate::BinaryCache::counting_into`] counts
+    /// here by itself).
     pub fn record_cache(&self, counters: (u64, u64)) {
-        self.cache_hits.set(counters.0);
-        self.cache_misses.set(counters.1);
+        self.cache_hits.add(counters.0);
+        self.cache_misses.add(counters.1);
     }
 
     /// Publishes the campaign's fuzz-binary throughput from the final

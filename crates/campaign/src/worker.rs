@@ -1,40 +1,178 @@
-//! The worker-process side of the coordinator/worker protocol
-//! (DESIGN.md §17): connect, receive the campaign config, then loop
-//! lease → run `run_job` → report, renewing the held lease from a
-//! daemon thread so a hung VM does not silently keep its lease.
+//! The worker loop, written once for both transports (DESIGN.md §17):
+//! ask for a lease, run the job, report `done` or `failed`, wait for the
+//! `ack`, repeat until `shutdown`. The job's own fuzz loop renews the
+//! held lease, so a long job keeps it and a stuck one loses it.
 //!
-//! A worker is stateless beyond its own `BinaryCache` and VM sessions:
-//! all scheduling, checkpointing, dedup, and event emission live in the
-//! coordinator. Killing a worker at any point loses at most its
-//! in-flight lease, which the coordinator reclaims and re-queues.
+//! A worker is stateless beyond its `BinaryCache` and the sessions of
+//! the job in hand: all scheduling, checkpointing, dedup, and event
+//! emission live in the coordinator. Losing a worker at any point loses
+//! at most its in-flight lease, which the coordinator reclaims and
+//! re-queues.
+//!
+//! `serve` is generic over the link. A worker thread passes closures
+//! over its `mpsc` channels; a worker process ([`run_worker`]) passes
+//! closures over its socket that JSON-encode through `proto`.
 
-use crate::faults::FaultKind;
-use crate::proto::{
-    done_frame, failed_frame, frame_type, parse_config, read_frame, tagged, write_frame,
-};
+use crate::faults::{panic_message, FaultKind};
+use crate::proto::{frame_type, parse_config, read_frame, tagged, write_frame, Frame};
 use crate::scheduler::{run_job, Job};
 use crate::state::FailureKind;
-use crate::{faults, BinaryCache, CacheError, CampaignTelemetry, FaultPlan};
+use crate::{BinaryCache, CampaignConfig, CampaignTelemetry};
 use compdiff::Json;
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use telemetry::{MonotonicClock, NoopRecorder, Telemetry, TestClock};
+use std::time::{Duration, Instant};
+use targets::Target;
+use telemetry::{NoopRecorder, Telemetry};
+
+/// How often a worker renews the lease it holds, at most. The
+/// coordinator's lease timeout must dwarf it.
+const RENEW_EVERY: Duration = Duration::from_millis(500);
+
+/// What a worker serves: the campaign parameters, the selected targets
+/// (indexed like a lease's `target_index`), the cache its jobs compile
+/// through, and where its metrics go.
+pub(crate) struct Worker {
+    pub(crate) cfg: CampaignConfig,
+    pub(crate) targets: Vec<Target>,
+    pub(crate) cache: BinaryCache,
+    pub(crate) ctel: CampaignTelemetry,
+    /// True when `ctel` is a registry of the worker's own (a worker
+    /// process): its snapshot then rides every result frame for the
+    /// coordinator to merge. Worker threads count straight into the
+    /// coordinator's registry and ship nothing.
+    pub(crate) ships_metrics: bool,
+}
+
+impl Worker {
+    /// The metric snapshot a result frame carries (`Null` when there is
+    /// nothing to merge).
+    fn snapshot(&self) -> Json {
+        if self.ships_metrics {
+            self.ctel.tel.registry().snapshot()
+        } else {
+            Json::Null
+        }
+    }
+}
+
+/// How [`serve`] ended.
+pub(crate) enum Exit {
+    /// The coordinator sent `shutdown` and `bye` went out.
+    Shutdown,
+    /// An injected `die@` fault fired: the worker quit holding its
+    /// lease, without replying.
+    Died,
+}
+
+/// Runs the worker loop over one link until the coordinator sends
+/// `shutdown`, or a `die@` fault fires. `recv` yields `None` once the
+/// coordinator has closed the link.
+///
+/// # Errors
+///
+/// The link failed, closed mid-campaign, or carried an unexpected frame.
+pub(crate) fn serve(
+    w: &Worker,
+    send: &mut dyn FnMut(Frame) -> Result<(), String>,
+    recv: &mut dyn FnMut() -> Result<Option<Frame>, String>,
+) -> Result<Exit, String> {
+    send(Frame::LeaseReq)?;
+    loop {
+        let frame = recv()?.ok_or("coordinator closed the link mid-campaign")?;
+        match frame {
+            Frame::Lease { lease, job } => {
+                let target = w
+                    .targets
+                    .get(job.target_index)
+                    .ok_or(format!("lease names unknown target {}", job.target_index))?;
+                // The worker-death injection point: quit *while holding
+                // the lease*, before any result frame, so the
+                // coordinator must reclaim it.
+                let plan = w.cfg.fault_plan.as_deref();
+                if plan.and_then(|p| p.fire_job(&target.spec.name, job.shard, job.attempt))
+                    == Some(FaultKind::Die)
+                {
+                    return Ok(Exit::Died);
+                }
+                let reply = attempt(w, target, job, lease, send);
+                send(reply)?;
+            }
+            Frame::Ack => send(Frame::LeaseReq)?,
+            Frame::Shutdown => {
+                send(Frame::Bye {
+                    metrics: w.snapshot(),
+                })?;
+                return Ok(Exit::Shutdown);
+            }
+            other => return Err(format!("unexpected frame {other:?}")),
+        }
+    }
+}
+
+/// One leased attempt, compile included, inside the unwind boundary: a
+/// panic anywhere (real or injected) fails this attempt, not the worker.
+/// Renewal rides the job's progress — at most one `renew` per
+/// [`RENEW_EVERY`], sent from the fuzz loop — so it needs no thread of
+/// its own, and a job that stops making progress stops renewing.
+fn attempt(
+    w: &Worker,
+    target: &Target,
+    job: Job,
+    lease: u64,
+    send: &mut dyn FnMut(Frame) -> Result<(), String>,
+) -> Frame {
+    let ctel = &w.ctel;
+    let start_us = ctel.tel.now_micros();
+    let mut renewed = Instant::now();
+    let mut heartbeat = || {
+        if renewed.elapsed() >= RENEW_EVERY {
+            renewed = Instant::now();
+            let _ = send(Frame::Renew { lease });
+        }
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let ct = w
+            .cache
+            .get_or_compile(
+                target,
+                &w.cfg.diff_config,
+                w.cfg.fuzz_impl,
+                w.cfg.fault_plan.as_deref(),
+                job.attempt,
+            )
+            .map_err(|e| (FailureKind::Compile, e.to_string()))?;
+        run_job(&ct, &w.cfg, job, &mut heartbeat, ctel)
+    }));
+    let metrics = w.snapshot();
+    let (kind, message) = match result {
+        Ok(Ok(out)) => {
+            return Frame::Done {
+                lease,
+                out,
+                metrics,
+            }
+        }
+        Ok(Err(failure)) => failure,
+        Err(payload) => (FailureKind::Panic, panic_message(payload.as_ref())),
+    };
+    Frame::Failed {
+        lease,
+        kind,
+        message,
+        dur_us: ctel.tel.now_micros().saturating_sub(start_us),
+        metrics,
+    }
+}
 
 fn io_err(context: &str, e: std::io::Error) -> String {
     format!("worker {context}: {e}")
 }
 
-fn send(writer: &Mutex<BufWriter<TcpStream>>, frame: &Json) -> Result<(), String> {
-    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-    write_frame(&mut *w, frame).map_err(|e| io_err("send", e))
-}
-
 /// Runs one campaign worker process against the coordinator at `addr`
-/// (`host:port`). Returns when the coordinator sends `shutdown` or
-/// closes the connection.
+/// (`host:port`). Returns when the coordinator sends `shutdown`; exits
+/// the process with status 137 when a `die@` fault fires.
 ///
 /// # Errors
 ///
@@ -43,15 +181,12 @@ fn send(writer: &Mutex<BufWriter<TcpStream>>, frame: &Json) -> Result<(), String
 pub fn run_worker(addr: &str) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| io_err("clone", e))?);
-    let writer = Arc::new(Mutex::new(BufWriter::new(stream)));
-
-    send(
-        &writer,
-        &Json::obj(vec![
-            ("t", Json::Str("hello".to_string())),
-            ("pid", Json::Int(i64::from(std::process::id()))),
-        ]),
-    )?;
+    let mut writer = BufWriter::new(stream);
+    let mut send_json = |v: &Json| write_frame(&mut writer, v).map_err(|e| io_err("send", e));
+    send_json(&Json::obj(vec![
+        ("t", Json::Str("hello".to_string())),
+        ("pid", Json::Int(i64::from(std::process::id()))),
+    ]))?;
     let first = read_frame(&mut reader)
         .map_err(|e| io_err("read config", e))?
         .ok_or("coordinator closed before sending config")?;
@@ -61,141 +196,25 @@ pub fn run_worker(addr: &str) -> Result<(), String> {
         Some("config") => {}
         other => return Err(format!("expected config frame, got {other:?}")),
     }
-    let (mut cfg, targets) = parse_config(&first)?;
-    if let Some(spec) = &cfg.fault_plan_spec {
-        cfg.fault_plan = Some(Arc::new(FaultPlan::parse(spec, cfg.seed)?));
-    }
-
-    // Worker telemetry: registry only (no recorder) — snapshots ride the
-    // `done`/`failed` frames and the coordinator merges them. Under a
-    // fixed clock every duration reads as zero, exactly like the
-    // in-process pool under the same clock.
-    let tel = match cfg.fixed_clock_us {
-        Some(t) => Telemetry::new(TestClock::fixed(t), NoopRecorder),
-        None => Telemetry::new(MonotonicClock::new(), NoopRecorder),
+    let (cfg, targets) = parse_config(&first)?;
+    // Registry only (no recorder); under a fixed clock every duration
+    // reads as zero.
+    let ctel = CampaignTelemetry::new(Telemetry::clocked(cfg.fixed_clock_us, NoopRecorder));
+    let w = Worker {
+        cache: BinaryCache::counting_into(&ctel),
+        cfg,
+        targets,
+        ctel,
+        ships_metrics: true,
     };
-    let ctel = CampaignTelemetry::new(Arc::clone(&tel));
-    let cache = BinaryCache::new();
-
-    // The lease currently held (0 = none), renewed by a daemon thread so
-    // long-running jobs keep their lease without the job loop's help.
-    let current_lease = Arc::new(AtomicU64::new(0));
-    {
-        let current_lease = Arc::clone(&current_lease);
-        let writer = Arc::clone(&writer);
-        let renew_ms = cfg.renew_ms.max(1);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(std::time::Duration::from_millis(renew_ms));
-            let lease = current_lease.load(Ordering::Relaxed);
-            if lease != 0 {
-                let frame = Json::obj(vec![
-                    ("t", Json::Str("renew".to_string())),
-                    ("lease", Json::Int(lease as i64)),
-                ]);
-                if send(&writer, &frame).is_err() {
-                    break;
-                }
-            }
-        });
+    let exit = serve(&w, &mut |frame| send_json(&frame.to_json()), &mut || {
+        let v = read_frame(&mut reader).map_err(|e| io_err("read", e))?;
+        v.map(|v| Frame::from_json(&v)).transpose()
+    })?;
+    if let Exit::Died = exit {
+        std::process::exit(137);
     }
-
-    send(&writer, &tagged("lease_req"))?;
-    loop {
-        let Some(frame) = read_frame(&mut reader).map_err(|e| io_err("read", e))? else {
-            return Err("coordinator closed the connection mid-campaign".to_string());
-        };
-        match frame_type(&frame) {
-            Some("lease") => {
-                let u = |k: &str| {
-                    frame
-                        .get(k)
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("lease frame missing {k}"))
-                };
-                let lease = u("lease")?;
-                let job = Job {
-                    target_index: usize::try_from(u("target")?).map_err(|e| e.to_string())?,
-                    shard: u32::try_from(u("shard")?).map_err(|e| e.to_string())?,
-                    attempt: u32::try_from(u("attempt")?).map_err(|e| e.to_string())?,
-                };
-                let target = targets
-                    .get(job.target_index)
-                    .ok_or(format!("lease names unknown target {}", job.target_index))?;
-                // The worker-death injection point: exit *while holding
-                // the lease*, before any result frame, so the
-                // coordinator must reclaim via lease expiry / EOF.
-                if let Some(plan) = cfg.fault_plan.as_deref() {
-                    if plan.fire_job(&target.spec.name, job.shard, job.attempt)
-                        == Some(FaultKind::Die)
-                    {
-                        std::process::exit(137);
-                    }
-                }
-                current_lease.store(lease, Ordering::Relaxed);
-                let start_us = tel.now_micros();
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let ct = cache
-                        .get_or_compile(
-                            target,
-                            &cfg.diff_config,
-                            cfg.fuzz_impl,
-                            cfg.fault_plan.as_deref(),
-                            job.attempt,
-                        )
-                        .map_err(|e| {
-                            let kind = match &e {
-                                CacheError::Frontend(_)
-                                | CacheError::Panic(_)
-                                | CacheError::Injected(_) => FailureKind::Compile,
-                            };
-                            (kind, e.to_string())
-                        })?;
-                    // Worker index 0 on the wire; the coordinator stamps
-                    // the connection's logical index into the output.
-                    run_job(&ct, &cfg, job, 0, &ctel)
-                }));
-                current_lease.store(0, Ordering::Relaxed);
-                let metrics = tel.registry().snapshot();
-                let reply = match attempt {
-                    Ok(Ok(out)) => done_frame(lease, &out.record, out.dur_us, &out.vm, metrics),
-                    Ok(Err((kind, message))) => failed_frame(
-                        lease,
-                        kind,
-                        &message,
-                        tel.now_micros().saturating_sub(start_us),
-                        metrics,
-                    ),
-                    Err(payload) => failed_frame(
-                        lease,
-                        FailureKind::Panic,
-                        &faults::panic_message(payload.as_ref()),
-                        tel.now_micros().saturating_sub(start_us),
-                        metrics,
-                    ),
-                };
-                send(&writer, &reply)?;
-            }
-            Some("ack") => send(&writer, &tagged("lease_req"))?,
-            Some("shutdown") => {
-                let (hits, misses) = cache.counters();
-                send(
-                    &writer,
-                    &Json::obj(vec![
-                        ("t", Json::Str("bye".to_string())),
-                        ("cache_hits", Json::Int(hits as i64)),
-                        ("cache_misses", Json::Int(misses as i64)),
-                        (
-                            "blocks_translated",
-                            Json::Int(cache.blocks_translated() as i64),
-                        ),
-                        ("metrics", tel.registry().snapshot()),
-                    ]),
-                )?;
-                return Ok(());
-            }
-            other => return Err(format!("unexpected frame {other:?}")),
-        }
-    }
+    Ok(())
 }
 
 /// Queries a running coordinator's status endpoint at `addr` (the

@@ -1,10 +1,12 @@
 //! Campaign-level guarantees: worker-count-independent results,
-//! batch-size-independent findings, kill/resume equivalence, and the
+//! multi-worker byte determinism, batch-size-independent findings,
+//! kill/resume equivalence, worker-thread death recovery, and the
 //! block-backend guarantee for generated (dir-source) targets.
 
-use campaign::{CampaignConfig, CampaignState, StateError};
+use campaign::{CampaignConfig, CampaignState, FailureKind, FaultPlan, StateError};
 use compdiff::Json;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn base_config() -> CampaignConfig {
     CampaignConfig {
@@ -46,6 +48,78 @@ fn worker_count_does_not_change_results() {
         !solo.signatures().is_empty(),
         "catalog targets must yield discrepancies"
     );
+}
+
+/// Two in-process workers under partitioned leasing are deterministic:
+/// same seed, same fixed clock, byte-identical report (including which
+/// worker ran what) and metrics stream across runs.
+#[test]
+fn two_worker_campaign_is_byte_deterministic() {
+    let dir = temp_dir("two-workers");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run_once = |tag: &str| {
+        let metrics = dir.join(format!("{tag}.jsonl"));
+        let report = campaign::run(&CampaignConfig {
+            workers: 2,
+            execs_per_target: 300,
+            metrics_out: Some(metrics.clone()),
+            fixed_clock_us: Some(0),
+            ..base_config()
+        })
+        .unwrap();
+        (
+            report.render_summary(),
+            std::fs::read_to_string(metrics).unwrap(),
+        )
+    };
+    let (report_a, events_a) = run_once("a");
+    let (report_b, events_b) = run_once("b");
+    assert_eq!(report_a, report_b, "2-worker reports must be identical");
+    assert_eq!(events_a, events_b, "2-worker streams must be identical");
+    assert!(report_a.contains("worker 1:"), "both workers ran jobs");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A worker thread that dies mid-lease (injected `die@`) is reclaimed
+/// exactly like a worker process: one `lost` attempt, one retry on a
+/// replacement thread, and the clean run's findings.
+#[test]
+fn worker_thread_death_mid_lease_recovers() {
+    let dir = temp_dir("thread-die");
+    let base = CampaignConfig {
+        workers: 1,
+        execs_per_target: 60,
+        shards_per_target: 2,
+        seed: 11,
+        target_filter: Some(vec!["tcpdump".to_string()]),
+        ..Default::default()
+    };
+    let clean = campaign::run(&base).unwrap();
+    let faulty = campaign::run(&CampaignConfig {
+        checkpoint_dir: Some(dir.clone()),
+        fault_plan: Some(Arc::new(FaultPlan::parse("die@tcpdump#0", 11).unwrap())),
+        ..base
+    })
+    .unwrap();
+
+    assert!(faulty.stats.is_complete(), "the retry must succeed");
+    assert_eq!(faulty.stats.failures, 1);
+    assert_eq!(faulty.stats.retries, 1);
+    assert_eq!(faulty.signatures(), clean.signatures());
+    assert_eq!(faulty.stats.execs, clean.stats.execs);
+    assert_eq!(counter(&faulty.metrics, "campaign.workers_spawned"), 2);
+    assert_eq!(counter(&faulty.metrics, "campaign.job_retries"), 1);
+
+    let header = campaign::CampaignHeader {
+        seed: 11,
+        execs_per_target: 60,
+        shards_per_target: 2,
+        targets: vec!["tcpdump".to_string()],
+    };
+    let st = CampaignState::resume(&dir, &header).unwrap();
+    let kinds: Vec<FailureKind> = st.failures().iter().map(|f| f.kind).collect();
+    assert_eq!(kinds, vec![FailureKind::Lost]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Kill a campaign mid-flight (stop_after_jobs), resume it, and the final

@@ -5,9 +5,10 @@
 //! kill/resume, the single-checkpoint-writer guarantee across
 //! processes, and the live status endpoint.
 
-use campaign::{CampaignConfig, CampaignReport, CampaignState, FailureKind};
+use campaign::{CampaignConfig, CampaignReport, CampaignState, FailureKind, FaultPlan};
 use compdiff::Json;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("compdiff-proto-{tag}-{}", std::process::id()));
@@ -20,6 +21,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// binary Cargo built for this test run.
 fn worker_exe() -> Option<PathBuf> {
     Some(PathBuf::from(env!("CARGO_BIN_EXE_compdiff")))
+}
+
+fn plan(spec: &str, seed: u64) -> Option<Arc<FaultPlan>> {
+    Some(Arc::new(FaultPlan::parse(spec, seed).unwrap()))
 }
 
 fn counter(report: &CampaignReport, name: &str) -> u64 {
@@ -124,7 +129,7 @@ fn worker_death_mid_lease_recovers() {
     let clean = campaign::run(&base).unwrap();
     let faulty = campaign::run(&CampaignConfig {
         checkpoint_dir: Some(dir.clone()),
-        fault_plan_spec: Some("die@tcpdump#0".to_string()),
+        fault_plan: plan("die@tcpdump#0", 11),
         ..base
     })
     .unwrap();
@@ -170,7 +175,7 @@ fn dropped_connection_regrants() {
     };
     let clean = campaign::run(&base).unwrap();
     let faulty = campaign::run(&CampaignConfig {
-        fault_plan_spec: Some("drop@conn:1".to_string()),
+        fault_plan: plan("drop@conn:1", 11),
         ..base
     })
     .unwrap();
@@ -201,7 +206,7 @@ fn coordinator_kill_resume_matches_uninterrupted() {
         shards_per_target: 2,
         seed: 11,
         target_filter: Some(vec!["tcpdump".to_string()]),
-        fault_plan_spec: Some("die@tcpdump#0".to_string()),
+        fault_plan: plan("die@tcpdump#0", 11),
         ..Default::default()
     };
     let header = campaign::CampaignHeader {

@@ -82,6 +82,16 @@ impl Telemetry {
         })
     }
 
+    /// Telemetry over a monotonic clock, or over one pinned at
+    /// `fixed_clock_us` (every reading the same, so event streams are
+    /// reproducible byte for byte).
+    pub fn clocked(fixed_clock_us: Option<u64>, recorder: impl Recorder + 'static) -> Arc<Self> {
+        match fixed_clock_us {
+            Some(t) => Telemetry::new(TestClock::fixed(t), recorder),
+            None => Telemetry::new(MonotonicClock::new(), recorder),
+        }
+    }
+
     /// Disabled telemetry: a no-op recorder and a monotonic clock. The
     /// registry still works (aggregation is always available); only the
     /// event stream is off.

@@ -37,13 +37,17 @@ pcamp_a="$(mktemp)"
 pcamp_b="$(mktemp)"
 pcamp_ra="$(mktemp)"
 pcamp_rb="$(mktemp)"
+tcamp_a="$(mktemp)"
+tcamp_b="$(mktemp)"
+tcamp_ra="$(mktemp)"
+tcamp_rb="$(mktemp)"
 drop_smoke="$(mktemp)"
 progen_a="$(mktemp -d)"
 progen_b="$(mktemp -d)"
 san_a="$(mktemp)"
 san_b="$(mktemp)"
 san_dir="$(mktemp -d)"
-trap 'rm -rf "$lint_a" "$lint_b" "$smoke" "$camp_a" "$camp_b" "$batch_a" "$batch_b" "$pcamp_a" "$pcamp_b" "$pcamp_ra" "$pcamp_rb" "$drop_smoke" "$progen_a" "$progen_b" "$san_a" "$san_b" "$san_dir"' EXIT
+trap 'rm -rf "$lint_a" "$lint_b" "$smoke" "$camp_a" "$camp_b" "$batch_a" "$batch_b" "$pcamp_a" "$pcamp_b" "$pcamp_ra" "$pcamp_rb" "$tcamp_a" "$tcamp_b" "$tcamp_ra" "$tcamp_rb" "$drop_smoke" "$progen_a" "$progen_b" "$san_a" "$san_b" "$san_dir"' EXIT
 
 echo "== smoke campaign with injected panic (must exit 0 with partial results) =="
 ./target/release/compdiff campaign --workers 2 --execs-per-target 120 --shards 2 \
@@ -54,10 +58,11 @@ grep -q "quarantined: tcpdump" "$smoke"
 grep -q "fault tolerance:" "$smoke"
 
 echo "== campaign block-mode byte-determinism (two runs, fixed clock) =="
-# One worker: the telemetry stream is emitted in completion order, which
-# is only deterministic single-threaded. The cmp proves block-compiled
-# execution is byte-reproducible end to end; the grep proves the runs
-# actually took the block path rather than falling back to the interpreter.
+# The cmp proves block-compiled execution is byte-reproducible end to
+# end; the grep proves the runs actually took the block path rather than
+# falling back to the interpreter. One worker keeps it minimal; the
+# stream is written in canonical order, so any worker count is
+# deterministic too (the 2-worker cmp below).
 ./target/release/compdiff campaign --workers 1 --execs-per-target 150 --shards 2 \
     --targets readelf,brotli --seed 11 --vm-mode block \
     --metrics-out "$camp_a" --fixed-clock 0 --quiet > /dev/null
@@ -80,6 +85,20 @@ echo "== batched-campaign byte-determinism (two runs, --batch-size 16) =="
     --metrics-out "$batch_b" --fixed-clock 0 --quiet > /dev/null
 cmp "$batch_a" "$batch_b"
 grep -q '"diff.batch_size"' "$batch_a"
+
+echo "== multi-worker campaign byte-determinism (two runs, 2 worker threads) =="
+# Two in-process workers under partitioned leasing, twice under a fixed
+# clock: report (per-worker lines included) and metrics stream must match
+# byte for byte, and the second worker must actually have run jobs.
+./target/release/compdiff campaign --workers 2 --execs-per-target 150 --shards 2 \
+    --targets readelf,brotli --seed 11 \
+    --metrics-out "$tcamp_a" --fixed-clock 0 --quiet > "$tcamp_ra"
+./target/release/compdiff campaign --workers 2 --execs-per-target 150 --shards 2 \
+    --targets readelf,brotli --seed 11 \
+    --metrics-out "$tcamp_b" --fixed-clock 0 --quiet > "$tcamp_rb"
+cmp "$tcamp_ra" "$tcamp_rb"
+cmp "$tcamp_a" "$tcamp_b"
+grep -q "worker 1: [1-9]" "$tcamp_ra"
 
 echo "== multi-process campaign byte-determinism (two runs, 2 worker processes) =="
 # A real coordinator + 2 worker *processes* over the socket protocol,
@@ -160,6 +179,14 @@ ls "$progen_a"/witness_*.mc > /dev/null
 for w in "$progen_a"/witness_*.mc; do
     cmp "$w" "$progen_b/$(basename "$w")"
 done
+
+echo "== benchmark package: fmt, clippy, tests =="
+# The benchmark is a package of its own (benchmark/Cargo.toml) that links
+# the campaign, progen and sancheck crates; gating it here keeps an API
+# change in those crates from breaking it unseen.
+cargo fmt --manifest-path benchmark/Cargo.toml -- --check
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== cargo build --benches --offline =="
 cargo build --benches --offline --workspace
