@@ -19,8 +19,10 @@
 
 //! ```
 
-use campaign::{hex_decode, hex_encode, CampaignConfig, StateError};
-use compdiff::{minimize, CompDiff, CompDiffAfl, DiffConfig, Discrepancy, Json};
+use campaign::{CampaignConfig, StateError};
+use compdiff::{
+    hex_decode, hex_encode, minimize, CompDiff, CompDiffAfl, DiffConfig, Discrepancy, Json,
+};
 use fuzzing::{FuzzConfig, Rng};
 use minc_compile::CompilerImpl;
 use minc_vm::{ExitStatus, SanitizerKind, VmConfig, VmMode};

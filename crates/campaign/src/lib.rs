@@ -58,7 +58,6 @@ pub use cache::{BinaryCache, CacheError, CompiledTarget};
 pub use coordinator::run;
 pub use faults::{FaultKind, FaultPlan};
 pub use policy::{Disposition, FaultLedger, RetryPolicy};
-pub use proto::{hex_decode, hex_encode};
 pub use scheduler::{execs_for_shard, job_seed, retry_backoff, Decision, Job, JobResult};
 pub use state::{
     CampaignHeader, CampaignState, FailureKind, FailureRecord, JobRecord, StateError,

@@ -478,9 +478,48 @@ pub fn map_to_json(map: &BTreeMap<String, u64>) -> Json {
     )
 }
 
+/// Lower-case hex of `bytes`: how byte strings (inputs, probes, seeds)
+/// travel inside JSON documents.
+pub fn hex_encode(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Parses the output of [`hex_encode`] (either case).
+///
+/// # Errors
+///
+/// Odd length or a non-hex digit (never a panic, whatever the input).
+pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
+    if !s.len().is_multiple_of(2) {
+        return Err(format!("odd-length hex string `{s}`"));
+    }
+    let nibble = |c: u8| char::from(c).to_digit(16);
+    s.as_bytes()
+        .chunks(2)
+        .map(|p| match (nibble(p[0]), nibble(p[1])) {
+            (Some(hi), Some(lo)) => Ok((hi * 16 + lo) as u8),
+            _ => Err(format!("bad hex string `{s}`")),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hex_roundtrips_and_rejects_garbage() {
+        assert_eq!(hex_encode(&[0x00, 0xFF, 0x3A]), "00ff3a");
+        assert_eq!(hex_decode("00ff3a").unwrap(), vec![0x00, 0xFF, 0x3A]);
+        assert_eq!(hex_decode("00FF3A").unwrap(), vec![0x00, 0xFF, 0x3A]);
+        assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
+        assert!(hex_decode("abc").is_err(), "odd length");
+        assert!(hex_decode("zz").is_err(), "non-hex digits");
+        // A multibyte character: even byte length, but the pairs split
+        // it; must be an error, not a slicing panic.
+        assert!(hex_decode("a\u{e9}0").is_err(), "multibyte");
+        assert!(hex_decode("+f").is_err(), "sign is not a digit");
+    }
 
     #[test]
     fn render_compact_and_pretty() {

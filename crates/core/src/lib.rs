@@ -51,7 +51,7 @@ pub mod subset;
 pub use afl::{CompDiffAfl, CompDiffAflStats, CompDiffOracle};
 pub use differ::{CompDiff, DiffConfig, DiffObserver, DiffOutcome};
 pub use filters::{apply_filters, OutputFilter};
-pub use json::{Json, JsonError};
+pub use json::{hex_decode, hex_encode, Json, JsonError};
 pub use minimize::{minimize, MinimizeStats};
 pub use murmur::{hash64, murmur3_x64_128};
 pub use report::{signature_of, signature_with_hash, DiffStore, Discrepancy};

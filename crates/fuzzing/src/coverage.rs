@@ -3,6 +3,12 @@
 //! A 64 KiB byte map indexed by the hash of (previous block, current
 //! block); hit counts are bucketed into AFL's eight classes before novelty
 //! comparison, exactly like AFL++'s `classify_counts` + `has_new_bits`.
+//!
+//! Alongside the counts, each execution keeps the list of slots it
+//! touched, so resetting, counting and merging cost O(slots hit) rather
+//! than a scan of the whole map. A catalog target's execution hits about
+//! ten slots, and even every slot hit only makes the list as long as the
+//! map.
 
 use minc_compile::ir::{BinKind, IrType};
 use minc_vm::hooks::{FreeDisposition, Hooks, Loc, PoisonUse};
@@ -11,10 +17,19 @@ use minc_vm::result::Fault;
 /// Size of the coverage map (AFL's default).
 pub const MAP_SIZE: usize = 1 << 16;
 
+// Slot indices are stored as `u16` in the touched list.
+const _: () = assert!(MAP_SIZE <= 1 << 16);
+
 /// One execution's raw edge hit counts.
 #[derive(Clone)]
 pub struct CoverageMap {
     map: Box<[u8; MAP_SIZE]>,
+    /// Every slot with a non-zero count, in first-hit order: a slot is
+    /// pushed exactly when its count leaves zero, and [`reset`] zeroes
+    /// exactly these slots, so the list and the map never disagree.
+    ///
+    /// [`reset`]: CoverageMap::reset
+    touched: Vec<u16>,
 }
 
 impl std::fmt::Debug for CoverageMap {
@@ -34,12 +49,16 @@ impl CoverageMap {
     pub fn new() -> Self {
         CoverageMap {
             map: Box::new([0u8; MAP_SIZE]),
+            touched: Vec::new(),
         }
     }
 
     /// Zeroes the map for the next execution.
     pub fn reset(&mut self) {
-        self.map.fill(0);
+        for &i in &self.touched {
+            self.map[usize::from(i)] = 0;
+        }
+        self.touched.clear();
     }
 
     fn edge_index(from: Loc, to: Loc) -> usize {
@@ -55,7 +74,11 @@ impl CoverageMap {
     /// Records one edge.
     pub fn record(&mut self, from: Loc, to: Loc) {
         let idx = Self::edge_index(from, to);
-        self.map[idx] = self.map[idx].saturating_add(1);
+        let count = self.map[idx];
+        if count == 0 {
+            self.touched.push(idx as u16);
+        }
+        self.map[idx] = count.saturating_add(1);
     }
 
     /// AFL's hit-count bucketing: 0,1,2,3,4-7,8-15,16-31,32-127,128+.
@@ -75,16 +98,18 @@ impl CoverageMap {
 
     /// Number of distinct edges hit.
     pub fn count_edges(&self) -> usize {
-        self.map.iter().filter(|&&b| b != 0).count()
+        self.touched.len()
     }
 
-    /// Iterates (index, bucketed count) of hit edges.
+    /// Iterates (index, bucketed count) of hit edges, in ascending index
+    /// order.
     pub fn buckets(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.map
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b != 0)
-            .map(|(i, &b)| (i, Self::classify(b)))
+        let mut slots = self.touched.clone();
+        slots.sort_unstable();
+        slots.into_iter().map(|i| {
+            let i = usize::from(i);
+            (i, Self::classify(self.map[i]))
+        })
     }
 }
 
@@ -92,6 +117,8 @@ impl CoverageMap {
 #[derive(Clone)]
 pub struct GlobalCoverage {
     virgin: Box<[u8; MAP_SIZE]>,
+    /// Slots of `virgin` that are non-zero.
+    seen: usize,
 }
 
 impl std::fmt::Debug for GlobalCoverage {
@@ -111,6 +138,7 @@ impl GlobalCoverage {
     pub fn new() -> Self {
         GlobalCoverage {
             virgin: Box::new([0u8; MAP_SIZE]),
+            seen: 0,
         }
     }
 
@@ -118,9 +146,13 @@ impl GlobalCoverage {
     /// any new bucketed bit (AFL's "interesting" criterion).
     pub fn merge(&mut self, exec: &CoverageMap) -> bool {
         let mut new = false;
-        for (i, bucket) in exec.buckets() {
-            if self.virgin[i] & bucket != bucket {
-                self.virgin[i] |= bucket;
+        for &i in &exec.touched {
+            let i = usize::from(i);
+            let bucket = CoverageMap::classify(exec.map[i]);
+            let virgin = self.virgin[i];
+            if virgin & bucket != bucket {
+                self.seen += usize::from(virgin == 0);
+                self.virgin[i] = virgin | bucket;
                 new = true;
             }
         }
@@ -129,7 +161,7 @@ impl GlobalCoverage {
 
     /// Number of edge slots seen so far.
     pub fn edges_seen(&self) -> usize {
-        self.virgin.iter().filter(|&&b| b != 0).count()
+        self.seen
     }
 }
 
@@ -269,5 +301,140 @@ mod tests {
         assert_eq!(m.count_edges(), 1);
         m.reset();
         assert_eq!(m.count_edges(), 0);
+    }
+
+    /// A dense map with full-scan count, buckets, merge and reset: the
+    /// reference the sparse bookkeeping must agree with.
+    struct Dense {
+        map: Box<[u8; MAP_SIZE]>,
+        virgin: Box<[u8; MAP_SIZE]>,
+    }
+
+    impl Dense {
+        fn new() -> Self {
+            Dense {
+                map: Box::new([0; MAP_SIZE]),
+                virgin: Box::new([0; MAP_SIZE]),
+            }
+        }
+
+        fn record(&mut self, from: Loc, to: Loc) {
+            let idx = CoverageMap::edge_index(from, to);
+            self.map[idx] = self.map[idx].saturating_add(1);
+        }
+
+        fn reset(&mut self) {
+            self.map.fill(0);
+        }
+
+        fn count_edges(&self) -> usize {
+            self.map.iter().filter(|&&b| b != 0).count()
+        }
+
+        fn buckets(&self) -> Vec<(usize, u8)> {
+            self.map
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| b != 0)
+                .map(|(i, &b)| (i, CoverageMap::classify(b)))
+                .collect()
+        }
+
+        fn merge(&mut self) -> bool {
+            let mut new = false;
+            for (i, bucket) in self.buckets() {
+                if self.virgin[i] & bucket != bucket {
+                    self.virgin[i] |= bucket;
+                    new = true;
+                }
+            }
+            new
+        }
+
+        fn edges_seen(&self) -> usize {
+            self.virgin.iter().filter(|&&b| b != 0).count()
+        }
+    }
+
+    #[test]
+    fn sparse_map_matches_dense_reference() {
+        let mut rng = crate::Rng::new(0xC0DE);
+        // A small edge pool, so executions share slots and push counts
+        // into higher buckets.
+        let pool: Vec<(Loc, Loc)> = (0..40)
+            .map(|_| {
+                let f = rng.below(3) as u32;
+                (loc(f, rng.below(32) as u32), loc(f, rng.below(32) as u32))
+            })
+            .collect();
+        let mut sparse = CoverageMap::new();
+        let mut global = GlobalCoverage::new();
+        let mut dense = Dense::new();
+        let (mut novel, mut stale) = (0, 0);
+        for exec in 0..400 {
+            if exec % 13 == 6 {
+                // A target that panics mid-run leaves a partly recorded map;
+                // the caller catches the panic and resets without merging.
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    for _ in 0..rng.below(50) {
+                        let (from, to) = *rng.choose(&pool);
+                        sparse.record(from, to);
+                        dense.record(from, to);
+                    }
+                    std::panic::resume_unwind(Box::new("target panicked mid-run"));
+                }));
+                assert!(run.is_err());
+                sparse.reset();
+                dense.reset();
+                assert_eq!(sparse.count_edges(), 0, "exec {exec}");
+                assert!(sparse.map.iter().all(|&b| b == 0), "exec {exec}");
+                continue;
+            }
+            for _ in 0..rng.below(120) {
+                let (from, to) = *rng.choose(&pool);
+                sparse.record(from, to);
+                dense.record(from, to);
+            }
+            if exec % 5 == 0 {
+                // One edge recorded past the u8 ceiling: saturates at 255,
+                // bucket 128.
+                let (from, to) = *rng.choose(&pool);
+                for _ in 0..256 + rng.below(200) {
+                    sparse.record(from, to);
+                    dense.record(from, to);
+                }
+                let idx = CoverageMap::edge_index(from, to);
+                assert_eq!(sparse.map[idx], 255);
+                assert_eq!(CoverageMap::classify(sparse.map[idx]), 128);
+            }
+            if exec % 17 == 0 {
+                // Edges outside the pool keep finding fresh slots.
+                for _ in 0..rng.below(30) {
+                    let from = loc(rng.below(1000) as u32, rng.below(1000) as u32);
+                    let to = loc(rng.below(1000) as u32, rng.below(1000) as u32);
+                    sparse.record(from, to);
+                    dense.record(from, to);
+                }
+            }
+            assert_eq!(sparse.count_edges(), dense.count_edges(), "exec {exec}");
+            assert_eq!(
+                sparse.buckets().collect::<Vec<_>>(),
+                dense.buckets(),
+                "exec {exec}"
+            );
+            let new = global.merge(&sparse);
+            assert_eq!(new, dense.merge(), "exec {exec}");
+            if new {
+                novel += 1;
+            } else {
+                stale += 1;
+            }
+            assert!(global.virgin[..] == dense.virgin[..], "exec {exec}");
+            assert_eq!(global.edges_seen(), dense.edges_seen(), "exec {exec}");
+            sparse.reset();
+            dense.reset();
+            assert!(sparse.map.iter().all(|&b| b == 0), "exec {exec}");
+        }
+        assert!(novel > 10 && stale > 10, "{novel} novel / {stale} stale");
     }
 }

@@ -12,7 +12,7 @@
 use crate::fitness::{evaluate, Evaluation};
 use crate::gen::{generate, Genome};
 use crate::mutate::{crossover, mutate};
-use compdiff::{hash64, Json};
+use compdiff::{hash64, hex_decode, hex_encode, Json};
 use fuzzing::Rng;
 use std::collections::BTreeSet;
 
@@ -112,21 +112,6 @@ pub struct EvolveState {
     pub divergents: Vec<DivergentFind>,
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn unhex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd hex length in `{s}`"));
-    }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16).map_err(|_| format!("bad hex in `{s}`"))
-        })
-        .collect()
-}
-
 impl EvolveState {
     /// A fresh state: generation 0's population straight from the
     /// generator.
@@ -168,7 +153,9 @@ impl EvolveState {
                                 ("source", Json::Str(src.clone())),
                                 (
                                     "probes",
-                                    Json::Array(probes.iter().map(|p| Json::Str(hex(p))).collect()),
+                                    Json::Array(
+                                        probes.iter().map(|p| Json::Str(hex_encode(p))).collect(),
+                                    ),
                                 ),
                             ])
                         })
@@ -188,7 +175,7 @@ impl EvolveState {
                         .map(|d| {
                             Json::obj(vec![
                                 ("source", Json::Str(d.source.clone())),
-                                ("probe", Json::Str(hex(&d.probe))),
+                                ("probe", Json::Str(hex_encode(&d.probe))),
                                 ("signature", Json::Str(d.signature.clone())),
                                 ("generation", Json::Int(i64::from(d.generation))),
                                 ("fitness", Json::Int(d.fitness)),
@@ -234,7 +221,7 @@ impl EvolveState {
                 .and_then(Json::as_array)
                 .ok_or("population entry missing `probes`")?
             {
-                probes.push(unhex(pr.as_str().ok_or("probe not a string")?)?);
+                probes.push(hex_decode(pr.as_str().ok_or("probe not a string")?)?);
             }
             population.push((src, probes));
         }
@@ -258,7 +245,7 @@ impl EvolveState {
                     .and_then(Json::as_str)
                     .ok_or("divergent missing `source`")?
                     .to_string(),
-                probe: unhex(
+                probe: hex_decode(
                     d.get("probe")
                         .and_then(Json::as_str)
                         .ok_or("divergent missing `probe`")?,
@@ -458,6 +445,22 @@ mod tests {
         assert_eq!(straight.next_generation, resumed.next_generation);
         assert_eq!(straight.archive, resumed.archive);
         assert_eq!(straight.seen_signatures, resumed.seen_signatures);
+    }
+
+    #[test]
+    fn resume_rejects_malformed_probe_hex() {
+        let mut state = EvolveState::new(&small_cfg(3));
+        state.population[0].1 = vec![vec![0xab]];
+        let json = state.to_json().render();
+        let probe = r#""probes":["ab"]"#;
+        assert!(json.contains(probe));
+        // Neither is a pair of hex digits: a multibyte character must not
+        // be sliced mid-character, and a sign must not parse as a digit.
+        for bad in ["a\u{e9}0", "+f"] {
+            let tampered = json.replacen(probe, &format!(r#""probes":["{bad}"]"#), 1);
+            let j = Json::parse(&tampered).unwrap();
+            assert!(EvolveState::from_json(&j).is_err(), "probe {bad:?}");
+        }
     }
 
     #[test]

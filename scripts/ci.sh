@@ -200,4 +200,7 @@ COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench vm_mode
 echo "== batch bench (fast smoke, per-target batch=1/16/64) =="
 COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench batch
 
+echo "== fuzzer bench (fast smoke, pinned plain-AFL outcome checked first) =="
+COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench fuzzer
+
 echo "CI green."
