@@ -36,11 +36,13 @@ use crate::transport::{Procs, Threads};
 use crate::{build_telemetry, prepare, CampaignConfig, CampaignError, CampaignReport, Prepared};
 use compdiff::Json;
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::fs::File;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use targets::Target;
-use telemetry::MetricRegistry;
+use telemetry::{MetricRegistry, Telemetry};
 
 /// How often the main loop wakes with no traffic: lease-expiry scans and
 /// worker reaping run at this cadence.
@@ -74,6 +76,67 @@ pub(crate) enum Ev {
     Gone { conn: u64 },
     /// A status client wants the live progress object.
     Status { reply: mpsc::Sender<Json> },
+    /// The [`Syncer`] finished one fsync covering every job record
+    /// written ahead up to number `upto`: its duration, or the error.
+    Synced {
+        upto: u64,
+        result: Result<u64, String>,
+    },
+}
+
+/// Group commit for the checkpoint: a thread that fsyncs it behind the
+/// main loop. The loop writes a finished job's record ahead, acks the
+/// worker at once, and asks for a sync; the job counts as done only when
+/// [`Ev::Synced`] says its record is durable. One fsync covers every
+/// request queued while the previous one ran, so a worker never waits
+/// on the disk, and a slow disk costs fewer, larger fsyncs instead of
+/// one per job.
+struct Syncer {
+    requests: Option<mpsc::Sender<u64>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Syncer {
+    fn start(file: File, tel: Arc<Telemetry>, ev_tx: mpsc::Sender<Ev>) -> Result<Self, StateError> {
+        let (requests, rx) = mpsc::channel::<u64>();
+        let thread = std::thread::Builder::new()
+            .name("checkpoint-sync".to_string())
+            .spawn(move || {
+                while let Ok(first) = rx.recv() {
+                    let upto = rx.try_iter().fold(first, u64::max);
+                    let t0 = tel.now_micros();
+                    let result = file
+                        .sync_all()
+                        .map(|()| tel.now_micros().saturating_sub(t0))
+                        .map_err(|e| e.to_string());
+                    if ev_tx.send(Ev::Synced { upto, result }).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Syncer {
+            requests: Some(requests),
+            thread: Some(thread),
+        })
+    }
+
+    /// Asks for every job record up to number `upto` to be made durable.
+    fn request(&self, upto: u64) {
+        if let Some(tx) = &self.requests {
+            let _ = tx.send(upto);
+        }
+    }
+}
+
+impl Drop for Syncer {
+    /// Closes the request channel and waits out the fsync in progress, so
+    /// the thread never outlives its campaign.
+    fn drop(&mut self) {
+        self.requests = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// How the coordinator starts and stops workers. A started worker
@@ -127,7 +190,15 @@ struct Coordinator<'a> {
     transport: Box<dyn Transport>,
     /// The open checkpoint, if any; this is its only writer.
     state: Option<CampaignState>,
-    /// Checkpointing was disabled after a persistent append failure.
+    /// Fsyncs `state` behind the main loop; present with `state`.
+    syncer: Option<Syncer>,
+    /// Job records written ahead so far (numbers the sync requests).
+    written_ahead: u64,
+    /// Finished jobs whose records are written but not yet known to be
+    /// durable, with their write-ahead number, in arrival order.
+    unsynced: VecDeque<(u64, JobOutput)>,
+    /// Checkpointing was disabled after a persistent append or fsync
+    /// failure.
     degraded: bool,
     /// The aggregator, pre-loaded with checkpoint-replayed jobs.
     stats: CampaignStats,
@@ -243,7 +314,7 @@ impl Coordinator<'_> {
     /// Resolves `job` as a lost lease (worker death, severed link, or
     /// expiry) through the ordinary failure policy.
     fn lost(&mut self, widx: usize, job: Job, message: &str) {
-        let decision = self.on_result(JobResult::Failed(JobFailure {
+        self.take_result(JobResult::Failed(JobFailure {
             worker: widx,
             job,
             target: self.selected[job.target_index].spec.name.clone(),
@@ -251,7 +322,72 @@ impl Coordinator<'_> {
             message: message.to_string(),
             dur_us: 0,
         }));
+    }
+
+    /// Takes one job attempt's result, in arrival order. A finished job
+    /// under a live checkpoint is written ahead and resolves once the
+    /// [`Syncer`] reports its record durable: checkpoint first,
+    /// aggregate second, so a job is "done" only once its record is on
+    /// disk, while the worker already runs its next lease. Any other
+    /// result first settles the jobs still waiting, so attempts resolve
+    /// in the order they arrived, and then resolves at once: a failure's
+    /// retry must be queued before its worker's next grant, or the
+    /// job order (and the checkpoint's bytes) would depend on fsync
+    /// timing.
+    fn take_result(&mut self, result: JobResult) {
+        let result = match result {
+            JobResult::Done(out) if self.syncer.is_some() && !self.degraded => {
+                if self.append(|st| st.append_job(out.record.clone())) {
+                    self.written_ahead += 1;
+                    self.unsynced.push_back((self.written_ahead, out));
+                    if let Some(syncer) = &self.syncer {
+                        syncer.request(self.written_ahead);
+                    }
+                    return;
+                }
+                JobResult::Done(out)
+            }
+            other => other,
+        };
+        self.settle();
+        if self.stopping {
+            return;
+        }
+        let decision = self.on_result(result);
         self.apply_decision(decision);
+    }
+
+    /// Makes every record written so far durable with one fsync on this
+    /// thread, and resolves the jobs that were waiting for it.
+    fn settle(&mut self) {
+        if !self.unsynced.is_empty() {
+            let result = self.fsync();
+            self.synced(self.written_ahead, result);
+        }
+    }
+
+    /// Applies one fsync that covered the job records written ahead up
+    /// to number `upto`: those jobs now resolve, in arrival order. A
+    /// failed fsync degrades checkpointing and releases every waiting
+    /// job, as it would with no checkpoint.
+    fn synced(&mut self, upto: u64, result: Result<u64, String>) {
+        let sync_us = result.map_err(|e| self.degrade(&e)).ok();
+        let ready = if self.degraded {
+            self.unsynced.len()
+        } else {
+            self.unsynced.partition_point(|&(n, _)| n <= upto)
+        };
+        let ready: Vec<(u64, JobOutput)> = self.unsynced.drain(..ready).collect();
+        for (_, out) in ready {
+            if let Some(us) = sync_us {
+                self.ctel.checkpoint_sync_us.record(us);
+            }
+            // Once stopping, results are dropped, as at arrival.
+            if !self.stopping {
+                let decision = self.on_result(JobResult::Done(out));
+                self.apply_decision(decision);
+            }
+        }
     }
 
     /// Buffers one event for the canonical-order flush.
@@ -261,17 +397,16 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Applies one resolved job attempt — checkpoint, aggregate, event,
+    /// Applies one resolved job attempt — aggregate, event,
     /// retry/quarantine disposition — and returns the queue's next move.
+    /// A finished job's record is already durable (see
+    /// [`take_result`](Self::take_result)); a failure's is persisted
+    /// here.
     fn on_result(&mut self, result: JobResult) -> Decision {
         let int = |n: u64| Json::Int(n as i64);
         let mut decision = Decision::Continue;
         match result {
             JobResult::Done(out) => {
-                // Checkpoint first, aggregate second: a job is "done"
-                // only once its record is durably on disk (or
-                // checkpointing has been degraded away).
-                self.persist(|st| st.append_job(out.record.clone()));
                 self.stats.absorb(Some(out.worker), &out.record);
                 let (rec, vm) = (&out.record, &out.vm);
                 let ti = self
@@ -394,18 +529,28 @@ impl Coordinator<'_> {
         }
     }
 
+    /// Appends one checkpoint record and fsyncs it on this thread.
+    fn persist(&mut self, append: impl Fn(&mut CampaignState) -> Result<(), StateError>) {
+        if self.append(append) {
+            match self.fsync() {
+                Ok(us) => self.ctel.checkpoint_sync_us.record(us),
+                Err(e) => self.degrade(&e),
+            }
+        }
+    }
+
     /// Appends one checkpoint record with the repair-then-degrade
     /// policy: a failed append is repaired (truncating any partial
-    /// write) and retried once; if the retry or the fsync also fails,
-    /// checkpointing is disabled for the rest of the campaign
+    /// write) and retried once; if the retry, or a later fsync, also
+    /// fails, checkpointing is disabled for the rest of the campaign
     /// (`degraded`) and the campaign carries on — durability is
     /// best-effort, forward progress is not. This is what turns a flaky
     /// checkpoint disk into a degraded report instead of an abort or a
-    /// hang.
-    fn persist(&mut self, append: impl Fn(&mut CampaignState) -> Result<(), StateError>) {
+    /// hang. Returns whether the record was written.
+    fn append(&mut self, append: impl Fn(&mut CampaignState) -> Result<(), StateError>) -> bool {
         let (ctel, quiet) = (self.ctel, self.cfg.quiet);
         let Some(st) = self.state.as_mut().filter(|_| !self.degraded) else {
-            return;
+            return false;
         };
         let t0 = ctel.tel.now_micros();
         let mut result = append(st);
@@ -416,26 +561,46 @@ impl Coordinator<'_> {
             }
             result = st.repair().and_then(|()| append(st));
         }
-        let synced = result.and_then(|()| {
-            ctel.checkpoint_write_us
-                .record(ctel.tel.now_micros().saturating_sub(t0));
-            let t1 = ctel.tel.now_micros();
-            st.sync()?;
-            ctel.checkpoint_sync_us
-                .record(ctel.tel.now_micros().saturating_sub(t1));
-            Ok(())
-        });
-        if let Err(e) = synced {
-            ctel.checkpoint_errors.inc();
-            self.degraded = true;
-            if !quiet {
-                eprintln!("checkpointing disabled for the rest of the campaign: {e}");
+        match result {
+            Ok(()) => {
+                ctel.checkpoint_write_us
+                    .record(ctel.tel.now_micros().saturating_sub(t0));
+                true
+            }
+            Err(e) => {
+                self.degrade(&e);
+                false
             }
         }
     }
 
+    /// One fsync of the checkpoint on this thread: its duration, or the
+    /// error.
+    fn fsync(&mut self) -> Result<u64, String> {
+        let ctel = self.ctel;
+        let Some(st) = self.state.as_mut() else {
+            return Ok(0);
+        };
+        let t0 = ctel.tel.now_micros();
+        st.sync()
+            .map(|()| ctel.tel.now_micros().saturating_sub(t0))
+            .map_err(|e| e.to_string())
+    }
+
+    /// Disables checkpointing for the rest of the campaign.
+    fn degrade(&mut self, e: &dyn std::fmt::Display) {
+        self.ctel.checkpoint_errors.inc();
+        if !std::mem::replace(&mut self.degraded, true) && !self.cfg.quiet {
+            eprintln!("checkpointing disabled for the rest of the campaign: {e}");
+        }
+    }
+
+    /// Shuts the workers down once no job is queued or leased. Jobs
+    /// still waiting for their fsync need no worker: they resolve as the
+    /// fsync lands, or when [`finish`](Self::finish) settles them before
+    /// the report.
     fn maybe_finish(&mut self) {
-        if !self.finishing && !self.stopping && self.outstanding == 0 {
+        if !self.finishing && !self.stopping && self.outstanding == self.unsynced.len() {
             self.finishing = true;
             self.broadcast_shutdown();
         }
@@ -490,7 +655,8 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Answers a `lease_req`: pop the worker's own queue (no stealing —
+    /// Grants a worker its next lease (on its first `lease_req`, and
+    /// behind every `ack`): pop the worker's own queue (no stealing —
     /// partitioning is what keeps N workers deterministic) or park the
     /// worker until a retry lands there.
     fn try_grant(&mut self, conn: u64) {
@@ -499,7 +665,8 @@ impl Coordinator<'_> {
             return;
         }
         let (widx, job) = {
-            let Some(c) = self.conns.get_mut(&conn) else {
+            // A severed link gets nothing more; its `Gone` is on the way.
+            let Some(c) = self.conns.get_mut(&conn).filter(|c| c.out.is_some()) else {
                 return;
             };
             let Some(job) = self.deques[c.widx].pop_front() else {
@@ -553,6 +720,7 @@ impl Coordinator<'_> {
             // job re-ran elsewhere. First resolution won, drop this one.
             self.ctel.stale_results.inc();
             self.send(conn, Frame::Ack);
+            self.grant_next(conn);
             return;
         };
         let widx = match self.conns.get_mut(&conn) {
@@ -566,10 +734,21 @@ impl Coordinator<'_> {
         // is still acked so it reaches its shutdown cleanly.
         if !self.stopping {
             let target = self.selected[li.job.target_index].spec.name.clone();
-            let decision = self.on_result(make(widx, li.job, target));
-            self.apply_decision(decision);
+            self.take_result(make(widx, li.job, target));
         }
         self.send(conn, Frame::Ack);
+        self.maybe_finish();
+        self.grant_next(conn);
+    }
+
+    /// Follows an `ack` with the worker's next lease: a worker asks only
+    /// once, when it starts, which saves a round trip per job. Once the
+    /// campaign is finishing or stopping, the broadcast `shutdown` is
+    /// the worker's next frame instead.
+    fn grant_next(&mut self, conn: u64) {
+        if !self.finishing && !self.stopping {
+            self.try_grant(conn);
+        }
     }
 
     fn handle_frame(&mut self, conn: u64, frame: Frame) {
@@ -660,6 +839,7 @@ impl Coordinator<'_> {
             Ev::Status { reply } => {
                 let _ = reply.send(self.status());
             }
+            Ev::Synced { upto, result } => self.synced(upto, result),
         }
     }
 
@@ -722,6 +902,9 @@ impl Coordinator<'_> {
     /// Under a fixed clock, `elapsed` derives from the telemetry clock so
     /// the report renders byte-identically across runs and transports.
     fn finish(mut self, started_us: u64) -> Result<CampaignReport, CampaignError> {
+        // The workers can be gone before the last fsync lands.
+        self.settle();
+        self.syncer = None;
         self.conns.clear();
         self.transport.join();
         if let Some(e) = self.fatal.take() {
@@ -811,6 +994,14 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
     } = prepare(cfg, &ctel, n)?;
 
     let (ev_tx, ev_rx) = mpsc::channel::<Ev>();
+    let syncer = match &state {
+        Some(st) => Some(Syncer::start(
+            st.sync_handle()?,
+            Arc::clone(&tel),
+            ev_tx.clone(),
+        )?),
+        None => None,
+    };
     let transport: Box<dyn Transport> = match cfg.workers_proc {
         Some(_) => Box::new(Procs::start(cfg, &selected, ev_tx)?),
         None => Box::new(Threads::new(cfg, &selected, &ctel, ev_tx)),
@@ -825,6 +1016,9 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
         selected: &selected,
         transport,
         state,
+        syncer,
+        written_ahead: 0,
+        unsynced: VecDeque::new(),
         degraded: false,
         stats,
         policy,

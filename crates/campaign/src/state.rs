@@ -5,11 +5,14 @@
 //! records either one finished (target × shard) job with its deduped
 //! discrepancy signatures, or one failed job attempt (a
 //! [`FailureRecord`]) so retry counts and quarantine state survive a
-//! kill. Each record is flushed *and fsynced* (`File::sync_all`) as soon
-//! as the job resolves, so a `kill -9` — or a power loss — loses at most
-//! the in-flight jobs; a flush alone only moves bytes into the OS page
-//! cache, which power loss discards, and an acknowledged job must never
-//! be lost once the campaign reported it done. Because a job's result is
+//! kill. Each record is flushed as it is appended and fsynced
+//! (`File::sync_all`) before its job counts as done, so a `kill -9` — or
+//! a power loss — loses at most the jobs not yet counted; a flush alone
+//! only moves bytes into the OS page cache, which power loss discards,
+//! and a job must never be lost once the campaign reported it done. The
+//! coordinator groups these fsyncs on a thread of their own (one fsync
+//! covers every record written while the previous one ran), so workers
+//! never wait on the disk. Because a job's result is
 //! a pure function of `(campaign seed, target, shard)`, redoing the lost
 //! jobs on resume reproduces the exact same campaign state.
 //!
@@ -621,6 +624,20 @@ impl CampaignState {
         self.file.flush()?;
         self.file.get_ref().sync_all()?;
         Ok(())
+    }
+
+    /// A second handle on the checkpoint file, so another thread can
+    /// fsync what this one appends. Every append is flushed to the OS
+    /// before it returns, so a `sync_all` on this handle makes every
+    /// record appended so far durable. [`repair`](CampaignState::repair)
+    /// reopens the same file, so the handle stays valid across it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateError::Io`] if the file descriptor cannot be
+    /// duplicated.
+    pub(crate) fn sync_handle(&self) -> Result<File, StateError> {
+        Ok(self.file.get_ref().try_clone()?)
     }
 
     /// Recovers the append handle after a failed write: discards any

@@ -210,7 +210,9 @@ impl Transport for Procs {
                         let _ = child.wait();
                         break;
                     }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(20)),
+                    // A child that closed its link is already exiting;
+                    // poll finely so reaping it adds no fixed delay.
+                    Ok(None) => std::thread::sleep(Duration::from_millis(1)),
                 }
             }
         }
@@ -220,6 +222,10 @@ impl Transport for Procs {
 /// Serves one accepted connection on its own thread: a status query, or
 /// a worker process's whole link (config out, then frames both ways).
 fn serve_conn(stream: TcpStream, conn: u64, ev_tx: &mpsc::Sender<Ev>, config: &Json) {
+    // An `ack` and the next `lease` go out back to back; with Nagle the
+    // lease would wait for the worker's delayed TCP ack of the first.
+    // Failing to set it costs latency only.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

@@ -1,7 +1,8 @@
 //! The worker loop, written once for both transports (DESIGN.md §17):
-//! ask for a lease, run the job, report `done` or `failed`, wait for the
-//! `ack`, repeat until `shutdown`. The job's own fuzz loop renews the
-//! held lease, so a long job keeps it and a stuck one loses it.
+//! ask for a first lease, run the job, report `done` or `failed`, and
+//! take the `ack` and the next lease the coordinator sends behind it,
+//! until `shutdown`. The job's own fuzz loop renews the held lease, so a
+//! long job keeps it and a stuck one loses it.
 //!
 //! A worker is stateless beyond its `BinaryCache` and the sessions of
 //! the job in hand: all scheduling, checkpointing, dedup, and event
@@ -99,7 +100,8 @@ pub(crate) fn serve(
                 let reply = attempt(w, target, job, lease, send);
                 send(reply)?;
             }
-            Frame::Ack => send(Frame::LeaseReq)?,
+            // The next lease (or `shutdown`) follows the ack unasked.
+            Frame::Ack => {}
             Frame::Shutdown => {
                 send(Frame::Bye {
                     metrics: w.snapshot(),
@@ -180,6 +182,10 @@ fn io_err(context: &str, e: std::io::Error) -> String {
 /// or the coordinator disappears mid-campaign.
 pub fn run_worker(addr: &str) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
+    // Frames are small and answered at once; Nagle would hold one back
+    // until the previous one is acknowledged. Failing to set it costs
+    // latency only.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| io_err("clone", e))?);
     let mut writer = BufWriter::new(stream);
     let mut send_json = |v: &Json| write_frame(&mut writer, v).map_err(|e| io_err("send", e));

@@ -80,6 +80,55 @@ fn two_worker_campaign_is_byte_deterministic() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Checkpoint fsyncs are grouped behind the workers, yet a checkpointed
+/// 2-worker campaign stays byte-deterministic: report and metrics stream
+/// match across runs, every job has its record, and the fsync histogram
+/// holds one sample per record however many records each fsync covered.
+#[test]
+fn checkpointed_two_worker_campaign_is_byte_deterministic() {
+    let dir = temp_dir("two-workers-checkpoint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run_once = |tag: &str| {
+        let metrics = dir.join(format!("{tag}.jsonl"));
+        let report = campaign::run(&CampaignConfig {
+            workers: 2,
+            execs_per_target: 320,
+            shards_per_target: 8,
+            checkpoint_dir: Some(dir.join(tag)),
+            metrics_out: Some(metrics.clone()),
+            fixed_clock_us: Some(0),
+            ..base_config()
+        })
+        .unwrap();
+        assert_eq!(report.stats.jobs_done, 16);
+        let syncs = report
+            .metrics
+            .get("histograms")
+            .and_then(|h| h.get("campaign.checkpoint_sync_us"))
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_u64);
+        assert_eq!(syncs, Some(16), "one fsync sample per record");
+        (
+            report.render_summary(),
+            std::fs::read_to_string(metrics).unwrap(),
+        )
+    };
+    let (report_a, events_a) = run_once("a");
+    let (report_b, events_b) = run_once("b");
+    assert_eq!(report_a, report_b, "checkpointed reports must be identical");
+    assert_eq!(events_a, events_b, "checkpointed streams must be identical");
+
+    let header = campaign::CampaignHeader {
+        seed: 0x5EED,
+        execs_per_target: 320,
+        shards_per_target: 8,
+        targets: vec!["tcpdump".to_string(), "jq".to_string()],
+    };
+    let st = CampaignState::resume(&dir.join("a"), &header).unwrap();
+    assert_eq!(st.done().len(), 16, "every finished job has its record");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A worker thread that dies mid-lease (injected `die@`) is reclaimed
 /// exactly like a worker process: one `lost` attempt, one retry on a
 /// replacement thread, and the clean run's findings.
