@@ -1,16 +1,20 @@
-//! Interpreter vs block-compiled dispatch across the catalog targets.
+//! Reference interpreter vs block-compiled dispatch across the catalog
+//! targets.
 //!
 //! For every Table 4 target this measures three configurations on the
 //! target's benign seed input (the hot path of a differential campaign):
 //!
-//! * `interp` — a persistent [`ExecSession`] in [`VmMode::Interp`];
-//! * `block` — the same session shape in [`VmMode::Block`];
+//! * `interp` — a persistent reference session
+//!   ([`ExecSession::reference`], the per-instruction interpreter);
+//! * `block` — the same session shape on the production block
+//!   dispatcher ([`ExecSession::new`]);
 //! * `block_san` — the sanitizer build run under the combined
-//!   [`AsanUbsan`] hooks in block mode (the instrumented fuzzing
-//!   configuration; shows what the hook seam costs on top of dispatch).
+//!   [`AsanUbsan`] hooks on the block dispatcher (the instrumented
+//!   fuzzing configuration; shows what the hook seam costs on top of
+//!   dispatch).
 //!
 //! Before timing, every target asserts bit-identical results between the
-//! two modes (and between the two modes under sanitizer hooks), so a
+//! two engines (and between the two engines under sanitizer hooks), so a
 //! dispatch bug cannot hide behind a throughput number. Emits
 //! `BENCH_vm_modes.json` (per-row medians plus derived ops/sec) when
 //! `COMPDIFF_BENCH_JSON_DIR` is set, and prints the BENCHMARKS.md table.
@@ -18,7 +22,7 @@
 use compdiff::Json;
 use compdiff_bench::harness::{write_json, BenchGroup, BenchResult};
 use minc_compile::{compile_source, CompilerImpl};
-use minc_vm::{ExecSession, VmConfig, VmMode};
+use minc_vm::{ExecSession, VmConfig};
 use sanitizers::AsanUbsan;
 use targets::build_all;
 
@@ -27,14 +31,7 @@ fn ops_per_sec(r: &BenchResult) -> f64 {
 }
 
 fn main() {
-    let interp = VmConfig {
-        mode: VmMode::Interp,
-        ..VmConfig::default()
-    };
-    let block = VmConfig {
-        mode: VmMode::Block,
-        ..VmConfig::default()
-    };
+    let cfg = VmConfig::default();
     let targets = build_all();
     let mut g = BenchGroup::new("vm_modes");
     // (target, interp, block, block_san) rows for the summary table.
@@ -48,30 +45,30 @@ fn main() {
             .unwrap_or_else(|e| panic!("{name} sanitized build failed: {e}"));
         let input = t.seeds.first().cloned().unwrap_or_default();
 
-        // Equivalence gate: block mode must be bit-identical before it is
-        // allowed to be faster, with and without instrumentation.
-        let mut check = ExecSession::new(&bin);
-        let want = check.run(&bin, &input, &interp);
+        // Equivalence gate: block dispatch must be bit-identical to the
+        // reference before it is allowed to be faster, with and without
+        // instrumentation.
+        let want = ExecSession::reference(&bin).run(&bin, &input, &cfg);
         assert_eq!(
-            check.run(&bin, &input, &block),
+            ExecSession::new(&bin).run(&bin, &input, &cfg),
             want,
             "{name}: block diverged"
         );
-        let mut check = ExecSession::new(&san);
-        let want = check.run_with_hooks(&san, &input, &interp, &mut AsanUbsan::new());
+        let want =
+            ExecSession::reference(&san).run_with_hooks(&san, &input, &cfg, &mut AsanUbsan::new());
         assert_eq!(
-            check.run_with_hooks(&san, &input, &block, &mut AsanUbsan::new()),
+            ExecSession::new(&san).run_with_hooks(&san, &input, &cfg, &mut AsanUbsan::new()),
             want,
             "{name}: block+san diverged"
         );
 
+        let mut s = ExecSession::reference(&bin);
+        let ri = g.bench(&format!("{name}/interp"), || s.run(&bin, &input, &cfg));
         let mut s = ExecSession::new(&bin);
-        let ri = g.bench(&format!("{name}/interp"), || s.run(&bin, &input, &interp));
-        let mut s = ExecSession::new(&bin);
-        let rb = g.bench(&format!("{name}/block"), || s.run(&bin, &input, &block));
+        let rb = g.bench(&format!("{name}/block"), || s.run(&bin, &input, &cfg));
         let mut s = ExecSession::new(&san);
         let rs = g.bench(&format!("{name}/block_san"), || {
-            s.run_with_hooks(&san, &input, &block, &mut AsanUbsan::new())
+            s.run_with_hooks(&san, &input, &cfg, &mut AsanUbsan::new())
         });
         rows.push((name, ri, rb, rs));
     }

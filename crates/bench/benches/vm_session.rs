@@ -14,8 +14,10 @@
 //!   dominates fresh runs, so session persistence pays the most here,
 //!   while builtin-bound time caps what dispatch can win.
 //!
-//! Row naming: `fresh`/`persistent` are the interpreter; `block` is a
-//! persistent session in [`VmMode::Block`]. In full mode this asserts
+//! Row naming: `fresh`/`persistent` are the reference interpreter
+//! ([`ExecSession::reference`]: a new session per run, and one session
+//! reused); `block` is a persistent production session on the block
+//! dispatcher ([`ExecSession::new`]). In full mode this asserts
 //! the >=2x session speedup (on `page_heavy`, where per-exec setup
 //! dominates) and the >=3x block-over-persistent speedup (on at least
 //! one workload), and emits `BENCH_vm.json` when
@@ -25,7 +27,7 @@
 use compdiff::Json;
 use compdiff_bench::harness::{check_baseline, write_json, BenchGroup};
 use minc_compile::{compile_source, Binary, CompilerImpl};
-use minc_vm::{execute, ExecSession, VmConfig, VmMode};
+use minc_vm::{ExecSession, VmConfig};
 
 fn small_program() -> Binary {
     let src = r#"
@@ -69,42 +71,40 @@ fn page_heavy_program() -> Binary {
 }
 
 fn main() {
-    let interp = VmConfig {
-        mode: VmMode::Interp,
-        ..VmConfig::default()
-    };
-    let block = VmConfig {
-        mode: VmMode::Block,
-        ..VmConfig::default()
-    };
+    let cfg = VmConfig::default();
     let small = small_program();
     let heavy = page_heavy_program();
     let input = b"MCabcdefgh";
 
     // Sanity: both the persistent path and the block dispatcher must be
     // bit-identical before they are allowed to be faster.
-    let mut check = ExecSession::new(&small);
-    let reference = execute(&small, input, &interp);
-    assert_eq!(check.run(&small, input, &interp), reference);
-    assert_eq!(check.run(&small, input, &block), reference);
-    let mut check = ExecSession::new(&heavy);
-    let reference = execute(&heavy, b"", &interp);
-    assert_eq!(check.run(&heavy, b"", &interp), reference);
-    assert_eq!(check.run(&heavy, b"", &block), reference);
+    for (bin, input) in [(&small, &input[..]), (&heavy, &b""[..])] {
+        let reference = ExecSession::reference(bin).run(bin, input, &cfg);
+        let mut persistent = ExecSession::reference(bin);
+        let mut block = ExecSession::new(bin);
+        for _ in 0..2 {
+            assert_eq!(persistent.run(bin, input, &cfg), reference);
+            assert_eq!(block.run(bin, input, &cfg), reference);
+        }
+    }
 
     let mut g = BenchGroup::new("vm_session");
 
-    let fresh_small = g.bench("small/fresh", || execute(&small, input, &interp));
+    let fresh_small = g.bench("small/fresh", || {
+        ExecSession::reference(&small).run(&small, input, &cfg)
+    });
+    let mut s = ExecSession::reference(&small);
+    let persist_small = g.bench("small/persistent", || s.run(&small, input, &cfg));
     let mut s = ExecSession::new(&small);
-    let persist_small = g.bench("small/persistent", || s.run(&small, input, &interp));
-    let mut s = ExecSession::new(&small);
-    let block_small = g.bench("small/block", || s.run(&small, input, &block));
+    let block_small = g.bench("small/block", || s.run(&small, input, &cfg));
 
-    let fresh_heavy = g.bench("page_heavy/fresh", || execute(&heavy, b"", &interp));
+    let fresh_heavy = g.bench("page_heavy/fresh", || {
+        ExecSession::reference(&heavy).run(&heavy, b"", &cfg)
+    });
+    let mut s = ExecSession::reference(&heavy);
+    let persist_heavy = g.bench("page_heavy/persistent", || s.run(&heavy, b"", &cfg));
     let mut s = ExecSession::new(&heavy);
-    let persist_heavy = g.bench("page_heavy/persistent", || s.run(&heavy, b"", &interp));
-    let mut s = ExecSession::new(&heavy);
-    let block_heavy = g.bench("page_heavy/block", || s.run(&heavy, b"", &block));
+    let block_heavy = g.bench("page_heavy/block", || s.run(&heavy, b"", &cfg));
 
     let results = g.finish();
     let speedup_small = fresh_small.median.as_secs_f64() / persist_small.median.as_secs_f64();

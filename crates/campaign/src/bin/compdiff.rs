@@ -25,7 +25,7 @@ use compdiff::{
 };
 use fuzzing::{FuzzConfig, Rng};
 use minc_compile::CompilerImpl;
-use minc_vm::{ExitStatus, SanitizerKind, VmConfig, VmMode};
+use minc_vm::{ExitStatus, SanitizerKind, VmConfig};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -73,8 +73,6 @@ USAGE:
       --input-file <path>  read input bytes from a file
       --impls <a,b,...>    implementations (default: all ten)
       --minimize           shrink the input while the bug persists
-      --vm-mode <m>        execution backend: interp|block (default block;
-                           env COMPDIFF_VM_MODE overrides the default)
   compdiff fuzz <prog.mc> [options]      CompDiff-AFL++ campaign
       --execs <n>          fuzz-binary executions (default 50000)
       --seed <n>           campaign RNG seed (default 1)
@@ -124,7 +122,6 @@ USAGE:
       --progen-dir <dir>     also fuzz generated programs (*.mc) from <dir>
       --sancheck             post-fuzz sanitizer audit over every selected
                              target (publishes sancheck.* metrics)
-      --vm-mode <m>          execution backend: interp|block (default block)
       --workers-proc <n>     run the workers as n *processes* instead
                              (JSON frames over a local socket)
       --status-addr-out <p>  write the live status endpoint's host:port to <p>
@@ -135,7 +132,6 @@ USAGE:
                                          query a running coordinator's live
                                          status (progress + merged metrics)
   compdiff progen <subcommand> [options]  evolutionary program generation
-    (all subcommands accept --vm-mode interp|block, default block)
     generate --seed <n> [--count <n>] [--out-dir <dir>]
                              emit seeded idiom-biased programs
     evolve --seed <n> --generations <n> [--population <n>]
@@ -155,24 +151,6 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
-}
-
-/// Resolves `--vm-mode` for the current command. Precedence: explicit
-/// flag, then the `COMPDIFF_VM_MODE` environment variable (which
-/// [`VmConfig::default`] already consults), then the built-in default
-/// (`block`). To make the choice reach code that builds its own
-/// `DiffConfig::default()` internally (progen's fitness/reduce oracles),
-/// a given flag is also exported into the environment.
-fn vm_mode(args: &[String]) -> Result<VmMode, String> {
-    match flag_value(args, "--vm-mode") {
-        Some(v) => {
-            let mode = VmMode::parse(&v)
-                .ok_or_else(|| format!("bad --vm-mode `{v}` (expected `interp` or `block`)"))?;
-            std::env::set_var("COMPDIFF_VM_MODE", v);
-            Ok(mode)
-        }
-        None => Ok(VmMode::from_env()),
-    }
 }
 
 fn load_source(args: &[String]) -> Result<String, String> {
@@ -225,14 +203,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let src = load_source(args)?;
     let impls = parse_impls(args)?;
     let input = read_input(args)?;
-    let dc = DiffConfig {
-        vm: VmConfig {
-            mode: vm_mode(args)?,
-            ..VmConfig::default()
-        },
-        ..DiffConfig::default()
-    };
-    let diff = CompDiff::from_source(&src, &impls, dc).map_err(|e| e.to_string())?;
+    let diff =
+        CompDiff::from_source(&src, &impls, DiffConfig::default()).map_err(|e| e.to_string())?;
     let outcome = diff.run_input(&input);
     if !outcome.divergent {
         println!(
@@ -501,7 +473,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         sancheck: has_flag(args, "--sancheck"),
         ..Default::default()
     };
-    cfg.diff_config.vm.mode = vm_mode(args)?;
     if let Some(v) = flag_value(args, "--workers") {
         cfg.workers = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
     }
@@ -512,6 +483,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     }
     if let Some(v) = flag_value(args, "--shards") {
         cfg.shards_per_target = v.parse().map_err(|_| format!("bad --shards `{v}`"))?;
+        if cfg.shards_per_target == 0 {
+            return Err("bad --shards `0` (must be >= 1)".into());
+        }
     }
     if let Some(v) = flag_value(args, "--seed") {
         cfg.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
@@ -619,10 +593,6 @@ fn cmd_progen(args: &[String]) -> Result<(), String> {
     let Some(sub) = args.first() else {
         return Err(format!("progen needs a subcommand\n{USAGE}"));
     };
-    // Validate and export --vm-mode; progen's fitness and reduction
-    // oracles build their own `DiffConfig::default()`, which picks the
-    // mode up from the environment.
-    vm_mode(args)?;
     match sub.as_str() {
         "generate" => progen_generate(&args[1..]),
         "evolve" => progen_evolve(&args[1..]),

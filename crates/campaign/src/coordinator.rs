@@ -431,8 +431,6 @@ impl Coordinator<'_> {
                         ("pages_materialized", int(vm.pages_materialized)),
                         ("bulk_builtin_ops", int(vm.bulk_builtin_ops)),
                         ("fallback_builtin_ops", int(vm.fallback_builtin_ops)),
-                        ("block_exec", int(vm.block_exec)),
-                        ("interp_fallback", int(vm.interp_fallback)),
                     ],
                 );
                 if !self.cfg.quiet {

@@ -32,7 +32,7 @@ use crate::scheduler::{Job, JobOutput};
 use crate::{CampaignConfig, FailureKind, FaultPlan, JobRecord};
 use compdiff::{hex_decode, hex_encode, Json};
 use minc_compile::CompilerImpl;
-use minc_vm::{SessionStats, VmMode};
+use minc_vm::SessionStats;
 use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use targets::{Target, TargetSpec};
@@ -257,7 +257,6 @@ pub(crate) fn config_frame(cfg: &CampaignConfig, targets: &[Target]) -> Json {
         ("max_input_len", int(cfg.max_input_len as u64)),
         ("batch_size", int(cfg.batch_size as u64)),
         ("fuzz_impl", Json::Str(cfg.fuzz_impl.to_string())),
-        ("vm_mode", Json::Str(vm.mode.to_string())),
         ("step_limit", int(vm.step_limit)),
         ("max_frames", int(vm.max_frames as u64)),
         ("heap_limit", int(vm.heap_limit)),
@@ -300,11 +299,6 @@ pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), St
         .ok_or("config missing fuzz_impl")?;
     cfg.fuzz_impl =
         CompilerImpl::parse(fuzz_impl).ok_or(format!("unknown fuzz_impl `{fuzz_impl}`"))?;
-    let mode = v
-        .get("vm_mode")
-        .and_then(Json::as_str)
-        .ok_or("config missing vm_mode")?;
-    cfg.diff_config.vm.mode = VmMode::parse(mode).ok_or(format!("unknown vm_mode `{mode}`"))?;
     cfg.diff_config.vm.step_limit = int("step_limit")? as u64;
     cfg.diff_config.vm.max_frames =
         usize::try_from(int("max_frames")?).map_err(|_| "max_frames out of range")?;
@@ -371,7 +365,7 @@ pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), St
 }
 
 /// The `done` frame's VM-statistics fields, by wire name.
-fn vm_fields(vm: &mut SessionStats) -> [(&'static str, &mut u64); 11] {
+fn vm_fields(vm: &mut SessionStats) -> [(&'static str, &mut u64); 9] {
     [
         ("runs", &mut vm.runs),
         ("pages_restored", &mut vm.pages_restored),
@@ -381,8 +375,6 @@ fn vm_fields(vm: &mut SessionStats) -> [(&'static str, &mut u64); 11] {
         ("poisoned_rebuilds", &mut vm.poisoned_rebuilds),
         ("blocks_translated", &mut vm.blocks_translated),
         ("block_cache_hits", &mut vm.block_cache_hits),
-        ("block_exec", &mut vm.block_exec),
-        ("interp_fallback", &mut vm.interp_fallback),
         ("loader_skips", &mut vm.loader_skips),
     ]
 }
@@ -467,7 +459,7 @@ mod tests {
                     },
                     dur_us: 5,
                     vm: SessionStats {
-                        block_exec: 9,
+                        block_cache_hits: 9,
                         ..SessionStats::default()
                     },
                 },
@@ -507,8 +499,8 @@ mod tests {
             fixed_clock_us: Some(5),
             ..CampaignConfig::default()
         };
-        cfg.diff_config.vm.mode = VmMode::Interp;
         cfg.diff_config.vm.step_limit = 12_345;
+        cfg.diff_config.vm.heap_limit = 1 << 20;
         let targets = vec![Target {
             spec: TargetSpec {
                 name: "tcpdump".to_string(),
@@ -529,8 +521,8 @@ mod tests {
         assert_eq!(got_cfg.shards_per_target, 3);
         assert_eq!(got_cfg.max_input_len, 48);
         assert_eq!(got_cfg.batch_size, 8);
-        assert_eq!(got_cfg.diff_config.vm.mode, VmMode::Interp);
         assert_eq!(got_cfg.diff_config.vm.step_limit, 12_345);
+        assert_eq!(got_cfg.diff_config.vm.heap_limit, 1 << 20);
         assert_eq!(got_cfg.fixed_clock_us, Some(5));
         assert_eq!(
             got_cfg.fault_plan.as_ref().map(|p| p.spec()),
@@ -554,9 +546,7 @@ mod tests {
             poisoned_rebuilds: 6,
             blocks_translated: 7,
             block_cache_hits: 8,
-            block_exec: 9,
-            interp_fallback: 10,
-            loader_skips: 11,
+            loader_skips: 9,
         };
         assert_eq!(vm_from_json(&vm_to_json(&vm)), vm);
     }

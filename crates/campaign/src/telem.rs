@@ -112,14 +112,9 @@ pub struct CampaignTelemetry {
     /// `vm.blocks_translated` — superblocks translated (cache misses in
     /// sessions plus the `BinaryCache`'s up-front per-binary translation).
     pub blocks_translated: Arc<Counter>,
-    /// `vm.block_cache_hits` — block-mode runs that reused a cached
+    /// `vm.block_cache_hits` — runs that reused a cached block
     /// translation.
     pub block_cache_hits: Arc<Counter>,
-    /// `vm.block_exec` — runs executed through the block dispatcher.
-    pub block_exec: Arc<Counter>,
-    /// `vm.interp_fallback` — runs executed through the per-instruction
-    /// interpreter.
-    pub interp_fallback: Arc<Counter>,
     /// `vm.loader_skips` — batched runs that reused the session's
     /// post-loader page image instead of re-running the loader pass.
     pub loader_skips: Arc<Counter>,
@@ -173,8 +168,6 @@ impl CampaignTelemetry {
             fallback_builtin_ops: r.counter("vm.fallback_builtin_ops"),
             blocks_translated: r.counter("vm.blocks_translated"),
             block_cache_hits: r.counter("vm.block_cache_hits"),
-            block_exec: r.counter("vm.block_exec"),
-            interp_fallback: r.counter("vm.interp_fallback"),
             loader_skips: r.counter("vm.loader_skips"),
             tel,
         }
@@ -205,8 +198,6 @@ impl CampaignTelemetry {
         self.fallback_builtin_ops.add(vm.fallback_builtin_ops);
         self.blocks_translated.add(vm.blocks_translated);
         self.block_cache_hits.add(vm.block_cache_hits);
-        self.block_exec.add(vm.block_exec);
-        self.interp_fallback.add(vm.interp_fallback);
         self.loader_skips.add(vm.loader_skips);
     }
 
@@ -347,16 +338,12 @@ mod tests {
             poisoned_rebuilds: 0,
             blocks_translated: 6,
             block_cache_hits: 12,
-            block_exec: 14,
-            interp_fallback: 1,
             loader_skips: 8,
         });
         assert_eq!(ct.pages_restored.get(), 7);
         assert_eq!(ct.bulk_builtin_ops.get(), 3);
         assert_eq!(ct.blocks_translated.get(), 6);
         assert_eq!(ct.block_cache_hits.get(), 12);
-        assert_eq!(ct.block_exec.get(), 14);
-        assert_eq!(ct.interp_fallback.get(), 1);
         assert_eq!(ct.loader_skips.get(), 8);
     }
 }

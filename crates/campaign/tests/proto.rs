@@ -325,6 +325,29 @@ fn worker_cannot_open_coordinators_checkpoint() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A campaign with zero shards per target would schedule no job at all
+/// and still report success; the CLI refuses it like `--batch-size 0`.
+#[test]
+fn zero_shards_are_rejected() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_compdiff"))
+        .args([
+            "campaign",
+            "--shards",
+            "0",
+            "--targets",
+            "tcpdump",
+            "--quiet",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--shards 0 must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad --shards `0` (must be >= 1)"),
+        "expected the --shards refusal, got: {stderr}"
+    );
+}
+
 /// The live status endpoint: while a coordinator campaign runs, a
 /// status client can connect to the address written via
 /// `status_addr_out` and read progress plus a merged metric snapshot.

@@ -12,10 +12,17 @@
 //! The supported grammar is exactly RFC 8259 JSON with two deliberate
 //! simplifications: numbers are kept as either `i64` or `f64` (whichever
 //! round-trips), and object keys preserve insertion order (no sorting,
-//! no duplicate detection).
+//! no duplicate detection). Parsing also fails on arrays and objects
+//! nested deeper than `MAX_DEPTH` (128), so hostile input (a checkpoint
+//! line, a protocol frame) gets an error instead of overflowing the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The deepest document the workspace writes (a status frame's metric
+/// snapshot) nests 6 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,11 +196,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// including nesting deeper than 128 arrays and objects.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -255,6 +264,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -299,12 +310,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, failing once more than `MAX_DEPTH`
+    /// would be open.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -573,6 +599,27 @@ mod tests {
         ] {
             assert!(Json::parse(torn).is_err(), "{torn}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Spawned threads get the default 2 MiB stack, like the threads
+        // that read protocol frames: unbounded recursion would abort the
+        // whole test process here rather than fail an assertion.
+        let deep = std::thread::spawn(|| {
+            ["[".repeat(100_000), "{\"a\":".repeat(100_000)].map(|doc| Json::parse(&doc).is_err())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(deep, [true, true]);
+
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Block-compiled execution: superblock pre-decode + threaded dispatch.
 //!
-//! The per-instruction interpreter in `exec.rs` re-decodes every `Inst`
+//! This is the VM's production engine: every
+//! [`ExecSession`](crate::ExecSession) runs it, except one built by
+//! [`ExecSession::reference`](crate::ExecSession::reference), which runs
+//! the per-instruction interpreter in `exec.rs` as the reference this
+//! module is checked against.
+//!
+//! The per-instruction interpreter re-decodes every `Inst`
 //! (enum match, operand field loads, frame-layout lookups) on every step.
 //! This module translates a [`Binary`] **once** into a [`BlockProgram`]:
 //! per function, a vector of *superblocks* whose operations ([`Op`]) carry
@@ -18,8 +24,9 @@
 //! to the interpreter. Every observable — `ExecResult` bits, stdout, step
 //! counts (including the step at which a timeout fires), every `Hooks`
 //! callback and its `Loc` — is bit-identical to the interpreter; the
-//! equivalence suite in `tests/block_equivalence.rs` pins this across the
-//! whole target catalog × 10 implementations.
+//! equivalence suite in `tests/block_equivalence.rs` pins this against
+//! reference sessions across the whole target catalog × 10
+//! implementations.
 //!
 //! Hooks are monomorphized into the dispatch loop exactly as in the
 //! interpreter, so the `NoHooks` fast path pays zero instrumentation cost

@@ -1,4 +1,5 @@
-//! The bytecode interpreter.
+//! The VM core: execution state, memory checks, builtins and the
+//! per-instruction reference interpreter.
 //!
 //! Executes a [`Binary`] exactly as that compiler implementation built it:
 //! same instruction stream, same address-space layout, same junk. All
@@ -6,10 +7,16 @@
 //! falls out of whatever the memory/layout/junk happens to be — which is
 //! the point.
 //!
-//! The interpreter always runs *inside* an [`ExecSession`]: the one-shot
+//! Every run happens *inside* an [`ExecSession`]: the one-shot
 //! [`execute`] entry points simply create a throwaway session per call,
 //! while persistent-mode callers reuse one session across inputs and skip
 //! the per-run allocation of pages, frames, and allocator maps.
+//!
+//! Production runs dispatch pre-decoded superblocks (`block.rs`). The
+//! per-instruction interpreter here (`Vm::run`) is the reference those
+//! superblocks are checked against: only a session built by
+//! [`ExecSession::reference`] runs it, and production code never builds
+//! one.
 
 use crate::hooks::{FreeDisposition, Hooks, Loc, PoisonUse};
 use crate::result::{ExecResult, ExitStatus, Trap};
@@ -18,52 +25,7 @@ use minc::Builtin;
 use minc_compile::ir::*;
 use minc_compile::Binary;
 
-/// Which execution backend runs the program. Both produce bit-identical
-/// [`ExecResult`]s (including step counts, hook callbacks, and stdout);
-/// block mode is simply faster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VmMode {
-    /// The per-instruction reference interpreter.
-    Interp,
-    /// Pre-decoded superblock dispatch (see `block.rs`). The translation
-    /// is cached per [`Binary`] inside the [`ExecSession`].
-    #[default]
-    Block,
-}
-
-impl VmMode {
-    /// Parses the CLI/env spelling (`"interp"` / `"block"`).
-    pub fn parse(s: &str) -> Option<VmMode> {
-        match s {
-            "interp" => Some(VmMode::Interp),
-            "block" => Some(VmMode::Block),
-            _ => None,
-        }
-    }
-
-    /// Resolves the mode from the `COMPDIFF_VM_MODE` environment variable
-    /// (`interp` / `block`), falling back to the default when the variable
-    /// is unset or unrecognised. [`VmConfig::default`] goes through this,
-    /// so the override reaches every consumer that doesn't set an explicit
-    /// mode; an explicit `--vm-mode` flag wins by assigning the field.
-    pub fn from_env() -> VmMode {
-        std::env::var("COMPDIFF_VM_MODE")
-            .ok()
-            .and_then(|s| VmMode::parse(&s))
-            .unwrap_or_default()
-    }
-}
-
-impl std::fmt::Display for VmMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            VmMode::Interp => "interp",
-            VmMode::Block => "block",
-        })
-    }
-}
-
-/// Execution limits and switches.
+/// Execution limits.
 #[derive(Debug, Clone)]
 pub struct VmConfig {
     /// Maximum IR instructions to execute before reporting a timeout.
@@ -72,8 +34,6 @@ pub struct VmConfig {
     pub max_frames: usize,
     /// Heap size limit in bytes.
     pub heap_limit: u64,
-    /// Which execution backend to use.
-    pub mode: VmMode,
 }
 
 impl Default for VmConfig {
@@ -82,7 +42,6 @@ impl Default for VmConfig {
             step_limit: 5_000_000,
             max_frames: 256,
             heap_limit: 1 << 26,
-            mode: VmMode::from_env(),
         }
     }
 }
@@ -126,18 +85,9 @@ pub(crate) fn run_in_session<H: Hooks>(
     loader: LoaderMode,
 ) -> ExecResult {
     let track_poison = hooks.track_poison();
-    // Resolve the block translation (and bump the mode counters) before
-    // constructing the Vm, which holds the session mutably for the run.
-    let block = match config.mode {
-        VmMode::Block => {
-            session.block_exec += 1;
-            Some(session.block_program(bin))
-        }
-        VmMode::Interp => {
-            session.interp_fallback += 1;
-            None
-        }
-    };
+    // Resolve the block translation before constructing the Vm, which
+    // holds the session mutably for the run.
+    let block = (!session.reference).then(|| session.block_program(bin));
     let p = &bin.personality;
     let mut vm = Vm {
         bin,
@@ -226,6 +176,8 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         const_raw(self.bin, v)
     }
 
+    /// The per-instruction reference interpreter (reference sessions
+    /// only; see [`ExecSession::reference`]).
     fn run(&mut self) -> ExitStatus {
         match self.push_frame(self.bin.entry().0, &[], &[], None) {
             Ok(()) => {}

@@ -1,6 +1,6 @@
 //! # minc-vm — deterministic execution of MinC binaries
 //!
-//! Interprets the IR produced by `minc-compile` against a raw, flat,
+//! Executes the IR produced by `minc-compile` against a raw, flat,
 //! 64-bit address space. Each binary executes with *its* compiler
 //! implementation's layout and junk, so:
 //!
@@ -36,7 +36,7 @@ pub mod result;
 pub mod session;
 
 pub use block::BlockProgram;
-pub use exec::{execute, execute_with_hooks, VmConfig, VmMode};
+pub use exec::{execute, execute_with_hooks, VmConfig};
 pub use hooks::{FreeDisposition, Hooks, Loc, NoHooks, PoisonUse};
 pub use memory::Memory;
 pub use result::{ExecResult, ExitStatus, Fault, SanitizerKind, Trap};

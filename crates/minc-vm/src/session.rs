@@ -20,6 +20,12 @@
 //! `session_equivalence` suite pins this across the whole target catalog,
 //! including runs immediately after traps and sanitizer faults.
 //!
+//! Sessions run the block dispatcher (`block.rs`), translating each
+//! binary once and caching the translation. A session built with
+//! [`ExecSession::reference`] runs the per-instruction interpreter
+//! instead: it is the reference the block dispatcher is checked against
+//! by tests and benches, and production code never builds one.
+//!
 //! ```
 //! use minc_compile::{compile_source, CompilerImpl};
 //! use minc_vm::{execute, ExecSession, VmConfig};
@@ -85,17 +91,11 @@ pub struct SessionStats {
     /// mid-execution (a panic unwound through the VM), leaving the
     /// session state unknown.
     pub poisoned_rebuilds: u64,
-    /// Superblocks translated by this session (block mode, cache miss).
-    /// Pre-seeded translations (campaign `BinaryCache`) count at the
-    /// cache, not here.
+    /// Superblocks translated by this session (cache miss). Pre-seeded
+    /// translations (campaign `BinaryCache`) count at the cache, not here.
     pub blocks_translated: u64,
-    /// Block-mode runs that found their translation already cached.
+    /// Runs that found their block translation already cached.
     pub block_cache_hits: u64,
-    /// Runs executed through the block dispatcher.
-    pub block_exec: u64,
-    /// Runs executed through the per-instruction interpreter
-    /// (`VmMode::Interp`).
-    pub interp_fallback: u64,
     /// Batched runs that skipped the loader pass because the session
     /// already held this binary's post-loader page image (see
     /// [`ExecSession::run_batched`]).
@@ -114,8 +114,6 @@ impl SessionStats {
         self.poisoned_rebuilds += other.poisoned_rebuilds;
         self.blocks_translated += other.blocks_translated;
         self.block_cache_hits += other.block_cache_hits;
-        self.block_exec += other.block_exec;
-        self.interp_fallback += other.interp_fallback;
         self.loader_skips += other.loader_skips;
     }
 }
@@ -153,8 +151,10 @@ pub struct ExecSession {
     pub(crate) block: Option<Arc<BlockProgram>>,
     pub(crate) blocks_translated: u64,
     pub(crate) block_cache_hits: u64,
-    pub(crate) block_exec: u64,
-    pub(crate) interp_fallback: u64,
+    /// Fixed at construction: runs go through the per-instruction
+    /// reference interpreter instead of block dispatch (see
+    /// [`ExecSession::reference`]).
+    pub(crate) reference: bool,
     /// [`Binary::uid`] whose post-loader page image is currently baked
     /// into `mem` (see [`run_batched`](ExecSession::run_batched)), or
     /// `None` when memory resets to plain pristine junk.
@@ -185,12 +185,23 @@ impl ExecSession {
             block: None,
             blocks_translated: 0,
             block_cache_hits: 0,
-            block_exec: 0,
-            interp_fallback: 0,
+            reference: false,
             loaded_uid: None,
             loader_skips: 0,
             printf_fmt: Vec::new(),
             printf_out: Vec::new(),
+        }
+    }
+
+    /// Creates a session for `binary`'s compiler implementation that runs
+    /// the per-instruction reference interpreter instead of block
+    /// dispatch. Results are bit-for-bit those of [`new`](ExecSession::new);
+    /// the equivalence suites and the VM benches compare the two.
+    /// Production code never constructs one.
+    pub fn reference(binary: &Binary) -> Self {
+        ExecSession {
+            reference: true,
+            ..ExecSession::new(binary)
         }
     }
 
@@ -356,8 +367,6 @@ impl ExecSession {
             poisoned_rebuilds: self.poisoned,
             blocks_translated: self.blocks_translated,
             block_cache_hits: self.block_cache_hits,
-            block_exec: self.block_exec,
-            interp_fallback: self.interp_fallback,
             loader_skips: self.loader_skips,
         }
     }
@@ -663,9 +672,8 @@ mod tests {
         // A run abandoned at the step limit leaves dirty pages, pooled
         // frames, and heap state behind; the epoch reset must clear all
         // of it so the escalated re-run is bit-identical to one in a
-        // brand-new session — in both execution backends, and whether the
-        // timed-out run was plain or batched.
-        use crate::exec::VmMode;
+        // brand-new session — under block dispatch and the reference
+        // interpreter, and whether the timed-out run was plain or batched.
         let b = bin(
             r#"
             int work(int depth) {
@@ -686,35 +694,53 @@ mod tests {
             "#,
             "gcc-O2",
         );
-        for mode in [VmMode::Interp, VmMode::Block] {
-            let full = VmConfig {
-                mode,
-                ..VmConfig::default()
-            };
-            let steps = execute(&b, b"", &full).steps;
-            let tight = VmConfig {
-                step_limit: steps * 2 / 3,
-                ..full.clone()
-            };
-            let doubled = VmConfig {
-                step_limit: tight.step_limit * 2,
-                ..tight.clone()
-            };
+        let full = VmConfig::default();
+        let steps = execute(&b, b"", &full).steps;
+        let tight = VmConfig {
+            step_limit: steps * 2 / 3,
+            ..full
+        };
+        let doubled = VmConfig {
+            step_limit: tight.step_limit * 2,
+            ..tight.clone()
+        };
+        for make in [ExecSession::reference, ExecSession::new] {
             for batched_first in [false, true] {
-                let mut reused = ExecSession::new(&b);
+                let mut reused = make(&b);
+                let reference = reused.reference;
                 let timed_out = if batched_first {
                     reused.run_batched(&b, b"", &tight)
                 } else {
                     reused.run(&b, b"", &tight)
                 };
-                assert_eq!(timed_out.status, ExitStatus::TimedOut, "{mode}");
+                assert_eq!(timed_out.status, ExitStatus::TimedOut, "{reference}");
 
                 let rerun = reused.run(&b, b"", &doubled);
-                let fresh = ExecSession::new(&b).run(&b, b"", &doubled);
-                assert_eq!(rerun, fresh, "{mode} batched_first={batched_first}");
+                let fresh = make(&b).run(&b, b"", &doubled);
+                assert_eq!(
+                    rerun, fresh,
+                    "reference={reference} batched_first={batched_first}"
+                );
                 assert_eq!(rerun.status, ExitStatus::Code(0));
             }
         }
+    }
+
+    #[test]
+    fn reference_sessions_run_the_interpreter() {
+        // Only block dispatch translates. A reference session that touched
+        // a translation would make every comparison against it vacuous.
+        let b = bin("int main() { printf(\"hi\\n\"); return 0; }", "gcc-O1");
+        let cfg = VmConfig::default();
+        let mut reference = ExecSession::reference(&b);
+        let mut block = ExecSession::new(&b);
+        for _ in 0..2 {
+            assert_eq!(reference.run(&b, b"", &cfg), block.run(&b, b"", &cfg));
+        }
+        let (r, k) = (reference.stats(), block.stats());
+        assert_eq!((r.blocks_translated, r.block_cache_hits), (0, 0), "{r:?}");
+        assert!(k.blocks_translated > 0, "{k:?}");
+        assert_eq!(k.block_cache_hits, 1, "{k:?}");
     }
 
     #[test]

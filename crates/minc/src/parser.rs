@@ -22,10 +22,25 @@ pub fn parse(src: &str) -> Result<Program, FrontendError> {
     Parser::new(tokens).program()
 }
 
+/// The deepest syntax tree [`parse`] builds, in levels: one per function,
+/// statement or expression node, plus one per pair of parentheses. The
+/// parser, sema, lowering and lint all recurse over the tree, so source
+/// nested deeper is refused here rather than overflowing the stack of
+/// the thread that checks it. Twice this depth, every nesting shape
+/// still gets through all four on a 2 MiB thread stack at opt-level 1.
+/// A type's `*`s and its array dimensions are each held to the same
+/// bound.
+pub const MAX_DEPTH: u32 = 320;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    next_id: u32,
+    /// Height in levels of every node built so far, indexed by [`NodeId`].
+    heights: Vec<u32>,
+    /// Levels open around the current token. It never exceeds the height
+    /// of the finished tree, so checking it stops the parser's own
+    /// recursion before it builds any node of a tree that is too deep.
+    open: u32,
 }
 
 impl Parser {
@@ -33,14 +48,101 @@ impl Parser {
         Parser {
             tokens,
             pos: 0,
-            next_id: 0,
+            heights: Vec::new(),
+            open: 0,
         }
     }
 
-    fn fresh(&mut self) -> NodeId {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
-        id
+    fn too_deep(&self) -> FrontendError {
+        self.error(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Parses one level further down, refusing to open more than
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, FrontendError>,
+    ) -> Result<T, FrontendError> {
+        if self.open == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.open += 1;
+        let parsed = parse(self);
+        self.open -= 1;
+        parsed
+    }
+
+    /// Allocates the id of a node one level above its tallest child,
+    /// which is `below` levels high.
+    fn fresh(&mut self, below: u32) -> Result<NodeId, FrontendError> {
+        if below >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.heights.push(below + 1);
+        Ok(NodeId(self.heights.len() as u32 - 1))
+    }
+
+    fn height(&self, id: NodeId) -> u32 {
+        self.heights[id.0 as usize]
+    }
+
+    /// Builds an expression node one level above its tallest operand.
+    fn expr(&mut self, span: Span, kind: ExprKind) -> Result<Expr, FrontendError> {
+        use ExprKind::*;
+        let h = |e: &Expr| self.height(e.id);
+        let below = match &kind {
+            IntLit { .. }
+            | FloatLit(_)
+            | CharLit(_)
+            | StrLit(_)
+            | Var(_)
+            | Line
+            | SizeofType(_) => 0,
+            Unary { operand: e, .. }
+            | IncDec { target: e, .. }
+            | Member { base: e, .. }
+            | Arrow { base: e, .. }
+            | Cast { value: e, .. }
+            | SizeofExpr(e) => h(e),
+            Binary { lhs, rhs, .. } | Logical { lhs, rhs, .. } => h(lhs).max(h(rhs)),
+            Assign { target, value, .. } => h(target).max(h(value)),
+            Index { base, index } => h(base).max(h(index)),
+            Cond { cond, then, els } => h(cond).max(h(then)).max(h(els)),
+            Call { args, .. } => args.iter().map(h).max().unwrap_or(0),
+        };
+        let id = self.fresh(below)?;
+        Ok(Expr { id, span, kind })
+    }
+
+    /// Builds a statement node one level above its tallest child.
+    fn stmt(&mut self, span: Span, kind: StmtKind) -> Result<Stmt, FrontendError> {
+        let h = |id: NodeId| self.height(id);
+        let opt = |e: &Option<Expr>| e.as_ref().map_or(0, |e| h(e.id));
+        let below = match &kind {
+            StmtKind::Break | StmtKind::Continue | StmtKind::Empty => 0,
+            StmtKind::Decl { init, .. } => opt(init),
+            StmtKind::Return(value) => opt(value),
+            StmtKind::Expr(e) => h(e.id),
+            StmtKind::If { cond, then, els } => {
+                let els = els.as_ref().map_or(0, |s| h(s.id));
+                h(cond.id).max(h(then.id)).max(els)
+            }
+            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
+                h(cond.id).max(h(body.id))
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                let init = init.as_ref().map_or(0, |s| h(s.id));
+                init.max(opt(cond)).max(opt(step)).max(h(body.id))
+            }
+            StmtKind::Block(stmts) => stmts.iter().map(|s| h(s.id)).max().unwrap_or(0),
+        };
+        let id = self.fresh(below)?;
+        Ok(Stmt { id, span, kind })
     }
 
     fn peek(&self) -> &TokenKind {
@@ -147,9 +249,14 @@ impl Parser {
             }
         };
         let mut ty = base;
+        let mut stars = 0;
         loop {
             self.eat(&TokenKind::KwConst);
             if self.eat(&TokenKind::Star) {
+                stars += 1;
+                if stars > MAX_DEPTH {
+                    return Err(self.too_deep());
+                }
                 ty = ty.ptr_to();
             } else {
                 break;
@@ -175,6 +282,9 @@ impl Parser {
             };
             self.expect(TokenKind::RBracket)?;
             dims.push(n);
+            if dims.len() > MAX_DEPTH as usize {
+                return Err(self.too_deep());
+            }
         }
         for n in dims.into_iter().rev() {
             ty = Type::Array(Box::new(ty), n);
@@ -209,8 +319,9 @@ impl Parser {
                 };
                 self.expect(TokenKind::Semi)?;
                 let _ = is_static; // globals always have static storage duration
+                let below = init.as_ref().map_or(0, |e| self.height(e.id));
                 prog.globals.push(Global {
-                    id: self.fresh(),
+                    id: self.fresh(below)?,
                     name,
                     ty,
                     init,
@@ -279,7 +390,7 @@ impl Parser {
         self.expect(TokenKind::RParen)?;
         let body = self.block()?;
         Ok(Function {
-            id: self.fresh(),
+            id: self.fresh(self.height(body.id))?,
             name,
             ret,
             params,
@@ -299,11 +410,7 @@ impl Parser {
             stmts.push(self.statement()?);
         }
         self.expect(TokenKind::RBrace)?;
-        Ok(Stmt {
-            id: self.fresh(),
-            span: start.merge(self.prev_span()),
-            kind: StmtKind::Block(stmts),
-        })
+        self.stmt(start.merge(self.prev_span()), StmtKind::Block(stmts))
     }
 
     fn declaration(&mut self) -> Result<Stmt, FrontendError> {
@@ -322,29 +429,28 @@ impl Parser {
             None
         };
         self.expect(TokenKind::Semi)?;
-        Ok(Stmt {
-            id: self.fresh(),
-            span: start.merge(self.prev_span()),
-            kind: StmtKind::Decl {
+        self.stmt(
+            start.merge(self.prev_span()),
+            StmtKind::Decl {
                 name,
                 ty,
                 storage,
                 init,
             },
-        })
+        )
     }
 
     fn statement(&mut self) -> Result<Stmt, FrontendError> {
+        self.nested(Self::statement_level)
+    }
+
+    fn statement_level(&mut self) -> Result<Stmt, FrontendError> {
         let start = self.span();
         match self.peek() {
             TokenKind::LBrace => self.block(),
             TokenKind::Semi => {
                 self.bump();
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start,
-                    kind: StmtKind::Empty,
-                })
+                self.stmt(start, StmtKind::Empty)
             }
             TokenKind::KwStatic => self.declaration(),
             k if Self::is_type_start(k) => self.declaration(),
@@ -359,11 +465,10 @@ impl Parser {
                 } else {
                     None
                 };
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.merge(self.prev_span()),
-                    kind: StmtKind::If { cond, then, els },
-                })
+                self.stmt(
+                    start.merge(self.prev_span()),
+                    StmtKind::If { cond, then, els },
+                )
             }
             TokenKind::KwWhile => {
                 self.bump();
@@ -371,11 +476,10 @@ impl Parser {
                 let cond = self.expression()?;
                 self.expect(TokenKind::RParen)?;
                 let body = Box::new(self.statement()?);
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.merge(self.prev_span()),
-                    kind: StmtKind::While { cond, body },
-                })
+                self.stmt(
+                    start.merge(self.prev_span()),
+                    StmtKind::While { cond, body },
+                )
             }
             TokenKind::KwDo => {
                 self.bump();
@@ -385,11 +489,10 @@ impl Parser {
                 let cond = self.expression()?;
                 self.expect(TokenKind::RParen)?;
                 self.expect(TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.merge(self.prev_span()),
-                    kind: StmtKind::DoWhile { body, cond },
-                })
+                self.stmt(
+                    start.merge(self.prev_span()),
+                    StmtKind::DoWhile { body, cond },
+                )
             }
             TokenKind::KwFor => {
                 self.bump();
@@ -402,11 +505,7 @@ impl Parser {
                 } else {
                     let e = self.expression()?;
                     self.expect(TokenKind::Semi)?;
-                    Some(Box::new(Stmt {
-                        id: self.fresh(),
-                        span: e.span,
-                        kind: StmtKind::Expr(e),
-                    }))
+                    Some(Box::new(self.stmt(e.span, StmtKind::Expr(e))?))
                 };
                 let cond = if self.peek() == &TokenKind::Semi {
                     None
@@ -421,16 +520,15 @@ impl Parser {
                 };
                 self.expect(TokenKind::RParen)?;
                 let body = Box::new(self.statement()?);
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.merge(self.prev_span()),
-                    kind: StmtKind::For {
+                self.stmt(
+                    start.merge(self.prev_span()),
+                    StmtKind::For {
                         init,
                         cond,
                         step,
                         body,
                     },
-                })
+                )
             }
             TokenKind::KwReturn => {
                 self.bump();
@@ -440,38 +538,22 @@ impl Parser {
                     Some(self.expression()?)
                 };
                 self.expect(TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.merge(self.prev_span()),
-                    kind: StmtKind::Return(value),
-                })
+                self.stmt(start.merge(self.prev_span()), StmtKind::Return(value))
             }
             TokenKind::KwBreak => {
                 self.bump();
                 self.expect(TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start,
-                    kind: StmtKind::Break,
-                })
+                self.stmt(start, StmtKind::Break)
             }
             TokenKind::KwContinue => {
                 self.bump();
                 self.expect(TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start,
-                    kind: StmtKind::Continue,
-                })
+                self.stmt(start, StmtKind::Continue)
             }
             _ => {
                 let e = self.expression()?;
                 self.expect(TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.merge(self.prev_span()),
-                    kind: StmtKind::Expr(e),
-                })
+                self.stmt(start.merge(self.prev_span()), StmtKind::Expr(e))
             }
         }
     }
@@ -483,6 +565,10 @@ impl Parser {
     }
 
     fn assignment_expr(&mut self) -> Result<Expr, FrontendError> {
+        self.nested(Self::assignment_level)
+    }
+
+    fn assignment_level(&mut self) -> Result<Expr, FrontendError> {
         let lhs = self.conditional_expr()?;
         let op = match self.peek() {
             TokenKind::Assign => None,
@@ -501,15 +587,14 @@ impl Parser {
         self.bump();
         let value = self.assignment_expr()?;
         let span = lhs.span.merge(value.span);
-        Ok(Expr {
-            id: self.fresh(),
+        self.expr(
             span,
-            kind: ExprKind::Assign {
+            ExprKind::Assign {
                 op,
                 target: Box::new(lhs),
                 value: Box::new(value),
             },
-        })
+        )
     }
 
     fn conditional_expr(&mut self) -> Result<Expr, FrontendError> {
@@ -519,76 +604,69 @@ impl Parser {
         }
         let then = self.assignment_expr()?;
         self.expect(TokenKind::Colon)?;
-        let els = self.conditional_expr()?;
+        let els = self.nested(Self::conditional_expr)?;
         let span = cond.span.merge(els.span);
-        Ok(Expr {
-            id: self.fresh(),
+        self.expr(
             span,
-            kind: ExprKind::Cond {
+            ExprKind::Cond {
                 cond: Box::new(cond),
                 then: Box::new(then),
                 els: Box::new(els),
             },
-        })
+        )
     }
 
-    /// Precedence levels, lowest first.
-    fn binop_at(&self, level: u8) -> Option<BinOpOrLogical> {
+    /// The binary operator at the current token with its precedence
+    /// level, lowest first.
+    fn binop(&self) -> Option<(u8, BinOpOrLogical)> {
         use BinOpOrLogical::*;
-        let k = self.peek();
-        let found = match (level, k) {
-            (0, TokenKind::PipePipe) => Logical(false),
-            (1, TokenKind::AmpAmp) => Logical(true),
-            (2, TokenKind::Pipe) => Bin(BinOp::BitOr),
-            (3, TokenKind::Caret) => Bin(BinOp::BitXor),
-            (4, TokenKind::Amp) => Bin(BinOp::BitAnd),
-            (5, TokenKind::EqEq) => Bin(BinOp::Eq),
-            (5, TokenKind::BangEq) => Bin(BinOp::Ne),
-            (6, TokenKind::Lt) => Bin(BinOp::Lt),
-            (6, TokenKind::Le) => Bin(BinOp::Le),
-            (6, TokenKind::Gt) => Bin(BinOp::Gt),
-            (6, TokenKind::Ge) => Bin(BinOp::Ge),
-            (7, TokenKind::Shl) => Bin(BinOp::Shl),
-            (7, TokenKind::Shr) => Bin(BinOp::Shr),
-            (8, TokenKind::Plus) => Bin(BinOp::Add),
-            (8, TokenKind::Minus) => Bin(BinOp::Sub),
-            (9, TokenKind::Star) => Bin(BinOp::Mul),
-            (9, TokenKind::Slash) => Bin(BinOp::Div),
-            (9, TokenKind::Percent) => Bin(BinOp::Rem),
+        let found = match self.peek() {
+            TokenKind::PipePipe => (0, Logical(false)),
+            TokenKind::AmpAmp => (1, Logical(true)),
+            TokenKind::Pipe => (2, Bin(BinOp::BitOr)),
+            TokenKind::Caret => (3, Bin(BinOp::BitXor)),
+            TokenKind::Amp => (4, Bin(BinOp::BitAnd)),
+            TokenKind::EqEq => (5, Bin(BinOp::Eq)),
+            TokenKind::BangEq => (5, Bin(BinOp::Ne)),
+            TokenKind::Lt => (6, Bin(BinOp::Lt)),
+            TokenKind::Le => (6, Bin(BinOp::Le)),
+            TokenKind::Gt => (6, Bin(BinOp::Gt)),
+            TokenKind::Ge => (6, Bin(BinOp::Ge)),
+            TokenKind::Shl => (7, Bin(BinOp::Shl)),
+            TokenKind::Shr => (7, Bin(BinOp::Shr)),
+            TokenKind::Plus => (8, Bin(BinOp::Add)),
+            TokenKind::Minus => (8, Bin(BinOp::Sub)),
+            TokenKind::Star => (9, Bin(BinOp::Mul)),
+            TokenKind::Slash => (9, Bin(BinOp::Div)),
+            TokenKind::Percent => (9, Bin(BinOp::Rem)),
             _ => return None,
         };
         Some(found)
     }
 
-    fn binary_expr(&mut self, level: u8) -> Result<Expr, FrontendError> {
-        if level > 9 {
-            return self.unary_expr();
-        }
-        let mut lhs = self.binary_expr(level + 1)?;
-        while let Some(op) = self.binop_at(level) {
+    /// Parses a left-associative chain of binary operators of precedence
+    /// `min` or higher by precedence climbing: an operand costs one call
+    /// here, not one per precedence level, which keeps the recursion per
+    /// pair of parentheses shallow.
+    fn binary_expr(&mut self, min: u8) -> Result<Expr, FrontendError> {
+        let mut lhs = self.unary_expr()?;
+        while let Some((level, op)) = self.binop().filter(|(level, _)| *level >= min) {
             self.bump();
             let rhs = self.binary_expr(level + 1)?;
             let span = lhs.span.merge(rhs.span);
-            lhs = match op {
-                BinOpOrLogical::Bin(b) => Expr {
-                    id: self.fresh(),
-                    span,
-                    kind: ExprKind::Binary {
-                        op: b,
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                    },
+            let kind = match op {
+                BinOpOrLogical::Bin(b) => ExprKind::Binary {
+                    op: b,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(rhs),
                 },
-                BinOpOrLogical::Logical(and) => Expr {
-                    id: self.fresh(),
-                    span,
-                    kind: ExprKind::Logical {
-                        and,
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                    },
+                BinOpOrLogical::Logical(and) => ExprKind::Logical {
+                    and,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(rhs),
                 },
             };
+            lhs = self.expr(span, kind)?;
         }
         Ok(lhs)
     }
@@ -605,42 +683,39 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Self::unary_expr)?;
             let span = start.merge(operand.span);
-            return Ok(Expr {
-                id: self.fresh(),
+            return self.expr(
                 span,
-                kind: ExprKind::Unary {
+                ExprKind::Unary {
                     op,
                     operand: Box::new(operand),
                 },
-            });
+            );
         }
         if self.eat(&TokenKind::PlusPlus) {
-            let target = self.unary_expr()?;
+            let target = self.nested(Self::unary_expr)?;
             let span = start.merge(target.span);
-            return Ok(Expr {
-                id: self.fresh(),
+            return self.expr(
                 span,
-                kind: ExprKind::IncDec {
+                ExprKind::IncDec {
                     inc: true,
                     pre: true,
                     target: Box::new(target),
                 },
-            });
+            );
         }
         if self.eat(&TokenKind::MinusMinus) {
-            let target = self.unary_expr()?;
+            let target = self.nested(Self::unary_expr)?;
             let span = start.merge(target.span);
-            return Ok(Expr {
-                id: self.fresh(),
+            return self.expr(
                 span,
-                kind: ExprKind::IncDec {
+                ExprKind::IncDec {
                     inc: false,
                     pre: true,
                     target: Box::new(target),
                 },
-            });
+            );
         }
         if self.peek() == &TokenKind::KwSizeof {
             self.bump();
@@ -650,19 +725,11 @@ impl Parser {
                 let ty = self.array_suffix(ty)?;
                 self.expect(TokenKind::RParen)?;
                 let span = start.merge(self.prev_span());
-                return Ok(Expr {
-                    id: self.fresh(),
-                    span,
-                    kind: ExprKind::SizeofType(ty),
-                });
+                return self.expr(span, ExprKind::SizeofType(ty));
             }
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Self::unary_expr)?;
             let span = start.merge(operand.span);
-            return Ok(Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::SizeofExpr(Box::new(operand)),
-            });
+            return self.expr(span, ExprKind::SizeofExpr(Box::new(operand)));
         }
         // Cast: '(' type ')' unary  — MinC has no typedefs, so a type keyword
         // after '(' is unambiguous.
@@ -670,16 +737,15 @@ impl Parser {
             self.bump();
             let ty = self.parse_type()?;
             self.expect(TokenKind::RParen)?;
-            let value = self.unary_expr()?;
+            let value = self.nested(Self::unary_expr)?;
             let span = start.merge(value.span);
-            return Ok(Expr {
-                id: self.fresh(),
+            return self.expr(
                 span,
-                kind: ExprKind::Cast {
+                ExprKind::Cast {
                     to: ty,
                     value: Box::new(value),
                 },
-            });
+            );
         }
         self.postfix_expr()
     }
@@ -693,66 +759,61 @@ impl Parser {
                     let index = self.expression()?;
                     self.expect(TokenKind::RBracket)?;
                     let span = e.span.merge(self.prev_span());
-                    e = Expr {
-                        id: self.fresh(),
+                    e = self.expr(
                         span,
-                        kind: ExprKind::Index {
+                        ExprKind::Index {
                             base: Box::new(e),
                             index: Box::new(index),
                         },
-                    };
+                    )?;
                 }
                 TokenKind::Dot => {
                     self.bump();
                     let (field, fsp) = self.ident()?;
                     let span = e.span.merge(fsp);
-                    e = Expr {
-                        id: self.fresh(),
+                    e = self.expr(
                         span,
-                        kind: ExprKind::Member {
+                        ExprKind::Member {
                             base: Box::new(e),
                             field,
                         },
-                    };
+                    )?;
                 }
                 TokenKind::Arrow => {
                     self.bump();
                     let (field, fsp) = self.ident()?;
                     let span = e.span.merge(fsp);
-                    e = Expr {
-                        id: self.fresh(),
+                    e = self.expr(
                         span,
-                        kind: ExprKind::Arrow {
+                        ExprKind::Arrow {
                             base: Box::new(e),
                             field,
                         },
-                    };
+                    )?;
                 }
                 TokenKind::PlusPlus => {
                     self.bump();
                     let span = e.span.merge(self.prev_span());
-                    e = Expr {
-                        id: self.fresh(),
+                    e = self.expr(
                         span,
-                        kind: ExprKind::IncDec {
+                        ExprKind::IncDec {
                             inc: true,
                             pre: false,
                             target: Box::new(e),
                         },
-                    };
+                    )?;
                 }
                 TokenKind::MinusMinus => {
                     self.bump();
                     let span = e.span.merge(self.prev_span());
-                    e = Expr {
-                        id: self.fresh(),
+                    e = self.expr(
                         span,
-                        kind: ExprKind::IncDec {
+                        ExprKind::IncDec {
                             inc: false,
                             pre: false,
                             target: Box::new(e),
                         },
-                    };
+                    )?;
                 }
                 _ => return Ok(e),
             }
@@ -764,43 +825,23 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::IntLit { value, long } => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start,
-                    kind: ExprKind::IntLit { value, long },
-                })
+                self.expr(start, ExprKind::IntLit { value, long })
             }
             TokenKind::FloatLit(v) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start,
-                    kind: ExprKind::FloatLit(v),
-                })
+                self.expr(start, ExprKind::FloatLit(v))
             }
             TokenKind::CharLit(c) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start,
-                    kind: ExprKind::CharLit(c),
-                })
+                self.expr(start, ExprKind::CharLit(c))
             }
             TokenKind::StrLit(bytes) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start,
-                    kind: ExprKind::StrLit(bytes),
-                })
+                self.expr(start, ExprKind::StrLit(bytes))
             }
             TokenKind::KwLine => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start,
-                    kind: ExprKind::Line,
-                })
+                self.expr(start, ExprKind::Line)
             }
             TokenKind::Ident(name) => {
                 self.bump();
@@ -817,23 +858,20 @@ impl Parser {
                     }
                     self.expect(TokenKind::RParen)?;
                     let span = start.merge(self.prev_span());
-                    Ok(Expr {
-                        id: self.fresh(),
-                        span,
-                        kind: ExprKind::Call { callee: name, args },
-                    })
+                    self.expr(span, ExprKind::Call { callee: name, args })
                 } else {
-                    Ok(Expr {
-                        id: self.fresh(),
-                        span: start,
-                        kind: ExprKind::Var(name),
-                    })
+                    self.expr(start, ExprKind::Var(name))
                 }
             }
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expression()?;
                 self.expect(TokenKind::RParen)?;
+                // The parentheses count as a level of their own.
+                if self.height(e.id) >= MAX_DEPTH {
+                    return Err(self.too_deep());
+                }
+                self.heights[e.id.0 as usize] += 1;
                 Ok(e)
             }
             other => Err(self.error(format!("expected expression, found {}", other.describe()))),
@@ -976,6 +1014,58 @@ mod tests {
     fn rejects_bad_array_size() {
         assert!(parse("int main() { int a[0]; return 0; }").is_err());
         assert!(parse("int main() { int a[x]; return 0; }").is_err());
+    }
+
+    /// One program per nesting shape, `n` levels deep.
+    fn nested_programs(n: usize) -> [String; 11] {
+        let main = |body: String| format!("int main() {{ int x = 1; int a[2]; {body} }}");
+        [
+            main(format!("return {}1{};", "(".repeat(n), ")".repeat(n))),
+            main(format!("return {}1;", "!".repeat(n))),
+            main(format!("return {}1;", "(int)".repeat(n))),
+            main(format!("x = {}1; return x;", "x = ".repeat(n))),
+            main(format!("return {}0;", "x ? 1 : ".repeat(n))),
+            main(format!("return x{};", " + x".repeat(n))),
+            main(format!("return a{};", "[0]".repeat(n))),
+            main(format!("{}return 0;{}", "{".repeat(n), "}".repeat(n))),
+            main(format!("{}return 0;", "if (x) ".repeat(n))),
+            main(format!("int{} p = 0; return 0;", "*".repeat(n))),
+            main(format!("int b{}; return 0;", "[1]".repeat(n))),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error() {
+        // Spawned threads get the default 2 MiB stack, like the worker
+        // threads that parse outside sources: without the bound, these
+        // programs abort the whole test process instead of failing.
+        let results = std::thread::spawn(|| {
+            nested_programs(100_000).map(|src| parse(&src).map(drop).map_err(|e| e.to_string()))
+        })
+        .join()
+        .unwrap();
+        for result in results {
+            let msg = result.unwrap_err();
+            assert!(msg.contains("parse error"), "{msg}");
+            assert!(msg.contains("nesting deeper than"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_parses() {
+        // `main`, its body and the innermost statement take three levels
+        // around each shape's own; every shape stays well inside.
+        for src in nested_programs(MAX_DEPTH as usize / 2) {
+            assert!(parse(&src).is_ok(), "{}", &src[..60]);
+        }
+        // Exactly at the bound: `return` plus parentheses around a literal.
+        let parens = |n: usize| {
+            let e = format!("{}1{}", "(".repeat(n), ")".repeat(n));
+            format!("int main() {{ return {e}; }}")
+        };
+        let fits = MAX_DEPTH as usize - 4;
+        assert!(parse(&parens(fits)).is_ok());
+        assert!(parse(&parens(fits + 1)).is_err());
     }
 
     #[test]

@@ -31,8 +31,6 @@ lint_b="$(mktemp)"
 smoke="$(mktemp)"
 camp_a="$(mktemp)"
 camp_b="$(mktemp)"
-batch_a="$(mktemp)"
-batch_b="$(mktemp)"
 pcamp_a="$(mktemp)"
 pcamp_b="$(mktemp)"
 pcamp_ra="$(mktemp)"
@@ -47,7 +45,7 @@ progen_b="$(mktemp -d)"
 san_a="$(mktemp)"
 san_b="$(mktemp)"
 san_dir="$(mktemp -d)"
-trap 'rm -rf "$lint_a" "$lint_b" "$smoke" "$camp_a" "$camp_b" "$batch_a" "$batch_b" "$pcamp_a" "$pcamp_b" "$pcamp_ra" "$pcamp_rb" "$tcamp_a" "$tcamp_b" "$tcamp_ra" "$tcamp_rb" "$drop_smoke" "$progen_a" "$progen_b" "$san_a" "$san_b" "$san_dir"' EXIT
+trap 'rm -rf "$lint_a" "$lint_b" "$smoke" "$camp_a" "$camp_b" "$pcamp_a" "$pcamp_b" "$pcamp_ra" "$pcamp_rb" "$tcamp_a" "$tcamp_b" "$tcamp_ra" "$tcamp_rb" "$drop_smoke" "$progen_a" "$progen_b" "$san_a" "$san_b" "$san_dir"' EXIT
 
 echo "== smoke campaign with injected panic (must exit 0 with partial results) =="
 ./target/release/compdiff campaign --workers 2 --execs-per-target 120 --shards 2 \
@@ -57,34 +55,22 @@ grep -q "PARTIAL RESULTS" "$smoke"
 grep -q "quarantined: tcpdump" "$smoke"
 grep -q "fault tolerance:" "$smoke"
 
-echo "== campaign block-mode byte-determinism (two runs, fixed clock) =="
-# The cmp proves block-compiled execution is byte-reproducible end to
-# end; the grep proves the runs actually took the block path rather than
-# falling back to the interpreter. One worker keeps it minimal; the
-# stream is written in canonical order, so any worker count is
-# deterministic too (the 2-worker cmp below).
+echo "== campaign byte-determinism (two runs, fixed clock, --batch-size 16) =="
+# The cmp proves block-compiled execution and the batched oracle sweep
+# (including divergence bisection order) are byte-reproducible end to
+# end. The greps prove the runs reused their block translations and
+# actually formed batches rather than degenerating to per-input sweeps.
+# One worker keeps it minimal; the stream is written in canonical order,
+# so any worker count is deterministic too (the 2-worker cmp below).
 ./target/release/compdiff campaign --workers 1 --execs-per-target 150 --shards 2 \
-    --targets readelf,brotli --seed 11 --vm-mode block \
+    --targets readelf,brotli --seed 11 --batch-size 16 \
     --metrics-out "$camp_a" --fixed-clock 0 --quiet > /dev/null
 ./target/release/compdiff campaign --workers 1 --execs-per-target 150 --shards 2 \
-    --targets readelf,brotli --seed 11 --vm-mode block \
+    --targets readelf,brotli --seed 11 --batch-size 16 \
     --metrics-out "$camp_b" --fixed-clock 0 --quiet > /dev/null
 cmp "$camp_a" "$camp_b"
-grep -q '"block_exec": *[1-9]' "$camp_a"
-
-echo "== batched-campaign byte-determinism (two runs, --batch-size 16) =="
-# Same single-worker fixed-clock setup as above, but with the batched
-# oracle sweep enabled. The cmp proves batching (including divergence
-# bisection order) is byte-reproducible; the grep proves batches were
-# actually formed rather than degenerating to per-input sweeps.
-./target/release/compdiff campaign --workers 1 --execs-per-target 150 --shards 2 \
-    --targets readelf,brotli --seed 11 --batch-size 16 \
-    --metrics-out "$batch_a" --fixed-clock 0 --quiet > /dev/null
-./target/release/compdiff campaign --workers 1 --execs-per-target 150 --shards 2 \
-    --targets readelf,brotli --seed 11 --batch-size 16 \
-    --metrics-out "$batch_b" --fixed-clock 0 --quiet > /dev/null
-cmp "$batch_a" "$batch_b"
-grep -q '"diff.batch_size"' "$batch_a"
+grep -q '"vm.block_cache_hits":[1-9]' "$camp_a"
+grep -q '"diff.batch_size"' "$camp_a"
 
 echo "== multi-worker campaign byte-determinism (two runs, 2 worker threads) =="
 # Two in-process workers under partitioned leasing, twice under a fixed

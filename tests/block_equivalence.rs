@@ -1,9 +1,10 @@
-//! Block-mode equivalence regression suite.
+//! Block-dispatch equivalence regression suite.
 //!
 //! Pins the central guarantee of the block-compiled execution backend
-//! (`minc_vm::block`): running a binary in [`VmMode::Block`] is
+//! (`minc_vm::block`), the engine every production session runs: it is
 //! **bit-for-bit** equivalent to the per-instruction reference
-//! interpreter — same status, same stdout, same step count, same hook
+//! interpreter that [`ExecSession::reference`] runs — same status, same
+//! stdout, same step count, same hook
 //! callbacks, same coverage map, same differ verdicts — on every program
 //! in the target catalog, for every compiler implementation, across
 //! batches that include trap-, fault-, and timeout-producing inputs
@@ -14,24 +15,39 @@
 use fuzzing::{CoverageMap, CoveredHooks};
 use minc_compile::{compile_source, Binary, CompilerImpl};
 use minc_vm::{
-    execute, execute_with_hooks, ExecResult, ExecSession, ExitStatus, NoHooks, SanitizerKind,
-    VmConfig, VmMode,
+    execute, execute_with_hooks, ExecResult, ExecSession, ExitStatus, Hooks, NoHooks,
+    SanitizerKind, VmConfig,
 };
+use sanitizers::{Asan, Msan, Ubsan};
 use targets::{build, catalog};
 
-/// Explicit interpreter config (never inherits `COMPDIFF_VM_MODE`).
-fn interp_cfg() -> VmConfig {
-    VmConfig {
-        mode: VmMode::Interp,
-        ..VmConfig::default()
-    }
+/// Runs `bin` on `input` in a fresh reference session (the
+/// per-instruction interpreter).
+fn run_reference(bin: &Binary, input: &[u8], cfg: &VmConfig) -> ExecResult {
+    ExecSession::reference(bin).run(bin, input, cfg)
 }
 
-/// Explicit block config (never inherits `COMPDIFF_VM_MODE`).
-fn block_cfg() -> VmConfig {
-    VmConfig {
-        mode: VmMode::Block,
-        ..VmConfig::default()
+/// [`run_reference`] with instrumentation hooks.
+fn run_reference_with_hooks<H: Hooks>(
+    bin: &Binary,
+    input: &[u8],
+    cfg: &VmConfig,
+    hooks: &mut H,
+) -> ExecResult {
+    ExecSession::reference(bin).run_with_hooks(bin, input, cfg, hooks)
+}
+
+/// The reference counterpart of [`sanitizers::run_sanitized`].
+fn run_reference_sanitized(
+    bin: &Binary,
+    input: &[u8],
+    cfg: &VmConfig,
+    kind: SanitizerKind,
+) -> ExecResult {
+    match kind {
+        SanitizerKind::Asan => run_reference_with_hooks(bin, input, cfg, &mut Asan::new()),
+        SanitizerKind::Ubsan => run_reference_with_hooks(bin, input, cfg, &mut Ubsan::new()),
+        SanitizerKind::Msan => run_reference_with_hooks(bin, input, cfg, &mut Msan::new()),
     }
 }
 
@@ -60,25 +76,17 @@ fn input_batch(magic: [u8; 2]) -> Vec<Vec<u8>> {
 /// Asserts block output == interpreter output for every input, both
 /// one-shot and through a persistent session (interleaved, so any state
 /// leakage from input N corrupts input N+1).
-fn assert_equivalent(label: &str, bin: &Binary, inputs: &[Vec<u8>], base: &VmConfig) {
-    let icfg = VmConfig {
-        mode: VmMode::Interp,
-        ..base.clone()
-    };
-    let bcfg = VmConfig {
-        mode: VmMode::Block,
-        ..base.clone()
-    };
+fn assert_equivalent(label: &str, bin: &Binary, inputs: &[Vec<u8>], cfg: &VmConfig) {
     let mut session = ExecSession::new(bin);
     for (i, input) in inputs.iter().enumerate() {
-        let reference = execute(bin, input, &icfg);
-        let block = execute(bin, input, &bcfg);
+        let reference = run_reference(bin, input, cfg);
+        let block = execute(bin, input, cfg);
         assert_eq!(
             block, reference,
             "{label}: input #{i} ({input:?}) diverged between block mode \
              and the interpreter (fresh VMs)"
         );
-        let persistent = session.run(bin, input, &bcfg);
+        let persistent = session.run(bin, input, cfg);
         assert_eq!(
             persistent, reference,
             "{label}: input #{i} ({input:?}) diverged between a block-mode \
@@ -87,8 +95,6 @@ fn assert_equivalent(label: &str, bin: &Binary, inputs: &[Vec<u8>], base: &VmCon
     }
     // The session actually took the block path and reused its translation.
     let stats = session.stats();
-    assert_eq!(stats.block_exec, inputs.len() as u64, "{label}");
-    assert_eq!(stats.interp_fallback, 0, "{label}");
     assert!(stats.blocks_translated > 0, "{label}");
     assert_eq!(stats.block_cache_hits, inputs.len() as u64 - 1, "{label}");
 }
@@ -217,22 +223,8 @@ fn spin_loop_times_out_on_the_same_step_in_both_modes() {
                 step_limit: limit,
                 ..Default::default()
             };
-            let reference = execute(
-                &bin,
-                b"",
-                &VmConfig {
-                    mode: VmMode::Interp,
-                    ..base.clone()
-                },
-            );
-            let block = execute(
-                &bin,
-                b"",
-                &VmConfig {
-                    mode: VmMode::Block,
-                    ..base
-                },
-            );
+            let reference = run_reference(&bin, b"", &base);
+            let block = execute(&bin, b"", &base);
             assert_eq!(reference.status, ExitStatus::TimedOut, "{ci} limit {limit}");
             assert_eq!(
                 reference.steps,
@@ -260,24 +252,17 @@ fn builtin_bulk_and_fallback_paths_charge_identical_steps() {
     "#;
     for ci in ["gcc-O0", "clang-O2"] {
         let bin = compile_source(src, CompilerImpl::parse(ci).unwrap()).unwrap();
-        let reference = execute(&bin, b"", &interp_cfg());
-        let block = execute(&bin, b"", &block_cfg());
+        let cfg = VmConfig::default();
+        let reference = run_reference(&bin, b"", &cfg);
+        let block = execute(&bin, b"", &cfg);
         assert_eq!(block, reference, "{ci}: bulk path (no hooks)");
-        // Hooked runs force the per-byte fallback in both modes.
+        // Hooked runs force the per-byte fallback in both engines.
         let mut imap = CoverageMap::new();
-        let hooked_interp = execute_with_hooks(
-            &bin,
-            b"",
-            &interp_cfg(),
-            &mut CoveredHooks::new(&mut imap, NoHooks),
-        );
+        let hooked_interp =
+            run_reference_with_hooks(&bin, b"", &cfg, &mut CoveredHooks::new(&mut imap, NoHooks));
         let mut bmap = CoverageMap::new();
-        let hooked_block = execute_with_hooks(
-            &bin,
-            b"",
-            &block_cfg(),
-            &mut CoveredHooks::new(&mut bmap, NoHooks),
-        );
+        let hooked_block =
+            execute_with_hooks(&bin, b"", &cfg, &mut CoveredHooks::new(&mut bmap, NoHooks));
         assert_eq!(hooked_block, hooked_interp, "{ci}: fallback path (hooks)");
         assert_eq!(
             reference.steps, hooked_interp.steps,
@@ -303,21 +288,22 @@ fn coverage_maps_are_identical_across_modes() {
             return acc < 0 ? 1 : 0;
         }
     "#;
+    let cfg = VmConfig::default();
     for ci in CompilerImpl::default_set() {
         let bin = compile_source(src, ci).unwrap();
         for input in [&b""[..], b"abcxyz", b"zzzzzzz", b"m", b"nmnmnmn"] {
             let mut interp_map = CoverageMap::new();
-            let reference = execute_with_hooks(
+            let reference = run_reference_with_hooks(
                 &bin,
                 input,
-                &interp_cfg(),
+                &cfg,
                 &mut CoveredHooks::new(&mut interp_map, NoHooks),
             );
             let mut block_map = CoverageMap::new();
             let block = execute_with_hooks(
                 &bin,
                 input,
-                &block_cfg(),
+                &cfg,
                 &mut CoveredHooks::new(&mut block_map, NoHooks),
             );
             assert_eq!(block, reference, "{ci} {input:?}");
@@ -357,6 +343,7 @@ fn sanitizer_reports_are_identical_across_modes() {
             for (i = 0; i < 100; i++) { acc += i; }
             printf("%d\n", acc); return 0; }"#,
     ];
+    let cfg = VmConfig::default();
     for (pi, src) in programs.iter().enumerate() {
         let bin = sanitizers::compile_sanitized(src).unwrap();
         for kind in [
@@ -365,8 +352,8 @@ fn sanitizer_reports_are_identical_across_modes() {
             SanitizerKind::Msan,
         ] {
             for input in [&b""[..], b"abc"] {
-                let reference = sanitizers::run_sanitized(&bin, input, &interp_cfg(), kind);
-                let block = sanitizers::run_sanitized(&bin, input, &block_cfg(), kind);
+                let reference = run_reference_sanitized(&bin, input, &cfg, kind);
+                let block = sanitizers::run_sanitized(&bin, input, &cfg, kind);
                 assert_eq!(
                     block, reference,
                     "program #{pi} under {kind} on {input:?} diverged across modes"
@@ -380,7 +367,9 @@ fn sanitizer_reports_are_identical_across_modes() {
 fn differ_verdicts_are_identical_across_modes() {
     // The differ-level API: divergence verdicts, hashes, and escalation
     // outcomes must not depend on the dispatcher, including on
-    // partial-timeout workloads that trigger step-budget escalation.
+    // partial-timeout workloads that trigger step-budget escalation —
+    // per input and through the batched sweep every fuzzer oracle call
+    // takes.
     let src = r#"
         int main() {
             char b[4];
@@ -392,22 +381,30 @@ fn differ_verdicts_are_identical_across_modes() {
             return 0;
         }
     "#;
-    let mk = |mode: VmMode| compdiff::DiffConfig {
+    let cfg = compdiff::DiffConfig {
         vm: VmConfig {
             step_limit: 150_000,
-            mode,
             ..Default::default()
         },
         ..Default::default()
     };
-    let interp_diff = compdiff::CompDiff::from_source_default(src, mk(VmMode::Interp)).unwrap();
-    let block_diff = compdiff::CompDiff::from_source_default(src, mk(VmMode::Block)).unwrap();
-    let mut sessions = block_diff.make_sessions();
-    for input in [&b""[..], b"!a", b"ok", b"!b", b""] {
-        let reference = interp_diff.run_input(input);
-        let block = block_diff.run_input(input);
-        let block_sessions = block_diff.run_input_sessions(&mut sessions, input);
-        for out in [&block, &block_sessions] {
+    let diff = compdiff::CompDiff::from_source_default(src, cfg).unwrap();
+    let reference_sessions =
+        || -> Vec<ExecSession> { diff.binaries().iter().map(ExecSession::reference).collect() };
+    let inputs = [&b""[..], b"!a", b"ok", b"!b", b""];
+    let reference_batch = diff.run_batch_sessions(&mut reference_sessions(), &inputs);
+    let block_batch = diff.run_batch_sessions(&mut diff.make_sessions(), &inputs);
+    let mut sessions = diff.make_sessions();
+    for (i, input) in inputs.into_iter().enumerate() {
+        let reference = diff.run_input_sessions(&mut reference_sessions(), input);
+        let block = diff.run_input(input);
+        let block_sessions = diff.run_input_sessions(&mut sessions, input);
+        for out in [
+            &block,
+            &block_sessions,
+            &reference_batch[i],
+            &block_batch[i],
+        ] {
             assert_eq!(out.hashes, reference.hashes, "{input:?}");
             assert_eq!(out.divergent, reference.divergent, "{input:?}");
             assert_eq!(
@@ -439,11 +436,12 @@ fn golden_progen_witnesses_diverge_identically_in_both_modes() {
             .collect();
         let src = std::fs::read_to_string(dir.join(file)).unwrap();
         let checked = minc::check(&src).unwrap();
+        let cfg = VmConfig::default();
         let mut seen = std::collections::HashSet::new();
         for ci in CompilerImpl::default_set() {
             let bin = minc_compile::compile(&checked, ci);
-            let reference = execute(&bin, &probe, &interp_cfg());
-            let block = execute(&bin, &probe, &block_cfg());
+            let reference = run_reference(&bin, &probe, &cfg);
+            let block = execute(&bin, &probe, &cfg);
             assert_eq!(
                 block, reference,
                 "{file}/{ci}: witness behaviour shifted under block mode"
@@ -455,23 +453,4 @@ fn golden_progen_witnesses_diverge_identically_in_both_modes() {
             "{file} no longer diverges across implementations in block mode"
         );
     }
-}
-
-#[test]
-fn interp_mode_is_still_reachable_and_counted() {
-    // --vm-mode interp must really bypass block dispatch; the session
-    // counters are how the campaign telemetry proves which path ran.
-    let src = "int main() { printf(\"hi\\n\"); return 0; }";
-    let bin = compile_source(src, CompilerImpl::parse("gcc-O1").unwrap()).unwrap();
-    let mut session = ExecSession::new(&bin);
-    let icfg = interp_cfg();
-    let bcfg = block_cfg();
-    let a: ExecResult = session.run(&bin, b"", &icfg);
-    let b = session.run(&bin, b"", &bcfg);
-    let c = session.run(&bin, b"", &icfg);
-    assert_eq!(a, b);
-    assert_eq!(a, c);
-    let stats = session.stats();
-    assert_eq!(stats.interp_fallback, 2);
-    assert_eq!(stats.block_exec, 1);
 }
