@@ -167,9 +167,14 @@ impl CompDiff {
         out
     }
 
+    /// The output digest a [`DiffOutcome`]'s `hashes` holds for `result`.
+    pub fn digest(&self, result: &ExecResult) -> u64 {
+        hash64(&self.observable(result))
+    }
+
     /// [`observable`](CompDiff::observable)'s hash, built in a reusable
     /// scratch buffer so batched sweeps don't allocate per execution.
-    /// Identical to `hash64(&self.observable(r))`.
+    /// Identical to [`digest`](CompDiff::digest).
     fn hash_observable(&self, result: &ExecResult, scratch: &mut Vec<u8>) -> u64 {
         scratch.clear();
         if self.config.filters.is_empty() {
@@ -410,10 +415,7 @@ impl CompDiff {
     /// equivalence classes, and decides divergence. Timed-out entries form
     /// their own class but do not count toward divergence when unresolved.
     fn classify(&self, results: Vec<ExecResult>, unresolved_timeout: bool) -> DiffOutcome {
-        let hashes: Vec<u64> = results
-            .iter()
-            .map(|r| hash64(&self.observable(r)))
-            .collect();
+        let hashes: Vec<u64> = results.iter().map(|r| self.digest(r)).collect();
 
         let mut classes: Vec<Vec<usize>> = Vec::new();
         let mut class_hash: Vec<u64> = Vec::new();

@@ -12,11 +12,17 @@
 //! construction: reducing a reduced witness finds no applicable edit and
 //! returns it unchanged.
 //!
-//! The final witness is re-verified through the full 10-implementation
-//! oracle before it is returned.
+//! Condition (b) is decided pair first (see `PairOracle`): a step
+//! compiles and runs only the pair's two implementations, and the full
+//! 10-implementation oracle runs only when a pair member times out. The
+//! final witness is re-verified through the full oracle before it is
+//! returned.
 
 use compdiff::{signature_with_hash, CompDiff, DiffConfig};
 use minc::ast::{Program, Stmt, StmtKind};
+use minc::CheckedProgram;
+use minc_compile::CompilerImpl;
+use minc_vm::{ExecSession, ExitStatus, VmConfig};
 
 /// A successfully reduced witness.
 #[derive(Debug, Clone)]
@@ -256,15 +262,70 @@ fn apply_edit(p: &Program, edit: &Edit) -> Option<Program> {
     Some(out)
 }
 
-/// The witness oracle: does `src` still diverge on `probe` with impls
-/// `i` and `j` in different output classes? Counts one step per call.
-fn still_diverges(src: &str, probe: &[u8], pair: (usize, usize), steps: &mut u64) -> bool {
-    *steps += 1;
-    let Ok(diff) = CompDiff::from_source_default(src, DiffConfig::default()) else {
-        return false;
-    };
-    let outcome = diff.run_input(probe);
-    outcome.divergent && outcome.hashes[pair.0] != outcome.hashes[pair.1]
+/// The witness predicate: does a candidate still diverge on the probe
+/// with the witness pair in different output classes?
+///
+/// It answers exactly what the full oracle's `divergent && hashes[a] !=
+/// hashes[b]` answers, from the pair alone whenever it can. Escalation
+/// reruns only timed-out results, so when neither pair member times out
+/// the full run holds the same two digests: equal digests make the
+/// verdict false, and two settled, different digests make `divergent`
+/// true whether or not other implementations stay unresolved. When a
+/// pair member times out, the verdict depends on the other
+/// implementations, and the full oracle decides.
+struct PairOracle<'a> {
+    /// The initial engine: implementation order and output digests.
+    engine: &'a CompDiff,
+    probe: &'a [u8],
+    pair: (usize, usize),
+    impls: Vec<CompilerImpl>,
+    /// Execution limits (the reducer's engines use `DiffConfig::default()`;
+    /// tests lower the step limit to force timeouts).
+    vm: VmConfig,
+    /// One session per pair member, kept across steps: a session reruns
+    /// any binary of its implementation bit for bit.
+    sessions: [ExecSession; 2],
+}
+
+impl<'a> PairOracle<'a> {
+    fn new(engine: &'a CompDiff, probe: &'a [u8], pair: (usize, usize), vm: VmConfig) -> Self {
+        let bins = engine.binaries();
+        PairOracle {
+            engine,
+            probe,
+            pair,
+            impls: engine.impls(),
+            vm,
+            sessions: [
+                ExecSession::new(&bins[pair.0]),
+                ExecSession::new(&bins[pair.1]),
+            ],
+        }
+    }
+
+    fn still_diverges(&mut self, checked: &CheckedProgram) -> bool {
+        let (a, b) = self.pair;
+        let run = |i: usize, session: &mut ExecSession| {
+            let bin = minc_compile::compile(checked, self.impls[i]);
+            session.run(&bin, self.probe, &self.vm)
+        };
+        let [sa, sb] = &mut self.sessions;
+        let (ra, rb) = (run(a, sa), run(b, sb));
+        if ra.status != ExitStatus::TimedOut && rb.status != ExitStatus::TimedOut {
+            return self.engine.digest(&ra) != self.engine.digest(&rb);
+        }
+        let binaries = self
+            .impls
+            .iter()
+            .map(|&ci| minc_compile::compile(checked, ci))
+            .collect();
+        let config = DiffConfig {
+            vm: self.vm.clone(),
+            ..DiffConfig::default()
+        };
+        let outcome = CompDiff::new(binaries, config).run_input(self.probe);
+        outcome.divergent && outcome.hashes[a] != outcome.hashes[b]
+    }
 }
 
 /// Reduces `src` to a minimal program that still diverges on `probe`
@@ -285,6 +346,7 @@ pub fn reduce(src: &str, probe: &[u8]) -> Result<ReduceOutcome, String> {
     let pair = (outcome.classes[0][0], outcome.classes[1][0]);
 
     let mut program = minc::parse(src).map_err(|e| format!("parse: {e}"))?;
+    let mut oracle = PairOracle::new(&diff, probe, pair, VmConfig::default());
     let mut steps = 0u64;
 
     // First-fit passes to a fixpoint: retry the full edit enumeration
@@ -295,11 +357,11 @@ pub fn reduce(src: &str, probe: &[u8]) -> Result<ReduceOutcome, String> {
             let Some(candidate) = apply_edit(&program, &edit) else {
                 continue;
             };
-            let rendered = minc::pretty::program(&candidate);
-            if minc::check(&rendered).is_err() {
+            let Ok(checked) = minc::check(&minc::pretty::program(&candidate)) else {
                 continue;
-            }
-            if still_diverges(&rendered, probe, pair, &mut steps) {
+            };
+            steps += 1;
+            if oracle.still_diverges(&checked) {
                 program = candidate;
                 progressed = true;
                 break;
@@ -378,6 +440,108 @@ int main() {
         let once = reduce(NOISY, b"").unwrap();
         let twice = reduce(&once.source, b"").unwrap();
         assert_eq!(once.source, twice.source, "fixpoint reached");
+    }
+
+    /// The full oracle's witness verdict on `src` at execution limits `vm`.
+    fn full_verdict(src: &str, probe: &[u8], pair: (usize, usize), vm: &VmConfig) -> bool {
+        let config = DiffConfig {
+            vm: vm.clone(),
+            ..DiffConfig::default()
+        };
+        let outcome = CompDiff::from_source_default(src, config)
+            .unwrap()
+            .run_input(probe);
+        outcome.divergent && outcome.hashes[pair.0] != outcome.hashes[pair.1]
+    }
+
+    /// Candidates of a first edit pass, by the verdict they got and by
+    /// whether a pair member timed out on them.
+    #[derive(Debug, Default)]
+    struct PassCounts {
+        candidates: usize,
+        diverging: usize,
+        timeouts: usize,
+    }
+
+    /// Asserts that the pair predicate agrees with the full oracle on
+    /// every candidate of the first edit pass over `src` (every edit that
+    /// checks, not only up to the first kept one).
+    fn assert_first_pass_agrees(src: &str, probe: &[u8], vm: &VmConfig) -> PassCounts {
+        let engine = CompDiff::from_source_default(src, DiffConfig::default()).unwrap();
+        let outcome = engine.run_input(probe);
+        let pair = (outcome.classes[0][0], outcome.classes[1][0]);
+        let mut oracle = PairOracle::new(&engine, probe, pair, vm.clone());
+        let program = minc::parse(src).unwrap();
+        let mut counts = PassCounts::default();
+        for edit in enumerate_edits(&program) {
+            let Some(candidate) = apply_edit(&program, &edit) else {
+                continue;
+            };
+            let rendered = minc::pretty::program(&candidate);
+            let Ok(checked) = minc::check(&rendered) else {
+                continue;
+            };
+            let timed_out = [pair.0, pair.1].iter().any(|&i| {
+                let bin = minc_compile::compile(&checked, oracle.impls[i]);
+                minc_vm::execute(&bin, probe, vm).status == ExitStatus::TimedOut
+            });
+            let verdict = oracle.still_diverges(&checked);
+            assert_eq!(
+                verdict,
+                full_verdict(&rendered, probe, pair, vm),
+                "{edit:?} on pair {pair:?}:\n{rendered}"
+            );
+            counts.candidates += 1;
+            counts.diverging += usize::from(verdict);
+            counts.timeouts += usize::from(timed_out);
+        }
+        counts
+    }
+
+    /// The finds `ci.sh` evolves and byte-compares: seed 7, population
+    /// 6, two generations.
+    fn seed7_finds() -> Vec<crate::DivergentFind> {
+        let mut state = crate::EvolveState::new(&crate::EvolveConfig {
+            seed: 7,
+            population: 6,
+        });
+        crate::run_generations(&mut state, 2, |_| {});
+        state.divergents
+    }
+
+    #[test]
+    fn pair_predicate_matches_the_full_oracle() {
+        let vm = VmConfig::default();
+        let finds = seed7_finds();
+        assert_eq!(finds.len(), 8);
+        let mut counts = vec![assert_first_pass_agrees(NOISY, b"", &vm)];
+        for find in &finds {
+            counts.push(assert_first_pass_agrees(&find.source, &find.probe, &vm));
+        }
+        let candidates: usize = counts.iter().map(|c| c.candidates).sum();
+        let diverging: usize = counts.iter().map(|c| c.diverging).sum();
+        assert!(candidates > 100, "only {candidates} candidates");
+        assert!(0 < diverging && diverging < candidates, "{counts:?}");
+    }
+
+    #[test]
+    fn pair_timeouts_fall_back_to_the_full_oracle() {
+        // A step limit between the pair's two step counts times out one
+        // member on the original program and on many of its candidates.
+        let engine = CompDiff::from_source_default(NOISY, DiffConfig::default()).unwrap();
+        let outcome = engine.run_input(b"");
+        let (a, b) = (outcome.classes[0][0], outcome.classes[1][0]);
+        let (sa, sb) = (outcome.results[a].steps, outcome.results[b].steps);
+        assert_ne!(sa, sb, "the pair must differ in steps");
+        let vm = VmConfig {
+            step_limit: sa.midpoint(sb),
+            ..VmConfig::default()
+        };
+        let counts = assert_first_pass_agrees(NOISY, b"", &vm);
+        assert!(
+            0 < counts.timeouts && counts.timeouts < counts.candidates,
+            "{counts:?}"
+        );
     }
 
     #[test]

@@ -6,8 +6,15 @@
 //! lattice through [`Analysis::join`]; may-analyses join by union,
 //! must-analyses by intersection, and numeric domains widen inside `join`
 //! so the fixpoint terminates on loops.
+//!
+//! The worklist visits blocks in reverse postorder: it always takes the
+//! queued block that comes first in that order, and holds each block at
+//! most once at a time. Outside loops a block is then visited only after
+//! all its predecessors, so an acyclic function costs one visit per
+//! reachable block, however many branches join.
 
 use minc_compile::ir::{BlockId, Inst, IrFunction, Terminator};
+use std::collections::BTreeSet;
 
 /// One forward dataflow analysis: the state type plus its transfer and
 /// join functions.
@@ -44,16 +51,23 @@ pub fn fixpoint<A: Analysis>(f: &IrFunction, a: &A) -> BlockStates<A::State> {
         return BlockStates { inputs };
     }
     inputs[0] = Some(a.entry_state(f));
-    let mut work: Vec<BlockId> = vec![BlockId(0)];
+    let order = reverse_postorder(f);
+    let mut rank = vec![0; n];
+    for (r, b) in order.iter().enumerate() {
+        rank[b.0 as usize] = r;
+    }
+    // Queued blocks by rank; the entry block has rank 0.
+    let mut work = BTreeSet::from([0]);
     // Defense in depth against a non-monotone join: every analysis domain
     // here has finite height, but a hard cap keeps the lint total even if
     // a future domain gets widening wrong.
     let mut budget = 256usize.saturating_mul(n.max(1));
-    while let Some(b) = work.pop() {
+    while let Some(r) = work.pop_first() {
         if budget == 0 {
             break;
         }
         budget -= 1;
+        let b = order[r];
         let Some(mut st) = inputs[b.0 as usize].clone() else {
             continue;
         };
@@ -72,11 +86,37 @@ pub fn fixpoint<A: Analysis>(f: &IrFunction, a: &A) -> BlockStates<A::State> {
                 Some(cur) => a.join(cur, &st),
             };
             if changed {
-                work.push(s);
+                work.insert(rank[s.0 as usize]);
             }
         }
     }
     BlockStates { inputs }
+}
+
+/// The blocks reachable from the entry, in reverse postorder of a
+/// depth-first search that takes successors in terminator order.
+fn reverse_postorder(f: &IrFunction) -> Vec<BlockId> {
+    let mut seen = vec![false; f.blocks.len()];
+    let mut post = Vec::new();
+    let mut stack = vec![(BlockId(0), 0)];
+    seen[0] = true;
+    while let Some(top) = stack.last_mut() {
+        let (b, i) = *top;
+        top.1 += 1;
+        match f.blocks[b.0 as usize].term.successors().get(i) {
+            Some(&s) if !seen[s.0 as usize] => {
+                seen[s.0 as usize] = true;
+                stack.push((s, 0));
+            }
+            Some(_) => {}
+            None => {
+                post.push(b);
+                stack.pop();
+            }
+        }
+    }
+    post.reverse();
+    post
 }
 
 /// One program point handed to [`scan_with_term`]'s visitor.
@@ -163,6 +203,47 @@ mod tests {
             into.extend(from.iter().copied());
             into.len() != before
         }
+    }
+
+    /// [`Defined`], counting block visits (one `transfer_term` each).
+    #[derive(Default)]
+    struct CountVisits(std::cell::Cell<usize>);
+
+    impl Analysis for CountVisits {
+        type State = <Defined as Analysis>::State;
+
+        fn entry_state(&self, f: &IrFunction) -> Self::State {
+            Defined.entry_state(f)
+        }
+
+        fn transfer_inst(&self, st: &mut Self::State, inst: &Inst, f: &IrFunction) {
+            Defined.transfer_inst(st, inst, f);
+        }
+
+        fn transfer_term(&self, _st: &mut Self::State, _term: &Terminator, _f: &IrFunction) {
+            self.0.set(self.0.get() + 1);
+        }
+
+        fn join(&self, into: &mut Self::State, from: &Self::State) -> bool {
+            Defined.join(into, from)
+        }
+    }
+
+    #[test]
+    fn acyclic_functions_visit_each_reachable_block_once() {
+        // 200 nested ternaries lower to a chain of 200 diamonds, with a
+        // state that grows along it.
+        let src = format!(
+            "int main() {{ int x = 1; return {}x; }}",
+            "x ? x : ".repeat(200)
+        );
+        let checked = minc::check(&src).unwrap();
+        let p = CompilerImpl::new(Family::Gcc, OptLevel::O0).personality();
+        let ir = minc_compile::lower::lower(&checked, &p);
+        let f = &ir.functions[0];
+        let visits = CountVisits::default();
+        fixpoint(f, &visits);
+        assert_eq!(visits.0.get(), f.reachable_blocks().len());
     }
 
     #[test]

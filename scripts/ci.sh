@@ -121,6 +121,20 @@ echo "== sancheck determinism (compdiff sancheck --all, two worker counts) =="
 ./target/release/compdiff sancheck --all --workers 8 > "$san_b"
 cmp "$san_a" "$san_b"
 
+echo "== dataflow time bound (316-level chains: lint and sancheck within 5 s) =="
+# The deepest `&&` and `?:` chains the frontend accepts (minc::parser::
+# MAX_DEPTH minus the four levels of main, its body, the return and x).
+# Each lowers to a chain of 316 branches that all join; a solver that
+# revisits blocks takes 10-20 s here, one visit per block well under 1 s.
+printf 'int main() { int x = 1; return x%s; }\n' \
+    "$(printf ' && x%.0s' $(seq 316))" > "$san_dir/deep_and.mc"
+printf 'int main() { int x = 1; return %sx; }\n' \
+    "$(printf 'x ? x : %.0s' $(seq 316))" > "$san_dir/deep_ternary.mc"
+for deep in "$san_dir/deep_and.mc" "$san_dir/deep_ternary.mc"; do
+    timeout 5 ./target/release/compdiff lint "$deep" > /dev/null
+    timeout 5 ./target/release/compdiff sancheck "$deep" > /dev/null
+done
+
 echo "== sancheck planted-FN smoke (suppressed MSan must be flagged) =="
 # A must-execute uninitialized branch with MSan's poison callbacks
 # deterministically suppressed: the meta-oracle must charge every impl
