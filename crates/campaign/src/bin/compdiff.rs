@@ -125,6 +125,7 @@ USAGE:
       --workers-proc <n>     run the workers as n *processes* instead
                              (JSON frames over a local socket)
       --status-addr-out <p>  write the live status endpoint's host:port to <p>
+      --quiet                suppress the live progress line
   compdiff campaign-worker --connect <host:port>
                                          one worker process (spawned by the
                                          coordinator; not normally run by hand)
@@ -143,21 +144,84 @@ USAGE:
     reduce <prog.mc> [--input <str>|--input-hex <hex>] [--out <path>]
                              shrink a diverging program to a minimal witness";
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+// The flags each subcommand reads, space-separated; a trailing `=` marks
+// a flag whose value is the next token.
+const RUN_FLAGS: &str = "--input= --input-file= --impls= --minimize";
+const FUZZ_FLAGS: &str = "--execs= --seed= --max-len= --batch-size= --feedback";
+const LINT_FLAGS: &str = "--all --dir= --impls= --workers= --json";
+const SANCHECK_FLAGS: &str = "--all --dir= --impls= --workers= --input= --fault-plan= --json";
+const CAMPAIGN_FLAGS: &str = "--workers= --execs-per-target= --shards= --seed= --max-len= \
+    --batch-size= --targets= --checkpoint= --resume= --stop-after= --max-retries= \
+    --quarantine-after= --fault-plan= --metrics-out= --progress-every= --fixed-clock= \
+    --progen-dir= --sancheck --workers-proc= --status-addr-out= --quiet";
+const CONNECT_FLAGS: &str = "--connect=";
+const GENERATE_FLAGS: &str = "--seed= --count= --out-dir=";
+const EVOLVE_FLAGS: &str = "--seed= --generations= --population= --out-dir= --resume \
+    --no-reduce --metrics-out= --fixed-clock=";
+const REDUCE_FLAGS: &str = "--input= --input-file= --input-hex= --out=";
+
+/// One subcommand's arguments, checked against the flags it reads.
+struct Args {
+    /// The program file: the token that is neither a flag nor a flag's
+    /// value.
+    path: Option<String>,
+    /// Each flag given, in order, with its value when it takes one.
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+impl Args {
+    /// Splits `args` into the flags of `spec` and at most one program
+    /// path (none when `takes_path` is false). An unknown flag, a flag
+    /// missing its value or a stray positional is an error that names it.
+    fn parse(args: &[String], spec: &'static str, takes_path: bool) -> Result<Args, String> {
+        let mut out = Args {
+            path: None,
+            flags: Vec::new(),
+        };
+        let mut tokens = args.iter();
+        while let Some(tok) = tokens.next() {
+            if !tok.starts_with("--") {
+                if !takes_path || out.path.is_some() {
+                    return Err(format!("unexpected argument `{tok}`"));
+                }
+                out.path = Some(tok.clone());
+                continue;
+            }
+            let Some(flag) = spec
+                .split_whitespace()
+                .find(|f| f.strip_suffix('=').unwrap_or(f) == tok)
+            else {
+                return Err(format!("unknown flag `{tok}`"));
+            };
+            let value = match flag.strip_suffix('=') {
+                Some(name) => Some(
+                    tokens
+                        .next()
+                        .ok_or_else(|| format!("flag `{name}` needs a value"))?
+                        .clone(),
+                ),
+                None => None,
+            };
+            out.flags.push((flag.trim_end_matches('='), value));
+        }
+        Ok(out)
+    }
+
+    /// The value of the first `name` flag.
+    fn value(&self, name: &str) -> Option<String> {
+        self.flags
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| v.clone())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
 }
 
-fn load_source(args: &[String]) -> Result<String, String> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or("missing program file argument")?;
+fn load_source(args: &Args) -> Result<String, String> {
+    let path = args.path.as_ref().ok_or("missing program file argument")?;
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
@@ -177,8 +241,8 @@ fn cmd_impls() -> Result<(), String> {
     Ok(())
 }
 
-fn parse_impls(args: &[String]) -> Result<Vec<CompilerImpl>, String> {
-    match flag_value(args, "--impls") {
+fn parse_impls(args: &Args) -> Result<Vec<CompilerImpl>, String> {
+    match args.value("--impls") {
         None => Ok(CompilerImpl::default_set()),
         Some(list) => list
             .split(',')
@@ -190,16 +254,18 @@ fn parse_impls(args: &[String]) -> Result<Vec<CompilerImpl>, String> {
     }
 }
 
-fn read_input(args: &[String]) -> Result<Vec<u8>, String> {
-    if let Some(path) = flag_value(args, "--input-file") {
+fn read_input(args: &Args) -> Result<Vec<u8>, String> {
+    if let Some(path) = args.value("--input-file") {
         return std::fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"));
     }
-    Ok(flag_value(args, "--input")
+    Ok(args
+        .value("--input")
         .map(String::into_bytes)
         .unwrap_or_default())
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, RUN_FLAGS, true)?;
     let src = load_source(args)?;
     let impls = parse_impls(args)?;
     let input = read_input(args)?;
@@ -217,7 +283,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let mut input = input;
-    if has_flag(args, "--minimize") {
+    if args.has("--minimize") {
         let (min, stats) = minimize(&diff, &input);
         println!(
             "minimized {} -> {} bytes in {} differential runs",
@@ -232,17 +298,21 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_fuzz(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, FUZZ_FLAGS, true)?;
     let src = load_source(args)?;
-    let execs = flag_value(args, "--execs")
+    let execs = args
+        .value("--execs")
         .and_then(|v| v.parse().ok())
         .unwrap_or(50_000);
-    let seed = flag_value(args, "--seed")
+    let seed = args
+        .value("--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
-    let max_len = flag_value(args, "--max-len")
+    let max_len = args
+        .value("--max-len")
         .and_then(|v| v.parse().ok())
         .unwrap_or(64);
-    let batch_size = match flag_value(args, "--batch-size") {
+    let batch_size = match args.value("--batch-size") {
         Some(v) => v.parse().map_err(|_| format!("bad --batch-size `{v}`"))?,
         None => 16,
     };
@@ -258,7 +328,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         DiffConfig::default(),
     )
     .map_err(|e| e.to_string())?
-    .with_divergence_feedback(has_flag(args, "--feedback"));
+    .with_divergence_feedback(args.has("--feedback"));
     eprintln!("fuzzing ({execs} execs, seed {seed})...");
     let stats = afl.run(&[vec![b'A'; 4]]);
     println!(
@@ -278,6 +348,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scan(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, "", true)?;
     let src = load_source(args)?;
     let checked = minc::check(&src).map_err(|e| e.to_string())?;
 
@@ -324,15 +395,15 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
 /// two runs). `json` switches the framing from `== name ==` text blocks
 /// to one JSON array of `{target, ...}` objects.
 fn run_over_targets(
-    args: &[String],
+    args: &Args,
     json: bool,
     analyze: impl Fn(&targets::Target) -> Result<(String, Json), String> + Sync,
 ) -> Result<(), String> {
-    let workers: usize = match flag_value(args, "--workers") {
+    let workers: usize = match args.value("--workers") {
         Some(v) => v.parse().map_err(|_| format!("bad --workers `{v}`"))?,
         None => 4,
     };
-    let built = match flag_value(args, "--dir") {
+    let built = match args.value("--dir") {
         None => TargetSource::targets(&targets::CatalogSource),
         Some(dir) => targets::dir_source(std::path::Path::new(&dir))
             .map_err(|e| format!("bad --dir: {e}"))?
@@ -397,11 +468,12 @@ fn run_over_targets(
 }
 
 fn cmd_lint(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, LINT_FLAGS, true)?;
     let lint = staticheck_ir::UnstableLint {
         impls: parse_impls(args)?,
     };
-    let json = has_flag(args, "--json");
-    if !has_flag(args, "--all") {
+    let json = args.has("--json");
+    if !args.has("--all") {
         let src = load_source(args)?;
         let findings = lint.run_source(&src).map_err(|e| e.to_string())?;
         if json {
@@ -431,19 +503,21 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sancheck(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, SANCHECK_FLAGS, true)?;
     let mut cfg = sancheck::SancheckConfig {
         impls: parse_impls(args)?,
-        input: flag_value(args, "--input")
+        input: args
+            .value("--input")
             .map(String::into_bytes)
             .unwrap_or_default(),
         ..sancheck::SancheckConfig::default()
     };
-    if let Some(spec) = flag_value(args, "--fault-plan") {
+    if let Some(spec) = args.value("--fault-plan") {
         cfg.fault_plan =
             sancheck::SanFaultPlan::parse(&spec).map_err(|e| format!("bad --fault-plan: {e}"))?;
     }
-    let json = has_flag(args, "--json");
-    if !has_flag(args, "--all") {
+    let json = args.has("--json");
+    if !args.has("--all") {
         let src = load_source(args)?;
         let report = sancheck::check_source(&src, &cfg).map_err(|e| e.to_string())?;
         if json {
@@ -468,58 +542,59 @@ fn cmd_sancheck(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, CAMPAIGN_FLAGS, false)?;
     let mut cfg = CampaignConfig {
-        quiet: has_flag(args, "--quiet"),
-        sancheck: has_flag(args, "--sancheck"),
+        quiet: args.has("--quiet"),
+        sancheck: args.has("--sancheck"),
         ..Default::default()
     };
-    if let Some(v) = flag_value(args, "--workers") {
+    if let Some(v) = args.value("--workers") {
         cfg.workers = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
     }
-    if let Some(v) = flag_value(args, "--execs-per-target") {
+    if let Some(v) = args.value("--execs-per-target") {
         cfg.execs_per_target = v
             .parse()
             .map_err(|_| format!("bad --execs-per-target `{v}`"))?;
     }
-    if let Some(v) = flag_value(args, "--shards") {
+    if let Some(v) = args.value("--shards") {
         cfg.shards_per_target = v.parse().map_err(|_| format!("bad --shards `{v}`"))?;
         if cfg.shards_per_target == 0 {
             return Err("bad --shards `0` (must be >= 1)".into());
         }
     }
-    if let Some(v) = flag_value(args, "--seed") {
+    if let Some(v) = args.value("--seed") {
         cfg.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
     }
-    if let Some(v) = flag_value(args, "--max-len") {
+    if let Some(v) = args.value("--max-len") {
         cfg.max_input_len = v.parse().map_err(|_| format!("bad --max-len `{v}`"))?;
     }
-    if let Some(v) = flag_value(args, "--batch-size") {
+    if let Some(v) = args.value("--batch-size") {
         cfg.batch_size = v.parse().map_err(|_| format!("bad --batch-size `{v}`"))?;
         if cfg.batch_size == 0 {
             return Err("bad --batch-size `0` (must be >= 1)".into());
         }
     }
-    if let Some(v) = flag_value(args, "--stop-after") {
+    if let Some(v) = args.value("--stop-after") {
         cfg.stop_after_jobs = Some(v.parse().map_err(|_| format!("bad --stop-after `{v}`"))?);
     }
-    if let Some(v) = flag_value(args, "--max-retries") {
+    if let Some(v) = args.value("--max-retries") {
         cfg.max_retries = v.parse().map_err(|_| format!("bad --max-retries `{v}`"))?;
     }
-    if let Some(v) = flag_value(args, "--quarantine-after") {
+    if let Some(v) = args.value("--quarantine-after") {
         cfg.quarantine_after = v
             .parse()
             .map_err(|_| format!("bad --quarantine-after `{v}`"))?;
     }
-    if let Some(spec) = flag_value(args, "--fault-plan") {
+    if let Some(spec) = args.value("--fault-plan") {
         // Parsed after --seed so seeded#k sites key off the campaign seed.
         let plan = campaign::FaultPlan::parse(&spec, cfg.seed)
             .map_err(|e| format!("bad --fault-plan: {e}"))?;
         cfg.fault_plan = Some(std::sync::Arc::new(plan));
     }
-    if let Some(list) = flag_value(args, "--targets") {
+    if let Some(list) = args.value("--targets") {
         cfg.target_filter = Some(list.split(',').map(|s| s.trim().to_string()).collect());
     }
-    if let Some(dir) = flag_value(args, "--progen-dir") {
+    if let Some(dir) = args.value("--progen-dir") {
         let generated =
             targets::dir_source(Path::new(&dir)).map_err(|e| format!("bad --progen-dir: {e}"))?;
         let label = format!("catalog+{}", generated.label());
@@ -527,27 +602,24 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         all.extend(generated.targets());
         cfg.source = targets::SharedSource::new(targets::StaticSource::new(label, all));
     }
-    if let Some(v) = flag_value(args, "--metrics-out") {
+    if let Some(v) = args.value("--metrics-out") {
         cfg.metrics_out = Some(PathBuf::from(v));
     }
-    if let Some(v) = flag_value(args, "--progress-every") {
+    if let Some(v) = args.value("--progress-every") {
         cfg.progress_every = v
             .parse()
             .map_err(|_| format!("bad --progress-every `{v}`"))?;
     }
-    if let Some(v) = flag_value(args, "--fixed-clock") {
+    if let Some(v) = args.value("--fixed-clock") {
         cfg.fixed_clock_us = Some(v.parse().map_err(|_| format!("bad --fixed-clock `{v}`"))?);
     }
-    if let Some(v) = flag_value(args, "--workers-proc") {
+    if let Some(v) = args.value("--workers-proc") {
         cfg.workers_proc = Some(v.parse().map_err(|_| format!("bad --workers-proc `{v}`"))?);
     }
-    if let Some(v) = flag_value(args, "--status-addr-out") {
+    if let Some(v) = args.value("--status-addr-out") {
         cfg.status_addr_out = Some(PathBuf::from(v));
     }
-    match (
-        flag_value(args, "--resume"),
-        flag_value(args, "--checkpoint"),
-    ) {
+    match (args.value("--resume"), args.value("--checkpoint")) {
         (Some(dir), _) => {
             cfg.checkpoint_dir = Some(PathBuf::from(dir));
             cfg.resume = true;
@@ -574,7 +646,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 /// One campaign worker process (spawned by a `--workers-proc`
 /// coordinator; see DESIGN.md §17). Not normally invoked by hand.
 fn cmd_campaign_worker(args: &[String]) -> Result<(), String> {
-    let addr = flag_value(args, "--connect")
+    let args = &Args::parse(args, CONNECT_FLAGS, false)?;
+    let addr = args
+        .value("--connect")
         .ok_or("campaign-worker needs --connect <host:port> (coordinator address)")?;
     campaign::run_worker(&addr)
 }
@@ -582,7 +656,8 @@ fn cmd_campaign_worker(args: &[String]) -> Result<(), String> {
 /// Queries a running coordinator's status endpoint and pretty-prints
 /// the live progress object.
 fn cmd_campaign_status(args: &[String]) -> Result<(), String> {
-    let addr = flag_value(args, "--connect")
+    let args = &Args::parse(args, CONNECT_FLAGS, false)?;
+    let addr = args.value("--connect")
         .ok_or("campaign-status needs --connect <host:port> (coordinator address, as written by --status-addr-out)")?;
     let status = campaign::query_status(&addr)?;
     println!("{}", status.render_pretty());
@@ -601,17 +676,18 @@ fn cmd_progen(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn parse_u64_flag(args: &[String], name: &str, default: u64) -> Result<u64, String> {
-    match flag_value(args, name) {
+fn parse_u64_flag(args: &Args, name: &str, default: u64) -> Result<u64, String> {
+    match args.value(name) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("bad {name} `{v}`")),
     }
 }
 
 fn progen_generate(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, GENERATE_FLAGS, false)?;
     let seed = parse_u64_flag(args, "--seed", 1)?;
     let count = parse_u64_flag(args, "--count", 1)?;
-    let out_dir = flag_value(args, "--out-dir").map(PathBuf::from);
+    let out_dir = args.value("--out-dir").map(PathBuf::from);
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
     }
@@ -641,15 +717,15 @@ fn progen_generate(args: &[String]) -> Result<(), String> {
 
 /// Builds the progen telemetry facade: JSONL event stream when
 /// `--metrics-out` is given, fixed clock when `--fixed-clock` is given.
-fn progen_telemetry(args: &[String]) -> Result<std::sync::Arc<telemetry::Telemetry>, String> {
-    let fixed = match flag_value(args, "--fixed-clock") {
+fn progen_telemetry(args: &Args) -> Result<std::sync::Arc<telemetry::Telemetry>, String> {
+    let fixed = match args.value("--fixed-clock") {
         None => None,
         Some(v) => Some(
             v.parse::<u64>()
                 .map_err(|_| format!("bad --fixed-clock `{v}`"))?,
         ),
     };
-    Ok(match flag_value(args, "--metrics-out") {
+    Ok(match args.value("--metrics-out") {
         Some(path) => {
             let file =
                 std::fs::File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
@@ -661,12 +737,13 @@ fn progen_telemetry(args: &[String]) -> Result<std::sync::Arc<telemetry::Telemet
 }
 
 fn progen_evolve(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, EVOLVE_FLAGS, false)?;
     let seed = parse_u64_flag(args, "--seed", 1)?;
     let generations = parse_u64_flag(args, "--generations", 4)? as u32;
     let population = parse_u64_flag(args, "--population", 8)? as usize;
-    let out_dir = flag_value(args, "--out-dir").map(PathBuf::from);
-    let resume = has_flag(args, "--resume");
-    let reduce_witnesses = !has_flag(args, "--no-reduce");
+    let out_dir = args.value("--out-dir").map(PathBuf::from);
+    let resume = args.has("--resume");
+    let reduce_witnesses = !args.has("--no-reduce");
     let tel = progen_telemetry(args)?;
 
     if let Some(dir) = &out_dir {
@@ -797,8 +874,9 @@ fn progen_evolve(args: &[String]) -> Result<(), String> {
 }
 
 fn progen_reduce(args: &[String]) -> Result<(), String> {
+    let args = &Args::parse(args, REDUCE_FLAGS, true)?;
     let src = load_source(args)?;
-    let probe = match flag_value(args, "--input-hex") {
+    let probe = match args.value("--input-hex") {
         Some(h) => hex_decode(&h)?,
         None => read_input(args)?,
     };
@@ -807,7 +885,7 @@ fn progen_reduce(args: &[String]) -> Result<(), String> {
         "reduced in {} oracle steps; witness pair impls ({}, {}); signature {}",
         witness.steps, witness.witness_pair.0, witness.witness_pair.1, witness.signature
     );
-    match flag_value(args, "--out") {
+    match args.value("--out") {
         Some(path) => std::fs::write(&path, &witness.source)
             .map_err(|e| format!("cannot write {path}: {e}"))?,
         None => print!("{}", witness.source),

@@ -1,7 +1,7 @@
-//! The shared binary cache: each target's `k + 1` binaries (the ten
-//! differential implementations plus the coverage-instrumented fuzz
-//! binary) are compiled exactly once per campaign and shared by every
-//! worker through `Arc`s.
+//! The shared binary cache: each target's ten differential binaries are
+//! compiled and translated exactly once per campaign and shared by every
+//! worker through `Arc`s. The fuzz binary is one of them (the oracle's
+//! `fuzz_impl` build); coverage hooks attach to it at run time.
 //!
 //! Without this, every (target × seed-shard) job would recompile the full
 //! implementation set — `CompDiff::from_source_default` pays the frontend
@@ -26,16 +26,18 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use targets::Target;
 use telemetry::Counter;
 
-/// One target, fully compiled: the differential engine over the `k`
-/// implementations plus the fuzz binary. Immutable after construction, so
-/// safely shared across workers.
+/// One target, fully compiled: the differential engine over the ten
+/// implementations plus the fuzz binary, which is the engine's
+/// `fuzz_impl` build. Immutable after construction, so safely shared
+/// across workers.
 #[derive(Debug)]
 pub struct CompiledTarget {
     /// Target name (catalog key).
     pub name: String,
     /// The differential engine (owns the `k` binaries).
     pub diff: CompDiff,
-    /// The coverage-instrumented fuzz binary (B_fuzz).
+    /// The fuzz binary (B_fuzz): a clone, same `uid`, of the engine's
+    /// `fuzz_impl` binary. Coverage hooks are attached when it runs.
     pub fuzz_binary: Binary,
     /// Fuzzing seed inputs.
     pub seeds: Vec<Vec<u8>>,
@@ -45,7 +47,8 @@ pub struct CompiledTarget {
     /// `diff.binaries()`), done once at compile time and shared with every
     /// session any worker creates.
     pub diff_blocks: Vec<Arc<BlockProgram>>,
-    /// Block translation of the fuzz binary.
+    /// Block translation of the fuzz binary: the same `Arc` as its entry
+    /// in `diff_blocks`.
     pub fuzz_blocks: Arc<BlockProgram>,
 }
 
@@ -63,11 +66,11 @@ impl CompiledTarget {
         sessions
     }
 
-    /// Total superblocks across all translated binaries of this target.
+    /// Total superblocks across this target's translations. The fuzz
+    /// translation is one of `diff_blocks`, so it counts once.
     pub fn block_count(&self) -> u64 {
         self.diff_blocks
             .iter()
-            .chain(std::iter::once(&self.fuzz_blocks))
             .map(|p| p.block_count() as u64)
             .sum()
     }
@@ -194,15 +197,19 @@ impl BinaryCache {
                 .iter()
                 .map(|&ci| minc_compile::compile(&checked, ci))
                 .collect();
-            let fuzz_binary = minc_compile::compile(&checked, fuzz_impl);
             // Translate for block-mode execution while we hold the slot:
             // once per binary per campaign, amortized across every job
             // and session that touches this target.
-            let diff_blocks = binaries
+            let diff_blocks: Vec<Arc<BlockProgram>> = binaries
                 .iter()
                 .map(|b| Arc::new(BlockProgram::translate(b)))
                 .collect();
-            let fuzz_blocks = Arc::new(BlockProgram::translate(&fuzz_binary));
+            // The fuzz binary is the oracle's build of `fuzz_impl` (every
+            // implementation is in the default set, indexed by
+            // `CompilerImpl::index`): the clone keeps its `uid`, and the
+            // translation is the same `Arc`.
+            let fuzz_binary = binaries[fuzz_impl.index()].clone();
+            let fuzz_blocks = Arc::clone(&diff_blocks[fuzz_impl.index()]);
             Ok(CompiledTarget {
                 name: name.to_string(),
                 // Tag the engine with the program's content hash so
@@ -262,6 +269,33 @@ mod tests {
         );
         assert_eq!(cache.counters(), (1, 1));
         assert_eq!(a.diff.binaries().len(), 10);
+    }
+
+    #[test]
+    fn fuzz_binary_and_translation_are_the_oracles() {
+        let tel = telemetry::Telemetry::new(
+            telemetry::TestClock::stepping(0, 1),
+            telemetry::NoopRecorder,
+        );
+        let ctel = CampaignTelemetry::new(tel);
+        let cache = BinaryCache::counting_into(&ctel);
+        for spec in catalog().iter().take(3) {
+            let before = ctel.blocks_translated.get();
+            let ct = cache
+                .get_or_compile(&build(spec), &DiffConfig::default(), fuzz_impl(), None, 1)
+                .unwrap();
+            let i = ct
+                .diff
+                .impls()
+                .iter()
+                .position(|&ci| ci == fuzz_impl())
+                .unwrap();
+            assert_eq!(ct.fuzz_binary.uid, ct.diff.binaries()[i].uid);
+            assert!(Arc::ptr_eq(&ct.fuzz_blocks, &ct.diff_blocks[i]));
+            let ten: u64 = ct.diff_blocks.iter().map(|p| p.block_count() as u64).sum();
+            assert_eq!(ct.diff_blocks.len(), 10);
+            assert_eq!(ctel.blocks_translated.get() - before, ten, "{}", spec.name);
+        }
     }
 
     #[test]

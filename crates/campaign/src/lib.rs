@@ -94,7 +94,8 @@ pub struct CampaignConfig {
     pub max_input_len: usize,
     /// Differential-engine configuration (implementations, VM limits).
     pub diff_config: DiffConfig,
-    /// Implementation used for the coverage-instrumented fuzz binary.
+    /// Implementation whose binary is fuzzed: the oracle's build of it,
+    /// run with coverage hooks attached.
     pub fuzz_impl: CompilerImpl,
     /// Directory for `checkpoint.jsonl`; `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,

@@ -16,9 +16,9 @@
 //! integer arithmetic over deterministic inputs, so two same-seed runs
 //! score identically byte for byte.
 
-use compdiff::{signature_with_hash, CompDiff, DiffConfig};
+use compdiff::{hash64, signature_with_hash, CompDiff, DiffConfig};
 use minc::FrontendError;
-use minc_compile::CompilerImpl;
+use minc_compile::{Binary, CompilerImpl, RewriteLog};
 use minc_vm::ExitStatus;
 use staticheck_ir::UnstableLint;
 use std::collections::BTreeSet;
@@ -71,7 +71,18 @@ pub fn evaluate(
     probes: &[Vec<u8>],
     archive: &BTreeSet<String>,
 ) -> Result<Evaluation, FrontendError> {
-    let diff = CompDiff::from_source_default(src, DiffConfig::default())?;
+    // One check and one logged pipeline per implementation: each IR
+    // links into the oracle's binary, and the logs feed the rewrite
+    // channel and the lint.
+    let checked = minc::check(src)?;
+    let (binaries, logs): (Vec<Binary>, Vec<RewriteLog>) = CompilerImpl::default_set()
+        .into_iter()
+        .map(|ci| {
+            let (ir, log) = minc_compile::optimize_logged(&checked, ci);
+            (Binary::link(ir, ci.personality()), log)
+        })
+        .unzip();
+    let diff = CompDiff::new(binaries, DiffConfig::default()).with_src_hash(hash64(src.as_bytes()));
     let impls = diff.impls();
     let mut sessions = diff.make_sessions();
 
@@ -96,18 +107,16 @@ pub fn evaluate(
         }
     }
 
-    let checked = minc::check(src)?;
     let mut reasons: BTreeSet<String> = BTreeSet::new();
     let mut rewrite_entries = 0usize;
-    for ci in CompilerImpl::default_set() {
-        let (_ir, log) = minc_compile::optimize_logged(&checked, ci);
+    for log in &logs {
         rewrite_entries += log.entries.len();
         for entry in &log.entries {
             reasons.insert(entry.reason.to_string());
         }
     }
 
-    let findings = UnstableLint::new().run(&checked);
+    let findings = UnstableLint::run_with_logs(&checked, &logs);
     let mut novel: BTreeSet<String> = BTreeSet::new();
     for f in &findings {
         let key = format!("{}@{}", f.finding.defect, f.finding.span.line);

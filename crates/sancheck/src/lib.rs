@@ -32,9 +32,9 @@ pub use faults::{PlannedSan, SanFault, SanFaultPlan};
 use compdiff::hash64;
 use minc::{CheckedProgram, FrontendError};
 use minc_compile::personality::CompilerImpl;
-use minc_compile::Binary;
+use minc_compile::{Binary, Personality};
 use minc_vm::result::{Fault, SanitizerKind, Trap};
-use minc_vm::{ExecResult, ExitStatus, VmConfig};
+use minc_vm::{ExecResult, ExecSession, ExitStatus, VmConfig};
 use sanitizers::{Asan, Msan, Ubsan};
 use staticheck_ir::ubmap::{self, UbClass};
 use staticheck_ir::{Certainty, UbSiteMap};
@@ -226,16 +226,27 @@ impl SancheckReport {
     }
 }
 
-/// Builds `impl_id`'s *sanitized* binary: the implementation's own
-/// pipeline (so optimizer-deleted UB stays deleted, which is what makes
-/// verdicts diverge) with ASan-style frame padding so redzones exist.
-pub fn compile_sanitized_for(checked: &CheckedProgram, impl_id: CompilerImpl) -> Binary {
+/// `impl_id`'s personality with ASan-style frame padding, so stack
+/// redzones exist. Only [`Binary::link`]'s frame placement reads
+/// `slot_padding`, so the sanitized build shares the plain build's
+/// lowering and pipeline.
+pub fn sanitized_personality(impl_id: CompilerImpl) -> Personality {
     let mut p = impl_id.personality();
     p.slot_padding = p.slot_padding.max(16);
-    minc_compile::compile_with_personality(checked, p)
+    p
 }
 
+/// Builds `impl_id`'s *sanitized* binary: the implementation's own
+/// pipeline (so optimizer-deleted UB stays deleted, which is what makes
+/// verdicts diverge) linked with [`sanitized_personality`].
+pub fn compile_sanitized_for(checked: &CheckedProgram, impl_id: CompilerImpl) -> Binary {
+    minc_compile::compile_with_personality(checked, sanitized_personality(impl_id))
+}
+
+/// Runs `bin` once under `kind`, with `plan`'s planted defects, in a
+/// session kept across the build's runs.
 fn run_planned(
+    session: &mut ExecSession,
     bin: &Binary,
     input: &[u8],
     vm: &VmConfig,
@@ -243,19 +254,19 @@ fn run_planned(
     plan: &SanFaultPlan,
 ) -> ExecResult {
     match kind {
-        SanitizerKind::Asan => minc_vm::execute_with_hooks(
+        SanitizerKind::Asan => session.run_with_hooks(
             bin,
             input,
             vm,
             &mut PlannedSan::new(Asan::new(), kind, plan.clone()),
         ),
-        SanitizerKind::Ubsan => minc_vm::execute_with_hooks(
+        SanitizerKind::Ubsan => session.run_with_hooks(
             bin,
             input,
             vm,
             &mut PlannedSan::new(Ubsan::new(), kind, plan.clone()),
         ),
-        SanitizerKind::Msan => minc_vm::execute_with_hooks(
+        SanitizerKind::Msan => session.run_with_hooks(
             bin,
             input,
             vm,
@@ -289,26 +300,38 @@ pub fn check_program(
     src_hash: u64,
     config: &SancheckConfig,
 ) -> SancheckReport {
-    let map = UbSiteMap::build(checked, &config.impls);
-
-    // One sanitized build per impl, three sanitizer runs each.
+    // One pipeline per impl: its log feeds the map, its IR becomes the
+    // sanitized binary, and one session runs the three sanitizers. Only
+    // one impl's IR and binary are alive at a time.
+    let mut logs = Vec::with_capacity(config.impls.len());
     let mut verdicts: Vec<SanVerdict> = Vec::new();
-    for impl_id in &config.impls {
-        let bin = compile_sanitized_for(checked, *impl_id);
+    for &impl_id in &config.impls {
+        let (ir, log) = minc_compile::optimize_logged(checked, impl_id);
+        logs.push(log);
+        let bin = Binary::link(ir, sanitized_personality(impl_id));
+        let mut session = ExecSession::new(&bin);
         for kind in SAN_KINDS {
-            let r = run_planned(&bin, &config.input, &config.vm, kind, &config.fault_plan);
+            let r = run_planned(
+                &mut session,
+                &bin,
+                &config.input,
+                &config.vm,
+                kind,
+                &config.fault_plan,
+            );
             let fired = match &r.status {
                 ExitStatus::Sanitizer(f) => Some(f.clone()),
                 _ => None,
             };
             verdicts.push(SanVerdict {
-                impl_id: *impl_id,
+                impl_id,
                 kind,
                 status: r.status,
                 fired,
             });
         }
     }
+    let map = UbSiteMap::build_with_logs(checked, &logs);
 
     // False negatives: silence on a must-site in scope.
     let mut false_negatives = Vec::new();

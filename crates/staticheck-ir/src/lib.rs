@@ -51,7 +51,7 @@ pub use ubmap::{Certainty, UbClass, UbSite, UbSiteMap};
 
 use minc::{CheckedProgram, FrontendError, Span};
 use minc_compile::personality::{CompilerImpl, Family, OptLevel, PassKind};
-use minc_compile::{optimize_logged, RewriteEntry, UbReason};
+use minc_compile::{optimize_logged, IrProgram, RewriteLog, UbReason};
 use staticheck::{Defect, Finding, Tool};
 use std::collections::BTreeMap;
 
@@ -114,26 +114,29 @@ impl UnstableLint {
     /// Lints a checked program, returning findings sorted by
     /// `(line, defect, message)`.
     pub fn run(&self, checked: &CheckedProgram) -> Vec<LintFinding> {
-        // Channel 1: dataflow over the reference IR (`-O0` + mem2reg; no
-        // copy propagation, so registers keep their source lines).
-        let p0 = CompilerImpl::new(Family::Gcc, OptLevel::O0).personality();
-        let mut reference = minc_compile::lower::lower(checked, &p0);
-        minc_compile::passes::run_pass(&mut reference, PassKind::Mem2Reg, &p0);
-        let direct = detectors::scan_program(&reference);
+        UnstableLint::run_with_logs(checked, &rewrite_logs(checked, &self.impls))
+    }
+
+    /// [`run`](UnstableLint::run) over rewrite logs the caller already
+    /// has: `logs` are the provenance channel, one per implementation in
+    /// order, as [`optimize_logged`] returns them. Callers that also need
+    /// the optimized IR (the sanitizer meta-oracle, progen's fitness) run
+    /// each pipeline once and pass its log here.
+    pub fn run_with_logs(checked: &CheckedProgram, logs: &[RewriteLog]) -> Vec<LintFinding> {
+        // Channel 1: dataflow over the reference IR.
+        let direct = detectors::scan_program(&reference_ir(checked));
         let junk_seen = detectors::observed_junk_ids(&direct);
 
         // Channel 2: rewrite provenance from every implementation.
-        let mut entries: Vec<RewriteEntry> = Vec::new();
-        for id in &self.impls {
-            let (_, log) = optimize_logged(checked, *id);
-            entries.extend(log.entries);
-        }
-        entries.retain(|e| match e.reason {
-            // A promotion is only a bug if the junk value is observably
-            // *read*; the dataflow channel supplies that corroboration.
-            UbReason::UninitPromotion => junk_seen.contains(&e.key),
-            _ => true,
-        });
+        let entries = logs
+            .iter()
+            .flat_map(|log| &log.entries)
+            .filter(|e| match e.reason {
+                // A promotion is only a bug if the junk value is observably
+                // *read*; the dataflow channel supplies that corroboration.
+                UbReason::UninitPromotion => junk_seen.contains(&e.key),
+                _ => true,
+            });
 
         // Merge, deduplicating by (line, defect).
         #[derive(Default)]
@@ -148,7 +151,7 @@ impl UnstableLint {
             slot.message = d.message.clone();
             slot.origin = Some(Origin::Dataflow);
         }
-        for e in &entries {
+        for e in entries {
             let defect = provenance_defect(e.reason);
             let slot = merged.entry((e.line, defect.to_string())).or_default();
             match slot.origin {
@@ -193,6 +196,24 @@ impl UnstableLint {
         let checked = minc::check(src)?;
         Ok(self.run(&checked))
     }
+}
+
+/// The IR both evidence channels' dataflow runs on: the `-O0` lowering
+/// plus `mem2reg`, with no copy propagation, so junk stays explicit and
+/// registers keep their source lines.
+pub fn reference_ir(checked: &CheckedProgram) -> IrProgram {
+    let p0 = CompilerImpl::new(Family::Gcc, OptLevel::O0).personality();
+    let mut reference = minc_compile::lower::lower(checked, &p0);
+    minc_compile::passes::run_pass(&mut reference, PassKind::Mem2Reg, &p0);
+    reference
+}
+
+/// Each implementation's rewrite log over `checked`, in `impls` order.
+pub(crate) fn rewrite_logs(checked: &CheckedProgram, impls: &[CompilerImpl]) -> Vec<RewriteLog> {
+    impls
+        .iter()
+        .map(|&id| optimize_logged(checked, id).1)
+        .collect()
 }
 
 /// Maps a rewrite justification to the shared defect taxonomy.

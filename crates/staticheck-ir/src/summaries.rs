@@ -209,14 +209,9 @@ fn summarize_one(prog: &IrProgram, idx: usize, done: &FnSummaries) -> FnSummary 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minc_compile::personality::{CompilerImpl, Family, OptLevel, PassKind};
 
     fn reference_ir(src: &str) -> IrProgram {
-        let checked = minc::check(src).unwrap();
-        let p = CompilerImpl::new(Family::Gcc, OptLevel::O0).personality();
-        let mut ir = minc_compile::lower::lower(&checked, &p);
-        minc_compile::passes::run_pass(&mut ir, PassKind::Mem2Reg, &p);
-        ir
+        crate::reference_ir(&minc::check(src).unwrap())
     }
 
     fn summary_of<'a>(prog: &IrProgram, s: &'a FnSummaries, name: &str) -> &'a FnSummary {

@@ -29,11 +29,11 @@ use crate::dataflow::{fixpoint, scan_with_blocks, Visit};
 use crate::detectors;
 use crate::domains::{shift_width, Interval, IntervalAnalysis, JunkAnalysis};
 use crate::summaries::FnSummaries;
-use crate::Origin;
+use crate::{reference_ir, rewrite_logs, Origin};
 use minc::{CheckedProgram, FrontendError};
 use minc_compile::ir::{BinKind, BlockId, Callee, Inst, IrFunction, IrProgram, IrType, Terminator};
-use minc_compile::personality::{CompilerImpl, Family, OptLevel, PassKind};
-use minc_compile::{optimize_logged, RewriteEntry, UbReason};
+use minc_compile::personality::CompilerImpl;
+use minc_compile::{RewriteEntry, RewriteLog, UbReason};
 use staticheck::Defect;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -235,19 +235,17 @@ impl UbSiteMap {
     /// Builds the map for a checked program, fusing dataflow facts with
     /// the rewrite provenance of `impls`.
     pub fn build(checked: &CheckedProgram, impls: &[CompilerImpl]) -> UbSiteMap {
-        // Reference IR: `-O0` lowering + mem2reg, same shape the lint's
-        // detectors run on (junk explicit, source lines intact).
-        let p0 = CompilerImpl::new(Family::Gcc, OptLevel::O0).personality();
-        let mut reference = minc_compile::lower::lower(checked, &p0);
-        minc_compile::passes::run_pass(&mut reference, PassKind::Mem2Reg, &p0);
+        UbSiteMap::build_with_logs(checked, &rewrite_logs(checked, impls))
+    }
+
+    /// [`UbSiteMap::build`] over rewrite logs the caller already has, one
+    /// per implementation in order, as
+    /// [`optimize_logged`](minc_compile::optimize_logged) returns them.
+    pub fn build_with_logs(checked: &CheckedProgram, logs: &[RewriteLog]) -> UbSiteMap {
+        let reference = reference_ir(checked);
         let summaries = FnSummaries::of(&reference);
         let df = dataflow_evidence(&reference, &summaries);
-        let mut entries: Vec<RewriteEntry> = Vec::new();
-        for id in impls {
-            let (_, log) = optimize_logged(checked, *id);
-            entries.extend(log.entries);
-        }
-        fuse(&df, &entries)
+        fuse(&df, logs.iter().flat_map(|log| &log.entries))
     }
 
     /// [`UbSiteMap::build`] from source text.
@@ -761,7 +759,10 @@ fn collect_intervals(
 
 /// Fuses the dataflow evidence with rewrite-provenance entries into the
 /// final map. Pure — tests drive every fusion case through it directly.
-pub fn fuse(df: &DataflowEvidence, entries: &[RewriteEntry]) -> UbSiteMap {
+pub fn fuse<'a>(
+    df: &DataflowEvidence,
+    entries: impl IntoIterator<Item = &'a RewriteEntry>,
+) -> UbSiteMap {
     let mut sites: BTreeMap<(u32, UbClass), UbSite> = df
         .sites
         .iter()
@@ -838,17 +839,10 @@ pub fn fuse(df: &DataflowEvidence, entries: &[RewriteEntry]) -> UbSiteMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn reference_ir(src: &str) -> IrProgram {
-        let checked = minc::check(src).unwrap();
-        let p = CompilerImpl::new(Family::Gcc, OptLevel::O0).personality();
-        let mut ir = minc_compile::lower::lower(&checked, &p);
-        minc_compile::passes::run_pass(&mut ir, PassKind::Mem2Reg, &p);
-        ir
-    }
+    use minc_compile::personality::{Family, OptLevel};
 
     fn evidence(src: &str) -> DataflowEvidence {
-        let ir = reference_ir(src);
+        let ir = reference_ir(&minc::check(src).unwrap());
         let s = FnSummaries::of(&ir);
         dataflow_evidence(&ir, &s)
     }
@@ -1135,7 +1129,7 @@ mod tests {
         // chase the derived value back to `p` so the later `p == 0` test
         // is recognized as a check-after-deref. Pointer `++` is another
         // Add-derivation layer on the same base.
-        let ir = reference_ir(
+        let checked = minc::check(
             r#"
             int main() {
                 int a[4];
@@ -1148,7 +1142,9 @@ mod tests {
                 return 0;
             }
         "#,
-        );
+        )
+        .unwrap();
+        let ir = reference_ir(&checked);
         let findings = crate::detectors::scan_program(&ir);
         assert!(
             findings

@@ -203,4 +203,7 @@ COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench batch
 echo "== fuzzer bench (fast smoke, pinned plain-AFL outcome checked first) =="
 COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench fuzzer
 
+echo "== sancheck bench (fast smoke, pinned digests and kept-session runs checked first) =="
+COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench sancheck
+
 echo "CI green."

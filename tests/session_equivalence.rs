@@ -11,7 +11,11 @@
 
 use fuzzing::{CoverageMap, CoveredHooks};
 use minc_compile::{compile_source, Binary, CompilerImpl};
-use minc_vm::{execute, execute_with_hooks, ExecResult, ExecSession, NoHooks, VmConfig};
+use minc_vm::{
+    execute, execute_with_hooks, ExecResult, ExecSession, Hooks, NoHooks, SanitizerKind, VmConfig,
+};
+use sancheck::{PlannedSan, SanFaultPlan, SAN_KINDS};
+use sanitizers::{Asan, Msan, Ubsan};
 use targets::{build, catalog};
 
 /// Inputs exercised against every binary: empty, short, the magic header
@@ -298,5 +302,116 @@ fn run_input_sessions_matches_run_input_verdicts() {
             persistent.unresolved_timeout, fresh.unresolved_timeout,
             "{input:?}"
         );
+    }
+}
+
+/// Runs `bin` under `kind` with `plan`'s planted defects, in `session`
+/// when given, else in a fresh VM through `execute_with_hooks`.
+fn planned_run(
+    session: Option<&mut ExecSession>,
+    bin: &Binary,
+    input: &[u8],
+    kind: SanitizerKind,
+    plan: &SanFaultPlan,
+) -> ExecResult {
+    fn go<H: Hooks>(
+        session: Option<&mut ExecSession>,
+        bin: &Binary,
+        input: &[u8],
+        hooks: &mut H,
+    ) -> ExecResult {
+        let cfg = VmConfig::default();
+        match session {
+            Some(s) => s.run_with_hooks(bin, input, &cfg, hooks),
+            None => execute_with_hooks(bin, input, &cfg, hooks),
+        }
+    }
+    match kind {
+        SanitizerKind::Asan => go(
+            session,
+            bin,
+            input,
+            &mut PlannedSan::new(Asan::new(), kind, plan.clone()),
+        ),
+        SanitizerKind::Ubsan => go(
+            session,
+            bin,
+            input,
+            &mut PlannedSan::new(Ubsan::new(), kind, plan.clone()),
+        ),
+        SanitizerKind::Msan => go(
+            session,
+            bin,
+            input,
+            &mut PlannedSan::new(Msan::new(), kind, plan.clone()),
+        ),
+    }
+}
+
+#[test]
+fn kept_session_sanitizer_runs_match_fresh_execution() {
+    // sancheck runs a sanitized build's three sanitizers in one session.
+    // Each build here gets one session per fault plan, which runs ASan,
+    // UBSan, MSan and then all three again on every input in turn; each
+    // run must equal a fresh hooked execution.
+    let unit_programs = [
+        (
+            "DEAD_DIV",
+            r#"
+            int main() {
+                int z = (int)input_size();
+                int t = 5 / z;
+                printf("ok\n");
+                return 0;
+            }
+        "#,
+        ),
+        (
+            "UNINIT_BRANCH",
+            r#"
+            int main() {
+                int u;
+                if (u > 0) { printf("y\n"); }
+                return 0;
+            }
+        "#,
+        ),
+    ];
+    let mut programs: Vec<(String, String, Vec<Vec<u8>>)> = unit_programs
+        .iter()
+        .map(|(name, src)| {
+            (
+                name.to_string(),
+                src.to_string(),
+                vec![Vec::new(), b"x".to_vec()],
+            )
+        })
+        .collect();
+    for spec in catalog() {
+        let target = build(&spec);
+        let seed = target.seeds.first().cloned().unwrap_or_default();
+        programs.push((spec.name.clone(), target.src, vec![Vec::new(), seed]));
+    }
+    let plans = ["", "suppress@msan", "fire@ubsan:shift-out-of-bounds#1"];
+    for (name, src, inputs) in &programs {
+        let checked = minc::check(src).unwrap();
+        for ci in CompilerImpl::default_set() {
+            let bin = sancheck::compile_sanitized_for(&checked, ci);
+            for spec in plans {
+                let plan = SanFaultPlan::parse(spec).unwrap();
+                let mut session = ExecSession::new(&bin);
+                for input in inputs {
+                    for kind in SAN_KINDS.iter().chain(&SAN_KINDS) {
+                        let kept = planned_run(Some(&mut session), &bin, input, *kind, &plan);
+                        let fresh = planned_run(None, &bin, input, *kind, &plan);
+                        assert_eq!(
+                            kept, fresh,
+                            "{name}/{ci} plan `{spec}` {kind} on {input:?}: kept session \
+                             diverged from a fresh run"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
