@@ -300,22 +300,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_fuzz(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, FUZZ_FLAGS, true)?;
     let src = load_source(args)?;
-    let execs = args
-        .value("--execs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50_000);
-    let seed = args
-        .value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let max_len = args
-        .value("--max-len")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let batch_size = match args.value("--batch-size") {
-        Some(v) => v.parse().map_err(|_| format!("bad --batch-size `{v}`"))?,
-        None => 16,
-    };
+    let execs = parse_u64_flag(args, "--execs", 50_000)?;
+    let seed = parse_u64_flag(args, "--seed", 1)?;
+    let max_len = parse_u64_flag(args, "--max-len", 64)? as usize;
+    let batch_size = parse_u64_flag(args, "--batch-size", 16)? as usize;
+    if batch_size == 0 {
+        return Err("bad --batch-size `0` (must be >= 1)".into());
+    }
     let afl = CompDiffAfl::from_source_default(
         &src,
         FuzzConfig {

@@ -1,7 +1,9 @@
 //! The shared binary cache: each target's ten differential binaries are
 //! compiled and translated exactly once per campaign and shared by every
 //! worker through `Arc`s. The fuzz binary is one of them (the oracle's
-//! `fuzz_impl` build); coverage hooks attach to it at run time.
+//! `fuzz_impl` build); coverage hooks attach to it at run time. The same
+//! ten logged pipelines feed the target's unstable-code lint, so the
+//! cache hands out a [`LintTally`] with the binaries.
 //!
 //! Without this, every (target × seed-shard) job would recompile the full
 //! implementation set — `CompDiff::from_source_default` pays the frontend
@@ -18,13 +20,15 @@ use crate::faults::{panic_message, FaultKind, FaultPlan};
 use crate::CampaignTelemetry;
 use compdiff::{hash64, CompDiff, DiffConfig};
 use minc::FrontendError;
-use minc_compile::{Binary, CompilerImpl};
+use minc_compile::{Binary, CompilerImpl, RewriteLog};
 use minc_vm::BlockProgram;
-use std::collections::HashMap;
+use staticheck::Defect;
+use staticheck_ir::{LintFinding, UnstableLint};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use targets::Target;
-use telemetry::Counter;
+use telemetry::{Counter, Telemetry};
 
 /// One target, fully compiled: the differential engine over the ten
 /// implementations plus the fuzz binary, which is the engine's
@@ -76,6 +80,35 @@ impl CompiledTarget {
     }
 }
 
+/// A target's unstable-code lint as a campaign counts it: findings per
+/// defect class, plus the lint's scan time by the campaign clock. The
+/// cache builds it from the pipelines that build the target's binaries;
+/// every `done` result carries it (its JSON form is in `proto`), and the
+/// coordinator counts it once per target (`lint.findings.<defect>`,
+/// `lint.scan_us`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LintTally {
+    /// Findings per defect class.
+    pub findings: BTreeMap<Defect, u64>,
+    /// Microseconds the lint's analysis took; the ten pipelines it reads
+    /// are the binaries' and are not counted.
+    pub scan_us: u64,
+}
+
+impl LintTally {
+    /// Tallies `findings` by defect class.
+    pub fn of(findings: &[LintFinding], scan_us: u64) -> Self {
+        let mut tally = LintTally {
+            scan_us,
+            ..LintTally::default()
+        };
+        for f in findings {
+            *tally.findings.entry(f.finding.defect).or_default() += 1;
+        }
+        tally
+    }
+}
+
 /// Why a target could not be compiled.
 #[derive(Debug)]
 pub enum CacheError {
@@ -109,15 +142,28 @@ impl From<FrontendError> for CacheError {
 /// Per-target compilation slot: workers asking for the same target
 /// serialize on the slot, not on the whole cache.
 #[derive(Default)]
-struct Slot(Mutex<Option<Arc<CompiledTarget>>>);
+struct Slot(Mutex<Option<(Arc<CompiledTarget>, LintTally)>>);
 
 /// The campaign-wide compilation cache.
-#[derive(Default)]
 pub struct BinaryCache {
     slots: Mutex<HashMap<String, Arc<Slot>>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     blocks_translated: Arc<Counter>,
+    /// The clock a lint's scan time is read from.
+    clock: Arc<Telemetry>,
+}
+
+impl Default for BinaryCache {
+    fn default() -> Self {
+        BinaryCache {
+            slots: Mutex::default(),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            blocks_translated: Arc::default(),
+            clock: Telemetry::disabled(),
+        }
+    }
 }
 
 /// Locks a mutex, shrugging off poison: every write the cache makes under
@@ -136,19 +182,23 @@ impl BinaryCache {
     /// Empty cache that counts into `ctel`'s registry:
     /// `campaign.cache_hits`, `campaign.cache_misses`, and its up-front
     /// block translations into `vm.blocks_translated`, so the counts
-    /// merge like every other metric of the worker that made them.
+    /// merge like every other metric of the worker that made them. Lint
+    /// scan times are read from `ctel`'s clock; the lint itself is
+    /// counted by the coordinator, once per target.
     pub fn counting_into(ctel: &CampaignTelemetry) -> Self {
         BinaryCache {
             hits: Arc::clone(&ctel.cache_hits),
             misses: Arc::clone(&ctel.cache_misses),
             blocks_translated: Arc::clone(&ctel.blocks_translated),
+            clock: Arc::clone(&ctel.tel),
             ..BinaryCache::default()
         }
     }
 
-    /// Returns the compiled form of `target`, compiling it on first use.
-    /// Concurrent calls for the same target block until the one compile
-    /// finishes; calls for different targets proceed in parallel.
+    /// Returns the compiled form of `target` and its lint tally,
+    /// compiling and linting it on first use. Concurrent calls for the
+    /// same target block until the one compile finishes; calls for
+    /// different targets proceed in parallel.
     ///
     /// `faults`/`attempt` feed the deterministic injection harness; pass
     /// `None` (the production default) to skip it entirely.
@@ -166,16 +216,16 @@ impl BinaryCache {
         fuzz_impl: CompilerImpl,
         faults: Option<&FaultPlan>,
         attempt: u32,
-    ) -> Result<Arc<CompiledTarget>, CacheError> {
+    ) -> Result<(Arc<CompiledTarget>, LintTally), CacheError> {
         let name = target.spec.name.as_str();
         let slot = {
             let mut slots = lock_clean(&self.slots);
             Arc::clone(slots.entry(name.to_string()).or_default())
         };
         let mut guard = lock_clean(&slot.0);
-        if let Some(ct) = guard.as_ref() {
+        if let Some((ct, lint)) = guard.as_ref() {
             self.hits.inc();
-            return Ok(Arc::clone(ct));
+            return Ok((Arc::clone(ct), lint.clone()));
         }
         let injected = faults.and_then(|p| p.fire_compile(name, attempt));
         if injected == Some(FaultKind::CompileFail) {
@@ -193,10 +243,18 @@ impl BinaryCache {
                 panic!("fault plan panicked compile of `{name}` (attempt {attempt})");
             }
             let checked = minc::check(&target.src)?;
-            let binaries: Vec<Binary> = CompilerImpl::default_set()
-                .iter()
-                .map(|&ci| minc_compile::compile(&checked, ci))
-                .collect();
+            // One logged pipeline per implementation: each IR links into
+            // the oracle's binary, and the ten logs feed the lint.
+            let (binaries, logs): (Vec<Binary>, Vec<RewriteLog>) = CompilerImpl::default_set()
+                .into_iter()
+                .map(|ci| {
+                    let (ir, log) = minc_compile::optimize_logged(&checked, ci);
+                    (Binary::link(ir, ci.personality()), log)
+                })
+                .unzip();
+            let t0 = self.clock.now_micros();
+            let findings = UnstableLint::run_with_logs(&checked, &logs);
+            let lint = LintTally::of(&findings, self.clock.now_micros().saturating_sub(t0));
             // Translate for block-mode execution while we hold the slot:
             // once per binary per campaign, amortized across every job
             // and session that touches this target.
@@ -210,7 +268,7 @@ impl BinaryCache {
             // translation is the same `Arc`.
             let fuzz_binary = binaries[fuzz_impl.index()].clone();
             let fuzz_blocks = Arc::clone(&diff_blocks[fuzz_impl.index()]);
-            Ok(CompiledTarget {
+            let ct = CompiledTarget {
                 name: name.to_string(),
                 // Tag the engine with the program's content hash so
                 // campaign-wide signature dedup keys on (program, shape),
@@ -223,16 +281,17 @@ impl BinaryCache {
                 magic: target.spec.magic,
                 diff_blocks,
                 fuzz_blocks,
-            })
+            };
+            Ok((Arc::new(ct), lint))
         }));
-        let ct = match compiled {
-            Ok(Ok(ct)) => Arc::new(ct),
+        let (ct, lint) = match compiled {
+            Ok(Ok(entry)) => entry,
             Ok(Err(e)) => return Err(CacheError::Frontend(e)),
             Err(payload) => return Err(CacheError::Panic(panic_message(payload.as_ref()))),
         };
         self.blocks_translated.add(ct.block_count());
-        *guard = Some(Arc::clone(&ct));
-        Ok(ct)
+        *guard = Some((Arc::clone(&ct), lint.clone()));
+        Ok((ct, lint))
     }
 
     /// `(hits, misses)` — misses equal the number of compiles started
@@ -257,12 +316,13 @@ mod tests {
     fn compiles_once_per_target() {
         let cache = BinaryCache::new();
         let t = build(&catalog()[0]);
-        let a = cache
+        let (a, lint_a) = cache
             .get_or_compile(&t, &DiffConfig::default(), fuzz_impl(), None, 1)
             .unwrap();
-        let b = cache
+        let (b, lint_b) = cache
             .get_or_compile(&t, &DiffConfig::default(), fuzz_impl(), None, 1)
             .unwrap();
+        assert_eq!(lint_a, lint_b, "the hit hands out the compile's lint");
         assert!(
             Arc::ptr_eq(&a, &b),
             "second lookup must reuse the first compile"
@@ -281,7 +341,7 @@ mod tests {
         let cache = BinaryCache::counting_into(&ctel);
         for spec in catalog().iter().take(3) {
             let before = ctel.blocks_translated.get();
-            let ct = cache
+            let (ct, _) = cache
                 .get_or_compile(&build(spec), &DiffConfig::default(), fuzz_impl(), None, 1)
                 .unwrap();
             let i = ct
@@ -298,6 +358,37 @@ mod tests {
         }
     }
 
+    /// One logged pipeline per implementation builds exactly
+    /// `minc_compile::compile`'s binaries (uid aside) and exactly the lint
+    /// `UnstableLint::run_source` reports, on every catalog target.
+    #[test]
+    fn binaries_and_lint_equal_the_standalone_builds() {
+        let shape = |b: &Binary| {
+            format!(
+                "{:?}",
+                Binary {
+                    uid: 0,
+                    ..b.clone()
+                }
+            )
+        };
+        let cache = BinaryCache::new();
+        let lint = UnstableLint::new();
+        for spec in catalog() {
+            let t = build(&spec);
+            let (ct, tally) = cache
+                .get_or_compile(&t, &DiffConfig::default(), fuzz_impl(), None, 1)
+                .unwrap();
+            let checked = minc::check(&t.src).unwrap();
+            for (bin, ci) in ct.diff.binaries().iter().zip(CompilerImpl::default_set()) {
+                let want = minc_compile::compile(&checked, ci);
+                assert_eq!(shape(bin), shape(&want), "{} {ci}", spec.name);
+            }
+            let want = LintTally::of(&lint.run_source(&t.src).unwrap(), 0);
+            assert_eq!(tally.findings, want.findings, "{}", spec.name);
+        }
+    }
+
     #[test]
     fn concurrent_lookups_share_one_compile() {
         let cache = Arc::new(BinaryCache::new());
@@ -310,6 +401,7 @@ mod tests {
                 cache
                     .get_or_compile(&t, &DiffConfig::default(), fuzz_impl(), None, 1)
                     .unwrap()
+                    .0
             }));
         }
         let compiled: Vec<Arc<CompiledTarget>> =
@@ -340,7 +432,7 @@ mod tests {
 
         // Attempt 2 is past the rule's default count of 1: the retry
         // recompiles cleanly on the same (unpoisoned) slot.
-        let ct = cache
+        let (ct, _) = cache
             .get_or_compile(&t, &DiffConfig::default(), fuzz_impl(), Some(&plan), 2)
             .unwrap();
         assert_eq!(ct.diff.binaries().len(), 10);

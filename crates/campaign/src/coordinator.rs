@@ -33,7 +33,9 @@ use crate::state::{CampaignState, FailureKind, FailureRecord, StateError};
 use crate::stats::CampaignStats;
 use crate::telem::CampaignTelemetry;
 use crate::transport::{Procs, Threads};
-use crate::{build_telemetry, prepare, CampaignConfig, CampaignError, CampaignReport, Prepared};
+use crate::{
+    build_telemetry, prepare, CampaignConfig, CampaignError, CampaignReport, LintTally, Prepared,
+};
 use compdiff::Json;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fs::File;
@@ -240,6 +242,10 @@ struct Coordinator<'a> {
     /// Latest metric snapshot per link (a replacement worker gets a
     /// fresh link id, so dead workers' last snapshots survive).
     worker_metrics: HashMap<u64, Json>,
+    /// Per selected target: whether its lint has been counted. The
+    /// first accepted `done` carries it; [`finish`](Self::finish) lints
+    /// the rest.
+    linted: Vec<bool>,
     /// First unrecoverable error; aborts the event loop.
     fatal: Option<CampaignError>,
 }
@@ -414,6 +420,9 @@ impl Coordinator<'_> {
                     .iter()
                     .position(|t| t.spec.name == rec.target)
                     .unwrap_or(0);
+                if !std::mem::replace(&mut self.linted[ti], true) {
+                    self.ctel.record_lint(&out.lint);
+                }
                 self.emit(
                     (ti, rec.shard, 1, 0, 0),
                     "job",
@@ -894,9 +903,10 @@ impl Coordinator<'_> {
 
     /// Teardown and epilogue: drop every link still open (only a fatal
     /// error leaves any), wait for the workers, merge their metric
-    /// snapshots, then quarantine-swept accounting, the post-fuzz
-    /// sanitizer audit, the final metric readings, buffered events in
-    /// canonical order, the metrics snapshot event, and the report.
+    /// snapshots, then quarantine-swept accounting, the lint of targets
+    /// no `done` carried it for, the post-fuzz sanitizer audit, the final
+    /// metric readings, buffered events in canonical order, the metrics
+    /// snapshot event, and the report.
     /// Under a fixed clock, `elapsed` derives from the telemetry clock so
     /// the report renders byte-identically across runs and transports.
     fn finish(mut self, started_us: u64) -> Result<CampaignReport, CampaignError> {
@@ -917,11 +927,25 @@ impl Coordinator<'_> {
                 .note_skipped(&self.selected[j.target_index].spec.name, 1);
         }
 
+        // Every selected target's lint is counted once, so the snapshot
+        // carries the static-channel evidence (`lint.*`) next to the
+        // divergence counters. A target with no accepted `done` in this
+        // run — all shards replayed from the checkpoint, quarantined, or
+        // cut off by a stop — is linted here. Metrics only, no events.
+        let lint = staticheck_ir::UnstableLint::new();
+        for (t, _) in self.selected.iter().zip(&self.linted).filter(|(_, &l)| !l) {
+            let t0 = self.ctel.tel.now_micros();
+            if let Ok(findings) = lint.run_source(&t.src) {
+                let scan_us = self.ctel.tel.now_micros().saturating_sub(t0);
+                self.ctel.record_lint(&LintTally::of(&findings, scan_us));
+            }
+        }
+
         // Post-fuzz sanitizer audit: run the meta-oracle over every
         // selected target so the metrics snapshot carries the
         // sanitizer-trust evidence (`sancheck.*`) next to the divergence
-        // counters. Like the pre-fuzz lint this is metrics-only — no
-        // events — so the event stream stays byte-identical run to run.
+        // counters. Like the lint this is metrics-only — no events — so
+        // the event stream stays byte-identical run to run.
         if self.cfg.sancheck {
             let scfg = sancheck::SancheckConfig {
                 vm: self.cfg.diff_config.vm.clone(),
@@ -1037,6 +1061,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
         spawned: 0,
         pending_spawns: 0,
         worker_metrics: HashMap::new(),
+        linted: vec![false; selected.len()],
         fatal: None,
     };
     if co.outstanding == 0 {

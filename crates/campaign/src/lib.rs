@@ -6,12 +6,13 @@
 //! seed-slice) [`scheduler`] jobs and leases them out, partitioned
 //! round-robin, to N workers — threads of this process, or worker
 //! processes over a local socket; the same coordinator loop drives both
-//! (DESIGN.md §17). A [`cache::BinaryCache`] compiles each target's ten
-//! differential binaries (plus the fuzz binary) once per process, a
-//! crash-resilient [`state::CampaignState`] checkpoints each finished job
-//! to a JSONL file so a killed campaign resumes where it stopped, and a
-//! [`stats::CampaignStats`] aggregator dedups discrepancies campaign-wide
-//! by [`compdiff::signature_of`].
+//! (DESIGN.md §17). A [`cache::BinaryCache`] compiles and lints each
+//! target once per process: ten logged pipelines build the ten
+//! differential binaries, one of which is the fuzz binary, and feed the
+//! lint. A crash-resilient [`state::CampaignState`] checkpoints each
+//! finished job to a JSONL file so a killed campaign resumes where it
+//! stopped, and a [`stats::CampaignStats`] aggregator dedups
+//! discrepancies campaign-wide by [`compdiff::signature_of`].
 //!
 //! Campaigns are deterministic: each job's fuzzing RNG is seeded from
 //! `(campaign seed, target, shard)` only, so the deduped signature set is
@@ -21,12 +22,13 @@
 //! Campaigns are also *fault-tolerant*: a panicking job or compile is
 //! caught ([`worker`], [`cache`]) and becomes a structured
 //! [`state::FailureRecord`]; failed jobs are retried with deterministic
-//! backoff and repeatedly failing targets are quarantined
-//! ([`policy`]); checkpoints are fsynced per record and survive
-//! kill/resume including their failure history ([`state`]); and every
-//! recovery path is exercisable on demand through the seeded
-//! fault-injection harness ([`faults`]). A campaign with failing jobs
-//! completes with a partial-results report instead of aborting.
+//! backoff and repeatedly failing targets are quarantined ([`policy`]);
+//! a finished job counts once an fsync covers its checkpoint record
+//! (fsyncs are group-committed), and checkpoints survive kill/resume
+//! including their failure history ([`state`]); and every recovery path
+//! is exercisable on demand through the seeded fault-injection harness
+//! ([`faults`]). A campaign with failing jobs completes with a
+//! partial-results report instead of aborting.
 //!
 //! ```
 //! let report = campaign::run(&campaign::CampaignConfig {
@@ -54,10 +56,11 @@ pub mod telem;
 mod transport;
 pub mod worker;
 
-pub use cache::{BinaryCache, CacheError, CompiledTarget};
+pub use cache::{BinaryCache, CacheError, CompiledTarget, LintTally};
 pub use coordinator::run;
 pub use faults::{FaultKind, FaultPlan};
 pub use policy::{Disposition, FaultLedger, RetryPolicy};
+pub use proto::LintTallyError;
 pub use scheduler::{execs_for_shard, job_seed, retry_backoff, Decision, Job, JobResult};
 pub use state::{
     CampaignHeader, CampaignState, FailureKind, FailureRecord, JobRecord, StateError,
@@ -273,9 +276,9 @@ pub(crate) struct Prepared {
     pub(crate) policy: RetryPolicy,
 }
 
-/// The campaign preamble: target selection, the pre-fuzz lint pass,
-/// checkpoint open (create or resume), failure-history replay, and the
-/// pending-job filter.
+/// The campaign preamble: target selection, checkpoint open (create or
+/// resume), failure-history replay, and the pending-job filter. Nothing
+/// here compiles or lints: the binary cache does both, on the workers.
 pub(crate) fn prepare(
     cfg: &CampaignConfig,
     ctel: &CampaignTelemetry,
@@ -283,18 +286,6 @@ pub(crate) fn prepare(
 ) -> Result<Prepared, CampaignError> {
     let selected: Vec<Target> = select_targets(cfg)?;
     let names: Vec<String> = selected.iter().map(|t| t.spec.name.to_string()).collect();
-
-    // Pre-fuzz static pass: lint every selected target so the metrics
-    // snapshot carries the static-channel evidence (`lint.findings.*`)
-    // next to the dynamic divergence counters. Metrics only — no events —
-    // so the event stream stays byte-identical run to run.
-    let lint = staticheck_ir::UnstableLint::new();
-    for t in &selected {
-        let t0 = ctel.tel.now_micros();
-        if let Ok(findings) = lint.run_source(&t.src) {
-            ctel.record_lint(&findings, ctel.tel.now_micros().saturating_sub(t0));
-        }
-    }
 
     let header = CampaignHeader {
         seed: cfg.seed,

@@ -29,10 +29,11 @@
 //! reader never buffers an unbounded line.
 
 use crate::scheduler::{Job, JobOutput};
-use crate::{CampaignConfig, FailureKind, FaultPlan, JobRecord};
+use crate::{CampaignConfig, FailureKind, FaultPlan, JobRecord, LintTally};
 use compdiff::{hex_decode, hex_encode, Json};
 use minc_compile::CompilerImpl;
 use minc_vm::SessionStats;
+use staticheck::Defect;
 use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use targets::{Target, TargetSpec};
@@ -101,6 +102,7 @@ impl Frame {
                     ("record", out.record.to_json()),
                     ("dur_us", Json::Int(out.dur_us as i64)),
                     ("vm", vm_to_json(&out.vm)),
+                    ("lint", out.lint.to_json()),
                     ("metrics", metrics.clone()),
                 ],
             ),
@@ -166,6 +168,7 @@ impl Frame {
                     )?,
                     dur_us: u("dur_us")?,
                     vm: v.get("vm").map(vm_from_json).unwrap_or_default(),
+                    lint: LintTally::from_frame(v).map_err(|e| format!("done frame: {e}"))?,
                 },
                 metrics: metrics()?,
             },
@@ -364,6 +367,76 @@ pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), St
     Ok((cfg, targets))
 }
 
+// The `done` frame's `lint` field; public, like the tally, so that
+// tests outside the crate can check the codec.
+impl LintTally {
+    /// The `lint` object of a `done` frame:
+    /// `{"scan_us": n, "findings": {"<defect>": n, ...}}`.
+    pub fn to_json(&self) -> Json {
+        let findings = self
+            .findings
+            .iter()
+            .map(|(d, &n)| (d.to_string(), Json::Int(n as i64)))
+            .collect();
+        Json::obj(vec![
+            ("scan_us", Json::Int(self.scan_us as i64)),
+            ("findings", Json::Object(findings)),
+        ])
+    }
+
+    /// Reads the `lint` object of a `done` frame.
+    ///
+    /// # Errors
+    ///
+    /// [`LintTallyError`] when the frame has no `lint` object, a defect
+    /// name is unknown, or a count or the scan time is not a
+    /// non-negative integer.
+    pub fn from_frame(frame: &Json) -> Result<Self, LintTallyError> {
+        let lint = frame.get("lint").ok_or(LintTallyError::Missing)?;
+        let Some(Json::Object(pairs)) = lint.get("findings") else {
+            return Err(LintTallyError::Missing);
+        };
+        let count = |name: &str, v: Option<&Json>| {
+            v.and_then(Json::as_u64)
+                .ok_or_else(|| LintTallyError::BadCount(name.to_string()))
+        };
+        let mut tally = LintTally {
+            scan_us: count("scan_us", lint.get("scan_us"))?,
+            ..LintTally::default()
+        };
+        for (name, n) in pairs {
+            let defect =
+                Defect::parse(name).ok_or_else(|| LintTallyError::UnknownDefect(name.clone()))?;
+            tally.findings.insert(defect, count(name, Some(n))?);
+        }
+        Ok(tally)
+    }
+}
+
+/// Why a `done` frame's lint tally does not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LintTallyError {
+    /// The frame has no `lint` object, or the object no `findings`.
+    Missing,
+    /// A `findings` key names no defect class.
+    UnknownDefect(String),
+    /// The count of this defect class, or `scan_us`, is not a
+    /// non-negative integer.
+    BadCount(String),
+}
+
+impl std::fmt::Display for LintTallyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LintTallyError::Missing => write!(f, "missing lint tally"),
+            LintTallyError::UnknownDefect(d) => write!(f, "unknown lint defect `{d}`"),
+            LintTallyError::BadCount(k) => write!(f, "bad lint count for `{k}`"),
+        }
+    }
+}
+
+impl std::error::Error for LintTallyError {}
+
 /// The `done` frame's VM-statistics fields, by wire name.
 fn vm_fields(vm: &mut SessionStats) -> [(&'static str, &mut u64); 9] {
     [
@@ -462,6 +535,10 @@ mod tests {
                         block_cache_hits: 9,
                         ..SessionStats::default()
                     },
+                    lint: LintTally {
+                        findings: [(staticheck::Defect::IntegerOverflow, 2)].into(),
+                        scan_us: 4,
+                    },
                 },
                 metrics: metrics.clone(),
             },
@@ -480,6 +557,13 @@ mod tests {
             let wire = Json::parse(&f.to_json().render()).unwrap();
             let back = Frame::from_json(&wire).unwrap();
             assert_eq!(format!("{back:?}"), format!("{f:?}"));
+            // A `done` frame without its lint tally is refused, never
+            // read as an empty lint (tests/proto.rs covers bad tallies).
+            if let (Frame::Done { .. }, Json::Object(mut fields)) = (&f, wire) {
+                fields.retain(|(k, _)| k != "lint");
+                let err = Frame::from_json(&Json::Object(fields)).unwrap_err();
+                assert_eq!(err, "done frame: missing lint tally");
+            }
         }
         assert!(Frame::from_json(&tagged("nope")).is_err());
         assert!(Frame::from_json(&tagged("done")).is_err(), "missing fields");

@@ -9,7 +9,7 @@
 //! signature set is the order-independent union of its jobs' sets, so N
 //! workers and 1 worker produce identical results.
 
-use crate::cache::CompiledTarget;
+use crate::cache::{CompiledTarget, LintTally};
 use crate::faults::FaultKind;
 use crate::state::{FailureKind, JobRecord};
 use crate::telem::{CampaignTelemetry, DiffTelemetry, FuzzTelemetry};
@@ -44,6 +44,10 @@ pub struct JobOutput {
     pub dur_us: u64,
     /// Summed VM statistics across the job's differential sessions.
     pub vm: SessionStats,
+    /// The target's lint, as the binary cache built it (filled in by the
+    /// worker; empty as [`run_job`] returns it). The coordinator counts
+    /// the first accepted one per target.
+    pub lint: LintTally,
 }
 
 /// A failed job attempt, already converted to structured data — panic
@@ -139,6 +143,11 @@ struct DiffOracle<'a> {
     oracle_execs: &'a mut u64,
     divergent: &'a mut u64,
     obs: DiffTelemetry<'a>,
+    /// The engine index the fuzz binary reproduces
+    /// ([`CompDiff::reusable_index`](compdiff::CompDiff::reusable_index)):
+    /// each fuzz run stands in for that binary's, and the sweep runs the
+    /// other `k - 1`. `None` runs all `k`.
+    reused: Option<usize>,
 }
 
 impl DiffOracle<'_> {
@@ -153,19 +162,19 @@ impl DiffOracle<'_> {
 }
 
 impl Oracle for DiffOracle<'_> {
-    fn examine(&mut self, input: &[u8], _result: &ExecResult) -> bool {
-        let outcome: DiffOutcome =
-            self.diff
-                .run_input_observed(self.sessions, input, &mut self.obs);
-        *self.oracle_execs += self.diff.binaries().len() as u64;
-        self.verdict(&outcome, input)
+    fn examine(&mut self, input: &[u8], result: &ExecResult) -> bool {
+        self.examine_batch(&[(input.to_vec(), result.clone())])[0]
     }
 
     fn examine_batch(&mut self, items: &[(Vec<u8>, ExecResult)]) -> Vec<bool> {
         let inputs: Vec<&[u8]> = items.iter().map(|(i, _)| i.as_slice()).collect();
+        let reused = self
+            .reused
+            .map(|i| (i, items.iter().map(|(_, r)| r.clone()).collect()));
         let outcomes = self
             .diff
-            .run_batch_observed(self.sessions, &inputs, &mut self.obs);
+            .run_batch_reusing(self.sessions, &inputs, reused, &mut self.obs);
+        // The reused run counts as the oracle's: k per examined input.
         *self.oracle_execs += (self.diff.binaries().len() * items.len()) as u64;
         outcomes
             .iter()
@@ -257,8 +266,10 @@ pub fn run_job(
     let mut oracle_execs = 0u64;
     let mut divergent = 0u64;
     let mut sessions = ct.diff_sessions();
+    let fuzz_vm = cfg.diff_config.vm.clone();
+    let reused = ct.diff.reusable_index(&ct.fuzz_binary, &fuzz_vm);
     let stats = Fuzzer::new(
-        BinaryTarget::new(&ct.fuzz_binary, cfg.diff_config.vm.clone())
+        BinaryTarget::new(&ct.fuzz_binary, fuzz_vm)
             .with_block_program(std::sync::Arc::clone(&ct.fuzz_blocks)),
         DiffOracle {
             diff: &ct.diff,
@@ -267,6 +278,7 @@ pub fn run_job(
             oracle_execs: &mut oracle_execs,
             divergent: &mut divergent,
             obs: ctel.diff_observer(),
+            reused,
         },
         FuzzConfig {
             max_execs,
@@ -310,6 +322,7 @@ pub fn run_job(
         },
         dur_us,
         vm,
+        lint: LintTally::default(),
     })
 }
 

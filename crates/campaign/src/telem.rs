@@ -59,7 +59,10 @@ pub struct CampaignTelemetry {
     pub cache_hits: Arc<Counter>,
     /// `campaign.cache_misses` — compiles performed.
     pub cache_misses: Arc<Counter>,
-    /// `lint.scan_us` — per-target pre-fuzz unstable-code lint latency.
+    /// `lint.scan_us` — per-target unstable-code lint latency, one
+    /// sample per selected target: the lint's analysis where the binary
+    /// cache ran it (its pipelines are the binaries'), the whole
+    /// `run_source` where the coordinator lints a target at the end.
     pub lint_scan_us: Arc<Histogram>,
     /// `sancheck.scan_us` — per-target post-fuzz sanitizer-audit latency.
     pub sancheck_scan_us: Arc<Histogram>,
@@ -201,16 +204,15 @@ impl CampaignTelemetry {
         self.loader_skips.add(vm.loader_skips);
     }
 
-    /// Records one pre-fuzz lint scan: its duration plus one count per
-    /// reported defect class (`lint.findings.<defect>`). Counters are
-    /// resolved by name so only defect classes that were actually
-    /// reported appear in the registry snapshot.
-    pub fn record_lint(&self, findings: &[staticheck_ir::LintFinding], scan_us: u64) {
-        self.lint_scan_us.record(scan_us);
+    /// Records one target's lint: its scan time plus its findings per
+    /// defect class (`lint.findings.<defect>`). Counters are resolved by
+    /// name so only defect classes that were actually reported appear in
+    /// the registry snapshot.
+    pub fn record_lint(&self, lint: &crate::LintTally) {
+        self.lint_scan_us.record(lint.scan_us);
         let r = self.tel.registry();
-        for f in findings {
-            r.counter(&format!("lint.findings.{}", f.finding.defect))
-                .add(1);
+        for (defect, &n) in &lint.findings {
+            r.counter(&format!("lint.findings.{defect}")).add(n);
         }
     }
 

@@ -16,7 +16,7 @@
 
 use crate::faults::{panic_message, FaultKind};
 use crate::proto::{frame_type, parse_config, read_frame, tagged, write_frame, Frame};
-use crate::scheduler::{run_job, Job};
+use crate::scheduler::{run_job, Job, JobOutput};
 use crate::state::FailureKind;
 use crate::{BinaryCache, CampaignConfig, CampaignTelemetry};
 use compdiff::Json;
@@ -135,7 +135,7 @@ fn attempt(
         }
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let ct = w
+        let (ct, lint) = w
             .cache
             .get_or_compile(
                 target,
@@ -145,7 +145,7 @@ fn attempt(
                 job.attempt,
             )
             .map_err(|e| (FailureKind::Compile, e.to_string()))?;
-        run_job(&ct, &w.cfg, job, &mut heartbeat, ctel)
+        run_job(&ct, &w.cfg, job, &mut heartbeat, ctel).map(|out| JobOutput { lint, ..out })
     }));
     let metrics = w.snapshot();
     let (kind, message) = match result {

@@ -1,10 +1,12 @@
 //! Campaign-level guarantees: worker-count-independent results,
 //! multi-worker byte determinism, batch-size-independent findings,
-//! kill/resume equivalence, worker-thread death recovery, and the
-//! block-backend guarantee for generated (dir-source) targets.
+//! kill/resume equivalence, worker-thread death recovery, each target
+//! linted exactly once, and the block-backend guarantee for generated
+//! (dir-source) targets.
 
 use campaign::{CampaignConfig, CampaignState, FailureKind, FaultPlan, StateError};
 use compdiff::Json;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -259,6 +261,127 @@ fn batch_size_does_not_change_results() {
         !single.signatures().is_empty(),
         "catalog targets must yield discrepancies"
     );
+}
+
+/// A campaign's `lint.*` metrics: the `lint.findings.<defect>` counters,
+/// and how many scans `lint.scan_us` recorded.
+fn lint_metrics(metrics: &Json) -> (BTreeMap<String, u64>, u64) {
+    let findings = match metrics.get("counters") {
+        Some(Json::Object(pairs)) => pairs
+            .iter()
+            .filter(|(k, _)| k.starts_with("lint."))
+            .map(|(k, v)| (k.clone(), v.as_u64().unwrap()))
+            .collect(),
+        _ => BTreeMap::new(),
+    };
+    let scans = metrics
+        .get("histograms")
+        .and_then(|h| h.get("lint.scan_us"))
+        .and_then(|h| h.get("count"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    (findings, scans)
+}
+
+/// What linting each named catalog target once gives: the
+/// `UnstableLint::run_source` findings by defect, and one scan a target.
+fn linted_once(names: &[&str]) -> (BTreeMap<String, u64>, u64) {
+    let lint = staticheck_ir::UnstableLint::new();
+    let mut findings = BTreeMap::new();
+    for name in names {
+        let spec = targets::catalog()
+            .into_iter()
+            .find(|s| s.name == *name)
+            .unwrap();
+        for f in lint.run_source(&targets::build(&spec).src).unwrap() {
+            *findings
+                .entry(format!("lint.findings.{}", f.finding.defect))
+                .or_default() += 1;
+        }
+    }
+    (findings, names.len() as u64)
+}
+
+/// Every selected target's lint is counted exactly once, whichever path
+/// counts it: the first `done` of the target on one or two worker
+/// threads or two worker processes, or the coordinator's own lint at the
+/// end for a target with no `done` in the run — one the checkpoint
+/// replayed whole, or one quarantined because it never compiles.
+#[test]
+fn each_target_is_linted_exactly_once() {
+    let names = ["readelf", "brotli"];
+    let want = linted_once(&names);
+    assert!(!want.0.is_empty(), "the targets have lint findings");
+    let base = CampaignConfig {
+        execs_per_target: 60,
+        shards_per_target: 2,
+        seed: 11,
+        target_filter: Some(names.map(String::from).to_vec()),
+        ..Default::default()
+    };
+    let quarantining = CampaignConfig {
+        workers: 2,
+        fault_plan: Some(Arc::new(
+            FaultPlan::parse("fail@compile:brotli*inf", 11).unwrap(),
+        )),
+        ..base.clone()
+    };
+    for (label, cfg) in [
+        (
+            "1 thread",
+            CampaignConfig {
+                workers: 1,
+                ..base.clone()
+            },
+        ),
+        (
+            "2 threads",
+            CampaignConfig {
+                workers: 2,
+                ..base.clone()
+            },
+        ),
+        (
+            "2 processes",
+            CampaignConfig {
+                workers_proc: Some(2),
+                worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_compdiff"))),
+                ..base.clone()
+            },
+        ),
+        ("quarantine", quarantining),
+    ] {
+        let report = campaign::run(&cfg).unwrap();
+        assert_eq!(lint_metrics(&report.metrics), want, "{label}");
+        if label == "quarantine" {
+            assert!(report.stats.quarantined.contains("brotli"));
+        }
+    }
+
+    // Killed after readelf's two shards (one worker runs the jobs in
+    // target order): the resume replays readelf and never runs it.
+    let dir = temp_dir("lint-once");
+    let checkpointed = CampaignConfig {
+        workers: 1,
+        checkpoint_dir: Some(dir.clone()),
+        ..base
+    };
+    let killed = campaign::run(&CampaignConfig {
+        stop_after_jobs: Some(2),
+        ..checkpointed.clone()
+    })
+    .unwrap();
+    assert!(killed.aborted);
+    assert_eq!(lint_metrics(&killed.metrics), want, "killed run");
+    let resumed = campaign::run(&CampaignConfig {
+        resume: true,
+        ..checkpointed
+    })
+    .unwrap();
+    assert!(resumed.stats.is_complete());
+    assert!(resumed.stats.jobs_resumed >= 2, "readelf was replayed");
+    assert_eq!(lint_metrics(&resumed.metrics), want, "resumed run");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 fn counter(metrics: &Json, name: &str) -> i64 {

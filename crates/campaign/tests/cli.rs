@@ -116,3 +116,26 @@ fn unknown_flags_are_rejected_by_name() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+#[test]
+fn malformed_fuzz_numbers_are_rejected_by_name() {
+    let path = program("fuzz-numbers");
+    let p = path.to_str().unwrap();
+    for (flag, value) in [
+        ("--execs", "abc"),
+        ("--seed", "q"),
+        ("--max-len", "zz"),
+        ("--batch-size", "x"),
+        ("--batch-size", "0"),
+    ] {
+        let out = compdiff(&["fuzz", p, flag, value]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad {flag} `{value}`")),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} {value} ran anyway");
+    }
+    std::fs::remove_file(&path).unwrap();
+}

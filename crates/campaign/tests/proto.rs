@@ -3,9 +3,11 @@
 //! in-process `--workers 1`, byte for byte), N-process determinism,
 //! worker-death and dropped-connection recovery, coordinator
 //! kill/resume, the single-checkpoint-writer guarantee across
-//! processes, and the live status endpoint.
+//! processes, the live status endpoint, and the `done` frame's lint
+//! tally codec.
 
 use campaign::{CampaignConfig, CampaignReport, CampaignState, FailureKind, FaultPlan};
+use campaign::{LintTally, LintTallyError};
 use compdiff::Json;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -408,4 +410,55 @@ fn status_endpoint_reports_progress() {
     let report = campaign_thread.join().unwrap();
     assert_eq!(report.stats.jobs_done, 2);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `done` frame carries its target's lint tally: the tally survives
+/// the wire form, and a frame whose tally is missing, names an unknown
+/// defect class, or holds a count that is not a non-negative integer is
+/// refused with a typed error rather than read as an empty lint.
+#[test]
+fn done_frame_lint_tally_roundtrips_and_refuses_malformed_tallies() {
+    let readelf = targets::catalog()
+        .into_iter()
+        .find(|s| s.name == "readelf")
+        .unwrap();
+    let findings = staticheck_ir::UnstableLint::new()
+        .run_source(&targets::build(&readelf).src)
+        .unwrap();
+    let tally = LintTally::of(&findings, 17);
+    assert!(!tally.findings.is_empty(), "readelf has lint findings");
+    let frame = Json::obj(vec![
+        ("t", Json::Str("done".to_string())),
+        ("lint", tally.to_json()),
+    ]);
+    let wire = Json::parse(&frame.render()).unwrap();
+    assert_eq!(LintTally::from_frame(&wire), Ok(tally));
+
+    let done_with = |lint: &str| Json::parse(&format!(r#"{{"t":"done","lint":{lint}}}"#)).unwrap();
+    let missing = Json::parse(r#"{"t":"done"}"#).unwrap();
+    assert_eq!(
+        LintTally::from_frame(&missing),
+        Err(LintTallyError::Missing)
+    );
+    for (lint, want) in [
+        (r#"{"scan_us":3}"#, LintTallyError::Missing),
+        (
+            r#"{"scan_us":3,"findings":{"off-by-one":1}}"#,
+            LintTallyError::UnknownDefect("off-by-one".to_string()),
+        ),
+        (
+            r#"{"scan_us":3,"findings":{"bad-shift":1.5}}"#,
+            LintTallyError::BadCount("bad-shift".to_string()),
+        ),
+        (
+            r#"{"scan_us":3,"findings":{"bad-shift":"2"}}"#,
+            LintTallyError::BadCount("bad-shift".to_string()),
+        ),
+        (
+            r#"{"scan_us":-1,"findings":{}}"#,
+            LintTallyError::BadCount("scan_us".to_string()),
+        ),
+    ] {
+        assert_eq!(LintTally::from_frame(&done_with(lint)), Err(want), "{lint}");
+    }
 }

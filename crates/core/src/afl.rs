@@ -2,7 +2,9 @@
 //!
 //! AFL++'s core loop is untouched; CompDiff attaches as the extra oracle
 //! that runs every generated input on the `k` differential binaries and
-//! saves discrepancy-triggering inputs to the `diffs/` store.
+//! saves discrepancy-triggering inputs to the `diffs/` store. By default
+//! B_fuzz is one of those binaries, so the fuzz run is that binary's run
+//! and the oracle executes the other `k - 1`.
 
 use crate::differ::{CompDiff, DiffConfig};
 use crate::report::DiffStore;
@@ -21,6 +23,10 @@ use std::rc::Rc;
 pub struct CompDiffOracle {
     diff: Rc<CompDiff>,
     sessions: Vec<ExecSession>,
+    /// The engine index B_fuzz reproduces ([`CompDiff::reusable_index`]):
+    /// the fuzz run stands in for that binary's, and the sweep runs the
+    /// other `k - 1`. `None` runs all `k`.
+    reused: Option<usize>,
     store: Rc<RefCell<DiffStore>>,
     /// Executions performed by the oracle (k per examined input).
     pub oracle_execs: Rc<RefCell<u64>>,
@@ -54,15 +60,19 @@ impl CompDiffOracle {
 }
 
 impl Oracle for CompDiffOracle {
-    fn examine(&mut self, input: &[u8], _result: &ExecResult) -> bool {
-        let outcome = self.diff.run_input_sessions(&mut self.sessions, input);
-        *self.oracle_execs.borrow_mut() += self.diff.binaries().len() as u64;
-        self.verdict(&outcome, input)
+    fn examine(&mut self, input: &[u8], result: &ExecResult) -> bool {
+        self.examine_batch(&[(input.to_vec(), result.clone())])[0]
     }
 
     fn examine_batch(&mut self, items: &[(Vec<u8>, ExecResult)]) -> Vec<bool> {
         let inputs: Vec<&[u8]> = items.iter().map(|(i, _)| i.as_slice()).collect();
-        let outcomes = self.diff.run_batch_sessions(&mut self.sessions, &inputs);
+        let reused = self
+            .reused
+            .map(|i| (i, items.iter().map(|(_, r)| r.clone()).collect()));
+        let outcomes = self
+            .diff
+            .run_batch_reusing(&mut self.sessions, &inputs, reused, &mut ());
+        // The reused run counts as the oracle's: k per examined input.
         *self.oracle_execs.borrow_mut() += (self.diff.binaries().len() * items.len()) as u64;
         outcomes
             .iter()
@@ -90,13 +100,15 @@ pub struct CompDiffAflStats {
 
 /// A configured CompDiff-AFL++ instance.
 pub struct CompDiffAfl {
-    /// The fuzz binary (B_fuzz, coverage-instrumented like normal AFL++).
+    /// The fuzz binary (B_fuzz). Coverage hooks attach when it runs; the
+    /// binary itself is a plain build.
     pub fuzz_binary: Binary,
     /// The differential engine over the `k` binaries B_i.
     pub diff: Rc<CompDiff>,
     /// Fuzzer configuration.
     pub fuzz_config: FuzzConfig,
-    /// Fuzz-binary execution limits.
+    /// Fuzz-binary execution limits. While they equal the oracle's and
+    /// B_fuzz is one of its binaries, the oracle reuses every fuzz run.
     pub vm: VmConfig,
     /// Enable divergence-as-feedback (§5 future work; off = the paper's
     /// base design).
@@ -106,7 +118,9 @@ pub struct CompDiffAfl {
 impl CompDiffAfl {
     /// Builds B_fuzz with `fuzz_impl` and the differential set with
     /// `impls`, from the same source (the paper's default: B_fuzz is the
-    /// fuzzer-configured compiler; B_i are gcc/clang × O0..Os).
+    /// fuzzer-configured compiler; B_i are gcc/clang × O0..Os). When
+    /// `fuzz_impl` is in `impls`, B_fuzz is a clone (same `uid`) of the
+    /// oracle's build of it, so the oracle can reuse every fuzz run.
     ///
     /// # Errors
     ///
@@ -119,11 +133,14 @@ impl CompDiffAfl {
         diff_config: DiffConfig,
     ) -> Result<Self, FrontendError> {
         let checked = minc::check(src)?;
-        let fuzz_binary = minc_compile::compile(&checked, fuzz_impl);
         let binaries: Vec<Binary> = impls
             .iter()
             .map(|&i| minc_compile::compile(&checked, i))
             .collect();
+        let fuzz_binary = match impls.iter().position(|&i| i == fuzz_impl) {
+            Some(i) => binaries[i].clone(),
+            None => minc_compile::compile(&checked, fuzz_impl),
+        };
         let vm = diff_config.vm.clone();
         Ok(CompDiffAfl {
             fuzz_binary,
@@ -166,6 +183,7 @@ impl CompDiffAfl {
         let oracle_execs = Rc::new(RefCell::new(0u64));
         let oracle = CompDiffOracle {
             sessions: self.diff.make_sessions(),
+            reused: self.diff.reusable_index(&self.fuzz_binary, &self.vm),
             diff: Rc::clone(&self.diff),
             store: Rc::clone(&store),
             oracle_execs: Rc::clone(&oracle_execs),
@@ -224,6 +242,71 @@ mod tests {
         let rep = &stats.store.reports()[0];
         assert_eq!(&rep.input[..2], b"UB");
         assert!(stats.oracle_execs >= 10);
+    }
+
+    /// B_fuzz is the oracle's clang-O1 build, and reusing its runs finds
+    /// exactly what running all ten binaries finds.
+    #[test]
+    fn reusing_the_fuzz_run_changes_no_finding() {
+        let src = r#"
+            int main() {
+                char b[8];
+                long n = read_input(b, 8L);
+                if (n >= 2 && b[0] == 'U' && b[1] == 'B') {
+                    int u;
+                    printf("value %d\n", u);
+                }
+                printf("end\n");
+                return 0;
+            }
+        "#;
+        let make = || {
+            CompDiffAfl::from_source_default(
+                src,
+                FuzzConfig {
+                    max_execs: 4_000,
+                    seed: 2,
+                    ..Default::default()
+                },
+                DiffConfig::default(),
+            )
+            .unwrap()
+        };
+        let reusing = make();
+        let o1 = CompilerImpl::parse("clang-O1").unwrap();
+        let i = reusing.diff.impls().iter().position(|&c| c == o1).unwrap();
+        assert_eq!(reusing.fuzz_binary.uid, reusing.diff.binaries()[i].uid);
+        assert_eq!(
+            reusing
+                .diff
+                .reusable_index(&reusing.fuzz_binary, &reusing.vm),
+            Some(i)
+        );
+        // A separately linked B_fuzz is not the oracle's: all ten run.
+        let mut all_ten = make();
+        all_ten.fuzz_binary = minc_compile::compile_source(src, o1).unwrap();
+        assert_eq!(
+            all_ten
+                .diff
+                .reusable_index(&all_ten.fuzz_binary, &all_ten.vm),
+            None
+        );
+
+        let seeds = [b"XXXX".to_vec()];
+        let (a, b) = (reusing.run(&seeds), all_ten.run(&seeds));
+        assert!(
+            !a.store.reports().is_empty(),
+            "the gated divergence is found"
+        );
+        assert_eq!(
+            format!("{:?}", a.store.reports()),
+            format!("{:?}", b.store.reports())
+        );
+        assert_eq!(
+            a.oracle_execs, b.oracle_execs,
+            "k per examined input either way"
+        );
+        assert_eq!(format!("{:?}", a.campaign), format!("{:?}", b.campaign));
     }
 
     #[test]

@@ -54,8 +54,10 @@ pub struct DiffOutcome {
 /// Observer seam for per-execution instrumentation of a differential
 /// run. The engine itself stays dependency-free: a telemetry layer (or a
 /// test) implements this trait and receives one `exec_begin`/`exec_end`
-/// pair per binary execution — including timeout-escalation re-runs —
-/// plus the classified outcome.
+/// pair per binary execution the engine performs — including
+/// timeout-escalation re-runs, excluding results a caller handed in
+/// ([`run_batch_reusing`](CompDiff::run_batch_reusing)) — plus the
+/// classified outcome.
 pub trait DiffObserver {
     /// About to run implementation `impl_idx`; `escalation_round` is 0
     /// for the initial sweep and `1..=timeout_escalations` for re-runs.
@@ -301,6 +303,50 @@ impl CompDiff {
         inputs: &[I],
         obs: &mut impl DiffObserver,
     ) -> Vec<DiffOutcome> {
+        self.run_batch_reusing(sessions, inputs, None, obs)
+    }
+
+    /// The engine index whose result on every input is `binary`'s result
+    /// under `vm`: `binary` is that engine binary (same `uid`) and `vm` is
+    /// this engine's [`VmConfig`]. A fuzzer whose B_fuzz qualifies already
+    /// holds that implementation's result for every input it hands the
+    /// oracle, and can pass them to
+    /// [`run_batch_reusing`](CompDiff::run_batch_reusing).
+    pub fn reusable_index(&self, binary: &Binary, vm: &VmConfig) -> Option<usize> {
+        if *vm != self.config.vm {
+            return None;
+        }
+        self.binaries.iter().position(|b| b.uid == binary.uid)
+    }
+
+    /// [`run_batch_observed`](CompDiff::run_batch_observed) for a caller
+    /// that may already hold one binary's results: `reused` is `(index,
+    /// results)`, with `results[j]` that engine binary's result on
+    /// `inputs[j]` as a run under this engine's [`VmConfig`] returns it
+    /// (see [`reusable_index`](CompDiff::reusable_index)). The sweep then
+    /// runs only the other binaries. Digests, bisection and escalation
+    /// are unchanged — a reused timeout is re-run by escalation like any
+    /// other — so the outcomes are bit-for-bit those of
+    /// `run_batch_observed`, which is this call with `reused` `None`.
+    /// `exec_begin`/`exec_end` fire only for the executions this call
+    /// performs: the reused binary appears only in escalation re-runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sessions.len()` differs from the number of binaries, or
+    /// the reused index is out of range or its results do not match
+    /// `inputs` one to one.
+    pub fn run_batch_reusing<I: AsRef<[u8]>>(
+        &self,
+        sessions: &mut [ExecSession],
+        inputs: &[I],
+        mut reused: Option<(usize, Vec<ExecResult>)>,
+        obs: &mut impl DiffObserver,
+    ) -> Vec<DiffOutcome> {
+        if let Some((i, results)) = &reused {
+            assert!(*i < self.binaries.len(), "reused index out of range");
+            assert_eq!(results.len(), inputs.len(), "one reused result per input");
+        }
         assert_eq!(
             sessions.len(),
             self.binaries.len(),
@@ -318,6 +364,11 @@ impl CompDiff {
         let mut digests: Vec<u64> = Vec::with_capacity(k * n);
         let mut scratch: Vec<u8> = Vec::new();
         for (i, (b, s)) in self.binaries.iter().zip(sessions.iter_mut()).enumerate() {
+            if let Some((_, given)) = reused.take_if(|(r, _)| *r == i) {
+                digests.extend(given.iter().map(|r| self.hash_observable(r, &mut scratch)));
+                rows.push(given);
+                continue;
+            }
             let mut row = Vec::with_capacity(n);
             for input in inputs {
                 obs.exec_begin(i, 0);
@@ -830,6 +881,69 @@ mod tests {
         assert!(out.iter().all(|o| !o.divergent && !o.unresolved_timeout));
         assert_eq!(obs.batches, vec![(2, 2)], "both inputs hit escalation");
         assert_batch_matches_single(&diff, &inputs);
+    }
+
+    /// Records which implementation each execution ran.
+    #[derive(Default)]
+    struct ExecLog(Vec<usize>);
+
+    impl DiffObserver for ExecLog {
+        fn exec_end(&mut self, i: usize, _r: &ExecResult, _round: u32) {
+            self.0.push(i);
+        }
+    }
+
+    /// Handing in one binary's results runs only the other binaries and
+    /// changes no outcome.
+    #[test]
+    fn reused_results_stand_in_for_one_binary() {
+        let diff = edge_case_engine();
+        let inputs = vec![b"ok".to_vec(), b"!a".to_vec(), b"#!".to_vec()];
+        let full = diff.run_batch_observed(&mut diff.make_sessions(), &inputs, &mut ());
+        let k = diff.binaries().len();
+        for reused in [0, k / 2, k - 1] {
+            let bin = &diff.binaries()[reused];
+            let mut own = ExecSession::new(bin);
+            let given = inputs
+                .iter()
+                .map(|i| own.run(bin, i, &diff.config.vm))
+                .collect();
+            let mut log = ExecLog::default();
+            let reusing = diff.run_batch_reusing(
+                &mut diff.make_sessions(),
+                &inputs,
+                Some((reused, given)),
+                &mut log,
+            );
+            for (j, (a, b)) in reusing.iter().zip(&full).enumerate() {
+                assert_eq!(a.results, b.results, "reused {reused}, input {j}");
+                assert_eq!(a.hashes, b.hashes, "reused {reused}, input {j}");
+                assert_eq!(a.classes, b.classes, "reused {reused}, input {j}");
+                assert_eq!(a.divergent, b.divergent, "reused {reused}, input {j}");
+            }
+            assert_eq!(log.0.len(), (k - 1) * inputs.len(), "reused {reused}");
+            assert!(!log.0.contains(&reused), "reused {reused} ran");
+        }
+    }
+
+    #[test]
+    fn only_the_same_binary_under_the_same_limits_is_reusable() {
+        let diff = edge_case_engine();
+        let vm = VmConfig::default();
+        for (i, b) in diff.binaries().iter().enumerate() {
+            assert_eq!(diff.reusable_index(b, &vm), Some(i));
+            let tighter = VmConfig {
+                step_limit: vm.step_limit / 2,
+                ..vm.clone()
+            };
+            assert_eq!(diff.reusable_index(b, &tighter), None);
+        }
+        // Identity is the `uid`: an equal build linked apart is not reused.
+        let relinked = Binary {
+            uid: u64::MAX,
+            ..diff.binaries()[0].clone()
+        };
+        assert_eq!(diff.reusable_index(&relinked, &vm), None);
     }
 
     #[test]

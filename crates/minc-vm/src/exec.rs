@@ -26,7 +26,7 @@ use minc_compile::ir::*;
 use minc_compile::Binary;
 
 /// Execution limits.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmConfig {
     /// Maximum IR instructions to execute before reporting a timeout.
     pub step_limit: u64,

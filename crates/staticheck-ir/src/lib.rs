@@ -167,8 +167,6 @@ impl UnstableLint {
             }
         }
 
-        let defect_by_name: BTreeMap<String, Defect> =
-            all_defects().iter().map(|d| (d.to_string(), *d)).collect();
         merged
             .into_iter()
             .map(|((line, defect_name), mut slot)| {
@@ -176,7 +174,7 @@ impl UnstableLint {
                 LintFinding {
                     finding: Finding::new(
                         Tool::CompdiffLint,
-                        defect_by_name[&defect_name],
+                        Defect::parse(&defect_name).expect("keys are defect names"),
                         Span::new(0, 0, line),
                         slot.message,
                     ),
@@ -225,26 +223,6 @@ pub fn provenance_defect(reason: UbReason) -> Defect {
         UbReason::UninitPromotion => Defect::Uninitialized,
         UbReason::UnrollTripCount => Defect::MiscompiledLoop,
     }
-}
-
-fn all_defects() -> &'static [Defect] {
-    &[
-        Defect::OutOfBounds,
-        Defect::Uninitialized,
-        Defect::DivByZero,
-        Defect::IntegerOverflow,
-        Defect::UseAfterFree,
-        Defect::DoubleFree,
-        Defect::BadFree,
-        Defect::NullDeref,
-        Defect::BadApiUsage,
-        Defect::FormatMismatch,
-        Defect::PointerCompare,
-        Defect::PointerSubtraction,
-        Defect::BadShift,
-        Defect::MissingReturn,
-        Defect::MiscompiledLoop,
-    ]
 }
 
 /// Renders findings one per line, deterministically — the shape both the

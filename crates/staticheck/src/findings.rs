@@ -36,7 +36,7 @@ impl fmt::Display for Tool {
 
 /// Defect categories the analyzers report. The Juliet harness maps these
 /// onto CWE groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Defect {
     /// Out-of-bounds read/write (stack or heap).
     OutOfBounds,
@@ -70,6 +70,32 @@ pub enum Defect {
     /// count (the seeded RQ2 miscompilation; only the IR lint's rewrite
     /// provenance channel can report this).
     MiscompiledLoop,
+}
+
+impl Defect {
+    /// Every defect class, in declaration order.
+    pub const ALL: [Defect; 15] = [
+        Defect::OutOfBounds,
+        Defect::Uninitialized,
+        Defect::DivByZero,
+        Defect::IntegerOverflow,
+        Defect::UseAfterFree,
+        Defect::DoubleFree,
+        Defect::BadFree,
+        Defect::NullDeref,
+        Defect::BadApiUsage,
+        Defect::FormatMismatch,
+        Defect::PointerCompare,
+        Defect::PointerSubtraction,
+        Defect::BadShift,
+        Defect::MissingReturn,
+        Defect::MiscompiledLoop,
+    ];
+
+    /// The defect class whose [`Display`](fmt::Display) name is `name`.
+    pub fn parse(name: &str) -> Option<Defect> {
+        Defect::ALL.into_iter().find(|d| d.to_string() == name)
+    }
 }
 
 impl fmt::Display for Defect {

@@ -101,6 +101,15 @@ cmp "$pcamp_ra" "$pcamp_rb"
 cmp "$pcamp_a" "$pcamp_b"
 grep -q '"campaign.leases_granted":[1-9]' "$pcamp_a"
 
+echo "== lint counted once per target (1 thread, 2 threads, 2 processes) =="
+# Each target is linted where its binaries are built, and the coordinator
+# counts the lint once per target, so the `lint.` fields of the three
+# campaigns' final metrics lines above must be equal.
+lint_fields() { tail -n 1 "$1" | grep -o '"lint\.[^"]*":\({[^}]*}\|[0-9]*\)'; }
+grep -q '"lint.scan_us":{"count":2,' "$camp_a"
+diff <(lint_fields "$camp_a") <(lint_fields "$tcamp_a")
+diff <(lint_fields "$camp_a") <(lint_fields "$pcamp_a")
+
 echo "== multi-process campaign dropped-connection smoke (must exit 0 with partial results) =="
 # Every lease grant's connection is severed (drop@conn:any*inf) with
 # retries off: the coordinator must reclaim each lost lease, quarantine
