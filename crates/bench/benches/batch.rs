@@ -4,10 +4,11 @@
 //! fixed 64-input stream (deterministic mutations of the target's seeds)
 //! in three configurations:
 //!
-//! * `batch1`  — the pre-batching shape: `run_input_sessions` per input;
-//! * `batch16` — `run_batch_sessions` over 16-input chunks (the fuzzer's
+//! * `batch1`  — one-input sweeps: `run_input_observed` per input (the
+//!   `--batch-size 1` shape);
+//! * `batch16` — `run_batch_observed` over 16-input chunks (the fuzzer's
 //!   default `--batch-size`);
-//! * `batch64` — one `run_batch_sessions` sweep over the whole stream.
+//! * `batch64` — one `run_batch_observed` sweep over the whole stream.
 //!
 //! Before timing, every target asserts that batched outcomes are
 //! bit-identical to the per-input ones over the same stream, so an
@@ -66,10 +67,10 @@ fn main() {
 
         // Equivalence gate: batched outcomes must be bit-identical to the
         // per-input loop before batching is allowed to be faster.
-        let batched = diff.run_batch_sessions(&mut diff.make_sessions(), &inputs);
+        let batched = diff.run_batch_observed(&mut diff.make_sessions(), &inputs, &mut ());
         let mut check = diff.make_sessions();
         for (j, input) in inputs.iter().enumerate() {
-            let single = diff.run_input_sessions(&mut check, input);
+            let single = diff.run_input_observed(&mut check, input, &mut ());
             assert_eq!(batched[j].hashes, single.hashes, "{name} input {j}");
             assert_eq!(batched[j].results, single.results, "{name} input {j}");
         }
@@ -77,18 +78,18 @@ fn main() {
         let mut s = diff.make_sessions();
         let r1 = g.bench(&format!("{name}/batch1"), || {
             for input in &inputs {
-                black_box(diff.run_input_sessions(&mut s, input));
+                black_box(diff.run_input_observed(&mut s, input, &mut ()));
             }
         });
         let mut s = diff.make_sessions();
         let r16 = g.bench(&format!("{name}/batch16"), || {
             for chunk in inputs.chunks(16) {
-                black_box(diff.run_batch_sessions(&mut s, chunk));
+                black_box(diff.run_batch_observed(&mut s, chunk, &mut ()));
             }
         });
         let mut s = diff.make_sessions();
         let r64 = g.bench(&format!("{name}/batch64"), || {
-            black_box(diff.run_batch_sessions(&mut s, &inputs));
+            black_box(diff.run_batch_observed(&mut s, &inputs, &mut ()));
         });
         rows.push((name, k * STREAM_LEN, r1, r16, r64));
     }

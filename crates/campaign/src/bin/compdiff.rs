@@ -135,7 +135,7 @@ USAGE:
   compdiff progen <subcommand> [options]  evolutionary program generation
     generate --seed <n> [--count <n>] [--out-dir <dir>]
                              emit seeded idiom-biased programs
-    evolve --seed <n> --generations <n> [--population <n>]
+    evolve --seed <n> --generations <n> [--population <n> (at most 4096)]
            [--out-dir <dir>] [--resume] [--no-reduce]
            [--metrics-out <path>] [--fixed-clock <us>]
                              run the evolutionary loop; writes
@@ -355,11 +355,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
     println!("\n== sanitizers (empty input) ==");
     let vm = VmConfig::default();
     let bin = sanitizers::compile_sanitized(&src).map_err(|e| e.to_string())?;
-    for kind in [
-        SanitizerKind::Asan,
-        SanitizerKind::Ubsan,
-        SanitizerKind::Msan,
-    ] {
+    for kind in SanitizerKind::ALL {
         let r = sanitizers::run_sanitized(&bin, b"", &vm, kind);
         match r.status {
             ExitStatus::Sanitizer(f) => println!("  {kind}: {f}"),
@@ -674,6 +670,15 @@ fn parse_u64_flag(args: &Args, name: &str, default: u64) -> Result<u64, String> 
     }
 }
 
+/// [`parse_u64_flag`] for a flag whose value may not exceed `max`.
+fn parse_bounded_flag(args: &Args, name: &str, default: u64, max: u64) -> Result<u64, String> {
+    let n = parse_u64_flag(args, name, default)?;
+    if n > max {
+        return Err(format!("bad {name} `{n}` (must be at most {max})"));
+    }
+    Ok(n)
+}
+
 fn progen_generate(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, GENERATE_FLAGS, false)?;
     let seed = parse_u64_flag(args, "--seed", 1)?;
@@ -730,8 +735,9 @@ fn progen_telemetry(args: &Args) -> Result<std::sync::Arc<telemetry::Telemetry>,
 fn progen_evolve(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, EVOLVE_FLAGS, false)?;
     let seed = parse_u64_flag(args, "--seed", 1)?;
-    let generations = parse_u64_flag(args, "--generations", 4)? as u32;
-    let population = parse_u64_flag(args, "--population", 8)? as usize;
+    let generations = parse_bounded_flag(args, "--generations", 4, u64::from(u32::MAX))? as u32;
+    let population =
+        parse_bounded_flag(args, "--population", 8, progen::MAX_POPULATION as u64)? as usize;
     let out_dir = args.value("--out-dir").map(PathBuf::from);
     let resume = args.has("--resume");
     let reduce_witnesses = !args.has("--no-reduce");

@@ -12,11 +12,11 @@
 use crate::cache::{CompiledTarget, LintTally};
 use crate::faults::FaultKind;
 use crate::state::{FailureKind, JobRecord};
-use crate::telem::{CampaignTelemetry, DiffTelemetry, FuzzTelemetry};
+use crate::telem::{CampaignTelemetry, FuzzTelemetry};
 use crate::CampaignConfig;
-use compdiff::{hash64, DiffOutcome, DiffStore};
-use fuzzing::{BinaryTarget, FuzzConfig, FuzzObserver, Fuzzer, Oracle};
-use minc_vm::{ExecResult, ExecSession, SessionStats};
+use compdiff::{hash64, CompDiffOracle};
+use fuzzing::{splitmix64, BinaryTarget, FuzzConfig, FuzzObserver, Fuzzer};
+use minc_vm::{ExecResult, SessionStats};
 use std::collections::BTreeSet;
 
 /// One schedulable unit: one attempt at one seed shard of one target.
@@ -101,12 +101,11 @@ pub enum Decision {
 /// target's name hash, and the shard index. Worker assignment and timing
 /// never enter, which is what makes campaigns reproducible at any `-j`.
 pub fn job_seed(campaign_seed: u64, target: &str, shard: u32) -> u64 {
-    let mut z = campaign_seed
-        .wrapping_add(hash64(target.as_bytes()))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(shard) + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(
+        campaign_seed
+            .wrapping_add(hash64(target.as_bytes()))
+            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(shard) + 1)),
+    )
 }
 
 /// Deterministic retry backoff. Instead of a wall-clock delay (which
@@ -128,60 +127,6 @@ pub fn execs_for_shard(execs_per_target: u64, shards: u32, shard: u32) -> u64 {
     let shards = u64::from(shards.max(1));
     let base = execs_per_target / shards;
     base + u64::from(u64::from(shard) < execs_per_target % shards)
-}
-
-/// The differential oracle a worker plugs into its fuzzer: borrows the
-/// shared (immutable) engine, writes into job-local accumulators. The
-/// sessions are job-local mutable state — one persistent session per
-/// differential binary, so every oracle execution in the job runs in
-/// persistent mode (the `BinaryCache` shares the read-only binaries
-/// across a process's workers; sessions are the per-job hot state).
-struct DiffOracle<'a> {
-    diff: &'a compdiff::CompDiff,
-    sessions: &'a mut [ExecSession],
-    store: &'a mut DiffStore,
-    oracle_execs: &'a mut u64,
-    divergent: &'a mut u64,
-    obs: DiffTelemetry<'a>,
-    /// The engine index the fuzz binary reproduces
-    /// ([`CompDiff::reusable_index`](compdiff::CompDiff::reusable_index)):
-    /// each fuzz run stands in for that binary's, and the sweep runs the
-    /// other `k - 1`. `None` runs all `k`.
-    reused: Option<usize>,
-}
-
-impl DiffOracle<'_> {
-    fn verdict(&mut self, outcome: &DiffOutcome, input: &[u8]) -> bool {
-        if outcome.divergent {
-            *self.divergent += 1;
-            self.store.record(self.diff, outcome, input);
-            return true;
-        }
-        outcome.unresolved_timeout
-    }
-}
-
-impl Oracle for DiffOracle<'_> {
-    fn examine(&mut self, input: &[u8], result: &ExecResult) -> bool {
-        self.examine_batch(&[(input.to_vec(), result.clone())])[0]
-    }
-
-    fn examine_batch(&mut self, items: &[(Vec<u8>, ExecResult)]) -> Vec<bool> {
-        let inputs: Vec<&[u8]> = items.iter().map(|(i, _)| i.as_slice()).collect();
-        let reused = self
-            .reused
-            .map(|i| (i, items.iter().map(|(_, r)| r.clone()).collect()));
-        let outcomes = self
-            .diff
-            .run_batch_reusing(self.sessions, &inputs, reused, &mut self.obs);
-        // The reused run counts as the oracle's: k per examined input.
-        *self.oracle_execs += (self.diff.binaries().len() * items.len()) as u64;
-        outcomes
-            .iter()
-            .zip(&inputs)
-            .map(|(outcome, input)| self.verdict(outcome, input))
-            .collect()
-    }
 }
 
 /// The fuzz loop's observer: the job's telemetry, plus the caller's
@@ -262,24 +207,21 @@ pub fn run_job(
         seeds = ct.seeds.clone();
     }
 
-    let mut store = DiffStore::new();
-    let mut oracle_execs = 0u64;
-    let mut divergent = 0u64;
-    let mut sessions = ct.diff_sessions();
+    // The differential oracle: the shared (immutable) engine, one
+    // job-local persistent session per differential binary, and the
+    // job's telemetry observing every differential execution.
     let fuzz_vm = cfg.diff_config.vm.clone();
-    let reused = ct.diff.reusable_index(&ct.fuzz_binary, &fuzz_vm);
+    let mut oracle = CompDiffOracle::new(
+        &ct.diff,
+        ct.diff_sessions(),
+        &ct.fuzz_binary,
+        &fuzz_vm,
+        ctel.diff_observer(),
+    );
     let stats = Fuzzer::new(
         BinaryTarget::new(&ct.fuzz_binary, fuzz_vm)
             .with_block_program(std::sync::Arc::clone(&ct.fuzz_blocks)),
-        DiffOracle {
-            diff: &ct.diff,
-            sessions: &mut sessions,
-            store: &mut store,
-            oracle_execs: &mut oracle_execs,
-            divergent: &mut divergent,
-            obs: ctel.diff_observer(),
-            reused,
-        },
+        &mut oracle,
         FuzzConfig {
             max_execs,
             seed,
@@ -296,7 +238,7 @@ pub fn run_job(
     .run(&seeds);
 
     let mut vm = SessionStats::default();
-    for s in &sessions {
+    for s in oracle.sessions() {
         vm.merge(s.stats());
     }
     ctel.record_vm(vm);
@@ -304,7 +246,8 @@ pub fn run_job(
     let dur_us = ctel.tel.now_micros().saturating_sub(job_start_us);
     ctel.job_us.record(dur_us);
 
-    let signatures: BTreeSet<String> = store
+    let signatures: BTreeSet<String> = oracle
+        .store
         .reports()
         .iter()
         .map(|d| d.signature.clone())
@@ -315,8 +258,8 @@ pub fn run_job(
             target: ct.name.clone(),
             shard: job.shard,
             execs: stats.execs,
-            oracle_execs,
-            divergent,
+            oracle_execs: oracle.oracle_execs,
+            divergent: oracle.divergent,
             crashes: stats.crashes.len() as u64,
             signatures: signatures.into_iter().collect(),
         },

@@ -118,7 +118,7 @@ pub struct CampaignTelemetry {
     /// `vm.block_cache_hits` — runs that reused a cached block
     /// translation.
     pub block_cache_hits: Arc<Counter>,
-    /// `vm.loader_skips` — batched runs that reused the session's
+    /// `vm.loader_skips` — differential runs that reused the session's
     /// post-loader page image instead of re-running the loader pass.
     pub loader_skips: Arc<Counter>,
 }

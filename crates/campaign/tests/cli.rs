@@ -139,3 +139,61 @@ fn malformed_fuzz_numbers_are_rejected_by_name() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+#[test]
+fn out_of_range_evolve_sizes_are_rejected_by_name() {
+    let dir = std::env::temp_dir().join(format!("compdiff-cli-evolve-{}", std::process::id()));
+    let d = dir.to_str().unwrap();
+    for (flag, value) in [
+        ("--population", "1000000000000"),
+        ("--population", "4097"),
+        ("--generations", "4294967297"),
+    ] {
+        let out = compdiff(&[
+            "progen",
+            "evolve",
+            "--seed",
+            "7",
+            flag,
+            value,
+            "--out-dir",
+            d,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad {flag} `{value}`")),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} {value} ran anyway");
+    }
+
+    // A checkpoint whose population size is out of range is refused too.
+    std::fs::create_dir_all(&dir).unwrap();
+    let state = progen::EvolveState::new(&progen::EvolveConfig {
+        seed: 7,
+        population: 2,
+    });
+    let json = state.to_json().render().replacen(
+        r#""population_size":2"#,
+        r#""population_size":1000000000000"#,
+        1,
+    );
+    std::fs::write(dir.join("state.json"), json).unwrap();
+    let out = compdiff(&[
+        "progen",
+        "evolve",
+        "--seed",
+        "7",
+        "--generations",
+        "1",
+        "--out-dir",
+        d,
+        "--resume",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "the tampered state must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`population_size`"), "{stderr}");
+    assert!(out.stdout.is_empty(), "the tampered state ran anyway");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -6,30 +6,38 @@
 //! B_fuzz is one of those binaries, so the fuzz run is that binary's run
 //! and the oracle executes the other `k - 1`.
 
-use crate::differ::{CompDiff, DiffConfig};
+use crate::differ::{CompDiff, DiffConfig, DiffObserver, DiffOutcome};
 use crate::report::DiffStore;
 use fuzzing::{BinaryTarget, CampaignStats, FuzzConfig, Fuzzer, Oracle};
 use minc::FrontendError;
 use minc_compile::{Binary, CompilerImpl};
 use minc_vm::{ExecResult, ExecSession, VmConfig};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
-/// The CompDiff oracle: cross-checks the `k` binaries on each input.
-/// Holds one persistent [`ExecSession`] per differential binary, so the
-/// `k` executions per examined input run in persistent mode across the
-/// whole campaign.
-pub struct CompDiffOracle {
-    diff: Rc<CompDiff>,
+/// The CompDiff oracle: cross-checks the `k` binaries on every input the
+/// fuzzer examines and saves the inputs whose outputs diverge. Each
+/// binary runs in its own persistent [`ExecSession`], so the oracle's
+/// executions stay in persistent mode for the whole run. Generic over the
+/// [`DiffObserver`] that sees every differential execution: a campaign
+/// job passes its telemetry adapter, `compdiff fuzz` passes `()`.
+///
+/// Hand the fuzzer `&mut oracle` to read the store, the counters and the
+/// sessions back after the run.
+pub struct CompDiffOracle<'a, O: DiffObserver = ()> {
+    diff: &'a CompDiff,
     sessions: Vec<ExecSession>,
     /// The engine index B_fuzz reproduces ([`CompDiff::reusable_index`]):
     /// the fuzz run stands in for that binary's, and the sweep runs the
     /// other `k - 1`. `None` runs all `k`.
     reused: Option<usize>,
-    store: Rc<RefCell<DiffStore>>,
-    /// Executions performed by the oracle (k per examined input).
-    pub oracle_execs: Rc<RefCell<u64>>,
+    obs: O,
+    /// The `diffs/` store: every divergence, bucketed by signature.
+    pub store: DiffStore,
+    /// Executions charged to the oracle: `k` per examined input, the
+    /// reused fuzz run included.
+    pub oracle_execs: u64,
+    /// Examined inputs whose outputs diverged.
+    pub divergent: u64,
     /// §5 future-work mode: feed novel divergence signatures back into the
     /// fuzzer queue (NEZHA-style).
     divergence_feedback: bool,
@@ -40,12 +48,49 @@ pub struct CompDiffOracle {
     novel_saves: VecDeque<bool>,
 }
 
-impl CompDiffOracle {
+impl<'a, O: DiffObserver> CompDiffOracle<'a, O> {
+    /// An oracle over `diff` that runs in `sessions`, one per binary in
+    /// engine order ([`CompDiff::make_sessions`]). When the engine holds
+    /// `fuzz_binary` under `vm`, each fuzz run stands in for that
+    /// binary's run. Divergence feedback starts off.
+    pub fn new(
+        diff: &'a CompDiff,
+        sessions: Vec<ExecSession>,
+        fuzz_binary: &Binary,
+        vm: &VmConfig,
+        obs: O,
+    ) -> Self {
+        CompDiffOracle {
+            diff,
+            sessions,
+            reused: diff.reusable_index(fuzz_binary, vm),
+            obs,
+            store: DiffStore::new(),
+            oracle_execs: 0,
+            divergent: 0,
+            divergence_feedback: false,
+            novel_saves: VecDeque::new(),
+        }
+    }
+
+    /// Enables NEZHA-style divergence feedback (§5 future work).
+    #[must_use]
+    pub fn with_divergence_feedback(mut self, enabled: bool) -> Self {
+        self.divergence_feedback = enabled;
+        self
+    }
+
+    /// The oracle's sessions, in engine order.
+    pub fn sessions(&self) -> &[ExecSession] {
+        &self.sessions
+    }
+
     /// Cross-checks one outcome: records divergences, queues the novelty
     /// bit for [`Oracle::feedback`], and returns the save verdict.
-    fn verdict(&mut self, outcome: &crate::differ::DiffOutcome, input: &[u8]) -> bool {
+    fn verdict(&mut self, outcome: &DiffOutcome, input: &[u8]) -> bool {
         if outcome.divergent {
-            let novel = self.store.borrow_mut().record(&self.diff, outcome, input);
+            self.divergent += 1;
+            let novel = self.store.record(self.diff, outcome, input);
             self.novel_saves.push_back(novel);
             return true;
         }
@@ -59,7 +104,7 @@ impl CompDiffOracle {
     }
 }
 
-impl Oracle for CompDiffOracle {
+impl<O: DiffObserver> Oracle for CompDiffOracle<'_, O> {
     fn examine(&mut self, input: &[u8], result: &ExecResult) -> bool {
         self.examine_batch(&[(input.to_vec(), result.clone())])[0]
     }
@@ -69,11 +114,11 @@ impl Oracle for CompDiffOracle {
         let reused = self
             .reused
             .map(|i| (i, items.iter().map(|(_, r)| r.clone()).collect()));
-        let outcomes = self
-            .diff
-            .run_batch_reusing(&mut self.sessions, &inputs, reused, &mut ());
+        let outcomes =
+            self.diff
+                .run_batch_reusing(&mut self.sessions, &inputs, reused, &mut self.obs);
         // The reused run counts as the oracle's: k per examined input.
-        *self.oracle_execs.borrow_mut() += (self.diff.binaries().len() * items.len()) as u64;
+        self.oracle_execs += (self.diff.binaries().len() * items.len()) as u64;
         outcomes
             .iter()
             .zip(&inputs)
@@ -104,7 +149,7 @@ pub struct CompDiffAfl {
     /// binary itself is a plain build.
     pub fuzz_binary: Binary,
     /// The differential engine over the `k` binaries B_i.
-    pub diff: Rc<CompDiff>,
+    pub diff: CompDiff,
     /// Fuzzer configuration.
     pub fuzz_config: FuzzConfig,
     /// Fuzz-binary execution limits. While they equal the oracle's and
@@ -144,7 +189,7 @@ impl CompDiffAfl {
         let vm = diff_config.vm.clone();
         Ok(CompDiffAfl {
             fuzz_binary,
-            diff: Rc::new(CompDiff::new(binaries, diff_config)),
+            diff: CompDiff::new(binaries, diff_config),
             fuzz_config,
             vm,
             divergence_feedback: false,
@@ -179,25 +224,20 @@ impl CompDiffAfl {
 
     /// Runs the campaign from the given seeds.
     pub fn run(self, seeds: &[Vec<u8>]) -> CompDiffAflStats {
-        let store = Rc::new(RefCell::new(DiffStore::new()));
-        let oracle_execs = Rc::new(RefCell::new(0u64));
-        let oracle = CompDiffOracle {
-            sessions: self.diff.make_sessions(),
-            reused: self.diff.reusable_index(&self.fuzz_binary, &self.vm),
-            diff: Rc::clone(&self.diff),
-            store: Rc::clone(&store),
-            oracle_execs: Rc::clone(&oracle_execs),
-            divergence_feedback: self.divergence_feedback,
-            novel_saves: VecDeque::new(),
-        };
-        let target = BinaryTarget::new(&self.fuzz_binary, self.vm.clone());
-        let campaign = Fuzzer::new(target, oracle, self.fuzz_config.clone()).run(seeds);
-        let store = Rc::try_unwrap(store).expect("oracle dropped").into_inner();
-        let oracle_execs = *oracle_execs.borrow();
+        let mut oracle = CompDiffOracle::new(
+            &self.diff,
+            self.diff.make_sessions(),
+            &self.fuzz_binary,
+            &self.vm,
+            (),
+        )
+        .with_divergence_feedback(self.divergence_feedback);
+        let target = BinaryTarget::new(&self.fuzz_binary, self.vm);
+        let campaign = Fuzzer::new(target, &mut oracle, self.fuzz_config).run(seeds);
         CompDiffAflStats {
             campaign,
-            store,
-            oracle_execs,
+            store: oracle.store,
+            oracle_execs: oracle.oracle_execs,
         }
     }
 }

@@ -69,11 +69,11 @@ pub trait DiffObserver {
     /// The input's classified outcome (called once per input, last).
     fn outcome(&mut self, _outcome: &DiffOutcome) {}
 
-    /// A batched sweep finished: `size` inputs were swept impl-major and
+    /// A sweep finished: `size` inputs were swept impl-major and
     /// `bisections` of them had disagreeing digests (or timeouts) and were
-    /// bisected down to exact divergences. Called once per
-    /// [`run_batch_observed`](CompDiff::run_batch_observed) call, after
-    /// every per-input [`outcome`](DiffObserver::outcome).
+    /// bisected down to exact divergences. Called once per sweep — every
+    /// `run_*` call, a single input's included — after every per-input
+    /// [`outcome`](DiffObserver::outcome).
     fn batch(&mut self, _size: usize, _bisections: usize) {}
 }
 
@@ -161,29 +161,21 @@ impl CompDiff {
         &self.binaries
     }
 
-    /// The observable (scrubbed) output bytes of one result.
-    pub fn observable(&self, result: &ExecResult) -> Vec<u8> {
-        let mut out = apply_filters(&result.stdout, &self.config.filters);
-        out.push(0x1e);
-        out.push(result.status.as_code());
-        out
-    }
-
-    /// The output digest a [`DiffOutcome`]'s `hashes` holds for `result`.
+    /// The output digest a [`DiffOutcome`]'s `hashes` holds for `result`:
+    /// MurmurHash3 over the scrubbed stdout, a `0x1e` separator and the
+    /// exit-status byte.
     pub fn digest(&self, result: &ExecResult) -> u64 {
-        hash64(&self.observable(result))
+        self.digest_in(result, &mut Vec::new())
     }
 
-    /// [`observable`](CompDiff::observable)'s hash, built in a reusable
-    /// scratch buffer so batched sweeps don't allocate per execution.
-    /// Identical to [`digest`](CompDiff::digest).
-    fn hash_observable(&self, result: &ExecResult, scratch: &mut Vec<u8>) -> u64 {
+    /// [`digest`](CompDiff::digest), built in a reusable scratch buffer so
+    /// a sweep hashes every execution without allocating.
+    fn digest_in(&self, result: &ExecResult, scratch: &mut Vec<u8>) -> u64 {
         scratch.clear();
         if self.config.filters.is_empty() {
             scratch.extend_from_slice(&result.stdout);
         } else {
-            let filtered = apply_filters(&result.stdout, &self.config.filters);
-            scratch.extend_from_slice(&filtered);
+            scratch.extend_from_slice(&apply_filters(&result.stdout, &self.config.filters));
         }
         scratch.push(0x1e);
         scratch.push(result.status.as_code());
@@ -191,37 +183,30 @@ impl CompDiff {
     }
 
     /// Creates one persistent [`ExecSession`] per binary, in engine order.
-    /// Pass the vector to [`run_input_sessions`](CompDiff::run_input_sessions)
-    /// to amortize VM setup across many inputs (the persistent-mode /
-    /// forkserver analogue).
+    /// Pass the vector to [`run_input_observed`](CompDiff::run_input_observed)
+    /// or [`run_batch_observed`](CompDiff::run_batch_observed) to amortize
+    /// VM setup across many inputs (the persistent-mode / forkserver
+    /// analogue).
     pub fn make_sessions(&self) -> Vec<ExecSession> {
         self.binaries.iter().map(ExecSession::new).collect()
     }
 
     /// Runs every binary on `input` and cross-checks outputs.
     ///
-    /// One-shot convenience over [`run_input_sessions`]
-    /// (CompDiff::run_input_sessions); loops should create sessions once
-    /// via [`make_sessions`](CompDiff::make_sessions) and reuse them.
+    /// One-shot convenience over
+    /// [`run_input_observed`](CompDiff::run_input_observed); loops should
+    /// create sessions once via [`make_sessions`](CompDiff::make_sessions)
+    /// and reuse them.
     pub fn run_input(&self, input: &[u8]) -> DiffOutcome {
-        self.run_input_sessions(&mut self.make_sessions(), input)
+        self.run_input_observed(&mut self.make_sessions(), input, &mut ())
     }
 
     /// Runs every binary on `input` using the caller's persistent sessions
     /// (created by [`make_sessions`](CompDiff::make_sessions)), reusing
-    /// them for timeout-escalation re-runs as well. Results are bit-for-bit
-    /// identical to [`run_input`](CompDiff::run_input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sessions.len()` differs from the number of binaries.
-    pub fn run_input_sessions(&self, sessions: &mut [ExecSession], input: &[u8]) -> DiffOutcome {
-        self.run_input_observed(sessions, input, &mut ())
-    }
-
-    /// [`run_input_sessions`](CompDiff::run_input_sessions) with an
-    /// instrumentation [`DiffObserver`]. The observer never influences
-    /// results; outcomes are bit-for-bit those of the unobserved run.
+    /// them for timeout-escalation re-runs as well: the sweep of
+    /// [`run_batch_observed`](CompDiff::run_batch_observed) over one
+    /// input. The observer never influences results; outcomes are
+    /// bit-for-bit those of [`run_input`](CompDiff::run_input).
     ///
     /// # Panics
     ///
@@ -232,49 +217,15 @@ impl CompDiff {
         input: &[u8],
         obs: &mut impl DiffObserver,
     ) -> DiffOutcome {
-        assert_eq!(
-            sessions.len(),
-            self.binaries.len(),
-            "one session per binary"
-        );
-        let mut results: Vec<ExecResult> = self
-            .binaries
-            .iter()
-            .zip(sessions.iter_mut())
-            .enumerate()
-            .map(|(i, (b, s))| {
-                obs.exec_begin(i, 0);
-                let r = s.run(b, input, &self.config.vm);
-                obs.exec_end(i, &r, 0);
-                r
-            })
-            .collect();
-
-        let unresolved_timeout = self.escalate(sessions, input, &mut results, obs);
-        let outcome = self.classify(results, unresolved_timeout);
-        obs.outcome(&outcome);
-        outcome
+        let mut outcomes = self.run_batch_reusing(sessions, &[input], None, obs);
+        outcomes.pop().expect("one outcome per input")
     }
 
     /// Runs a whole batch of inputs, sweeping each implementation over the
     /// batch (impl-major order) instead of all implementations per input.
     /// Outcomes are bit-for-bit identical to calling
-    /// [`run_input_sessions`](CompDiff::run_input_sessions) per input, and
-    /// are returned in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sessions.len()` differs from the number of binaries.
-    pub fn run_batch_sessions<I: AsRef<[u8]>>(
-        &self,
-        sessions: &mut [ExecSession],
-        inputs: &[I],
-    ) -> Vec<DiffOutcome> {
-        self.run_batch_observed(sessions, inputs, &mut ())
-    }
-
-    /// [`run_batch_sessions`](CompDiff::run_batch_sessions) with an
-    /// instrumentation [`DiffObserver`].
+    /// [`run_input_observed`](CompDiff::run_input_observed) per input, and
+    /// are returned in input order; the observer never influences them.
     ///
     /// The sweep runs impl-major — one binary executes the whole batch
     /// back to back, so its block translation, code, and session pages
@@ -354,9 +305,8 @@ impl CompDiff {
         );
         let (k, n) = (self.binaries.len(), inputs.len());
         // Impl-major sweep: rows[i][j] is implementation i on input j.
-        // `run_batched` amortizes the session reset across the batch: the
-        // binary's post-loader page image is captured once and untouched
-        // loader pages then cost nothing per run. Output digests are
+        // Each session keeps its binary's post-loader page image, so
+        // untouched loader pages cost nothing per run. Output digests are
         // computed inline, while the run's stdout is still cache-hot, into
         // one flat impl-major array (hash setup — the scratch buffer — is
         // shared across the whole sweep).
@@ -365,16 +315,16 @@ impl CompDiff {
         let mut scratch: Vec<u8> = Vec::new();
         for (i, (b, s)) in self.binaries.iter().zip(sessions.iter_mut()).enumerate() {
             if let Some((_, given)) = reused.take_if(|(r, _)| *r == i) {
-                digests.extend(given.iter().map(|r| self.hash_observable(r, &mut scratch)));
+                digests.extend(given.iter().map(|r| self.digest_in(r, &mut scratch)));
                 rows.push(given);
                 continue;
             }
             let mut row = Vec::with_capacity(n);
             for input in inputs {
                 obs.exec_begin(i, 0);
-                let r = s.run_batched(b, input.as_ref(), &self.config.vm);
+                let r = s.run(b, input.as_ref(), &self.config.vm);
                 obs.exec_end(i, &r, 0);
-                digests.push(self.hash_observable(&r, &mut scratch));
+                digests.push(self.digest_in(&r, &mut scratch));
                 row.push(r);
             }
             rows.push(row);
@@ -709,11 +659,11 @@ mod tests {
 
     /// Asserts batch outcomes are bit-for-bit those of per-input runs.
     fn assert_batch_matches_single(diff: &CompDiff, inputs: &[Vec<u8>]) -> Vec<DiffOutcome> {
-        let batched = diff.run_batch_sessions(&mut diff.make_sessions(), inputs);
+        let batched = diff.run_batch_observed(&mut diff.make_sessions(), inputs, &mut ());
         assert_eq!(batched.len(), inputs.len());
         let mut sessions = diff.make_sessions();
         for (j, input) in inputs.iter().enumerate() {
-            let single = diff.run_input_sessions(&mut sessions, input);
+            let single = diff.run_input_observed(&mut sessions, input, &mut ());
             assert_eq!(batched[j].results, single.results, "input {j}");
             assert_eq!(batched[j].hashes, single.hashes, "input {j}");
             assert_eq!(batched[j].classes, single.classes, "input {j}");
@@ -722,6 +672,12 @@ mod tests {
                 batched[j].unresolved_timeout, single.unresolved_timeout,
                 "input {j}"
             );
+            // Every outcome, the digest-agreement shortcut's included, is
+            // what the full classification makes of its results.
+            let full = diff.classify(batched[j].results.clone(), batched[j].unresolved_timeout);
+            assert_eq!(full.hashes, batched[j].hashes, "input {j}");
+            assert_eq!(full.classes, batched[j].classes, "input {j}");
+            assert_eq!(full.divergent, batched[j].divergent, "input {j}");
         }
         batched
     }
@@ -785,7 +741,7 @@ mod tests {
     fn batch_of_zero_inputs() {
         let diff = edge_case_engine();
         assert!(diff
-            .run_batch_sessions::<Vec<u8>>(&mut diff.make_sessions(), &[])
+            .run_batch_observed::<Vec<u8>>(&mut diff.make_sessions(), &[], &mut ())
             .is_empty());
     }
 

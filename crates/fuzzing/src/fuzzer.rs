@@ -62,8 +62,7 @@ impl<'a> BinaryTarget<'a> {
         self
     }
 
-    /// Cumulative statistics of the persistent session (merged into the
-    /// per-job VM stats by the campaign scheduler).
+    /// Cumulative statistics of the persistent session.
     pub fn session_stats(&self) -> minc_vm::SessionStats {
         self.session.stats()
     }
@@ -107,6 +106,22 @@ pub trait Oracle {
     fn feedback(&mut self, input: &[u8]) -> bool {
         let _ = input;
         false
+    }
+}
+
+/// Oracles pass through mutable references, so a caller can keep
+/// ownership (and read what the oracle collected back after the run).
+impl<O: Oracle + ?Sized> Oracle for &mut O {
+    fn examine(&mut self, input: &[u8], result: &ExecResult) -> bool {
+        (**self).examine(input, result)
+    }
+
+    fn examine_batch(&mut self, items: &[(Vec<u8>, ExecResult)]) -> Vec<bool> {
+        (**self).examine_batch(items)
+    }
+
+    fn feedback(&mut self, input: &[u8]) -> bool {
+        (**self).feedback(input)
     }
 }
 

@@ -44,4 +44,4 @@ pub use fuzzer::{
     NoOracle, Oracle, TargetExec,
 };
 pub use queue::{Queue, Seed};
-pub use rng::Rng;
+pub use rng::{splitmix64, Rng};

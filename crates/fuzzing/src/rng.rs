@@ -3,6 +3,17 @@
 //! The fuzzer must be reproducible: same seed, same campaign. We therefore
 //! use our own small generator instead of OS entropy.
 
+/// The SplitMix64 finalizer: a bijective mix of one 64-bit word. Every
+/// seed the project derives — the generator's own seed expansion, the
+/// campaign's per-job seeds, progen's per-generation seeds — goes
+/// through this one function.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// xoshiro256** by Blackman & Vigna (public domain algorithm).
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -15,10 +26,7 @@ impl Rng {
         let mut sm = seed;
         let mut next_sm = || {
             sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            splitmix64(sm)
         };
         Rng {
             s: [next_sm(), next_sm(), next_sm(), next_sm()],

@@ -119,22 +119,17 @@ pub fn evaluate(test: &JulietTest, vm: &VmConfig) -> TestEval {
     }
 
     // Sanitizers (separate instrumented builds, like -fsanitize).
-    let kinds = [
-        SanitizerKind::Asan,
-        SanitizerKind::Ubsan,
-        SanitizerKind::Msan,
-    ];
     let mut san_det = [false; 3];
     let mut san_fp = [false; 3];
     if let Ok(bin) = sanitizers::compile_sanitized(&test.bad) {
-        for (k, out) in kinds.iter().zip(san_det.iter_mut()) {
-            let r = sanitizers::run_sanitized(&bin, b"", vm, *k);
+        for (k, out) in SanitizerKind::ALL.into_iter().zip(san_det.iter_mut()) {
+            let r = sanitizers::run_sanitized(&bin, b"", vm, k);
             *out = matches!(r.status, ExitStatus::Sanitizer(_));
         }
     }
     if let Ok(bin) = sanitizers::compile_sanitized(&test.good) {
-        for (k, out) in kinds.iter().zip(san_fp.iter_mut()) {
-            let r = sanitizers::run_sanitized(&bin, b"", vm, *k);
+        for (k, out) in SanitizerKind::ALL.into_iter().zip(san_fp.iter_mut()) {
+            let r = sanitizers::run_sanitized(&bin, b"", vm, k);
             *out = matches!(r.status, ExitStatus::Sanitizer(_));
         }
     }
@@ -156,16 +151,16 @@ pub fn evaluate(test: &JulietTest, vm: &VmConfig) -> TestEval {
     let mut san_miss = [false; 3];
     let mut san_fa = [false; 3];
     if let Ok(rep) = sancheck::check_source(&test.bad, &scfg) {
-        for (k, out) in kinds.iter().zip(san_miss.iter_mut()) {
+        for (k, out) in SanitizerKind::ALL.into_iter().zip(san_miss.iter_mut()) {
             *out = rep
                 .false_negatives
                 .iter()
-                .any(|f| f.kind == *k && relevant_classes.contains(&f.class));
+                .any(|f| f.kind == k && relevant_classes.contains(&f.class));
         }
     }
     if let Ok(rep) = sancheck::check_source(&test.good, &scfg) {
-        for (k, out) in kinds.iter().zip(san_fa.iter_mut()) {
-            *out = rep.false_positives.iter().any(|f| f.kind == *k);
+        for (k, out) in SanitizerKind::ALL.into_iter().zip(san_fa.iter_mut()) {
+            *out = rep.false_positives.iter().any(|f| f.kind == k);
         }
     }
 

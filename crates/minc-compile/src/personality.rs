@@ -369,16 +369,6 @@ impl Personality {
         p
     }
 
-    /// Deterministic junk byte for an uninitialized memory address: what a
-    /// freshly mapped page "happens to contain" under this implementation.
-    pub fn junk_byte(&self, addr: u64) -> u8 {
-        let mut x = addr ^ self.seed;
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        x ^= x >> 33;
-        (x & 0xff) as u8
-    }
-
     /// Deterministic junk word for an uninitialized register (promoted
     /// local); `id` is the `Junk` marker from mem2reg.
     pub fn junk_word(&self, id: u32) -> u64 {
@@ -451,11 +441,6 @@ mod tests {
     fn junk_is_deterministic_and_impl_specific() {
         let a = CompilerImpl::new(Family::Gcc, OptLevel::O0).personality();
         let b = CompilerImpl::new(Family::Clang, OptLevel::O0).personality();
-        assert_eq!(a.junk_byte(0x1234), a.junk_byte(0x1234));
-        assert_ne!(
-            (0..64).map(|i| a.junk_byte(i)).collect::<Vec<_>>(),
-            (0..64).map(|i| b.junk_byte(i)).collect::<Vec<_>>()
-        );
         assert_eq!(a.junk_word(7), a.junk_word(7));
         assert_ne!(a.junk_word(7), b.junk_word(7));
     }

@@ -61,28 +61,18 @@ pub fn execute_with_hooks<H: Hooks>(
     ExecSession::new(binary).run_with_hooks(binary, input, config, hooks)
 }
 
-/// How a run handles the loader pass (rodata strings + globals).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LoaderMode {
-    /// Run the loader (the plain [`ExecSession::run`] path).
-    Load,
-    /// Run the loader, then capture its page image as the session
-    /// memory's reset base (first run of a batch).
-    LoadAndCapture,
-    /// Skip the loader: the session memory already resets to this
-    /// binary's post-loader image (warm batched run).
-    Skip,
-}
-
 /// Runs one execution against an already-prepared session. Called by
-/// [`ExecSession::run_with_hooks`] after the per-run reset.
+/// [`ExecSession::run_with_hooks`] after the per-run reset. With `load`,
+/// the loader writes rodata and globals and its pages become the session
+/// memory's reset base; without, memory already resets to this binary's
+/// post-loader image.
 pub(crate) fn run_in_session<H: Hooks>(
     session: &mut ExecSession,
     bin: &Binary,
     input: &[u8],
     config: &VmConfig,
     hooks: &mut H,
-    loader: LoaderMode,
+    load: bool,
 ) -> ExecResult {
     let track_poison = hooks.track_poison();
     // Resolve the block translation before constructing the Vm, which
@@ -107,13 +97,9 @@ pub(crate) fn run_in_session<H: Hooks>(
         globals: bin.globals_range(),
         slot_scratch: Vec::new(),
     };
-    match loader {
-        LoaderMode::Load => vm.load_data(),
-        LoaderMode::LoadAndCapture => {
-            vm.load_data();
-            vm.s.mem.capture_loader_image();
-        }
-        LoaderMode::Skip => {}
+    if load {
+        vm.load_data();
+        vm.s.mem.capture_loader_image();
     }
     let status = match &block {
         Some(prog) => vm.run_block(prog),

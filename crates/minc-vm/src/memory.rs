@@ -132,6 +132,11 @@ impl Memory {
         }
     }
 
+    /// Deterministic junk byte for an uninitialized address: what a
+    /// freshly mapped page "happens to contain" under the implementation
+    /// whose personality seed is `seed`. Materializing a page calls it
+    /// once per byte.
+    #[inline]
     fn junk_byte(seed: u64, addr: u64) -> u8 {
         let mut x = addr ^ seed;
         x ^= x >> 33;

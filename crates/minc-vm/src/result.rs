@@ -54,6 +54,15 @@ pub enum SanitizerKind {
     Msan,
 }
 
+impl SanitizerKind {
+    /// The three sanitizers, in the fixed order every scan uses.
+    pub const ALL: [SanitizerKind; 3] = [
+        SanitizerKind::Asan,
+        SanitizerKind::Ubsan,
+        SanitizerKind::Msan,
+    ];
+}
+
 impl fmt::Display for SanitizerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

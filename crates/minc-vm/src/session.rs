@@ -21,10 +21,14 @@
 //! including runs immediately after traps and sanitizer faults.
 //!
 //! Sessions run the block dispatcher (`block.rs`), translating each
-//! binary once and caching the translation. A session built with
-//! [`ExecSession::reference`] runs the per-instruction interpreter
-//! instead: it is the reference the block dispatcher is checked against
-//! by tests and benches, and production code never builds one.
+//! binary once and caching the translation. They also keep each binary's
+//! post-loader page image: the first run of a binary runs the loader and
+//! captures the pages it wrote, and every later run of the same binary
+//! starts from that image instead of running the loader again. A session
+//! built with [`ExecSession::reference`] runs the per-instruction
+//! interpreter instead: it is the reference the block dispatcher is
+//! checked against by tests and benches, and production code never
+//! builds one.
 //!
 //! ```
 //! use minc_compile::{compile_source, CompilerImpl};
@@ -45,7 +49,7 @@
 //! ```
 
 use crate::block::BlockProgram;
-use crate::exec::{run_in_session, LoaderMode, VmConfig};
+use crate::exec::{run_in_session, VmConfig};
 use crate::hooks::{Hooks, NoHooks};
 use crate::memory::Memory;
 use crate::result::ExecResult;
@@ -96,9 +100,9 @@ pub struct SessionStats {
     pub blocks_translated: u64,
     /// Runs that found their block translation already cached.
     pub block_cache_hits: u64,
-    /// Batched runs that skipped the loader pass because the session
-    /// already held this binary's post-loader page image (see
-    /// [`ExecSession::run_batched`]).
+    /// Runs that skipped the loader pass because the session already
+    /// held this binary's post-loader page image (every run of a binary
+    /// but the first since the session last ran a different one).
     pub loader_skips: u64,
 }
 
@@ -156,8 +160,8 @@ pub struct ExecSession {
     /// [`ExecSession::reference`]).
     pub(crate) reference: bool,
     /// [`Binary::uid`] whose post-loader page image is currently baked
-    /// into `mem` (see [`run_batched`](ExecSession::run_batched)), or
-    /// `None` when memory resets to plain pristine junk.
+    /// into `mem` (see [`run_with_hooks`](ExecSession::run_with_hooks)),
+    /// or `None` when memory resets to plain pristine junk.
     pub(crate) loaded_uid: Option<u64>,
     pub(crate) loader_skips: u64,
     /// Pooled scratch for printf's format string and rendered output —
@@ -287,6 +291,16 @@ impl ExecSession {
     /// [`execute_with_hooks`](crate::execute_with_hooks) bit for bit
     /// (hooks state is the caller's concern, exactly as with the fresh
     /// entry point).
+    ///
+    /// The session keeps a *post-loader page image* keyed by
+    /// [`Binary::uid`]: the first run of a binary captures its loader
+    /// output (rodata strings, zeroed globals, initializers) as the
+    /// memory's reset base, and every later run of the same binary skips
+    /// the loader pass and pays no restore for loader pages the program
+    /// never writes. The image is a pure function of the binary, so
+    /// restoring it is indistinguishable from re-running the loader on
+    /// freshly reset memory. Handing the session a different binary drops
+    /// the image (a cache miss, never a wrong answer).
     pub fn run_with_hooks<H: Hooks>(
         &mut self,
         binary: &Binary,
@@ -295,58 +309,15 @@ impl ExecSession {
         hooks: &mut H,
     ) -> ExecResult {
         self.prepare(binary);
-        self.runs += 1;
-        self.in_flight = true;
-        let result = run_in_session(self, binary, input, config, hooks, LoaderMode::Load);
-        self.in_flight = false;
-        result
-    }
-
-    /// Runs `binary` on `input` like [`run`](ExecSession::run), but
-    /// additionally maintains a *post-loader page image* keyed by
-    /// [`Binary::uid`]: the first batched run of a binary captures its
-    /// loader output (rodata strings, zeroed globals, initializers) as the
-    /// memory's reset base, and every consecutive batched run of the same
-    /// binary then skips the loader pass entirely — and pays no restore
-    /// for loader pages the program never writes.
-    ///
-    /// Built for the batched differential sweep, where one binary runs a
-    /// whole input batch back to back; results are bit-for-bit those of
-    /// [`run`](ExecSession::run) (the image is a pure function of the
-    /// binary, so restoring it is indistinguishable from re-running the
-    /// loader on freshly reset memory). Handing a different binary to the
-    /// session — batched or not — transparently invalidates the image (a
-    /// cache miss, never a wrong answer), so interleaving with plain
-    /// [`run`](ExecSession::run) calls (e.g. timeout-escalation re-runs)
-    /// is safe.
-    pub fn run_batched(&mut self, binary: &Binary, input: &[u8], config: &VmConfig) -> ExecResult {
-        self.run_batched_with_hooks(binary, input, config, &mut NoHooks)
-    }
-
-    /// [`run_batched`](ExecSession::run_batched) with instrumentation
-    /// hooks. Equivalent to
-    /// [`run_with_hooks`](ExecSession::run_with_hooks) bit for bit.
-    pub fn run_batched_with_hooks<H: Hooks>(
-        &mut self,
-        binary: &Binary,
-        input: &[u8],
-        config: &VmConfig,
-        hooks: &mut H,
-    ) -> ExecResult {
-        self.prepare(binary);
-        let loader = if self.loaded_uid == Some(binary.uid) {
+        let load = self.loaded_uid != Some(binary.uid);
+        if !load {
             self.loader_skips += 1;
-            LoaderMode::Skip
-        } else {
-            LoaderMode::LoadAndCapture
-        };
+        }
         self.runs += 1;
         self.in_flight = true;
-        let result = run_in_session(self, binary, input, config, hooks, loader);
+        let result = run_in_session(self, binary, input, config, hooks, load);
         self.in_flight = false;
-        if loader == LoaderMode::LoadAndCapture {
-            self.loaded_uid = Some(binary.uid);
-        }
+        self.loaded_uid = Some(binary.uid);
         result
     }
 
@@ -561,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_runs_match_plain_runs_bit_for_bit() {
+    fn warm_runs_skip_the_loader_bit_for_bit() {
         // The loader-image fast path (capture on run 1, skip afterwards)
         // must be invisible in results — including uninitialized reads of
         // loader-page junk and global mutation across runs.
@@ -569,7 +540,7 @@ mod tests {
             r#"
             int g_acc;
             char g_buf[64];
-            char* msg = "batched";
+            char* msg = "warm";
             int main() {
                 char in[8];
                 long n = read_input(in, 7L);
@@ -586,35 +557,16 @@ mod tests {
         let mut s = ExecSession::new(&b);
         for input in [&b"a"[..], b"bb", b"ccc", b"", b"dddd"] {
             assert_eq!(
-                s.run_batched(&b, input, &cfg),
+                s.run(&b, input, &cfg),
                 execute(&b, input, &cfg),
                 "{input:?}"
             );
         }
-        assert!(
-            s.stats().loader_skips >= 4,
-            "warm runs must skip the loader: {:?}",
-            s.stats()
-        );
+        assert_eq!(s.stats().loader_skips, 4, "{:?}", s.stats());
     }
 
     #[test]
-    fn batched_and_plain_runs_interleave() {
-        // Timeout escalation re-runs use plain `run` on a session warmed
-        // by `run_batched`; both directions must stay bit-identical.
-        let b = bin(
-            "int main() { char c[4]; long n = read_input(c, 4L); printf(\"%d\\n\", (int)n); return 0; }",
-            "clang-O1",
-        );
-        let cfg = VmConfig::default();
-        let mut s = ExecSession::new(&b);
-        assert_eq!(s.run_batched(&b, b"x", &cfg), execute(&b, b"x", &cfg));
-        assert_eq!(s.run(&b, b"yy", &cfg), execute(&b, b"yy", &cfg));
-        assert_eq!(s.run_batched(&b, b"zzz", &cfg), execute(&b, b"zzz", &cfg));
-    }
-
-    #[test]
-    fn batched_run_heals_on_binary_switch() {
+    fn run_heals_on_binary_switch() {
         // A different binary with the *same* junk seed must invalidate the
         // loader image: its untouched loader pages have to read as
         // pristine junk, not the previous binary's strings.
@@ -630,18 +582,18 @@ mod tests {
         let cfg = VmConfig::default();
         let mut s = ExecSession::new(&a);
         for _ in 0..2 {
-            assert_eq!(s.run_batched(&a, b"", &cfg), execute(&a, b"", &cfg));
+            assert_eq!(s.run(&a, b"", &cfg), execute(&a, b"", &cfg));
         }
         for _ in 0..2 {
-            assert_eq!(s.run_batched(&c, b"", &cfg), execute(&c, b"", &cfg));
+            assert_eq!(s.run(&c, b"", &cfg), execute(&c, b"", &cfg));
         }
-        assert_eq!(s.run_batched(&a, b"", &cfg), execute(&a, b"", &cfg));
-        // And plain runs on the warmed session stay equivalent too.
-        assert_eq!(s.run(&c, b"", &cfg), execute(&c, b"", &cfg));
+        assert_eq!(s.run(&a, b"", &cfg), execute(&a, b"", &cfg));
+        // Each switch captures again: only the repeat runs skip.
+        assert_eq!(s.stats().loader_skips, 2, "{:?}", s.stats());
     }
 
     #[test]
-    fn batched_run_recovers_after_trap() {
+    fn loader_image_survives_a_trap() {
         let b = bin(
             r#"
             int g;
@@ -658,11 +610,11 @@ mod tests {
         );
         let cfg = VmConfig::default();
         let mut s = ExecSession::new(&b);
-        assert_eq!(s.run_batched(&b, b"ok", &cfg), execute(&b, b"ok", &cfg));
-        let crash = s.run_batched(&b, b"!x", &cfg);
+        assert_eq!(s.run(&b, b"ok", &cfg), execute(&b, b"ok", &cfg));
+        let crash = s.run(&b, b"!x", &cfg);
         assert_eq!(crash.status, ExitStatus::Trapped(Trap::Segv));
         assert_eq!(crash, execute(&b, b"!x", &cfg));
-        assert_eq!(s.run_batched(&b, b"ab", &cfg), execute(&b, b"ab", &cfg));
+        assert_eq!(s.run(&b, b"ab", &cfg), execute(&b, b"ab", &cfg));
     }
 
     #[test]
@@ -671,9 +623,9 @@ mod tests {
         // implementation in the SAME session under a doubled step budget.
         // A run abandoned at the step limit leaves dirty pages, pooled
         // frames, and heap state behind; the epoch reset must clear all
-        // of it so the escalated re-run is bit-identical to one in a
-        // brand-new session — under block dispatch and the reference
-        // interpreter, and whether the timed-out run was plain or batched.
+        // of it so the escalated re-run — which skips the loader — is
+        // bit-identical to one in a brand-new session, under block
+        // dispatch and the reference interpreter.
         let b = bin(
             r#"
             int work(int depth) {
@@ -705,24 +657,16 @@ mod tests {
             ..tight.clone()
         };
         for make in [ExecSession::reference, ExecSession::new] {
-            for batched_first in [false, true] {
-                let mut reused = make(&b);
-                let reference = reused.reference;
-                let timed_out = if batched_first {
-                    reused.run_batched(&b, b"", &tight)
-                } else {
-                    reused.run(&b, b"", &tight)
-                };
-                assert_eq!(timed_out.status, ExitStatus::TimedOut, "{reference}");
+            let mut reused = make(&b);
+            let reference = reused.reference;
+            let timed_out = reused.run(&b, b"", &tight);
+            assert_eq!(timed_out.status, ExitStatus::TimedOut, "{reference}");
 
-                let rerun = reused.run(&b, b"", &doubled);
-                let fresh = make(&b).run(&b, b"", &doubled);
-                assert_eq!(
-                    rerun, fresh,
-                    "reference={reference} batched_first={batched_first}"
-                );
-                assert_eq!(rerun.status, ExitStatus::Code(0));
-            }
+            let rerun = reused.run(&b, b"", &doubled);
+            assert_eq!(reused.stats().loader_skips, 1, "{reference}");
+            let fresh = make(&b).run(&b, b"", &doubled);
+            assert_eq!(rerun, fresh, "reference={reference}");
+            assert_eq!(rerun.status, ExitStatus::Code(0));
         }
     }
 

@@ -13,23 +13,25 @@ use crate::fitness::{evaluate, Evaluation};
 use crate::gen::{generate, Genome};
 use crate::mutate::{crossover, mutate};
 use compdiff::{hash64, hex_decode, hex_encode, Json};
-use fuzzing::Rng;
+use fuzzing::{splitmix64, Rng};
 use std::collections::BTreeSet;
 
-/// SplitMix64-style mixer for deriving per-generation PRNG seeds.
+/// SplitMix64 mixer for deriving per-generation PRNG seeds.
 pub fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
+
+/// The largest population a run may hold (the default is 8). The bound
+/// keeps a size read from the command line or a checkpoint from
+/// allocating without limit.
+pub const MAX_POPULATION: usize = 4096;
 
 /// Evolution parameters.
 #[derive(Debug, Clone)]
 pub struct EvolveConfig {
     /// Master seed; the whole run is a pure function of it.
     pub seed: u64,
-    /// Population size (default 8).
+    /// Population size (default 8), kept within `2..=MAX_POPULATION`.
     pub population: usize,
 }
 
@@ -114,10 +116,11 @@ pub struct EvolveState {
 
 impl EvolveState {
     /// A fresh state: generation 0's population straight from the
-    /// generator.
+    /// generator, `cfg.population` clamped to `2..=MAX_POPULATION`.
     pub fn new(cfg: &EvolveConfig) -> Self {
+        let population_size = cfg.population.clamp(2, MAX_POPULATION);
         let mut rng = Rng::new(mix(cfg.seed, 0x5eed));
-        let population = (0..cfg.population.max(2))
+        let population = (0..population_size)
             .map(|_| {
                 let g = generate(&mut rng);
                 (g.source(), g.probes)
@@ -125,7 +128,7 @@ impl EvolveState {
             .collect();
         EvolveState {
             seed: cfg.seed,
-            population_size: cfg.population.max(2),
+            population_size,
             next_generation: 0,
             population,
             archive: BTreeSet::new(),
@@ -201,10 +204,18 @@ impl EvolveState {
             .map_err(|_| "bad `seed`".to_string())?;
         let population_size = field("population_size")?
             .as_u64()
-            .ok_or("`population_size` not a number")? as usize;
+            .ok_or("`population_size` not a number")?;
+        let population_size = usize::try_from(population_size)
+            .ok()
+            .filter(|n| (2..=MAX_POPULATION).contains(n))
+            .ok_or_else(|| {
+                format!("`population_size` {population_size} out of range (2..={MAX_POPULATION})")
+            })?;
         let next_generation = field("next_generation")?
             .as_u64()
-            .ok_or("`next_generation` not a number")? as u32;
+            .ok_or("`next_generation` not a number")?;
+        let next_generation = u32::try_from(next_generation)
+            .map_err(|_| format!("`next_generation` {next_generation} out of range"))?;
         let mut population = Vec::new();
         for p in field("population")?
             .as_array()
@@ -486,5 +497,35 @@ mod tests {
         assert_eq!(back.population, state.population);
         assert_eq!(back.archive, state.archive);
         assert_eq!(back.divergents.len(), state.divergents.len());
+    }
+
+    #[test]
+    fn resume_rejects_an_out_of_range_population_size() {
+        let state = EvolveState::new(&small_cfg(3));
+        let json = state.to_json().render();
+        let field = r#""population_size":4"#;
+        assert!(json.contains(field));
+        for bad in ["0", "1", "4097", "1000000000000"] {
+            let tampered = json.replacen(field, &format!(r#""population_size":{bad}"#), 1);
+            let err = EvolveState::from_json(&Json::parse(&tampered).unwrap()).unwrap_err();
+            assert!(err.contains("`population_size`"), "{bad}: {err}");
+        }
+        let at_max = json.replacen(field, &format!(r#""population_size":{MAX_POPULATION}"#), 1);
+        let back = EvolveState::from_json(&Json::parse(&at_max).unwrap()).unwrap();
+        assert_eq!(back.population_size, MAX_POPULATION);
+    }
+
+    #[test]
+    fn a_fresh_population_is_clamped_to_the_bound() {
+        for (asked, kept) in [(0, 2), (1, 2), (5, 5), (MAX_POPULATION + 1, MAX_POPULATION)] {
+            let state = EvolveState::new(&EvolveConfig {
+                seed: 1,
+                population: asked,
+            });
+            assert_eq!(
+                (state.population_size, state.population.len()),
+                (kept, kept)
+            );
+        }
     }
 }

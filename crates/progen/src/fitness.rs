@@ -84,7 +84,6 @@ pub fn evaluate(
         .unzip();
     let diff = CompDiff::new(binaries, DiffConfig::default()).with_src_hash(hash64(src.as_bytes()));
     let impls = diff.impls();
-    let mut sessions = diff.make_sessions();
 
     let mut divergent = false;
     let mut divergent_probe = None;
@@ -94,7 +93,7 @@ pub fn evaluate(
     // One batched sweep over the whole probe set: each implementation
     // runs every probe before the next implementation starts, and only
     // probes with disagreeing digests pay the per-input bisection.
-    let outcomes = diff.run_batch_sessions(&mut sessions, probes);
+    let outcomes = diff.run_batch_observed(&mut diff.make_sessions(), probes, &mut ());
     for (i, outcome) in outcomes.iter().enumerate() {
         classes_max = classes_max.max(outcome.classes.len());
         for r in &outcome.results {

@@ -30,6 +30,7 @@ pub mod reduce;
 
 pub use evolve::{
     mix, run_generations, DivergentFind, EvolveConfig, EvolveState, GenerationRecord,
+    MAX_POPULATION,
 };
 pub use fitness::{evaluate, Evaluation};
 pub use gen::{generate, Genome, Idiom, PROBES_PER_GENOME};

@@ -41,11 +41,7 @@ use staticheck_ir::{Certainty, UbSiteMap};
 use std::collections::BTreeMap;
 
 /// The sanitizers, in the fixed order every scan uses.
-pub const SAN_KINDS: [SanitizerKind; 3] = [
-    SanitizerKind::Asan,
-    SanitizerKind::Ubsan,
-    SanitizerKind::Msan,
-];
+pub const SAN_KINDS: [SanitizerKind; 3] = SanitizerKind::ALL;
 
 /// The UB classes a sanitizer is *supposed* to catch (paper Table 1).
 /// Silence outside the scope proves nothing.

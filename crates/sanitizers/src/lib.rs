@@ -93,11 +93,7 @@ pub fn run_sanitized(
 /// collects any reports.
 pub fn run_all_sanitizers(bin: &Binary, input: &[u8], config: &VmConfig) -> Vec<Fault> {
     let mut faults = Vec::new();
-    for kind in [
-        SanitizerKind::Asan,
-        SanitizerKind::Ubsan,
-        SanitizerKind::Msan,
-    ] {
+    for kind in SanitizerKind::ALL {
         if let minc_vm::ExitStatus::Sanitizer(f) = run_sanitized(bin, input, config, kind).status {
             faults.push(f);
         }

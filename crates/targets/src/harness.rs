@@ -47,14 +47,9 @@ pub fn verify_target(target: &Target, vm: &VmConfig) -> Vec<BugVerdict> {
         .map(|bug| {
             let trigger = target.trigger(bug);
             let outcome = diff.run_input(&trigger);
-            let kinds = [
-                SanitizerKind::Asan,
-                SanitizerKind::Ubsan,
-                SanitizerKind::Msan,
-            ];
             let mut sans = [false; 3];
-            for (k, out) in kinds.iter().zip(sans.iter_mut()) {
-                let r = sanitizers::run_sanitized(&san_bin, &trigger, vm, *k);
+            for (k, out) in SanitizerKind::ALL.into_iter().zip(sans.iter_mut()) {
+                let r = sanitizers::run_sanitized(&san_bin, &trigger, vm, k);
                 *out = matches!(r.status, ExitStatus::Sanitizer(_));
             }
             BugVerdict {

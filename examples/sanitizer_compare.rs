@@ -14,11 +14,7 @@ fn check(name: &str, src: &str) -> Result<(), minc::FrontendError> {
     let compdiff = diff.run_input(b"").divergent;
     let bin = sanitizers::compile_sanitized(src)?;
     let mut caught = Vec::new();
-    for k in [
-        SanitizerKind::Asan,
-        SanitizerKind::Ubsan,
-        SanitizerKind::Msan,
-    ] {
+    for k in SanitizerKind::ALL {
         if matches!(
             sanitizers::run_sanitized(&bin, b"", &vm, k).status,
             ExitStatus::Sanitizer(_)

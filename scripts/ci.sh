@@ -175,6 +175,16 @@ EOF
 grep -Eq 'san_fp=[1-9]' "$san_b"
 grep -q "FALSE ALARM: UBSan" "$san_b"
 
+echo "== compdiff fuzz golden (gated UB program, plain and --feedback) =="
+# CompDiff-AFL++ end to end on a committed program: the summary line and
+# every rendered discrepancy report must equal the recorded output, with
+# and without divergence feedback (the two runs differ, so both pin it).
+fuzz_prog=tests/golden/fuzz/gated_ub.mc
+diff <(./target/release/compdiff fuzz "$fuzz_prog" --execs 3000 --seed 2 2> /dev/null) \
+    tests/golden/fuzz/gated_ub.plain.stdout
+diff <(./target/release/compdiff fuzz "$fuzz_prog" --execs 3000 --seed 2 --feedback 2> /dev/null) \
+    tests/golden/fuzz/gated_ub.feedback.stdout
+
 echo "== progen evolve smoke + byte-determinism (seeded, twice) =="
 ./target/release/compdiff progen evolve --seed 7 --generations 2 --population 6 \
     --out-dir "$progen_a" --fixed-clock 0 > /dev/null 2>&1

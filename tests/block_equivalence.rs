@@ -346,11 +346,7 @@ fn sanitizer_reports_are_identical_across_modes() {
     let cfg = VmConfig::default();
     for (pi, src) in programs.iter().enumerate() {
         let bin = sanitizers::compile_sanitized(src).unwrap();
-        for kind in [
-            SanitizerKind::Asan,
-            SanitizerKind::Ubsan,
-            SanitizerKind::Msan,
-        ] {
+        for kind in SanitizerKind::ALL {
             for input in [&b""[..], b"abc"] {
                 let reference = run_reference_sanitized(&bin, input, &cfg, kind);
                 let block = sanitizers::run_sanitized(&bin, input, &cfg, kind);
@@ -392,13 +388,13 @@ fn differ_verdicts_are_identical_across_modes() {
     let reference_sessions =
         || -> Vec<ExecSession> { diff.binaries().iter().map(ExecSession::reference).collect() };
     let inputs = [&b""[..], b"!a", b"ok", b"!b", b""];
-    let reference_batch = diff.run_batch_sessions(&mut reference_sessions(), &inputs);
-    let block_batch = diff.run_batch_sessions(&mut diff.make_sessions(), &inputs);
+    let reference_batch = diff.run_batch_observed(&mut reference_sessions(), &inputs, &mut ());
+    let block_batch = diff.run_batch_observed(&mut diff.make_sessions(), &inputs, &mut ());
     let mut sessions = diff.make_sessions();
     for (i, input) in inputs.into_iter().enumerate() {
-        let reference = diff.run_input_sessions(&mut reference_sessions(), input);
+        let reference = diff.run_input_observed(&mut reference_sessions(), input, &mut ());
         let block = diff.run_input(input);
-        let block_sessions = diff.run_input_sessions(&mut sessions, input);
+        let block_sessions = diff.run_input_observed(&mut sessions, input, &mut ());
         for out in [
             &block,
             &block_sessions,

@@ -56,11 +56,7 @@ fn listing2_pointer_comparison() {
         }
     "#;
     assert!(divergent(src));
-    for kind in [
-        SanitizerKind::Asan,
-        SanitizerKind::Ubsan,
-        SanitizerKind::Msan,
-    ] {
+    for kind in SanitizerKind::ALL {
         assert!(
             !sanitizer_catches(src, kind),
             "{kind} should miss pointer comparison"
@@ -99,11 +95,7 @@ fn listing3_evaluation_order() {
             "classes must not mix families: {outcome:?}"
         );
     }
-    for kind in [
-        SanitizerKind::Asan,
-        SanitizerKind::Ubsan,
-        SanitizerKind::Msan,
-    ] {
+    for kind in SanitizerKind::ALL {
         assert!(
             !sanitizer_catches(src, kind),
             "{kind} should miss EvalOrder"

@@ -2,7 +2,7 @@
 //! `CompDiff::run_batch_reusing` as the oracle's run of the same
 //! implementation. That is exact only if the two are the same run: the
 //! coverage-hooked run of the binary cache's `fuzz_binary` must equal the
-//! oracle's batched run of that implementation, and the reusing sweep
+//! oracle's run of that implementation, and the reusing sweep
 //! must classify every input exactly as the all-ten sweep does. That must
 //! hold as well under a step limit that makes the reused result a
 //! timeout, which escalation then has to re-run.
@@ -63,7 +63,7 @@ fn oracle_runs(diff: &CompDiff, i: usize, vm: &VmConfig, inputs: &[Vec<u8>]) -> 
     let mut session = minc_vm::ExecSession::new(bin);
     inputs
         .iter()
-        .map(|input| session.run_batched(bin, input, vm))
+        .map(|input| session.run(bin, input, vm))
         .collect()
 }
 

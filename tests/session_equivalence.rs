@@ -269,7 +269,7 @@ fn session_with_coverage_hooks_matches_fresh_instrumented_execution() {
 }
 
 #[test]
-fn run_input_sessions_matches_run_input_verdicts() {
+fn run_input_observed_matches_run_input_verdicts() {
     // The differ-level API: persistent sessions must produce the same
     // divergence verdicts and hashes as the one-shot path, including on
     // escalation-triggering (partial-timeout) workloads.
@@ -295,7 +295,7 @@ fn run_input_sessions_matches_run_input_verdicts() {
     let mut sessions = diff.make_sessions();
     for input in [&b""[..], b"!a", b"ok", b"!b", b""] {
         let fresh = diff.run_input(input);
-        let persistent = diff.run_input_sessions(&mut sessions, input);
+        let persistent = diff.run_input_observed(&mut sessions, input, &mut ());
         assert_eq!(persistent.hashes, fresh.hashes, "{input:?}");
         assert_eq!(persistent.divergent, fresh.divergent, "{input:?}");
         assert_eq!(
@@ -412,6 +412,93 @@ fn kept_session_sanitizer_runs_match_fresh_execution() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// One hooked run of `bin` on `input`: coverage hooks when `kind` is
+/// `None`, that sanitizer otherwise; in `session` when given, else in a
+/// fresh VM. Returns the result and the coverage buckets (empty under a
+/// sanitizer).
+fn hooked_run(
+    session: Option<&mut ExecSession>,
+    bin: &Binary,
+    input: &[u8],
+    kind: Option<SanitizerKind>,
+) -> (ExecResult, Vec<(usize, u8)>) {
+    let Some(kind) = kind else {
+        let cfg = VmConfig::default();
+        let mut map = CoverageMap::new();
+        let result = {
+            let mut hooks = CoveredHooks::new(&mut map, NoHooks);
+            match session {
+                Some(s) => s.run_with_hooks(bin, input, &cfg, &mut hooks),
+                None => execute_with_hooks(bin, input, &cfg, &mut hooks),
+            }
+        };
+        return (result, map.buckets().collect());
+    };
+    let plan = SanFaultPlan::parse("").unwrap();
+    (planned_run(session, bin, input, kind, &plan), Vec::new())
+}
+
+#[test]
+fn hooked_session_runs_skip_the_loader_after_the_first() {
+    // Every run of a binary after the session's first run of it starts
+    // from the kept post-loader page image instead of running the loader,
+    // under coverage hooks and with each sanitizer attached alike, and
+    // each result equals a fresh hooked execution. Handing the session
+    // another binary captures that binary's image.
+    let a_src = r#"
+        int g_count;
+        char g_tag[16];
+        char* banner = "image";
+        int main() {
+            char b[8];
+            long n = read_input(b, 8L);
+            g_count += (int)n;
+            g_tag[0] = b[0];
+            int u;
+            if (n > 1 && b[0] == '!') { printf("%d\n", u); }
+            printf("%s %d %d\n", banner, g_count, (int)g_tag[1]);
+            return 0;
+        }
+    "#;
+    let b_src = r#"
+        char* word = "other";
+        int main() {
+            char b[4];
+            long n = read_input(b, 4L);
+            printf("%s %d\n", word, (int)n);
+            return 0;
+        }
+    "#;
+    let ci = CompilerImpl::parse("gcc-O2").unwrap();
+    let a = sancheck::compile_sanitized_for(&minc::check(a_src).unwrap(), ci);
+    let b = sancheck::compile_sanitized_for(&minc::check(b_src).unwrap(), ci);
+    assert_eq!(
+        a.personality.seed, b.personality.seed,
+        "same implementation"
+    );
+    let inputs = [&b""[..], b"ab", b"!x", b"zzzz"];
+    let kinds = [None].into_iter().chain(SAN_KINDS.map(Some));
+    for kind in kinds {
+        let mut session = ExecSession::new(&a);
+        for (switches, (label, bin)) in [("a", &a), ("b", &b), ("a again", &a)]
+            .into_iter()
+            .enumerate()
+        {
+            for input in inputs {
+                let kept = hooked_run(Some(&mut session), bin, input, kind);
+                let fresh = hooked_run(None, bin, input, kind);
+                assert_eq!(kept, fresh, "{kind:?} {label} on {input:?}");
+            }
+            let stats = session.stats();
+            assert_eq!(
+                stats.loader_skips,
+                stats.runs - 1 - switches as u64,
+                "{kind:?} {label}: one capture per binary switch: {stats:?}"
+            );
         }
     }
 }
