@@ -278,7 +278,9 @@ mod tests {
     fn bench_measures_something() {
         std::env::set_var("COMPDIFF_BENCH_FAST", "1");
         let mut g = BenchGroup::new("smoke");
-        let r = g.bench("noop_sum", || (0..100u64).sum::<u64>());
+        // Each element goes through `black_box`, so the optimizer cannot
+        // fold the sum to a constant and leave nothing to time.
+        let r = g.bench("noop_sum", || (0..100u64).map(black_box).sum::<u64>());
         assert!(r.median > Duration::ZERO);
         assert!(r.min <= r.median && r.median <= r.max);
         let all = g.finish();

@@ -268,6 +268,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, RUN_FLAGS, true)?;
     let src = load_source(args)?;
     let impls = parse_impls(args)?;
+    if impls.len() < 2 {
+        return Err(format!(
+            "--impls needs at least two implementations to compare, got {}",
+            impls.len()
+        ));
+    }
     let input = read_input(args)?;
     let diff =
         CompDiff::from_source(&src, &impls, DiffConfig::default()).map_err(|e| e.to_string())?;

@@ -1,9 +1,11 @@
 //! The shared binary cache: each target's ten differential binaries are
 //! compiled and translated exactly once per campaign and shared by every
 //! worker through `Arc`s. The fuzz binary is one of them (the oracle's
-//! `fuzz_impl` build); coverage hooks attach to it at run time. The same
-//! ten logged pipelines feed the target's unstable-code lint, so the
-//! cache hands out a [`LintTally`] with the binaries.
+//! `fuzz_impl` build); coverage hooks attach to it at run time. One
+//! shared build (`minc_compile::compile_all`: one lowering and one prefix
+//! tree of passes per family) makes the ten binaries and the rewrite logs
+//! that feed the target's unstable-code lint, so the cache hands out a
+//! [`LintTally`] with the binaries.
 //!
 //! Without this, every (target × seed-shard) job would recompile the full
 //! implementation set — `CompDiff::from_source_default` pays the frontend
@@ -20,7 +22,7 @@ use crate::faults::{panic_message, FaultKind, FaultPlan};
 use crate::CampaignTelemetry;
 use compdiff::{hash64, CompDiff, DiffConfig};
 use minc::FrontendError;
-use minc_compile::{Binary, CompilerImpl, RewriteLog};
+use minc_compile::{Binary, CompilerImpl};
 use minc_vm::BlockProgram;
 use staticheck::Defect;
 use staticheck_ir::{LintFinding, UnstableLint};
@@ -90,8 +92,8 @@ impl CompiledTarget {
 pub struct LintTally {
     /// Findings per defect class.
     pub findings: BTreeMap<Defect, u64>,
-    /// Microseconds the lint's analysis took; the ten pipelines it reads
-    /// are the binaries' and are not counted.
+    /// Microseconds the lint's analysis took; the rewrite logs it reads
+    /// come from the binaries' build and are not counted.
     pub scan_us: u64,
 }
 
@@ -243,15 +245,10 @@ impl BinaryCache {
                 panic!("fault plan panicked compile of `{name}` (attempt {attempt})");
             }
             let checked = minc::check(&target.src)?;
-            // One logged pipeline per implementation: each IR links into
-            // the oracle's binary, and the ten logs feed the lint.
-            let (binaries, logs): (Vec<Binary>, Vec<RewriteLog>) = CompilerImpl::default_set()
-                .into_iter()
-                .map(|ci| {
-                    let (ir, log) = minc_compile::optimize_logged(&checked, ci);
-                    (Binary::link(ir, ci.personality()), log)
-                })
-                .unzip();
+            // One shared build of the ten implementations: the binaries
+            // are the oracle's, and the ten logs feed the lint.
+            let (binaries, logs) =
+                minc_compile::compile_all(&checked, &CompilerImpl::default_set());
             let t0 = self.clock.now_micros();
             let findings = UnstableLint::run_with_logs(&checked, &logs);
             let lint = LintTally::of(&findings, self.clock.now_micros().saturating_sub(t0));
@@ -358,7 +355,7 @@ mod tests {
         }
     }
 
-    /// One logged pipeline per implementation builds exactly
+    /// The shared build makes exactly
     /// `minc_compile::compile`'s binaries (uid aside) and exactly the lint
     /// `UnstableLint::run_source` reports, on every catalog target.
     #[test]

@@ -7,9 +7,9 @@
 //! round-robin, to N workers — threads of this process, or worker
 //! processes over a local socket; the same coordinator loop drives both
 //! (DESIGN.md §17). A [`cache::BinaryCache`] compiles and lints each
-//! target once per process: ten logged pipelines build the ten
-//! differential binaries, one of which is the fuzz binary, and feed the
-//! lint. A crash-resilient [`state::CampaignState`] checkpoints each
+//! target once per process: one shared build of the ten implementations
+//! makes the ten differential binaries, one of which is the fuzz binary,
+//! and the rewrite logs that feed the lint. A crash-resilient [`state::CampaignState`] checkpoints each
 //! finished job to a JSONL file so a killed campaign resumes where it
 //! stopped, and a [`stats::CampaignStats`] aggregator dedups
 //! discrepancies campaign-wide by [`compdiff::signature_of`].

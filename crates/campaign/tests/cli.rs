@@ -118,6 +118,23 @@ fn unknown_flags_are_rejected_by_name() {
 }
 
 #[test]
+fn run_with_one_implementation_is_rejected_by_flag() {
+    let path = program("one-impl");
+    let p = path.to_str().unwrap();
+    let out = compdiff(&["run", p, "--impls", "gcc-O2"]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a one-implementation run must exit 1"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--impls"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "ran anyway");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn malformed_fuzz_numbers_are_rejected_by_name() {
     let path = program("fuzz-numbers");
     let p = path.to_str().unwrap();

@@ -178,10 +178,7 @@ impl CompDiffAfl {
         diff_config: DiffConfig,
     ) -> Result<Self, FrontendError> {
         let checked = minc::check(src)?;
-        let binaries: Vec<Binary> = impls
-            .iter()
-            .map(|&i| minc_compile::compile(&checked, i))
-            .collect();
+        let binaries = minc_compile::compile_all(&checked, impls).0;
         let fuzz_binary = match impls.iter().position(|&i| i == fuzz_impl) {
             Some(i) => binaries[i].clone(),
             None => minc_compile::compile(&checked, fuzz_impl),

@@ -6,17 +6,15 @@
 //! to `ub_exploit`.
 
 use crate::ir::*;
-use crate::personality::{OptLevel, Personality};
 
 /// Maximum number of inlining operations per function (expansion guard).
 const MAX_INLINES_PER_FUNCTION: usize = 24;
 
-/// Runs the inliner over the whole program.
-pub fn run(prog: &mut IrProgram, personality: &Personality) {
-    let threshold = match personality.id.level {
-        OptLevel::Os => 12,
-        _ => 40,
-    };
+/// Runs the inliner over the whole program, inlining callees of at most
+/// `threshold` instructions (the pipeline's [`PassKind::Inline`] sets it).
+///
+/// [`PassKind::Inline`]: crate::personality::PassKind::Inline
+pub fn run(prog: &mut IrProgram, threshold: usize) {
     let n = prog.functions.len();
     for caller in 0..n {
         let mut budget = MAX_INLINES_PER_FUNCTION;
@@ -258,11 +256,21 @@ fn remap_inst(
 mod tests {
     use super::*;
     use crate::lower::lower;
-    use crate::personality::{CompilerImpl, Family, OptLevel};
+    use crate::personality::{CompilerImpl, Family, OptLevel, PassKind};
 
-    fn lower_with(src: &str, level: OptLevel) -> (IrProgram, Personality) {
+    /// The lowered program after the scalar core, and the inlining
+    /// threshold `level`'s pipeline gives the inliner.
+    fn lower_with(src: &str, level: OptLevel) -> (IrProgram, usize) {
         let checked = minc::check(src).unwrap();
         let p = CompilerImpl::new(Family::Gcc, level).personality();
+        let threshold = p
+            .pipeline
+            .iter()
+            .find_map(|pass| match pass {
+                PassKind::Inline { threshold } => Some(*threshold),
+                _ => None,
+            })
+            .expect("the level inlines");
         let mut ir = lower(&checked, &p);
         // The pipeline runs the scalar core before inlining; mirror that so
         // callee sizes match what the inliner sees in production.
@@ -273,14 +281,14 @@ mod tests {
             crate::passes::dce(f);
             crate::passes::simplify_cfg(f);
         }
-        (ir, p)
+        (ir, threshold)
     }
 
     #[test]
     fn inlines_small_callee() {
         let src = "int two(int x) { return x + x; }\nint main() { return two(21); }";
-        let (mut ir, p) = lower_with(src, OptLevel::O2);
-        run(&mut ir, &p);
+        let (mut ir, threshold) = lower_with(src, OptLevel::O2);
+        run(&mut ir, threshold);
         let main = ir.functions.iter().find(|f| f.name == "main").unwrap();
         let calls = main
             .blocks
@@ -302,8 +310,8 @@ mod tests {
     #[test]
     fn does_not_inline_recursive() {
         let src = "int fac(int n) { if (n <= 1) return 1; return n * fac(n - 1); }\nint main() { return fac(5); }";
-        let (mut ir, p) = lower_with(src, OptLevel::O2);
-        run(&mut ir, &p);
+        let (mut ir, threshold) = lower_with(src, OptLevel::O2);
+        run(&mut ir, threshold);
         let main = ir.functions.iter().find(|f| f.name == "main").unwrap();
         let calls = main
             .blocks
@@ -328,7 +336,7 @@ mod tests {
             int f(int x) { int tmp[2]; tmp[0] = x; tmp[1] = x + 1; return tmp[0] + tmp[1]; }
             int main() { return f(3); }
         "#;
-        let (mut ir, p) = lower_with(src, OptLevel::O2);
+        let (mut ir, threshold) = lower_with(src, OptLevel::O2);
         let before = ir
             .functions
             .iter()
@@ -336,7 +344,7 @@ mod tests {
             .unwrap()
             .slots
             .len();
-        run(&mut ir, &p);
+        run(&mut ir, threshold);
         let after = ir
             .functions
             .iter()
@@ -353,10 +361,10 @@ mod tests {
         let body: String = (0..10).map(|i| format!("acc = acc + {i}; ")).collect();
         let src =
             format!("int mid(int acc) {{ {body} return acc; }}\nint main() {{ return mid(1); }}");
-        let (mut ir2, p2) = lower_with(&src, OptLevel::O2);
-        run(&mut ir2, &p2);
-        let (mut irs, ps) = lower_with(&src, OptLevel::Os);
-        run(&mut irs, &ps);
+        let (mut ir2, t2) = lower_with(&src, OptLevel::O2);
+        run(&mut ir2, t2);
+        let (mut irs, ts) = lower_with(&src, OptLevel::Os);
+        run(&mut irs, ts);
         let count_calls = |ir: &IrProgram| {
             ir.functions
                 .iter()

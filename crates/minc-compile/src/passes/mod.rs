@@ -49,7 +49,7 @@ pub fn run_pass_logged(
     mut log: Option<&mut RewriteLog>,
 ) {
     match pass {
-        PassKind::Inline => inline::run(prog, personality),
+        PassKind::Inline { threshold } => inline::run(prog, threshold),
         PassKind::Unroll => {
             for f in &mut prog.functions {
                 unroll::run_logged(f, personality, log.as_deref_mut());

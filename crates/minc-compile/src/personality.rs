@@ -194,6 +194,20 @@ pub enum SlotOrder {
 /// The full set of implementation-defined choices for one compiler
 /// implementation. Everything here is *legal* per the C standard; the ten
 /// personalities only disagree where the standard permits disagreement.
+///
+/// Which fields shape the optimized IR: lowering reads only `eval_order`
+/// and `line_policy`; of the passes, `ConstFold` reads `shift_fold_zero`
+/// and `Unroll` reads `id.family`, and `Mem2Reg`, `UbExploit` and `Unroll`
+/// read `id` otherwise only to label [`RewriteLog`] entries. All four are
+/// fixed per family, and the one per-level knob, the inlining threshold,
+/// lives in [`PassKind::Inline`]. So within one family a pass's effect on
+/// the IR depends only on its `PassKind` value, and the five pipelines,
+/// which share their leading passes, can share their lowering and those
+/// passes ([`optimize_all`](crate::optimize_all)). Keep it that
+/// way: a field a pass or the lowering reads must be fixed per family, or
+/// be part of the `PassKind`.
+///
+/// [`RewriteLog`]: crate::RewriteLog
 #[derive(Debug, Clone, PartialEq)]
 pub struct Personality {
     /// Which implementation this is.
@@ -261,8 +275,12 @@ pub enum PassKind {
     /// Widen `(long)(a*b)` to 64-bit multiplication (legal only because
     /// signed overflow is UB) — clang-sim `-O1`+, the paper's IntError case.
     WidenMul,
-    /// Inline small functions.
-    Inline,
+    /// Inline functions of at most `threshold` instructions (40, or 12 at
+    /// `-Os`).
+    Inline {
+        /// Largest callee, in instructions, that gets inlined.
+        threshold: usize,
+    },
     /// Fully unroll small counted loops (`-O3`). The gcc-sim `-O3` unroller
     /// carries a deliberate, very narrow miscompilation bug (RQ2).
     Unroll,
@@ -347,7 +365,9 @@ impl Personality {
         if id.level.aggressive() {
             // Inline after the scalar core so callees are already compact,
             // then re-run the scalar pipeline over the merged bodies.
-            p.push(Inline);
+            p.push(Inline {
+                threshold: if id.level == Os { 12 } else { 40 },
+            });
             p.push(Mem2Reg);
             p.push(UbExploit);
             p.push(ConstFold);
@@ -435,6 +455,31 @@ mod tests {
         assert!(g3.pipeline.contains(&PassKind::Unroll));
         assert!(!g3.pipeline.contains(&PassKind::PowFast));
         assert!(c3.pipeline.contains(&PassKind::PowFast));
+    }
+
+    #[test]
+    fn each_familys_pipelines_form_a_prefix_tree_of_shared_passes() {
+        // -O2 and -Os extend -O1, and -O3 extends -O2; so the tree of one
+        // family's distinct pass-list prefixes has 27 (gcc) or 29 (clang)
+        // nodes, against 51 or 56 passes run one pipeline at a time.
+        for (family, tree, separate) in [(Family::Gcc, 27, 51), (Family::Clang, 29, 56)] {
+            let pipe = |level| CompilerImpl::new(family, level).personality().pipeline;
+            let o1 = pipe(OptLevel::O1);
+            assert!(pipe(OptLevel::O2).starts_with(&o1));
+            assert!(pipe(OptLevel::Os).starts_with(&o1));
+            assert!(pipe(OptLevel::O3).starts_with(&pipe(OptLevel::O2)));
+            let lists: Vec<Vec<PassKind>> = OptLevel::ALL.into_iter().map(pipe).collect();
+            let prefixes: std::collections::HashSet<&[PassKind]> = lists
+                .iter()
+                .flat_map(|p| (1..=p.len()).map(move |n| &p[..n]))
+                .collect();
+            assert_eq!(prefixes.len(), tree, "{family}");
+            assert_eq!(
+                lists.iter().map(Vec::len).sum::<usize>(),
+                separate,
+                "{family}"
+            );
+        }
     }
 
     #[test]

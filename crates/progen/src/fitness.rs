@@ -18,7 +18,7 @@
 
 use compdiff::{hash64, signature_with_hash, CompDiff, DiffConfig};
 use minc::FrontendError;
-use minc_compile::{Binary, CompilerImpl, RewriteLog};
+use minc_compile::CompilerImpl;
 use minc_vm::ExitStatus;
 use staticheck_ir::UnstableLint;
 use std::collections::BTreeSet;
@@ -40,7 +40,7 @@ pub struct Evaluation {
     pub status_kinds: usize,
     /// Distinct UB justifications logged by the optimizer pipelines.
     pub reasons: Vec<String>,
-    /// Total rewrite-provenance entries over the ten pipelines.
+    /// Total rewrite-provenance entries over the ten implementations.
     pub rewrite_entries: usize,
     /// Unstable-lint finding count.
     pub lint_findings: usize,
@@ -71,17 +71,11 @@ pub fn evaluate(
     probes: &[Vec<u8>],
     archive: &BTreeSet<String>,
 ) -> Result<Evaluation, FrontendError> {
-    // One check and one logged pipeline per implementation: each IR
-    // links into the oracle's binary, and the logs feed the rewrite
-    // channel and the lint.
+    // One check and one shared build of the ten implementations: the
+    // binaries are the oracle's, and the logs feed the rewrite channel
+    // and the lint.
     let checked = minc::check(src)?;
-    let (binaries, logs): (Vec<Binary>, Vec<RewriteLog>) = CompilerImpl::default_set()
-        .into_iter()
-        .map(|ci| {
-            let (ir, log) = minc_compile::optimize_logged(&checked, ci);
-            (Binary::link(ir, ci.personality()), log)
-        })
-        .unzip();
+    let (binaries, logs) = minc_compile::compile_all(&checked, &CompilerImpl::default_set());
     let diff = CompDiff::new(binaries, DiffConfig::default()).with_src_hash(hash64(src.as_bytes()));
     let impls = diff.impls();
 

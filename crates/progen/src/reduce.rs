@@ -305,20 +305,14 @@ impl<'a> PairOracle<'a> {
 
     fn still_diverges(&mut self, checked: &CheckedProgram) -> bool {
         let (a, b) = self.pair;
-        let run = |i: usize, session: &mut ExecSession| {
-            let bin = minc_compile::compile(checked, self.impls[i]);
-            session.run(&bin, self.probe, &self.vm)
-        };
+        let (pair_bins, _) = minc_compile::compile_all(checked, &[self.impls[a], self.impls[b]]);
         let [sa, sb] = &mut self.sessions;
-        let (ra, rb) = (run(a, sa), run(b, sb));
+        let ra = sa.run(&pair_bins[0], self.probe, &self.vm);
+        let rb = sb.run(&pair_bins[1], self.probe, &self.vm);
         if ra.status != ExitStatus::TimedOut && rb.status != ExitStatus::TimedOut {
             return self.engine.digest(&ra) != self.engine.digest(&rb);
         }
-        let binaries = self
-            .impls
-            .iter()
-            .map(|&ci| minc_compile::compile(checked, ci))
-            .collect();
+        let (binaries, _) = minc_compile::compile_all(checked, &self.impls);
         let config = DiffConfig {
             vm: self.vm.clone(),
             ..DiffConfig::default()

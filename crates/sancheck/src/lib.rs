@@ -296,13 +296,13 @@ pub fn check_program(
     src_hash: u64,
     config: &SancheckConfig,
 ) -> SancheckReport {
-    // One pipeline per impl: its log feeds the map, its IR becomes the
-    // sanitized binary, and one session runs the three sanitizers. Only
-    // one impl's IR and binary are alive at a time.
+    // One shared build of every impl: each log feeds the map, each IR
+    // becomes that impl's sanitized binary, and one session runs the
+    // three sanitizers. Each IR is dropped with its binary once run.
     let mut logs = Vec::with_capacity(config.impls.len());
     let mut verdicts: Vec<SanVerdict> = Vec::new();
-    for &impl_id in &config.impls {
-        let (ir, log) = minc_compile::optimize_logged(checked, impl_id);
+    let built = minc_compile::optimize_all(checked, &config.impls);
+    for ((ir, log), &impl_id) in built.into_iter().zip(&config.impls) {
         logs.push(log);
         let bin = Binary::link(ir, sanitized_personality(impl_id));
         let mut session = ExecSession::new(&bin);

@@ -51,7 +51,7 @@ pub use ubmap::{Certainty, UbClass, UbSite, UbSiteMap};
 
 use minc::{CheckedProgram, FrontendError, Span};
 use minc_compile::personality::{CompilerImpl, Family, OptLevel, PassKind};
-use minc_compile::{optimize_logged, IrProgram, RewriteLog, UbReason};
+use minc_compile::{optimize_all, IrProgram, RewriteLog, UbReason};
 use staticheck::{Defect, Finding, Tool};
 use std::collections::BTreeMap;
 
@@ -119,9 +119,9 @@ impl UnstableLint {
 
     /// [`run`](UnstableLint::run) over rewrite logs the caller already
     /// has: `logs` are the provenance channel, one per implementation in
-    /// order, as [`optimize_logged`] returns them. Callers that also need
-    /// the optimized IR (the sanitizer meta-oracle, progen's fitness) run
-    /// each pipeline once and pass its log here.
+    /// order, as [`optimize_all`] returns them. Callers that also need
+    /// the optimized IR (progen's fitness, the campaign cache) build the
+    /// implementations once and pass the logs here.
     pub fn run_with_logs(checked: &CheckedProgram, logs: &[RewriteLog]) -> Vec<LintFinding> {
         // Channel 1: dataflow over the reference IR.
         let direct = detectors::scan_program(&reference_ir(checked));
@@ -208,9 +208,9 @@ pub fn reference_ir(checked: &CheckedProgram) -> IrProgram {
 
 /// Each implementation's rewrite log over `checked`, in `impls` order.
 pub(crate) fn rewrite_logs(checked: &CheckedProgram, impls: &[CompilerImpl]) -> Vec<RewriteLog> {
-    impls
-        .iter()
-        .map(|&id| optimize_logged(checked, id).1)
+    optimize_all(checked, impls)
+        .into_iter()
+        .map(|(_, log)| log)
         .collect()
 }
 

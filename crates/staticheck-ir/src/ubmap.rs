@@ -240,7 +240,7 @@ impl UbSiteMap {
 
     /// [`UbSiteMap::build`] over rewrite logs the caller already has, one
     /// per implementation in order, as
-    /// [`optimize_logged`](minc_compile::optimize_logged) returns them.
+    /// [`optimize_all`](minc_compile::optimize_all) returns them.
     pub fn build_with_logs(checked: &CheckedProgram, logs: &[RewriteLog]) -> UbSiteMap {
         let reference = reference_ir(checked);
         let summaries = FnSummaries::of(&reference);

@@ -225,4 +225,7 @@ COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench fuzzer
 echo "== sancheck bench (fast smoke, pinned digests and kept-session runs checked first) =="
 COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench sancheck
 
+echo "== compile bench (fast smoke, shared build checked against each pipeline first) =="
+COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench compile
+
 echo "CI green."
