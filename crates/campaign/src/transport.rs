@@ -283,10 +283,10 @@ fn serve_conn(stream: TcpStream, conn: u64, ev_tx: &mpsc::Sender<Ev>, config: &J
 }
 
 /// Locates the worker executable the coordinator spawns: the config's
-/// `worker_exe` if set, else `$COMPDIFF_WORKER_EXE`, else the running
-/// `compdiff` binary itself, else a `compdiff` next to (or one directory
-/// above) the current executable — the latter finds `target/<profile>/
-/// compdiff` from test and bench binaries in `target/<profile>/deps/`.
+/// `worker_exe` if set, else the running `compdiff` binary itself, else a
+/// `compdiff` next to (or one directory above) the current executable —
+/// the latter finds `target/<profile>/compdiff` from test and bench
+/// binaries in `target/<profile>/deps/`.
 ///
 /// # Errors
 ///
@@ -294,9 +294,6 @@ fn serve_conn(stream: TcpStream, conn: u64, ev_tx: &mpsc::Sender<Ev>, config: &J
 pub fn resolve_worker_exe(cfg: &CampaignConfig) -> Result<PathBuf, CampaignError> {
     if let Some(exe) = &cfg.worker_exe {
         return Ok(exe.clone());
-    }
-    if let Ok(exe) = std::env::var("COMPDIFF_WORKER_EXE") {
-        return Ok(PathBuf::from(exe));
     }
     let exe = std::env::current_exe()
         .map_err(|e| CampaignError::Proto(format!("cannot locate current executable: {e}")))?;
@@ -316,9 +313,7 @@ pub fn resolve_worker_exe(cfg: &CampaignConfig) -> Result<PathBuf, CampaignError
         }
     }
     Err(CampaignError::Proto(
-        "cannot locate the compdiff worker executable; set CampaignConfig::worker_exe \
-         or the COMPDIFF_WORKER_EXE environment variable"
-            .to_string(),
+        "cannot locate the compdiff worker executable; set CampaignConfig::worker_exe".to_string(),
     ))
 }
 

@@ -235,9 +235,6 @@ impl<H: Hooks> Hooks for CoveredHooks<'_, H> {
     fn on_poison_use(&mut self, use_: PoisonUse, loc: Loc) -> Option<Fault> {
         self.inner.on_poison_use(use_, loc)
     }
-    fn on_exit(&mut self, live_heap: &[(u64, u64)]) -> Option<Fault> {
-        self.inner.on_exit(live_heap)
-    }
     // Coverage instruments edges only, never individual memory accesses,
     // so bulk memory operations are fine whenever the inner hooks allow
     // them (e.g. plain-AFL fuzzing over NoHooks keeps the VM fast path).

@@ -116,6 +116,30 @@ pub enum ConstVal {
     Junk(u32),
 }
 
+impl ConstVal {
+    /// The register word of an arithmetic constant (`I32` sign-extended,
+    /// `F64` as its bits); `None` for addresses and junk, whose words only
+    /// a linked binary knows.
+    #[inline]
+    pub fn word(self) -> Option<u64> {
+        match self {
+            ConstVal::I32(x) => Some(x as i64 as u64),
+            ConstVal::I64(x) => Some(x as u64),
+            ConstVal::F64(x) => Some(x.to_bits()),
+            _ => None,
+        }
+    }
+
+    /// The constant of type `ty` that register word `w` holds.
+    pub fn from_word(ty: IrType, w: u64) -> ConstVal {
+        match ty {
+            IrType::I32 => ConstVal::I32(w as i32),
+            IrType::I64 => ConstVal::I64(w as i64),
+            IrType::F64 => ConstVal::F64(f64::from_bits(w)),
+        }
+    }
+}
+
 /// Binary operation kinds. Comparisons yield `i32` 0/1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinKind {
@@ -225,6 +249,99 @@ impl BinKind {
         use BinKind::*;
         matches!(self, DivS | DivU | RemS | RemU)
     }
+
+    /// The type of `a op b` for operands of type `ty`.
+    pub fn result_ty(self, ty: IrType) -> IrType {
+        if self.is_comparison() {
+            IrType::I32
+        } else {
+            ty
+        }
+    }
+
+    /// Evaluates `a op b` on register words at operand type `ty`. This
+    /// and [`UnKind::eval`] and [`CastKind::eval`] are the one definition
+    /// of MinC arithmetic: the VM, the constant folder and global
+    /// initializers all evaluate through them.
+    ///
+    /// `I32` operations read the low 32 bits and return the sign-extended
+    /// result; comparisons return 0/1; shift amounts are masked to the
+    /// width (x86). `None` is the trap a CPU raises: a zero divisor, or
+    /// `MIN / -1`.
+    // `always`: with a plain `#[inline]` LLVM kept this a call from the
+    // block dispatcher's generic division and float arm, a call into
+    // another crate on the VM's hot path.
+    #[inline(always)]
+    pub fn eval(self, ty: IrType, a: u64, b: u64) -> Option<u64> {
+        use BinKind::*;
+        if self.is_float() {
+            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+            return Some(match self {
+                FAdd => (x + y).to_bits(),
+                FSub => (x - y).to_bits(),
+                FMul => (x * y).to_bits(),
+                FDiv => (x / y).to_bits(),
+                FEq => (x == y) as u64,
+                FNe => (x != y) as u64,
+                FLt => (x < y) as u64,
+                FLe => (x <= y) as u64,
+                FGt => (x > y) as u64,
+                FGe => (x >= y) as u64,
+                _ => unreachable!(),
+            });
+        }
+        let narrow = ty == IrType::I32;
+        let (sa, sb) = if narrow {
+            (a as i32 as i64, b as i32 as i64)
+        } else {
+            (a as i64, b as i64)
+        };
+        let (ua, ub) = if narrow {
+            (a as u32 as u64, b as u32 as u64)
+        } else {
+            (a, b)
+        };
+        let (min, mask) = if narrow {
+            (i32::MIN as i64, 31)
+        } else {
+            (i64::MIN, 63)
+        };
+        let wrap = |v: i64| -> u64 {
+            if narrow {
+                v as i32 as i64 as u64
+            } else {
+                v as u64
+            }
+        };
+        Some(match self {
+            Add => wrap(sa.wrapping_add(sb)),
+            Sub => wrap(sa.wrapping_sub(sb)),
+            Mul => wrap(sa.wrapping_mul(sb)),
+            DivS | RemS if sb == 0 || (sa == min && sb == -1) => return None,
+            DivS => wrap(sa.wrapping_div(sb)),
+            RemS => wrap(sa.wrapping_rem(sb)),
+            DivU | RemU if ub == 0 => return None,
+            DivU => wrap((ua / ub) as i64),
+            RemU => wrap((ua % ub) as i64),
+            Shl => wrap(sa.wrapping_shl(ub as u32 & mask)),
+            ShrS => wrap(sa.wrapping_shr(ub as u32 & mask)),
+            ShrU => wrap(ua.wrapping_shr(ub as u32 & mask) as i64),
+            And => wrap(sa & sb),
+            Or => wrap(sa | sb),
+            Xor => wrap(sa ^ sb),
+            Eq => (sa == sb) as u64,
+            Ne => (sa != sb) as u64,
+            LtS => (sa < sb) as u64,
+            LeS => (sa <= sb) as u64,
+            GtS => (sa > sb) as u64,
+            GeS => (sa >= sb) as u64,
+            LtU => (ua < ub) as u64,
+            LeU => (ua <= ub) as u64,
+            GtU => (ua > ub) as u64,
+            GeU => (ua >= ub) as u64,
+            _ => unreachable!(),
+        })
+    }
 }
 
 /// Unary operation kinds.
@@ -236,6 +353,21 @@ pub enum UnKind {
     BitNot,
     /// Float negation.
     FNeg,
+}
+
+impl UnKind {
+    /// Evaluates `op a` on a register word at type `ty` (see
+    /// [`BinKind::eval`]); no unary operation traps.
+    #[inline]
+    pub fn eval(self, ty: IrType, a: u64) -> u64 {
+        match (self, ty) {
+            (UnKind::Neg, IrType::I32) => (a as i32).wrapping_neg() as i64 as u64,
+            (UnKind::Neg, _) => (a as i64).wrapping_neg() as u64,
+            (UnKind::BitNot, IrType::I32) => !(a as i32) as i64 as u64,
+            (UnKind::BitNot, _) => !a,
+            (UnKind::FNeg, _) => (-f64::from_bits(a)).to_bits(),
+        }
+    }
 }
 
 /// Cast kinds between IR types.
@@ -257,6 +389,39 @@ pub enum CastKind {
     F64I32,
     /// f64 -> i64.
     F64I64,
+}
+
+impl CastKind {
+    /// The type a cast produces.
+    pub fn result_ty(self) -> IrType {
+        use CastKind::*;
+        match self {
+            SextI32I64 | ZextI32I64 | F64I64 => IrType::I64,
+            TruncI64I32 | F64I32 => IrType::I32,
+            SI32F64 | UI32F64 | SI64F64 => IrType::F64,
+        }
+    }
+
+    /// True for the casts that read an `F64` operand.
+    pub fn from_float(self) -> bool {
+        matches!(self, CastKind::F64I32 | CastKind::F64I64)
+    }
+
+    /// Evaluates the cast on a register word (see [`BinKind::eval`]).
+    /// Float-to-integer casts saturate, and NaN becomes 0.
+    #[inline]
+    pub fn eval(self, a: u64) -> u64 {
+        use CastKind::*;
+        match self {
+            SextI32I64 | TruncI64I32 => a as i32 as i64 as u64,
+            ZextI32I64 => a as u32 as u64,
+            SI32F64 => (a as i32 as f64).to_bits(),
+            UI32F64 => (a as u32 as f64).to_bits(),
+            SI64F64 => (a as i64 as f64).to_bits(),
+            F64I32 => f64::from_bits(a) as i32 as i64 as u64,
+            F64I64 => f64::from_bits(a) as i64 as u64,
+        }
+    }
 }
 
 /// What a call targets.
@@ -460,7 +625,7 @@ pub struct SlotInfo {
 }
 
 /// A function body in IR form.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IrFunction {
     /// Source name.
     pub name: String,

@@ -24,88 +24,61 @@ use std::collections::{HashMap, HashSet};
 /// (unknown nodes in side tables, aggregate rvalues, etc.).
 pub fn lower(checked: &CheckedProgram, personality: &Personality) -> IrProgram {
     let mut layouts = StructLayouts::compute(checked);
+    let mut strings = Strings::default();
 
     // Intern strings on the fly; globals first: AST globals, then each
     // function's static locals, in order.
-    let mut strings: Vec<Vec<u8>> = Vec::new();
-    let mut string_map: HashMap<Vec<u8>, StrId> = HashMap::new();
-    let mut globals: Vec<GlobalSpec> = Vec::new();
-
-    for g in &checked.program.globals {
-        let (size, align) = layouts.size_align(&g.ty, checked);
-        let init = match &g.init {
+    let mut global = |name: &String, ty: &Type, init: &Option<Expr>| {
+        let (size, align) = layouts.size_align(ty, checked);
+        let init = match init {
             None => GlobalInit::Zero,
             Some(e) => {
-                let cv = const_eval(e, checked, &mut layouts, &mut strings, &mut string_map);
-                let cv = convert_const(cv, &g.ty);
-                GlobalInit::Scalar(cv, width_of(&g.ty))
+                let cv = initial_value(e, ty, checked, personality, &mut layouts, &mut strings);
+                GlobalInit::Scalar(cv, width_of(ty))
             }
         };
-        globals.push(GlobalSpec {
-            name: g.name.clone(),
+        GlobalSpec {
+            name: name.clone(),
             size,
             align,
             init,
-        });
-    }
-
+        }
+    };
+    let mut globals: Vec<GlobalSpec> = checked
+        .program
+        .globals
+        .iter()
+        .map(|g| global(&g.name, &g.ty, &g.init))
+        .collect();
     // Static locals become globals; remember their ids per function.
     let mut static_globals: Vec<Vec<GlobalId>> = Vec::new();
-    for (fi, _f) in checked.program.functions.iter().enumerate() {
+    for info in &checked.function_info {
         let mut ids = Vec::new();
-        for st in &checked.function_info[fi].statics {
-            let (size, align) = layouts.size_align(&st.ty, checked);
-            let init = match &st.init {
-                None => GlobalInit::Zero,
-                Some(e) => {
-                    let cv = const_eval(e, checked, &mut layouts, &mut strings, &mut string_map);
-                    let cv = convert_const(cv, &st.ty);
-                    GlobalInit::Scalar(cv, width_of(&st.ty))
-                }
-            };
+        for st in &info.statics {
             ids.push(GlobalId(globals.len() as u32));
-            globals.push(GlobalSpec {
-                name: st.name.clone(),
-                size,
-                align,
-                init,
-            });
+            globals.push(global(&st.name, &st.ty, &st.init));
         }
         static_globals.push(ids);
     }
 
     let mut functions = Vec::new();
     for (fi, f) in checked.program.functions.iter().enumerate() {
-        let mut fl = FnLowerer {
+        let ir = IrFunction {
+            name: f.name.clone(),
+            param_count: f.params.len() as u32,
+            param_tys: f.params.iter().map(|p| ir_ty(&p.ty)).collect(),
+            ret_ty: (f.ret != Type::Void).then(|| ir_ty(&f.ret)),
+            ..IrFunction::default()
+        };
+        let mut fl = FnLowerer::new(
             checked,
             personality,
-            layouts: &mut layouts,
-            strings: &mut strings,
-            string_map: &mut string_map,
-            static_globals: &static_globals[fi],
-            fn_index: fi,
-            f: IrFunction {
-                name: f.name.clone(),
-                param_count: f.params.len() as u32,
-                param_tys: f.params.iter().map(|p| ir_ty(&p.ty)).collect(),
-                ret_ty: if f.ret == Type::Void {
-                    None
-                } else {
-                    Some(ir_ty(&f.ret))
-                },
-                blocks: Vec::new(),
-                slots: Vec::new(),
-                reg_count: 0,
-                reg_tys: Vec::new(),
-                reg_lines: Vec::new(),
-            },
-            cur: BlockId(0),
-            slot_of_local: Vec::new(),
-            loops: Vec::new(),
-            stmt_span: f.span,
-            addressed: HashSet::new(),
-            junk_counter: (fi as u32) << 16,
-        };
+            &mut layouts,
+            &mut strings,
+            &static_globals[fi],
+            ir,
+            (fi as u32) << 16,
+        );
         fl.lower_fn(f);
         functions.push(fl.f);
     }
@@ -121,8 +94,57 @@ pub fn lower(checked: &CheckedProgram, personality: &Personality) -> IrProgram {
     IrProgram {
         functions,
         globals,
-        strings,
+        strings: strings.list,
         main,
+    }
+}
+
+/// Evaluates a global or static initializer exactly as run-time code: the
+/// expression is lowered like any other (`rvalue`, then `convert` to the
+/// declared type) into a scratch function, which the masking constant
+/// folder reduces to one constant. Sema admits only initializers that
+/// fold, except that an operation that traps (`7 / 0`) leaves the
+/// variable 0.
+fn initial_value(
+    e: &Expr,
+    ty: &Type,
+    checked: &CheckedProgram,
+    personality: &Personality,
+    layouts: &mut StructLayouts,
+    strings: &mut Strings,
+) -> ConstVal {
+    let scratch = IrFunction::default();
+    let mut fl = FnLowerer::new(checked, personality, layouts, strings, &[], scratch, 0);
+    let (v, vty) = fl.rvalue(e);
+    let v = fl.convert(v, &vty, ty);
+    let mut f = fl.f;
+    crate::passes::const_fold(&mut f);
+    let folded = f.blocks[0].insts.iter().find_map(|inst| match inst {
+        Inst::Const { dst, val, .. } if *dst == v => Some(*val),
+        _ => None,
+    });
+    folded.unwrap_or(ConstVal::from_word(ir_ty(ty), 0))
+}
+
+/// The program's string literals, interned in first-use order (`StrId`
+/// indexes `list`); each is NUL-terminated.
+#[derive(Default)]
+struct Strings {
+    list: Vec<Vec<u8>>,
+    ids: HashMap<Vec<u8>, StrId>,
+}
+
+impl Strings {
+    fn intern(&mut self, bytes: &[u8]) -> StrId {
+        let mut s = bytes.to_vec();
+        s.push(0);
+        if let Some(&id) = self.ids.get(&s) {
+            return id;
+        }
+        let id = StrId(self.list.len() as u32);
+        self.list.push(s.clone());
+        self.ids.insert(s, id);
+        id
     }
 }
 
@@ -151,11 +173,8 @@ struct FnLowerer<'a> {
     checked: &'a CheckedProgram,
     personality: &'a Personality,
     layouts: &'a mut StructLayouts,
-    strings: &'a mut Vec<Vec<u8>>,
-    string_map: &'a mut HashMap<Vec<u8>, StrId>,
+    strings: &'a mut Strings,
     static_globals: &'a [GlobalId],
-    #[allow(dead_code)]
-    fn_index: usize,
     f: IrFunction,
     cur: BlockId,
     slot_of_local: Vec<SlotId>,
@@ -166,10 +185,37 @@ struct FnLowerer<'a> {
 }
 
 impl<'a> FnLowerer<'a> {
+    /// A lowerer emitting into `f`, from a fresh entry block on; its junk
+    /// values are numbered from `junk_base`.
+    fn new(
+        checked: &'a CheckedProgram,
+        personality: &'a Personality,
+        layouts: &'a mut StructLayouts,
+        strings: &'a mut Strings,
+        static_globals: &'a [GlobalId],
+        mut f: IrFunction,
+        junk_base: u32,
+    ) -> Self {
+        let cur = f.new_block();
+        FnLowerer {
+            checked,
+            personality,
+            layouts,
+            strings,
+            static_globals,
+            f,
+            cur,
+            slot_of_local: Vec::new(),
+            loops: Vec::new(),
+            stmt_span: Span::dummy(),
+            addressed: HashSet::new(),
+            junk_counter: junk_base,
+        }
+    }
+
     fn lower_fn(&mut self, f: &ast::Function) {
+        self.stmt_span = f.span;
         collect_addressed(&f.body, self.checked, &mut self.addressed);
-        let entry = self.f.new_block();
-        self.cur = entry;
 
         // Reserve the parameter registers v0..vN-1 before any temporary.
         for p in &f.params {
@@ -287,8 +333,7 @@ impl<'a> FnLowerer<'a> {
     }
 
     fn bin(&mut self, ty: IrType, op: BinKind, a: ValueId, b: ValueId, ub_signed: bool) -> ValueId {
-        let dst_ty = if op.is_comparison() { IrType::I32 } else { ty };
-        let dst = self.new_reg(dst_ty);
+        let dst = self.new_reg(op.result_ty(ty));
         self.push(Inst::Bin {
             dst,
             ty,
@@ -301,12 +346,7 @@ impl<'a> FnLowerer<'a> {
     }
 
     fn cast(&mut self, kind: CastKind, a: ValueId) -> ValueId {
-        let to = match kind {
-            CastKind::SextI32I64 | CastKind::ZextI32I64 | CastKind::F64I64 => IrType::I64,
-            CastKind::TruncI64I32 | CastKind::F64I32 => IrType::I32,
-            CastKind::SI32F64 | CastKind::UI32F64 | CastKind::SI64F64 => IrType::F64,
-        };
-        let dst = self.new_reg(to);
+        let dst = self.new_reg(kind.result_ty());
         self.push(Inst::Cast { dst, kind, a });
         dst
     }
@@ -408,10 +448,6 @@ impl<'a> FnLowerer<'a> {
                 self.bin(IrType::F64, BinKind::FNe, v, z, false)
             }
         }
-    }
-
-    fn intern_string(&mut self, bytes: &[u8]) -> StrId {
-        intern_string(self.strings, self.string_map, bytes)
     }
 
     // ---- lvalues ----
@@ -536,7 +572,7 @@ impl<'a> FnLowerer<'a> {
             ExprKind::FloatLit(v) => (self.const_val(IrType::F64, ConstVal::F64(*v)), Type::Double),
             ExprKind::CharLit(c) => (self.const_i32(*c as i32), Type::Int),
             ExprKind::StrLit(bytes) => {
-                let id = self.intern_string(bytes);
+                let id = self.strings.intern(bytes);
                 (
                     self.const_val(IrType::I64, ConstVal::StrAddr(id, 0)),
                     Type::Char.ptr_to(),
@@ -1188,23 +1224,6 @@ impl<'a> FnLowerer<'a> {
     }
 }
 
-/// Interns a string literal (NUL-terminated) and returns its id.
-fn intern_string(
-    strings: &mut Vec<Vec<u8>>,
-    map: &mut HashMap<Vec<u8>, StrId>,
-    bytes: &[u8],
-) -> StrId {
-    let mut s = bytes.to_vec();
-    s.push(0);
-    if let Some(&id) = map.get(&s) {
-        return id;
-    }
-    let id = StrId(strings.len() as u32);
-    strings.push(s.clone());
-    map.insert(s, id);
-    id
-}
-
 /// Finds scalar locals whose address is taken with `&`.
 fn collect_addressed(s: &Stmt, checked: &CheckedProgram, out: &mut HashSet<LocalId>) {
     fn walk_expr(e: &Expr, checked: &CheckedProgram, out: &mut HashSet<LocalId>) {
@@ -1288,154 +1307,6 @@ fn collect_addressed(s: &Stmt, checked: &CheckedProgram, out: &mut HashSet<Local
             .iter()
             .for_each(|s| collect_addressed(s, checked, out)),
         _ => {}
-    }
-}
-
-/// Evaluates a constant expression for a global/static initializer.
-fn const_eval(
-    e: &Expr,
-    checked: &CheckedProgram,
-    layouts: &mut StructLayouts,
-    strings: &mut Vec<Vec<u8>>,
-    string_map: &mut HashMap<Vec<u8>, StrId>,
-) -> ConstVal {
-    match &e.kind {
-        ExprKind::IntLit { value, long } => {
-            if *long {
-                ConstVal::I64(*value)
-            } else {
-                ConstVal::I32(*value as i32)
-            }
-        }
-        ExprKind::FloatLit(v) => ConstVal::F64(*v),
-        ExprKind::CharLit(c) => ConstVal::I32(*c as i32),
-        ExprKind::StrLit(bytes) => {
-            let id = intern_string(strings, string_map, bytes);
-            ConstVal::StrAddr(id, 0)
-        }
-        ExprKind::Unary { op, operand } => {
-            let v = const_eval(operand, checked, layouts, strings, string_map);
-            match (op, v) {
-                (UnOp::Neg, ConstVal::I32(x)) => ConstVal::I32(x.wrapping_neg()),
-                (UnOp::Neg, ConstVal::I64(x)) => ConstVal::I64(x.wrapping_neg()),
-                (UnOp::Neg, ConstVal::F64(x)) => ConstVal::F64(-x),
-                (UnOp::BitNot, ConstVal::I32(x)) => ConstVal::I32(!x),
-                (UnOp::BitNot, ConstVal::I64(x)) => ConstVal::I64(!x),
-                (UnOp::Not, ConstVal::I32(x)) => ConstVal::I32((x == 0) as i32),
-                (UnOp::Not, ConstVal::I64(x)) => ConstVal::I32((x == 0) as i32),
-                _ => panic!("sema: bad constant unary"),
-            }
-        }
-        ExprKind::Binary { op, lhs, rhs } => {
-            let a = const_eval(lhs, checked, layouts, strings, string_map);
-            let b = const_eval(rhs, checked, layouts, strings, string_map);
-            const_binop(*op, a, b)
-        }
-        ExprKind::Cast { to, value } => {
-            let v = const_eval(value, checked, layouts, strings, string_map);
-            convert_const(v, to)
-        }
-        ExprKind::SizeofType(t) => ConstVal::I64(layouts.size_of(t, checked) as i64),
-        _ => panic!("sema: non-constant initializer"),
-    }
-}
-
-fn const_as_i64(v: ConstVal) -> i64 {
-    match v {
-        ConstVal::I32(x) => x as i64,
-        ConstVal::I64(x) => x,
-        ConstVal::F64(x) => x as i64,
-        _ => panic!("address constant in arithmetic"),
-    }
-}
-
-fn const_binop(op: BinOp, a: ConstVal, b: ConstVal) -> ConstVal {
-    use BinOp::*;
-    if let (ConstVal::F64(x), _) | (_, ConstVal::F64(x)) = (a, b) {
-        let _ = x;
-        let xa = match a {
-            ConstVal::F64(v) => v,
-            other => const_as_i64(other) as f64,
-        };
-        let xb = match b {
-            ConstVal::F64(v) => v,
-            other => const_as_i64(other) as f64,
-        };
-        return match op {
-            Add => ConstVal::F64(xa + xb),
-            Sub => ConstVal::F64(xa - xb),
-            Mul => ConstVal::F64(xa * xb),
-            Div => ConstVal::F64(xa / xb),
-            Lt => ConstVal::I32((xa < xb) as i32),
-            Le => ConstVal::I32((xa <= xb) as i32),
-            Gt => ConstVal::I32((xa > xb) as i32),
-            Ge => ConstVal::I32((xa >= xb) as i32),
-            Eq => ConstVal::I32((xa == xb) as i32),
-            Ne => ConstVal::I32((xa != xb) as i32),
-            _ => panic!("sema: bad constant float op"),
-        };
-    }
-    let wide = matches!(a, ConstVal::I64(_)) || matches!(b, ConstVal::I64(_));
-    let xa = const_as_i64(a);
-    let xb = const_as_i64(b);
-    let r: i64 = match op {
-        Add => xa.wrapping_add(xb),
-        Sub => xa.wrapping_sub(xb),
-        Mul => xa.wrapping_mul(xb),
-        Div => {
-            if xb == 0 {
-                0
-            } else {
-                xa.wrapping_div(xb)
-            }
-        }
-        Rem => {
-            if xb == 0 {
-                0
-            } else {
-                xa.wrapping_rem(xb)
-            }
-        }
-        Shl => xa.wrapping_shl(xb as u32 & 63),
-        Shr => xa.wrapping_shr(xb as u32 & 63),
-        BitAnd => xa & xb,
-        BitOr => xa | xb,
-        BitXor => xa ^ xb,
-        Lt => (xa < xb) as i64,
-        Le => (xa <= xb) as i64,
-        Gt => (xa > xb) as i64,
-        Ge => (xa >= xb) as i64,
-        Eq => (xa == xb) as i64,
-        Ne => (xa != xb) as i64,
-    };
-    if op.is_comparison() {
-        ConstVal::I32(r as i32)
-    } else if wide {
-        ConstVal::I64(r)
-    } else {
-        ConstVal::I32(r as i32)
-    }
-}
-
-/// Converts a constant to the representation of a MinC type.
-fn convert_const(v: ConstVal, to: &Type) -> ConstVal {
-    match to {
-        Type::Char => ConstVal::I32(const_as_i64(v) as i8 as i32),
-        Type::Int => ConstVal::I32(const_as_i64(v) as i32),
-        Type::UInt => ConstVal::I32(const_as_i64(v) as u32 as i32),
-        Type::Long => match v {
-            ConstVal::StrAddr(..) | ConstVal::GlobalAddr(..) => v,
-            other => ConstVal::I64(const_as_i64(other)),
-        },
-        Type::Double => match v {
-            ConstVal::F64(x) => ConstVal::F64(x),
-            other => ConstVal::F64(const_as_i64(other) as f64),
-        },
-        Type::Ptr(_) => match v {
-            ConstVal::StrAddr(..) | ConstVal::GlobalAddr(..) => v,
-            other => ConstVal::I64(const_as_i64(other)),
-        },
-        _ => v,
     }
 }
 

@@ -152,10 +152,23 @@ pub fn const_fold_with(f: &mut IrFunction, shift_fold_zero: bool) {
                     ub_signed,
                 } => {
                     let (dst, ty, op, a, rb, ub_signed) = (*dst, *ty, *op, *a, *rb, *ub_signed);
-                    if let (Some(ca), Some(cb)) = (pure_const(&known, a), pure_const(&known, rb)) {
-                        if let Some(v) = eval_bin_policy(op, ty, ca, cb, shift_fold_zero) {
+                    let float = op.is_float();
+                    if let (Some(wa), Some(wb)) =
+                        (operand(&known, a, float), operand(&known, rb, float))
+                    {
+                        // clang folds an out-of-range constant shift to 0.
+                        let folded = if shift_fold_zero && shift_out_of_range(op, ty, wb) {
+                            Some(0)
+                        } else {
+                            op.eval(ty, wa, wb)
+                        };
+                        // Never fold a trap away *or into existence*; DCE may
+                        // still remove an unused trapping op (that asymmetry
+                        // is the UB story for CWE-369).
+                        if let Some(w) = folded {
+                            let cty = op.result_ty(ty);
+                            let v = ConstVal::from_word(cty, w);
                             known.insert(dst, v);
-                            let cty = if op.is_comparison() { IrType::I32 } else { ty };
                             out.push(Inst::Const {
                                 dst,
                                 ty: cty,
@@ -178,27 +191,24 @@ pub fn const_fold_with(f: &mut IrFunction, shift_fold_zero: bool) {
                     continue;
                 }
                 Inst::Un { dst, ty, op, a, .. } => {
-                    if let Some(ca) = pure_const(&known, *a) {
-                        if let Some(v) = eval_un(*op, *ty, ca) {
-                            let (dst, ty) = (*dst, *ty);
-                            known.insert(dst, v);
-                            out.push(Inst::Const { dst, ty, val: v });
-                            continue;
-                        }
+                    if let Some(wa) = operand(&known, *a, *op == UnKind::FNeg) {
+                        let (dst, ty) = (*dst, *ty);
+                        let v = ConstVal::from_word(ty, op.eval(ty, wa));
+                        known.insert(dst, v);
+                        out.push(Inst::Const { dst, ty, val: v });
+                        continue;
                     }
-                    known.remove(&inst.dst().unwrap());
+                    known.remove(dst);
                     out.push(inst);
                     continue;
                 }
                 Inst::Cast { dst, kind, a } => {
-                    if let Some(ca) = pure_const(&known, *a) {
-                        if let Some(v) = eval_cast(*kind, ca) {
-                            let dst = *dst;
-                            let ty = cast_result_ty(*kind);
-                            known.insert(dst, v);
-                            out.push(Inst::Const { dst, ty, val: v });
-                            continue;
-                        }
+                    if let Some(wa) = operand(&known, *a, kind.from_float()) {
+                        let (dst, ty) = (*dst, kind.result_ty());
+                        let v = ConstVal::from_word(ty, kind.eval(wa));
+                        known.insert(dst, v);
+                        out.push(Inst::Const { dst, ty, val: v });
+                        continue;
                     }
                     known.remove(dst);
                     out.push(inst);
@@ -238,182 +248,26 @@ fn pure_const(known: &HashMap<ValueId, ConstVal>, v: ValueId) -> Option<ConstVal
     }
 }
 
-fn cast_result_ty(kind: CastKind) -> IrType {
-    match kind {
-        CastKind::SextI32I64 | CastKind::ZextI32I64 | CastKind::F64I64 => IrType::I64,
-        CastKind::TruncI64I32 | CastKind::F64I32 => IrType::I32,
-        CastKind::SI32F64 | CastKind::UI32F64 | CastKind::SI64F64 => IrType::F64,
-    }
-}
-
-fn cv_i64(v: ConstVal) -> Option<i64> {
-    match v {
-        ConstVal::I32(x) => Some(x as i64),
-        ConstVal::I64(x) => Some(x),
+/// The word of constant register `v` when its kind matches what the
+/// operation reads: integer constants feed only integer operations, and
+/// `F64` constants only float ones.
+fn operand(known: &HashMap<ValueId, ConstVal>, v: ValueId, float: bool) -> Option<u64> {
+    match known.get(&v)? {
+        c @ (ConstVal::I32(_) | ConstVal::I64(_)) if !float => c.word(),
+        ConstVal::F64(x) if float => Some(x.to_bits()),
         _ => None,
     }
 }
 
-fn cv_f64(v: ConstVal) -> Option<f64> {
-    match v {
-        ConstVal::F64(x) => Some(x),
-        _ => None,
-    }
-}
-
-/// Evaluates a binary op on constants with the default (masking) shift
-/// policy. Returns `None` for operations that must not be folded
-/// (runtime traps).
-pub fn eval_bin(op: BinKind, ty: IrType, a: ConstVal, b: ConstVal) -> Option<ConstVal> {
-    eval_bin_policy(op, ty, a, b, false)
-}
-
-/// [`eval_bin`] with an explicit oversized-constant-shift policy.
-pub fn eval_bin_policy(
-    op: BinKind,
-    ty: IrType,
-    a: ConstVal,
-    b: ConstVal,
-    shift_fold_zero: bool,
-) -> Option<ConstVal> {
-    use BinKind::*;
-    if op.is_float() {
-        let (x, y) = (cv_f64(a)?, cv_f64(b)?);
-        return Some(match op {
-            FAdd => ConstVal::F64(x + y),
-            FSub => ConstVal::F64(x - y),
-            FMul => ConstVal::F64(x * y),
-            FDiv => ConstVal::F64(x / y),
-            FEq => ConstVal::I32((x == y) as i32),
-            FNe => ConstVal::I32((x != y) as i32),
-            FLt => ConstVal::I32((x < y) as i32),
-            FLe => ConstVal::I32((x <= y) as i32),
-            FGt => ConstVal::I32((x > y) as i32),
-            FGe => ConstVal::I32((x >= y) as i32),
-            _ => unreachable!(),
-        });
-    }
-    let (x, y) = (cv_i64(a)?, cv_i64(b)?);
-    // Never fold a trap away *or into existence* here; DCE may still remove
-    // an unused trapping op (that asymmetry is the UB story for CWE-369).
-    if op.can_trap() && y == 0 {
-        return None;
-    }
-    let narrow = ty == IrType::I32;
-    let wrap = |v: i64| -> ConstVal {
-        if narrow {
-            ConstVal::I32(v as i32)
-        } else {
-            ConstVal::I64(v)
-        }
-    };
-    let (ux, uy) = if narrow {
-        ((x as u32) as u64, (y as u32) as u64)
+/// True for a shift by a negative amount or by at least the operand
+/// width, which the CPU (and [`BinKind::eval`]) masks.
+fn shift_out_of_range(op: BinKind, ty: IrType, amount: u64) -> bool {
+    let (amount, width) = if ty == IrType::I32 {
+        (amount as i32 as i64, 32)
     } else {
-        (x as u64, y as u64)
+        (amount as i64, 64)
     };
-    let (sx, sy) = if narrow {
-        (x as i32 as i64, y as i32 as i64)
-    } else {
-        (x, y)
-    };
-    Some(match op {
-        Add => wrap(sx.wrapping_add(sy)),
-        Sub => wrap(sx.wrapping_sub(sy)),
-        Mul => wrap(sx.wrapping_mul(sy)),
-        DivS => {
-            if sx == i64::MIN && sy == -1 {
-                return None;
-            }
-            if narrow && sx as i32 == i32::MIN && sy as i32 == -1 {
-                return None;
-            }
-            wrap(sx.wrapping_div(sy))
-        }
-        DivU => wrap((ux / uy) as i64),
-        RemS => {
-            if (narrow && sx as i32 == i32::MIN && sy as i32 == -1) || (sx == i64::MIN && sy == -1)
-            {
-                return None;
-            }
-            wrap(sx.wrapping_rem(sy))
-        }
-        RemU => wrap((ux % uy) as i64),
-        // Constant shifts use the x86 masking convention; `ub_exploit`
-        // may *also* rewrite oversized shifts differently — that pair of
-        // legal choices is a divergence axis.
-        Shl => {
-            let m = if narrow { 31 } else { 63 };
-            if shift_fold_zero && (sy < 0 || sy > m as i64) {
-                return Some(wrap(0));
-            }
-            wrap(sx.wrapping_shl((sy as u32) & m))
-        }
-        ShrS => {
-            let m = if narrow { 31 } else { 63 };
-            if shift_fold_zero && (sy < 0 || sy > m as i64) {
-                return Some(wrap(0));
-            }
-            wrap(sx.wrapping_shr((sy as u32) & m))
-        }
-        ShrU => {
-            let m = if narrow { 31 } else { 63 };
-            if shift_fold_zero && (sy < 0 || sy > m as i64) {
-                return Some(wrap(0));
-            }
-            wrap((ux.wrapping_shr((sy as u32) & m)) as i64)
-        }
-        And => wrap(sx & sy),
-        Or => wrap(sx | sy),
-        Xor => wrap(sx ^ sy),
-        Eq => ConstVal::I32((sx == sy) as i32),
-        Ne => ConstVal::I32((sx != sy) as i32),
-        LtS => ConstVal::I32((sx < sy) as i32),
-        LeS => ConstVal::I32((sx <= sy) as i32),
-        GtS => ConstVal::I32((sx > sy) as i32),
-        GeS => ConstVal::I32((sx >= sy) as i32),
-        LtU => ConstVal::I32((ux < uy) as i32),
-        LeU => ConstVal::I32((ux <= uy) as i32),
-        GtU => ConstVal::I32((ux > uy) as i32),
-        GeU => ConstVal::I32((ux >= uy) as i32),
-        _ => unreachable!(),
-    })
-}
-
-fn eval_un(op: UnKind, ty: IrType, a: ConstVal) -> Option<ConstVal> {
-    let narrow = ty == IrType::I32;
-    match op {
-        UnKind::Neg => {
-            let x = cv_i64(a)?;
-            Some(if narrow {
-                ConstVal::I32((x as i32).wrapping_neg())
-            } else {
-                ConstVal::I64(x.wrapping_neg())
-            })
-        }
-        UnKind::BitNot => {
-            let x = cv_i64(a)?;
-            Some(if narrow {
-                ConstVal::I32(!(x as i32))
-            } else {
-                ConstVal::I64(!x)
-            })
-        }
-        UnKind::FNeg => Some(ConstVal::F64(-cv_f64(a)?)),
-    }
-}
-
-fn eval_cast(kind: CastKind, a: ConstVal) -> Option<ConstVal> {
-    Some(match kind {
-        CastKind::SextI32I64 => ConstVal::I64(cv_i64(a)? as i32 as i64),
-        CastKind::ZextI32I64 => ConstVal::I64((cv_i64(a)? as u32) as i64),
-        CastKind::TruncI64I32 => ConstVal::I32(cv_i64(a)? as i32),
-        CastKind::SI32F64 => ConstVal::F64(cv_i64(a)? as i32 as f64),
-        CastKind::UI32F64 => ConstVal::F64((cv_i64(a)? as u32) as f64),
-        CastKind::SI64F64 => ConstVal::F64(cv_i64(a)? as f64),
-        CastKind::F64I32 => ConstVal::I32(cv_f64(a)? as i32),
-        CastKind::F64I64 => ConstVal::I64(cv_f64(a)? as i64),
-    })
+    matches!(op, BinKind::Shl | BinKind::ShrS | BinKind::ShrU) && !(0..width).contains(&amount)
 }
 
 /// `x+0`, `x*1`, `x*0`, `x&0`, `x|0`, `x^0`, `x-0`, `x/1` and commuted
@@ -428,8 +282,8 @@ fn algebraic(
     _ub_signed: bool,
 ) -> Option<Inst> {
     use BinKind::*;
-    let ca = pure_const(known, a).and_then(cv_i64);
-    let cb = pure_const(known, b).and_then(cv_i64);
+    let ca = operand(known, a, false);
+    let cb = operand(known, b, false);
     let zero = |d| Inst::Const {
         dst: d,
         ty,

@@ -33,7 +33,7 @@
 //! while sanitizer and coverage runs get the full per-instruction
 //! callbacks without a separate slow dispatcher.
 
-use crate::exec::{const_raw, eval_bin, eval_cast, eval_un, End, Vm};
+use crate::exec::{const_raw, End, Vm};
 use crate::hooks::{Hooks, Loc, PoisonUse};
 use crate::result::{ExitStatus, Trap};
 use minc::Builtin;
@@ -43,7 +43,7 @@ use minc_compile::ir::{
 use minc_compile::Binary;
 
 // Operand views shared by the flat binary-opcode arms; each reproduces
-// `eval_bin`'s canonicalization exactly.
+// `BinKind::eval`'s canonicalization exactly.
 #[inline(always)]
 fn s32(v: u64) -> i32 {
     v as u32 as i32
@@ -60,7 +60,7 @@ fn w32(v: i32) -> u64 {
 /// Operand payload of a flat pre-resolved binary opcode (the 38
 /// `Op::Add32`..`Op::GeU64` variants): the `(op, ty)` pair is encoded in
 /// the variant itself so dispatch is a single jump, and each arm inlines
-/// the exact formula of the corresponding `eval_bin` case (including the
+/// the exact formula of the corresponding `BinKind::eval` case (including the
 /// I32 narrow-wrap and x86 shift-masking quirks). Only non-trapping
 /// integer operations get a flat opcode; division, remainder, and float
 /// ops keep the generic [`Op::Bin`] path. `ub_signed` rides along for
@@ -264,7 +264,7 @@ pub(crate) enum Op {
         src: u32,
     },
     /// Flat pre-resolved binary opcodes (the hot path); see [`BinOp`].
-    #[allow(missing_docs)] // mechanical (op, ty) product; semantics in eval_bin
+    #[allow(missing_docs)] // mechanical (op, ty) product; semantics in BinKind::eval
     Add32(BinOp),
     Add64(BinOp),
     Sub32(BinOp),
@@ -1057,25 +1057,25 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                                         }
                                     }
                                 }
-                                match eval_bin(*op, *ty, va, vb) {
-                                    Ok(r) => {
+                                match op.eval(*ty, va, vb) {
+                                    Some(r) => {
                                         rset(&mut regs, *dst, r);
                                         if track {
                                             poison[*dst as usize] = pa;
                                         }
                                     }
-                                    Err(t) => fail!(End::Trap(t)),
+                                    None => fail!(End::Trap(Trap::Sigfpe)),
                                 }
                             }
                             Op::Un { op, ty, dst, a } => {
-                                let v = eval_un(*op, *ty, rget(&regs, *a));
+                                let v = op.eval(*ty, rget(&regs, *a));
                                 rset(&mut regs, *dst, v);
                                 if track {
                                     poison[*dst as usize] = poison[*a as usize];
                                 }
                             }
                             Op::Cast { kind, dst, a } => {
-                                let v = eval_cast(*kind, rget(&regs, *a));
+                                let v = kind.eval(rget(&regs, *a));
                                 rset(&mut regs, *dst, v);
                                 if track {
                                     poison[*dst as usize] = poison[*a as usize];

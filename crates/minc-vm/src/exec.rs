@@ -265,10 +265,6 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         let ret_dst = act.ret_dst;
         self.s.frame_pool.push(act);
         if self.s.frames.is_empty() {
-            // Returning from main: give leak checkers their shot first.
-            if let Some(f) = self.exit_check() {
-                return Err(End::Fault(f));
-            }
             return Err(End::Exit(ret.unwrap_or(0) as u8));
         }
         if let Some(dst) = ret_dst {
@@ -411,21 +407,21 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                         return Err(End::Fault(fault));
                     }
                 }
-                let r = eval_bin(*op, *ty, va, vb).map_err(End::Trap)?;
+                let r = op.eval(*ty, va, vb).ok_or(End::Trap(Trap::Sigfpe))?;
                 self.set_reg(*dst, r, pa);
                 Ok(())
             }
             Inst::Un { dst, ty, op, a, .. } => {
                 let va = self.reg(*a);
                 let p = self.reg_poison(*a);
-                let r = eval_un(*op, *ty, va);
+                let r = op.eval(*ty, va);
                 self.set_reg(*dst, r, p);
                 Ok(())
             }
             Inst::Cast { dst, kind, a } => {
                 let va = self.reg(*a);
                 let p = self.reg_poison(*a);
-                let r = eval_cast(*kind, va);
+                let r = kind.eval(va);
                 self.set_reg(*dst, r, p);
                 Ok(())
             }
@@ -744,12 +740,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 };
                 Ok(Some(r as u64))
             }
-            Exit => {
-                if let Some(f) = self.exit_check() {
-                    return Err(End::Fault(f));
-                }
-                Err(End::Exit(args[0] as u8))
-            }
+            Exit => Err(End::Exit(args[0] as u8)),
             Abort => Err(End::Trap(Trap::Abort)),
             Pow => {
                 let x = f64::from_bits(args[0]);
@@ -788,13 +779,6 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 Ok(Some(r as i32 as i64 as u64))
             }
         }
-    }
-
-    /// Runs the hooks' exit-time check (LeakSanitizer-style).
-    fn exit_check(&mut self) -> Option<crate::result::Fault> {
-        let mut live: Vec<(u64, u64)> = self.s.live_chunks.iter().map(|(&a, &s)| (a, s)).collect();
-        live.sort_unstable();
-        self.hooks.on_exit(&live)
     }
 
     fn malloc(&mut self, size: u64) -> u64 {
@@ -1075,20 +1059,22 @@ fn fmt_hex_u64(mut n: u64, buf: &mut [u8]) -> usize {
     len
 }
 
-// ---- shared evaluation kernels ----
+// ---- shared kernels ----
 //
 // Pure functions over raw register words, used by both the per-instruction
 // interpreter and the block dispatcher so the two backends cannot drift.
+// Arithmetic itself is `BinKind::eval`, `UnKind::eval` and `CastKind::eval`
+// in `minc_compile::ir`, which the constant folder shares.
 
 /// Resolves a constant to its raw 64-bit register representation.
 pub(crate) fn const_raw(bin: &Binary, v: ConstVal) -> u64 {
     match v {
-        ConstVal::I32(x) => x as i64 as u64,
-        ConstVal::I64(x) => x as u64,
-        ConstVal::F64(x) => x.to_bits(),
         ConstVal::GlobalAddr(g, off) => (bin.global_addr(g) as i64).wrapping_add(off) as u64,
         ConstVal::StrAddr(s, off) => (bin.string_addr(s) as i64).wrapping_add(off) as u64,
         ConstVal::Junk(id) => bin.personality.junk_word(id),
+        ConstVal::I32(_) | ConstVal::I64(_) | ConstVal::F64(_) => {
+            v.word().expect("an arithmetic constant has a word")
+        }
     }
 }
 
@@ -1101,137 +1087,6 @@ pub(crate) fn extend_load(raw: u64, width: MemWidth, ty: IrType, sext: bool) -> 
         (MemWidth::W4, _, _) => raw as u32 as u64,
         (MemWidth::W8, _, _) => raw,
     }
-}
-
-/// Evaluates a unary operation.
-pub(crate) fn eval_un(op: UnKind, ty: IrType, va: u64) -> u64 {
-    match (op, ty) {
-        (UnKind::Neg, IrType::I32) => ((va as i32).wrapping_neg()) as i64 as u64,
-        (UnKind::Neg, _) => (va as i64).wrapping_neg() as u64,
-        (UnKind::BitNot, IrType::I32) => (!(va as i32)) as i64 as u64,
-        (UnKind::BitNot, _) => !va,
-        (UnKind::FNeg, _) => (-f64::from_bits(va)).to_bits(),
-    }
-}
-
-/// Evaluates a cast.
-pub(crate) fn eval_cast(kind: CastKind, va: u64) -> u64 {
-    match kind {
-        CastKind::SextI32I64 => va as u32 as i32 as i64 as u64,
-        CastKind::ZextI32I64 => va as u32 as u64,
-        CastKind::TruncI64I32 => va as u32 as i32 as i64 as u64,
-        CastKind::SI32F64 => ((va as u32 as i32) as f64).to_bits(),
-        CastKind::UI32F64 => ((va as u32) as f64).to_bits(),
-        CastKind::SI64F64 => ((va as i64) as f64).to_bits(),
-        CastKind::F64I32 => (f64::from_bits(va) as i32) as i64 as u64,
-        CastKind::F64I64 => (f64::from_bits(va) as i64) as u64,
-    }
-}
-
-/// Evaluates a binary operation; `Err` is the trap a real CPU would raise.
-pub(crate) fn eval_bin(op: BinKind, ty: IrType, a: u64, b: u64) -> Result<u64, Trap> {
-    use BinKind::*;
-    if op.is_float() {
-        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-        return Ok(match op {
-            FAdd => (x + y).to_bits(),
-            FSub => (x - y).to_bits(),
-            FMul => (x * y).to_bits(),
-            FDiv => (x / y).to_bits(),
-            FEq => (x == y) as u64,
-            FNe => (x != y) as u64,
-            FLt => (x < y) as u64,
-            FLe => (x <= y) as u64,
-            FGt => (x > y) as u64,
-            FGe => (x >= y) as u64,
-            _ => unreachable!(),
-        });
-    }
-    let narrow = ty == IrType::I32;
-    let (sa, sb) = if narrow {
-        (a as u32 as i32 as i64, b as u32 as i32 as i64)
-    } else {
-        (a as i64, b as i64)
-    };
-    let (ua, ub) = if narrow {
-        (a as u32 as u64, b as u32 as u64)
-    } else {
-        (a, b)
-    };
-    let wrap = |v: i64| -> u64 {
-        if narrow {
-            v as i32 as i64 as u64
-        } else {
-            v as u64
-        }
-    };
-    Ok(match op {
-        Add => wrap(sa.wrapping_add(sb)),
-        Sub => wrap(sa.wrapping_sub(sb)),
-        Mul => wrap(sa.wrapping_mul(sb)),
-        DivS => {
-            if sb == 0 {
-                return Err(Trap::Sigfpe);
-            }
-            if narrow && sa as i32 == i32::MIN && sb as i32 == -1 {
-                return Err(Trap::Sigfpe);
-            }
-            if !narrow && sa == i64::MIN && sb == -1 {
-                return Err(Trap::Sigfpe);
-            }
-            wrap(sa.wrapping_div(sb))
-        }
-        DivU => {
-            if ub == 0 {
-                return Err(Trap::Sigfpe);
-            }
-            wrap((ua / ub) as i64)
-        }
-        RemS => {
-            if sb == 0 {
-                return Err(Trap::Sigfpe);
-            }
-            if (narrow && sa as i32 == i32::MIN && sb as i32 == -1)
-                || (!narrow && sa == i64::MIN && sb == -1)
-            {
-                return Err(Trap::Sigfpe);
-            }
-            wrap(sa.wrapping_rem(sb))
-        }
-        RemU => {
-            if ub == 0 {
-                return Err(Trap::Sigfpe);
-            }
-            wrap((ua % ub) as i64)
-        }
-        // x86 semantics: shift amount masked to the operand width.
-        Shl => {
-            let m = if narrow { 31 } else { 63 };
-            wrap(sa.wrapping_shl((ub as u32) & m))
-        }
-        ShrS => {
-            let m = if narrow { 31 } else { 63 };
-            wrap(sa.wrapping_shr((ub as u32) & m))
-        }
-        ShrU => {
-            let m = if narrow { 31 } else { 63 };
-            wrap(ua.wrapping_shr((ub as u32) & m) as i64)
-        }
-        And => wrap(sa & sb),
-        Or => wrap(sa | sb),
-        Xor => wrap(sa ^ sb),
-        Eq => (sa == sb) as u64,
-        Ne => (sa != sb) as u64,
-        LtS => (sa < sb) as u64,
-        LeS => (sa <= sb) as u64,
-        GtS => (sa > sb) as u64,
-        GeS => (sa >= sb) as u64,
-        LtU => (ua < ub) as u64,
-        LeU => (ua <= ub) as u64,
-        GtU => (ua > ub) as u64,
-        GeU => (ua >= ub) as u64,
-        _ => unreachable!(),
-    })
 }
 
 #[cfg(test)]

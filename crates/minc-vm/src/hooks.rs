@@ -149,15 +149,6 @@ pub trait Hooks {
         None
     }
 
-    /// The program is about to exit normally; `live_heap` lists the still-
-    /// allocated chunks as `(payload address, size)`. LeakSanitizer-style
-    /// checking reports here. Traps and sanitizer aborts do not reach this
-    /// hook (real LSan also skips crashed runs).
-    fn on_exit(&mut self, live_heap: &[(u64, u64)]) -> Option<Fault> {
-        let _ = live_heap;
-        None
-    }
-
     /// Whether the VM may service whole-range `memcpy`/`memset`/
     /// `read_input` with bulk page-slice operations. Only return `true`
     /// when this hook set does *no* per-byte work: no load/store checks,

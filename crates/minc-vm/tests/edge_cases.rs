@@ -270,6 +270,56 @@ fn global_initializers_and_statics_are_loaded() {
 }
 
 #[test]
+fn initializers_equal_the_same_expression_at_run_time() {
+    // Each global is initialized with one expression and `main` computes
+    // the same expression into a local: initializers follow the run-time
+    // rules (usual arithmetic conversions, signedness, char narrowing).
+    all_impls_agree(
+        r#"
+        int a = (unsigned int)-1 > 1;
+        unsigned int b = (unsigned int)-1 / 2;
+        long c = (unsigned int)-1;
+        double d = (unsigned int)-1;
+        unsigned int e = (unsigned int)-1 >> 4;
+        char h = 300;
+        long k = 1L << 40;
+        double m = 7;
+        int n = -2.75;
+        int main() {
+            int la = (unsigned int)-1 > 1;
+            unsigned int lb = (unsigned int)-1 / 2;
+            long lc = (unsigned int)-1;
+            double ld = (unsigned int)-1;
+            unsigned int le = (unsigned int)-1 >> 4;
+            char lh = 300;
+            long lk = 1L << 40;
+            double lm = 7;
+            int ln = -2.75;
+            printf("%d %d\n", a, la);
+            printf("%u %u\n", b, lb);
+            printf("%ld %ld\n", c, lc);
+            printf("%f %f\n", d, ld);
+            printf("%u %u\n", e, le);
+            printf("%d %d\n", h, lh);
+            printf("%ld %ld\n", k, lk);
+            printf("%f %f\n", m, lm);
+            printf("%d %d\n", n, ln);
+            return 0;
+        }
+        "#,
+        "1 1\n\
+         2147483647 2147483647\n\
+         4294967295 4294967295\n\
+         4294967295.000000 4294967295.000000\n\
+         268435455 268435455\n\
+         44 44\n\
+         1099511627776 1099511627776\n\
+         7.000000 7.000000\n\
+         -2 -2\n",
+    );
+}
+
+#[test]
 fn ternary_and_logical_short_circuit() {
     all_impls_agree(
         r#"

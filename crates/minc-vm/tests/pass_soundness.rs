@@ -302,3 +302,305 @@ fn do_while_and_continue_paths_are_stable() {
         b"",
     );
 }
+
+/// An operand value of one of the table's C types.
+#[derive(Clone, Copy)]
+enum Val {
+    I(i128),
+    F(f64),
+}
+
+/// A C operand type of the table: how to write a literal of it, how to
+/// read one from the input, and its boundary values.
+struct Operand {
+    ty: &'static str,
+    read: &'static str,
+    /// Bytes one input value takes.
+    width: usize,
+    /// The `printf` call printing a value of this type (`{}` is the value).
+    print: &'static str,
+    vals: Vec<Val>,
+}
+
+impl Operand {
+    fn literal(&self, v: Val) -> String {
+        match (v, self.ty) {
+            (Val::I(x), "int") if x == i32::MIN as i128 => "(-2147483647 - 1)".into(),
+            (Val::I(x), "int") => format!("({x})"),
+            (Val::I(x), "unsigned int") => format!("((unsigned int){x})"),
+            (Val::I(x), "long") if x == i64::MIN as i128 => "(-9223372036854775807L - 1L)".into(),
+            (Val::I(x), "long") => format!("({x}L)"),
+            (Val::I(x), "char*") => format!("((char*){}L)", x as i64),
+            (Val::F(x), "double") => format!("({x:?})"),
+            _ => unreachable!(),
+        }
+    }
+
+    fn bytes(&self, v: Val) -> Vec<u8> {
+        match v {
+            Val::I(x) => (x as i64).to_le_bytes()[..self.width].to_vec(),
+            Val::F(x) => x.to_le_bytes().to_vec(),
+        }
+    }
+}
+
+fn ints(vals: &[i128]) -> Vec<Val> {
+    vals.iter().map(|&v| Val::I(v)).collect()
+}
+
+/// Whether `a op b` on operand type `ty` is defined C (no signed overflow,
+/// no shift at or past the width, no zero divisor, no `MIN / -1`).
+fn defined_bin(ty: &str, op: &str, a: Val, b: Val) -> bool {
+    let (Val::I(a), Val::I(b)) = (a, b) else {
+        return op != "/" || !matches!(b, Val::F(y) if y == 0.0);
+    };
+    let (bits, signed) = match ty {
+        "int" => (32, true),
+        "unsigned int" => (32, false),
+        _ => (64, true),
+    };
+    let (min, max) = (-(1i128 << (bits - 1)), (1i128 << (bits - 1)) - 1);
+    let fits = |v: i128| !signed || (min..=max).contains(&v);
+    match op {
+        "+" => fits(a + b),
+        "-" => fits(a - b),
+        "*" => fits(a * b),
+        "/" | "%" => b != 0 && !(signed && a == min && b == -1),
+        "<<" => (0..bits).contains(&b) && (!signed || (a >= 0 && fits(a << b))),
+        ">>" => (0..bits).contains(&b),
+        _ => true,
+    }
+}
+
+/// Whether the conversion `(to)v` is defined C: a double converts only
+/// when its integral part fits the target type. (Integer conversions are
+/// at worst implementation-defined, and MinC truncates as gcc and clang
+/// do. MinC converts a double to `unsigned int` through the signed
+/// conversion, so that row stays below 2^31.)
+fn defined_cast(to: &str, v: Val) -> bool {
+    let Val::F(x) = v else {
+        return true;
+    };
+    let (lo, hi) = match to {
+        "char" => (-129.0, 128.0),
+        "int" => (-2147483649.0, 2147483648.0),
+        "unsigned int" => (-1.0, 2147483648.0),
+        "long" => (-9.2e18, 9.2e18),
+        _ => return true,
+    };
+    lo < x && x < hi
+}
+
+/// The constant folder and the VM evaluate through one evaluator, and this
+/// table checks the glue around it: the conversions between constants
+/// and register words, the folded result types and the operand-kind check.
+/// Each case prints `op(x, y)` with `x` and `y` read from the input (never
+/// folded), then `op(literal, literal)`, which `-O1` and above fold. Every
+/// `BinKind`, `UnKind` and `CastKind` a MinC source can express appears
+/// at both widths (MinC has no unsigned 64-bit type, so 64-bit `DivU`,
+/// `RemU` and `ShrU` have no source form; pointer comparisons give the
+/// 64-bit unsigned comparisons), on boundary operands, defined cases only.
+#[test]
+fn folded_operations_equal_unfolded_on_defined_operands() {
+    let int = Operand {
+        ty: "int",
+        read: "in32()",
+        width: 4,
+        print: "printf(\"%d\\n\", {});",
+        vals: ints(&[0, 1, -1, 3, -13, 31, 46341, 2147483647, -2147483648]),
+    };
+    let uint = Operand {
+        ty: "unsigned int",
+        read: "(unsigned int)in32()",
+        width: 4,
+        print: "printf(\"%u\\n\", {});",
+        vals: ints(&[0, 1, 3, 31, 65536, 2147483647, 2147483648, 4294967295]),
+    };
+    let long = Operand {
+        ty: "long",
+        read: "in64()",
+        width: 8,
+        print: "printf(\"%ld\\n\", {});",
+        vals: ints(&[
+            0,
+            1,
+            -1,
+            5,
+            -77,
+            63,
+            4294967296,
+            -2147483649,
+            i64::MAX as i128,
+            i64::MIN as i128,
+        ]),
+    };
+    let ptr = Operand {
+        ty: "char*",
+        read: "(char*)in64()",
+        width: 8,
+        print: "printf(\"%d\\n\", {});",
+        vals: ints(&[0, 1, 4096, -1, i64::MIN as i128]),
+    };
+    let double = Operand {
+        ty: "double",
+        read: "inf64()",
+        width: 8,
+        print: "pd({});",
+        vals: [
+            0.0,
+            1.5,
+            -2.25,
+            0.1,
+            3.0,
+            -1073741824.75,
+            4294967295.5,
+            123456789.0,
+        ]
+        .iter()
+        .map(|&v| Val::F(v))
+        .collect(),
+    };
+    const INT_OPS: [&str; 16] = [
+        "+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^", "==", "!=", "<", "<=", ">", ">=",
+    ];
+    const CMP_OPS: [&str; 6] = ["==", "!=", "<", "<=", ">", ">="];
+    const FLOAT_OPS: [&str; 10] = ["+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">="];
+    let bin_groups: [(&Operand, &[&str]); 5] = [
+        (&int, &INT_OPS),
+        (&uint, &INT_OPS),
+        (&long, &INT_OPS),
+        (&ptr, &CMP_OPS),
+        (&double, &FLOAT_OPS),
+    ];
+    let print_int = "printf(\"%d\\n\", {});";
+
+    let mut src = String::from(
+        "int in32() { int v; read_input(&v, 4L); return v; }\n\
+         long in64() { long v; read_input(&v, 8L); return v; }\n\
+         double inf64() { double v; read_input(&v, 8L); return v; }\n\
+         void pd(double d) { long b; memcpy(&b, &d, 8L); printf(\"%lx\\n\", b); }\n",
+    );
+    let mut input = Vec::new();
+    let mut labels = Vec::new();
+    let mut funcs = Vec::new();
+    // One function per operation keeps every body small.
+    let mut emit = |body: String| {
+        funcs.push(format!("f{}", funcs.len()));
+        src.push_str(&format!("void {}() {{\n{body}}}\n", funcs.last().unwrap()));
+    };
+    for (operand, ops) in bin_groups {
+        for op in ops {
+            let print = if CMP_OPS.contains(op) {
+                print_int
+            } else {
+                operand.print
+            };
+            let ty = operand.ty;
+            let mut body = format!("    {ty} x;\n    {ty} y;\n");
+            for &a in &operand.vals {
+                for &b in &operand.vals {
+                    if !defined_bin(ty, op, a, b) {
+                        continue;
+                    }
+                    let (la, lb) = (operand.literal(a), operand.literal(b));
+                    body.push_str(&format!(
+                        "    x = {};\n    y = {};\n",
+                        operand.read, operand.read
+                    ));
+                    body.push_str(&format!(
+                        "    {}\n",
+                        print.replace("{}", &format!("x {op} y"))
+                    ));
+                    body.push_str(&format!(
+                        "    {}\n",
+                        print.replace("{}", &format!("{la} {op} {lb}"))
+                    ));
+                    input.extend(operand.bytes(a));
+                    input.extend(operand.bytes(b));
+                    labels.push(format!("{la} {op} {lb}"));
+                }
+            }
+            emit(body);
+        }
+    }
+    // Unary operations: (operand, C operator, result printer).
+    let unary: [(&Operand, &str, &str); 7] = [
+        (&int, "-", int.print),
+        (&int, "~", int.print),
+        (&uint, "-", uint.print),
+        (&uint, "~", uint.print),
+        (&long, "-", long.print),
+        (&long, "~", long.print),
+        (&double, "-", double.print),
+    ];
+    // Conversions: (operand, target type, result printer).
+    let casts: [(&Operand, &str, &str); 13] = [
+        (&int, "long", long.print),
+        (&int, "double", double.print),
+        (&int, "char", print_int),
+        (&uint, "long", long.print),
+        (&uint, "double", double.print),
+        (&long, "int", int.print),
+        (&long, "unsigned int", uint.print),
+        (&long, "char", print_int),
+        (&long, "double", double.print),
+        (&double, "int", int.print),
+        (&double, "long", long.print),
+        (&double, "unsigned int", uint.print),
+        (&double, "char", print_int),
+    ];
+    let unary_rows = unary.iter().map(|&(o, op, p)| (o, op.to_string(), None, p));
+    let cast_rows = casts
+        .iter()
+        .map(|&(o, to, p)| (o, format!("({to})"), Some(to), p));
+    for (operand, prefix, to, print) in unary_rows.chain(cast_rows) {
+        let mut body = format!("    {} x;\n", operand.ty);
+        for &a in &operand.vals {
+            let defined = match (to, a) {
+                (Some(to), _) => defined_cast(to, a),
+                // Negating the minimum of a signed type overflows.
+                (None, Val::I(x)) if prefix == "-" => match operand.ty {
+                    "int" => x != i32::MIN as i128,
+                    "long" => x != i64::MIN as i128,
+                    _ => true,
+                },
+                (None, _) => true,
+            };
+            if !defined {
+                continue;
+            }
+            let la = operand.literal(a);
+            body.push_str(&format!("    x = {};\n", operand.read));
+            body.push_str(&format!(
+                "    {}\n",
+                print.replace("{}", &format!("{prefix}x"))
+            ));
+            body.push_str(&format!(
+                "    {}\n",
+                print.replace("{}", &format!("{prefix}{la}"))
+            ));
+            input.extend(operand.bytes(a));
+            labels.push(format!("{prefix}{la}"));
+        }
+        emit(body);
+    }
+    src.push_str("int main() {\n");
+    for f in &funcs {
+        src.push_str(&format!("    {f}();\n"));
+    }
+    src.push_str("    return 0;\n}\n");
+
+    let outs = outputs_for(&src, &input);
+    for (n, o, s) in &outs {
+        assert_eq!(*s, 0, "{n} exited {s}");
+        let lines: Vec<&str> = o.lines().collect();
+        assert_eq!(lines.len(), 2 * labels.len(), "{n}");
+        for (pair, label) in lines.chunks(2).zip(&labels) {
+            assert_eq!(pair[0], pair[1], "{n}: `{label}` unfolded vs folded");
+        }
+    }
+    let (n0, o0, _) = &outs[0];
+    for (n, o, _) in &outs[1..] {
+        assert!(o == o0, "{n0} and {n} print different bytes");
+    }
+}

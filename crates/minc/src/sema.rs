@@ -451,6 +451,7 @@ impl<'p> Checker<'p> {
                     format!("cannot initialize `{}` with `{}`", g.ty, ity),
                 ));
             }
+            check_init_strings("global", &g.name, &g.ty, init)?;
         }
         Ok(())
     }
@@ -564,6 +565,9 @@ impl<'p> Checker<'p> {
                             init.span,
                             format!("cannot initialize `{ty}` with `{ity}`"),
                         ));
+                    }
+                    if *storage == Storage::Static {
+                        check_init_strings("static local", name, ty, init)?;
                     }
                 }
                 let scope = ctx.scopes.last_mut().unwrap();
@@ -1061,6 +1065,36 @@ pub fn is_const_expr(e: &Expr) -> bool {
         ExprKind::Cast { value, .. } => is_const_expr(value),
         ExprKind::SizeofType(_) => true,
         _ => false,
+    }
+}
+
+/// A string literal's address is fixed only at load time, so no constant
+/// folds through it: in a global or static initializer it may only be the
+/// whole value of a pointer or `long`, optionally cast to one.
+fn check_init_strings(kind: &str, name: &str, ty: &Type, init: &Expr) -> Result<(), FrontendError> {
+    /// The first string literal in `e` whose address would meet
+    /// arithmetic, or a conversion to a type other than a pointer or
+    /// `long`; `holds` says whether `e`'s value is kept as an address.
+    fn stray(e: &Expr, holds: bool) -> Option<Span> {
+        match &e.kind {
+            ExprKind::StrLit(_) => (!holds).then_some(e.span),
+            ExprKind::Cast { to, value } => {
+                stray(value, holds && (to.is_pointer() || *to == Type::Long))
+            }
+            ExprKind::Unary { operand, .. } => stray(operand, false),
+            ExprKind::Binary { lhs, rhs, .. } => stray(lhs, false).or_else(|| stray(rhs, false)),
+            _ => None,
+        }
+    }
+    match stray(init, ty.is_pointer() || *ty == Type::Long) {
+        Some(span) => Err(err(
+            span,
+            format!(
+                "{kind} initializer of `{name}`: a string literal can only be the whole \
+                 value of a pointer or `long`"
+            ),
+        )),
+        None => Ok(()),
     }
 }
 

@@ -104,3 +104,53 @@ fn error_messages_are_lowercase_and_specific() {
         assert!(msg.contains(needle), "{src}: {msg}");
     }
 }
+
+/// Initializer forms that once panicked the lowering. `!1.5` folds like
+/// the same expression at run time; a string literal's address folds
+/// only as the whole value of a pointer or `long`, so every other use is a
+/// typed sema error naming the initialized variable.
+#[test]
+fn initializers_fold_or_fail_with_a_typed_error() {
+    use minc_compile::ir::{ConstVal, GlobalInit, MemWidth};
+    use minc_compile::CompilerImpl;
+
+    let checked = minc::check("int g = !1.5;\nint main() { return g; }").unwrap();
+    for ci in CompilerImpl::default_set() {
+        let bin = minc_compile::compile(&checked, ci);
+        let zero = GlobalInit::Scalar(ConstVal::I32(0), MemWidth::W4);
+        assert_eq!(bin.program.globals[0].init, zero, "{ci}");
+    }
+    for (src, name) in [
+        ("int g = (int)\"abc\";", "global initializer of `g`"),
+        ("char *g = \"abc\" + 1;", "global initializer of `g`"),
+        ("int g = \"abc\" == \"abc\";", "global initializer of `g`"),
+        ("int g = (long)\"abc\";", "global initializer of `g`"),
+        (
+            "int f() { static long g = (long)(int)\"a\"; return (int)g; }",
+            "static local initializer of `g`",
+        ),
+    ] {
+        let src = format!("{src}\nint main() {{ return 0; }}");
+        let err = minc::check(&src).unwrap_err().to_string();
+        assert!(err.contains(name), "{src}: {err}");
+    }
+    for src in [
+        "char *g = \"abc\";",
+        "long g = (long)\"abc\";",
+        "int *g = (int*)(long)\"abc\";",
+        "int f() { static char *g = \"abc\"; return (int)*g; }",
+    ] {
+        let checked = minc::check(&format!("{src}\nint main() {{ return 0; }}")).unwrap();
+        for ci in CompilerImpl::default_set() {
+            let bin = minc_compile::compile(&checked, ci);
+            let init = &bin.program.globals[0].init;
+            assert!(
+                matches!(
+                    init,
+                    GlobalInit::Scalar(ConstVal::StrAddr(..), MemWidth::W8)
+                ),
+                "{src} ({ci}): {init:?}"
+            );
+        }
+    }
+}

@@ -285,22 +285,6 @@ impl<H: Hooks> Hooks for PlannedSan<H> {
         let f = self.inner.on_poison_use(use_, loc);
         self.filter(f)
     }
-    fn on_exit(&mut self, live_heap: &[(u64, u64)]) -> Option<Fault> {
-        let f = self.inner.on_exit(live_heap);
-        // Exit reports are filtered too (a suppressed leak report), but
-        // injections keyed on check ordinals do not apply here.
-        match f {
-            Some(fault) => {
-                self.reports += 1;
-                if self.plan.suppresses(self.kind, self.reports) {
-                    None
-                } else {
-                    Some(fault)
-                }
-            }
-            None => None,
-        }
-    }
     fn bulk_mem_ok(&self) -> bool {
         self.inner.bulk_mem_ok()
     }

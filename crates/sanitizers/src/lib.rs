@@ -28,13 +28,11 @@
 
 #![warn(missing_docs)]
 pub mod asan;
-pub mod lsan;
 pub mod msan;
 pub mod shadow;
 pub mod ubsan;
 
 pub use asan::Asan;
-pub use lsan::Lsan;
 pub use msan::Msan;
 pub use ubsan::Ubsan;
 

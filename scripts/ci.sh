@@ -144,6 +144,26 @@ for deep in "$san_dir/deep_and.mc" "$san_dir/deep_ternary.mc"; do
     timeout 5 ./target/release/compdiff sancheck "$deep" > /dev/null
 done
 
+echo "== initializer robustness (former panics exit 0 or 1, never 101) =="
+# Global initializers that once panicked the lowering: `!1.5` now folds
+# like the same expression at run time, and a string literal anywhere but
+# as the whole value of a pointer or `long` is a sema error.
+n=0
+for init in 'int g = (int)"abc";' 'char *p = "abc" + 1;' \
+    'int g = "abc" == "abc";' 'int g = !1.5;'; do
+    n=$((n + 1))
+    printf '%s\nint main() { return 0; }\n' "$init" > "$san_dir/init$n.mc"
+    for cmd in run lint sancheck; do
+        status=0
+        timeout 5 ./target/release/compdiff "$cmd" "$san_dir/init$n.mc" > /dev/null 2>&1 ||
+            status=$?
+        if [ "$status" -gt 1 ]; then
+            echo "compdiff $cmd on '$init' exited $status" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "== sancheck planted-FN smoke (suppressed MSan must be flagged) =="
 # A must-execute uninitialized branch with MSan's poison callbacks
 # deterministically suppressed: the meta-oracle must charge every impl
