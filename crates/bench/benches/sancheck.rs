@@ -6,6 +6,8 @@
 //! reported per program:
 //!
 //! * `check_program` — `sancheck::check_program`, all of it;
+//! * `site_map` — `UbSiteMap::build_with_logs`, given the ten rewrite
+//!   logs built beforehand;
 //! * `sanitized_compiles` — 10 × `sancheck::compile_sanitized_for`;
 //! * `links` — 10 × `Binary::link` of an already optimized IR with the
 //!   sanitized personality (each link consumes a clone of the IR, and
@@ -24,11 +26,11 @@ use compdiff::{hash64, Json};
 use compdiff_bench::harness::{write_json, BenchGroup, BenchResult};
 use fuzzing::Rng;
 use minc::CheckedProgram;
-use minc_compile::{Binary, CompilerImpl, IrProgram};
+use minc_compile::{Binary, CompilerImpl, IrProgram, RewriteLog};
 use minc_vm::{execute_with_hooks, ExecResult, ExecSession, Hooks, SanitizerKind, VmConfig};
 use sancheck::{PlannedSan, SanFaultPlan, SancheckConfig, SAN_KINDS};
 use sanitizers::{Asan, Msan, Ubsan};
-use staticheck_ir::UnstableLint;
+use staticheck_ir::{UbSiteMap, UnstableLint};
 
 /// Generated programs in the set (the first ones of the golden manifest).
 const GENERATED: u64 = 200;
@@ -40,6 +42,8 @@ struct Program {
     config: SancheckConfig,
     /// Each implementation's optimized IR and sanitized build.
     builds: Vec<(IrProgram, Binary)>,
+    /// Each implementation's rewrite log.
+    logs: Vec<RewriteLog>,
 }
 
 fn programs() -> Vec<Program> {
@@ -56,13 +60,13 @@ fn programs() -> Vec<Program> {
         .into_iter()
         .map(|(name, src, input)| {
             let checked = minc::check(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let builds = CompilerImpl::default_set()
+            let (builds, logs) = CompilerImpl::default_set()
                 .into_iter()
                 .map(|ci| {
-                    let ir = minc_compile::optimize_logged(&checked, ci).0;
-                    (ir, sancheck::compile_sanitized_for(&checked, ci))
+                    let (ir, log) = minc_compile::optimize_logged(&checked, ci);
+                    ((ir, sancheck::compile_sanitized_for(&checked, ci)), log)
                 })
-                .collect();
+                .unzip();
             Program {
                 name,
                 src,
@@ -72,6 +76,7 @@ fn programs() -> Vec<Program> {
                     ..SancheckConfig::default()
                 },
                 builds,
+                logs,
             }
         })
         .collect()
@@ -175,6 +180,11 @@ fn main() {
     g.bench("check_program", || {
         for p in &progs {
             std::hint::black_box(sancheck::check_program(&p.checked, 0, &p.config));
+        }
+    });
+    g.bench("site_map", || {
+        for p in &progs {
+            std::hint::black_box(UbSiteMap::build_with_logs(&p.checked, &p.logs));
         }
     });
     g.bench("sanitized_compiles", || {

@@ -400,6 +400,12 @@ impl<'a> FnLowerer<'a> {
                 self.cast(kind, v)
             }
             (IrType::I64, IrType::F64) => self.cast(CastKind::SI64F64, v),
+            (IrType::F64, IrType::I32) if to == Type::UInt => {
+                // Through i64: the signed i32 cast would saturate every
+                // value above `INT_MAX` that `unsigned int` holds.
+                let t = self.cast(CastKind::F64I64, v);
+                self.cast(CastKind::TruncI64I32, t)
+            }
             (IrType::F64, IrType::I32) => {
                 let t = self.cast(CastKind::F64I32, v);
                 if to == Type::Char {

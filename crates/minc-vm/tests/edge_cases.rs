@@ -320,6 +320,24 @@ fn initializers_equal_the_same_expression_at_run_time() {
 }
 
 #[test]
+fn double_to_unsigned_int_keeps_values_above_int_max() {
+    all_impls_agree(
+        r#"
+        unsigned int g = 3000000000.0;
+        unsigned int h = (unsigned int)4294967295.0;
+        int main() {
+            double d = 3000000000.0;
+            unsigned int u = d;
+            printf("%u %u\n", g, u);
+            printf("%u %u\n", h, (unsigned int)4294967295.0);
+            return 0;
+        }
+        "#,
+        "3000000000 3000000000\n4294967295 4294967295\n",
+    );
+}
+
+#[test]
 fn ternary_and_logical_short_circuit() {
     all_impls_agree(
         r#"

@@ -478,6 +478,48 @@ mod tests {
         assert!(report.divergences.is_empty(), "{:?}", report.divergences);
     }
 
+    /// Defined programs whose `I32` arithmetic wraps or zero-extends a
+    /// negative value. An interval domain that kept the unwrapped range
+    /// proved each shift oversized: a lint finding and a must-site every
+    /// silent UBSan was charged with.
+    const WRAPPED_SHIFT_AMOUNTS: [&str; 2] = [
+        r#"
+        int main() {
+            unsigned int a = 2147483647;
+            unsigned int b = a + a;
+            int c = (int)b;
+            int r = 8 >> (c + 4);
+            printf("%d\n", r);
+            return 0;
+        }
+    "#,
+        r#"
+        int main() {
+            unsigned int u = (unsigned int)-1;
+            long l = u;
+            long r = 8L >> (l - 4294967292L);
+            printf("%ld %ld\n", l, r);
+            return 0;
+        }
+    "#,
+    ];
+
+    #[test]
+    fn wrapped_shift_amounts_are_not_ub() {
+        for src in WRAPPED_SHIFT_AMOUNTS {
+            let checked = minc::check(src).unwrap();
+            let lint = staticheck_ir::UnstableLint::new().run(&checked);
+            assert!(lint.is_empty(), "{}", staticheck_ir::render(&lint));
+            let report = check_program(&checked, 0, &SancheckConfig::default());
+            assert!(report.map.sites.is_empty(), "{}", report.map.render());
+            assert!(
+                report.false_negatives.is_empty(),
+                "{:?}",
+                report.false_negatives
+            );
+        }
+    }
+
     #[test]
     fn dead_ub_operation_splits_sanitizer_verdicts() {
         let report = check_source(DEAD_DIV, &config_with(&["gcc-O0", "gcc-O2"], "")).unwrap();

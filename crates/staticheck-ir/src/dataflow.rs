@@ -43,8 +43,17 @@ pub struct BlockStates<S> {
     pub inputs: Vec<Option<S>>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Fixpoints run on this thread, so tests can pin how often each
+    /// analysis runs.
+    pub(crate) static FIXPOINTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Runs `a` to fixpoint over `f` and returns per-block input states.
 pub fn fixpoint<A: Analysis>(f: &IrFunction, a: &A) -> BlockStates<A::State> {
+    #[cfg(test)]
+    FIXPOINTS.with(|c| c.set(c.get() + 1));
     let n = f.blocks.len();
     let mut inputs: Vec<Option<A::State>> = (0..n).map(|_| None).collect();
     if n == 0 {
@@ -119,7 +128,7 @@ fn reverse_postorder(f: &IrFunction) -> Vec<BlockId> {
     post
 }
 
-/// One program point handed to [`scan_with_term`]'s visitor.
+/// One program point handed to [`scan_with_blocks`]'s visitor.
 pub enum Visit<'a> {
     /// A straight-line instruction.
     Inst(&'a Inst),
@@ -127,35 +136,12 @@ pub enum Visit<'a> {
     Term(&'a Terminator),
 }
 
-/// Replays the fixpoint over every reachable block, calling `visit` with
-/// the state *before* each instruction. This is how detectors turn a
-/// fixpoint into findings without duplicating the transfer logic.
-pub fn scan<A: Analysis>(
-    f: &IrFunction,
-    a: &A,
-    states: &BlockStates<A::State>,
-    mut visit: impl FnMut(&A::State, &Inst),
-) {
-    scan_with_term(f, a, states, |st, v| {
-        if let Visit::Inst(inst) = v {
-            visit(st, inst);
-        }
-    });
-}
-
-/// [`scan`], but the visitor also sees the state before each terminator.
-pub fn scan_with_term<A: Analysis>(
-    f: &IrFunction,
-    a: &A,
-    states: &BlockStates<A::State>,
-    mut visit: impl FnMut(&A::State, Visit),
-) {
-    scan_with_blocks(f, a, states, |_, st, v| visit(st, v));
-}
-
-/// [`scan_with_term`], with the containing block's id handed to the
-/// visitor — consumers that need execution certainty (is this point on
-/// the unconditional path from entry?) key it off the block.
+/// Replays the fixpoint over every reachable block, in block order,
+/// calling `visit` with the block, the state *before* each instruction
+/// and the state before the terminator. This is how detectors turn a
+/// fixpoint into findings without duplicating the transfer logic;
+/// consumers that need execution certainty (is this point on the
+/// unconditional path from entry?) key it off the block.
 pub fn scan_with_blocks<A: Analysis>(
     f: &IrFunction,
     a: &A,
@@ -266,7 +252,7 @@ mod tests {
         }
         // The exit block's input knows every register defined on the path.
         let mut seen = 0;
-        scan(f, &Defined, &states, |st, _| seen = seen.max(st.len()));
+        scan_with_blocks(f, &Defined, &states, |_, st, _| seen = seen.max(st.len()));
         assert!(seen > 0);
     }
 

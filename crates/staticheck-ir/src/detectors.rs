@@ -7,11 +7,14 @@
 //! source line it was allocated for (copy propagation would erase the
 //! line-stamped copies).
 
-use crate::dataflow::{fixpoint, scan, scan_with_term, Visit};
-use crate::domains::{shift_width, Interval, IntervalAnalysis, JunkAnalysis, NullAnalysis};
+use crate::dataflow::{fixpoint, scan_with_blocks, BlockStates, Visit};
+use crate::domains::{
+    shift_width, Interval, IntervalAnalysis, IntervalState, JunkAnalysis, JunkState, NullAnalysis,
+    NullState,
+};
 use crate::summaries::FnSummaries;
 use minc_compile::ir::{
-    BinKind, CastKind, ConstVal, Inst, IrFunction, IrProgram, Terminator, ValueId,
+    BinKind, BlockId, CastKind, ConstVal, Inst, IrFunction, IrProgram, Terminator, ValueId,
 };
 use staticheck::Defect;
 use std::collections::{BTreeSet, HashMap};
@@ -32,13 +35,55 @@ pub struct IrFinding {
     pub junk_id: Option<u32>,
 }
 
-/// Runs every detector over every function of `prog`, with
-/// interprocedural summaries computed callee-first.
-pub fn scan_program(prog: &IrProgram) -> Vec<IrFinding> {
-    let summaries = FnSummaries::of(prog);
+/// The dataflow facts of one program: its summaries, and the fixpoint
+/// of each analysis over each function, each computed once. The lint's
+/// detectors and the UB-site map's collectors read the same states.
+pub(crate) struct ProgramFacts<'p> {
+    /// Interprocedural summaries, computed callee-first.
+    pub(crate) summaries: FnSummaries,
+    /// One entry per function, in program order.
+    pub(crate) fns: Vec<FnFacts<'p>>,
+}
+
+/// The fixpoints of one function; scans replay them with an analysis
+/// built over [`ProgramFacts::summaries`].
+pub(crate) struct FnFacts<'p> {
+    /// The function.
+    pub(crate) f: &'p IrFunction,
+    /// [`JunkAnalysis`] input state per block.
+    junk: BlockStates<JunkState>,
+    /// [`IntervalAnalysis`] input state per block.
+    pub(crate) intervals: BlockStates<IntervalState>,
+    /// [`NullAnalysis`] input state per block.
+    null: BlockStates<NullState>,
+}
+
+impl<'p> ProgramFacts<'p> {
+    /// Summarizes `prog`, then runs each analysis over each function.
+    pub(crate) fn of(prog: &'p IrProgram) -> ProgramFacts<'p> {
+        let summaries = FnSummaries::of(prog);
+        let fns = prog
+            .functions
+            .iter()
+            .map(|f| FnFacts {
+                f,
+                junk: fixpoint(f, &JunkAnalysis::new(&summaries)),
+                intervals: fixpoint(f, &IntervalAnalysis::new(&summaries)),
+                null: fixpoint(f, &NullAnalysis::new(&summaries)),
+            })
+            .collect();
+        ProgramFacts { summaries, fns }
+    }
+}
+
+/// Runs every detector over every function's facts.
+pub(crate) fn scan_program(facts: &ProgramFacts) -> Vec<IrFinding> {
     let mut out = Vec::new();
-    for f in &prog.functions {
-        scan_function(f, &summaries, &mut out);
+    for ff in &facts.fns {
+        junk_reads(ff, &facts.summaries, &mut out);
+        oversized_shifts(ff, &facts.summaries, &mut out);
+        block_patterns(ff.f, &mut out);
+        null_check_after_deref(ff, &facts.summaries, &mut out);
     }
     // Deterministic order + per-line dedup (a junk value read five times
     // on one line is one finding).
@@ -54,58 +99,46 @@ pub fn scan_program(prog: &IrProgram) -> Vec<IrFinding> {
     out
 }
 
-/// Runs every detector over one function, appending to `out`.
-pub fn scan_function(f: &IrFunction, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
-    junk_reads(f, summaries, out);
-    oversized_shifts(f, summaries, out);
-    block_patterns(f, out);
-    null_check_after_deref(f, summaries, out);
-}
-
 // ----------------------------------------------------- uninitialized use
 
-/// Flags observable uses of registers that may carry mem2reg junk: call
-/// arguments, stored values, branch conditions, and return values.
-fn junk_reads(f: &IrFunction, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
-    let a = JunkAnalysis::new(summaries);
-    let states = fixpoint(f, &a);
-    let report = |line: u32, id: u32, what: &str, out: &mut Vec<IrFinding>| {
+/// Every observable use of a register that may carry mem2reg junk — call
+/// arguments, stored values, branch conditions and return values — as
+/// `(block, line, junk id, what)`, in scan order.
+pub(crate) fn junk_sinks(
+    ff: &FnFacts,
+    summaries: &FnSummaries,
+) -> Vec<(BlockId, u32, u32, &'static str)> {
+    let f = ff.f;
+    let mut sinks = Vec::new();
+    scan_with_blocks(f, &JunkAnalysis::new(summaries), &ff.junk, |b, st, v| {
+        let (used, what) = match v {
+            Visit::Inst(Inst::Call { args, .. }) => (&args[..], "call argument"),
+            Visit::Inst(Inst::Store { src, .. }) => (std::slice::from_ref(src), "stored value"),
+            Visit::Term(Terminator::Br { cond, .. }) => {
+                (std::slice::from_ref(cond), "branch condition")
+            }
+            Visit::Term(Terminator::Ret(Some(r))) => (std::slice::from_ref(r), "returned value"),
+            _ => return,
+        };
+        for r in used {
+            if let Some(&id) = st.get(&r.0) {
+                sinks.push((b, f.line_of(*r), id, what));
+            }
+        }
+    });
+    sinks
+}
+
+/// Flags every junk sink as a possibly uninitialized read.
+fn junk_reads(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
+    for (_, line, id, what) in junk_sinks(ff, summaries) {
         out.push(IrFinding {
-            function: f.name.clone(),
+            function: ff.f.name.clone(),
             defect: Defect::Uninitialized,
             line,
             message: format!("{what} may observe an uninitialized (indeterminate) value"),
             junk_id: Some(id),
         });
-    };
-    let mut sink: Vec<(u32, u32, &'static str)> = Vec::new();
-    scan_with_term(f, &a, &states, |st, v| match v {
-        Visit::Inst(Inst::Call { args, .. }) => {
-            for arg in args {
-                if let Some(id) = st.get(&arg.0) {
-                    sink.push((f.line_of(*arg), *id, "call argument"));
-                }
-            }
-        }
-        Visit::Inst(Inst::Store { src, .. }) => {
-            if let Some(id) = st.get(&src.0) {
-                sink.push((f.line_of(*src), *id, "stored value"));
-            }
-        }
-        Visit::Term(Terminator::Br { cond, .. }) => {
-            if let Some(id) = st.get(&cond.0) {
-                sink.push((f.line_of(*cond), *id, "branch condition"));
-            }
-        }
-        Visit::Term(Terminator::Ret(Some(v))) => {
-            if let Some(id) = st.get(&v.0) {
-                sink.push((f.line_of(*v), *id, "returned value"));
-            }
-        }
-        _ => {}
-    });
-    for (line, id, what) in sink {
-        report(line, id, what, out);
     }
 }
 
@@ -119,18 +152,18 @@ pub fn observed_junk_ids(findings: &[IrFinding]) -> BTreeSet<u32> {
 
 /// Flags shifts whose amount is provably out of range for the operand
 /// width (`>= width` or negative) via interval analysis.
-fn oversized_shifts(f: &IrFunction, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
+fn oversized_shifts(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
+    let f = ff.f;
     let a = IntervalAnalysis::new(summaries);
-    let states = fixpoint(f, &a);
     let mut sink: Vec<(u32, i64, Interval)> = Vec::new();
-    scan(f, &a, &states, |st, inst| {
-        if let Inst::Bin {
+    scan_with_blocks(f, &a, &ff.intervals, |_, st, v| {
+        if let Visit::Inst(Inst::Bin {
             dst,
             ty,
             op: BinKind::Shl | BinKind::ShrS | BinKind::ShrU,
             b,
             ..
-        } = inst
+        }) = v
         {
             if let Some(amt) = st.get(&b.0) {
                 let width = shift_width(*ty);
@@ -334,19 +367,18 @@ fn block_patterns(f: &IrFunction, out: &mut Vec<IrFinding>) {
 
 /// Flags `p == 0` / `p != 0` tests of a pointer already dereferenced on
 /// every path to the test — exactly the checks the optimizer deletes.
-fn null_check_after_deref(f: &IrFunction, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
-    let a = NullAnalysis::new(summaries);
-    let states = fixpoint(f, &a);
+fn null_check_after_deref(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
+    let f = ff.f;
     let mut sink: Vec<u32> = Vec::new();
-    scan(f, &a, &states, |st, inst| {
-        if let Inst::Bin {
+    scan_with_blocks(f, &NullAnalysis::new(summaries), &ff.null, |_, st, v| {
+        if let Visit::Inst(Inst::Bin {
             dst,
             ty: minc_compile::ir::IrType::I64,
             op: BinKind::Eq | BinKind::Ne,
             a,
             b,
             ..
-        } = inst
+        }) = v
         {
             let null_cmp = |p: ValueId, z: ValueId| {
                 st.zeros.contains(&z.0) && st.derefed.contains(&st.root(p.0))

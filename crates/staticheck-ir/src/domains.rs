@@ -388,6 +388,13 @@ impl Analysis for IntervalAnalysis<'_> {
     fn transfer_inst(&self, st: &mut IntervalState, inst: &Inst, _f: &IrFunction) {
         use minc_compile::ir::BinKind::*;
         let get = |st: &IntervalState, v: u32| st.get(&v).copied();
+        // Bounds are computed in i64, but the VM wraps an `I32` result:
+        // one that leaves the i32 range is unknown.
+        let fits = |ty: IrType, out: Option<Interval>| {
+            out.filter(|i| {
+                ty != IrType::I32 || (i.lo >= i32::MIN as i64 && i.hi <= i32::MAX as i64)
+            })
+        };
         match inst {
             Inst::Const { dst, val, .. } => {
                 match val {
@@ -410,7 +417,9 @@ impl Analysis for IntervalAnalysis<'_> {
                     st.remove(&dst.0);
                 }
             },
-            Inst::Bin { dst, op, a, b, .. } => {
+            Inst::Bin {
+                dst, ty, op, a, b, ..
+            } => {
                 let out = match (op, get(st, a.0), get(st, b.0)) {
                     (Add, Some(x), Some(y)) => {
                         x.lo.checked_add(y.lo)
@@ -446,7 +455,7 @@ impl Analysis for IntervalAnalysis<'_> {
                     (op, _, _) if op.is_comparison() => Some(Interval { lo: 0, hi: 1 }),
                     _ => None,
                 };
-                match out {
+                match fits(*ty, out) {
                     Some(i) => {
                         st.insert(dst.0, i);
                     }
@@ -455,7 +464,7 @@ impl Analysis for IntervalAnalysis<'_> {
                     }
                 }
             }
-            Inst::Un { dst, op, a, .. } => {
+            Inst::Un { dst, ty, op, a, .. } => {
                 use minc_compile::ir::UnKind;
                 let out = match (op, get(st, a.0)) {
                     (UnKind::Neg, Some(i)) => {
@@ -465,7 +474,7 @@ impl Analysis for IntervalAnalysis<'_> {
                     }
                     _ => None,
                 };
-                match out {
+                match fits(*ty, out) {
                     Some(i) => {
                         st.insert(dst.0, i);
                     }
@@ -477,7 +486,9 @@ impl Analysis for IntervalAnalysis<'_> {
             Inst::Cast { dst, kind, a } => {
                 use minc_compile::ir::CastKind::*;
                 let out = match (kind, get(st, a.0)) {
-                    (SextI32I64 | ZextI32I64 | SI32F64 | SI64F64, Some(i)) => Some(i),
+                    (SextI32I64 | SI32F64 | SI64F64, Some(i)) => Some(i),
+                    // A negative operand zero-extends to a large positive.
+                    (ZextI32I64, Some(i)) if i.lo >= 0 => Some(i),
                     (TruncI64I32, Some(i))
                         if i.lo >= i32::MIN as i64 && i.hi <= i32::MAX as i64 =>
                     {

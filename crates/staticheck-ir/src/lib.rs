@@ -124,7 +124,8 @@ impl UnstableLint {
     /// implementations once and pass the logs here.
     pub fn run_with_logs(checked: &CheckedProgram, logs: &[RewriteLog]) -> Vec<LintFinding> {
         // Channel 1: dataflow over the reference IR.
-        let direct = detectors::scan_program(&reference_ir(checked));
+        let reference = reference_ir(checked);
+        let direct = detectors::scan_program(&detectors::ProgramFacts::of(&reference));
         let junk_seen = detectors::observed_junk_ids(&direct);
 
         // Channel 2: rewrite provenance from every implementation.
@@ -361,6 +362,55 @@ mod tests {
         "#;
         let f = lint(src);
         assert!(f.is_empty(), "{}", render(&f));
+    }
+
+    #[test]
+    fn map_and_lint_run_each_analysis_once_per_function() {
+        // Three fixpoints per function for the summaries, then one per
+        // analysis, shared by the detectors and the map's collectors.
+        let programs = [
+            r#"
+            int step(int k) { int u; if (k > 8) { return u; } return k + 1; }
+            int main() {
+                int i = 0;
+                while (i < 10) { i = step(i); }
+                printf("%d %d\n", i, i << 40);
+                return 0;
+            }
+        "#,
+            r#"
+            int sum(int* p, int n) {
+                int acc = 0;
+                int i;
+                for (i = 0; i < n; i++) { acc += p[i]; }
+                if (p == 0) { return -1; }
+                return acc;
+            }
+            int main() {
+                int a[3];
+                a[0] = 1; a[1] = 2; a[2] = 3;
+                printf("%d\n", sum(a, 3) / (int)input_size());
+                return 0;
+            }
+        "#,
+        ];
+        for src in programs {
+            let checked = minc::check(src).unwrap();
+            let logs = rewrite_logs(&checked, &CompilerImpl::default_set());
+            let expect = 6 * reference_ir(&checked).functions.len();
+            let fixpoints = |run: &dyn Fn()| {
+                dataflow::FIXPOINTS.with(|c| c.set(0));
+                run();
+                dataflow::FIXPOINTS.with(|c| c.get())
+            };
+            let map = fixpoints(&|| {
+                UbSiteMap::build_with_logs(&checked, &logs);
+            });
+            let lint = fixpoints(&|| {
+                UnstableLint::run_with_logs(&checked, &logs);
+            });
+            assert_eq!((map, lint), (expect, expect), "{src}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! the unknown summary, which degrades precision (fewer facts, therefore
 //! fewer findings) but never soundness of what *is* reported.
 
-use crate::dataflow::{fixpoint, scan_with_term, Visit};
+use crate::dataflow::{fixpoint, scan_with_blocks, Visit};
 use crate::domains::{Interval, IntervalAnalysis, JunkAnalysis, NullAnalysis};
 use minc_compile::ir::{Callee, FuncId, Inst, IrProgram, Terminator};
 use std::collections::BTreeMap;
@@ -142,7 +142,7 @@ fn summarize_one(prog: &IrProgram, idx: usize, done: &FnSummaries) -> FnSummary 
         seed_params: true,
     };
     let jstates = fixpoint(f, &junk);
-    scan_with_term(f, &junk, &jstates, |st, v| {
+    scan_with_blocks(f, &junk, &jstates, |_, st, v| {
         if let Visit::Term(Terminator::Ret(Some(r))) = v {
             if let Some(&id) = st.get(&r.0) {
                 if id >= PARAM_JUNK_BASE {
@@ -164,7 +164,7 @@ fn summarize_one(prog: &IrProgram, idx: usize, done: &FnSummaries) -> FnSummary 
     let null = NullAnalysis { summaries: done };
     let nstates = fixpoint(f, &null);
     let mut derefed_at_rets: Option<Vec<bool>> = None;
-    scan_with_term(f, &null, &nstates, |st, v| {
+    scan_with_blocks(f, &null, &nstates, |_, st, v| {
         if let Visit::Term(Terminator::Ret(_)) = v {
             let here: Vec<bool> = (0..params as u32)
                 .map(|p| st.derefed.contains(&st.root(p)))
@@ -185,7 +185,7 @@ fn summarize_one(prog: &IrProgram, idx: usize, done: &FnSummaries) -> FnSummary 
     let istates = fixpoint(f, &ivals);
     let mut seen_ret = false;
     let mut acc: Option<Interval> = None;
-    scan_with_term(f, &ivals, &istates, |st, v| {
+    scan_with_blocks(f, &ivals, &istates, |_, st, v| {
         if let Visit::Term(Terminator::Ret(Some(r))) = v {
             let here = st.get(&r.0).copied();
             acc = if !seen_ret {

@@ -25,13 +25,13 @@
 //! [`UbSiteMap::unknown`]; the meta-oracle only calls a firing spurious
 //! when the class is statically covered, not unknown, and has no site.
 
-use crate::dataflow::{fixpoint, scan_with_blocks, Visit};
-use crate::detectors;
-use crate::domains::{shift_width, Interval, IntervalAnalysis, JunkAnalysis};
+use crate::dataflow::{scan_with_blocks, Visit};
+use crate::detectors::{self, FnFacts, ProgramFacts};
+use crate::domains::{shift_width, Interval, IntervalAnalysis};
 use crate::summaries::FnSummaries;
 use crate::{reference_ir, rewrite_logs, Origin};
-use minc::{CheckedProgram, FrontendError};
-use minc_compile::ir::{BinKind, BlockId, Callee, Inst, IrFunction, IrProgram, IrType, Terminator};
+use minc::CheckedProgram;
+use minc_compile::ir::{BinKind, Callee, Inst, IrFunction, IrProgram, IrType, Terminator};
 use minc_compile::personality::CompilerImpl;
 use minc_compile::{RewriteEntry, RewriteLog, UbReason};
 use staticheck::Defect;
@@ -121,23 +121,6 @@ pub fn class_of_defect(d: Defect) -> Option<UbClass> {
         Defect::MiscompiledLoop => UbClass::LoopTripCount,
         _ => return None,
     })
-}
-
-/// The defect the meta-oracle reports a class under (total mapping).
-pub fn defect_of_class(c: UbClass) -> Defect {
-    match c {
-        UbClass::Uninit => Defect::Uninitialized,
-        UbClass::SignedOverflow => Defect::IntegerOverflow,
-        UbClass::OversizedShift => Defect::BadShift,
-        UbClass::DivByZero => Defect::DivByZero,
-        UbClass::NullDeref => Defect::NullDeref,
-        UbClass::PointerCompare => Defect::PointerCompare,
-        UbClass::OutOfBounds => Defect::OutOfBounds,
-        UbClass::UseAfterFree => Defect::UseAfterFree,
-        UbClass::DoubleFree => Defect::DoubleFree,
-        UbClass::BadFree => Defect::BadFree,
-        UbClass::LoopTripCount => Defect::MiscompiledLoop,
-    }
 }
 
 /// Classifies a sanitizer fault category string (the `Fault::category`
@@ -242,24 +225,8 @@ impl UbSiteMap {
     /// per implementation in order, as
     /// [`optimize_all`](minc_compile::optimize_all) returns them.
     pub fn build_with_logs(checked: &CheckedProgram, logs: &[RewriteLog]) -> UbSiteMap {
-        let reference = reference_ir(checked);
-        let summaries = FnSummaries::of(&reference);
-        let df = dataflow_evidence(&reference, &summaries);
+        let df = dataflow_evidence(&reference_ir(checked));
         fuse(&df, logs.iter().flat_map(|log| &log.entries))
-    }
-
-    /// [`UbSiteMap::build`] from source text.
-    pub fn build_source(src: &str, impls: &[CompilerImpl]) -> Result<UbSiteMap, FrontendError> {
-        Ok(UbSiteMap::build(&minc::check(src)?, impls))
-    }
-
-    /// The classes with at least one `must` site.
-    pub fn must_classes(&self) -> BTreeSet<UbClass> {
-        self.sites
-            .iter()
-            .filter(|s| s.certainty == Certainty::Must)
-            .map(|s| s.class)
-            .collect()
     }
 
     /// True if any site (either certainty) has the class.
@@ -412,13 +379,17 @@ fn ty_range(ty: IrType) -> Option<(i128, i128)> {
     }
 }
 
-/// Collects the dataflow channel's evidence over a reference IR.
-pub fn dataflow_evidence(prog: &IrProgram, summaries: &FnSummaries) -> DataflowEvidence {
+/// Collects the dataflow channel's evidence over a reference IR. One
+/// `ProgramFacts` serves twice: the detectors' findings seed the map,
+/// then the same states give each site its certainty and the interval
+/// sites.
+pub fn dataflow_evidence(prog: &IrProgram) -> DataflowEvidence {
+    let facts = ProgramFacts::of(prog);
     let mut ev = DataflowEvidence::default();
 
     // Seed with the lint detectors' findings — all May; the exactness
     // upgrades below promote the ones on the unconditional path.
-    let direct = detectors::scan_program(prog);
+    let direct = detectors::scan_program(&facts);
     ev.observed_junk = detectors::observed_junk_ids(&direct);
     for fnd in &direct {
         // Check-instability classes stay May no matter where they sit: a
@@ -444,80 +415,45 @@ pub fn dataflow_evidence(prog: &IrProgram, summaries: &FnSummaries) -> DataflowE
     }
 
     let must_fns = must_functions(prog);
-    for (fi, f) in prog.functions.iter().enumerate() {
+    for (fi, ff) in facts.fns.iter().enumerate() {
         let mblocks = if must_fns.contains(&(fi as u32)) {
-            must_blocks(f)
+            must_blocks(ff.f)
         } else {
             BTreeSet::new()
         };
-        collect_junk(f, summaries, &mblocks, &mut ev);
-        collect_intervals(f, summaries, &mblocks, &mut ev);
+        // A junk read in a must-block is a Must site: the join-free path
+        // from entry makes the may-fact exact.
+        for (b, line, _, what) in detectors::junk_sinks(ff, &facts.summaries) {
+            ev.add_site(
+                line,
+                UbClass::Uninit,
+                mblocks.contains(&b.0),
+                &ff.f.name,
+                &format!("{what} observes an uninitialized (indeterminate) value"),
+            );
+        }
+        collect_intervals(ff, &facts.summaries, &mblocks, &mut ev);
     }
     ev
-}
-
-/// Junk sinks again (same four the lint reports), but with block
-/// certainty: a junk read in a must-block is a Must site, because the
-/// join-free path from entry makes the may-fact exact.
-fn collect_junk(
-    f: &IrFunction,
-    summaries: &FnSummaries,
-    mblocks: &BTreeSet<u32>,
-    ev: &mut DataflowEvidence,
-) {
-    let a = JunkAnalysis::new(summaries);
-    let states = fixpoint(f, &a);
-    let mut sink: Vec<(u32, bool, &'static str)> = Vec::new();
-    scan_with_blocks(f, &a, &states, |b: BlockId, st, v| {
-        let must = mblocks.contains(&b.0);
-        match v {
-            Visit::Inst(Inst::Call { args, .. }) => {
-                for arg in args {
-                    if st.contains_key(&arg.0) {
-                        sink.push((f.line_of(*arg), must, "call argument"));
-                    }
-                }
-            }
-            Visit::Inst(Inst::Store { src, .. }) if st.contains_key(&src.0) => {
-                sink.push((f.line_of(*src), must, "stored value"));
-            }
-            Visit::Term(Terminator::Br { cond, .. }) if st.contains_key(&cond.0) => {
-                sink.push((f.line_of(*cond), must, "branch condition"));
-            }
-            Visit::Term(Terminator::Ret(Some(r))) if st.contains_key(&r.0) => {
-                sink.push((f.line_of(*r), must, "returned value"));
-            }
-            _ => {}
-        }
-    });
-    for (line, must, what) in sink {
-        ev.add_site(
-            line,
-            UbClass::Uninit,
-            must,
-            &f.name,
-            &format!("{what} observes an uninitialized (indeterminate) value"),
-        );
-    }
 }
 
 /// Interval-driven evidence: shifts, division, signed arithmetic, and
 /// null-page addresses. Also records clean proofs and blindness.
 fn collect_intervals(
-    f: &IrFunction,
+    ff: &FnFacts,
     summaries: &FnSummaries,
     mblocks: &BTreeSet<u32>,
     ev: &mut DataflowEvidence,
 ) {
+    let f = ff.f;
     let a = IntervalAnalysis::new(summaries);
-    let states = fixpoint(f, &a);
     enum Rec {
         Site(u32, UbClass, bool, String),
         Clean(u32, UbClass),
         Unknown(UbClass),
     }
     let mut recs: Vec<Rec> = Vec::new();
-    scan_with_blocks(f, &a, &states, |b: BlockId, st, v| {
+    scan_with_blocks(f, &a, &ff.intervals, |b, st, v| {
         let must = mblocks.contains(&b.0);
         let Visit::Inst(inst) = v else { return };
         match inst {
@@ -842,9 +778,7 @@ mod tests {
     use minc_compile::personality::{Family, OptLevel};
 
     fn evidence(src: &str) -> DataflowEvidence {
-        let ir = reference_ir(&minc::check(src).unwrap());
-        let s = FnSummaries::of(&ir);
-        dataflow_evidence(&ir, &s)
+        dataflow_evidence(&reference_ir(&minc::check(src).unwrap()))
     }
 
     fn entry(reason: UbReason, line: u32, key: u32) -> RewriteEntry {
@@ -1145,7 +1079,7 @@ mod tests {
         )
         .unwrap();
         let ir = reference_ir(&checked);
-        let findings = crate::detectors::scan_program(&ir);
+        let findings = detectors::scan_program(&ProgramFacts::of(&ir));
         assert!(
             findings
                 .iter()
@@ -1156,8 +1090,8 @@ mod tests {
     }
 
     #[test]
-    fn build_source_end_to_end_reports_uninit_with_both_origins() {
-        let map = UbSiteMap::build_source(
+    fn build_end_to_end_reports_uninit_with_both_origins() {
+        let checked = minc::check(
             r#"
             int main() {
                 int u;
@@ -1165,26 +1099,24 @@ mod tests {
                 return 0;
             }
         "#,
-            &CompilerImpl::default_set(),
         )
         .unwrap();
-        let site = map
+        let map = UbSiteMap::build(&checked, &CompilerImpl::default_set());
+        let uninit: Vec<_> = map
             .sites
             .iter()
-            .find(|s| s.class == UbClass::Uninit)
-            .expect("uninit site");
-        assert_eq!(site.certainty, Certainty::Must);
-        assert!(map.must_classes().contains(&UbClass::Uninit));
+            .filter(|s| s.class == UbClass::Uninit)
+            .collect();
+        assert_eq!(uninit.len(), 1, "{}", map.render());
+        assert_eq!(uninit[0].certainty, Certainty::Must);
+        assert_eq!(uninit[0].origin, Origin::Both);
         assert!(map.render().contains("uninit"));
     }
 
     #[test]
     fn refutes_requires_coverage_and_no_blindness() {
-        let map = UbSiteMap::build_source(
-            "int main() { int x = 3; printf(\"%d\\n\", x); return 0; }",
-            &[],
-        )
-        .unwrap();
+        let checked = minc::check("int main() { int x = 3; printf(\"%d\\n\", x); return 0; }");
+        let map = UbSiteMap::build(&checked.unwrap(), &[]);
         assert!(map.refutes(UbClass::SignedOverflow));
         assert!(map.refutes(UbClass::DivByZero));
         // Dynamic-only classes are never refutable statically.

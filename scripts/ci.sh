@@ -164,6 +164,49 @@ for init in 'int g = (int)"abc";' 'char *p = "abc" + 1;' \
     done
 done
 
+echo "== defined conversions (no finding, no sanitizer FN, C's value) =="
+# Defined programs the tools once got wrong. A wrapped `unsigned int`
+# sum, and a negative `int` zero-extended to `long`, each reach a shift
+# amount the interval domain kept unwrapped and called oversized. A
+# double above INT_MAX converted to `unsigned int` saturated to
+# 2147483647 under all ten implementations.
+cat > "$san_dir/wrap_add.mc" <<'EOF'
+int main() {
+    unsigned int a = 2147483647;
+    unsigned int b = a + a;
+    int c = (int)b;
+    int r = 8 >> (c + 4);
+    printf("%d\n", r);
+    return 0;
+}
+EOF
+cat > "$san_dir/zext.mc" <<'EOF'
+int main() {
+    unsigned int u = (unsigned int)-1;
+    long l = u;
+    long r = 8L >> (l - 4294967292L);
+    printf("%ld %ld\n", l, r);
+    return 0;
+}
+EOF
+for prog in "$san_dir/wrap_add.mc" "$san_dir/zext.mc"; do
+    ./target/release/compdiff lint "$prog" > "$san_a"
+    grep -qx 'no findings' "$san_a"
+    ./target/release/compdiff sancheck "$prog" > "$san_b"
+    grep -q ' san_fn=0 ' "$san_b"
+done
+cat > "$san_dir/double_to_uint.mc" <<'EOF'
+int main() {
+    double d = 3000000000.0;
+    unsigned int u = d;
+    printf("%u %u\n", u, (unsigned int)4294967295.0);
+    return 0;
+}
+EOF
+./target/release/compdiff run "$san_dir/double_to_uint.mc" > "$san_a"
+grep -q 'all 10 implementations agree' "$san_a"
+grep -qx '3000000000 4294967295' "$san_a"
+
 echo "== sancheck planted-FN smoke (suppressed MSan must be flagged) =="
 # A must-execute uninitialized branch with MSan's poison callbacks
 # deterministically suppressed: the meta-oracle must charge every impl
