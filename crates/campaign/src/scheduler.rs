@@ -305,6 +305,53 @@ mod tests {
         }
     }
 
+    /// The job's telemetry adapters count job-locally and fold into the
+    /// registry when dropped, which includes a panic unwinding out of
+    /// the fuzz loop: the executions before the panic are all counted.
+    #[test]
+    fn a_job_that_panics_mid_fuzz_still_folds_its_counts() {
+        let spec = targets::catalog()
+            .into_iter()
+            .find(|s| s.name == "tcpdump")
+            .unwrap();
+        let target = targets::build(&spec);
+        let cfg = CampaignConfig {
+            execs_per_target: 400,
+            shards_per_target: 1,
+            ..CampaignConfig::default()
+        };
+        let (ct, _) = crate::BinaryCache::new()
+            .get_or_compile(&target, &cfg.diff_config, cfg.fuzz_impl, None, 1)
+            .unwrap();
+        let ctel = CampaignTelemetry::new(telemetry::Telemetry::disabled());
+        let mut execs = 0u64;
+        let mut heartbeat = || {
+            execs += 1;
+            assert!(execs < 100, "injected mid-fuzz panic");
+        };
+        let job = Job {
+            target_index: 0,
+            shard: 0,
+            attempt: 1,
+        };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_job(&ct, &cfg, job, &mut heartbeat, &ctel)
+        }));
+        assert!(unwound.is_err(), "the heartbeat panicked the job");
+        assert_eq!(ctel.jobs_done.get(), 0, "the job never finished");
+        assert_eq!(ctel.fuzz_execs.get(), 100);
+        assert_eq!(ctel.fuzz_exec_us.count(), 100);
+        let runs = ctel.diff_runs.get();
+        assert!(
+            runs > 0 && runs.is_multiple_of(16),
+            "whole batches swept: {runs}"
+        );
+        assert_eq!(ctel.batch_size.count(), runs / 16);
+        // B_fuzz's runs are reused: nine executions per examined input.
+        let execs: u64 = ctel.exec_us_by_impl.iter().map(|h| h.count()).sum();
+        assert_eq!(execs, 9 * runs + ctel.escalation_reruns.get());
+    }
+
     #[test]
     fn retry_backoff_is_pure_and_attempt_dependent() {
         let a = retry_backoff(1, "tcpdump", 0, 2);

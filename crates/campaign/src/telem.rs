@@ -7,15 +7,19 @@
 //! [`FuzzObserver`], and `minc_vm` maintains intrinsic
 //! [`SessionStats`] counters. This module is the one place those seams
 //! meet a [`MetricRegistry`](telemetry::MetricRegistry): handles are
-//! resolved by name once per campaign, so the per-execution adapters only
-//! touch relaxed atomics and the injected clock.
+//! resolved by name once per campaign. The per-execution adapters count
+//! into job-local, non-atomic tallies and fold them into the shared
+//! handles when they are dropped (at the end of the job, or while a
+//! panicking job unwinds), so worker threads do not write the same
+//! memory per execution; a thread worker's counts reach the live
+//! registry per job, as a process worker's snapshot does.
 
 use compdiff::{DiffObserver, DiffOutcome};
 use fuzzing::FuzzObserver;
 use minc_compile::CompilerImpl;
 use minc_vm::{ExecResult, SessionStats};
 use std::sync::Arc;
-use telemetry::{Counter, Gauge, Histogram, Telemetry};
+use telemetry::{Counter, Gauge, Histogram, HistogramTally, Telemetry};
 
 /// Pre-resolved metric handles for one campaign, shared by every worker.
 #[derive(Debug)]
@@ -101,7 +105,9 @@ pub struct CampaignTelemetry {
     /// (or timed out) and were bisected through the per-input path.
     pub batch_bisections: Arc<Counter>,
     /// `diff.exec_us.<impl>` — per-implementation execution latency,
-    /// indexed like the differential binary set.
+    /// indexed like the differential binary set. A sweep row's time is
+    /// spread evenly over the row's executions (one sample each);
+    /// escalation re-runs are timed one by one.
     pub exec_us_by_impl: Vec<Arc<Histogram>>,
     /// `vm.pages_restored` — dirty pages lazily restored on reset.
     pub pages_restored: Arc<Counter>,
@@ -177,19 +183,31 @@ impl CampaignTelemetry {
     }
 
     /// A fresh per-job adapter for the differential engine's
-    /// [`DiffObserver`] seam.
+    /// [`DiffObserver`] seam. Its counts reach the registry when it is
+    /// dropped.
     pub fn diff_observer(&self) -> DiffTelemetry<'_> {
         DiffTelemetry {
             ct: self,
             start_us: 0,
+            exec_us: vec![HistogramTally::default(); self.exec_us_by_impl.len()],
+            escalation_reruns: 0,
+            runs: 0,
+            divergent: 0,
+            classes: HistogramTally::default(),
+            batch_size: HistogramTally::default(),
+            bisections: 0,
         }
     }
 
     /// A fresh per-job adapter for the fuzzer's [`FuzzObserver`] seam.
+    /// Its counts reach the registry when it is dropped.
     pub fn fuzz_observer(&self) -> FuzzTelemetry<'_> {
         FuzzTelemetry {
             ct: self,
             start_us: 0,
+            execs: 0,
+            exec_us: HistogramTally::default(),
+            queue_depth_max: 0,
         }
     }
 
@@ -238,51 +256,91 @@ impl CampaignTelemetry {
     }
 }
 
-/// Per-job [`DiffObserver`]: times every differential execution into its
-/// implementation's latency histogram and counts escalation re-runs and
-/// divergence classes. Executions within one oracle run are sequential,
-/// so a single begin-timestamp field suffices.
+/// Per-job [`DiffObserver`]: times each implementation's sweep rows and
+/// escalation re-runs into its latency tally, and counts outcomes,
+/// divergence classes and batches, all job-locally until it is dropped.
+/// Executions within one oracle run are sequential, so a single
+/// begin-timestamp field suffices.
 #[derive(Debug)]
 pub struct DiffTelemetry<'a> {
     ct: &'a CampaignTelemetry,
     start_us: u64,
+    exec_us: Vec<HistogramTally>,
+    escalation_reruns: u64,
+    runs: u64,
+    divergent: u64,
+    classes: HistogramTally,
+    batch_size: HistogramTally,
+    bisections: u64,
 }
 
 impl DiffObserver for DiffTelemetry<'_> {
-    fn exec_begin(&mut self, _impl_idx: usize, _escalation_round: u32) {
+    fn row_begin(&mut self, _impl_idx: usize, _runs: usize) {
         self.start_us = self.ct.tel.now_micros();
     }
 
-    fn exec_end(&mut self, impl_idx: usize, _result: &ExecResult, escalation_round: u32) {
+    fn row_end(&mut self, impl_idx: usize, runs: usize) {
         let dur = self.ct.tel.now_micros().saturating_sub(self.start_us);
-        if let Some(h) = self.ct.exec_us_by_impl.get(impl_idx) {
-            h.record(dur);
-        }
-        if escalation_round > 0 {
-            self.ct.escalation_reruns.inc();
+        if let Some(t) = self.exec_us.get_mut(impl_idx) {
+            t.record_spread(dur, runs as u64);
         }
     }
 
+    fn exec_begin(&mut self, _impl_idx: usize, escalation_round: u32) {
+        if escalation_round > 0 {
+            self.start_us = self.ct.tel.now_micros();
+        }
+    }
+
+    fn exec_end(&mut self, impl_idx: usize, _result: &ExecResult, escalation_round: u32) {
+        if escalation_round == 0 {
+            return; // timed with its row
+        }
+        let dur = self.ct.tel.now_micros().saturating_sub(self.start_us);
+        if let Some(t) = self.exec_us.get_mut(impl_idx) {
+            t.record(dur);
+        }
+        self.escalation_reruns += 1;
+    }
+
     fn outcome(&mut self, outcome: &DiffOutcome) {
-        self.ct.diff_runs.inc();
+        self.runs += 1;
         if outcome.divergent {
-            self.ct.diff_divergent.inc();
-            self.ct.diff_classes.record(outcome.classes.len() as u64);
+            self.divergent += 1;
+            self.classes.record(outcome.classes.len() as u64);
         }
     }
 
     fn batch(&mut self, size: usize, bisections: usize) {
-        self.ct.batch_size.record(size as u64);
-        self.ct.batch_bisections.add(bisections as u64);
+        self.batch_size.record(size as u64);
+        self.bisections += bisections as u64;
+    }
+}
+
+impl Drop for DiffTelemetry<'_> {
+    fn drop(&mut self) {
+        let ct = self.ct;
+        for (h, t) in ct.exec_us_by_impl.iter().zip(&self.exec_us) {
+            h.fold(t);
+        }
+        ct.escalation_reruns.add(self.escalation_reruns);
+        ct.diff_runs.add(self.runs);
+        ct.diff_divergent.add(self.divergent);
+        ct.diff_classes.fold(&self.classes);
+        ct.batch_size.fold(&self.batch_size);
+        ct.batch_bisections.add(self.bisections);
     }
 }
 
 /// Per-job [`FuzzObserver`]: times every fuzz-binary execution and tracks
-/// the seed queue's high-water mark.
+/// the seed queue's high-water mark, job-locally until it is dropped.
 #[derive(Debug)]
 pub struct FuzzTelemetry<'a> {
     ct: &'a CampaignTelemetry,
     start_us: u64,
+    execs: u64,
+    exec_us: HistogramTally,
+    queue_depth_max: u64,
 }
 
 impl FuzzObserver for FuzzTelemetry<'_> {
@@ -292,9 +350,17 @@ impl FuzzObserver for FuzzTelemetry<'_> {
 
     fn exec_end(&mut self, _result: &ExecResult, queue_depth: usize) {
         let dur = self.ct.tel.now_micros().saturating_sub(self.start_us);
-        self.ct.fuzz_execs.inc();
-        self.ct.fuzz_exec_us.record(dur);
-        self.ct.queue_depth_max.set_max(queue_depth as u64);
+        self.execs += 1;
+        self.exec_us.record(dur);
+        self.queue_depth_max = self.queue_depth_max.max(queue_depth as u64);
+    }
+}
+
+impl Drop for FuzzTelemetry<'_> {
+    fn drop(&mut self) {
+        self.ct.fuzz_execs.add(self.execs);
+        self.ct.fuzz_exec_us.fold(&self.exec_us);
+        self.ct.queue_depth_max.set_max(self.queue_depth_max);
     }
 }
 
@@ -318,15 +384,22 @@ mod tests {
         fo.exec_end(&r, 3); // t=5 -> dur 5
         fo.exec_begin();
         fo.exec_end(&r, 9);
+        // The adapter counts job-locally: nothing reaches the registry
+        // until it is dropped.
+        assert_eq!(ct.fuzz_execs.get(), 0);
+        drop(fo);
         assert_eq!(ct.fuzz_execs.get(), 2);
         assert_eq!(ct.fuzz_exec_us.count(), 2);
         assert_eq!(ct.queue_depth_max.get(), 9);
 
         let mut dobs = ct.diff_observer();
+        dobs.row_begin(0, 1);
         dobs.exec_begin(0, 0);
         dobs.exec_end(0, &r, 0);
+        dobs.row_end(0, 1);
         dobs.exec_begin(1, 2);
         dobs.exec_end(1, &r, 2);
+        drop(dobs);
         assert_eq!(ct.exec_us_by_impl[0].count(), 1);
         assert_eq!(ct.exec_us_by_impl[1].count(), 1);
         assert_eq!(ct.escalation_reruns.get(), 1);
@@ -347,5 +420,49 @@ mod tests {
         assert_eq!(ct.blocks_translated.get(), 6);
         assert_eq!(ct.block_cache_hits.get(), 12);
         assert_eq!(ct.loader_skips.get(), 8);
+    }
+
+    /// Under a fixed clock every duration reads 0, so timing a sweep row
+    /// once and spreading it over the row's executions leaves
+    /// `diff.exec_us.<impl>` exactly as one sample per execution does:
+    /// same count, same sum, same buckets.
+    #[test]
+    fn row_timing_matches_per_execution_recording_under_a_fixed_clock() {
+        let tel = Telemetry::new(TestClock::fixed(1_000), telemetry::NoopRecorder);
+        let ct = CampaignTelemetry::new(Arc::clone(&tel));
+        let r = ExecResult::default();
+        let mut dobs = ct.diff_observer();
+        for (impl_idx, runs) in [(0usize, 16usize), (3, 16), (0, 5), (9, 1)] {
+            dobs.row_begin(impl_idx, runs);
+            for _ in 0..runs {
+                dobs.exec_begin(impl_idx, 0);
+                dobs.exec_end(impl_idx, &r, 0);
+            }
+            dobs.row_end(impl_idx, runs);
+        }
+        dobs.exec_begin(3, 1);
+        dobs.exec_end(3, &r, 1);
+        drop(dobs);
+
+        for (i, h) in ct.exec_us_by_impl.iter().enumerate() {
+            let execs = match i {
+                0 => 21,
+                3 => 17,
+                9 => 1,
+                _ => 0,
+            };
+            let per_exec = telemetry::Histogram::default();
+            for _ in 0..execs {
+                per_exec.record(0);
+            }
+            assert_eq!(h.count(), execs, "impl {i}");
+            assert_eq!(h.sum(), 0, "impl {i}");
+            assert_eq!(
+                h.to_json().render(),
+                per_exec.to_json().render(),
+                "impl {i}"
+            );
+        }
+        assert_eq!(ct.escalation_reruns.get(), 1);
     }
 }

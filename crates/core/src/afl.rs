@@ -30,6 +30,11 @@ pub struct CompDiffOracle<'a, O: DiffObserver = ()> {
     /// the fuzz run stands in for that binary's, and the sweep runs the
     /// other `k - 1`. `None` runs all `k`.
     reused: Option<usize>,
+    /// The batch's fuzz results, copied into buffers kept across batches.
+    fuzz_row: Vec<ExecResult>,
+    /// The sweep's outcome buffer, kept across batches
+    /// ([`CompDiff::run_batch_into`]).
+    outcomes: Vec<DiffOutcome>,
     obs: O,
     /// The `diffs/` store: every divergence, bucketed by signature.
     pub store: DiffStore,
@@ -64,6 +69,8 @@ impl<'a, O: DiffObserver> CompDiffOracle<'a, O> {
             diff,
             sessions,
             reused: diff.reusable_index(fuzz_binary, vm),
+            fuzz_row: Vec::new(),
+            outcomes: Vec::new(),
             obs,
             store: DiffStore::new(),
             oracle_execs: 0,
@@ -111,19 +118,31 @@ impl<O: DiffObserver> Oracle for CompDiffOracle<'_, O> {
 
     fn examine_batch(&mut self, items: &[(Vec<u8>, ExecResult)]) -> Vec<bool> {
         let inputs: Vec<&[u8]> = items.iter().map(|(i, _)| i.as_slice()).collect();
-        let reused = self
-            .reused
-            .map(|i| (i, items.iter().map(|(_, r)| r.clone()).collect()));
-        let outcomes =
-            self.diff
-                .run_batch_reusing(&mut self.sessions, &inputs, reused, &mut self.obs);
+        let reused = self.reused.map(|i| {
+            self.fuzz_row.truncate(items.len());
+            self.fuzz_row.resize_with(items.len(), ExecResult::default);
+            for (slot, (_, r)) in self.fuzz_row.iter_mut().zip(items) {
+                slot.clone_from(r);
+            }
+            (i, self.fuzz_row.as_slice())
+        });
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        self.diff.run_batch_into(
+            &mut self.sessions,
+            &inputs,
+            reused,
+            &mut outcomes,
+            &mut self.obs,
+        );
         // The reused run counts as the oracle's: k per examined input.
         self.oracle_execs += (self.diff.binaries().len() * items.len()) as u64;
-        outcomes
+        let verdicts = outcomes
             .iter()
             .zip(&inputs)
             .map(|(outcome, input)| self.verdict(outcome, input))
-            .collect()
+            .collect();
+        self.outcomes = outcomes;
+        verdicts
     }
 
     fn feedback(&mut self, _input: &[u8]) -> bool {

@@ -9,7 +9,7 @@ use crate::filters::{apply_filters, OutputFilter};
 use crate::murmur::hash64;
 use minc::FrontendError;
 use minc_compile::{Binary, CompilerImpl};
-use minc_vm::{ExecResult, ExecSession, ExitStatus, VmConfig};
+use minc_vm::{ExecResult, ExecSession, ExitStatus, NoHooks, VmConfig};
 
 /// Configuration of the differential engine.
 #[derive(Debug, Clone)]
@@ -33,8 +33,9 @@ impl Default for DiffConfig {
     }
 }
 
-/// The outcome of one differential run.
-#[derive(Debug, Clone)]
+/// The outcome of one differential run. The default is an empty slot
+/// that [`CompDiff::run_batch_into`] fills.
+#[derive(Debug, Clone, Default)]
 pub struct DiffOutcome {
     /// Per-implementation execution results (same order as the engine's
     /// implementation list).
@@ -56,9 +57,19 @@ pub struct DiffOutcome {
 /// test) implements this trait and receives one `exec_begin`/`exec_end`
 /// pair per binary execution the engine performs — including
 /// timeout-escalation re-runs, excluding results a caller handed in
-/// ([`run_batch_reusing`](CompDiff::run_batch_reusing)) — plus the
-/// classified outcome.
+/// ([`run_batch_into`](CompDiff::run_batch_into)) — plus the classified
+/// outcome. The sweep also brackets each implementation's row (its
+/// round-0 runs over the batch) with `row_begin`/`row_end`, so an
+/// observer can time a row once instead of every execution in it.
 pub trait DiffObserver {
+    /// Implementation `impl_idx` is about to run the `runs` inputs of a
+    /// sweep back to back (`runs > 0`). Each run is still reported through
+    /// `exec_begin`/`exec_end` with escalation round 0.
+    fn row_begin(&mut self, _impl_idx: usize, _runs: usize) {}
+
+    /// Implementation `impl_idx` finished the row `row_begin` announced.
+    fn row_end(&mut self, _impl_idx: usize, _runs: usize) {}
+
     /// About to run implementation `impl_idx`; `escalation_round` is 0
     /// for the initial sweep and `1..=timeout_escalations` for re-runs.
     fn exec_begin(&mut self, _impl_idx: usize, _escalation_round: u32) {}
@@ -165,26 +176,35 @@ impl CompDiff {
     /// MurmurHash3 over the scrubbed stdout, a `0x1e` separator and the
     /// exit-status byte.
     pub fn digest(&self, result: &ExecResult) -> u64 {
-        self.digest_in(result, &mut Vec::new())
+        let mut bytes = if self.config.filters.is_empty() {
+            result.stdout.clone()
+        } else {
+            apply_filters(&result.stdout, &self.config.filters)
+        };
+        bytes.push(0x1e);
+        bytes.push(result.status.as_code());
+        hash64(&bytes)
     }
 
-    /// [`digest`](CompDiff::digest), built in a reusable scratch buffer so
-    /// a sweep hashes every execution without allocating.
-    fn digest_in(&self, result: &ExecResult, scratch: &mut Vec<u8>) -> u64 {
-        scratch.clear();
-        if self.config.filters.is_empty() {
-            scratch.extend_from_slice(&result.stdout);
-        } else {
-            scratch.extend_from_slice(&apply_filters(&result.stdout, &self.config.filters));
+    /// [`digest`](CompDiff::digest) of a result the sweep owns. Without
+    /// filters, the separator and status byte go onto the result's own
+    /// stdout for the hash and come off again: nothing is copied, and a
+    /// reused result slot allocates nothing once it has grown.
+    fn digest_in_place(&self, result: &mut ExecResult) -> u64 {
+        if !self.config.filters.is_empty() {
+            return self.digest(result);
         }
-        scratch.push(0x1e);
-        scratch.push(result.status.as_code());
-        hash64(scratch)
+        let len = result.stdout.len();
+        let code = result.status.as_code();
+        result.stdout.extend_from_slice(&[0x1e, code]);
+        let h = hash64(&result.stdout);
+        result.stdout.truncate(len);
+        h
     }
 
     /// Creates one persistent [`ExecSession`] per binary, in engine order.
-    /// Pass the vector to [`run_input_observed`](CompDiff::run_input_observed)
-    /// or [`run_batch_observed`](CompDiff::run_batch_observed) to amortize
+    /// Pass the vector to [`run_batch_into`](CompDiff::run_batch_into) or
+    /// one of its wrappers to amortize
     /// VM setup across many inputs (the persistent-mode / forkserver
     /// analogue).
     pub fn make_sessions(&self) -> Vec<ExecSession> {
@@ -217,7 +237,8 @@ impl CompDiff {
         input: &[u8],
         obs: &mut impl DiffObserver,
     ) -> DiffOutcome {
-        let mut outcomes = self.run_batch_reusing(sessions, &[input], None, obs);
+        let mut outcomes = Vec::with_capacity(1);
+        self.run_batch_into(sessions, &[input], None, &mut outcomes, obs);
         outcomes.pop().expect("one outcome per input")
     }
 
@@ -274,28 +295,59 @@ impl CompDiff {
     /// that may already hold one binary's results: `reused` is `(index,
     /// results)`, with `results[j]` that engine binary's result on
     /// `inputs[j]` as a run under this engine's [`VmConfig`] returns it
-    /// (see [`reusable_index`](CompDiff::reusable_index)). The sweep then
-    /// runs only the other binaries. Digests, bisection and escalation
-    /// are unchanged — a reused timeout is re-run by escalation like any
-    /// other — so the outcomes are bit-for-bit those of
-    /// `run_batch_observed`, which is this call with `reused` `None`.
-    /// `exec_begin`/`exec_end` fire only for the executions this call
-    /// performs: the reused binary appears only in escalation re-runs.
+    /// (see [`reusable_index`](CompDiff::reusable_index)). A fresh-outcome
+    /// wrapper around [`run_batch_into`](CompDiff::run_batch_into), whose
+    /// outcomes it returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_batch_into`](CompDiff::run_batch_into).
+    pub fn run_batch_reusing<I: AsRef<[u8]>>(
+        &self,
+        sessions: &mut [ExecSession],
+        inputs: &[I],
+        reused: Option<(usize, Vec<ExecResult>)>,
+        obs: &mut impl DiffObserver,
+    ) -> Vec<DiffOutcome> {
+        let mut outcomes = Vec::with_capacity(inputs.len());
+        let reused = reused.as_ref().map(|(i, results)| (*i, results.as_slice()));
+        self.run_batch_into(sessions, inputs, reused, &mut outcomes, obs);
+        outcomes
+    }
+
+    /// The one differential sweep. Runs every binary on every input and
+    /// leaves `outcomes` holding one outcome per input, in input order,
+    /// whatever it held before: each implementation's run goes straight
+    /// into `outcomes[j].results[i]`, its digest into `hashes[i]`, and
+    /// the classes into `classes`, all reusing the buffers a previous
+    /// batch left there. A caller that keeps one outcome buffer (the fuzz
+    /// oracle) sweeps without allocating once the buffer has grown.
+    ///
+    /// `reused` is `(index, results)` when the caller already holds one
+    /// binary's results (see [`reusable_index`](CompDiff::reusable_index)):
+    /// they are copied into that binary's slots and the sweep runs only
+    /// the other binaries. Digests, bisection and escalation are
+    /// unchanged — a reused timeout is re-run by escalation like any
+    /// other — so the outcomes are bit for bit those of a sweep that runs
+    /// every binary, and `exec_begin`/`exec_end` fire only for the
+    /// executions this call performs: the reused binary appears only in
+    /// escalation re-runs.
     ///
     /// # Panics
     ///
     /// Panics if `sessions.len()` differs from the number of binaries, or
     /// the reused index is out of range or its results do not match
     /// `inputs` one to one.
-    pub fn run_batch_reusing<I: AsRef<[u8]>>(
+    pub fn run_batch_into<I: AsRef<[u8]>>(
         &self,
         sessions: &mut [ExecSession],
         inputs: &[I],
-        mut reused: Option<(usize, Vec<ExecResult>)>,
+        reused: Option<(usize, &[ExecResult])>,
+        outcomes: &mut Vec<DiffOutcome>,
         obs: &mut impl DiffObserver,
-    ) -> Vec<DiffOutcome> {
-        if let Some((i, results)) = &reused {
-            assert!(*i < self.binaries.len(), "reused index out of range");
+    ) {
+        if let Some((i, results)) = reused {
+            assert!(i < self.binaries.len(), "reused index out of range");
             assert_eq!(results.len(), inputs.len(), "one reused result per input");
         }
         assert_eq!(
@@ -304,74 +356,65 @@ impl CompDiff {
             "one session per binary"
         );
         let (k, n) = (self.binaries.len(), inputs.len());
-        // Impl-major sweep: rows[i][j] is implementation i on input j.
-        // Each session keeps its binary's post-loader page image, so
-        // untouched loader pages cost nothing per run. Output digests are
-        // computed inline, while the run's stdout is still cache-hot, into
-        // one flat impl-major array (hash setup — the scratch buffer — is
-        // shared across the whole sweep).
-        let mut rows: Vec<Vec<ExecResult>> = Vec::with_capacity(k);
-        let mut digests: Vec<u64> = Vec::with_capacity(k * n);
-        let mut scratch: Vec<u8> = Vec::new();
-        for (i, (b, s)) in self.binaries.iter().zip(sessions.iter_mut()).enumerate() {
-            if let Some((_, given)) = reused.take_if(|(r, _)| *r == i) {
-                digests.extend(given.iter().map(|r| self.digest_in(r, &mut scratch)));
-                rows.push(given);
-                continue;
-            }
-            let mut row = Vec::with_capacity(n);
-            for input in inputs {
-                obs.exec_begin(i, 0);
-                let r = s.run(b, input.as_ref(), &self.config.vm);
-                obs.exec_end(i, &r, 0);
-                digests.push(self.digest_in(&r, &mut scratch));
-                row.push(r);
-            }
-            rows.push(row);
+        outcomes.truncate(n);
+        outcomes.resize_with(n, DiffOutcome::default);
+        for o in outcomes.iter_mut() {
+            o.results.resize_with(k, ExecResult::default);
+            o.hashes.resize(k, 0);
         }
-        // Transpose to input-major so per-input classification (and any
-        // escalation re-runs) proceed strictly in input order.
-        let mut per_input: Vec<Vec<ExecResult>> = (0..n).map(|_| Vec::with_capacity(k)).collect();
-        for row in rows {
-            for (j, r) in row.into_iter().enumerate() {
-                per_input[j].push(r);
+        // Impl-major sweep: implementation i runs the whole batch back to
+        // back in its session, which keeps the binary's post-loader page
+        // image, so untouched loader pages cost nothing per run. Each run
+        // lands in its outcome's slot; the row's digests follow it while
+        // the outputs are still cache-hot.
+        for (i, (b, s)) in self.binaries.iter().zip(sessions.iter_mut()).enumerate() {
+            match reused {
+                Some((r, given)) if r == i => {
+                    for (o, g) in outcomes.iter_mut().zip(given) {
+                        o.results[i].clone_from(g);
+                    }
+                }
+                _ if n == 0 => {}
+                _ => {
+                    obs.row_begin(i, n);
+                    for (o, input) in outcomes.iter_mut().zip(inputs) {
+                        let slot = &mut o.results[i];
+                        obs.exec_begin(i, 0);
+                        s.run_into(b, input.as_ref(), &self.config.vm, &mut NoHooks, slot);
+                        obs.exec_end(i, slot, 0);
+                    }
+                    obs.row_end(i, n);
+                }
+            }
+            for o in outcomes.iter_mut() {
+                o.hashes[i] = self.digest_in_place(&mut o.results[i]);
             }
         }
 
+        // Classification proceeds strictly in input order, so escalation
+        // re-runs and divergences come in the order a batch-size-1 run
+        // produces them.
         let mut bisections = 0usize;
-        let mut outcomes = Vec::with_capacity(n);
-        for (j, mut results) in per_input.into_iter().enumerate() {
-            // Cheap cross-impl digest agreement check. The digest covers
-            // the scrubbed output *and* the exit status byte, so "all
-            // digests equal" also implies no partial timeout (a timed-out
-            // impl could never share a digest with a settled one) — the
-            // escalation path is provably unreachable for agreeing inputs.
-            let agree = (1..k).all(|i| digests[i * n + j] == digests[j]);
-            let outcome = if agree {
-                // One equivalence class holding every implementation —
-                // exactly what `classify` would compute, without hashing
-                // the outputs a second time.
-                DiffOutcome {
-                    hashes: (0..k).map(|i| digests[i * n + j]).collect(),
-                    classes: vec![(0..k).collect()],
-                    divergent: false,
-                    unresolved_timeout: false,
-                    results,
-                }
-            } else {
+        for (o, input) in outcomes.iter_mut().zip(inputs) {
+            // The digest covers the scrubbed output *and* the exit status
+            // byte, so "all digests equal" also implies no partial timeout
+            // (a timed-out impl could never share a digest with a settled
+            // one): the escalation path is unreachable for agreeing inputs,
+            // whose digests classify them as they stand.
+            o.unresolved_timeout = false;
+            if o.hashes.iter().any(|&h| h != o.hashes[0]) {
                 // Bisection: narrow the disagreeing input down to its
-                // exact divergence, escalating timeouts exactly as the
-                // single-input path would.
+                // exact divergence, escalating partial timeouts.
                 bisections += 1;
-                let unresolved_timeout =
-                    self.escalate(sessions, inputs[j].as_ref(), &mut results, obs);
-                self.classify(results, unresolved_timeout)
-            };
-            obs.outcome(&outcome);
-            outcomes.push(outcome);
+                o.unresolved_timeout = self.escalate(sessions, input.as_ref(), &mut o.results, obs);
+                for (h, r) in o.hashes.iter_mut().zip(&mut o.results) {
+                    *h = self.digest_in_place(r);
+                }
+            }
+            classify(o);
+            obs.outcome(o);
         }
-        obs.batch(inputs.len(), bisections);
-        outcomes
+        obs.batch(n, bisections);
     }
 
     /// RQ6: partial timeouts would truncate outputs and fake
@@ -401,7 +444,7 @@ impl CompDiff {
             for (i, b) in self.binaries.iter().enumerate() {
                 if results[i].status == ExitStatus::TimedOut {
                     obs.exec_begin(i, round);
-                    results[i] = sessions[i].run(b, input, &cfg);
+                    sessions[i].run_into(b, input, &cfg, &mut NoHooks, &mut results[i]);
                     obs.exec_end(i, &results[i], round);
                 }
             }
@@ -412,48 +455,45 @@ impl CompDiff {
         true
     }
 
-    /// Hashes each result's observable output, groups implementations into
-    /// equivalence classes, and decides divergence. Timed-out entries form
-    /// their own class but do not count toward divergence when unresolved.
-    fn classify(&self, results: Vec<ExecResult>, unresolved_timeout: bool) -> DiffOutcome {
-        let hashes: Vec<u64> = results.iter().map(|r| self.digest(r)).collect();
-
-        let mut classes: Vec<Vec<usize>> = Vec::new();
-        let mut class_hash: Vec<u64> = Vec::new();
-        for (i, &h) in hashes.iter().enumerate() {
-            match class_hash.iter().position(|&ch| ch == h) {
-                Some(c) => classes[c].push(i),
-                None => {
-                    class_hash.push(h);
-                    classes.push(vec![i]);
-                }
-            }
-        }
-        let divergent = if unresolved_timeout {
-            let settled: Vec<u64> = results
-                .iter()
-                .zip(&hashes)
-                .filter(|(r, _)| r.status != ExitStatus::TimedOut)
-                .map(|(_, &h)| h)
-                .collect();
-            settled.windows(2).any(|w| w[0] != w[1])
-        } else {
-            classes.len() > 1
-        };
-
-        DiffOutcome {
-            results,
-            hashes,
-            classes,
-            divergent,
-            unresolved_timeout,
-        }
-    }
-
     /// Convenience: is there *any* divergence on this input?
     pub fn is_divergent(&self, input: &[u8]) -> bool {
         self.run_input(input).divergent
     }
+}
+
+/// Groups an outcome's implementations into classes of equal digest (in
+/// first-occurrence order, reusing the class buffers) and decides
+/// divergence. Timed-out entries form their own class but do not count
+/// toward divergence when unresolved.
+fn classify(o: &mut DiffOutcome) {
+    let mut used = 0;
+    for (i, &h) in o.hashes.iter().enumerate() {
+        match o.classes[..used].iter_mut().find(|c| o.hashes[c[0]] == h) {
+            Some(c) => c.push(i),
+            None => {
+                if used == o.classes.len() {
+                    o.classes.push(Vec::new());
+                }
+                o.classes[used].clear();
+                o.classes[used].push(i);
+                used += 1;
+            }
+        }
+    }
+    o.classes.truncate(used);
+    o.divergent = if o.unresolved_timeout {
+        let mut settled = o
+            .results
+            .iter()
+            .zip(&o.hashes)
+            .filter(|(r, _)| r.status != ExitStatus::TimedOut)
+            .map(|(_, &h)| h);
+        settled
+            .next()
+            .is_some_and(|first| settled.any(|h| h != first))
+    } else {
+        o.classes.len() > 1
+    };
 }
 
 #[cfg(test)]
@@ -674,7 +714,10 @@ mod tests {
             );
             // Every outcome, the digest-agreement shortcut's included, is
             // what the full classification makes of its results.
-            let full = diff.classify(batched[j].results.clone(), batched[j].unresolved_timeout);
+            let mut full = batched[j].clone();
+            full.hashes = full.results.iter().map(|r| diff.digest(r)).collect();
+            full.classes.clear();
+            classify(&mut full);
             assert_eq!(full.hashes, batched[j].hashes, "input {j}");
             assert_eq!(full.classes, batched[j].classes, "input {j}");
             assert_eq!(full.divergent, batched[j].divergent, "input {j}");

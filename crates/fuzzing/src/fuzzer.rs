@@ -241,6 +241,8 @@ pub struct Fuzzer<T: TargetExec, O: Oracle, W: FuzzObserver = ()> {
     oracle_seen: HashSet<Vec<u8>>,
     /// Inputs executed but not yet shown to the oracle, flushed through
     /// [`Oracle::examine_batch`] every `config.batch_size` executions.
+    /// Each mutant moves in; the buffer (and `pending_meta`) keeps its
+    /// capacity across flushes.
     pending: Vec<(Vec<u8>, ExecResult)>,
     /// Per-pending (new coverage?, distinct edges), needed to replay the
     /// feedback decision when the batched verdicts come back.
@@ -341,7 +343,7 @@ impl<T: TargetExec, O: Oracle, W: FuzzObserver> Fuzzer<T, O, W> {
                         budget_left = false;
                         break;
                     }
-                    self.fuzz_one(&m);
+                    self.fuzz_one(m);
                 }
                 self.queue.mark_det_done(idx);
                 if !budget_left {
@@ -379,7 +381,7 @@ impl<T: TargetExec, O: Oracle, W: FuzzObserver> Fuzzer<T, O, W> {
                 } else {
                     mutate::havoc(&seed_input, &mut self.rng, self.config.max_input_len)
                 };
-                self.fuzz_one(&mutant);
+                self.fuzz_one(mutant);
             }
         }
 
@@ -407,21 +409,21 @@ impl<T: TargetExec, O: Oracle, W: FuzzObserver> Fuzzer<T, O, W> {
     }
 
     /// The full per-input pipeline of Algorithm 1.
-    fn fuzz_one(&mut self, input: &[u8]) {
-        let (result, new_bits, edges) = self.exec_one(input);
+    fn fuzz_one(&mut self, input: Vec<u8>) {
+        let (result, new_bits, edges) = self.exec_one(&input);
         if result.status.is_crash() {
             let signature = crash_signature(&result.status);
             if !self.crash_sigs.contains_key(&signature) {
                 self.crash_sigs
                     .insert(signature.clone(), self.stats.crashes.len());
                 self.stats.crashes.push(Crash {
-                    input: input.to_vec(),
+                    input: input.clone(),
                     status: result.status.clone(),
                     signature,
                 });
             }
         } else if new_bits {
-            self.queue.add(input.to_vec(), result.steps, edges);
+            self.queue.add(input.clone(), result.steps, edges);
         }
         // CompDiff seam: examine outputs on every generated input. The
         // examination is buffered and flushed in `batch_size` chunks so a
@@ -429,7 +431,7 @@ impl<T: TargetExec, O: Oracle, W: FuzzObserver> Fuzzer<T, O, W> {
         // batch; nothing above this line depends on the verdicts, so the
         // fuzz-binary side of the campaign is identical at any batch size.
         self.pending_meta.push((new_bits, edges));
-        self.pending.push((input.to_vec(), result));
+        self.pending.push((input, result));
         if self.pending.len() >= self.config.batch_size.max(1) {
             self.flush_oracle();
         }
@@ -441,17 +443,16 @@ impl<T: TargetExec, O: Oracle, W: FuzzObserver> Fuzzer<T, O, W> {
         if self.pending.is_empty() {
             return;
         }
-        let items = std::mem::take(&mut self.pending);
-        let meta = std::mem::take(&mut self.pending_meta);
-        let verdicts = self.oracle.examine_batch(&items);
-        debug_assert_eq!(verdicts.len(), items.len());
-        for (((input, result), (new_bits, edges)), save) in
-            items.into_iter().zip(meta).zip(verdicts)
+        let verdicts = self.oracle.examine_batch(&self.pending);
+        debug_assert_eq!(verdicts.len(), self.pending.len());
+        for (((input, result), &(new_bits, edges)), save) in
+            self.pending.iter().zip(&self.pending_meta).zip(verdicts)
         {
             if !save {
                 continue;
             }
-            if self.oracle_seen.insert(input.clone()) {
+            if !self.oracle_seen.contains(input) {
+                self.oracle_seen.insert(input.clone());
                 self.stats.oracle_finds.push(input.clone());
             }
             // Divergence-as-feedback (§5 future work): a novel divergence
@@ -459,11 +460,13 @@ impl<T: TargetExec, O: Oracle, W: FuzzObserver> Fuzzer<T, O, W> {
             // consulted for every saved input so a stateful oracle observes
             // the same call sequence at every batch size; the verdict only
             // matters when coverage did not already queue the input.
-            let fb = self.oracle.feedback(&input);
+            let fb = self.oracle.feedback(input);
             if !new_bits && !result.status.is_crash() && fb {
-                self.queue.add(input, result.steps, edges);
+                self.queue.add(input.clone(), result.steps, edges);
             }
         }
+        self.pending.clear();
+        self.pending_meta.clear();
     }
 }
 

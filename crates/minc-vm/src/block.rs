@@ -413,6 +413,10 @@ pub struct BlockProgram {
     pub(crate) funcs: Vec<BFunc>,
     uid: u64,
     block_count: usize,
+    /// The binary's rodata and globals segments (`[start, end)`), which
+    /// every memory check consults: computed here once, not per run.
+    pub(crate) rodata: (u64, u64),
+    pub(crate) globals: (u64, u64),
 }
 
 impl BlockProgram {
@@ -430,6 +434,8 @@ impl BlockProgram {
             funcs,
             uid: bin.uid,
             block_count,
+            rodata: bin.rodata_range(),
+            globals: bin.globals_range(),
         }
     }
 
@@ -814,10 +820,10 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
     fn block_loop_t<const TRACK: bool>(&mut self, prog: &BlockProgram) -> End {
         let limit = self.config.step_limit;
         let track = TRACK;
-        // Reusable call-argument scratch (the interpreter allocates two
-        // fresh Vecs per call; block mode amortizes them per run).
-        let mut vals: Vec<u64> = Vec::new();
-        let mut pois: Vec<bool> = Vec::new();
+        // Session-pooled call-argument scratch (the interpreter allocates
+        // two fresh Vecs per call), handed back when the run ends.
+        let mut vals = std::mem::take(&mut self.s.call_vals);
+        let mut pois = std::mem::take(&mut self.s.call_pois);
         // Hot state of the current activation, held in locals and spilled
         // only at call/return boundaries and on exit.
         let (mut func, mut frame_hi, mut regs, mut poison) = {
@@ -1294,6 +1300,8 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 std::mem::swap(&mut a.poison, &mut poison);
             }
         }
+        self.s.call_vals = vals;
+        self.s.call_pois = pois;
         end
     }
 }

@@ -24,6 +24,7 @@ use crate::session::ExecSession;
 use minc::Builtin;
 use minc_compile::ir::*;
 use minc_compile::Binary;
+use std::io::Write as _;
 
 /// Execution limits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,9 +62,10 @@ pub fn execute_with_hooks<H: Hooks>(
     ExecSession::new(binary).run_with_hooks(binary, input, config, hooks)
 }
 
-/// Runs one execution against an already-prepared session. Called by
-/// [`ExecSession::run_with_hooks`] after the per-run reset. With `load`,
-/// the loader writes rodata and globals and its pages become the session
+/// Runs one execution against an already-prepared session and writes it
+/// into `out`, reusing `out.stdout`'s buffer. Called by
+/// [`ExecSession::run_into`] after the per-run reset. With `load`, the
+/// loader writes rodata and globals and its pages become the session
 /// memory's reset base; without, memory already resets to this binary's
 /// post-loader image.
 pub(crate) fn run_in_session<H: Hooks>(
@@ -73,18 +75,26 @@ pub(crate) fn run_in_session<H: Hooks>(
     config: &VmConfig,
     hooks: &mut H,
     load: bool,
-) -> ExecResult {
+    out: &mut ExecResult,
+) {
     let track_poison = hooks.track_poison();
-    // Resolve the block translation before constructing the Vm, which
-    // holds the session mutably for the run.
-    let block = (!session.reference).then(|| session.block_program(bin));
+    // Move the block translation out of the session before constructing
+    // the Vm, which holds the session mutably for the run. The segment
+    // ranges come with the translation; only reference runs compute them.
+    let block = (!session.reference).then(|| session.take_block_program(bin));
+    let (rodata, globals) = match &block {
+        Some(prog) => (prog.rodata, prog.globals),
+        None => (bin.rodata_range(), bin.globals_range()),
+    };
+    let mut stdout = std::mem::take(&mut out.stdout);
+    stdout.clear();
     let p = &bin.personality;
     let mut vm = Vm {
         bin,
         config,
         hooks,
         s: session,
-        stdout: Vec::new(),
+        stdout,
         input,
         input_pos: 0,
         sp: p.stack_base,
@@ -93,23 +103,20 @@ pub(crate) fn run_in_session<H: Hooks>(
         rand_state: p.rand_seed | 1,
         steps: 0,
         track_poison,
-        rodata: bin.rodata_range(),
-        globals: bin.globals_range(),
-        slot_scratch: Vec::new(),
+        rodata,
+        globals,
     };
     if load {
         vm.load_data();
         vm.s.mem.capture_loader_image();
     }
-    let status = match &block {
+    out.status = match &block {
         Some(prog) => vm.run_block(prog),
         None => vm.run(),
     };
-    ExecResult {
-        status,
-        stdout: vm.stdout,
-        steps: vm.steps,
-    }
+    out.steps = vm.steps;
+    out.stdout = vm.stdout;
+    session.block = block;
 }
 
 pub(crate) enum End {
@@ -136,7 +143,6 @@ pub(crate) struct Vm<'s, 'b, 'h, H: Hooks> {
     pub(crate) track_poison: bool,
     pub(crate) rodata: (u64, u64),
     pub(crate) globals: (u64, u64),
-    pub(crate) slot_scratch: Vec<(u64, u64)>,
 }
 
 impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
@@ -244,15 +250,15 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             // No hook reads the slot list; skip building it.
             self.hooks.on_frame_enter(lo, base, &[]);
         } else {
-            self.slot_scratch.clear();
-            self.slot_scratch.extend(
+            self.s.slot_scratch.clear();
+            self.s.slot_scratch.extend(
                 f.slots
                     .iter()
                     .zip(&layout.offset_down)
                     .filter(|(s, _)| !s.promoted)
                     .map(|(s, &off)| (base - off, s.size.max(1))),
             );
-            self.hooks.on_frame_enter(lo, base, &self.slot_scratch);
+            self.hooks.on_frame_enter(lo, base, &self.s.slot_scratch);
         }
         self.s.frames.push(act);
         Ok(())
@@ -551,14 +557,34 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
 
     // ---- builtins ----
 
-    fn cstr_checked(&mut self, addr: u64, loc: Loc) -> Result<Vec<u8>, End> {
-        let mut out = Vec::new();
-        self.cstr_checked_into(addr, loc, &mut out)?;
-        Ok(out)
+    /// Reads the NUL-terminated strings at `addrs`, in order, into the
+    /// session-pooled string buffer and runs `f` on them. A faulting read
+    /// stops there, like one read per string; the buffer returns to the
+    /// session either way.
+    fn with_cstrs<const N: usize, R>(
+        &mut self,
+        addrs: [u64; N],
+        loc: Loc,
+        f: impl FnOnce(&mut Self, [&[u8]; N]) -> Result<R, End>,
+    ) -> Result<R, End> {
+        let mut buf = std::mem::take(&mut self.s.cstr_buf);
+        buf.clear();
+        let mut ends = [0usize; N];
+        let mut read = Ok(());
+        for (end, &addr) in ends.iter_mut().zip(&addrs) {
+            read = read.and_then(|()| self.cstr_checked_into(addr, loc, &mut buf));
+            *end = buf.len();
+        }
+        let r = read.and_then(|()| {
+            let strs = std::array::from_fn(|i| &buf[if i == 0 { 0 } else { ends[i - 1] }..ends[i]]);
+            f(self, strs)
+        });
+        self.s.cstr_buf = buf;
+        r
     }
 
-    /// [`cstr_checked`](Self::cstr_checked) into a caller-owned buffer
-    /// (appends without clearing), so hot callers can pool the allocation.
+    /// Reads the NUL-terminated string at `addr` into a caller-owned
+    /// buffer (appends without clearing), checking every byte's access.
     fn cstr_checked_into(&mut self, addr: u64, loc: Loc, out: &mut Vec<u8>) -> Result<(), End> {
         let start = out.len();
         let mut a = addr;
@@ -601,22 +627,12 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 self.stdout.push(args[0] as u8);
                 Ok(Some(args[0] as u32 as i32 as i64 as u64))
             }
-            Puts => {
-                // Same pooled-buffer scheme as printf: a faulting read
-                // emits nothing, and the buffer is handed back either way.
-                let mut s = std::mem::take(&mut self.s.printf_fmt);
-                s.clear();
-                let ret = match self.cstr_checked_into(args[0], loc, &mut s) {
-                    Ok(()) => {
-                        self.stdout.extend_from_slice(&s);
-                        self.stdout.push(b'\n');
-                        Ok(Some(0))
-                    }
-                    Err(e) => Err(e),
-                };
-                self.s.printf_fmt = s;
-                ret
-            }
+            // A faulting read emits nothing.
+            Puts => self.with_cstrs([args[0]], loc, |vm, [s]| {
+                vm.stdout.extend_from_slice(s);
+                vm.stdout.push(b'\n');
+                Ok(Some(0))
+            }),
             Getchar => {
                 let r = if self.input_pos < self.input.len() {
                     let c = self.input[self.input_pos] as i64;
@@ -701,45 +717,42 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 }
                 Ok(Some(d))
             }
-            Strlen => {
-                let s = self.cstr_checked(args[0], loc)?;
-                Ok(Some(s.len() as u64))
-            }
+            Strlen => self.with_cstrs([args[0]], loc, |_, [s]| Ok(Some(s.len() as u64))),
             Strcpy => {
-                let s = self.cstr_checked(args[1], loc)?;
                 let d = args[0];
-                for (i, &b) in s.iter().chain(std::iter::once(&0)).enumerate() {
-                    self.check_mem(d.wrapping_add(i as u64), 1, true, loc)?;
-                    self.s.mem.write_u8(d.wrapping_add(i as u64), b);
-                    if self.track_poison {
-                        self.hooks.store_poison(d.wrapping_add(i as u64), 1, false);
+                self.with_cstrs([args[1]], loc, |vm, [s]| {
+                    for (i, &b) in s.iter().chain(std::iter::once(&0)).enumerate() {
+                        vm.check_mem(d.wrapping_add(i as u64), 1, true, loc)?;
+                        vm.s.mem.write_u8(d.wrapping_add(i as u64), b);
+                        if vm.track_poison {
+                            vm.hooks.store_poison(d.wrapping_add(i as u64), 1, false);
+                        }
                     }
-                }
-                Ok(Some(d))
+                    Ok(Some(d))
+                })
             }
             Strncpy => {
-                let s = self.cstr_checked(args[1], loc)?;
                 let (d, n) = (args[0], args[2]);
-                for i in 0..n {
-                    let b = s.get(i as usize).copied().unwrap_or(0);
-                    self.check_mem(d.wrapping_add(i), 1, true, loc)?;
-                    self.s.mem.write_u8(d.wrapping_add(i), b);
-                    if self.track_poison {
-                        self.hooks.store_poison(d.wrapping_add(i), 1, false);
+                self.with_cstrs([args[1]], loc, |vm, [s]| {
+                    for i in 0..n {
+                        let b = s.get(i as usize).copied().unwrap_or(0);
+                        vm.check_mem(d.wrapping_add(i), 1, true, loc)?;
+                        vm.s.mem.write_u8(d.wrapping_add(i), b);
+                        if vm.track_poison {
+                            vm.hooks.store_poison(d.wrapping_add(i), 1, false);
+                        }
                     }
-                }
-                Ok(Some(d))
+                    Ok(Some(d))
+                })
             }
-            Strcmp => {
-                let a = self.cstr_checked(args[0], loc)?;
-                let b = self.cstr_checked(args[1], loc)?;
-                let r = match a.cmp(&b) {
+            Strcmp => self.with_cstrs([args[0], args[1]], loc, |_, [a, b]| {
+                let r = match a.cmp(b) {
                     std::cmp::Ordering::Less => -1i64,
                     std::cmp::Ordering::Equal => 0,
                     std::cmp::Ordering::Greater => 1,
                 };
                 Ok(Some(r as u64))
-            }
+            }),
             Exit => Err(End::Exit(args[0] as u8)),
             Abort => Err(End::Trap(Trap::Abort)),
             Pow => {
@@ -749,9 +762,8 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             }
             Sqrt => Ok(Some(f64::from_bits(args[0]).sqrt().to_bits())),
             Floor => Ok(Some(f64::from_bits(args[0]).floor().to_bits())),
-            Atoi => {
-                let s = self.cstr_checked(args[0], loc)?;
-                let txt = String::from_utf8_lossy(&s);
+            Atoi => self.with_cstrs([args[0]], loc, |_, [s]| {
+                let txt = String::from_utf8_lossy(s);
                 let txt = txt.trim_start();
                 let (neg, digits) = match txt.strip_prefix('-') {
                     Some(rest) => (true, rest),
@@ -767,7 +779,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 }
                 let v = if neg { -v } else { v };
                 Ok(Some(v as i32 as i64 as u64))
-            }
+            }),
             Rand => {
                 // Implementation-defined PRNG: xorshift64*.
                 let mut x = self.rand_state;
@@ -858,16 +870,17 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
     // ---- printf ----
 
     fn printf(&mut self, args: &[u64], arg_tys: &[IrType], loc: Loc) -> Result<i32, End> {
-        // Format string and rendered output go through session-pooled
-        // buffers; a faulting conversion discards the partial render (the
-        // buffers are handed back either way), exactly like the
-        // allocate-per-call version this replaces.
-        let mut fmt = std::mem::take(&mut self.s.printf_fmt);
+        // Format string, rendered output and `%s`/`%f` argument go through
+        // session-pooled buffers; a faulting conversion discards the
+        // partial render (the buffers are handed back either way), exactly
+        // like the allocate-per-call version this replaces.
+        let mut fmt = std::mem::take(&mut self.s.cstr_buf);
         let mut out = std::mem::take(&mut self.s.printf_out);
+        let mut arg = std::mem::take(&mut self.s.printf_arg);
         fmt.clear();
         out.clear();
         let r = match self.cstr_checked_into(args[0], loc, &mut fmt) {
-            Ok(()) => self.printf_into(&fmt, &mut out, args, arg_tys, loc),
+            Ok(()) => self.printf_into(&fmt, &mut out, &mut arg, args, arg_tys, loc),
             Err(e) => Err(e),
         };
         let ret = match r {
@@ -877,8 +890,9 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             }
             Err(e) => Err(e),
         };
-        self.s.printf_fmt = fmt;
+        self.s.cstr_buf = fmt;
         self.s.printf_out = out;
+        self.s.printf_arg = arg;
         ret
     }
 
@@ -886,6 +900,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         &mut self,
         fmt: &[u8],
         out: &mut Vec<u8>,
+        arg: &mut Vec<u8>,
         args: &[u64],
         arg_tys: &[IrType],
         loc: Loc,
@@ -940,7 +955,6 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             // Numeric conversions render into a stack buffer; only %s and
             // %f still build an owned value.
             let mut num = [0u8; 24];
-            let dyn_buf: Vec<u8>;
             let rendered: &[u8] = match conv {
                 b'%' => b"%",
                 b'd' | b'i' => {
@@ -971,8 +985,9 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 }
                 b's' => {
                     let (v, _) = next(self);
-                    dyn_buf = self.cstr_checked(v, loc)?;
-                    &dyn_buf
+                    arg.clear();
+                    self.cstr_checked_into(v, loc, arg)?;
+                    &arg[..]
                 }
                 b'f' => {
                     let (v, t) = next(self);
@@ -981,8 +996,9 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                     } else {
                         v as i64 as f64 // %f with an int arg: garbage-ish
                     };
-                    dyn_buf = format!("{x:.6}").into_bytes();
-                    &dyn_buf
+                    arg.clear();
+                    write!(arg, "{x:.6}").expect("writing to a Vec cannot fail");
+                    &arg[..]
                 }
                 b'p' => {
                     let (v, _) = next(self);

@@ -148,7 +148,13 @@ impl fmt::Display for ExitStatus {
 }
 
 /// The result of one execution.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`ExecSession::run_into`](crate::ExecSession::run_into) writes a run
+/// into a caller-owned result and keeps its `stdout` capacity, and
+/// `clone_from` copies into the existing buffer, so a result slot that is
+/// reused run after run stops allocating once it has grown. The default
+/// is an empty slot (`exit 0`, no output, no steps).
+#[derive(Debug, PartialEq)]
 pub struct ExecResult {
     /// How execution ended.
     pub status: ExitStatus,
@@ -156,6 +162,32 @@ pub struct ExecResult {
     pub stdout: Vec<u8>,
     /// Instructions executed.
     pub steps: u64,
+}
+
+impl Default for ExecResult {
+    fn default() -> Self {
+        ExecResult {
+            status: ExitStatus::Code(0),
+            stdout: Vec::new(),
+            steps: 0,
+        }
+    }
+}
+
+impl Clone for ExecResult {
+    fn clone(&self) -> Self {
+        ExecResult {
+            status: self.status.clone(),
+            stdout: self.stdout.clone(),
+            steps: self.steps,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.status.clone_from(&source.status);
+        self.stdout.clone_from(&source.stdout);
+        self.steps = source.steps;
+    }
 }
 
 impl ExecResult {

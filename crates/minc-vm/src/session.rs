@@ -151,7 +151,9 @@ pub struct ExecSession {
     pub(crate) poisoned: u64,
     /// Cached block translation, keyed by [`Binary::uid`]. Shared (`Arc`)
     /// so the campaign's `BinaryCache` can translate once per binary and
-    /// seed every session.
+    /// seed every session. A run moves it out and back (no reference-count
+    /// traffic); a run that unwinds leaves it out, and the next run
+    /// translates again.
     pub(crate) block: Option<Arc<BlockProgram>>,
     pub(crate) blocks_translated: u64,
     pub(crate) block_cache_hits: u64,
@@ -160,16 +162,31 @@ pub struct ExecSession {
     /// [`ExecSession::reference`]).
     pub(crate) reference: bool,
     /// [`Binary::uid`] whose post-loader page image is currently baked
-    /// into `mem` (see [`run_with_hooks`](ExecSession::run_with_hooks)),
+    /// into `mem` (see [`run_into`](ExecSession::run_into)),
     /// or `None` when memory resets to plain pristine junk.
     pub(crate) loaded_uid: Option<u64>,
     pub(crate) loader_skips: u64,
-    /// Pooled scratch for printf's format string and rendered output —
-    /// printf is the hottest builtin and per-call buffer allocations
-    /// dominated its cost.
-    pub(crate) printf_fmt: Vec<u8>,
+    /// Pooled scratch for string operands (printf's format string, the
+    /// string builtins' arguments), printf's rendered output and its
+    /// `%s`/`%f` argument — printf is the hottest builtin and per-call
+    /// buffer allocations dominated its cost.
+    pub(crate) cstr_buf: Vec<u8>,
     pub(crate) printf_out: Vec<u8>,
+    pub(crate) printf_arg: Vec<u8>,
+    /// Pooled scratch for a call's argument values and poison bits in the
+    /// block loop, and for the stack-slot list instrumented hooks receive
+    /// on frame entry.
+    pub(crate) call_vals: Vec<u64>,
+    pub(crate) call_pois: Vec<bool>,
+    pub(crate) slot_scratch: Vec<(u64, u64)>,
 }
+
+/// How many distinct chunk sizes keep their (emptied) free list across
+/// runs. Keeping the lists keeps their capacity, so a warm session's
+/// `free` does not allocate; past this many sizes (an input-driven
+/// allocation pattern) the map is dropped instead, so it cannot grow
+/// without bound.
+const KEPT_FREE_LIST_SIZES: usize = 64;
 
 impl ExecSession {
     /// Creates a session for `binary`'s compiler implementation.
@@ -192,8 +209,12 @@ impl ExecSession {
             reference: false,
             loaded_uid: None,
             loader_skips: 0,
-            printf_fmt: Vec::new(),
+            cstr_buf: Vec::new(),
             printf_out: Vec::new(),
+            printf_arg: Vec::new(),
+            call_vals: Vec::new(),
+            call_pois: Vec::new(),
+            slot_scratch: Vec::new(),
         }
     }
 
@@ -216,19 +237,19 @@ impl ExecSession {
         self.block = Some(prog);
     }
 
-    /// Returns the cached block translation for `bin`, translating on a
-    /// uid mismatch (same self-heal contract as the memory rebuild above:
-    /// a miss, never a wrong answer).
-    pub(crate) fn block_program(&mut self, bin: &Binary) -> Arc<BlockProgram> {
-        match &self.block {
+    /// Takes the cached block translation for `bin` out for one run,
+    /// translating on a uid mismatch (same self-heal contract as the
+    /// memory rebuild below: a miss, never a wrong answer). The run hands
+    /// it back to `block`.
+    pub(crate) fn take_block_program(&mut self, bin: &Binary) -> Arc<BlockProgram> {
+        match self.block.take() {
             Some(p) if p.uid() == bin.uid => {
                 self.block_cache_hits += 1;
-                Arc::clone(p)
+                p
             }
             _ => {
                 let p = Arc::new(BlockProgram::translate(bin));
                 self.blocks_translated += p.block_count() as u64;
-                self.block = Some(Arc::clone(&p));
                 p
             }
         }
@@ -276,7 +297,13 @@ impl ExecSession {
             }
         }
         self.frame_pool.append(&mut self.frames);
-        self.free_lists.clear();
+        if self.free_lists.len() > KEPT_FREE_LIST_SIZES {
+            self.free_lists.clear();
+        } else {
+            // An empty list reads exactly like an absent one to `malloc`
+            // and `free`.
+            self.free_lists.values_mut().for_each(Vec::clear);
+        }
         self.live_chunks.clear();
     }
 
@@ -290,7 +317,26 @@ impl ExecSession {
     /// Runs `binary` on `input` with instrumentation hooks. Equivalent to
     /// [`execute_with_hooks`](crate::execute_with_hooks) bit for bit
     /// (hooks state is the caller's concern, exactly as with the fresh
-    /// entry point).
+    /// entry point). A fresh-result wrapper around
+    /// [`run_into`](ExecSession::run_into).
+    pub fn run_with_hooks<H: Hooks>(
+        &mut self,
+        binary: &Binary,
+        input: &[u8],
+        config: &VmConfig,
+        hooks: &mut H,
+    ) -> ExecResult {
+        let mut out = ExecResult::default();
+        self.run_into(binary, input, config, hooks, &mut out);
+        out
+    }
+
+    /// The one run path: runs `binary` on `input` with instrumentation
+    /// hooks and writes the status, step count and stdout into `out`,
+    /// whatever it held before. `out.stdout` keeps its capacity, so a
+    /// caller that reuses one result slot pays no allocation for output
+    /// once the slot has grown. The result is bit for bit
+    /// [`run_with_hooks`](ExecSession::run_with_hooks)'.
     ///
     /// The session keeps a *post-loader page image* keyed by
     /// [`Binary::uid`]: the first run of a binary captures its loader
@@ -301,13 +347,14 @@ impl ExecSession {
     /// restoring it is indistinguishable from re-running the loader on
     /// freshly reset memory. Handing the session a different binary drops
     /// the image (a cache miss, never a wrong answer).
-    pub fn run_with_hooks<H: Hooks>(
+    pub fn run_into<H: Hooks>(
         &mut self,
         binary: &Binary,
         input: &[u8],
         config: &VmConfig,
         hooks: &mut H,
-    ) -> ExecResult {
+        out: &mut ExecResult,
+    ) {
         self.prepare(binary);
         let load = self.loaded_uid != Some(binary.uid);
         if !load {
@@ -315,10 +362,9 @@ impl ExecSession {
         }
         self.runs += 1;
         self.in_flight = true;
-        let result = run_in_session(self, binary, input, config, hooks, load);
+        run_in_session(self, binary, input, config, hooks, load, out);
         self.in_flight = false;
         self.loaded_uid = Some(binary.uid);
-        result
     }
 
     /// Number of memory pages this session keeps resident (the high-water

@@ -520,6 +520,39 @@ mod tests {
         }
     }
 
+    /// UB after a call that never returns is never reached: no
+    /// implementation runs it, so a silent sanitizer is no false
+    /// negative.
+    #[test]
+    fn ub_after_exit_charges_no_sanitizer() {
+        let after_exit = [
+            "int main() { int z = 0; printf(\"a\\n\"); exit(0); \
+             int t = 5 / z; printf(\"%d\\n\", t); return 0; }",
+            "void stop() { exit(0); } int main() { int z = 0; printf(\"a\\n\"); \
+             stop(); int t = 5 / z; printf(\"%d\\n\", t); return 0; }",
+            "int main() { int u; printf(\"a\\n\"); exit(0); \
+             if (u > 0) { printf(\"y\\n\"); } return 0; }",
+        ];
+        for src in after_exit {
+            let report = check_source(src, &SancheckConfig::default()).unwrap();
+            assert_eq!(report.map.sites.len(), 1, "{}", report.map.render());
+            assert!(
+                report
+                    .map
+                    .sites
+                    .iter()
+                    .all(|s| s.certainty == Certainty::May),
+                "{}",
+                report.map.render()
+            );
+            assert!(
+                report.false_negatives.is_empty(),
+                "{src}: {:?}",
+                report.false_negatives
+            );
+        }
+    }
+
     #[test]
     fn dead_ub_operation_splits_sanitizer_verdicts() {
         let report = check_source(DEAD_DIV, &config_with(&["gcc-O0", "gcc-O2"], "")).unwrap();

@@ -128,6 +128,16 @@ fn reverse_postorder(f: &IrFunction) -> Vec<BlockId> {
     post
 }
 
+/// Where a visited instruction sits: its block and its index in the
+/// block, `insts.len()` for the terminator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Point {
+    /// The block.
+    pub block: BlockId,
+    /// The instruction's index in the block.
+    pub inst: usize,
+}
+
 /// One program point handed to [`scan_with_blocks`]'s visitor.
 pub enum Visit<'a> {
     /// A straight-line instruction.
@@ -137,28 +147,32 @@ pub enum Visit<'a> {
 }
 
 /// Replays the fixpoint over every reachable block, in block order,
-/// calling `visit` with the block, the state *before* each instruction
+/// calling `visit` with the point, the state *before* each instruction
 /// and the state before the terminator. This is how detectors turn a
 /// fixpoint into findings without duplicating the transfer logic;
 /// consumers that need execution certainty (is this point on the
-/// unconditional path from entry?) key it off the block.
+/// unconditional path from entry?) key it off the point.
 pub fn scan_with_blocks<A: Analysis>(
     f: &IrFunction,
     a: &A,
     states: &BlockStates<A::State>,
-    mut visit: impl FnMut(BlockId, &A::State, Visit),
+    mut visit: impl FnMut(Point, &A::State, Visit),
 ) {
     for (bi, blk) in f.blocks.iter().enumerate() {
         let Some(input) = &states.inputs[bi] else {
             continue;
         };
-        let b = BlockId(bi as u32);
+        let block = BlockId(bi as u32);
         let mut st = input.clone();
-        for inst in &blk.insts {
-            visit(b, &st, Visit::Inst(inst));
+        for (i, inst) in blk.insts.iter().enumerate() {
+            visit(Point { block, inst: i }, &st, Visit::Inst(inst));
             a.transfer_inst(&mut st, inst, f);
         }
-        visit(b, &st, Visit::Term(&blk.term));
+        let end = Point {
+            block,
+            inst: blk.insts.len(),
+        };
+        visit(end, &st, Visit::Term(&blk.term));
     }
 }
 

@@ -7,14 +7,14 @@
 //! source line it was allocated for (copy propagation would erase the
 //! line-stamped copies).
 
-use crate::dataflow::{fixpoint, scan_with_blocks, BlockStates, Visit};
+use crate::dataflow::{fixpoint, scan_with_blocks, BlockStates, Point, Visit};
 use crate::domains::{
     shift_width, Interval, IntervalAnalysis, IntervalState, JunkAnalysis, JunkState, NullAnalysis,
     NullState,
 };
 use crate::summaries::FnSummaries;
 use minc_compile::ir::{
-    BinKind, BlockId, CastKind, ConstVal, Inst, IrFunction, IrProgram, Terminator, ValueId,
+    BinKind, CastKind, ConstVal, Inst, IrFunction, IrProgram, Terminator, ValueId,
 };
 use staticheck::Defect;
 use std::collections::{BTreeSet, HashMap};
@@ -103,11 +103,11 @@ pub(crate) fn scan_program(facts: &ProgramFacts) -> Vec<IrFinding> {
 
 /// Every observable use of a register that may carry mem2reg junk — call
 /// arguments, stored values, branch conditions and return values — as
-/// `(block, line, junk id, what)`, in scan order.
+/// `(point, line, junk id, what)`, in scan order.
 pub(crate) fn junk_sinks(
     ff: &FnFacts,
     summaries: &FnSummaries,
-) -> Vec<(BlockId, u32, u32, &'static str)> {
+) -> Vec<(Point, u32, u32, &'static str)> {
     let f = ff.f;
     let mut sinks = Vec::new();
     scan_with_blocks(f, &JunkAnalysis::new(summaries), &ff.junk, |b, st, v| {

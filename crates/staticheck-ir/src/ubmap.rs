@@ -25,13 +25,13 @@
 //! [`UbSiteMap::unknown`]; the meta-oracle only calls a firing spurious
 //! when the class is statically covered, not unknown, and has no site.
 
-use crate::dataflow::{scan_with_blocks, Visit};
+use crate::dataflow::{scan_with_blocks, Point, Visit};
 use crate::detectors::{self, FnFacts, ProgramFacts};
 use crate::domains::{shift_width, Interval, IntervalAnalysis};
 use crate::summaries::FnSummaries;
 use crate::{reference_ir, rewrite_logs, Origin};
-use minc::CheckedProgram;
-use minc_compile::ir::{BinKind, Callee, Inst, IrFunction, IrProgram, IrType, Terminator};
+use minc::{Builtin, CheckedProgram};
+use minc_compile::ir::{BinKind, BlockId, Callee, Inst, IrFunction, IrProgram, IrType, Terminator};
 use minc_compile::personality::CompilerImpl;
 use minc_compile::{RewriteEntry, RewriteLog, UbReason};
 use staticheck::Defect;
@@ -316,56 +316,138 @@ impl DataflowEvidence {
     }
 }
 
-/// The blocks of `f` that execute on *every* run reaching the function:
+/// The points of a function that execute on *every* run reaching it:
 /// the chain from entry following unconditional jumps into join-free
-/// blocks. Inside these blocks the (join-free) dataflow facts are exact,
-/// so "may" facts are "must" facts. An entry block with a back edge means
-/// even entry state is joined; then nothing is certain.
-fn must_blocks(f: &IrFunction) -> BTreeSet<u32> {
-    let mut preds = vec![0u32; f.blocks.len()];
-    for b in &f.blocks {
-        for s in b.term.successors() {
-            preds[s.0 as usize] += 1;
-        }
-    }
-    let mut out = BTreeSet::new();
-    if f.blocks.is_empty() || preds[0] > 0 {
-        return out;
-    }
-    let mut cur = 0usize;
-    loop {
-        out.insert(cur as u32);
-        match &f.blocks[cur].term {
-            Terminator::Jump(t) if preds[t.0 as usize] <= 1 && !out.contains(&t.0) => {
-                cur = t.0 as usize;
-            }
-            _ => break,
-        }
-    }
-    out
+/// blocks, up to and including the first call that never returns (see
+/// [`noreturn_functions`]). Inside it the (join-free) dataflow facts are
+/// exact, so "may" facts are "must" facts. An entry block with a back
+/// edge means even entry state is joined; then nothing is certain.
+#[derive(Debug, Default)]
+struct MustPath {
+    blocks: BTreeSet<u32>,
+    /// The chain's last block and the index of its no-return call, when
+    /// the chain ends at one: nothing after the call runs.
+    cut: Option<(u32, usize)>,
 }
 
-/// The functions that execute on every run: `main`, plus everything
-/// called from a must-block of a must-function, transitively.
-fn must_functions(prog: &IrProgram) -> BTreeSet<u32> {
-    let mut out = BTreeSet::new();
+impl MustPath {
+    fn of(f: &IrFunction, noreturn: &BTreeSet<u32>) -> MustPath {
+        let mut preds = vec![0u32; f.blocks.len()];
+        for b in &f.blocks {
+            for s in b.term.successors() {
+                preds[s.0 as usize] += 1;
+            }
+        }
+        let mut path = MustPath::default();
+        if f.blocks.is_empty() || preds[0] > 0 {
+            return path;
+        }
+        let mut cur = 0usize;
+        loop {
+            path.blocks.insert(cur as u32);
+            let blk = &f.blocks[cur];
+            if let Some(i) = blk.insts.iter().position(|i| never_returns(i, noreturn)) {
+                path.cut = Some((cur as u32, i));
+                break;
+            }
+            match &blk.term {
+                Terminator::Jump(t) if preds[t.0 as usize] <= 1 && !path.blocks.contains(&t.0) => {
+                    cur = t.0 as usize;
+                }
+                _ => break,
+            }
+        }
+        path
+    }
+
+    fn contains(&self, p: Point) -> bool {
+        self.blocks.contains(&p.block.0)
+            && self.cut.is_none_or(|(b, i)| b != p.block.0 || p.inst <= i)
+    }
+}
+
+/// True for a call that never returns: `exit`, `abort`, or a function in
+/// `noreturn`.
+fn never_returns(inst: &Inst, noreturn: &BTreeSet<u32>) -> bool {
+    match inst {
+        Inst::Call {
+            callee: Callee::Builtin(Builtin::Exit | Builtin::Abort),
+            ..
+        } => true,
+        Inst::Call {
+            callee: Callee::Func(fid),
+            ..
+        } => noreturn.contains(&fid.0),
+        _ => false,
+    }
+}
+
+/// The functions that never return: no `Ret` is reachable from entry
+/// without passing a call that never returns. Grown to a fixpoint, so a
+/// function whose every path calls one of these is one too.
+fn noreturn_functions(prog: &IrProgram) -> BTreeSet<u32> {
+    let returns = |f: &IrFunction, noreturn: &BTreeSet<u32>| {
+        let mut seen = BTreeSet::new();
+        let mut work = vec![0usize];
+        while let Some(b) = work.pop() {
+            if !seen.insert(b) {
+                continue;
+            }
+            let blk = &f.blocks[b];
+            if blk.insts.iter().any(|i| never_returns(i, noreturn)) {
+                continue;
+            }
+            if matches!(blk.term, Terminator::Ret(_)) {
+                return true;
+            }
+            work.extend(blk.term.successors().iter().map(|s| s.0 as usize));
+        }
+        false
+    };
+    let mut noreturn = BTreeSet::new();
+    loop {
+        let before = noreturn.len();
+        for (fi, f) in prog.functions.iter().enumerate() {
+            if !f.blocks.is_empty() && !returns(f, &noreturn) {
+                noreturn.insert(fi as u32);
+            }
+        }
+        if noreturn.len() == before {
+            return noreturn;
+        }
+    }
+}
+
+/// Each function that executes on every run — `main`, plus everything
+/// called on the must path of such a function, transitively — with its
+/// must path.
+fn must_paths(prog: &IrProgram) -> BTreeMap<u32, MustPath> {
+    let noreturn = noreturn_functions(prog);
+    let mut out = BTreeMap::new();
     let mut work = vec![prog.main.0];
     while let Some(fi) = work.pop() {
-        if !out.insert(fi) {
+        if out.contains_key(&fi) {
             continue;
         }
         let f = &prog.functions[fi as usize];
-        for bi in must_blocks(f) {
-            for inst in &f.blocks[bi as usize].insts {
+        let path = MustPath::of(f, &noreturn);
+        for &bi in &path.blocks {
+            for (i, inst) in f.blocks[bi as usize].insts.iter().enumerate() {
                 if let Inst::Call {
                     callee: Callee::Func(fid),
                     ..
                 } = inst
                 {
-                    work.push(fid.0);
+                    if path.contains(Point {
+                        block: BlockId(bi),
+                        inst: i,
+                    }) {
+                        work.push(fid.0);
+                    }
                 }
             }
         }
+        out.insert(fi, path);
     }
     out
 }
@@ -414,25 +496,21 @@ pub fn dataflow_evidence(prog: &IrProgram) -> DataflowEvidence {
         ev.unknown.insert(UbClass::Uninit);
     }
 
-    let must_fns = must_functions(prog);
+    let mut must = must_paths(prog);
     for (fi, ff) in facts.fns.iter().enumerate() {
-        let mblocks = if must_fns.contains(&(fi as u32)) {
-            must_blocks(ff.f)
-        } else {
-            BTreeSet::new()
-        };
-        // A junk read in a must-block is a Must site: the join-free path
+        let path = must.remove(&(fi as u32)).unwrap_or_default();
+        // A junk read on the must path is a Must site: the join-free path
         // from entry makes the may-fact exact.
-        for (b, line, _, what) in detectors::junk_sinks(ff, &facts.summaries) {
+        for (p, line, _, what) in detectors::junk_sinks(ff, &facts.summaries) {
             ev.add_site(
                 line,
                 UbClass::Uninit,
-                mblocks.contains(&b.0),
+                path.contains(p),
                 &ff.f.name,
                 &format!("{what} observes an uninitialized (indeterminate) value"),
             );
         }
-        collect_intervals(ff, &facts.summaries, &mblocks, &mut ev);
+        collect_intervals(ff, &facts.summaries, &path, &mut ev);
     }
     ev
 }
@@ -442,7 +520,7 @@ pub fn dataflow_evidence(prog: &IrProgram) -> DataflowEvidence {
 fn collect_intervals(
     ff: &FnFacts,
     summaries: &FnSummaries,
-    mblocks: &BTreeSet<u32>,
+    path: &MustPath,
     ev: &mut DataflowEvidence,
 ) {
     let f = ff.f;
@@ -453,8 +531,8 @@ fn collect_intervals(
         Unknown(UbClass),
     }
     let mut recs: Vec<Rec> = Vec::new();
-    scan_with_blocks(f, &a, &ff.intervals, |b, st, v| {
-        let must = mblocks.contains(&b.0);
+    scan_with_blocks(f, &a, &ff.intervals, |p, st, v| {
+        let must = path.contains(p);
         let Visit::Inst(inst) = v else { return };
         match inst {
             Inst::Bin {
@@ -907,6 +985,83 @@ mod tests {
             .map(|(_, s)| s)
             .expect("uninit site");
         assert!(!site.must, "junk read behind a branch is only May");
+    }
+
+    /// Programs whose UB sits after a call that never returns: `exit` in
+    /// `main`, `exit` inside a helper, and an uninitialized branch after
+    /// `exit`. All ten implementations print `a` and exit 0, so no line
+    /// after the call is a must site.
+    const AFTER_NORETURN: [&str; 3] = [
+        r#"
+        int main() {
+            int z = 0;
+            printf("a\n");
+            exit(0);
+            int t = 5 / z;
+            printf("%d\n", t);
+            return 0;
+        }
+    "#,
+        r#"
+        void stop() {
+            exit(0);
+        }
+        int main() {
+            int z = 0;
+            printf("a\n");
+            stop();
+            int t = 5 / z;
+            printf("%d\n", t);
+            return 0;
+        }
+    "#,
+        r#"
+        int main() {
+            int u;
+            printf("a\n");
+            exit(0);
+            if (u > 0) { printf("y\n"); }
+            return 0;
+        }
+    "#,
+    ];
+
+    #[test]
+    fn nothing_after_a_call_that_never_returns_is_must() {
+        for src in AFTER_NORETURN {
+            let ev = evidence(src);
+            assert!(!ev.sites.is_empty(), "the site is still found: {src}");
+            assert!(ev.sites.values().all(|s| !s.must), "{src}: {:?}", ev.sites);
+        }
+    }
+
+    #[test]
+    fn the_must_path_runs_up_to_and_into_the_call() {
+        // UB before the exit, and in the exit's own argument, stays must;
+        // a helper that only sometimes exits does not cut the path.
+        let ev = evidence(
+            r#"
+            int maybe(int c) {
+                if (c > 3) { exit(1); }
+                return c;
+            }
+            int main() {
+                int z = 0;
+                int t = 5 / z;
+                int s = maybe(t);
+                int w = 7 / z;
+                exit(s + w);
+                return 0;
+            }
+        "#,
+        );
+        let must: Vec<u32> = ev
+            .sites
+            .iter()
+            .filter(|((_, c), s)| *c == UbClass::DivByZero && s.must)
+            .map(|((line, _), _)| *line)
+            .collect();
+        assert_eq!(must, vec![8, 10], "{:?}", ev.sites);
     }
 
     #[test]

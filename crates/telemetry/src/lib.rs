@@ -46,7 +46,7 @@ mod metrics;
 mod recorder;
 
 pub use clock::{Clock, MonotonicClock, TestClock};
-pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, HistogramTally, MetricRegistry, HISTOGRAM_BUCKETS};
 pub use recorder::{JsonlRecorder, NoopRecorder, Recorder};
 
 use compdiff::Json;

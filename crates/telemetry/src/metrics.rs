@@ -165,6 +165,17 @@ impl Histogram {
         ])
     }
 
+    /// Adds a job-local tally's samples: bucket counts and the sum add
+    /// exactly, as if each sample had been recorded here.
+    pub fn fold(&self, tally: &HistogramTally) {
+        for (b, &c) in self.buckets.iter().zip(&tally.buckets) {
+            if c > 0 {
+                b.fetch_add(c, Ordering::Relaxed);
+            }
+        }
+        self.sum.fetch_add(tally.sum, Ordering::Relaxed);
+    }
+
     /// Merges another histogram's JSON form (the output of
     /// [`to_json`](Histogram::to_json)) into this one: bucket counts add
     /// bucket-for-bucket (each `[floor, count]` pair maps back to the
@@ -186,6 +197,59 @@ impl Histogram {
                 self.buckets[bucket_of(floor)].fetch_add(count, Ordering::Relaxed);
             }
         }
+    }
+}
+
+/// A [`Histogram`] one thread counts into with plain adds — the same log2
+/// buckets and sum — and folds into a shared histogram in one go
+/// ([`Histogram::fold`]). A per-execution recorder that keeps one writes
+/// no memory another worker writes.
+#[derive(Debug, Clone)]
+pub struct HistogramTally {
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    sum: u64,
+}
+
+impl Default for HistogramTally {
+    fn default() -> Self {
+        HistogramTally {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            sum: 0,
+        }
+    }
+}
+
+impl HistogramTally {
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.sum = self.sum.wrapping_add(v);
+    }
+
+    /// Records `n` samples that share `total` as evenly as integers allow:
+    /// `total % n` of them read `total / n + 1` and the rest `total / n`,
+    /// so the count grows by exactly `n` and the sum by exactly `total`.
+    /// `n == 0` records nothing.
+    pub fn record_spread(&mut self, total: u64, n: u64) {
+        let Some(q) = total.checked_div(n) else {
+            return;
+        };
+        let r = total % n;
+        if r > 0 {
+            self.buckets[bucket_of(q + 1)] += r;
+        }
+        self.buckets[bucket_of(q)] += n - r;
+        self.sum = self.sum.wrapping_add(total);
+    }
+
+    /// Number of samples recorded.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    /// Sum of all samples.
+    pub fn sum(&self) -> u64 {
+        self.sum
     }
 }
 
@@ -363,6 +427,46 @@ mod tests {
             .unwrap();
         assert_eq!(hist.get("count").and_then(Json::as_u64), Some(1));
         assert_eq!(hist.get("sum").and_then(Json::as_u64), Some(300));
+    }
+
+    #[test]
+    fn record_spread_counts_n_and_sums_exactly() {
+        for (total, n) in [
+            (0u64, 5u64),
+            (7, 1),
+            (10, 3),
+            (3, 10),
+            (1 << 40, 7),
+            (u64::MAX, 1),
+        ] {
+            let mut spread = HistogramTally::default();
+            spread.record_spread(total, n);
+            assert_eq!(spread.count(), n, "{total}/{n}");
+            assert_eq!(spread.sum(), total, "{total}/{n}");
+            // The samples are the per-sample recording of the even split.
+            let mut each = HistogramTally::default();
+            for j in 0..n {
+                each.record(total / n + u64::from(j < total % n));
+            }
+            assert_eq!(spread.buckets, each.buckets, "{total}/{n}");
+        }
+        let mut none = HistogramTally::default();
+        none.record_spread(99, 0);
+        assert_eq!((none.count(), none.sum()), (0, 0));
+    }
+
+    #[test]
+    fn folding_a_tally_equals_recording_each_sample() {
+        let (direct, folded) = (Histogram::default(), Histogram::default());
+        let mut tally = HistogramTally::default();
+        for v in [0u64, 1, 5, 5, 300, 1 << 33] {
+            direct.record(v);
+            tally.record(v);
+        }
+        folded.record(42);
+        direct.record(42);
+        folded.fold(&tally);
+        assert_eq!(folded.to_json().render(), direct.to_json().render());
     }
 
     /// Merging per-process snapshots reproduces the registry a single

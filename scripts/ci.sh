@@ -207,6 +207,24 @@ EOF
 grep -q 'all 10 implementations agree' "$san_a"
 grep -qx '3000000000 4294967295' "$san_a"
 
+echo "== UB after a call that never returns (no must site, no sanitizer FN) =="
+# Each program prints "a" and exits 0 under all ten implementations, so
+# the line after `exit(0)` (in main, or inside a helper) never runs and
+# no sanitizer can be charged with missing it.
+printf '%s\n' 'int main() {' '    int z = 0;' '    printf("a\n");' '    exit(0);' \
+    '    int t = 5 / z;' '    printf("%d\n", t);' '    return 0;' '}' > "$san_dir/exit_main.mc"
+printf '%s\n' 'void stop() { exit(0); }' 'int main() {' '    int z = 0;' \
+    '    printf("a\n");' '    stop();' '    int t = 5 / z;' '    printf("%d\n", t);' \
+    '    return 0;' '}' > "$san_dir/exit_helper.mc"
+printf '%s\n' 'int main() {' '    int u;' '    printf("a\n");' '    exit(0);' \
+    '    if (u > 0) { printf("y\n"); }' '    return 0;' '}' > "$san_dir/exit_uninit.mc"
+for prog in "$san_dir/exit_main.mc" "$san_dir/exit_helper.mc" "$san_dir/exit_uninit.mc"; do
+    ./target/release/compdiff run "$prog" > "$san_a"
+    grep -q 'all 10 implementations agree' "$san_a"
+    ./target/release/compdiff sancheck "$prog" > "$san_b"
+    grep -q ' must=0 san_fn=0 ' "$san_b"
+done
+
 echo "== sancheck planted-FN smoke (suppressed MSan must be flagged) =="
 # A must-execute uninitialized branch with MSan's poison callbacks
 # deterministically suppressed: the meta-oracle must charge every impl
@@ -275,6 +293,9 @@ cargo build --benches --offline --workspace
 
 echo "== vm_session bench (fast smoke, interp + block rows) =="
 COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench vm_session
+
+echo "== vm_ops bench (fast smoke, each row checked against the reference first) =="
+COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench vm_ops
 
 echo "== vm_modes bench (fast smoke, per-target interp/block/block_san) =="
 COMPDIFF_BENCH_FAST=1 cargo bench -q --offline -p compdiff-bench --bench vm_modes

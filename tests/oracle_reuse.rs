@@ -8,7 +8,8 @@
 //! timeout, which escalation then has to re-run.
 //!
 //! Checked on every catalog target, over its seeds plus a fixed set of
-//! mutants of them.
+//! mutants of them. The sweep behind both, `CompDiff::run_batch_into`,
+//! must also leave a reused outcome buffer exactly as fresh outcomes.
 
 use campaign::{BinaryCache, CompiledTarget};
 use compdiff::{CompDiff, DiffConfig, DiffObserver, DiffOutcome};
@@ -81,7 +82,8 @@ fn assert_same_outcomes(label: &str, reusing: &[DiffOutcome], full: &[DiffOutcom
     }
 }
 
-/// Counts escalation re-runs of one implementation.
+/// Counts escalation re-runs of one implementation (of all, with `of`
+/// out of range).
 struct Reruns {
     of: usize,
     count: usize,
@@ -89,7 +91,7 @@ struct Reruns {
 
 impl DiffObserver for Reruns {
     fn exec_end(&mut self, i: usize, _result: &ExecResult, round: u32) {
-        if i == self.of && round > 0 {
+        if (i == self.of || self.of == usize::MAX) && round > 0 {
             self.count += 1;
         }
     }
@@ -200,4 +202,80 @@ fn a_reused_timeout_is_re_run_by_escalation_on_every_catalog_target() {
             spec.name
         );
     }
+}
+
+/// A limit strictly between the fastest implementation's steps and the
+/// slowest's on the input where they differ most: some implementations
+/// time out there and others end.
+fn partial_timeout_limit(diff: &CompDiff, inputs: &[Vec<u8>]) -> VmConfig {
+    let outcomes = diff.run_batch_observed(&mut diff.make_sessions(), inputs, &mut ());
+    let (_, lo, hi) = outcomes
+        .iter()
+        .map(|o| {
+            let lo = o.results.iter().map(|r| r.steps).min().unwrap();
+            let hi = o.results.iter().map(|r| r.steps).max().unwrap();
+            (hi - lo, lo, hi)
+        })
+        .max()
+        .unwrap();
+    VmConfig {
+        step_limit: lo.midpoint(hi),
+        ..VmConfig::default()
+    }
+}
+
+/// One outcome buffer reused across batches of 16, 3, 16, 0 and 1 inputs
+/// (and around again) ends each batch holding exactly the outcomes of
+/// `run_batch_reusing` into fresh outcomes, with and without the fuzz
+/// binary's results handed in, at the default limit and at one that
+/// leaves some inputs partially timed out.
+#[test]
+fn run_batch_into_a_reused_buffer_equals_fresh_outcomes() {
+    let cache = BinaryCache::new();
+    let mut divergent = 0;
+    let mut reruns = Reruns {
+        of: usize::MAX,
+        count: 0,
+    };
+    for spec in catalog() {
+        let t = build(&spec);
+        let (ct, _) = cache
+            .get_or_compile(&t, &DiffConfig::default(), fuzz_impl(), None, 1)
+            .unwrap();
+        let mut inputs = inputs(&t);
+        inputs.extend(spec.bugs.iter().map(|bug| t.trigger(bug)));
+        let limited = partial_timeout_limit(&ct.diff, &inputs);
+        for vm in [VmConfig::default(), limited] {
+            let config = DiffConfig {
+                vm: vm.clone(),
+                ..DiffConfig::default()
+            };
+            let diff = CompDiff::new(ct.diff.binaries().to_vec(), config);
+            let i = diff.reusable_index(&ct.fuzz_binary, &vm).unwrap();
+            let fuzz = fuzz_runs(&ct, &vm, &inputs);
+            for reuse in [false, true] {
+                let mut sessions = diff.make_sessions();
+                let mut fresh_sessions = diff.make_sessions();
+                let mut buffer = Vec::new();
+                let mut at = 0;
+                for size in [16, 3, 16, 0, 1].into_iter().cycle().take(12) {
+                    let end = (at + size).min(inputs.len());
+                    let chunk = &inputs[at..end];
+                    let given = reuse.then(|| (i, &fuzz[at..end]));
+                    diff.run_batch_into(&mut sessions, chunk, given, &mut buffer, &mut reruns);
+                    let given = given.map(|(i, r)| (i, r.to_vec()));
+                    let fresh = diff.run_batch_reusing(&mut fresh_sessions, chunk, given, &mut ());
+                    let label = format!("{} reuse={reuse} limit={}", spec.name, vm.step_limit);
+                    assert_same_outcomes(&label, &buffer, &fresh);
+                    divergent += fresh.iter().filter(|o| o.divergent).count();
+                    at = end % inputs.len();
+                }
+            }
+        }
+    }
+    assert!(divergent > 0, "some batch held a divergent input");
+    assert!(
+        reruns.count > 0,
+        "some batch held a partially timed-out input"
+    );
 }

@@ -12,7 +12,8 @@
 use fuzzing::{CoverageMap, CoveredHooks};
 use minc_compile::{compile_source, Binary, CompilerImpl};
 use minc_vm::{
-    execute, execute_with_hooks, ExecResult, ExecSession, Hooks, NoHooks, SanitizerKind, VmConfig,
+    execute, execute_with_hooks, ExecResult, ExecSession, ExitStatus, Hooks, NoHooks,
+    SanitizerKind, VmConfig,
 };
 use sancheck::{PlannedSan, SanFaultPlan, SAN_KINDS};
 use sanitizers::{Asan, Msan, Ubsan};
@@ -79,6 +80,64 @@ fn all_catalog_targets_all_impls_match_fresh_execution() {
                 &inputs,
                 &VmConfig::default(),
             );
+        }
+    }
+}
+
+/// Leaves `slot` as dirty as a previous run could relative to `fresh`:
+/// longer stale stdout, another status and other steps.
+fn dirty(slot: &mut ExecResult, fresh: &ExecResult) {
+    slot.stdout.resize(fresh.stdout.len() + 64, b'Z');
+    slot.status = if fresh.status == ExitStatus::Code(77) {
+        ExitStatus::TimedOut
+    } else {
+        ExitStatus::Code(77)
+    };
+    slot.steps = fresh.steps + 12_345;
+}
+
+/// `run_into` overwrites whatever its slot held: on every catalog target
+/// and implementation, each input runs under a budget that times it out,
+/// then as an escalated re-run at twice that budget, then in full, every
+/// run in the same session and into the slot the previous run (a trap, a
+/// timeout, a clean exit) left, dirtied further. Each must equal a fresh
+/// `execute`.
+#[test]
+fn run_into_a_dirty_slot_matches_fresh_execution() {
+    let impls = CompilerImpl::default_set();
+    let full = VmConfig::default();
+    for spec in catalog() {
+        let target = build(&spec);
+        let checked = minc::check(&target.src).unwrap();
+        let mut inputs = input_batch(spec.magic);
+        inputs.extend(spec.bugs.iter().map(|bug| target.trigger(bug)));
+        for bin in minc_compile::compile_all(&checked, &impls).0 {
+            let mut session = ExecSession::new(&bin);
+            let mut slot = ExecResult::default();
+            let mut timeouts = 0;
+            for (i, input) in inputs.iter().enumerate() {
+                let steps = execute(&bin, input, &full).steps;
+                let tight = VmConfig {
+                    step_limit: (steps / 2).max(1),
+                    ..full.clone()
+                };
+                let escalated = VmConfig {
+                    step_limit: tight.step_limit * 2,
+                    ..full.clone()
+                };
+                for cfg in [&tight, &escalated, &full] {
+                    let fresh = execute(&bin, input, cfg);
+                    timeouts += usize::from(fresh.status == ExitStatus::TimedOut);
+                    dirty(&mut slot, &fresh);
+                    session.run_into(&bin, input, cfg, &mut NoHooks, &mut slot);
+                    assert_eq!(
+                        slot, fresh,
+                        "{}/{}: input #{i} at step limit {}",
+                        spec.name, bin.impl_id, cfg.step_limit
+                    );
+                }
+            }
+            assert!(timeouts > 0, "{}/{}: no timeout", spec.name, bin.impl_id);
         }
     }
 }
