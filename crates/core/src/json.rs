@@ -16,7 +16,6 @@
 //! nested deeper than `MAX_DEPTH` (128), so hostile input (a checkpoint
 //! line, a protocol frame) gets an error instead of overflowing the stack.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts.
@@ -492,16 +491,6 @@ impl<'a> Parser<'a> {
             message: "invalid number".to_string(),
         })
     }
-}
-
-/// Convenience: renders a `BTreeMap<String, u64>` (a common aggregate
-/// shape) as a JSON object with sorted keys.
-pub fn map_to_json(map: &BTreeMap<String, u64>) -> Json {
-    Json::Object(
-        map.iter()
-            .map(|(k, &v)| (k.clone(), Json::Int(v as i64)))
-            .collect(),
-    )
 }
 
 /// Lower-case hex of `bytes`: how byte strings (inputs, probes, seeds)

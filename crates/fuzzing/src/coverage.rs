@@ -10,9 +10,7 @@
 //! ten slots, and even every slot hit only makes the list as long as the
 //! map.
 
-use minc_compile::ir::{BinKind, IrType};
-use minc_vm::hooks::{FreeDisposition, Hooks, Loc, PoisonUse};
-use minc_vm::result::Fault;
+use minc_vm::hooks::{Hooks, Loc};
 
 /// Size of the coverage map (AFL's default).
 pub const MAP_SIZE: usize = 1 << 16;
@@ -165,81 +163,17 @@ impl GlobalCoverage {
     }
 }
 
-/// Hook adapter that records coverage and forwards everything else to an
-/// inner hooks implementation (so coverage composes with sanitizers, as in
-/// a real `afl-clang-fast -fsanitize=...` build).
-#[derive(Debug)]
-pub struct CoveredHooks<'m, H: Hooks> {
-    /// The per-execution map being filled.
-    pub map: &'m mut CoverageMap,
-    /// The inner instrumentation (use [`minc_vm::NoHooks`] for plain AFL).
-    pub inner: H,
-}
-
-impl<'m, H: Hooks> CoveredHooks<'m, H> {
-    /// Creates the adapter.
-    pub fn new(map: &'m mut CoverageMap, inner: H) -> Self {
-        CoveredHooks { map, inner }
-    }
-}
-
-impl<H: Hooks> Hooks for CoveredHooks<'_, H> {
+/// A coverage map is the fuzz binary's whole instrumentation: it
+/// records every edge and observes nothing else, like an
+/// `afl-clang-fast` build without sanitizers.
+impl Hooks for CoverageMap {
     fn on_edge(&mut self, from: Loc, to: Loc) {
-        self.map.record(from, to);
-        self.inner.on_edge(from, to);
-    }
-    fn check_load(&mut self, addr: u64, width: u64, loc: Loc) -> Option<Fault> {
-        self.inner.check_load(addr, width, loc)
-    }
-    fn check_store(&mut self, addr: u64, width: u64, loc: Loc) -> Option<Fault> {
-        self.inner.check_store(addr, width, loc)
-    }
-    fn check_bin(
-        &mut self,
-        op: BinKind,
-        ty: IrType,
-        a: u64,
-        b: u64,
-        ub_signed: bool,
-        loc: Loc,
-    ) -> Option<Fault> {
-        self.inner.check_bin(op, ty, a, b, ub_signed, loc)
-    }
-    fn heap_redzone(&self) -> u64 {
-        self.inner.heap_redzone()
-    }
-    fn on_malloc(&mut self, addr: u64, size: u64) {
-        self.inner.on_malloc(addr, size);
-    }
-    fn on_free(&mut self, addr: u64, size: u64, loc: Loc) -> Result<FreeDisposition, Fault> {
-        self.inner.on_free(addr, size, loc)
-    }
-    fn on_bad_free(&mut self, addr: u64, loc: Loc) -> Option<Fault> {
-        self.inner.on_bad_free(addr, loc)
-    }
-    fn on_frame_enter(&mut self, lo: u64, hi: u64, slots: &[(u64, u64)]) {
-        self.inner.on_frame_enter(lo, hi, slots);
-    }
-    fn on_frame_exit(&mut self, lo: u64, hi: u64) {
-        self.inner.on_frame_exit(lo, hi);
-    }
-    fn track_poison(&self) -> bool {
-        self.inner.track_poison()
-    }
-    fn load_poison(&mut self, addr: u64, width: u64) -> bool {
-        self.inner.load_poison(addr, width)
-    }
-    fn store_poison(&mut self, addr: u64, width: u64, poisoned: bool) {
-        self.inner.store_poison(addr, width, poisoned);
-    }
-    fn on_poison_use(&mut self, use_: PoisonUse, loc: Loc) -> Option<Fault> {
-        self.inner.on_poison_use(use_, loc)
+        self.record(from, to);
     }
     // Coverage instruments edges only, never individual memory accesses,
-    // so bulk memory operations are fine whenever the inner hooks allow
-    // them (e.g. plain-AFL fuzzing over NoHooks keeps the VM fast path).
+    // so the VM keeps its bulk memory fast path.
     fn bulk_mem_ok(&self) -> bool {
-        self.inner.bulk_mem_ok()
+        true
     }
 }
 

@@ -70,9 +70,8 @@ impl<'a> BinaryTarget<'a> {
 
 impl TargetExec for BinaryTarget<'_> {
     fn run(&mut self, input: &[u8], map: &mut CoverageMap) -> ExecResult {
-        let mut hooks = crate::coverage::CoveredHooks::new(map, minc_vm::NoHooks);
         self.session
-            .run_with_hooks(self.binary, input, &self.vm, &mut hooks)
+            .run_with_hooks(self.binary, input, &self.vm, map)
     }
 }
 

@@ -38,7 +38,7 @@ pub mod mutate;
 pub mod queue;
 pub mod rng;
 
-pub use coverage::{CoverageMap, CoveredHooks, GlobalCoverage, MAP_SIZE};
+pub use coverage::{CoverageMap, GlobalCoverage, MAP_SIZE};
 pub use fuzzer::{
     crash_signature, BinaryTarget, CampaignStats, Crash, FuzzConfig, FuzzObserver, Fuzzer,
     NoOracle, Oracle, TargetExec,

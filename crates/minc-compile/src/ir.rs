@@ -508,34 +508,83 @@ pub enum Inst {
     },
 }
 
-impl Inst {
-    /// The destination register, if the instruction produces a value.
-    pub fn dst(&self) -> Option<ValueId> {
-        match self {
+// The one listing of each IR node's register fields. Macros, so that the
+// shared and the mutable accessors below come from the same match, each
+// field borrowed the way the node is. Operands are listed in the order
+// `for_each_use` reports them, which is part of its contract (the lint's
+// junk domain takes the first tainted operand).
+macro_rules! inst_dst {
+    ($inst:expr, $as_opt:ident) => {
+        match $inst {
             Inst::Const { dst, .. }
             | Inst::Copy { dst, .. }
             | Inst::Bin { dst, .. }
             | Inst::Un { dst, .. }
             | Inst::Cast { dst, .. }
             | Inst::FrameAddr { dst, .. }
-            | Inst::Load { dst, .. } => Some(*dst),
-            Inst::Call { dst, .. } => *dst,
+            | Inst::Load { dst, .. } => Some(dst),
+            Inst::Call { dst, .. } => dst.$as_opt(),
             Inst::Store { .. } => None,
         }
+    };
+}
+
+macro_rules! inst_uses {
+    ($inst:expr, $f:ident) => {
+        match $inst {
+            Inst::Const { .. } | Inst::FrameAddr { .. } => {}
+            Inst::Copy { src: v, .. }
+            | Inst::Un { a: v, .. }
+            | Inst::Cast { a: v, .. }
+            | Inst::Load { addr: v, .. } => $f(v),
+            Inst::Bin { a, b, .. } => {
+                $f(a);
+                $f(b);
+            }
+            Inst::Store { addr, src, .. } => {
+                $f(addr);
+                $f(src);
+            }
+            Inst::Call { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+        }
+    };
+}
+
+macro_rules! term_uses {
+    ($term:expr, $f:ident) => {
+        match $term {
+            Terminator::Br { cond: v, .. } | Terminator::Ret(Some(v)) => $f(v),
+            Terminator::Jump(_) | Terminator::Ret(None) | Terminator::Unreachable => {}
+        }
+    };
+}
+
+impl Inst {
+    /// The destination register, if the instruction produces a value.
+    pub fn dst(&self) -> Option<ValueId> {
+        inst_dst!(self, as_ref).copied()
     }
 
-    /// Registers read by this instruction.
-    pub fn uses(&self) -> Vec<ValueId> {
-        match self {
-            Inst::Const { .. } | Inst::FrameAddr { .. } => vec![],
-            Inst::Copy { src, .. } => vec![*src],
-            Inst::Bin { a, b, .. } => vec![*a, *b],
-            Inst::Un { a, .. } => vec![*a],
-            Inst::Cast { a, .. } => vec![*a],
-            Inst::Load { addr, .. } => vec![*addr],
-            Inst::Store { addr, src, .. } => vec![*addr, *src],
-            Inst::Call { args, .. } => args.clone(),
-        }
+    /// The destination register field, if the instruction has one.
+    pub fn dst_mut(&mut self) -> Option<&mut ValueId> {
+        inst_dst!(self, as_mut)
+    }
+
+    /// Visits the registers the instruction reads, in operand order:
+    /// `src`; `a`, `b`; `addr` (a store's `addr`, then `src`); a call's
+    /// arguments in order.
+    pub fn for_each_use(&self, mut f: impl FnMut(ValueId)) {
+        let mut read = |v: &ValueId| f(*v);
+        inst_uses!(self, read)
+    }
+
+    /// [`Inst::for_each_use`], visiting each operand field mutably.
+    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut ValueId)) {
+        inst_uses!(self, f)
     }
 
     /// True if removing the instruction (when its result is unused) changes
@@ -568,6 +617,18 @@ pub enum Terminator {
 }
 
 impl Terminator {
+    /// Visits the register the terminator reads: a branch's condition or
+    /// a returned value.
+    pub fn for_each_use(&self, mut f: impl FnMut(ValueId)) {
+        let mut read = |v: &ValueId| f(*v);
+        term_uses!(self, read)
+    }
+
+    /// [`Terminator::for_each_use`], visiting the field mutably.
+    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut ValueId)) {
+        term_uses!(self, f)
+    }
+
     /// Successor blocks.
     pub fn successors(&self) -> Vec<BlockId> {
         match self {
@@ -756,9 +817,160 @@ impl IrProgram {
 mod tests {
     use super::*;
 
+    /// Every register number in `node`'s `Debug` render, in field order:
+    /// the fields an enumeration must reach, found without listing them.
+    fn registers_in(node: &impl fmt::Debug) -> Vec<u32> {
+        format!("{node:?}")
+            .split("ValueId(")
+            .skip(1)
+            .map(|t| t[..t.find(')').unwrap()].parse().unwrap())
+            .collect()
+    }
+
     #[test]
-    fn inst_dst_and_uses() {
-        let i = Inst::Bin {
+    fn register_enumeration_covers_every_field_in_order() {
+        let v = ValueId;
+        let call = |dst| Inst::Call {
+            dst,
+            ret_ty: IrType::I32,
+            callee: Callee::Builtin(Builtin::Printf),
+            args: vec![v(2), v(3), v(4)],
+            arg_tys: vec![IrType::I64; 3],
+        };
+        // Each variant with its destination and its uses in operand order.
+        let insts: Vec<(Inst, Option<u32>, Vec<u32>)> = vec![
+            (
+                Inst::Const {
+                    dst: v(1),
+                    ty: IrType::I32,
+                    val: ConstVal::I32(7),
+                },
+                Some(1),
+                vec![],
+            ),
+            (
+                Inst::Copy {
+                    dst: v(1),
+                    ty: IrType::I32,
+                    src: v(2),
+                },
+                Some(1),
+                vec![2],
+            ),
+            (
+                Inst::Bin {
+                    dst: v(3),
+                    ty: IrType::I32,
+                    op: BinKind::Add,
+                    a: v(1),
+                    b: v(2),
+                    ub_signed: true,
+                },
+                Some(3),
+                vec![1, 2],
+            ),
+            (
+                Inst::Un {
+                    dst: v(1),
+                    ty: IrType::I64,
+                    op: UnKind::Neg,
+                    a: v(2),
+                    ub_signed: false,
+                },
+                Some(1),
+                vec![2],
+            ),
+            (
+                Inst::Cast {
+                    dst: v(1),
+                    kind: CastKind::SextI32I64,
+                    a: v(2),
+                },
+                Some(1),
+                vec![2],
+            ),
+            (
+                Inst::FrameAddr {
+                    dst: v(1),
+                    slot: SlotId(5),
+                },
+                Some(1),
+                vec![],
+            ),
+            (
+                Inst::Load {
+                    dst: v(1),
+                    ty: IrType::I32,
+                    addr: v(2),
+                    width: MemWidth::W4,
+                    sext: true,
+                },
+                Some(1),
+                vec![2],
+            ),
+            (
+                Inst::Store {
+                    addr: v(2),
+                    src: v(1),
+                    width: MemWidth::W4,
+                },
+                None,
+                vec![2, 1],
+            ),
+            (call(Some(v(1))), Some(1), vec![2, 3, 4]),
+            (call(None), None, vec![2, 3, 4]),
+        ];
+        for (inst, dst, uses) in insts {
+            let fields = registers_in(&inst);
+            let mut listed: Vec<u32> = dst.into_iter().chain(uses.iter().copied()).collect();
+            listed.sort_unstable();
+            let mut sorted = fields.clone();
+            sorted.sort_unstable();
+            assert_eq!(listed, sorted, "the table misses a field of {inst:?}");
+            assert_eq!(inst.dst().map(|d| d.0), dst, "{inst:?}");
+            let mut seen = Vec::new();
+            inst.for_each_use(|u| seen.push(u.0));
+            assert_eq!(seen, uses, "{inst:?}");
+
+            let mut moved = inst.clone();
+            if let Some(d) = moved.dst_mut() {
+                d.0 += 100;
+            }
+            moved.for_each_use_mut(|u| u.0 += 100);
+            let want: Vec<u32> = fields.iter().map(|r| r + 100).collect();
+            assert_eq!(registers_in(&moved), want, "{inst:?} -> {moved:?}");
+        }
+
+        let terms = [
+            (Terminator::Jump(BlockId(1)), vec![]),
+            (
+                Terminator::Br {
+                    cond: v(1),
+                    then: BlockId(1),
+                    els: BlockId(2),
+                },
+                vec![1],
+            ),
+            (Terminator::Ret(Some(v(1))), vec![1]),
+            (Terminator::Ret(None), vec![]),
+            (Terminator::Unreachable, vec![]),
+        ];
+        for (term, uses) in terms {
+            let fields = registers_in(&term);
+            assert_eq!(fields, uses, "the table misses a field of {term:?}");
+            let mut seen = Vec::new();
+            term.for_each_use(|u| seen.push(u.0));
+            assert_eq!(seen, uses, "{term:?}");
+            let mut moved = term.clone();
+            moved.for_each_use_mut(|u| u.0 += 100);
+            let want: Vec<u32> = fields.iter().map(|r| r + 100).collect();
+            assert_eq!(registers_in(&moved), want, "{term:?} -> {moved:?}");
+        }
+    }
+
+    #[test]
+    fn side_effects() {
+        let bin = Inst::Bin {
             dst: ValueId(3),
             ty: IrType::I32,
             op: BinKind::Add,
@@ -766,17 +978,13 @@ mod tests {
             b: ValueId(2),
             ub_signed: true,
         };
-        assert_eq!(i.dst(), Some(ValueId(3)));
-        assert_eq!(i.uses(), vec![ValueId(1), ValueId(2)]);
-        assert!(!i.has_side_effects());
-
-        let s = Inst::Store {
+        assert!(!bin.has_side_effects());
+        let store = Inst::Store {
             addr: ValueId(0),
             src: ValueId(1),
             width: MemWidth::W4,
         };
-        assert_eq!(s.dst(), None);
-        assert!(s.has_side_effects());
+        assert!(store.has_side_effects());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::ir::*;
 use crate::layout::StructLayouts;
 use crate::personality::{EvalOrder, LinePolicy, Personality};
-use minc::ast::{self, BinOp, Expr, ExprKind, Stmt, StmtKind, Storage, UnOp};
+use minc::ast::{self, BinOp, Expr, ExprKind, Node, Stmt, StmtKind, Storage, UnOp};
 use minc::sema::{is_lvalue, CallTarget, LocalId, VarRef};
 use minc::span::Span;
 use minc::types::Type;
@@ -215,7 +215,24 @@ impl<'a> FnLowerer<'a> {
 
     fn lower_fn(&mut self, f: &ast::Function) {
         self.stmt_span = f.span;
-        collect_addressed(&f.body, self.checked, &mut self.addressed);
+        // Scalar locals whose address is taken with `&` keep their slots.
+        f.body.walk(&mut |n| {
+            if let Node::Expr(Expr {
+                kind:
+                    ExprKind::Unary {
+                        op: UnOp::Addr,
+                        operand,
+                    },
+                ..
+            }) = n
+            {
+                if let (ExprKind::Var(_), Some(VarRef::Local(l))) =
+                    (&operand.kind, self.checked.vars.get(&operand.id))
+                {
+                    self.addressed.insert(*l);
+                }
+            }
+        });
 
         // Reserve the parameter registers v0..vN-1 before any temporary.
         for p in &f.params {
@@ -1227,92 +1244,6 @@ impl<'a> FnLowerer<'a> {
             }
             StmtKind::Empty => {}
         }
-    }
-}
-
-/// Finds scalar locals whose address is taken with `&`.
-fn collect_addressed(s: &Stmt, checked: &CheckedProgram, out: &mut HashSet<LocalId>) {
-    fn walk_expr(e: &Expr, checked: &CheckedProgram, out: &mut HashSet<LocalId>) {
-        if let ExprKind::Unary {
-            op: UnOp::Addr,
-            operand,
-        } = &e.kind
-        {
-            if let ExprKind::Var(_) = operand.kind {
-                if let Some(VarRef::Local(l)) = checked.vars.get(&operand.id) {
-                    out.insert(*l);
-                }
-            }
-        }
-        match &e.kind {
-            ExprKind::Unary { operand, .. } => walk_expr(operand, checked, out),
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Logical { lhs, rhs, .. } => {
-                walk_expr(lhs, checked, out);
-                walk_expr(rhs, checked, out);
-            }
-            ExprKind::Assign { target, value, .. } => {
-                walk_expr(target, checked, out);
-                walk_expr(value, checked, out);
-            }
-            ExprKind::IncDec { target, .. } => walk_expr(target, checked, out),
-            ExprKind::Cond { cond, then, els } => {
-                walk_expr(cond, checked, out);
-                walk_expr(then, checked, out);
-                walk_expr(els, checked, out);
-            }
-            ExprKind::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, checked, out)),
-            ExprKind::Index { base, index } => {
-                walk_expr(base, checked, out);
-                walk_expr(index, checked, out);
-            }
-            ExprKind::Member { base, .. } | ExprKind::Arrow { base, .. } => {
-                walk_expr(base, checked, out)
-            }
-            ExprKind::Cast { value, .. } => walk_expr(value, checked, out),
-            ExprKind::SizeofExpr(inner) => walk_expr(inner, checked, out),
-            _ => {}
-        }
-    }
-    match &s.kind {
-        StmtKind::Decl { init: Some(e), .. } => walk_expr(e, checked, out),
-        StmtKind::Expr(e) => walk_expr(e, checked, out),
-        StmtKind::If { cond, then, els } => {
-            walk_expr(cond, checked, out);
-            collect_addressed(then, checked, out);
-            if let Some(e) = els {
-                collect_addressed(e, checked, out);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            walk_expr(cond, checked, out);
-            collect_addressed(body, checked, out);
-        }
-        StmtKind::DoWhile { body, cond } => {
-            collect_addressed(body, checked, out);
-            walk_expr(cond, checked, out);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                collect_addressed(i, checked, out);
-            }
-            if let Some(c) = cond {
-                walk_expr(c, checked, out);
-            }
-            if let Some(st) = step {
-                walk_expr(st, checked, out);
-            }
-            collect_addressed(body, checked, out);
-        }
-        StmtKind::Return(Some(e)) => walk_expr(e, checked, out),
-        StmtKind::Block(stmts) => stmts
-            .iter()
-            .for_each(|s| collect_addressed(s, checked, out)),
-        _ => {}
     }
 }
 

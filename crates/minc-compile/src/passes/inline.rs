@@ -106,8 +106,6 @@ fn inline_one(caller: &mut IrFunction, block: BlockId, idx: usize, callee: &IrFu
         caller.slots.push(s.clone());
     }
 
-    let map_reg = |v: ValueId| ValueId(v.0 + reg_off);
-    let map_slot = |s: SlotId| SlotId(s.0 + slot_off);
     let map_block = |b: BlockId| BlockId(b.0 + block_off);
 
     // The continuation block.
@@ -117,23 +115,21 @@ fn inline_one(caller: &mut IrFunction, block: BlockId, idx: usize, callee: &IrFu
     for cb in &callee.blocks {
         let mut insts = Vec::with_capacity(cb.insts.len());
         for inst in &cb.insts {
-            insts.push(remap_inst(inst, &map_reg, &map_slot));
+            insts.push(remap_inst(inst, reg_off, slot_off));
         }
-        let term = match &cb.term {
-            Terminator::Jump(t) => Terminator::Jump(map_block(*t)),
+        let mut term = cb.term.clone();
+        term.for_each_use_mut(|v| v.0 += reg_off);
+        let term = match term {
+            Terminator::Jump(t) => Terminator::Jump(map_block(t)),
             Terminator::Br { cond, then, els } => Terminator::Br {
-                cond: map_reg(*cond),
-                then: map_block(*then),
-                els: map_block(*els),
+                cond,
+                then: map_block(then),
+                els: map_block(els),
             },
             Terminator::Ret(v) => {
-                if let (Some(dst), Some(v)) = (call_dst, v) {
+                if let (Some(dst), Some(src)) = (call_dst, v) {
                     let ty = caller.reg_tys[dst.0 as usize];
-                    insts.push(Inst::Copy {
-                        dst,
-                        ty,
-                        src: map_reg(*v),
-                    });
+                    insts.push(Inst::Copy { dst, ty, src });
                 }
                 Terminator::Jump(cont)
             }
@@ -165,91 +161,17 @@ fn inline_one(caller: &mut IrFunction, block: BlockId, idx: usize, callee: &IrFu
     site.term = Terminator::Jump(entry);
 }
 
-fn remap_inst(
-    inst: &Inst,
-    map_reg: &impl Fn(ValueId) -> ValueId,
-    map_slot: &impl Fn(SlotId) -> SlotId,
-) -> Inst {
-    match inst {
-        Inst::Const { dst, ty, val } => Inst::Const {
-            dst: map_reg(*dst),
-            ty: *ty,
-            val: *val,
-        },
-        Inst::Copy { dst, ty, src } => Inst::Copy {
-            dst: map_reg(*dst),
-            ty: *ty,
-            src: map_reg(*src),
-        },
-        Inst::Bin {
-            dst,
-            ty,
-            op,
-            a,
-            b,
-            ub_signed,
-        } => Inst::Bin {
-            dst: map_reg(*dst),
-            ty: *ty,
-            op: *op,
-            a: map_reg(*a),
-            b: map_reg(*b),
-            ub_signed: *ub_signed,
-        },
-        Inst::Un {
-            dst,
-            ty,
-            op,
-            a,
-            ub_signed,
-        } => Inst::Un {
-            dst: map_reg(*dst),
-            ty: *ty,
-            op: *op,
-            a: map_reg(*a),
-            ub_signed: *ub_signed,
-        },
-        Inst::Cast { dst, kind, a } => Inst::Cast {
-            dst: map_reg(*dst),
-            kind: *kind,
-            a: map_reg(*a),
-        },
-        Inst::FrameAddr { dst, slot } => Inst::FrameAddr {
-            dst: map_reg(*dst),
-            slot: map_slot(*slot),
-        },
-        Inst::Load {
-            dst,
-            ty,
-            addr,
-            width,
-            sext,
-        } => Inst::Load {
-            dst: map_reg(*dst),
-            ty: *ty,
-            addr: map_reg(*addr),
-            width: *width,
-            sext: *sext,
-        },
-        Inst::Store { addr, src, width } => Inst::Store {
-            addr: map_reg(*addr),
-            src: map_reg(*src),
-            width: *width,
-        },
-        Inst::Call {
-            dst,
-            ret_ty,
-            callee,
-            args,
-            arg_tys,
-        } => Inst::Call {
-            dst: dst.map(map_reg),
-            ret_ty: *ret_ty,
-            callee: callee.clone(),
-            args: args.iter().map(|a| map_reg(*a)).collect(),
-            arg_tys: arg_tys.clone(),
-        },
+/// `inst` with its registers and slot moved past the caller's own.
+fn remap_inst(inst: &Inst, reg_off: u32, slot_off: u32) -> Inst {
+    let mut inst = inst.clone();
+    if let Some(d) = inst.dst_mut() {
+        d.0 += reg_off;
     }
+    inst.for_each_use_mut(|v| v.0 += reg_off);
+    if let Inst::FrameAddr { slot, .. } = &mut inst {
+        slot.0 += slot_off;
+    }
+    inst
 }
 
 #[cfg(test)]

@@ -123,26 +123,14 @@ fn run_inner(f: &mut IrFunction, func_index: u32) -> Vec<Promotion> {
                     }
                     check(*src, &mut bad);
                 }
-                other => {
-                    for u in other.uses() {
-                        check(u, &mut bad);
-                    }
-                }
+                other => other.for_each_use(|u| check(u, &mut bad)),
             }
         }
-        match &b.term {
-            Terminator::Br { cond, .. } => {
-                if let Some(s) = addr_reg.get(cond) {
-                    bad.insert(*s);
-                }
+        b.term.for_each_use(|v| {
+            if let Some(s) = addr_reg.get(&v) {
+                bad.insert(*s);
             }
-            Terminator::Ret(Some(v)) => {
-                if let Some(s) = addr_reg.get(v) {
-                    bad.insert(*s);
-                }
-            }
-            _ => {}
-        }
+        });
     }
 
     let promote: Vec<SlotId> = candidates

@@ -342,7 +342,7 @@ pub fn copy_prop(f: &mut IrFunction) {
         };
         for inst in &mut b.insts {
             // Rewrite uses first.
-            rewrite_uses(inst, &alias);
+            inst.for_each_use_mut(|v| forward(&alias, v));
             match inst {
                 Inst::Copy { dst, src, .. } => {
                     let (d, s) = (*dst, *src);
@@ -358,40 +358,14 @@ pub fn copy_prop(f: &mut IrFunction) {
                 }
             }
         }
-        if let Terminator::Br { cond, .. } = &mut b.term {
-            if let Some(s) = alias.get(cond) {
-                *cond = *s;
-            }
-        }
-        if let Terminator::Ret(Some(v)) = &mut b.term {
-            if let Some(s) = alias.get(v) {
-                *v = *s;
-            }
-        }
+        b.term.for_each_use_mut(|v| forward(&alias, v));
     }
 }
 
-fn rewrite_uses(inst: &mut Inst, alias: &HashMap<ValueId, ValueId>) {
-    let get = |v: &mut ValueId| {
-        if let Some(s) = alias.get(v) {
-            *v = *s;
-        }
-    };
-    match inst {
-        Inst::Copy { src, .. } => get(src),
-        Inst::Bin { a, b, .. } => {
-            get(a);
-            get(b);
-        }
-        Inst::Un { a, .. } => get(a),
-        Inst::Cast { a, .. } => get(a),
-        Inst::Load { addr, .. } => get(addr),
-        Inst::Store { addr, src, .. } => {
-            get(addr);
-            get(src);
-        }
-        Inst::Call { args, .. } => args.iter_mut().for_each(get),
-        Inst::Const { .. } | Inst::FrameAddr { .. } => {}
+/// Replaces `v` by the register it is a copy of, if `alias` knows one.
+fn forward(alias: &HashMap<ValueId, ValueId>, v: &mut ValueId) {
+    if let Some(s) = alias.get(v) {
+        *v = *s;
     }
 }
 
@@ -427,7 +401,7 @@ pub fn cse(f: &mut IrFunction) {
         let mut alias: HashMap<ValueId, ValueId> = HashMap::new();
         let mut out = Vec::with_capacity(b.insts.len());
         for mut inst in b.insts.drain(..) {
-            rewrite_uses(&mut inst, &alias);
+            inst.for_each_use_mut(|v| forward(&alias, v));
             let key = match &inst {
                 Inst::Bin { op, ty, a, b, .. } => Some(Key::Bin(*op, *ty, *a, *b)),
                 Inst::Un { op, ty, a, .. } => Some(Key::Un(*op, *ty, *a)),
@@ -511,16 +485,11 @@ pub fn dce(f: &mut IrFunction) {
         let reachable_set: std::collections::HashSet<u32> = reachable.iter().map(|b| b.0).collect();
         for bid in &reachable {
             let b = &f.blocks[bid.0 as usize];
+            let mut mark = |u: ValueId| used[u.0 as usize] = true;
             for inst in &b.insts {
-                for u in inst.uses() {
-                    used[u.0 as usize] = true;
-                }
+                inst.for_each_use(&mut mark);
             }
-            match &b.term {
-                Terminator::Br { cond, .. } => used[cond.0 as usize] = true,
-                Terminator::Ret(Some(v)) => used[v.0 as usize] = true,
-                _ => {}
-            }
+            b.term.for_each_use(mark);
         }
         let mut changed = false;
         for (i, b) in f.blocks.iter_mut().enumerate() {

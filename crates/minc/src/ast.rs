@@ -208,6 +208,201 @@ pub enum StmtKind {
     Empty,
 }
 
+/// A node below a statement: what [`StmtKind::for_each_child`] and the
+/// pre-order walks yield.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    /// An expression.
+    Expr(&'a Expr),
+    /// A statement.
+    Stmt(&'a Stmt),
+}
+
+impl Node<'_> {
+    /// The node's id.
+    pub fn id(self) -> NodeId {
+        match self {
+            Node::Expr(e) => e.id,
+            Node::Stmt(s) => s.id,
+        }
+    }
+}
+
+/// A mutable [`Node`].
+#[derive(Debug)]
+pub enum NodeMut<'a> {
+    /// An expression.
+    Expr(&'a mut Expr),
+    /// A statement.
+    Stmt(&'a mut Stmt),
+}
+
+// The one listing of each node type's children, in source order. Macros,
+// so that the shared and the mutable enumeration come from the same
+// match: `$f` receives each child borrowed the way `$kind` is, a
+// statement's children wrapped in `$expr` or `$stmt`.
+macro_rules! expr_children {
+    ($kind:expr, $f:ident) => {
+        match $kind {
+            ExprKind::IntLit { .. }
+            | ExprKind::FloatLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Var(_)
+            | ExprKind::Line
+            | ExprKind::SizeofType(_) => {}
+            ExprKind::Unary { operand: e, .. }
+            | ExprKind::IncDec { target: e, .. }
+            | ExprKind::Member { base: e, .. }
+            | ExprKind::Arrow { base: e, .. }
+            | ExprKind::Cast { value: e, .. }
+            | ExprKind::SizeofExpr(e) => $f(e),
+            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Logical { lhs, rhs, .. } => {
+                $f(lhs);
+                $f(rhs);
+            }
+            ExprKind::Assign { target, value, .. } => {
+                $f(target);
+                $f(value);
+            }
+            ExprKind::Index { base, index } => {
+                $f(base);
+                $f(index);
+            }
+            ExprKind::Cond { cond, then, els } => {
+                $f(cond);
+                $f(then);
+                $f(els);
+            }
+            ExprKind::Call { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+        }
+    };
+}
+
+macro_rules! stmt_children {
+    ($kind:expr, $f:ident, $expr:path, $stmt:path) => {
+        match $kind {
+            StmtKind::Break | StmtKind::Continue | StmtKind::Empty => {}
+            StmtKind::Decl { init: e, .. } | StmtKind::Return(e) => {
+                if let Some(e) = e {
+                    $f($expr(e));
+                }
+            }
+            StmtKind::Expr(e) => $f($expr(e)),
+            StmtKind::If { cond, then, els } => {
+                $f($expr(cond));
+                $f($stmt(then));
+                if let Some(s) = els {
+                    $f($stmt(s));
+                }
+            }
+            StmtKind::While { cond, body } => {
+                $f($expr(cond));
+                $f($stmt(body));
+            }
+            StmtKind::DoWhile { body, cond } => {
+                $f($stmt(body));
+                $f($expr(cond));
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                if let Some(s) = init {
+                    $f($stmt(s));
+                }
+                if let Some(e) = cond {
+                    $f($expr(e));
+                }
+                if let Some(e) = step {
+                    $f($expr(e));
+                }
+                $f($stmt(body));
+            }
+            StmtKind::Block(stmts) => {
+                for s in stmts {
+                    $f($stmt(s));
+                }
+            }
+        }
+    };
+}
+
+impl ExprKind {
+    /// Visits the direct sub-expressions in source order. With
+    /// [`ExprKind::for_each_child_mut`] this is the one definition of an
+    /// expression's shape: every traversal that only recurses goes
+    /// through it, and progen's mutators count nodes in this order.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        expr_children!(self, f)
+    }
+
+    /// [`ExprKind::for_each_child`], mutably.
+    pub fn for_each_child_mut<'a>(&'a mut self, mut f: impl FnMut(&'a mut Expr)) {
+        expr_children!(self, f)
+    }
+}
+
+impl StmtKind {
+    /// Visits the direct children — expressions and statements — in
+    /// source order (`do body while (cond)` visits the body first). With
+    /// [`StmtKind::for_each_child_mut`] this is the one definition of a
+    /// statement's shape; the reducer's edit paths index its statement
+    /// children in this order.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(Node<'a>)) {
+        stmt_children!(self, f, Node::Expr, Node::Stmt)
+    }
+
+    /// [`StmtKind::for_each_child`], mutably.
+    pub fn for_each_child_mut<'a>(&'a mut self, mut f: impl FnMut(NodeMut<'a>)) {
+        stmt_children!(self, f, NodeMut::Expr, NodeMut::Stmt)
+    }
+}
+
+impl Expr {
+    /// Visits this expression and every node below it in pre-order,
+    /// children in source order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        f(Node::Expr(self));
+        self.kind.for_each_child(|e| e.walk(f));
+    }
+
+    /// [`Expr::walk`], mutably. A node is visited before its children
+    /// are enumerated, so the children walked are those `f` leaves.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(NodeMut<'_>)) {
+        f(NodeMut::Expr(self));
+        self.kind.for_each_child_mut(|e| e.walk_mut(f));
+    }
+}
+
+impl Stmt {
+    /// Visits this statement and every node below it in pre-order,
+    /// children in source order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        f(Node::Stmt(self));
+        self.kind.for_each_child(|c| match c {
+            Node::Expr(e) => e.walk(f),
+            Node::Stmt(s) => s.walk(f),
+        });
+    }
+
+    /// [`Stmt::walk`], mutably, visiting each node before its children
+    /// like [`Expr::walk_mut`].
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(NodeMut<'_>)) {
+        f(NodeMut::Stmt(self));
+        self.kind.for_each_child_mut(|c| match c {
+            NodeMut::Expr(e) => e.walk_mut(f),
+            NodeMut::Stmt(s) => s.walk_mut(f),
+        });
+    }
+}
+
 /// Storage class of a declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Storage {

@@ -88,59 +88,16 @@ impl Parser {
 
     /// Builds an expression node one level above its tallest operand.
     fn expr(&mut self, span: Span, kind: ExprKind) -> Result<Expr, FrontendError> {
-        use ExprKind::*;
-        let h = |e: &Expr| self.height(e.id);
-        let below = match &kind {
-            IntLit { .. }
-            | FloatLit(_)
-            | CharLit(_)
-            | StrLit(_)
-            | Var(_)
-            | Line
-            | SizeofType(_) => 0,
-            Unary { operand: e, .. }
-            | IncDec { target: e, .. }
-            | Member { base: e, .. }
-            | Arrow { base: e, .. }
-            | Cast { value: e, .. }
-            | SizeofExpr(e) => h(e),
-            Binary { lhs, rhs, .. } | Logical { lhs, rhs, .. } => h(lhs).max(h(rhs)),
-            Assign { target, value, .. } => h(target).max(h(value)),
-            Index { base, index } => h(base).max(h(index)),
-            Cond { cond, then, els } => h(cond).max(h(then)).max(h(els)),
-            Call { args, .. } => args.iter().map(h).max().unwrap_or(0),
-        };
+        let mut below = 0;
+        kind.for_each_child(|e| below = below.max(self.height(e.id)));
         let id = self.fresh(below)?;
         Ok(Expr { id, span, kind })
     }
 
     /// Builds a statement node one level above its tallest child.
     fn stmt(&mut self, span: Span, kind: StmtKind) -> Result<Stmt, FrontendError> {
-        let h = |id: NodeId| self.height(id);
-        let opt = |e: &Option<Expr>| e.as_ref().map_or(0, |e| h(e.id));
-        let below = match &kind {
-            StmtKind::Break | StmtKind::Continue | StmtKind::Empty => 0,
-            StmtKind::Decl { init, .. } => opt(init),
-            StmtKind::Return(value) => opt(value),
-            StmtKind::Expr(e) => h(e.id),
-            StmtKind::If { cond, then, els } => {
-                let els = els.as_ref().map_or(0, |s| h(s.id));
-                h(cond.id).max(h(then.id)).max(els)
-            }
-            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-                h(cond.id).max(h(body.id))
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                let init = init.as_ref().map_or(0, |s| h(s.id));
-                init.max(opt(cond)).max(opt(step)).max(h(body.id))
-            }
-            StmtKind::Block(stmts) => stmts.iter().map(|s| h(s.id)).max().unwrap_or(0),
-        };
+        let mut below = 0;
+        kind.for_each_child(|c| below = below.max(self.height(c.id())));
         let id = self.fresh(below)?;
         Ok(Stmt { id, span, kind })
     }
@@ -1068,83 +1025,65 @@ mod tests {
         assert!(parse(&parens(fits + 1)).is_err());
     }
 
+    /// The `.mc` files under `dir`, recursively, in path order.
+    fn mc_files(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        for path in paths {
+            if path.is_dir() {
+                mc_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "mc") {
+                let src = std::fs::read_to_string(&path).unwrap();
+                out.push((path.display().to_string(), src));
+            }
+        }
+    }
+
     #[test]
     fn node_ids_are_unique() {
-        let p = parse("int main() { int x = 1 + 2; return x * x; }").unwrap();
-        let mut seen = std::collections::HashSet::new();
-        fn walk_expr(e: &Expr, seen: &mut std::collections::HashSet<u32>) {
-            assert!(seen.insert(e.id.0), "duplicate node id {:?}", e.id);
-            match &e.kind {
-                ExprKind::Unary { operand, .. } => walk_expr(operand, seen),
-                ExprKind::Binary { lhs, rhs, .. } | ExprKind::Logical { lhs, rhs, .. } => {
-                    walk_expr(lhs, seen);
-                    walk_expr(rhs, seen);
-                }
-                ExprKind::Assign { target, value, .. } => {
-                    walk_expr(target, seen);
-                    walk_expr(value, seen);
-                }
-                ExprKind::Cond { cond, then, els } => {
-                    walk_expr(cond, seen);
-                    walk_expr(then, seen);
-                    walk_expr(els, seen);
-                }
-                ExprKind::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, seen)),
-                ExprKind::Index { base, index } => {
-                    walk_expr(base, seen);
-                    walk_expr(index, seen);
-                }
-                ExprKind::Member { base, .. } | ExprKind::Arrow { base, .. } => {
-                    walk_expr(base, seen)
-                }
-                ExprKind::Cast { value, .. } => walk_expr(value, seen),
-                ExprKind::IncDec { target, .. } => walk_expr(target, seen),
-                ExprKind::SizeofExpr(e) => walk_expr(e, seen),
-                _ => {}
-            }
+        // The catalog, the progen goldens, 1,000 generated programs and
+        // Juliet at scale 0.1.
+        let mut programs: Vec<(String, String)> = targets::build_all()
+            .into_iter()
+            .map(|t| (t.spec.name.clone(), t.src))
+            .collect();
+        assert_eq!(programs.len(), 23);
+        let goldens = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/progen");
+        mc_files(std::path::Path::new(goldens), &mut programs);
+        for i in 0..1000u64 {
+            let g = progen::generate(&mut fuzzing::Rng::new(progen::mix(1, i)));
+            programs.push((format!("progen/{i:04}"), g.source()));
         }
-        fn walk_stmt(s: &Stmt, seen: &mut std::collections::HashSet<u32>) {
-            match &s.kind {
-                StmtKind::Decl { init: Some(e), .. } => walk_expr(e, seen),
-                StmtKind::Expr(e) => walk_expr(e, seen),
-                StmtKind::If { cond, then, els } => {
-                    walk_expr(cond, seen);
-                    walk_stmt(then, seen);
-                    if let Some(e) = els {
-                        walk_stmt(e, seen);
-                    }
-                }
-                StmtKind::While { cond, body } => {
-                    walk_expr(cond, seen);
-                    walk_stmt(body, seen);
-                }
-                StmtKind::DoWhile { body, cond } => {
-                    walk_stmt(body, seen);
-                    walk_expr(cond, seen);
-                }
-                StmtKind::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                } => {
-                    if let Some(i) = init {
-                        walk_stmt(i, seen);
-                    }
-                    if let Some(c) = cond {
-                        walk_expr(c, seen);
-                    }
-                    if let Some(st) = step {
-                        walk_expr(st, seen);
-                    }
-                    walk_stmt(body, seen);
-                }
-                StmtKind::Return(Some(e)) => walk_expr(e, seen),
-                StmtKind::Block(stmts) => stmts.iter().for_each(|s| walk_stmt(s, seen)),
-                _ => {}
-            }
+        for t in juliet::suite(0.1) {
+            programs.push((format!("{}/bad", t.id), t.bad));
+            programs.push((format!("{}/good", t.id), t.good));
         }
-        walk_stmt(&p.functions[0].body, &mut seen);
-        assert!(seen.len() >= 6);
+        assert!(programs.len() > 4_500, "{} programs", programs.len());
+        for (name, src) in &programs {
+            let p = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            // `Parser::fresh` numbers nodes densely, so walking every
+            // function body and global initializer must meet each id of
+            // `0..n` exactly once: a child the walk skips leaves a gap.
+            let mut ids = Vec::new();
+            for f in &p.functions {
+                ids.push(f.id.0);
+                f.body.walk(&mut |n| ids.push(n.id().0));
+            }
+            for g in &p.globals {
+                ids.push(g.id.0);
+                if let Some(init) = &g.init {
+                    init.walk(&mut |n| ids.push(n.id().0));
+                }
+            }
+            ids.sort_unstable();
+            assert!(
+                ids.iter().copied().eq(0..ids.len() as u32),
+                "{name}: the walk does not visit node ids 0..{} exactly once",
+                ids.len()
+            );
+        }
     }
 }

@@ -217,17 +217,6 @@ pub struct CheckedProgram {
     pub function_info: Vec<FunctionInfo>,
 }
 
-impl CheckedProgram {
-    /// Type of an expression.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an expression of this program.
-    pub fn type_of(&self, id: NodeId) -> &Type {
-        &self.types[&id]
-    }
-}
-
 impl StructSizer for CheckedProgram {
     fn packed_size(&self, name: &str) -> u64 {
         let def = self.program.struct_def(name).expect("unknown struct");

@@ -10,7 +10,7 @@
 
 use crate::gen::{self, Genome, IDIOMS};
 use fuzzing::Rng;
-use minc::ast::{BinOp, Expr, ExprKind, Program, Stmt, StmtKind};
+use minc::ast::{BinOp, Expr, ExprKind, Node, NodeMut, Program, Stmt, StmtKind};
 
 /// How many candidate mutants to try before falling back to the parent.
 const RETRY_BUDGET: usize = 8;
@@ -45,165 +45,23 @@ fn valid(p: &Program) -> bool {
 
 // ---- Expression perturbation ----
 
-fn walk_exprs(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Unary { operand, .. } | ExprKind::SizeofExpr(operand) => walk_exprs(operand, f),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Logical { lhs, rhs, .. } => {
-            walk_exprs(lhs, f);
-            walk_exprs(rhs, f);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            walk_exprs(target, f);
-            walk_exprs(value, f);
-        }
-        ExprKind::IncDec { target, .. } => walk_exprs(target, f),
-        ExprKind::Cond { cond, then, els } => {
-            walk_exprs(cond, f);
-            walk_exprs(then, f);
-            walk_exprs(els, f);
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(|a| walk_exprs(a, f)),
-        ExprKind::Index { base, index } => {
-            walk_exprs(base, f);
-            walk_exprs(index, f);
-        }
-        ExprKind::Member { base, .. } | ExprKind::Arrow { base, .. } => walk_exprs(base, f),
-        ExprKind::Cast { value, .. } => walk_exprs(value, f),
-        _ => {}
+/// How many expressions of `main`'s body `is` picks out, counted in the
+/// walk order the `k`-th-node operators index.
+fn count_in_main(p: &Program, is: impl Fn(&ExprKind) -> bool) -> usize {
+    let mut n = 0;
+    for st in main_body(p).into_iter().flatten() {
+        st.walk(&mut |node| {
+            if let Node::Expr(e) = node {
+                n += usize::from(is(&e.kind));
+            }
+        });
     }
-}
-
-fn walk_exprs_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match &mut e.kind {
-        ExprKind::Unary { operand, .. } | ExprKind::SizeofExpr(operand) => {
-            walk_exprs_mut(operand, f)
-        }
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Logical { lhs, rhs, .. } => {
-            walk_exprs_mut(lhs, f);
-            walk_exprs_mut(rhs, f);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            walk_exprs_mut(target, f);
-            walk_exprs_mut(value, f);
-        }
-        ExprKind::IncDec { target, .. } => walk_exprs_mut(target, f),
-        ExprKind::Cond { cond, then, els } => {
-            walk_exprs_mut(cond, f);
-            walk_exprs_mut(then, f);
-            walk_exprs_mut(els, f);
-        }
-        ExprKind::Call { args, .. } => args.iter_mut().for_each(|a| walk_exprs_mut(a, f)),
-        ExprKind::Index { base, index } => {
-            walk_exprs_mut(base, f);
-            walk_exprs_mut(index, f);
-        }
-        ExprKind::Member { base, .. } | ExprKind::Arrow { base, .. } => walk_exprs_mut(base, f),
-        ExprKind::Cast { value, .. } => walk_exprs_mut(value, f),
-        _ => {}
-    }
-}
-
-fn for_each_expr_in_stmt(st: &Stmt, f: &mut impl FnMut(&Expr)) {
-    match &st.kind {
-        StmtKind::Decl { init: Some(x), .. } => walk_exprs(x, f),
-        StmtKind::Expr(x) => walk_exprs(x, f),
-        StmtKind::If { cond, then, els } => {
-            walk_exprs(cond, f);
-            for_each_expr_in_stmt(then, f);
-            if let Some(e) = els {
-                for_each_expr_in_stmt(e, f);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            walk_exprs(cond, f);
-            for_each_expr_in_stmt(body, f);
-        }
-        StmtKind::DoWhile { body, cond } => {
-            for_each_expr_in_stmt(body, f);
-            walk_exprs(cond, f);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                for_each_expr_in_stmt(i, f);
-            }
-            if let Some(c) = cond {
-                walk_exprs(c, f);
-            }
-            if let Some(s) = step {
-                walk_exprs(s, f);
-            }
-            for_each_expr_in_stmt(body, f);
-        }
-        StmtKind::Return(Some(x)) => walk_exprs(x, f),
-        StmtKind::Block(stmts) => stmts.iter().for_each(|s| for_each_expr_in_stmt(s, f)),
-        _ => {}
-    }
-}
-
-fn for_each_expr_in_stmt_mut(st: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
-    match &mut st.kind {
-        StmtKind::Decl { init: Some(x), .. } => walk_exprs_mut(x, f),
-        StmtKind::Expr(x) => walk_exprs_mut(x, f),
-        StmtKind::If { cond, then, els } => {
-            walk_exprs_mut(cond, f);
-            for_each_expr_in_stmt_mut(then, f);
-            if let Some(e) = els {
-                for_each_expr_in_stmt_mut(e, f);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            walk_exprs_mut(cond, f);
-            for_each_expr_in_stmt_mut(body, f);
-        }
-        StmtKind::DoWhile { body, cond } => {
-            for_each_expr_in_stmt_mut(body, f);
-            walk_exprs_mut(cond, f);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                for_each_expr_in_stmt_mut(i, f);
-            }
-            if let Some(c) = cond {
-                walk_exprs_mut(c, f);
-            }
-            if let Some(s) = step {
-                walk_exprs_mut(s, f);
-            }
-            for_each_expr_in_stmt_mut(body, f);
-        }
-        StmtKind::Return(Some(x)) => walk_exprs_mut(x, f),
-        StmtKind::Block(stmts) => stmts
-            .iter_mut()
-            .for_each(|s| for_each_expr_in_stmt_mut(s, f)),
-        _ => {}
-    }
+    n
 }
 
 /// Nudges the `k`-th integer literal in the program.
 fn perturb_int_lit(p: &mut Program, rng: &mut Rng) -> bool {
-    let total: usize = main_body(p)
-        .map(|b| {
-            b.iter()
-                .map(|s| {
-                    let mut n = 0;
-                    for_each_expr_in_stmt(s, &mut |x| n += count_int_lits_shallow(x));
-                    n
-                })
-                .sum()
-        })
-        .unwrap_or(0);
+    let total = count_in_main(p, |k| matches!(k, ExprKind::IntLit { .. }));
     if total == 0 {
         return false;
     }
@@ -213,8 +71,12 @@ fn perturb_int_lit(p: &mut Program, rng: &mut Rng) -> bool {
     let mut seen = 0usize;
     if let Some(body) = main_body_mut(p) {
         for st in body.iter_mut() {
-            for_each_expr_in_stmt_mut(st, &mut |x| {
-                if let ExprKind::IntLit { value, .. } = &mut x.kind {
+            st.walk_mut(&mut |node| {
+                if let NodeMut::Expr(Expr {
+                    kind: ExprKind::IntLit { value, .. },
+                    ..
+                }) = node
+                {
                     if seen == target {
                         *value = if add {
                             value.wrapping_add(delta)
@@ -230,23 +92,10 @@ fn perturb_int_lit(p: &mut Program, rng: &mut Rng) -> bool {
     true
 }
 
-fn count_int_lits_shallow(e: &Expr) -> usize {
-    usize::from(matches!(e.kind, ExprKind::IntLit { .. }))
-}
-
 /// Swaps one binary operator for a near neighbour (comparison family or
 /// arithmetic family), preserving typability in almost all cases.
 fn swap_binop(p: &mut Program, rng: &mut Rng) -> bool {
-    let mut total = 0usize;
-    if let Some(body) = main_body(p) {
-        for st in body {
-            for_each_expr_in_stmt(st, &mut |x| {
-                if matches!(x.kind, ExprKind::Binary { .. }) {
-                    total += 1;
-                }
-            });
-        }
-    }
+    let total = count_in_main(p, |k| matches!(k, ExprKind::Binary { .. }));
     if total == 0 {
         return false;
     }
@@ -255,8 +104,12 @@ fn swap_binop(p: &mut Program, rng: &mut Rng) -> bool {
     let mut seen = 0usize;
     if let Some(body) = main_body_mut(p) {
         for st in body.iter_mut() {
-            for_each_expr_in_stmt_mut(st, &mut |x| {
-                if let ExprKind::Binary { op, .. } = &mut x.kind {
+            st.walk_mut(&mut |node| {
+                if let NodeMut::Expr(Expr {
+                    kind: ExprKind::Binary { op, .. },
+                    ..
+                }) = node
+                {
                     if seen == target {
                         *op = neighbour_op(*op, roll);
                     }
@@ -553,12 +406,7 @@ mod tests {
     #[test]
     fn generated_bodies_have_literals_to_perturb() {
         let g = generate(&mut Rng::new(2));
-        let mut lits = 0usize;
-        if let Some(body) = main_body(&g.program) {
-            for st in body {
-                for_each_expr_in_stmt(st, &mut |x| lits += count_int_lits_shallow(x));
-            }
-        }
+        let lits = count_in_main(&g.program, |k| matches!(k, ExprKind::IntLit { .. }));
         assert!(lits > 0, "prologue alone carries literals");
     }
 }

@@ -19,7 +19,7 @@
 //! returned.
 
 use compdiff::{signature_with_hash, CompDiff, DiffConfig};
-use minc::ast::{Program, Stmt, StmtKind};
+use minc::ast::{Node, NodeMut, Program, Stmt, StmtKind};
 use minc::CheckedProgram;
 use minc_compile::CompilerImpl;
 use minc_vm::{ExecSession, ExitStatus, VmConfig};
@@ -62,62 +62,14 @@ enum Edit {
     DeleteStruct(usize),
 }
 
-/// Children of a statement that we descend into, as `(index, child)`.
-fn children(s: &Stmt) -> Vec<&Stmt> {
-    match &s.kind {
-        StmtKind::Block(v) => v.iter().collect(),
-        StmtKind::If { then, els, .. } => {
-            let mut c = vec![then.as_ref()];
-            if let Some(e) = els {
-                c.push(e.as_ref());
-            }
-            c
-        }
-        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => vec![body.as_ref()],
-        StmtKind::For { init, body, .. } => {
-            let mut c = Vec::new();
-            if let Some(i) = init {
-                c.push(i.as_ref());
-            }
-            c.push(body.as_ref());
-            c
-        }
-        _ => Vec::new(),
-    }
-}
-
-fn child_mut(s: &mut Stmt, idx: usize) -> Option<&mut Stmt> {
-    match &mut s.kind {
-        StmtKind::Block(v) => v.get_mut(idx),
-        StmtKind::If { then, els, .. } => match idx {
-            0 => Some(then.as_mut()),
-            1 => els.as_deref_mut(),
-            _ => None,
-        },
-        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-            (idx == 0).then(|| body.as_mut())
-        }
-        StmtKind::For { init, body, .. } => match (idx, init) {
-            (0, Some(i)) => Some(i.as_mut()),
-            (0, None) => Some(body.as_mut()),
-            (1, Some(_)) => Some(body.as_mut()),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 /// Enumerates candidate edits in depth-first order: biggest wins first
 /// (whole-statement deletion), then structural flattening, then
 /// program-level deletions.
 fn enumerate_edits(p: &Program) -> Vec<Edit> {
     let mut edits = Vec::new();
     for (fi, f) in p.functions.iter().enumerate() {
-        let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
-        while let Some(path) = stack.pop() {
-            let Some(node) = resolve(&f.body, &path) else {
-                continue;
-            };
+        let mut stack: Vec<(Vec<usize>, &Stmt)> = vec![(Vec::new(), &f.body)];
+        while let Some((path, node)) = stack.pop() {
             // Deleting is only meaningful for elements of a Block parent.
             if let StmtKind::Block(v) = &node.kind {
                 for i in 0..v.len() {
@@ -157,11 +109,16 @@ fn enumerate_edits(p: &Program) -> Vec<Edit> {
                 }
                 _ => {}
             }
-            for (i, _) in children(node).iter().enumerate() {
-                let mut child_path = path.clone();
-                child_path.push(i);
-                stack.push(child_path);
-            }
+            // A path indexes the statement children in source order.
+            let mut i = 0;
+            node.kind.for_each_child(|c| {
+                if let Node::Stmt(child) = c {
+                    let mut child_path = path.clone();
+                    child_path.push(i);
+                    stack.push((child_path, child));
+                    i += 1;
+                }
+            });
         }
     }
     for gi in 0..p.globals.len() {
@@ -178,18 +135,21 @@ fn enumerate_edits(p: &Program) -> Vec<Edit> {
     edits
 }
 
-fn resolve<'a>(root: &'a Stmt, path: &[usize]) -> Option<&'a Stmt> {
-    let mut cur = root;
-    for &i in path {
-        cur = *children(cur).get(i)?;
-    }
-    Some(cur)
-}
-
+/// The statement an edit's `path` addresses below `root`: each index
+/// picks one of the statement children, in source order.
 fn resolve_mut<'a>(root: &'a mut Stmt, path: &[usize]) -> Option<&'a mut Stmt> {
     let mut cur = root;
     for &i in path {
-        cur = child_mut(cur, i)?;
+        let (mut k, mut found) = (0, None);
+        cur.kind.for_each_child_mut(|c| {
+            if let NodeMut::Stmt(child) = c {
+                if k == i {
+                    found = Some(child);
+                }
+                k += 1;
+            }
+        });
+        cur = found?;
     }
     Some(cur)
 }

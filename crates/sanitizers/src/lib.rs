@@ -86,19 +86,6 @@ pub fn run_sanitized(
     }
 }
 
-/// Runs a binary under all three sanitizers (three executions, like the
-/// paper's separate ASan/UBSan and MSan fuzzing configurations) and
-/// collects any reports.
-pub fn run_all_sanitizers(bin: &Binary, input: &[u8], config: &VmConfig) -> Vec<Fault> {
-    let mut faults = Vec::new();
-    for kind in SanitizerKind::ALL {
-        if let minc_vm::ExitStatus::Sanitizer(f) = run_sanitized(bin, input, config, kind).status {
-            faults.push(f);
-        }
-    }
-    faults
-}
-
 /// ASan and UBSan combined in one binary (the common fuzzing setup; the
 /// paper compiles "ASan/UBSan" together). UBSan's operation checks run
 /// first, then ASan's memory checks.
@@ -196,13 +183,32 @@ mod tests {
         );
     }
 
+    /// The report each sanitizer in turn makes on one run of `bin`.
+    fn reports(bin: &Binary) -> Vec<(SanitizerKind, Option<Fault>)> {
+        SanitizerKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let status = run_sanitized(bin, b"", &VmConfig::default(), kind).status;
+                match status {
+                    ExitStatus::Sanitizer(f) => (kind, Some(f)),
+                    _ => (kind, None),
+                }
+            })
+            .collect()
+    }
+
     #[test]
-    fn run_all_sanitizers_aggregates() {
+    fn each_sanitizer_reports_only_its_own_class() {
         let src = "int main() { int u; if (u) { printf(\"x\\n\"); } return 0; }";
         let bin = compile_sanitized(src).unwrap();
-        let faults = run_all_sanitizers(&bin, b"", &VmConfig::default());
-        assert!(faults.iter().any(|f| f.kind == SanitizerKind::Msan));
-        assert!(!faults.iter().any(|f| f.kind == SanitizerKind::Asan));
+        for (kind, fault) in reports(&bin) {
+            // Only MSan sees the uninitialized branch, and it files the
+            // report under its own kind.
+            assert_eq!(fault.is_some(), kind == SanitizerKind::Msan, "{kind:?}");
+            if let Some(f) = fault {
+                assert_eq!(f.kind, kind);
+            }
+        }
     }
 
     #[test]
@@ -217,6 +223,8 @@ mod tests {
             }
         "#;
         let bin = compile_sanitized(src).unwrap();
-        assert!(run_all_sanitizers(&bin, b"", &VmConfig::default()).is_empty());
+        for (kind, fault) in reports(&bin) {
+            assert!(fault.is_none(), "{kind:?}: {fault:?}");
+        }
     }
 }

@@ -80,7 +80,8 @@ impl Analysis for JunkAnalysis<'_> {
             // Junk is poison: arithmetic on an indeterminate value yields
             // an indeterminate value (the MSan shadow-propagation rule).
             Inst::Bin { .. } | Inst::Un { .. } | Inst::Cast { .. } => {
-                let tainted = inst.uses().iter().find_map(|u| st.get(&u.0).copied());
+                let mut tainted = None;
+                inst.for_each_use(|u| tainted = tainted.or_else(|| st.get(&u.0).copied()));
                 let dst = inst.dst().expect("bin/un/cast produce a value");
                 match tainted {
                     Some(id) => {

@@ -266,7 +266,7 @@ diff <(./target/release/compdiff fuzz "$fuzz_prog" --execs 3000 --seed 2 2> /dev
 diff <(./target/release/compdiff fuzz "$fuzz_prog" --execs 3000 --seed 2 --feedback 2> /dev/null) \
     tests/golden/fuzz/gated_ub.feedback.stdout
 
-echo "== progen evolve smoke + byte-determinism (seeded, twice) =="
+echo "== progen evolve smoke + byte-determinism (seeded, twice, against the goldens) =="
 ./target/release/compdiff progen evolve --seed 7 --generations 2 --population 6 \
     --out-dir "$progen_a" --fixed-clock 0 > /dev/null 2>&1
 ./target/release/compdiff progen evolve --seed 7 --generations 2 --population 6 \
@@ -278,6 +278,17 @@ cmp "$progen_a/state.json" "$progen_b/state.json"
 ls "$progen_a"/witness_*.mc > /dev/null
 for w in "$progen_a"/witness_*.mc; do
     cmp "$w" "$progen_b/$(basename "$w")"
+done
+# The same seed, population and generations as tests/progen_golden.rs:
+# every find and witness must be the pinned one, so a change in the
+# mutators' or the reducer's traversal order fails here as well.
+seed7=tests/golden/progen/seed7
+[ "$(ls "$progen_a"/divergent_*.mc | wc -l)" -eq "$(ls "$seed7"/find_*.mc | wc -l)" ]
+[ "$(ls "$progen_a"/witness_*.mc | wc -l)" -eq "$(ls "$seed7"/witness_*.mc | wc -l)" ]
+for f in "$seed7"/find_*.mc; do
+    n="${f##*/find_}"
+    cmp "$progen_a/divergent_$n" "$f"
+    cmp "$progen_a/witness_$n" "$seed7/witness_$n"
 done
 
 echo "== benchmark package: fmt, clippy, tests =="

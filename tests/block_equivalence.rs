@@ -12,11 +12,11 @@
 //! CompDiff would report phantom discrepancies (or miss real ones), so
 //! this suite is the safety net under the whole optimization.
 
-use fuzzing::{CoverageMap, CoveredHooks};
+use fuzzing::CoverageMap;
 use minc_compile::{compile_source, Binary, CompilerImpl};
 use minc_vm::{
-    execute, execute_with_hooks, ExecResult, ExecSession, ExitStatus, Hooks, NoHooks,
-    SanitizerKind, VmConfig,
+    execute, execute_with_hooks, ExecResult, ExecSession, ExitStatus, Hooks, SanitizerKind,
+    VmConfig,
 };
 use sanitizers::{Asan, Msan, Ubsan};
 use targets::{build, catalog};
@@ -258,11 +258,9 @@ fn builtin_bulk_and_fallback_paths_charge_identical_steps() {
         assert_eq!(block, reference, "{ci}: bulk path (no hooks)");
         // Hooked runs force the per-byte fallback in both engines.
         let mut imap = CoverageMap::new();
-        let hooked_interp =
-            run_reference_with_hooks(&bin, b"", &cfg, &mut CoveredHooks::new(&mut imap, NoHooks));
+        let hooked_interp = run_reference_with_hooks(&bin, b"", &cfg, &mut imap);
         let mut bmap = CoverageMap::new();
-        let hooked_block =
-            execute_with_hooks(&bin, b"", &cfg, &mut CoveredHooks::new(&mut bmap, NoHooks));
+        let hooked_block = execute_with_hooks(&bin, b"", &cfg, &mut bmap);
         assert_eq!(hooked_block, hooked_interp, "{ci}: fallback path (hooks)");
         assert_eq!(
             reference.steps, hooked_interp.steps,
@@ -293,19 +291,9 @@ fn coverage_maps_are_identical_across_modes() {
         let bin = compile_source(src, ci).unwrap();
         for input in [&b""[..], b"abcxyz", b"zzzzzzz", b"m", b"nmnmnmn"] {
             let mut interp_map = CoverageMap::new();
-            let reference = run_reference_with_hooks(
-                &bin,
-                input,
-                &cfg,
-                &mut CoveredHooks::new(&mut interp_map, NoHooks),
-            );
+            let reference = run_reference_with_hooks(&bin, input, &cfg, &mut interp_map);
             let mut block_map = CoverageMap::new();
-            let block = execute_with_hooks(
-                &bin,
-                input,
-                &cfg,
-                &mut CoveredHooks::new(&mut block_map, NoHooks),
-            );
+            let block = execute_with_hooks(&bin, input, &cfg, &mut block_map);
             assert_eq!(block, reference, "{ci} {input:?}");
             let interp_edges: Vec<(usize, u8)> = interp_map.buckets().collect();
             let block_edges: Vec<(usize, u8)> = block_map.buckets().collect();

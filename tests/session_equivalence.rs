@@ -9,7 +9,7 @@
 //! report phantom discrepancies, so this suite is the safety net under
 //! the entire persistent-mode optimization.
 
-use fuzzing::{CoverageMap, CoveredHooks};
+use fuzzing::CoverageMap;
 use minc_compile::{compile_source, Binary, CompilerImpl};
 use minc_vm::{
     execute, execute_with_hooks, ExecResult, ExecSession, ExitStatus, Hooks, NoHooks,
@@ -288,7 +288,7 @@ fn differ_and_fuzzer_unit_programs_match_fresh_execution() {
 
 #[test]
 fn session_with_coverage_hooks_matches_fresh_instrumented_execution() {
-    // The fuzz loop runs sessions under CoveredHooks; both the ExecResult
+    // The fuzz loop runs sessions with a CoverageMap as hooks; both the ExecResult
     // and the coverage map must match a fresh instrumented execution.
     let src = r#"
         int main() {
@@ -307,19 +307,9 @@ fn session_with_coverage_hooks_matches_fresh_instrumented_execution() {
     let mut session = ExecSession::new(&bin);
     for input in [&b""[..], b"abcxyz", b"zzzzzzz", b"m", b"nmnmnmn"] {
         let mut fresh_map = CoverageMap::new();
-        let fresh: ExecResult = execute_with_hooks(
-            &bin,
-            input,
-            &cfg,
-            &mut CoveredHooks::new(&mut fresh_map, NoHooks),
-        );
+        let fresh: ExecResult = execute_with_hooks(&bin, input, &cfg, &mut fresh_map);
         let mut session_map = CoverageMap::new();
-        let persistent = session.run_with_hooks(
-            &bin,
-            input,
-            &cfg,
-            &mut CoveredHooks::new(&mut session_map, NoHooks),
-        );
+        let persistent = session.run_with_hooks(&bin, input, &cfg, &mut session_map);
         assert_eq!(persistent, fresh, "{input:?}");
         let fresh_edges: Vec<(usize, u8)> = fresh_map.buckets().collect();
         let session_edges: Vec<(usize, u8)> = session_map.buckets().collect();
@@ -488,12 +478,9 @@ fn hooked_run(
     let Some(kind) = kind else {
         let cfg = VmConfig::default();
         let mut map = CoverageMap::new();
-        let result = {
-            let mut hooks = CoveredHooks::new(&mut map, NoHooks);
-            match session {
-                Some(s) => s.run_with_hooks(bin, input, &cfg, &mut hooks),
-                None => execute_with_hooks(bin, input, &cfg, &mut hooks),
-            }
+        let result = match session {
+            Some(s) => s.run_with_hooks(bin, input, &cfg, &mut map),
+            None => execute_with_hooks(bin, input, &cfg, &mut map),
         };
         return (result, map.buckets().collect());
     };
