@@ -190,73 +190,6 @@ pub fn write_json(
     }
 }
 
-/// Compares measured medians against a committed baseline
-/// (`$COMPDIFF_BENCH_BASELINE_DIR/<file_name>`, typically the repo-root
-/// `BENCH_*.json`) and panics if any benchmark's median is more than
-/// `tolerance` (a fraction, e.g. `0.05`) slower than its baseline entry.
-/// The baseline file is only read, never rewritten. When the env var is
-/// unset — the default — the guard is skipped and `false` is returned,
-/// because micro-benchmark numbers only mean something on the machine
-/// that recorded the baseline.
-pub fn check_baseline(file_name: &str, results: &[BenchResult], tolerance: f64) -> bool {
-    let Some(dir) = std::env::var_os("COMPDIFF_BENCH_BASELINE_DIR") else {
-        return false;
-    };
-    let path = PathBuf::from(dir).join(file_name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-    let baseline = Json::parse(&text)
-        .unwrap_or_else(|e| panic!("cannot parse baseline {}: {e:?}", path.display()));
-    let failures = baseline_regressions(&baseline, results, tolerance);
-    assert!(
-        failures.is_empty(),
-        "benchmarks regressed more than {:.0}% vs {}:\n  {}",
-        tolerance * 100.0,
-        path.display(),
-        failures.join("\n  ")
-    );
-    println!(
-        "baseline check vs {} passed (within {:.0}%)",
-        path.display(),
-        tolerance * 100.0
-    );
-    true
-}
-
-/// Pure comparison core of [`check_baseline`]: one message per benchmark
-/// whose median exceeds its baseline median by more than `tolerance`.
-/// Benches absent from the baseline are ignored, so a baseline recorded
-/// before a bench was added never fails spuriously.
-pub fn baseline_regressions(
-    baseline: &Json,
-    results: &[BenchResult],
-    tolerance: f64,
-) -> Vec<String> {
-    let empty: &[Json] = &[];
-    let entries = baseline
-        .get("results")
-        .and_then(|r| r.as_array())
-        .unwrap_or(empty);
-    let mut failures = Vec::new();
-    for r in results {
-        let base_ns = entries
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some(r.name.as_str()))
-            .and_then(|e| e.get("median_ns"))
-            .and_then(Json::as_f64);
-        let Some(base_ns) = base_ns else { continue };
-        let got = r.median.as_nanos() as f64;
-        let limit = base_ns * (1.0 + tolerance);
-        if got > limit {
-            failures.push(format!(
-                "{}: {got:.0} ns vs baseline {base_ns:.0} ns (limit {limit:.0} ns)",
-                r.name
-            ));
-        }
-    }
-    failures
-}
-
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
@@ -286,32 +219,6 @@ mod tests {
         let all = g.finish();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].name, "smoke/noop_sum");
-    }
-
-    #[test]
-    fn baseline_regression_detection() {
-        let baseline = Json::parse(
-            r#"{"results":[
-                {"name":"g/a","median_ns":1000},
-                {"name":"g/b","median_ns":1000}
-            ]}"#,
-        )
-        .unwrap();
-        let mk = |name: &str, ns: u64| BenchResult {
-            name: name.to_string(),
-            median: Duration::from_nanos(ns),
-            min: Duration::from_nanos(ns),
-            max: Duration::from_nanos(ns),
-            iters: 1,
-        };
-        // Within tolerance, slightly faster, and unknown-to-baseline: all pass.
-        let ok = [mk("g/a", 1040), mk("g/b", 900), mk("g/new", 99_999)];
-        assert!(baseline_regressions(&baseline, &ok, 0.05).is_empty());
-        // 20% over: flagged, and only the offending bench is named.
-        let bad = [mk("g/a", 1200), mk("g/b", 1000)];
-        let failures = baseline_regressions(&baseline, &bad, 0.05);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].starts_with("g/a:"), "{failures:?}");
     }
 
     #[test]

@@ -544,11 +544,11 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     if let Some(v) = args.value("--workers") {
         cfg.workers = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
     }
-    if let Some(v) = args.value("--execs-per-target") {
-        cfg.execs_per_target = v
-            .parse()
-            .map_err(|_| format!("bad --execs-per-target `{v}`"))?;
-    }
+    // The checkpoint header and the config frame carry these as JSON
+    // integers (`i64`), so a larger value could not be read back.
+    let json_max = i64::MAX as u64;
+    cfg.execs_per_target =
+        parse_bounded_flag(args, "--execs-per-target", cfg.execs_per_target, json_max)?;
     if let Some(v) = args.value("--shards") {
         cfg.shards_per_target = v.parse().map_err(|_| format!("bad --shards `{v}`"))?;
         if cfg.shards_per_target == 0 {
@@ -558,14 +558,12 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     if let Some(v) = args.value("--seed") {
         cfg.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
     }
-    if let Some(v) = args.value("--max-len") {
-        cfg.max_input_len = v.parse().map_err(|_| format!("bad --max-len `{v}`"))?;
-    }
-    if let Some(v) = args.value("--batch-size") {
-        cfg.batch_size = v.parse().map_err(|_| format!("bad --batch-size `{v}`"))?;
-        if cfg.batch_size == 0 {
-            return Err("bad --batch-size `0` (must be >= 1)".into());
-        }
+    cfg.max_input_len =
+        parse_bounded_flag(args, "--max-len", cfg.max_input_len as u64, json_max)? as usize;
+    cfg.batch_size =
+        parse_bounded_flag(args, "--batch-size", cfg.batch_size as u64, json_max)? as usize;
+    if cfg.batch_size == 0 {
+        return Err("bad --batch-size `0` (must be >= 1)".into());
     }
     if let Some(v) = args.value("--stop-after") {
         cfg.stop_after_jobs = Some(v.parse().map_err(|_| format!("bad --stop-after `{v}`"))?);
@@ -603,8 +601,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("bad --progress-every `{v}`"))?;
     }
-    if let Some(v) = args.value("--fixed-clock") {
-        cfg.fixed_clock_us = Some(v.parse().map_err(|_| format!("bad --fixed-clock `{v}`"))?);
+    if args.value("--fixed-clock").is_some() {
+        cfg.fixed_clock_us = Some(parse_bounded_flag(args, "--fixed-clock", 0, json_max)?);
     }
     if let Some(v) = args.value("--workers-proc") {
         cfg.workers_proc = Some(v.parse().map_err(|_| format!("bad --workers-proc `{v}`"))?);

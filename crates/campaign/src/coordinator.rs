@@ -326,7 +326,6 @@ impl Coordinator<'_> {
             target: self.selected[job.target_index].spec.name.clone(),
             kind: FailureKind::Lost,
             message: message.to_string(),
-            dur_us: 0,
         }));
     }
 
@@ -488,9 +487,9 @@ impl Coordinator<'_> {
                         f.message
                     );
                 }
+                self.stats.note_disposition(&f.target, disposition);
                 match disposition {
                     Disposition::Retry { next_attempt } => {
-                        self.stats.note_retry();
                         self.ctel.job_retries.inc();
                         decision = Decision::Retry(Job {
                             attempt: next_attempt,
@@ -498,8 +497,6 @@ impl Coordinator<'_> {
                         });
                     }
                     Disposition::Quarantine => {
-                        self.stats.note_failed_job();
-                        self.stats.note_quarantine(&f.target);
                         let quarantined = self.ledger.quarantined.len() as u64;
                         self.ctel.targets_quarantined.set(quarantined);
                         let failures = self.ledger.target_failures.get(&f.target).copied();
@@ -518,9 +515,7 @@ impl Coordinator<'_> {
                             target_index: job.target_index,
                         };
                     }
-                    Disposition::Exhausted | Disposition::AlreadyQuarantined => {
-                        self.stats.note_failed_job();
-                    }
+                    Disposition::Exhausted | Disposition::AlreadyQuarantined => {}
                 }
             }
         }
@@ -780,7 +775,6 @@ impl Coordinator<'_> {
                 lease,
                 kind,
                 message,
-                dur_us,
                 metrics,
             } => {
                 self.worker_metrics.insert(conn, metrics);
@@ -791,7 +785,6 @@ impl Coordinator<'_> {
                         target,
                         kind,
                         message,
-                        dur_us,
                     })
                 });
             }

@@ -328,16 +328,8 @@ pub(crate) fn prepare(
         // built them.
         for f in st.failures().to_vec() {
             stats.note_failure(&f.target);
-            match ledger.note_failure(&policy, &f.target, f.shard, f.attempt) {
-                Disposition::Retry { .. } => stats.note_retry(),
-                Disposition::Quarantine => {
-                    stats.note_quarantine(&f.target);
-                    stats.note_failed_job();
-                }
-                Disposition::Exhausted | Disposition::AlreadyQuarantined => {
-                    stats.note_failed_job();
-                }
-            }
+            let disposition = ledger.note_failure(&policy, &f.target, f.shard, f.attempt);
+            stats.note_disposition(&f.target, disposition);
         }
         ctel.targets_quarantined
             .set(ledger.quarantined.len() as u64);
@@ -407,6 +399,9 @@ fn select_targets(cfg: &CampaignConfig) -> Result<Vec<Target>, CampaignError> {
         }
     }
 }
+
+#[cfg(test)]
+mod decode_tests;
 
 #[cfg(test)]
 mod tests {

@@ -30,7 +30,7 @@
 
 use crate::scheduler::{Job, JobOutput};
 use crate::{CampaignConfig, FailureKind, FaultPlan, JobRecord, LintTally};
-use compdiff::{hex_decode, hex_encode, Json};
+use compdiff::{hex_encode, FieldError, Json};
 use minc_compile::CompilerImpl;
 use minc_vm::SessionStats;
 use staticheck::Defect;
@@ -64,7 +64,6 @@ pub(crate) enum Frame {
         lease: u64,
         kind: FailureKind,
         message: String,
-        dur_us: u64,
         metrics: Json,
     },
     /// Coordinator → worker: result applied; the next lease (or
@@ -110,7 +109,6 @@ impl Frame {
                 lease,
                 kind,
                 message,
-                dur_us,
                 metrics,
             } => (
                 "failed",
@@ -118,7 +116,6 @@ impl Frame {
                     ("lease", Json::Int(*lease as i64)),
                     ("kind", Json::Str(kind.as_str().to_string())),
                     ("message", Json::Str(message.clone())),
-                    ("dur_us", Json::Int(*dur_us as i64)),
                     ("metrics", metrics.clone()),
                 ],
             ),
@@ -130,69 +127,53 @@ impl Frame {
         Json::obj(fields)
     }
 
-    /// Decodes a frame.
+    /// Decodes a frame. Every field the encoder writes is required.
     ///
     /// # Errors
     ///
-    /// Names the unknown tag or the missing or malformed field.
+    /// Names the frame's tag and what is unknown, missing or malformed.
     pub(crate) fn from_json(v: &Json) -> Result<Frame, String> {
         let tag = frame_type(v).unwrap_or("");
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or(format!("{tag} frame missing {k}"))
-        };
-        let small = |k: &str| u32::try_from(u(k)?).map_err(|_| format!("{tag} frame: bad {k}"));
-        let metrics = || {
-            v.get("metrics")
-                .cloned()
-                .ok_or(format!("{tag} frame missing metrics"))
-        };
+        Frame::decode(tag, v).map_err(|e| format!("{tag} frame: {e}"))
+    }
+
+    fn decode(tag: &str, v: &Json) -> Result<Frame, String> {
         Ok(match tag {
             "lease_req" => Frame::LeaseReq,
             "lease" => Frame::Lease {
-                lease: u("lease")?,
+                lease: v.int_field("lease")?,
                 job: Job {
-                    target_index: usize::try_from(u("target")?).map_err(|e| e.to_string())?,
-                    shard: small("shard")?,
-                    attempt: small("attempt")?,
+                    target_index: v.int_field("target")?,
+                    shard: v.int_field("shard")?,
+                    attempt: v.int_field("attempt")?,
                 },
             },
-            "renew" => Frame::Renew { lease: u("lease")? },
+            "renew" => Frame::Renew {
+                lease: v.int_field("lease")?,
+            },
             "done" => Frame::Done {
-                lease: u("lease")?,
+                lease: v.int_field("lease")?,
                 out: JobOutput {
                     worker: 0,
-                    record: JobRecord::from_json(
-                        v.get("record").ok_or("done frame missing record")?,
-                    )?,
-                    dur_us: u("dur_us")?,
-                    vm: v.get("vm").map(vm_from_json).unwrap_or_default(),
-                    lint: LintTally::from_frame(v).map_err(|e| format!("done frame: {e}"))?,
+                    record: JobRecord::from_json(v.object_field("record")?)?,
+                    dur_us: v.int_field("dur_us")?,
+                    vm: vm_from_json(v.object_field("vm")?)?,
+                    lint: LintTally::from_frame(v).map_err(|e| e.to_string())?,
                 },
-                metrics: metrics()?,
+                metrics: v.field("metrics")?.clone(),
             },
             "failed" => Frame::Failed {
-                lease: u("lease")?,
-                kind: FailureKind::parse(
-                    v.get("kind")
-                        .and_then(Json::as_str)
-                        .ok_or("failed frame missing kind")?,
-                )?,
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                dur_us: u("dur_us")?,
-                metrics: metrics()?,
+                lease: v.int_field("lease")?,
+                kind: FailureKind::parse(v.str_field("kind")?)?,
+                message: v.str_field("message")?.to_string(),
+                metrics: v.field("metrics")?.clone(),
             },
             "ack" => Frame::Ack,
             "shutdown" => Frame::Shutdown,
             "bye" => Frame::Bye {
-                metrics: metrics()?,
+                metrics: v.field("metrics")?.clone(),
             },
-            other => return Err(format!("unknown frame type `{other}`")),
+            _ => return Err("unknown frame type".to_string()),
         })
     }
 }
@@ -282,86 +263,48 @@ pub(crate) fn config_frame(cfg: &CampaignConfig, targets: &[Target]) -> Json {
 /// metadata (`input_type`, `version`, `bugs`) — the campaign path
 /// compiles from `src` and never reads those fields.
 pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), String> {
-    let int = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_i64)
-            .ok_or(format!("config missing {k}"))
-    };
     let mut cfg = CampaignConfig {
-        seed: int("seed")? as u64,
-        execs_per_target: int("execs_per_target")? as u64,
-        shards_per_target: u32::try_from(int("shards")?).map_err(|_| "shards out of range")?,
-        max_input_len: usize::try_from(int("max_input_len")?)
-            .map_err(|_| "max_input_len out of range")?,
-        batch_size: usize::try_from(int("batch_size")?).map_err(|_| "batch_size out of range")?,
+        // The bit-cast back of `config_frame`'s.
+        seed: v.int_field::<i64>("seed")? as u64,
+        execs_per_target: v.int_field("execs_per_target")?,
+        shards_per_target: v.int_field("shards")?,
+        max_input_len: v.int_field("max_input_len")?,
+        batch_size: v.int_field("batch_size")?,
         ..CampaignConfig::default()
     };
-    let fuzz_impl = v
-        .get("fuzz_impl")
-        .and_then(Json::as_str)
-        .ok_or("config missing fuzz_impl")?;
+    let fuzz_impl = v.str_field("fuzz_impl")?;
     cfg.fuzz_impl =
         CompilerImpl::parse(fuzz_impl).ok_or(format!("unknown fuzz_impl `{fuzz_impl}`"))?;
-    cfg.diff_config.vm.step_limit = int("step_limit")? as u64;
-    cfg.diff_config.vm.max_frames =
-        usize::try_from(int("max_frames")?).map_err(|_| "max_frames out of range")?;
-    cfg.diff_config.vm.heap_limit = int("heap_limit")? as u64;
-    cfg.diff_config.timeout_escalations =
-        u32::try_from(int("timeout_escalations")?).map_err(|_| "timeout_escalations range")?;
-    cfg.fixed_clock_us = match v.get("fixed_clock_us") {
-        Some(Json::Null) | None => None,
-        Some(t) => Some(t.as_i64().ok_or("bad fixed_clock_us")? as u64),
+    cfg.diff_config.vm.step_limit = v.int_field("step_limit")?;
+    cfg.diff_config.vm.max_frames = v.int_field("max_frames")?;
+    cfg.diff_config.vm.heap_limit = v.int_field("heap_limit")?;
+    cfg.diff_config.timeout_escalations = v.int_field("timeout_escalations")?;
+    cfg.fixed_clock_us = match v.field("fixed_clock_us")? {
+        Json::Null => None,
+        _ => Some(v.int_field("fixed_clock_us")?),
     };
-    cfg.fault_plan = match v.get("fault_plan") {
-        Some(Json::Str(spec)) => Some(Arc::new(FaultPlan::parse(spec, cfg.seed)?)),
-        _ => None,
+    cfg.fault_plan = match v.field("fault_plan")? {
+        Json::Null => None,
+        _ => Some(Arc::new(FaultPlan::parse(
+            v.str_field("fault_plan")?,
+            cfg.seed,
+        )?)),
     };
 
     let mut targets = Vec::new();
-    for t in v
-        .get("targets")
-        .and_then(Json::as_array)
-        .ok_or("config missing targets")?
-    {
-        let name = t
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("target missing name")?
-            .to_string();
-        let magic_arr = t
-            .get("magic")
-            .and_then(Json::as_array)
-            .ok_or("target missing magic")?;
-        let byte = |i: usize| {
-            magic_arr
-                .get(i)
-                .and_then(Json::as_u64)
-                .and_then(|b| u8::try_from(b).ok())
-                .ok_or("bad magic byte")
-        };
-        let magic = [byte(0)?, byte(1)?];
-        let src = t
-            .get("src")
-            .and_then(Json::as_str)
-            .ok_or("target missing src")?
-            .to_string();
-        let seeds = t
-            .get("seeds")
-            .and_then(Json::as_array)
-            .ok_or("target missing seeds")?
-            .iter()
-            .map(|s| hex_decode(s.as_str().ok_or("non-string seed")?))
-            .collect::<Result<Vec<_>, _>>()?;
+    for t in v.array_field("targets")? {
+        let magic = <[u8; 2]>::try_from(t.ints_field::<u8>("magic")?)
+            .map_err(|_| "field `magic` is not two bytes")?;
         targets.push(Target {
             spec: TargetSpec {
-                name,
+                name: t.str_field("name")?.to_string(),
                 input_type: "wire",
                 version: "wire",
                 magic,
                 bugs: Vec::new(),
             },
-            src,
-            seeds,
+            src: t.str_field("src")?.to_string(),
+            seeds: t.hex_list_field("seeds")?,
         });
     }
     Ok((cfg, targets))
@@ -392,22 +335,21 @@ impl LintTally {
     /// name is unknown, or a count or the scan time is not a
     /// non-negative integer.
     pub fn from_frame(frame: &Json) -> Result<Self, LintTallyError> {
-        let lint = frame.get("lint").ok_or(LintTallyError::Missing)?;
-        let Some(Json::Object(pairs)) = lint.get("findings") else {
-            return Err(LintTallyError::Missing);
-        };
-        let count = |name: &str, v: Option<&Json>| {
-            v.and_then(Json::as_u64)
-                .ok_or_else(|| LintTallyError::BadCount(name.to_string()))
-        };
+        let missing = |_| LintTallyError::Missing;
+        let bad_count = |name: &str| LintTallyError::BadCount(name.to_string());
+        let lint = frame.object_field("lint").map_err(missing)?;
+        let findings = lint.object_field("findings").map_err(missing)?;
         let mut tally = LintTally {
-            scan_us: count("scan_us", lint.get("scan_us"))?,
+            scan_us: lint
+                .int_field("scan_us")
+                .map_err(|_| bad_count("scan_us"))?,
             ..LintTally::default()
         };
-        for (name, n) in pairs {
-            let defect =
-                Defect::parse(name).ok_or_else(|| LintTallyError::UnknownDefect(name.clone()))?;
-            tally.findings.insert(defect, count(name, Some(n))?);
+        for name in findings.keys() {
+            let defect = Defect::parse(name)
+                .ok_or_else(|| LintTallyError::UnknownDefect(name.to_string()))?;
+            let n = findings.int_field(name).map_err(|_| bad_count(name))?;
+            tally.findings.insert(defect, n);
         }
         Ok(tally)
     }
@@ -459,13 +401,18 @@ pub(crate) fn vm_to_json(vm: &SessionStats) -> Json {
     Json::obj(fields.to_vec())
 }
 
-/// Reads the VM statistics back out of a `done` frame.
-pub(crate) fn vm_from_json(v: &Json) -> SessionStats {
+/// Reads the VM statistics back out of a `done` frame's `vm` object.
+///
+/// # Errors
+///
+/// The first of the nine fields that is missing or not a non-negative
+/// integer.
+pub(crate) fn vm_from_json(v: &Json) -> Result<SessionStats, FieldError> {
     let mut vm = SessionStats::default();
     for (k, field) in vm_fields(&mut vm) {
-        *field = v.get(k).and_then(Json::as_u64).unwrap_or(0);
+        *field = v.int_field(k)?;
     }
-    vm
+    Ok(vm)
 }
 
 #[cfg(test)]
@@ -546,7 +493,6 @@ mod tests {
                 lease: 8,
                 kind: FailureKind::Panic,
                 message: "boom".to_string(),
-                dur_us: 3,
                 metrics: metrics.clone(),
             },
             Frame::Ack,
@@ -632,6 +578,6 @@ mod tests {
             block_cache_hits: 8,
             loader_skips: 9,
         };
-        assert_eq!(vm_from_json(&vm_to_json(&vm)), vm);
+        assert_eq!(vm_from_json(&vm_to_json(&vm)), Ok(vm));
     }
 }

@@ -64,8 +64,6 @@ pub struct JobFailure {
     pub kind: FailureKind,
     /// Human-readable cause (panic payload, compile error, ...).
     pub message: String,
-    /// Attempt wall-clock duration in microseconds.
-    pub dur_us: u64,
 }
 
 /// What one job attempt resolved to.

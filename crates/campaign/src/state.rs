@@ -73,41 +73,18 @@ impl CampaignHeader {
         if v.get("type").and_then(Json::as_str) != Some("header") {
             return Err("first line is not a campaign header".to_string());
         }
-        let version = v
-            .get("version")
-            .and_then(Json::as_i64)
-            .ok_or("header missing version")?;
+        let version: i64 = v.int_field("version")?;
         if version != STATE_VERSION {
             return Err(format!(
                 "checkpoint version {version}, expected {STATE_VERSION}"
             ));
         }
-        let targets = v
-            .get("targets")
-            .and_then(Json::as_array)
-            .ok_or("header missing targets")?
-            .iter()
-            .map(|t| {
-                t.as_str()
-                    .map(str::to_string)
-                    .ok_or("non-string target name")
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(CampaignHeader {
-            seed: v
-                .get("seed")
-                .and_then(Json::as_i64)
-                .ok_or("header missing seed")? as u64,
-            execs_per_target: v
-                .get("execs_per_target")
-                .and_then(Json::as_i64)
-                .ok_or("header missing execs_per_target")? as u64,
-            shards_per_target: v
-                .get("shards")
-                .and_then(Json::as_i64)
-                .and_then(|s| u32::try_from(s).ok())
-                .ok_or("header missing shards")?,
-            targets,
+            // The bit-cast back of `to_json`'s.
+            seed: v.int_field::<i64>("seed")? as u64,
+            execs_per_target: v.int_field("execs_per_target")?,
+            shards_per_target: v.int_field("shards")?,
+            targets: v.strings_field("targets")?,
         })
     }
 }
@@ -149,30 +126,14 @@ impl JobRecord {
         if v.get("type").and_then(Json::as_str) != Some("job") {
             return Err("record line is not a job record".to_string());
         }
-        let int = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_i64)
-                .ok_or(format!("job missing {k}"))
-        };
-        let signatures = v
-            .get("signatures")
-            .and_then(Json::as_array)
-            .ok_or("job missing signatures")?
-            .iter()
-            .map(|s| s.as_str().map(str::to_string).ok_or("non-string signature"))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(JobRecord {
-            target: v
-                .get("target")
-                .and_then(Json::as_str)
-                .ok_or("job missing target")?
-                .to_string(),
-            shard: u32::try_from(int("shard")?).map_err(|_| "shard out of range")?,
-            execs: int("execs")? as u64,
-            oracle_execs: int("oracle_execs")? as u64,
-            divergent: int("divergent")? as u64,
-            crashes: int("crashes")? as u64,
-            signatures,
+            target: v.str_field("target")?.to_string(),
+            shard: v.int_field("shard")?,
+            execs: v.int_field("execs")?,
+            oracle_execs: v.int_field("oracle_execs")?,
+            divergent: v.int_field("divergent")?,
+            crashes: v.int_field("crashes")?,
+            signatures: v.strings_field("signatures")?,
         })
     }
 }
@@ -252,23 +213,12 @@ impl FailureRecord {
         if v.get("type").and_then(Json::as_str) != Some("failure") {
             return Err("record line is not a failure record".to_string());
         }
-        let int = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_i64)
-                .ok_or(format!("failure missing {k}"))
-        };
-        let text = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("failure missing {k}"))
-        };
         Ok(FailureRecord {
-            target: text("target")?,
-            shard: u32::try_from(int("shard")?).map_err(|_| "shard out of range")?,
-            attempt: u32::try_from(int("attempt")?).map_err(|_| "attempt out of range")?,
-            kind: FailureKind::parse(&text("kind")?)?,
-            message: text("message")?,
+            target: v.str_field("target")?.to_string(),
+            shard: v.int_field("shard")?,
+            attempt: v.int_field("attempt")?,
+            kind: FailureKind::parse(v.str_field("kind")?)?,
+            message: v.str_field("message")?.to_string(),
         })
     }
 }

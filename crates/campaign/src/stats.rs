@@ -2,6 +2,7 @@
 //! counts, the global deduped discrepancy-signature set, and the
 //! fault-tolerance ledger view (retries, failed jobs, quarantines).
 
+use crate::policy::Disposition;
 use crate::state::JobRecord;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -76,8 +77,13 @@ impl CampaignStats {
 
     /// Folds one finished job in. `worker` is `Some(i)` for live results
     /// and `None` for jobs replayed from a checkpoint (they count toward
-    /// totals but not toward any worker's throughput).
+    /// totals but not toward any worker's throughput). Counts saturate:
+    /// a checkpoint's records each hold up to `i64::MAX`, and a sum of
+    /// them must not overflow.
     pub fn absorb(&mut self, worker: Option<usize>, rec: &JobRecord) {
+        fn add(total: &mut u64, n: u64) {
+            *total = total.saturating_add(n);
+        }
         self.jobs_done += 1;
         match worker {
             Some(w) => {
@@ -86,20 +92,20 @@ impl CampaignStats {
                 if self.per_worker_execs.len() <= w {
                     self.per_worker_execs.resize(w + 1, 0);
                 }
-                self.per_worker_execs[w] += rec.execs;
+                add(&mut self.per_worker_execs[w], rec.execs);
             }
             None => self.jobs_resumed += 1,
         }
-        self.execs += rec.execs;
-        self.oracle_execs += rec.oracle_execs;
-        self.divergent += rec.divergent;
-        self.crashes += rec.crashes;
+        add(&mut self.execs, rec.execs);
+        add(&mut self.oracle_execs, rec.oracle_execs);
+        add(&mut self.divergent, rec.divergent);
+        add(&mut self.crashes, rec.crashes);
         let t = self.per_target.entry(rec.target.clone()).or_default();
         t.jobs += 1;
-        t.execs += rec.execs;
-        t.oracle_execs += rec.oracle_execs;
-        t.divergent += rec.divergent;
-        t.crashes += rec.crashes;
+        add(&mut t.execs, rec.execs);
+        add(&mut t.oracle_execs, rec.oracle_execs);
+        add(&mut t.divergent, rec.divergent);
+        add(&mut t.crashes, rec.crashes);
         for sig in &rec.signatures {
             t.signatures.insert(sig.clone());
             self.signatures.insert(sig.clone());
@@ -108,7 +114,7 @@ impl CampaignStats {
 
     /// Folds in one failed job attempt (the attempt may still be retried;
     /// terminal failures are reported via
-    /// [`note_failed_job`](CampaignStats::note_failed_job)).
+    /// [`note_disposition`](CampaignStats::note_disposition)).
     pub fn note_failure(&mut self, target: &str) {
         self.failures += 1;
         self.per_target
@@ -117,20 +123,20 @@ impl CampaignStats {
             .failures += 1;
     }
 
-    /// Counts one retry (a failed attempt that was requeued).
-    pub fn note_retry(&mut self) {
-        self.retries += 1;
-    }
-
-    /// Resolves one job as failed — retries exhausted or its target
-    /// quarantined mid-attempt.
-    pub fn note_failed_job(&mut self) {
-        self.jobs_failed += 1;
-    }
-
-    /// Marks a target quarantined.
-    pub fn note_quarantine(&mut self, target: &str) {
-        self.quarantined.insert(target.to_string());
+    /// Counts what the retry policy decided for one failed attempt of a
+    /// `target` job: a retry, or the job resolved as failed (retries
+    /// exhausted, or its target quarantined — by this failure, which
+    /// marks the target, or before it). The live path and the
+    /// checkpoint replay both count through here.
+    pub fn note_disposition(&mut self, target: &str, disposition: Disposition) {
+        match disposition {
+            Disposition::Retry { .. } => self.retries += 1,
+            Disposition::Quarantine => {
+                self.quarantined.insert(target.to_string());
+                self.jobs_failed += 1;
+            }
+            Disposition::Exhausted | Disposition::AlreadyQuarantined => self.jobs_failed += 1,
+        }
     }
 
     /// Counts `n` of `target`'s jobs as skipped (swept by a quarantine,
@@ -275,10 +281,9 @@ mod tests {
         let mut st = CampaignStats::new(1, 4);
         st.absorb(Some(0), &rec("a", 0, &[]));
         st.note_failure("b");
-        st.note_retry();
+        st.note_disposition("b", Disposition::Retry { next_attempt: 2 });
         st.note_failure("b");
-        st.note_failed_job();
-        st.note_quarantine("b");
+        st.note_disposition("b", Disposition::Quarantine);
         st.note_skipped("b", 2);
         assert!(!st.is_complete());
         assert_eq!(st.per_target["b"].failures, 2);

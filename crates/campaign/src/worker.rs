@@ -126,7 +126,6 @@ fn attempt(
     send: &mut dyn FnMut(Frame) -> Result<(), String>,
 ) -> Frame {
     let ctel = &w.ctel;
-    let start_us = ctel.tel.now_micros();
     let mut renewed = Instant::now();
     let mut heartbeat = || {
         if renewed.elapsed() >= RENEW_EVERY {
@@ -163,7 +162,6 @@ fn attempt(
         lease,
         kind,
         message,
-        dur_us: ctel.tel.now_micros().saturating_sub(start_us),
         metrics,
     }
 }

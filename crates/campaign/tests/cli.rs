@@ -214,3 +214,125 @@ fn out_of_range_evolve_sizes_are_rejected_by_name() {
     assert!(out.stdout.is_empty(), "the tampered state ran anyway");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn campaign_numbers_past_the_json_range_are_rejected_by_name() {
+    // The checkpoint header and the config frame carry these as JSON
+    // integers, so the largest value that reads back is `i64::MAX`.
+    for flag in [
+        "--execs-per-target",
+        "--max-len",
+        "--batch-size",
+        "--fixed-clock",
+    ] {
+        let out = compdiff(&["campaign", flag, "9223372036854775808", "--targets", "jq"]);
+        assert_eq!(out.status.code(), Some(1), "{flag} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "bad {flag} `9223372036854775808` (must be at most 9223372036854775807)"
+            )),
+            "{flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} ran anyway");
+    }
+}
+
+/// A checkpoint whose first job record holds `"execs": -1` used to
+/// resume with that count read as 2^64 - 1 (a release build's report
+/// then wrapped the sum); it is corrupt.
+#[test]
+fn a_checkpoint_with_a_negative_count_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("compdiff-cli-negative-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let job = |shard: u32, execs: i64| {
+        format!(
+            r#"{{"type":"job","target":"jq","shard":{shard},"execs":{execs},"oracle_execs":10,"divergent":0,"crashes":0,"signatures":[]}}"#
+        )
+    };
+    let lines = [
+        r#"{"type":"header","version":2,"seed":11,"execs_per_target":40,"shards":2,"targets":["jq"]}"#.to_string(),
+        job(0, -1),
+        job(1, 20),
+    ];
+    std::fs::write(dir.join("checkpoint.jsonl"), lines.join("\n") + "\n").unwrap();
+    let out = compdiff(&[
+        "campaign",
+        "--resume",
+        dir.to_str().unwrap(),
+        "--targets",
+        "jq",
+        "--execs-per-target",
+        "40",
+        "--shards",
+        "2",
+        "--seed",
+        "11",
+        "--workers",
+        "1",
+        "--quiet",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "the negative count must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("checkpoint corrupt at line 2: field `execs` is out of range"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "the campaign ran anyway");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `state.json` whose find has generation 2^32 + 1 used to resume
+/// with generation 1 and be rewritten that way; it is refused.
+#[test]
+fn a_state_with_a_generation_past_u32_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("compdiff-cli-generation-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut state = progen::EvolveState::new(&progen::EvolveConfig {
+        seed: 7,
+        population: 2,
+    });
+    state.divergents.push(progen::DivergentFind {
+        source: state.population[0].0.clone(),
+        probe: vec![0x61],
+        signature: "sig".to_string(),
+        generation: 0,
+        fitness: 1,
+    });
+    let json =
+        state
+            .to_json()
+            .render()
+            .replacen(r#""generation":0"#, r#""generation":4294967297"#, 1);
+    std::fs::write(dir.join("state.json"), &json).unwrap();
+    let out = compdiff(&[
+        "progen",
+        "evolve",
+        "--seed",
+        "7",
+        "--generations",
+        "1",
+        "--no-reduce",
+        "--out-dir",
+        dir.to_str().unwrap(),
+        "--resume",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "the wrapped generation must exit 1"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("field `generation` is out of range"),
+        "{stderr}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(dir.join("state.json")).unwrap(),
+        json,
+        "the refused state is not rewritten"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -15,6 +15,13 @@
 //! no duplicate detection). Parsing also fails on arrays and objects
 //! nested deeper than `MAX_DEPTH` (128), so hostile input (a checkpoint
 //! line, a protocol frame) gets an error instead of overflowing the stack.
+//!
+//! Every record read back from outside (checkpoint lines, protocol
+//! frames, progen's `state.json`) reads its fields through one typed
+//! reader, the `*_field` methods of [`Json`]. Each fails with a
+//! [`FieldError`] naming the key and the problem — missing, wrong type,
+//! or out of the target type's range — so a malformed value is refused
+//! instead of wrapped, truncated, saturated, defaulted or dropped.
 
 use std::fmt;
 
@@ -58,6 +65,46 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Why a field of a JSON object does not read as its type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The field's key.
+    pub key: String,
+    /// What is wrong with it.
+    pub problem: FieldProblem,
+}
+
+/// The ways a field can fail to read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldProblem {
+    /// The key is absent (or the value read from is not an object).
+    Missing,
+    /// The value has another JSON type; names the one expected.
+    WrongType(&'static str),
+    /// An integer outside the target type's range (a negative count,
+    /// a `u32` past `u32::MAX`).
+    OutOfRange,
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let key = &self.key;
+        match self.problem {
+            FieldProblem::Missing => write!(f, "field `{key}` is missing"),
+            FieldProblem::WrongType(want) => write!(f, "field `{key}` is not {want}"),
+            FieldProblem::OutOfRange => write!(f, "field `{key}` is out of range"),
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.to_string()
+    }
+}
 
 impl Json {
     /// Builds an object from `(key, value)` pairs.
@@ -132,6 +179,92 @@ impl Json {
         match self {
             Json::Array(a) => Some(a),
             _ => None,
+        }
+    }
+
+    /// The keys of an object, in order (none for any other value).
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        let fields: &[(String, Json)] = match self {
+            Json::Object(fields) => fields,
+            _ => &[],
+        };
+        fields.iter().map(|(k, _)| k.as_str())
+    }
+
+    /// The field `key` of this object, of any type; missing when `self`
+    /// is not an object.
+    pub fn field(&self, key: &str) -> Result<&Json, FieldError> {
+        self.get(key)
+            .ok_or_else(|| field_error(key, FieldProblem::Missing))
+    }
+
+    /// The field `key` as a JSON integer in `T`'s range. A float is not
+    /// an integer, even an integral one, and neither is an integer
+    /// literal outside `i64` (the parser keeps it as a float); unsigned
+    /// types refuse negatives.
+    pub fn int_field<T: TryFrom<i64>>(&self, key: &str) -> Result<T, FieldError> {
+        int_of(self.field(key)?).map_err(|problem| field_error(key, problem))
+    }
+
+    /// The field `key` as an array of integers, each read like
+    /// [`int_field`](Json::int_field).
+    pub fn ints_field<T: TryFrom<i64>>(&self, key: &str) -> Result<Vec<T>, FieldError> {
+        self.array_field(key)?
+            .iter()
+            .map(int_of)
+            .collect::<Result<_, _>>()
+            .map_err(|problem| match problem {
+                FieldProblem::WrongType(_) => {
+                    field_error(key, FieldProblem::WrongType("an array of integers"))
+                }
+                problem => field_error(key, problem),
+            })
+    }
+
+    /// The field `key` as a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, FieldError> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| field_error(key, FieldProblem::WrongType("a string")))
+    }
+
+    /// The field `key` as an array of strings.
+    pub fn strings_field(&self, key: &str) -> Result<Vec<String>, FieldError> {
+        self.array_field(key)?
+            .iter()
+            .map(|s| s.as_str().map(str::to_string))
+            .collect::<Option<_>>()
+            .ok_or_else(|| field_error(key, FieldProblem::WrongType("an array of strings")))
+    }
+
+    /// The field `key` as a byte string in [`hex_encode`]'s form.
+    pub fn hex_field(&self, key: &str) -> Result<Vec<u8>, FieldError> {
+        hex_decode(self.str_field(key)?)
+            .map_err(|_| field_error(key, FieldProblem::WrongType("a hex string")))
+    }
+
+    /// The field `key` as an array of byte strings in [`hex_encode`]'s
+    /// form.
+    pub fn hex_list_field(&self, key: &str) -> Result<Vec<Vec<u8>>, FieldError> {
+        self.array_field(key)?
+            .iter()
+            .map(|s| s.as_str().and_then(|s| hex_decode(s).ok()))
+            .collect::<Option<_>>()
+            .ok_or_else(|| field_error(key, FieldProblem::WrongType("an array of hex strings")))
+    }
+
+    /// The field `key` as an array.
+    pub fn array_field(&self, key: &str) -> Result<&[Json], FieldError> {
+        self.field(key)?
+            .as_array()
+            .ok_or_else(|| field_error(key, FieldProblem::WrongType("an array")))
+    }
+
+    /// The field `key`, which must be an object.
+    pub fn object_field(&self, key: &str) -> Result<&Json, FieldError> {
+        match self.field(key)? {
+            obj @ Json::Object(_) => Ok(obj),
+            _ => Err(field_error(key, FieldProblem::WrongType("an object"))),
         }
     }
 
@@ -210,6 +343,20 @@ impl Json {
             return Err(p.err("trailing characters after value"));
         }
         Ok(v)
+    }
+}
+
+fn int_of<T: TryFrom<i64>>(v: &Json) -> Result<T, FieldProblem> {
+    match v {
+        Json::Int(i) => T::try_from(*i).map_err(|_| FieldProblem::OutOfRange),
+        _ => Err(FieldProblem::WrongType("an integer")),
+    }
+}
+
+fn field_error(key: &str, problem: FieldProblem) -> FieldError {
+    FieldError {
+        key: key.to_string(),
+        problem,
     }
 }
 
@@ -624,6 +771,104 @@ mod tests {
             Some(1)
         );
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn field_reader_refuses_what_does_not_fit() {
+        let v = Json::parse(
+            r#"{"n":3,"neg":-1,"big":4294967296,"f":2.0,"huge":1e300,
+                "past":9223372036854775808,"s":"x","ss":["a","b"],"mixed":["a",1],
+                "a":[1],"o":{"k":1}}"#,
+        )
+        .unwrap();
+        let problem = |r: Result<(), FieldError>| r.unwrap_err().problem;
+        assert_eq!(v.int_field::<u64>("n"), Ok(3));
+        assert_eq!(v.int_field::<u8>("n"), Ok(3));
+        assert_eq!(v.int_field::<i64>("neg"), Ok(-1));
+        for unsigned in [
+            v.int_field::<u64>("neg").map(drop),
+            v.int_field::<u32>("neg").map(drop),
+            v.int_field::<usize>("neg").map(drop),
+            v.int_field::<u32>("big").map(drop),
+        ] {
+            assert_eq!(problem(unsigned), FieldProblem::OutOfRange);
+        }
+        assert_eq!(v.int_field::<u64>("big"), Ok(1 << 32));
+        // An integral float, a float past i64, and an integer literal
+        // past i64 (parsed as a float) are not integers.
+        for key in ["f", "huge", "past", "s"] {
+            let err = v.int_field::<i64>(key).unwrap_err();
+            assert_eq!(err.problem, FieldProblem::WrongType("an integer"), "{key}");
+            assert_eq!(err.to_string(), format!("field `{key}` is not an integer"));
+        }
+        assert_eq!(v.str_field("s"), Ok("x"));
+        assert_eq!(
+            problem(v.str_field("n").map(drop)),
+            FieldProblem::WrongType("a string")
+        );
+        assert_eq!(
+            v.strings_field("ss"),
+            Ok(vec!["a".to_string(), "b".to_string()])
+        );
+        assert_eq!(
+            problem(v.strings_field("mixed").map(drop)),
+            FieldProblem::WrongType("an array of strings")
+        );
+        assert_eq!(v.array_field("a").map(<[Json]>::len), Ok(1));
+        let hex =
+            Json::parse(r#"{"h":"00ff","l":["ab",""],"bad":"+f","badl":["ab","zz"]}"#).unwrap();
+        assert_eq!(hex.hex_field("h"), Ok(vec![0, 0xff]));
+        assert_eq!(hex.hex_list_field("l"), Ok(vec![vec![0xab], vec![]]));
+        assert_eq!(
+            problem(hex.hex_field("bad").map(drop)),
+            FieldProblem::WrongType("a hex string")
+        );
+        assert_eq!(
+            problem(hex.hex_list_field("badl").map(drop)),
+            FieldProblem::WrongType("an array of hex strings")
+        );
+        assert_eq!(v.ints_field::<u8>("a"), Ok(vec![1]));
+        assert_eq!(
+            problem(v.ints_field::<u8>("mixed").map(drop)),
+            FieldProblem::WrongType("an array of integers")
+        );
+        let bytes = Json::parse(r#"{"m":[1,256]}"#).unwrap();
+        assert_eq!(
+            problem(bytes.ints_field::<u8>("m").map(drop)),
+            FieldProblem::OutOfRange
+        );
+        assert_eq!(
+            problem(v.array_field("o").map(drop)),
+            FieldProblem::WrongType("an array")
+        );
+        assert_eq!(
+            v.object_field("o").and_then(|o| o.int_field::<u64>("k")),
+            Ok(1)
+        );
+        assert_eq!(
+            v.object_field("o").map(|o| o.keys().collect::<Vec<_>>()),
+            Ok(vec!["k"])
+        );
+        assert_eq!(
+            problem(v.object_field("a").map(drop)),
+            FieldProblem::WrongType("an object")
+        );
+        let missing = v.int_field::<u64>("nope").unwrap_err();
+        assert_eq!(missing.to_string(), "field `nope` is missing");
+        assert_eq!(String::from(missing), "field `nope` is missing");
+        assert_eq!(
+            Json::Int(1).field("n").unwrap_err().problem,
+            FieldProblem::Missing,
+            "a non-object has no fields"
+        );
+        assert_eq!(
+            v.int_field::<u64>("big")
+                .and_then(|_| v.int_field::<u32>("big")),
+            Err(FieldError {
+                key: "big".to_string(),
+                problem: FieldProblem::OutOfRange
+            })
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn run_pass_logged(
         }
         PassKind::UbExploit => {
             for f in &mut prog.functions {
-                ub_exploit::run_with_patch_logged(f, personality.id, log.as_deref_mut());
+                ub_exploit::run_logged(f, personality.id, log.as_deref_mut());
             }
         }
         PassKind::WidenMul => {

@@ -12,7 +12,7 @@
 use crate::fitness::{evaluate, Evaluation};
 use crate::gen::{generate, Genome};
 use crate::mutate::{crossover, mutate};
-use compdiff::{hash64, hex_decode, hex_encode, Json};
+use compdiff::{hash64, hex_encode, Json};
 use fuzzing::{splitmix64, Rng};
 use std::collections::BTreeSet;
 
@@ -196,93 +196,41 @@ impl EvolveState {
     ///
     /// Returns a description of the first missing or malformed field.
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        let field = |k: &str| j.get(k).ok_or_else(|| format!("missing `{k}`"));
-        let seed: u64 = field("seed")?
-            .as_str()
-            .ok_or("`seed` not a string")?
+        let seed: u64 = j
+            .str_field("seed")?
             .parse()
-            .map_err(|_| "bad `seed`".to_string())?;
-        let population_size = field("population_size")?
-            .as_u64()
-            .ok_or("`population_size` not a number")?;
-        let population_size = usize::try_from(population_size)
-            .ok()
-            .filter(|n| (2..=MAX_POPULATION).contains(n))
-            .ok_or_else(|| {
-                format!("`population_size` {population_size} out of range (2..={MAX_POPULATION})")
-            })?;
-        let next_generation = field("next_generation")?
-            .as_u64()
-            .ok_or("`next_generation` not a number")?;
-        let next_generation = u32::try_from(next_generation)
-            .map_err(|_| format!("`next_generation` {next_generation} out of range"))?;
-        let mut population = Vec::new();
-        for p in field("population")?
-            .as_array()
-            .ok_or("`population` not an array")?
-        {
-            let src = p
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or("population entry missing `source`")?
-                .to_string();
-            let mut probes = Vec::new();
-            for pr in p
-                .get("probes")
-                .and_then(Json::as_array)
-                .ok_or("population entry missing `probes`")?
-            {
-                probes.push(hex_decode(pr.as_str().ok_or("probe not a string")?)?);
-            }
-            population.push((src, probes));
+            .map_err(|_| "field `seed` is not a decimal u64".to_string())?;
+        let population_size: usize = j.int_field("population_size")?;
+        if !(2..=MAX_POPULATION).contains(&population_size) {
+            return Err(format!(
+                "field `population_size` is out of range ({population_size} not in \
+                 2..={MAX_POPULATION})"
+            ));
         }
-        let strings = |k: &str| -> Result<BTreeSet<String>, String> {
-            Ok(field(k)?
-                .as_array()
-                .ok_or_else(|| format!("`{k}` not an array"))?
-                .iter()
-                .filter_map(Json::as_str)
-                .map(str::to_string)
-                .collect())
-        };
+        let mut population = Vec::new();
+        for p in j.array_field("population")? {
+            population.push((
+                p.str_field("source")?.to_string(),
+                p.hex_list_field("probes")?,
+            ));
+        }
         let mut divergents = Vec::new();
-        for d in field("divergents")?
-            .as_array()
-            .ok_or("`divergents` not an array")?
-        {
+        for d in j.array_field("divergents")? {
             divergents.push(DivergentFind {
-                source: d
-                    .get("source")
-                    .and_then(Json::as_str)
-                    .ok_or("divergent missing `source`")?
-                    .to_string(),
-                probe: hex_decode(
-                    d.get("probe")
-                        .and_then(Json::as_str)
-                        .ok_or("divergent missing `probe`")?,
-                )?,
-                signature: d
-                    .get("signature")
-                    .and_then(Json::as_str)
-                    .ok_or("divergent missing `signature`")?
-                    .to_string(),
-                generation: d
-                    .get("generation")
-                    .and_then(Json::as_u64)
-                    .ok_or("divergent missing `generation`")? as u32,
-                fitness: d
-                    .get("fitness")
-                    .and_then(Json::as_i64)
-                    .ok_or("divergent missing `fitness`")?,
+                source: d.str_field("source")?.to_string(),
+                probe: d.hex_field("probe")?,
+                signature: d.str_field("signature")?.to_string(),
+                generation: d.int_field("generation")?,
+                fitness: d.int_field("fitness")?,
             });
         }
         Ok(EvolveState {
             seed,
             population_size,
-            next_generation,
+            next_generation: j.int_field("next_generation")?,
             population,
-            archive: strings("archive")?,
-            seen_signatures: strings("seen_signatures")?,
+            archive: j.strings_field("archive")?.into_iter().collect(),
+            seen_signatures: j.strings_field("seen_signatures")?.into_iter().collect(),
             divergents,
         })
     }

@@ -45,7 +45,8 @@ progen_b="$(mktemp -d)"
 san_a="$(mktemp)"
 san_b="$(mktemp)"
 san_dir="$(mktemp -d)"
-trap 'rm -rf "$lint_a" "$lint_b" "$smoke" "$camp_a" "$camp_b" "$pcamp_a" "$pcamp_b" "$pcamp_ra" "$pcamp_rb" "$tcamp_a" "$tcamp_b" "$tcamp_ra" "$tcamp_rb" "$drop_smoke" "$progen_a" "$progen_b" "$san_a" "$san_b" "$san_dir"' EXIT
+bad_dir="$(mktemp -d)"
+trap 'rm -rf "$lint_a" "$lint_b" "$smoke" "$camp_a" "$camp_b" "$pcamp_a" "$pcamp_b" "$pcamp_ra" "$pcamp_rb" "$tcamp_a" "$tcamp_b" "$tcamp_ra" "$tcamp_rb" "$drop_smoke" "$progen_a" "$progen_b" "$san_a" "$san_b" "$san_dir" "$bad_dir"' EXIT
 
 echo "== smoke campaign with injected panic (must exit 0 with partial results) =="
 ./target/release/compdiff campaign --workers 2 --execs-per-target 120 --shards 2 \
@@ -290,6 +291,30 @@ for f in "$seed7"/find_*.mc; do
     cmp "$progen_a/divergent_$n" "$f"
     cmp "$progen_a/witness_$n" "$seed7/witness_$n"
 done
+
+echo "== malformed resume inputs are refused by name (exit 1, never a silent value) =="
+# A checkpoint job record with "execs": -1 (not the last line, so not a
+# torn write) once resumed as 2^64 - 1 execs, and a state.json find with
+# "generation": 4294967297 once resumed as generation 1 and was written
+# back that way. Every field reads through compdiff::json's typed reader.
+cat > "$bad_dir/checkpoint.jsonl" <<'EOF'
+{"type":"header","version":2,"seed":11,"execs_per_target":40,"shards":2,"targets":["jq"]}
+{"type":"job","target":"jq","shard":0,"execs":-1,"oracle_execs":10,"divergent":0,"crashes":0,"signatures":[]}
+{"type":"job","target":"jq","shard":1,"execs":20,"oracle_execs":10,"divergent":0,"crashes":0,"signatures":[]}
+EOF
+status=0
+./target/release/compdiff campaign --resume "$bad_dir" --targets jq --execs-per-target 40 \
+    --shards 2 --seed 11 --workers 1 --quiet > /dev/null 2> "$san_a" || status=$?
+[ "$status" -eq 1 ]
+grep -q 'field `execs` is out of range' "$san_a"
+mkdir "$bad_dir/progen"
+sed '0,/"generation": [0-9]*/s//"generation": 4294967297/' "$progen_a/state.json" \
+    > "$bad_dir/progen/state.json"
+status=0
+./target/release/compdiff progen evolve --seed 7 --generations 1 --no-reduce \
+    --out-dir "$bad_dir/progen" --resume > /dev/null 2> "$san_b" || status=$?
+[ "$status" -eq 1 ]
+grep -q 'field `generation` is out of range' "$san_b"
 
 echo "== benchmark package: fmt, clippy, tests =="
 # The benchmark is a package of its own (benchmark/Cargo.toml) that links
