@@ -262,6 +262,39 @@ fn a_negative_count_in_a_checkpoint_is_corrupt() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A complete last record that parses but does not decode is corrupt,
+/// not a torn write: an append cut short never parses, so resume must
+/// refuse the record instead of deleting it and re-running its job.
+#[test]
+fn a_malformed_last_record_is_corrupt_not_torn() {
+    let dir = temp_dir("last");
+    let mut first = job_record();
+    first.shard = 0;
+    let negative = job_record()
+        .to_json()
+        .render()
+        .replacen(r#""execs":250"#, r#""execs":-1"#, 1);
+    let unknown =
+        job_record()
+            .to_json()
+            .render()
+            .replacen(r#""type":"job""#, r#""type":"jobs""#, 1);
+    let cases = [
+        (negative, "field `execs` is out of range"),
+        (unknown, r#"unknown record type Some("jobs")"#),
+    ];
+    for (bad, want) in cases {
+        let lines = [header_line("last"), first.to_json().render(), bad];
+        match resume_lines(&dir, &lines) {
+            Err(StateError::Corrupt { line: 3, message }) => assert_eq!(message, want),
+            other => panic!("expected Corrupt at line 3, got {other:?}"),
+        }
+        let text = std::fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap();
+        assert_eq!(text.lines().count(), 3, "the refused record was deleted");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Replayed counts saturate: three records each at the JSON maximum
 /// sum past `u64::MAX`.
 #[test]

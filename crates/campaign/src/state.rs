@@ -421,14 +421,16 @@ impl CampaignState {
     /// Reopens an existing checkpoint, validating it against `header` and
     /// loading every finished job and failed attempt. A torn final line
     /// (the previous process died mid-append) is skipped; its job simply
-    /// re-runs.
+    /// re-runs. Only a last line that is not JSON can be torn: a record
+    /// cut short never parses.
     ///
     /// # Errors
     ///
     /// [`StateError::HeaderMismatch`] if the checkpoint belongs to a
     /// campaign with different parameters, [`StateError::Corrupt`] if a
-    /// non-trailing line is unreadable, [`StateError::Locked`] if
-    /// another live process holds the writer lock.
+    /// non-trailing line is unreadable or any record parses but does not
+    /// decode, [`StateError::Locked`] if another live process holds the
+    /// writer lock.
     pub fn resume(dir: &Path, header: &CampaignHeader) -> Result<Self, StateError> {
         enum Line {
             Header,
@@ -456,8 +458,18 @@ impl CampaignState {
         let mut done = BTreeMap::new();
         let mut failures = Vec::new();
         for (idx, line) in lines.iter().enumerate() {
-            let is_last = idx + 1 == lines.len();
-            let parsed = Json::parse(line).map_err(|e| e.to_string()).and_then(|v| {
+            let parsed = match Json::parse(line) {
+                // Torn trailing line: the crash artifact resume exists
+                // for. Truncate it away so later appends start on a
+                // fresh line (it may lack its newline) and the next
+                // resume never mistakes it for mid-file corruption.
+                Err(_) if idx > 0 && idx + 1 == lines.len() => {
+                    truncate_to = Some(starts[idx]);
+                    continue;
+                }
+                parsed => parsed.map_err(|e| e.to_string()),
+            }
+            .and_then(|v| {
                 if idx == 0 {
                     let found = CampaignHeader::from_json(&v)?;
                     if found != *header {
@@ -484,11 +496,6 @@ impl CampaignState {
                 Ok(Line::Fail(rec)) => failures.push(rec),
                 Ok(Line::Header) => {}
                 Err(message) if idx == 0 => return Err(StateError::HeaderMismatch(message)),
-                // Torn trailing line: the crash artifact resume exists
-                // for. Truncate it away so later appends start on a
-                // fresh line (it may lack its newline) and the next
-                // resume never mistakes it for mid-file corruption.
-                Err(_) if is_last => truncate_to = Some(starts[idx]),
                 Err(message) => {
                     return Err(StateError::Corrupt {
                         line: idx + 1,

@@ -33,190 +33,59 @@
 //! while sanitizer and coverage runs get the full per-instruction
 //! callbacks without a separate slow dispatcher.
 
-use crate::exec::{const_raw, End, Vm};
+use crate::exec::{const_word, pow_fast, End, ExtKind, Vm};
 use crate::hooks::{Hooks, Loc, PoisonUse};
 use crate::result::{ExitStatus, Trap};
 use minc::Builtin;
 use minc_compile::ir::{
-    BinKind, CastKind, ConstVal, Inst, IrType, MemWidth, Terminator, UnKind, ValueId,
+    BinKind, Block, CastKind, ConstVal, Inst, IrType, Terminator, UnKind, ValueId,
 };
 use minc_compile::Binary;
 
-// Operand views shared by the flat binary-opcode arms; each reproduces
-// `BinKind::eval`'s canonicalization exactly.
-#[inline(always)]
-fn s32(v: u64) -> i32 {
-    v as u32 as i32
-}
-#[inline(always)]
-fn s64(v: u64) -> i64 {
-    v as i64
-}
-#[inline(always)]
-fn w32(v: i32) -> u64 {
-    v as i64 as u64
+/// The one listing of the flat binary opcodes: each integer [`BinKind`]
+/// that cannot trap, with the names of its `I32` and `I64` variants.
+/// Invokes `$then!` with `{ $fwd }` followed by the listing; the [`Op`]
+/// variants, the translation map ([`Op::flat`]) and the dispatch arms are
+/// all generated from it.
+macro_rules! flat_bins {
+    ($then:ident! { $($fwd:tt)* }) => {
+        $then! {
+            { $($fwd)* }
+            Add: Add32, Add64;
+            Sub: Sub32, Sub64;
+            Mul: Mul32, Mul64;
+            Shl: Shl32, Shl64;
+            ShrS: ShrS32, ShrS64;
+            ShrU: ShrU32, ShrU64;
+            And: And32, And64;
+            Or: Or32, Or64;
+            Xor: Xor32, Xor64;
+            Eq: Eq32, Eq64;
+            Ne: Ne32, Ne64;
+            LtS: LtS32, LtS64;
+            LeS: LeS32, LeS64;
+            GtS: GtS32, GtS64;
+            GeS: GeS32, GeS64;
+            LtU: LtU32, LtU64;
+            LeU: LeU32, LeU64;
+            GtU: GtU32, GtU64;
+            GeU: GeU32, GeU64;
+        }
+    };
 }
 
-/// Operand payload of a flat pre-resolved binary opcode (the 38
-/// `Op::Add32`..`Op::GeU64` variants): the `(op, ty)` pair is encoded in
-/// the variant itself so dispatch is a single jump, and each arm inlines
-/// the exact formula of the corresponding `BinKind::eval` case (including the
-/// I32 narrow-wrap and x86 shift-masking quirks). Only non-trapping
-/// integer operations get a flat opcode; division, remainder, and float
-/// ops keep the generic [`Op::Bin`] path. `ub_signed` rides along for
-/// hook callbacks only.
+/// Operand payload of a flat binary opcode. The `(op, ty)` pair is the
+/// variant itself, so dispatch is a single jump and the arm evaluates
+/// `BinKind::eval` at a constant `(op, ty)`. Only non-trapping integer
+/// operations get a flat opcode; division, remainder, and float ops keep
+/// the generic [`Op::Bin`] path. `ub_signed` rides along for hook
+/// callbacks only.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BinOp {
     pub(crate) ub_signed: bool,
     pub(crate) dst: u32,
     pub(crate) a: u32,
     pub(crate) b: u32,
-}
-
-/// Maps `(op, ty)` to its flat opcode, or `None` for operations that stay
-/// on the generic (trapping / float) path.
-fn fast_bin(op: BinKind, ty: IrType, x: BinOp) -> Option<Op> {
-    use BinKind::*;
-    let narrow = ty == IrType::I32;
-    Some(match (op, narrow) {
-        (Add, true) => Op::Add32(x),
-        (Add, false) => Op::Add64(x),
-        (Sub, true) => Op::Sub32(x),
-        (Sub, false) => Op::Sub64(x),
-        (Mul, true) => Op::Mul32(x),
-        (Mul, false) => Op::Mul64(x),
-        (Shl, true) => Op::Shl32(x),
-        (Shl, false) => Op::Shl64(x),
-        (ShrS, true) => Op::ShrS32(x),
-        (ShrS, false) => Op::ShrS64(x),
-        (ShrU, true) => Op::ShrU32(x),
-        (ShrU, false) => Op::ShrU64(x),
-        (And, true) => Op::And32(x),
-        (And, false) => Op::And64(x),
-        (Or, true) => Op::Or32(x),
-        (Or, false) => Op::Or64(x),
-        (Xor, true) => Op::Xor32(x),
-        (Xor, false) => Op::Xor64(x),
-        (Eq, true) => Op::Eq32(x),
-        (Eq, false) => Op::Eq64(x),
-        (Ne, true) => Op::Ne32(x),
-        (Ne, false) => Op::Ne64(x),
-        (LtS, true) => Op::LtS32(x),
-        (LtS, false) => Op::LtS64(x),
-        (LeS, true) => Op::LeS32(x),
-        (LeS, false) => Op::LeS64(x),
-        (GtS, true) => Op::GtS32(x),
-        (GtS, false) => Op::GtS64(x),
-        (GeS, true) => Op::GeS32(x),
-        (GeS, false) => Op::GeS64(x),
-        (LtU, true) => Op::LtU32(x),
-        (LtU, false) => Op::LtU64(x),
-        (LeU, true) => Op::LeU32(x),
-        (LeU, false) => Op::LeU64(x),
-        (GtU, true) => Op::GtU32(x),
-        (GtU, false) => Op::GtU64(x),
-        (GeU, true) => Op::GeU32(x),
-        (GeU, false) => Op::GeU64(x),
-        _ => return None,
-    })
-}
-
-/// Recovers the original `(op, ty)` pair of a flat binary opcode for hook
-/// callbacks (instrumented paths only; `NoHooks` never calls this).
-fn bin_meta(op: &Op) -> (BinKind, IrType) {
-    use BinKind::*;
-    let (k, narrow) = match op {
-        Op::Add32(_) => (Add, true),
-        Op::Add64(_) => (Add, false),
-        Op::Sub32(_) => (Sub, true),
-        Op::Sub64(_) => (Sub, false),
-        Op::Mul32(_) => (Mul, true),
-        Op::Mul64(_) => (Mul, false),
-        Op::Shl32(_) => (Shl, true),
-        Op::Shl64(_) => (Shl, false),
-        Op::ShrS32(_) => (ShrS, true),
-        Op::ShrS64(_) => (ShrS, false),
-        Op::ShrU32(_) => (ShrU, true),
-        Op::ShrU64(_) => (ShrU, false),
-        Op::And32(_) => (And, true),
-        Op::And64(_) => (And, false),
-        Op::Or32(_) => (Or, true),
-        Op::Or64(_) => (Or, false),
-        Op::Xor32(_) => (Xor, true),
-        Op::Xor64(_) => (Xor, false),
-        Op::Eq32(_) => (Eq, true),
-        Op::Eq64(_) => (Eq, false),
-        Op::Ne32(_) => (Ne, true),
-        Op::Ne64(_) => (Ne, false),
-        Op::LtS32(_) => (LtS, true),
-        Op::LtS64(_) => (LtS, false),
-        Op::LeS32(_) => (LeS, true),
-        Op::LeS64(_) => (LeS, false),
-        Op::GtS32(_) => (GtS, true),
-        Op::GtS64(_) => (GtS, false),
-        Op::GeS32(_) => (GeS, true),
-        Op::GeS64(_) => (GeS, false),
-        Op::LtU32(_) => (LtU, true),
-        Op::LtU64(_) => (LtU, false),
-        Op::LeU32(_) => (LeU, true),
-        Op::LeU64(_) => (LeU, false),
-        Op::GtU32(_) => (GtU, true),
-        Op::GtU64(_) => (GtU, false),
-        Op::GeU32(_) => (GeU, true),
-        Op::GeU64(_) => (GeU, false),
-        _ => unreachable!("bin_meta on a non-binary op"),
-    };
-    (k, if narrow { IrType::I32 } else { IrType::I64 })
-}
-
-/// Pre-resolved load extension: the `(width, ty, sext)` triple of
-/// `extend_load`, flattened at translation time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ExtKind {
-    /// 1 byte, sign-extended.
-    S8,
-    /// 1 byte, zero-extended.
-    U8,
-    /// 4 bytes into an i32 register (sign-extended canonical form).
-    S32,
-    /// 4 bytes, zero-extended (raw i64 destination).
-    U32,
-    /// Full 8-byte word.
-    W8,
-}
-
-impl ExtKind {
-    fn of(width: MemWidth, ty: IrType, sext: bool) -> ExtKind {
-        match (width, ty, sext) {
-            (MemWidth::W1, _, true) => ExtKind::S8,
-            (MemWidth::W1, _, false) => ExtKind::U8,
-            (MemWidth::W4, IrType::I32, _) => ExtKind::S32,
-            (MemWidth::W4, _, _) => ExtKind::U32,
-            (MemWidth::W8, _, _) => ExtKind::W8,
-        }
-    }
-
-    /// Mirrors `extend_load` for the pre-resolved kind.
-    #[inline(always)]
-    fn extend(self, raw: u64) -> u64 {
-        match self {
-            ExtKind::S8 => raw as u8 as i8 as i64 as u64,
-            ExtKind::U8 => raw as u8 as u64,
-            ExtKind::S32 => raw as u32 as i32 as i64 as u64,
-            ExtKind::U32 => raw as u32 as u64,
-            ExtKind::W8 => raw,
-        }
-    }
-
-    /// Access width in bytes (the `MemWidth` this kind was built from).
-    #[inline(always)]
-    fn bytes(self) -> u64 {
-        match self {
-            ExtKind::S8 | ExtKind::U8 => 1,
-            ExtKind::S32 | ExtKind::U32 => 4,
-            ExtKind::W8 => 8,
-        }
-    }
 }
 
 /// Sentinel register index meaning "result discarded" (a register file can
@@ -240,125 +109,112 @@ pub(crate) struct CallB {
     pub(crate) arg_tys: Box<[IrType]>,
 }
 
-/// A pre-decoded operation. Operands are raw register indices; layout
-/// lookups are resolved at translation time. `Op` is deliberately kept at
-/// 24 bytes — the flat per-(op, width) arithmetic variants cost 8 bytes
-/// over the old packed encoding but buy a single-jump dispatch that
-/// measured faster than the denser double-dispatch layout — and
-/// everything the hot `NoHooks` path never touches lives elsewhere: hook
-/// `Loc`s in the superblock's parallel [`BBlock::locs`] array, call
-/// payloads behind a `Box`, and a fast bin op's `(op, ty)` pair derived
-/// from its [`FastBin`] opcode on demand.
-#[derive(Debug, Clone)]
-pub(crate) enum Op {
-    /// Constant with its raw register value pre-resolved (including the
-    /// I32 truncation and personality junk words).
-    Const {
-        dst: u32,
-        raw: u64,
-        poison: bool,
-    },
-    /// Register copy.
-    Copy {
-        dst: u32,
-        src: u32,
-    },
-    /// Flat pre-resolved binary opcodes (the hot path); see [`BinOp`].
-    #[allow(missing_docs)] // mechanical (op, ty) product; semantics in BinKind::eval
-    Add32(BinOp),
-    Add64(BinOp),
-    Sub32(BinOp),
-    Sub64(BinOp),
-    Mul32(BinOp),
-    Mul64(BinOp),
-    Shl32(BinOp),
-    Shl64(BinOp),
-    ShrS32(BinOp),
-    ShrS64(BinOp),
-    ShrU32(BinOp),
-    ShrU64(BinOp),
-    And32(BinOp),
-    And64(BinOp),
-    Or32(BinOp),
-    Or64(BinOp),
-    Xor32(BinOp),
-    Xor64(BinOp),
-    Eq32(BinOp),
-    Eq64(BinOp),
-    Ne32(BinOp),
-    Ne64(BinOp),
-    LtS32(BinOp),
-    LtS64(BinOp),
-    LeS32(BinOp),
-    LeS64(BinOp),
-    GtS32(BinOp),
-    GtS64(BinOp),
-    GeS32(BinOp),
-    GeS64(BinOp),
-    LtU32(BinOp),
-    LtU64(BinOp),
-    LeU32(BinOp),
-    LeU64(BinOp),
-    GtU32(BinOp),
-    GtU64(BinOp),
-    GeU32(BinOp),
-    GeU64(BinOp),
-    /// Binary operation on the generic path (div/rem/float).
-    Bin {
-        op: BinKind,
-        ty: IrType,
-        ub_signed: bool,
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    /// Unary operation.
-    Un {
-        op: UnKind,
-        ty: IrType,
-        dst: u32,
-        a: u32,
-    },
-    /// Cast.
-    Cast {
-        kind: CastKind,
-        dst: u32,
-        a: u32,
-    },
-    /// Frame-slot address: `frame_hi - off`, offset pre-resolved.
-    FrameAddr {
-        dst: u32,
-        off: u64,
-    },
-    /// Memory load; width and extension pre-resolved into `ext`.
-    Load {
-        dst: u32,
-        addr: u32,
-        ext: ExtKind,
-    },
-    /// Memory store; width (in bytes) pre-resolved.
-    Store {
-        addr: u32,
-        src: u32,
-        wb: u8,
-    },
-    /// Call to a user function (control transfer).
-    CallFunc(Box<CallF>),
-    /// Call to a runtime builtin (no control transfer).
-    CallBuiltin(Box<CallB>),
-    /// clang -O3's imprecise pow. `dst == NO_DST` discards the result.
-    PowFast {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    /// Seam between two basic blocks fused into one superblock: charges
-    /// the fused `Jump`'s step and fires `on_edge` with the interpreter's
-    /// exact locations (the jump's own `Loc` is in [`BBlock::locs`]).
-    Edge {
-        to_block: u32,
-    },
+// `Op` and its translation map, with the flat variants spliced in from
+// `flat_bins!` after `Const` and `Copy`.
+macro_rules! define_op {
+    ({} $($kind:ident: $i32:ident, $i64:ident;)*) => {
+        /// A pre-decoded operation. Operands are raw register indices;
+        /// layout lookups are resolved at translation time. `Op` is
+        /// deliberately kept at 24 bytes — the flat per-(op, width)
+        /// arithmetic variants cost 8 bytes over a packed encoding but buy a
+        /// single-jump dispatch that measured faster than the denser
+        /// double-dispatch layout — and everything the hot `NoHooks` path
+        /// never touches lives elsewhere: hook `Loc`s in the superblock's
+        /// parallel [`BBlock::locs`] array, call payloads behind a `Box`,
+        /// and a flat op's `(op, ty)` pair in its dispatch arm.
+        #[derive(Debug, Clone)]
+        pub(crate) enum Op {
+            /// Constant with its register word pre-resolved (including the
+            /// I32 truncation and personality junk words).
+            Const {
+                dst: u32,
+                raw: u64,
+                poison: bool,
+            },
+            /// Register copy.
+            Copy {
+                dst: u32,
+                src: u32,
+            },
+            // The flat binary opcodes (the hot path); see `BinOp`.
+            $(
+                $i32(BinOp),
+                $i64(BinOp),
+            )*
+            /// Binary operation on the generic path (div/rem/float).
+            Bin {
+                op: BinKind,
+                ty: IrType,
+                ub_signed: bool,
+                dst: u32,
+                a: u32,
+                b: u32,
+            },
+            /// Unary operation.
+            Un {
+                op: UnKind,
+                ty: IrType,
+                dst: u32,
+                a: u32,
+            },
+            /// Cast.
+            Cast {
+                kind: CastKind,
+                dst: u32,
+                a: u32,
+            },
+            /// Frame-slot address: `frame_hi - off`, offset pre-resolved.
+            FrameAddr {
+                dst: u32,
+                off: u64,
+            },
+            /// Memory load; width and extension pre-resolved into `ext`.
+            Load {
+                dst: u32,
+                addr: u32,
+                ext: ExtKind,
+            },
+            /// Memory store; width (in bytes) pre-resolved.
+            Store {
+                addr: u32,
+                src: u32,
+                wb: u8,
+            },
+            /// Call to a user function (control transfer).
+            CallFunc(Box<CallF>),
+            /// Call to a runtime builtin (no control transfer).
+            CallBuiltin(Box<CallB>),
+            /// clang -O3's imprecise pow. `dst == NO_DST` discards the result.
+            PowFast {
+                dst: u32,
+                a: u32,
+                b: u32,
+            },
+            /// Seam between two basic blocks fused into one superblock:
+            /// charges the fused `Jump`'s step and fires `on_edge` with the
+            /// interpreter's exact locations (the jump's own `Loc` is in
+            /// [`BBlock::locs`]).
+            Edge {
+                to_block: u32,
+            },
+        }
+
+        impl Op {
+            /// The flat opcode of `(op, ty)`, or `None` for an operation
+            /// that stays on the generic [`Op::Bin`] path.
+            fn flat(op: BinKind, ty: IrType, x: BinOp) -> Option<Op> {
+                Some(match (op, ty) {
+                    $(
+                        (BinKind::$kind, IrType::I32) => Op::$i32(x),
+                        (BinKind::$kind, IrType::I64) => Op::$i64(x),
+                    )*
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
+flat_bins!(define_op! {});
 
 /// A pre-decoded terminator. Branch targets carry both the translated
 /// superblock index (`*_tb`, for dispatch) and the original basic-block id
@@ -453,12 +309,15 @@ impl BlockProgram {
 
 /// Reads a register without a bounds check.
 ///
-/// SAFETY contract (upheld by construction, revalidated in
-/// [`validate_reg_indices`] at translation time): every register index
-/// stored in an [`Op`] is `< reg_count` of its function, and the
-/// dispatcher's live `regs`/`poison` slices always belong to the activation
-/// of the function whose ops are executing (`push_frame` sizes them to
-/// exactly `reg_count`).
+/// SAFETY contract: every register index stored in an [`Op`] or a
+/// [`BTerm`] is `< reg_count` of its function, and the dispatcher's live
+/// `regs`/`poison` slices always belong to the activation of the function
+/// whose ops are executing (`push_frame` sizes them to exactly
+/// `reg_count`). The first half holds because translation copies each
+/// index verbatim from an IR instruction's destination or operands or from
+/// its block terminator's operand, and [`validate_reg_indices`] checks
+/// exactly those, through the IR's own enumerations, for every block it
+/// translates.
 #[inline(always)]
 fn rget(regs: &[u64], i: u32) -> u64 {
     debug_assert!((i as usize) < regs.len());
@@ -472,113 +331,24 @@ fn rset(regs: &mut [u64], i: u32, v: u64) {
     unsafe { *regs.get_unchecked_mut(i as usize) = v }
 }
 
-/// Translation-time revalidation of the unchecked-access contract: panics
-/// (exactly where the interpreter would panic on its own out-of-bounds
-/// register index) if any op references a register `>= reg_count`, so the
+/// Translation-time check of the unchecked-access contract for one basic
+/// block: panics (exactly where the interpreter would panic on its own
+/// out-of-bounds register index) if an instruction's destination or
+/// operand, or the terminator's operand, is `>= reg_count`, so the
 /// dispatcher's `rget`/`rset` can never be reached with a bad index.
-fn validate_reg_indices(bf: &BFunc, reg_count: u32) {
-    let ck = |i: u32| {
+fn validate_reg_indices(b: &Block, reg_count: u32) {
+    let ck = |v: ValueId| {
+        let i = v.0;
         assert!(
             i < reg_count,
             "block translation: register v{i} out of range (reg_count {reg_count})"
         );
     };
-    for bb in &bf.blocks {
-        for op in bb.ops.iter() {
-            match op {
-                Op::Const { dst, .. } => ck(*dst),
-                Op::Copy { dst, src } => {
-                    ck(*dst);
-                    ck(*src);
-                }
-                Op::Bin { dst, a, b, .. } => {
-                    ck(*dst);
-                    ck(*a);
-                    ck(*b);
-                }
-                Op::Add32(x)
-                | Op::Add64(x)
-                | Op::Sub32(x)
-                | Op::Sub64(x)
-                | Op::Mul32(x)
-                | Op::Mul64(x)
-                | Op::Shl32(x)
-                | Op::Shl64(x)
-                | Op::ShrS32(x)
-                | Op::ShrS64(x)
-                | Op::ShrU32(x)
-                | Op::ShrU64(x)
-                | Op::And32(x)
-                | Op::And64(x)
-                | Op::Or32(x)
-                | Op::Or64(x)
-                | Op::Xor32(x)
-                | Op::Xor64(x)
-                | Op::Eq32(x)
-                | Op::Eq64(x)
-                | Op::Ne32(x)
-                | Op::Ne64(x)
-                | Op::LtS32(x)
-                | Op::LtS64(x)
-                | Op::LeS32(x)
-                | Op::LeS64(x)
-                | Op::GtS32(x)
-                | Op::GtS64(x)
-                | Op::GeS32(x)
-                | Op::GeS64(x)
-                | Op::LtU32(x)
-                | Op::LtU64(x)
-                | Op::LeU32(x)
-                | Op::LeU64(x)
-                | Op::GtU32(x)
-                | Op::GtU64(x)
-                | Op::GeU32(x)
-                | Op::GeU64(x) => {
-                    ck(x.dst);
-                    ck(x.a);
-                    ck(x.b);
-                }
-                Op::Un { dst, a, .. } | Op::Cast { dst, a, .. } => {
-                    ck(*dst);
-                    ck(*a);
-                }
-                Op::FrameAddr { dst, .. } => ck(*dst),
-                Op::Load { dst, addr, .. } => {
-                    ck(*dst);
-                    ck(*addr);
-                }
-                Op::Store { addr, src, .. } => {
-                    ck(*addr);
-                    ck(*src);
-                }
-                Op::CallFunc(cf) => {
-                    cf.args.iter().for_each(|&a| ck(a));
-                    if let Some(d) = cf.dst {
-                        ck(d.0);
-                    }
-                }
-                Op::CallBuiltin(cb) => {
-                    cb.args.iter().for_each(|&a| ck(a));
-                    if let Some(d) = cb.dst {
-                        ck(d);
-                    }
-                }
-                Op::PowFast { dst, a, b } => {
-                    ck(*a);
-                    ck(*b);
-                    if *dst != NO_DST {
-                        ck(*dst);
-                    }
-                }
-                Op::Edge { .. } => {}
-            }
-        }
-        match &bb.term {
-            BTerm::Br { cond, .. } => ck(*cond),
-            BTerm::Ret { val: Some(r) } => ck(*r),
-            _ => {}
-        }
+    for inst in &b.insts {
+        inst.dst().into_iter().for_each(ck);
+        inst.for_each_use(ck);
     }
+    b.term.for_each_use(ck);
 }
 
 fn translate_func(bin: &Binary, func: u32, f: &minc_compile::ir::IrFunction) -> BFunc {
@@ -630,9 +400,7 @@ fn translate_func(bin: &Binary, func: u32, f: &minc_compile::ir::IrFunction) -> 
         .iter()
         .map(|&h| translate_chain(bin, func, f, h, &fused, &head_idx))
         .collect();
-    let bf = BFunc { blocks };
-    validate_reg_indices(&bf, f.reg_count);
-    bf
+    BFunc { blocks }
 }
 
 fn translate_chain(
@@ -648,6 +416,7 @@ fn translate_chain(
     let mut cur = head;
     loop {
         let b = &f.blocks[cur];
+        validate_reg_indices(b, f.reg_count);
         for (j, inst) in b.insts.iter().enumerate() {
             ops.push(translate_inst(bin, func, inst));
             // The interpreter advances the frame's instruction cursor
@@ -699,17 +468,11 @@ fn translate_chain(
 
 fn translate_inst(bin: &Binary, func: u32, inst: &Inst) -> Op {
     match inst {
-        Inst::Const { dst, ty, val } => {
-            let mut raw = const_raw(bin, *val);
-            if *ty == IrType::I32 {
-                raw = raw as u32 as i32 as i64 as u64;
-            }
-            Op::Const {
-                dst: dst.0,
-                raw,
-                poison: matches!(val, ConstVal::Junk(_)),
-            }
-        }
+        Inst::Const { dst, ty, val } => Op::Const {
+            dst: dst.0,
+            raw: const_word(bin, *ty, *val),
+            poison: matches!(val, ConstVal::Junk(_)),
+        },
         Inst::Copy { dst, src, .. } => Op::Copy {
             dst: dst.0,
             src: src.0,
@@ -728,7 +491,7 @@ fn translate_inst(bin: &Binary, func: u32, inst: &Inst) -> Op {
                 a: a.0,
                 b: b.0,
             };
-            fast_bin(*op, *ty, x).unwrap_or(Op::Bin {
+            Op::flat(*op, *ty, x).unwrap_or(Op::Bin {
                 op: *op,
                 ty: *ty,
                 ub_signed: *ub_signed,
@@ -882,23 +645,27 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 }};
             }
 
-            // Shared body of the 38 flat binary-opcode arms: operand
-            // fetch, the (instrumented-only) hook check, eval, writeback.
-            macro_rules! bin_arm {
-                ($op:expr, $x:expr, $eval:expr) => {{
+            // The body of every flat binary-opcode arm: operand fetch, the
+            // (instrumented-only) hook check, eval, writeback. `$op` and
+            // `$ty` are constants, so `BinKind::eval` folds to the one
+            // operation and the hook gets the pair as it stands. No listed
+            // op traps; a `None` would trap as the generic arm does.
+            macro_rules! flat_arm {
+                ($x:expr, $op:expr, $ty:expr) => {{
                     let x = *$x;
                     let (va, vb) = (rget(&regs, x.a), rget(&regs, x.b));
                     if !H::INERT {
-                        let (bop, bty) = bin_meta($op);
                         if let Some(fault) =
                             self.hooks
-                                .check_bin(bop, bty, va, vb, x.ub_signed, loc_at(k - 1))
+                                .check_bin($op, $ty, va, vb, x.ub_signed, loc_at(k - 1))
                         {
                             fail!(End::Fault(fault));
                         }
                     }
-                    let eval = $eval;
-                    rset(&mut regs, x.dst, eval(va, vb));
+                    match $op.eval($ty, va, vb) {
+                        Some(r) => rset(&mut regs, x.dst, r),
+                        None => fail!(End::Trap(Trap::Sigfpe)),
+                    }
                     if track {
                         poison[x.dst as usize] = poison[x.a as usize] || poison[x.b as usize];
                     }
@@ -908,9 +675,10 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             // The op loop is expanded twice below — once with the per-op
             // limit check compiled out (`$careful = false`, the common case
             // where the whole block provably fits under the limit) and once
-            // with the interpreter's exact per-op accounting.
+            // with the interpreter's exact per-op accounting — each through
+            // `flat_bins!`, which supplies the flat arms.
             macro_rules! op_loop {
-                ($careful:literal) => {
+                ({ $careful:literal } $($kind:ident: $i32:ident, $i64:ident;)*) => {
                     while k < n {
                         if $careful {
                             self.steps += 1;
@@ -940,96 +708,10 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                                     poison[*dst as usize] = poison[*src as usize];
                                 }
                             }
-                            Op::Add32(x) => bin_arm!(op, x, |va: u64, vb: u64| w32(
-                                s32(va).wrapping_add(s32(vb))
-                            )),
-                            Op::Add64(x) => bin_arm!(op, x, |va: u64, vb: u64| va.wrapping_add(vb)),
-                            Op::Sub32(x) => bin_arm!(op, x, |va: u64, vb: u64| w32(
-                                s32(va).wrapping_sub(s32(vb))
-                            )),
-                            Op::Sub64(x) => bin_arm!(op, x, |va: u64, vb: u64| va.wrapping_sub(vb)),
-                            Op::Mul32(x) => bin_arm!(op, x, |va: u64, vb: u64| w32(
-                                s32(va).wrapping_mul(s32(vb))
-                            )),
-                            Op::Mul64(x) => bin_arm!(op, x, |va: u64, vb: u64| va.wrapping_mul(vb)),
-                            Op::Shl32(x) => bin_arm!(op, x, |va: u64, vb: u64| w32(((va as u32)
-                                << ((vb as u32) & 31))
-                                as i32)),
-                            Op::Shl64(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| va << ((vb as u32) & 63))
-                            }
-                            Op::ShrS32(x) => bin_arm!(op, x, |va: u64, vb: u64| w32(
-                                s32(va) >> ((vb as u32) & 31)
-                            )),
-                            Op::ShrS64(x) => bin_arm!(op, x, |va: u64, vb: u64| (s64(va)
-                                >> ((vb as u32) & 63))
-                                as u64),
-                            Op::ShrU32(x) => bin_arm!(op, x, |va: u64, vb: u64| w32(((va as u32)
-                                >> ((vb as u32) & 31))
-                                as i32)),
-                            Op::ShrU64(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| va >> ((vb as u32) & 63))
-                            }
-                            Op::And32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| w32(s32(va) & s32(vb)))
-                            }
-                            Op::And64(x) => bin_arm!(op, x, |va: u64, vb: u64| va & vb),
-                            Op::Or32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| w32(s32(va) | s32(vb)))
-                            }
-                            Op::Or64(x) => bin_arm!(op, x, |va: u64, vb: u64| va | vb),
-                            Op::Xor32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| w32(s32(va) ^ s32(vb)))
-                            }
-                            Op::Xor64(x) => bin_arm!(op, x, |va: u64, vb: u64| va ^ vb),
-                            Op::Eq32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s32(va) == s32(vb)) as u64)
-                            }
-                            Op::Eq64(x) => bin_arm!(op, x, |va: u64, vb: u64| (va == vb) as u64),
-                            Op::Ne32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s32(va) != s32(vb)) as u64)
-                            }
-                            Op::Ne64(x) => bin_arm!(op, x, |va: u64, vb: u64| (va != vb) as u64),
-                            Op::LtS32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s32(va) < s32(vb)) as u64)
-                            }
-                            Op::LtS64(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s64(va) < s64(vb)) as u64)
-                            }
-                            Op::LeS32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s32(va) <= s32(vb)) as u64)
-                            }
-                            Op::LeS64(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s64(va) <= s64(vb)) as u64)
-                            }
-                            Op::GtS32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s32(va) > s32(vb)) as u64)
-                            }
-                            Op::GtS64(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s64(va) > s64(vb)) as u64)
-                            }
-                            Op::GeS32(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s32(va) >= s32(vb)) as u64)
-                            }
-                            Op::GeS64(x) => {
-                                bin_arm!(op, x, |va: u64, vb: u64| (s64(va) >= s64(vb)) as u64)
-                            }
-                            Op::LtU32(x) => bin_arm!(op, x, |va: u64, vb: u64| ((va as u32)
-                                < (vb as u32))
-                                as u64),
-                            Op::LtU64(x) => bin_arm!(op, x, |va: u64, vb: u64| (va < vb) as u64),
-                            Op::LeU32(x) => bin_arm!(op, x, |va: u64, vb: u64| ((va as u32)
-                                <= (vb as u32))
-                                as u64),
-                            Op::LeU64(x) => bin_arm!(op, x, |va: u64, vb: u64| (va <= vb) as u64),
-                            Op::GtU32(x) => bin_arm!(op, x, |va: u64, vb: u64| ((va as u32)
-                                > (vb as u32))
-                                as u64),
-                            Op::GtU64(x) => bin_arm!(op, x, |va: u64, vb: u64| (va > vb) as u64),
-                            Op::GeU32(x) => bin_arm!(op, x, |va: u64, vb: u64| ((va as u32)
-                                >= (vb as u32))
-                                as u64),
-                            Op::GeU64(x) => bin_arm!(op, x, |va: u64, vb: u64| (va >= vb) as u64),
+                            $(
+                                Op::$i32(x) => flat_arm!(x, BinKind::$kind, IrType::I32),
+                                Op::$i64(x) => flat_arm!(x, BinKind::$kind, IrType::I64),
+                            )*
                             Op::Bin {
                                 op,
                                 ty,
@@ -1148,11 +830,9 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                                 }
                             }
                             Op::PowFast { dst, a, b } => {
-                                let x = f64::from_bits(rget(&regs, *a));
-                                let y = f64::from_bits(rget(&regs, *b));
-                                let r = ((y as f32) * (x as f32).log2()).exp2() as f64;
+                                let r = pow_fast(rget(&regs, *a), rget(&regs, *b));
                                 if *dst != NO_DST {
-                                    rset(&mut regs, *dst, r.to_bits());
+                                    rset(&mut regs, *dst, r);
                                     if track {
                                         poison[*dst as usize] = false;
                                     }
@@ -1207,9 +887,9 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 };
             }
             if fast {
-                op_loop!(false);
+                flat_bins!(op_loop! { false });
             } else {
-                op_loop!(true);
+                flat_bins!(op_loop! { true });
             }
             // The terminator's step.
             if fast {
@@ -1308,7 +988,75 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
 
 #[cfg(test)]
 mod tests {
-    use super::Op;
+    use super::{BlockProgram, Op};
+    use minc_compile::ir::{Block, ValueId};
+    use minc_compile::{compile_source, Binary, CompilerImpl};
+
+    /// Writes a register into a block, or returns false if the block has
+    /// no place for it.
+    type Poke = fn(&mut Block, ValueId) -> bool;
+
+    /// Relinks `bin` with register `reg_count` (one past the last) written
+    /// by `poke` into the first reachable block of `main` it accepts,
+    /// translates that, and returns the panic message.
+    fn translation_panic(bin: &Binary, poke: Poke) -> String {
+        let mut program = bin.program.clone();
+        let f = &mut program.functions[program.main.0 as usize];
+        let bad = ValueId(f.reg_count);
+        let reach = f.reachable_blocks();
+        let poked = reach
+            .into_iter()
+            .any(|b| poke(&mut f.blocks[b.0 as usize], bad));
+        assert!(poked, "no reachable place to write v{}", bad.0);
+        let linked = Binary::link(program, bin.personality.clone());
+        let err = std::panic::catch_unwind(|| BlockProgram::translate(&linked))
+            .expect_err("translation accepted an out-of-range register");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn an_out_of_range_register_stops_translation() {
+        // The dispatcher reads registers unchecked. Every index it reads is
+        // an instruction's destination or operand or a terminator's
+        // operand, so a bad index in any of the three must stop
+        // translation with the validation message.
+        let bin = compile_source(
+            "int main() { char b[4]; long n = read_input(b, 4L); return (int)n * 3; }",
+            CompilerImpl::parse("gcc-O0").unwrap(),
+        )
+        .unwrap();
+        let reg_count = bin.program.functions[bin.program.main.0 as usize].reg_count;
+        let want = format!(
+            "block translation: register v{reg_count} out of range (reg_count {reg_count})"
+        );
+        let places: [(&str, Poke); 3] = [
+            ("an instruction's destination", |b, bad| {
+                let dst = b.insts.iter_mut().find_map(|i| i.dst_mut());
+                dst.map(|d| *d = bad).is_some()
+            }),
+            ("an instruction's operands", |b, bad| {
+                b.insts.iter_mut().any(|i| {
+                    let mut hit = false;
+                    i.for_each_use_mut(|v| {
+                        *v = bad;
+                        hit = true;
+                    });
+                    hit
+                })
+            }),
+            ("a terminator's operand", |b, bad| {
+                let mut hit = false;
+                b.term.for_each_use_mut(|v| {
+                    *v = bad;
+                    hit = true;
+                });
+                hit
+            }),
+        ];
+        for (place, poke) in places {
+            assert_eq!(translation_panic(&bin, poke), want, "{place}");
+        }
+    }
 
     #[test]
     fn op_stays_cache_dense() {

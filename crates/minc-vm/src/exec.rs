@@ -158,14 +158,10 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         for (i, g) in self.bin.program.globals.iter().enumerate() {
             let addr = self.bin.global_addrs[i];
             if let GlobalInit::Scalar(val, width) = &g.init {
-                let raw = self.const_raw(*val);
+                let raw = const_raw(self.bin, *val);
                 self.s.mem.write(addr, raw, width.bytes());
             }
         }
-    }
-
-    fn const_raw(&self, v: ConstVal) -> u64 {
-        const_raw(self.bin, v)
     }
 
     /// The per-instruction reference interpreter (reference sessions
@@ -381,10 +377,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         let loc = self.loc();
         match inst {
             Inst::Const { dst, ty, val } => {
-                let mut raw = self.const_raw(*val);
-                if *ty == IrType::I32 {
-                    raw = raw as u32 as i32 as i64 as u64;
-                }
+                let raw = const_word(self.bin, *ty, *val);
                 let poisoned = matches!(val, ConstVal::Junk(_));
                 self.set_reg(*dst, raw, poisoned);
                 Ok(())
@@ -453,7 +446,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 }
                 self.check_mem(va, width.bytes(), false, loc)?;
                 let raw = self.s.mem.read(va, width.bytes());
-                let val = extend_load(raw, *width, *ty, *sext);
+                let val = ExtKind::of(*width, *ty, *sext).extend(raw);
                 let poisoned = self.track_poison && self.hooks.load_poison(va, width.bytes());
                 self.set_reg(*dst, val, poisoned);
                 Ok(())
@@ -493,12 +486,8 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                         Ok(())
                     }
                     Callee::PowFast => {
-                        // exp2(y * log2(x)) in f32 precision: fast, imprecise.
-                        let x = f64::from_bits(vals[0]);
-                        let y = f64::from_bits(vals[1]);
-                        let r = ((y as f32) * (x as f32).log2()).exp2() as f64;
                         if let Some(d) = dst {
-                            self.set_reg(*d, r.to_bits(), false);
+                            self.set_reg(*d, pow_fast(vals[0], vals[1]), false);
                         }
                         Ok(())
                     }
@@ -1094,14 +1083,73 @@ pub(crate) fn const_raw(bin: &Binary, v: ConstVal) -> u64 {
     }
 }
 
-/// Extends a raw memory word to its register representation.
-pub(crate) fn extend_load(raw: u64, width: MemWidth, ty: IrType, sext: bool) -> u64 {
-    match (width, ty, sext) {
-        (MemWidth::W1, _, true) => raw as u8 as i8 as i64 as u64,
-        (MemWidth::W1, _, false) => raw as u8 as u64,
-        (MemWidth::W4, IrType::I32, _) => raw as u32 as i32 as i64 as u64,
-        (MemWidth::W4, _, _) => raw as u32 as u64,
-        (MemWidth::W8, _, _) => raw,
+/// The register word an `Inst::Const` of type `ty` writes: the constant's
+/// raw word, sign-extended from its low 32 bits at `I32`.
+pub(crate) fn const_word(bin: &Binary, ty: IrType, v: ConstVal) -> u64 {
+    let raw = const_raw(bin, v);
+    if ty == IrType::I32 {
+        raw as u32 as i32 as i64 as u64
+    } else {
+        raw
+    }
+}
+
+/// clang -O3's imprecise `pow` (`Callee::PowFast`) on register words:
+/// `exp2(y * log2(x))` in `f32` precision.
+pub(crate) fn pow_fast(x: u64, y: u64) -> u64 {
+    let (x, y) = (f64::from_bits(x), f64::from_bits(y));
+    (((y as f32) * (x as f32).log2()).exp2() as f64).to_bits()
+}
+
+/// How a load extends the memory word it reads to a register word: the
+/// `(width, ty, sext)` of an `Inst::Load`, which the block dispatcher
+/// resolves once at translation time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ExtKind {
+    /// 1 byte, sign-extended.
+    S8,
+    /// 1 byte, zero-extended.
+    U8,
+    /// 4 bytes into an i32 register (sign-extended canonical form).
+    S32,
+    /// 4 bytes, zero-extended (raw i64 destination).
+    U32,
+    /// Full 8-byte word.
+    W8,
+}
+
+impl ExtKind {
+    /// The extension of a load of `width` bytes into a `ty` register.
+    pub(crate) fn of(width: MemWidth, ty: IrType, sext: bool) -> ExtKind {
+        match (width, ty, sext) {
+            (MemWidth::W1, _, true) => ExtKind::S8,
+            (MemWidth::W1, _, false) => ExtKind::U8,
+            (MemWidth::W4, IrType::I32, _) => ExtKind::S32,
+            (MemWidth::W4, _, _) => ExtKind::U32,
+            (MemWidth::W8, _, _) => ExtKind::W8,
+        }
+    }
+
+    /// Extends the raw memory word `raw` to its register word.
+    #[inline(always)]
+    pub(crate) fn extend(self, raw: u64) -> u64 {
+        match self {
+            ExtKind::S8 => raw as u8 as i8 as i64 as u64,
+            ExtKind::U8 => raw as u8 as u64,
+            ExtKind::S32 => raw as u32 as i32 as i64 as u64,
+            ExtKind::U32 => raw as u32 as u64,
+            ExtKind::W8 => raw,
+        }
+    }
+
+    /// Access width in bytes (the `MemWidth` this kind was built from).
+    #[inline(always)]
+    pub(crate) fn bytes(self) -> u64 {
+        match self {
+            ExtKind::S8 | ExtKind::U8 => 1,
+            ExtKind::S32 | ExtKind::U32 => 4,
+            ExtKind::W8 => 8,
+        }
     }
 }
 

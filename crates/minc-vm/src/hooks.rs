@@ -50,7 +50,7 @@ pub enum PoisonUse {
 pub trait Hooks {
     /// `true` iff this hook set observes nothing at all (every callback is
     /// the no-op default). The block dispatcher gates its per-op hook
-    /// plumbing — location lookups, `(op, ty)` metadata recovery — on this
+    /// plumbing — location lookups, `check_bin` and `on_edge` calls — on this
     /// constant, so the uninstrumented path pays zero for it *structurally*
     /// rather than relying on the optimizer to dead-code it. Only set this
     /// on a hook set that overrides no callbacks (`bulk_mem_ok` aside).

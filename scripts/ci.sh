@@ -307,6 +307,19 @@ status=0
     --shards 2 --seed 11 --workers 1 --quiet > /dev/null 2> "$san_a" || status=$?
 [ "$status" -eq 1 ]
 grep -q 'field `execs` is out of range' "$san_a"
+# The same bad record as the last line: it parses, so it is no torn
+# write, and resume must refuse it rather than drop it and re-run its job.
+mkdir "$bad_dir/last"
+cat > "$bad_dir/last/checkpoint.jsonl" <<'EOF'
+{"type":"header","version":2,"seed":11,"execs_per_target":40,"shards":2,"targets":["jq"]}
+{"type":"job","target":"jq","shard":1,"execs":20,"oracle_execs":10,"divergent":0,"crashes":0,"signatures":[]}
+{"type":"job","target":"jq","shard":0,"execs":-1,"oracle_execs":10,"divergent":0,"crashes":0,"signatures":[]}
+EOF
+status=0
+./target/release/compdiff campaign --resume "$bad_dir/last" --targets jq --execs-per-target 40 \
+    --shards 2 --seed 11 --workers 1 --quiet > /dev/null 2> "$san_a" || status=$?
+[ "$status" -eq 1 ]
+grep -q 'field `execs` is out of range' "$san_a"
 mkdir "$bad_dir/progen"
 sed '0,/"generation": [0-9]*/s//"generation": 4294967297/' "$progen_a/state.json" \
     > "$bad_dir/progen/state.json"

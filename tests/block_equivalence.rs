@@ -13,12 +13,14 @@
 //! this suite is the safety net under the whole optimization.
 
 use fuzzing::CoverageMap;
+use minc_compile::ir::{BinKind, IrType};
 use minc_compile::{compile_source, Binary, CompilerImpl};
 use minc_vm::{
-    execute, execute_with_hooks, ExecResult, ExecSession, ExitStatus, Hooks, SanitizerKind,
-    VmConfig,
+    execute, execute_with_hooks, ExecResult, ExecSession, ExitStatus, Fault, Hooks, Loc,
+    SanitizerKind, VmConfig,
 };
 use sanitizers::{Asan, Msan, Ubsan};
+use std::collections::HashSet;
 use targets::{build, catalog};
 
 /// Runs `bin` on `input` in a fresh reference session (the
@@ -437,4 +439,187 @@ fn golden_progen_witnesses_diverge_identically_in_both_modes() {
             "{file} no longer diverges across implementations in block mode"
         );
     }
+}
+
+/// A hook set that records every `check_bin` callback and reports
+/// nothing, so two engines' arithmetic metadata compare call for call.
+#[derive(Default)]
+struct BinLog(Vec<(BinKind, IrType, u64, u64, bool, Loc)>);
+
+impl Hooks for BinLog {
+    fn check_bin(
+        &mut self,
+        op: BinKind,
+        ty: IrType,
+        a: u64,
+        b: u64,
+        ub_signed: bool,
+        loc: Loc,
+    ) -> Option<Fault> {
+        self.0.push((op, ty, a, b, ub_signed, loc));
+        None
+    }
+}
+
+/// Every flat binary opcode of the block dispatcher against the
+/// reference, on boundary operands read from the input (so nothing
+/// folds), undefined ones included: signed overflow and shift counts 31,
+/// 32, 63, 64 and -1. Every non-trapping integer `BinKind` a MinC source
+/// can express appears at `int` and `long` width (`unsigned int` gives the
+/// 32-bit unsigned shift and comparisons, pointer comparisons the 64-bit
+/// unsigned ones; MinC has no unsigned 64-bit type, so 64-bit `ShrU` has
+/// no source form). Block dispatch must equal the reference with no
+/// hooks, under UBSan, and under a hook that records every `check_bin`.
+#[test]
+fn every_flat_opcode_matches_the_reference_on_boundary_operands() {
+    /// A C operand type: how to read one from the input, its width in
+    /// the input, the operators applied to it, and its values.
+    struct Group {
+        ty: &'static str,
+        read: &'static str,
+        width: usize,
+        ops: &'static [&'static str],
+        vals: &'static [i64],
+    }
+    const INT_OPS: &[&str] = &[
+        "+", "-", "*", "<<", ">>", "&", "|", "^", "==", "!=", "<", "<=", ">", ">=",
+    ];
+    const CMP_OPS: &[&str] = &["==", "!=", "<", "<=", ">", ">="];
+    let groups = [
+        Group {
+            ty: "int",
+            read: "in32()",
+            width: 4,
+            ops: INT_OPS,
+            vals: &[0, 1, -1, 2, 31, 32, 63, 64, 46341, 2147483647, -2147483648],
+        },
+        Group {
+            ty: "unsigned int",
+            read: "(unsigned int)in32()",
+            width: 4,
+            ops: INT_OPS,
+            vals: &[0, 1, 31, 32, 2147483648, 4294967295],
+        },
+        Group {
+            ty: "long",
+            read: "in64()",
+            width: 8,
+            ops: INT_OPS,
+            vals: &[
+                0,
+                1,
+                -1,
+                31,
+                32,
+                63,
+                64,
+                3037000500,
+                4294967296,
+                i64::MAX,
+                i64::MIN,
+            ],
+        },
+        Group {
+            ty: "char*",
+            read: "(char*)in64()",
+            width: 8,
+            ops: CMP_OPS,
+            vals: &[0, 1, -1, 4096, i64::MIN],
+        },
+    ];
+    // Group `g` is function `g{g}(k)`, which runs its operators from the
+    // `k`-th on; an input is `g`, `k`, then the two operands.
+    let mut src = String::from(
+        "int in32() { int v; read_input(&v, 4L); return v; }\n\
+         long in64() { long v; read_input(&v, 8L); return v; }\n",
+    );
+    for (g, group) in groups.iter().enumerate() {
+        let (ty, read) = (group.ty, group.read);
+        src.push_str(&format!(
+            "void g{g}(int k) {{\n    {ty} x = {read};\n    {ty} y = {read};\n"
+        ));
+        for (i, op) in group.ops.iter().enumerate() {
+            src.push_str(&format!(
+                "    if (k <= {i}) {{ printf(\"%ld\\n\", (long)(x {op} y)); }}\n"
+            ));
+        }
+        src.push_str("}\n");
+    }
+    src.push_str("int main() {\n    int g = in32();\n    int k = in32();\n");
+    for g in 0..groups.len() {
+        src.push_str(&format!("    if (g == {g}) {{ g{g}(k); }}\n"));
+    }
+    src.push_str("    return 0;\n}\n");
+    let input = |g: usize, k: usize, a: i64, b: i64| -> Vec<u8> {
+        let width = groups[g].width;
+        let mut v = (g as i32).to_le_bytes().to_vec();
+        v.extend((k as i32).to_le_bytes());
+        v.extend(&a.to_le_bytes()[..width]);
+        v.extend(&b.to_le_bytes()[..width]);
+        v
+    };
+    let pairs = || {
+        groups.iter().enumerate().flat_map(|(g, group)| {
+            let vals = group.vals;
+            vals.iter()
+                .flat_map(move |&a| vals.iter().map(move |&b| (g, a, b)))
+        })
+    };
+    let cfg = VmConfig::default();
+
+    // No hooks and the recording hook, every operator in one run, on
+    // every implementation.
+    let checked = minc::check(&src).unwrap();
+    let mut seen = HashSet::new();
+    for ci in CompilerImpl::default_set() {
+        let bin = minc_compile::compile(&checked, ci);
+        let (mut block, mut reference) = (ExecSession::new(&bin), ExecSession::reference(&bin));
+        for (g, a, b) in pairs() {
+            let input = input(g, 0, a, b);
+            let label = format!("{ci} {} {a}, {b}", groups[g].ty);
+            let want = reference.run(&bin, &input, &cfg);
+            assert_eq!(want.status, ExitStatus::Code(0), "{label}");
+            let lines = want.stdout.iter().filter(|&&c| c == b'\n').count();
+            assert_eq!(lines, groups[g].ops.len(), "{label}");
+            assert_eq!(block.run(&bin, &input, &cfg), want, "{label}: no hooks");
+            let (mut block_log, mut reference_log) = (BinLog::default(), BinLog::default());
+            let want = reference.run_with_hooks(&bin, &input, &cfg, &mut reference_log);
+            let got = block.run_with_hooks(&bin, &input, &cfg, &mut block_log);
+            assert_eq!(got, want, "{label}: recording hook");
+            assert_eq!(block_log.0, reference_log.0, "{label}: check_bin calls");
+            seen.extend(block_log.0.iter().map(|&(op, ty, ..)| (op, ty)));
+        }
+    }
+    use BinKind::*;
+    let listed = [
+        Add, Sub, Mul, Shl, ShrS, ShrU, And, Or, Xor, Eq, Ne, LtS, LeS, GtS, GeS, LtU, LeU, GtU,
+        GeU,
+    ];
+    for op in listed {
+        for ty in [IrType::I32, IrType::I64] {
+            if (op, ty) != (ShrU, IrType::I64) {
+                assert!(seen.contains(&(op, ty)), "{op:?} at {ty:?} never ran");
+            }
+        }
+    }
+
+    // UBSan, one run per operator the group starts at: the run stops at
+    // the first undefined operation from there on.
+    let bin = sanitizers::compile_sanitized(&src).unwrap();
+    let (mut block, mut reference) = (ExecSession::new(&bin), ExecSession::reference(&bin));
+    let mut faults = 0;
+    for (g, a, b) in pairs() {
+        for k in 0..groups[g].ops.len() {
+            let input = input(g, k, a, b);
+            let want = reference.run_with_hooks(&bin, &input, &cfg, &mut Ubsan::new());
+            let got = block.run_with_hooks(&bin, &input, &cfg, &mut Ubsan::new());
+            assert_eq!(
+                got, want,
+                "UBSan {} {} {a}, {b}",
+                groups[g].ty, groups[g].ops[k]
+            );
+            faults += matches!(want.status, ExitStatus::Sanitizer(_)) as usize;
+        }
+    }
+    assert!(faults > 0, "no operand pair was undefined under UBSan");
 }
