@@ -1,12 +1,13 @@
 //! Decode robustness of every record read back from outside: checkpoint
 //! lines (through `CampaignState::resume`), protocol frames, the config
-//! frame, and progen's `state.json` (which `compdiff progen evolve
-//! --resume` reads). One table per decoder refuses, for every
-//! field, a missing, a wrong-type, a negative and an out-of-range value
-//! with an error naming that field; a seeded byte-mutation loop feeds
-//! each surface at least 1,000 mutants, every one of which must decode
-//! to `Ok` or a typed `Err` (a panic fails the test, and the test
-//! profile checks overflow).
+//! frame, progen's `state.json` (which `compdiff progen evolve
+//! --resume` reads), and the campaign's and sancheck's fault plans. One
+//! table per decoder refuses, for every field, a missing, a wrong-type,
+//! a negative and an out-of-range value with an error naming that field;
+//! a seeded byte-mutation loop feeds each surface (each fault-plan grammar
+//! example) at least 1,000 mutants, every one of which must decode to
+//! `Ok` or a typed `Err` (a panic fails the test, and the test profile
+//! checks overflow).
 
 // test-only: unwraps in this module assert test invariants.
 use crate::policy::{FaultLedger, RetryPolicy};
@@ -18,6 +19,7 @@ use crate::{CampaignConfig, CampaignStats, FaultPlan, LintTally, LintTallyError}
 use compdiff::Json;
 use fuzzing::Rng;
 use minc_vm::SessionStats;
+use sancheck::SanFaultPlan;
 use std::path::PathBuf;
 use std::sync::Arc;
 use targets::{Target, TargetSpec};
@@ -511,10 +513,15 @@ fn config_frames_refuse_bad_fields() {
     }
 }
 
+/// Bytes JSON gives meaning to.
+const JSON_BYTES: &[u8] = b"0123456789-+.eE\"{}[],:\\ ntfl";
+
+/// Bytes the fault-plan grammars give meaning to.
+const PLAN_BYTES: &[u8] = b"0123456789@#*,: ";
+
 /// Applies `1..=4` seeded byte mutations to `bytes`: overwrite, insert,
-/// delete, or a JSON-significant byte.
-fn mutate(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
-    const SIGNIFICANT: &[u8] = b"0123456789-+.eE\"{}[],:\\ ntfl";
+/// delete, or a byte of `significant`.
+fn mutate(bytes: &[u8], significant: &[u8], rng: &mut Rng) -> Vec<u8> {
     let mut out = bytes.to_vec();
     for _ in 0..1 + rng.below(4) {
         let at = rng.below(out.len() + 1);
@@ -524,8 +531,8 @@ fn mutate(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
             2 if at < out.len() => {
                 out.remove(at);
             }
-            _ if at < out.len() => out[at] = *rng.choose(SIGNIFICANT),
-            _ => out.push(*rng.choose(SIGNIFICANT)),
+            _ if at < out.len() => out[at] = *rng.choose(significant),
+            _ => out.push(*rng.choose(significant)),
         }
     }
     out
@@ -564,7 +571,7 @@ fn mutated_checkpoints_resume_or_fail_typed() {
     let mut rng = Rng::new(0xC4EC);
     let (mut resumed, mut refused) = (0, 0);
     for _ in 0..1_000 {
-        std::fs::write(&path, mutate(&valid, &mut rng)).unwrap();
+        std::fs::write(&path, mutate(&valid, JSON_BYTES, &mut rng)).unwrap();
         let Ok(st) = CampaignState::resume(&dir, &header()) else {
             refused += 1;
             continue;
@@ -588,6 +595,91 @@ fn mutated_checkpoints_resume_or_fail_typed() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The grammar examples of the `campaign::faults` docs.
+const FAULT_PLAN_EXAMPLES: &[&str] = &[
+    "panic@tcpdump#1",
+    "panic@tcpdump#any*2",
+    "panic@any#any*inf",
+    "panic@seeded#7*inf",
+    "io@jq#0",
+    "panic@compile:mujs",
+    "fail@compile:jq*inf",
+    "io@checkpoint:3",
+    "io@checkpoint:any*inf",
+    "die@tcpdump#0",
+    "drop@conn:1",
+    "drop@conn:any*2",
+];
+
+/// Mutants of each example plan parse to `Ok` or `Err`, and an accepted
+/// plan answers every query an injection point makes of it.
+#[test]
+fn mutated_fault_plans_parse_or_fail_typed() {
+    let mut rng = Rng::new(0xFA17);
+    let (mut parsed, mut refused) = (0, 0);
+    for example in FAULT_PLAN_EXAMPLES {
+        for _ in 0..1_000 {
+            let mutant = mutate(example.as_bytes(), PLAN_BYTES, &mut rng);
+            let Ok(plan) = FaultPlan::parse(&String::from_utf8_lossy(&mutant), 7) else {
+                refused += 1;
+                continue;
+            };
+            parsed += 1;
+            for target in ["tcpdump", "jq", "mujs", "any", ""] {
+                for n in [0, 1, 2, 7, u32::MAX] {
+                    plan.fire_job(target, n, n);
+                    plan.fire_compile(target, n);
+                }
+            }
+            for seq in [0, 1, 2, 3, u64::MAX] {
+                plan.fire_checkpoint(seq);
+                plan.fire_conn(seq);
+            }
+        }
+    }
+    assert!(
+        parsed > 0 && refused > 0,
+        "{parsed} parsed, {refused} refused"
+    );
+}
+
+/// The grammar examples of the `sancheck::faults` docs.
+const SAN_FAULT_PLAN_EXAMPLES: &[&str] = &[
+    "suppress@msan",
+    "suppress@ubsan#2",
+    "fire@ubsan:shift-out-of-bounds",
+    "fire@asan:heap-buffer-overflow#3",
+];
+
+/// Mutants of each example sanitizer plan parse to `Ok` or `Err`, and an
+/// accepted plan re-parses from its `Display` to the same plan.
+#[test]
+fn mutated_san_fault_plans_parse_or_fail_typed() {
+    let mut rng = Rng::new(0x5A4F);
+    let (mut parsed, mut refused) = (0, 0);
+    for example in SAN_FAULT_PLAN_EXAMPLES {
+        for _ in 0..1_000 {
+            let mutant = mutate(example.as_bytes(), PLAN_BYTES, &mut rng);
+            let text = String::from_utf8_lossy(&mutant);
+            let Ok(plan) = SanFaultPlan::parse(&text) else {
+                refused += 1;
+                continue;
+            };
+            parsed += 1;
+            let shown = plan.to_string();
+            assert_eq!(
+                SanFaultPlan::parse(&shown),
+                Ok(plan),
+                "{text:?} shown as {shown:?}"
+            );
+        }
+    }
+    assert!(
+        parsed > 0 && refused > 0,
+        "{parsed} parsed, {refused} refused"
+    );
+}
+
 /// Reads `bytes` as one frame line the way a transport does.
 fn read_one(bytes: &[u8]) -> Option<Json> {
     read_frame(&mut std::io::BufReader::new(bytes))
@@ -602,7 +694,7 @@ fn mutated_frames_decode_or_fail_typed() {
         let wire = format!("{}\n", frame.to_json().render()).into_bytes();
         let mut decoded = 0;
         for _ in 0..1_000 {
-            if let Some(v) = read_one(&mutate(&wire, &mut rng)) {
+            if let Some(v) = read_one(&mutate(&wire, JSON_BYTES, &mut rng)) {
                 decoded += usize::from(Frame::from_json(&v).is_ok());
             }
         }
@@ -611,7 +703,7 @@ fn mutated_frames_decode_or_fail_typed() {
     let (cfg, targets) = config();
     let wire = format!("{}\n", config_frame(&cfg, &targets).render()).into_bytes();
     for _ in 0..1_000 {
-        if let Some(v) = read_one(&mutate(&wire, &mut rng)) {
+        if let Some(v) = read_one(&mutate(&wire, JSON_BYTES, &mut rng)) {
             let _ = parse_config(&v);
         }
     }
@@ -705,7 +797,7 @@ fn mutated_evolve_states_decode_or_fail_typed() {
     let mut rng = Rng::new(0x57A7E);
     let mut decoded = 0;
     for _ in 0..1_000 {
-        let mutant = mutate(&valid, &mut rng);
+        let mutant = mutate(&valid, JSON_BYTES, &mut rng);
         let Ok(text) = std::str::from_utf8(&mutant) else {
             continue;
         };

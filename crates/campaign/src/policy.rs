@@ -49,13 +49,6 @@ pub enum Disposition {
     AlreadyQuarantined,
 }
 
-impl Disposition {
-    /// True if the job is finished (failed) rather than retried.
-    pub fn is_terminal(self) -> bool {
-        !matches!(self, Disposition::Retry { .. })
-    }
-}
-
 /// The replayable failure state of one campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultLedger {

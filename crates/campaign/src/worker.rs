@@ -31,6 +31,11 @@ use telemetry::{NoopRecorder, Telemetry};
 /// coordinator's lease timeout must dwarf it.
 const RENEW_EVERY: Duration = Duration::from_millis(500);
 
+/// Fuzz executions per read of the clock by the lease heartbeat (the
+/// default batch size): a renewal is late by at most this many minus one
+/// executions, nothing against the lease timeout.
+const CLOCK_EVERY: u32 = 16;
+
 /// What a worker serves: the campaign parameters, the selected targets
 /// (indexed like a lease's `target_index`), the cache its jobs compile
 /// through, and where its metrics go.
@@ -127,8 +132,10 @@ fn attempt(
 ) -> Frame {
     let ctel = &w.ctel;
     let mut renewed = Instant::now();
+    let mut calls = 0u32;
     let mut heartbeat = || {
-        if renewed.elapsed() >= RENEW_EVERY {
+        calls = calls.wrapping_add(1);
+        if calls.is_multiple_of(CLOCK_EVERY) && renewed.elapsed() >= RENEW_EVERY {
             renewed = Instant::now();
             let _ = send(Frame::Renew { lease });
         }

@@ -30,6 +30,15 @@ pub struct Discrepancy {
 impl Discrepancy {
     /// Builds a report from a divergent outcome.
     pub fn from_outcome(impls: &[CompilerImpl], outcome: &DiffOutcome, input: &[u8]) -> Self {
+        Self::with_signature(impls, outcome, input, signature_of(impls, outcome))
+    }
+
+    fn with_signature(
+        impls: &[CompilerImpl],
+        outcome: &DiffOutcome,
+        input: &[u8],
+        signature: String,
+    ) -> Self {
         let classes: Vec<Vec<String>> = outcome
             .classes
             .iter()
@@ -48,7 +57,6 @@ impl Discrepancy {
                 (impls[i].to_string(), preview, r.status.to_string())
             })
             .collect();
-        let signature = signature_of(impls, outcome);
         Discrepancy {
             input: input.to_vec(),
             classes,
@@ -183,9 +191,9 @@ impl DiffStore {
     /// [`signature_with_hash`]).
     pub fn record(&mut self, diff: &CompDiff, outcome: &DiffOutcome, input: &[u8]) -> bool {
         debug_assert!(outcome.divergent);
-        let mut report = Discrepancy::from_outcome(&diff.impls(), outcome, input);
-        report.signature = signature_with_hash(diff.src_hash(), &diff.impls(), outcome);
-        let sig = report.signature.clone();
+        let impls = diff.impls();
+        let sig = signature_with_hash(diff.src_hash(), &impls, outcome);
+        let report = Discrepancy::with_signature(&impls, outcome, input, sig.clone());
         let idx = self.discrepancies.len();
         self.discrepancies.push(report);
         let bucket = self.by_signature.entry(sig).or_default();

@@ -301,11 +301,7 @@ impl BinKind {
         } else {
             (a, b)
         };
-        let (min, mask) = if narrow {
-            (i32::MIN as i64, 31)
-        } else {
-            (i64::MIN, 63)
-        };
+        let min = if narrow { i32::MIN as i64 } else { i64::MIN };
         let wrap = |v: i64| -> u64 {
             if narrow {
                 v as i32 as i64 as u64
@@ -323,9 +319,14 @@ impl BinKind {
             DivU | RemU if ub == 0 => return None,
             DivU => wrap((ua / ub) as i64),
             RemU => wrap((ua % ub) as i64),
-            Shl => wrap(sa.wrapping_shl(ub as u32 & mask)),
-            ShrS => wrap(sa.wrapping_shr(ub as u32 & mask)),
-            ShrU => wrap(ua.wrapping_shr(ub as u32 & mask) as i64),
+            // `wrapping_shl`/`wrapping_shr` mask the count to the width of
+            // the value they shift, as x86 does.
+            Shl if narrow => wrap((a as i32).wrapping_shl(b as u32) as i64),
+            ShrS if narrow => wrap((a as i32).wrapping_shr(b as u32) as i64),
+            ShrU if narrow => wrap((a as u32).wrapping_shr(b as u32) as i64),
+            Shl => wrap(sa.wrapping_shl(b as u32)),
+            ShrS => wrap(sa.wrapping_shr(b as u32)),
+            ShrU => wrap(ua.wrapping_shr(b as u32) as i64),
             And => wrap(sa & sb),
             Or => wrap(sa | sb),
             Xor => wrap(sa ^ sb),

@@ -9,13 +9,13 @@
 //! The per-instruction interpreter re-decodes every `Inst`
 //! (enum match, operand field loads, frame-layout lookups) on every step.
 //! This module translates a [`Binary`] **once** into a [`BlockProgram`]:
-//! per function, a vector of *superblocks* whose operations ([`Op`]) carry
+//! per function, a vector of *superblocks* whose operations (`Op`) carry
 //! fully pre-resolved operands — constants folded through the personality's
 //! junk words, frame-slot offsets flattened, hook locations pre-computed —
 //! and whose unconditional-jump chains are fused so straight-line runs of
 //! basic blocks dispatch without touching the frame state.
 //!
-//! The dispatcher ([`Vm::run_block`]) keeps the hot register file of the
+//! The dispatcher (`Vm::run_block`) keeps the hot register file of the
 //! current activation in locals (`mem::take`n out of the frame, swapped
 //! back only at call/return boundaries) and charges the step limit per
 //! superblock: when the whole block provably fits under the limit it runs

@@ -344,19 +344,6 @@ impl Memory {
         }
     }
 
-    /// Reads a NUL-terminated C string, bounded by `max` bytes.
-    pub fn read_cstr(&mut self, addr: u64, max: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        for i in 0..max {
-            let b = self.read_u8(addr.wrapping_add(i));
-            if b == 0 {
-                break;
-            }
-            out.push(b);
-        }
-        out
-    }
-
     /// Number of materialized pages (memory footprint proxy). Pages stay
     /// materialized across [`reset`](Memory::reset), so in a persistent
     /// session this counts the high-water mark over all executions.
@@ -447,16 +434,6 @@ mod tests {
         for i in 0..300 {
             assert_eq!(m.read_u8(dst + i), 0x5a);
         }
-    }
-
-    #[test]
-    fn cstr_stops_at_nul_and_max() {
-        let mut m = mem("gcc-O0");
-        m.write_u8(0xa000, b'h');
-        m.write_u8(0xa001, b'i');
-        m.write_u8(0xa002, 0);
-        assert_eq!(m.read_cstr(0xa000, 100), b"hi");
-        assert_eq!(m.read_cstr(0xa000, 1), b"h");
     }
 
     #[test]

@@ -1,58 +1,132 @@
 //! Abstract syntax tree for MinC.
 
 use crate::span::{NodeId, Span};
+use crate::token::TokenKind;
 use crate::types::Type;
 
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnOp {
-    /// Arithmetic negation `-x` (signed overflow on `INT_MIN` is UB).
-    Neg,
-    /// Logical not `!x`.
-    Not,
-    /// Bitwise not `~x`.
-    BitNot,
-    /// Pointer dereference `*p`.
-    Deref,
-    /// Address-of `&x`.
-    Addr,
+// The one listing of MinC's operators. Each names the token that spells
+// it; a binary operator also names the compound assignment token that
+// applies it (comparisons have none) and its precedence level, higher
+// binding tighter (levels 0 and 1 are `||` and `&&`, which are
+// `ExprKind::Logical`, not operators here). The parser reads operators
+// and the pretty-printer spells them through what these generate.
+macro_rules! unary_operators {
+    ($($(#[$attr:meta])* $op:ident = $token:ident,)*) => {
+        /// Unary operators.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum UnOp {
+            $($(#[$attr])* $op,)*
+        }
+
+        impl UnOp {
+            /// The prefix token that spells the operator.
+            pub(crate) fn token(self) -> TokenKind {
+                match self {
+                    $(UnOp::$op => TokenKind::$token,)*
+                }
+            }
+
+            /// The operator a prefix token spells, if any.
+            pub(crate) fn of_token(kind: &TokenKind) -> Option<UnOp> {
+                match kind {
+                    $(TokenKind::$token => Some(UnOp::$op),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-/// Binary operators (excluding assignment and short-circuit forms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BinOp {
+macro_rules! binary_operators {
+    ($($(#[$attr:meta])* $op:ident = $token:ident $(| $assign:ident)? @ $level:literal,)*) => {
+        /// Binary operators (excluding assignment and short-circuit forms).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum BinOp {
+            $($(#[$attr])* $op,)*
+        }
+
+        impl BinOp {
+            /// The infix token that spells the operator.
+            pub(crate) fn token(self) -> TokenKind {
+                match self {
+                    $(BinOp::$op => TokenKind::$token,)*
+                }
+            }
+
+            /// The operator an infix token spells, if any.
+            pub(crate) fn of_token(kind: &TokenKind) -> Option<BinOp> {
+                match kind {
+                    $(TokenKind::$token => Some(BinOp::$op),)*
+                    _ => None,
+                }
+            }
+
+            /// The operator a compound assignment token applies (`Add` for
+            /// `+=`), if any.
+            pub(crate) fn of_assign(kind: &TokenKind) -> Option<BinOp> {
+                match kind {
+                    $($(TokenKind::$assign => Some(BinOp::$op),)?)*
+                    _ => None,
+                }
+            }
+
+            /// The operator's precedence level; a higher level binds
+            /// tighter.
+            pub(crate) fn precedence(self) -> u8 {
+                match self {
+                    $(BinOp::$op => $level,)*
+                }
+            }
+        }
+    };
+}
+
+unary_operators! {
+    /// Arithmetic negation (signed overflow on `INT_MIN` is UB).
+    Neg = Minus,
+    /// Logical not.
+    Not = Bang,
+    /// Bitwise not.
+    BitNot = Tilde,
+    /// Pointer dereference.
+    Deref = Star,
+    /// Address-of.
+    Addr = Amp,
+}
+
+binary_operators! {
     /// Addition.
-    Add,
+    Add = Plus | PlusAssign @ 8,
     /// Subtraction.
-    Sub,
+    Sub = Minus | MinusAssign @ 8,
     /// Multiplication.
-    Mul,
+    Mul = Star | StarAssign @ 9,
     /// Division.
-    Div,
+    Div = Slash | SlashAssign @ 9,
     /// Remainder.
-    Rem,
-    /// `<<`
-    Shl,
-    /// `>>`
-    Shr,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// Equality (`==`).
-    Eq,
-    /// Inequality (`!=`).
-    Ne,
+    Rem = Percent | PercentAssign @ 9,
+    /// Left shift.
+    Shl = Shl | ShlAssign @ 7,
+    /// Right shift.
+    Shr = Shr | ShrAssign @ 7,
+    /// Less than.
+    Lt = Lt @ 6,
+    /// Less than or equal.
+    Le = Le @ 6,
+    /// Greater than.
+    Gt = Gt @ 6,
+    /// Greater than or equal.
+    Ge = Ge @ 6,
+    /// Equality.
+    Eq = EqEq @ 5,
+    /// Inequality.
+    Ne = BangEq @ 5,
     /// Bitwise and.
-    BitAnd,
+    BitAnd = Amp | AmpAssign @ 4,
     /// Bitwise or.
-    BitOr,
+    BitOr = Pipe | PipeAssign @ 2,
     /// Bitwise xor.
-    BitXor,
+    BitXor = Caret | CaretAssign @ 3,
 }
 
 impl BinOp {

@@ -123,7 +123,6 @@ impl<'a> Lexer<'a> {
     }
 
     fn next_kind(&mut self, c: u8) -> Result<TokenKind, FrontendError> {
-        use TokenKind::*;
         let start = self.pos;
         if c.is_ascii_digit() {
             return self.number(start);
@@ -137,131 +136,12 @@ impl<'a> Lexer<'a> {
         if c == b'\'' {
             return self.char_lit(start);
         }
+        if let Some((kind, len)) = TokenKind::punctuator(&self.src[start..]) {
+            self.pos += len;
+            return Ok(kind);
+        }
         self.bump();
-        let kind = match c {
-            b'(' => LParen,
-            b')' => RParen,
-            b'{' => LBrace,
-            b'}' => RBrace,
-            b'[' => LBracket,
-            b']' => RBracket,
-            b';' => Semi,
-            b',' => Comma,
-            b'.' => Dot,
-            b'?' => Question,
-            b':' => Colon,
-            b'~' => Tilde,
-            b'+' => {
-                if self.eat(b'+') {
-                    PlusPlus
-                } else if self.eat(b'=') {
-                    PlusAssign
-                } else {
-                    Plus
-                }
-            }
-            b'-' => {
-                if self.eat(b'-') {
-                    MinusMinus
-                } else if self.eat(b'=') {
-                    MinusAssign
-                } else if self.eat(b'>') {
-                    Arrow
-                } else {
-                    Minus
-                }
-            }
-            b'*' => {
-                if self.eat(b'=') {
-                    StarAssign
-                } else {
-                    Star
-                }
-            }
-            b'/' => {
-                if self.eat(b'=') {
-                    SlashAssign
-                } else {
-                    Slash
-                }
-            }
-            b'%' => {
-                if self.eat(b'=') {
-                    PercentAssign
-                } else {
-                    Percent
-                }
-            }
-            b'&' => {
-                if self.eat(b'&') {
-                    AmpAmp
-                } else if self.eat(b'=') {
-                    AmpAssign
-                } else {
-                    Amp
-                }
-            }
-            b'|' => {
-                if self.eat(b'|') {
-                    PipePipe
-                } else if self.eat(b'=') {
-                    PipeAssign
-                } else {
-                    Pipe
-                }
-            }
-            b'^' => {
-                if self.eat(b'=') {
-                    CaretAssign
-                } else {
-                    Caret
-                }
-            }
-            b'!' => {
-                if self.eat(b'=') {
-                    BangEq
-                } else {
-                    Bang
-                }
-            }
-            b'=' => {
-                if self.eat(b'=') {
-                    EqEq
-                } else {
-                    Assign
-                }
-            }
-            b'<' => {
-                if self.eat(b'<') {
-                    if self.eat(b'=') {
-                        ShlAssign
-                    } else {
-                        Shl
-                    }
-                } else if self.eat(b'=') {
-                    Le
-                } else {
-                    Lt
-                }
-            }
-            b'>' => {
-                if self.eat(b'>') {
-                    if self.eat(b'=') {
-                        ShrAssign
-                    } else {
-                        Shr
-                    }
-                } else if self.eat(b'=') {
-                    Ge
-                } else {
-                    Gt
-                }
-            }
-            other => {
-                return Err(self.err(start, format!("unexpected character `{}`", other as char)));
-            }
-        };
-        Ok(kind)
+        Err(self.err(start, format!("unexpected character `{}`", c as char)))
     }
 
     fn number(&mut self, start: usize) -> Result<TokenKind, FrontendError> {

@@ -527,20 +527,10 @@ impl Parser {
 
     fn assignment_level(&mut self) -> Result<Expr, FrontendError> {
         let lhs = self.conditional_expr()?;
-        let op = match self.peek() {
-            TokenKind::Assign => None,
-            TokenKind::PlusAssign => Some(BinOp::Add),
-            TokenKind::MinusAssign => Some(BinOp::Sub),
-            TokenKind::StarAssign => Some(BinOp::Mul),
-            TokenKind::SlashAssign => Some(BinOp::Div),
-            TokenKind::PercentAssign => Some(BinOp::Rem),
-            TokenKind::ShlAssign => Some(BinOp::Shl),
-            TokenKind::ShrAssign => Some(BinOp::Shr),
-            TokenKind::AmpAssign => Some(BinOp::BitAnd),
-            TokenKind::PipeAssign => Some(BinOp::BitOr),
-            TokenKind::CaretAssign => Some(BinOp::BitXor),
-            _ => return Ok(lhs),
-        };
+        let op = BinOp::of_assign(self.peek());
+        if op.is_none() && self.peek() != &TokenKind::Assign {
+            return Ok(lhs);
+        }
         self.bump();
         let value = self.assignment_expr()?;
         let span = lhs.span.merge(value.span);
@@ -576,29 +566,11 @@ impl Parser {
     /// The binary operator at the current token with its precedence
     /// level, lowest first.
     fn binop(&self) -> Option<(u8, BinOpOrLogical)> {
-        use BinOpOrLogical::*;
-        let found = match self.peek() {
-            TokenKind::PipePipe => (0, Logical(false)),
-            TokenKind::AmpAmp => (1, Logical(true)),
-            TokenKind::Pipe => (2, Bin(BinOp::BitOr)),
-            TokenKind::Caret => (3, Bin(BinOp::BitXor)),
-            TokenKind::Amp => (4, Bin(BinOp::BitAnd)),
-            TokenKind::EqEq => (5, Bin(BinOp::Eq)),
-            TokenKind::BangEq => (5, Bin(BinOp::Ne)),
-            TokenKind::Lt => (6, Bin(BinOp::Lt)),
-            TokenKind::Le => (6, Bin(BinOp::Le)),
-            TokenKind::Gt => (6, Bin(BinOp::Gt)),
-            TokenKind::Ge => (6, Bin(BinOp::Ge)),
-            TokenKind::Shl => (7, Bin(BinOp::Shl)),
-            TokenKind::Shr => (7, Bin(BinOp::Shr)),
-            TokenKind::Plus => (8, Bin(BinOp::Add)),
-            TokenKind::Minus => (8, Bin(BinOp::Sub)),
-            TokenKind::Star => (9, Bin(BinOp::Mul)),
-            TokenKind::Slash => (9, Bin(BinOp::Div)),
-            TokenKind::Percent => (9, Bin(BinOp::Rem)),
-            _ => return None,
-        };
-        Some(found)
+        match self.peek() {
+            TokenKind::PipePipe => Some((0, BinOpOrLogical::Logical(false))),
+            TokenKind::AmpAmp => Some((1, BinOpOrLogical::Logical(true))),
+            kind => BinOp::of_token(kind).map(|op| (op.precedence(), BinOpOrLogical::Bin(op))),
+        }
     }
 
     /// Parses a left-associative chain of binary operators of precedence
@@ -630,15 +602,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr, FrontendError> {
         let start = self.span();
-        let op = match self.peek() {
-            TokenKind::Minus => Some(UnOp::Neg),
-            TokenKind::Bang => Some(UnOp::Not),
-            TokenKind::Tilde => Some(UnOp::BitNot),
-            TokenKind::Star => Some(UnOp::Deref),
-            TokenKind::Amp => Some(UnOp::Addr),
-            _ => None,
-        };
-        if let Some(op) = op {
+        if let Some(op) = UnOp::of_token(self.peek()) {
             self.bump();
             let operand = self.nested(Self::unary_expr)?;
             let span = start.merge(operand.span);

@@ -189,17 +189,10 @@ pub fn expr(e: &Expr) -> String {
         ExprKind::Var(n) => n.clone(),
         ExprKind::Line => "__LINE__".to_string(),
         ExprKind::Unary { op, operand } => {
-            let o = match op {
-                UnOp::Neg => "-",
-                UnOp::Not => "!",
-                UnOp::BitNot => "~",
-                UnOp::Deref => "*",
-                UnOp::Addr => "&",
-            };
-            format!("({o}{})", expr(operand))
+            format!("({}{})", op.token().symbol(), expr(operand))
         }
         ExprKind::Binary { op, lhs, rhs } => {
-            format!("({} {} {})", expr(lhs), binop(*op), expr(rhs))
+            format!("({} {} {})", expr(lhs), op.token().symbol(), expr(rhs))
         }
         ExprKind::Logical { and, lhs, rhs } => {
             format!(
@@ -210,7 +203,12 @@ pub fn expr(e: &Expr) -> String {
             )
         }
         ExprKind::Assign { op, target, value } => match op {
-            Some(op) => format!("({} {}= {})", expr(target), binop(*op), expr(value)),
+            Some(op) => format!(
+                "({} {}= {})",
+                expr(target),
+                op.token().symbol(),
+                expr(value)
+            ),
             None => format!("({} = {})", expr(target), expr(value)),
         },
         ExprKind::IncDec { inc, pre, target } => {
@@ -234,28 +232,6 @@ pub fn expr(e: &Expr) -> String {
         ExprKind::Cast { to, value } => format!("(({}){})", type_name(to), expr(value)),
         ExprKind::SizeofType(t) => format!("sizeof({})", type_name(t)),
         ExprKind::SizeofExpr(inner) => format!("sizeof {}", expr(inner)),
-    }
-}
-
-fn binop(op: BinOp) -> &'static str {
-    use BinOp::*;
-    match op {
-        Add => "+",
-        Sub => "-",
-        Mul => "*",
-        Div => "/",
-        Rem => "%",
-        Shl => "<<",
-        Shr => ">>",
-        Lt => "<",
-        Le => "<=",
-        Gt => ">",
-        Ge => ">=",
-        Eq => "==",
-        Ne => "!=",
-        BitAnd => "&",
-        BitOr => "|",
-        BitXor => "^",
     }
 }
 

@@ -1,8 +1,6 @@
 //! Frontend robustness: arbitrary inputs must produce errors, never
-//! panics, and diagnostics must carry usable positions.
-//!
-//! Random inputs come from a small inline SplitMix64 generator so the
-//! crate tests offline with no external dependencies.
+//! panics, and diagnostics must carry usable positions; what the frontend
+//! accepts must compile under every implementation and run.
 
 /// SplitMix64 (public domain algorithm) — enough randomness for fuzzing
 /// the frontend deterministically.
@@ -42,17 +40,25 @@ fn parser_never_panics_on_garbage() {
     }
 }
 
+/// Every keyword and punctuator spelling the lexer knows.
+fn listed_spellings() -> Vec<&'static str> {
+    minc::token::KEYWORDS
+        .iter()
+        .chain(minc::token::PUNCTUATORS)
+        .copied()
+        .collect()
+}
+
 /// Valid-token streams that do not form programs error gracefully too.
 #[test]
 fn parser_never_panics_on_token_soup() {
-    const TOKENS: [&str; 20] = [
-        "int", "char", "if", "while", "return", "(", ")", "{", "}", ";", "+", "*", "x", "42",
-        "\"s\"", "->", "[3]", "struct", "sizeof", "__LINE__",
-    ];
+    // The listing has no identifiers or literals; add one of each.
+    let mut tokens = listed_spellings();
+    tokens.extend(["x", "42", "1.5", "'c'", "\"s\""]);
     let mut rng = Rng(0x70c3);
     for _case in 0..512 {
         let n = rng.below(64);
-        let src: Vec<&str> = (0..n).map(|_| TOKENS[rng.below(TOKENS.len())]).collect();
+        let src: Vec<&str> = (0..n).map(|_| tokens[rng.below(tokens.len())]).collect();
         let src = src.join(" ");
         let _ = minc::parse(&src);
         let _ = minc::check(&src);
@@ -153,4 +159,100 @@ fn initializers_fold_or_fail_with_a_typed_error() {
             );
         }
     }
+}
+
+/// The 23 catalog programs, 100 generated programs and Juliet at scale
+/// 0.005, bad and good.
+fn seed_programs() -> Vec<(String, String)> {
+    let mut programs: Vec<(String, String)> = targets::build_all()
+        .into_iter()
+        .map(|t| (t.spec.name.clone(), t.src))
+        .collect();
+    for i in 0..100u64 {
+        let g = progen::generate(&mut fuzzing::Rng::new(progen::mix(1, i)));
+        programs.push((format!("progen/{i}"), g.source()));
+    }
+    for t in juliet::suite(0.005) {
+        programs.push((format!("{}/bad", t.id), t.bad));
+        programs.push((format!("{}/good", t.id), t.good));
+    }
+    programs
+}
+
+/// Applies one to four seeded edits to `src`: delete, insert or replace a
+/// byte, insert a listed spelling, or copy a span of up to 64 bytes to
+/// another place. Bytes that are not UTF-8 become U+FFFD.
+fn mutate(src: &str, spellings: &[&str], rng: &mut fuzzing::Rng) -> String {
+    let mut out = src.as_bytes().to_vec();
+    for _ in 0..1 + rng.below(4) {
+        let at = rng.below(out.len() + 1);
+        match rng.below(5) {
+            0 if at < out.len() => {
+                out.remove(at);
+            }
+            1 => out.insert(at, rng.byte()),
+            2 if at < out.len() => out[at] = rng.byte(),
+            3 => {
+                out.splice(at..at, rng.choose(spellings).bytes());
+            }
+            _ => {
+                let from = rng.below(out.len() + 1);
+                let len = rng.below(65).min(out.len() - from);
+                let span = out[from..from + len].to_vec();
+                out.splice(at..at, span);
+            }
+        }
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// Seeded byte mutants of real programs: `minc::check` returns `Ok` or a
+/// `FrontendError` within a time bound, and every mutant it accepts
+/// compiles under all ten implementations and runs on a fixed input
+/// under a small step limit, all without a panic.
+#[test]
+fn source_mutants_check_compile_and_run_or_fail_typed() {
+    use minc_compile::CompilerImpl;
+    use std::time::{Duration, Instant};
+
+    const MUTANTS: usize = 5_000;
+    // The slowest check of a mutant takes under a millisecond.
+    const CHECK_BOUND: Duration = Duration::from_secs(1);
+    let programs = seed_programs();
+    let spellings = listed_spellings();
+    let impls = CompilerImpl::default_set();
+    let config = minc_vm::VmConfig {
+        step_limit: 20_000,
+        heap_limit: 1 << 20,
+        ..minc_vm::VmConfig::default()
+    };
+    let mut rng = fuzzing::Rng::new(0x5eed);
+    let mut accepted = 0;
+    for i in 0..MUTANTS {
+        let (name, src) = rng.choose(&programs);
+        let mutant = mutate(src, &spellings, &mut rng);
+        let verdict = std::panic::catch_unwind(|| {
+            let start = Instant::now();
+            let checked = minc::check(&mutant);
+            let took = start.elapsed();
+            if let Ok(checked) = &checked {
+                let (binaries, _) = minc_compile::compile_all(checked, &impls);
+                for binary in &binaries {
+                    minc_vm::execute(binary, b"AB\x00\xff1234", &config);
+                }
+            }
+            (checked.is_ok(), took)
+        });
+        let (ok, took) =
+            verdict.unwrap_or_else(|_| panic!("mutant {i} of {name} panicked:\n{mutant}"));
+        assert!(
+            took < CHECK_BOUND,
+            "mutant {i} of {name}: check took {took:?}"
+        );
+        accepted += usize::from(ok);
+    }
+    assert!(
+        accepted > 0 && accepted < MUTANTS,
+        "{accepted} of {MUTANTS} mutants accepted"
+    );
 }

@@ -284,7 +284,7 @@ fn restructure(p: &mut Program, rng: &mut Rng) -> bool {
 
 /// Produces a mutated child of `parent`. Always returns a valid genome:
 /// invalid candidates are rejected and retried, and after
-/// [`RETRY_BUDGET`] failures the parent is returned unchanged (the PRNG
+/// `RETRY_BUDGET` failures the parent is returned unchanged (the PRNG
 /// stream consumed so far keeps the run deterministic either way).
 pub fn mutate(parent: &Genome, rng: &mut Rng) -> Genome {
     for _ in 0..RETRY_BUDGET {

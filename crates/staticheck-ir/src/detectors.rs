@@ -142,7 +142,7 @@ fn junk_reads(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
     }
 }
 
-/// The junk ids whose reads [`junk_reads`] observed anywhere in `prog` —
+/// The junk ids whose reads `junk_reads` observed anywhere in `prog` —
 /// the corroboration set for `UninitPromotion` provenance entries.
 pub fn observed_junk_ids(findings: &[IrFinding]) -> BTreeSet<u32> {
     findings.iter().filter_map(|f| f.junk_id).collect()

@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy --offline -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --offline -D warnings =="
+# `--lib`: the `compdiff` binary's doc page would collide with the
+# `compdiff` library's.
+RUSTDOCFLAGS='-D warnings' cargo doc --offline --workspace --no-deps --lib
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace
 
