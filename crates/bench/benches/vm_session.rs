@@ -17,17 +17,20 @@
 //! Row naming: `fresh`/`persistent` are the reference interpreter
 //! ([`ExecSession::reference`]: a new session per run, and one session
 //! reused); `block` is a persistent production session on the block
-//! dispatcher ([`ExecSession::new`]). In full mode this asserts
-//! the >=2x session speedup (on `page_heavy`, where per-exec setup
-//! dominates) and the >=3x block-over-persistent speedup (on at least
-//! one workload), and emits `BENCH_vm.json` when
-//! `COMPDIFF_BENCH_JSON_DIR` is set. Under `COMPDIFF_BENCH_FAST=1`
-//! (CI smoke) it only proves the paths run.
+//! dispatcher ([`ExecSession::new`]). A workload's three rows are timed
+//! interleaved, one batch of each per sample round, and every speedup is
+//! the median of its per-round ratios, so drift of the host cancels
+//! instead of landing on one row. In full mode this asserts the >=2x
+//! session speedup (on `page_heavy`, where per-exec setup dominates) and
+//! the >=3x block-over-persistent speedup (on at least one workload), and
+//! emits `BENCH_vm.json` when `COMPDIFF_BENCH_JSON_DIR` is set. Under
+//! `COMPDIFF_BENCH_FAST=1` (CI smoke) it only proves the paths run.
 
 use compdiff::Json;
-use compdiff_bench::harness::{write_json, BenchGroup};
+use compdiff_bench::harness::{median_ratio, write_json, BenchGroup};
 use minc_compile::{compile_source, Binary, CompilerImpl};
 use minc_vm::{ExecSession, VmConfig};
+use std::hint::black_box;
 
 fn small_program() -> Binary {
     let src = r#"
@@ -89,28 +92,29 @@ fn main() {
     }
 
     let mut g = BenchGroup::new("vm_session");
-
-    let fresh_small = g.bench("small/fresh", || {
-        ExecSession::reference(&small).run(&small, input, &cfg)
-    });
-    let mut s = ExecSession::reference(&small);
-    let persist_small = g.bench("small/persistent", || s.run(&small, input, &cfg));
-    let mut s = ExecSession::new(&small);
-    let block_small = g.bench("small/block", || s.run(&small, input, &cfg));
-
-    let fresh_heavy = g.bench("page_heavy/fresh", || {
-        ExecSession::reference(&heavy).run(&heavy, b"", &cfg)
-    });
-    let mut s = ExecSession::reference(&heavy);
-    let persist_heavy = g.bench("page_heavy/persistent", || s.run(&heavy, b"", &cfg));
-    let mut s = ExecSession::new(&heavy);
-    let block_heavy = g.bench("page_heavy/block", || s.run(&heavy, b"", &cfg));
-
+    // (fresh / persistent, persistent / block) for one workload.
+    let mut speedups = |name: &str, bin: &Binary, input: &[u8]| {
+        let mut persistent = ExecSession::reference(bin);
+        let mut block = ExecSession::new(bin);
+        let rounds = g.bench_interleaved(&mut [
+            (&format!("{name}/fresh"), &mut || {
+                black_box(ExecSession::reference(bin).run(bin, input, &cfg));
+            }),
+            (&format!("{name}/persistent"), &mut || {
+                black_box(persistent.run(bin, input, &cfg));
+            }),
+            (&format!("{name}/block"), &mut || {
+                black_box(block.run(bin, input, &cfg));
+            }),
+        ]);
+        (
+            median_ratio(&rounds[0], &rounds[1]),
+            median_ratio(&rounds[1], &rounds[2]),
+        )
+    };
+    let (speedup_small, block_small_x) = speedups("small", &small, input);
+    let (speedup_heavy, block_heavy_x) = speedups("page_heavy", &heavy, b"");
     let results = g.finish();
-    let speedup_small = fresh_small.median.as_secs_f64() / persist_small.median.as_secs_f64();
-    let speedup_heavy = fresh_heavy.median.as_secs_f64() / persist_heavy.median.as_secs_f64();
-    let block_small_x = persist_small.median.as_secs_f64() / block_small.median.as_secs_f64();
-    let block_heavy_x = persist_heavy.median.as_secs_f64() / block_heavy.median.as_secs_f64();
     println!("vm_session small speedup:      {speedup_small:.2}x (persistent vs fresh)");
     println!("vm_session page_heavy speedup: {speedup_heavy:.2}x (persistent vs fresh)");
     println!("vm_session small block:        {block_small_x:.2}x (block vs persistent)");
@@ -129,8 +133,9 @@ fn main() {
 
     // The acceptance bars: >=2x for sessions on the setup-dominated
     // (page_heavy) workload, and >=3x for block dispatch over the
-    // interpreted persistent median on at least one workload. Skipped in
-    // fast/smoke mode, where 3 tiny samples are too noisy to gate CI on.
+    // interpreted persistent session on at least one workload, each the
+    // median per-round ratio. Skipped in fast/smoke mode, where 3 tiny
+    // samples are too noisy to gate CI on.
     if std::env::var_os("COMPDIFF_BENCH_FAST").is_none() {
         assert!(
             speedup_heavy >= 2.0,
@@ -139,7 +144,7 @@ fn main() {
         );
         assert!(
             block_small_x >= 3.0 || block_heavy_x >= 3.0,
-            "block dispatch must be >=3x the interpreted persistent median \
+            "block dispatch must be >=3x the interpreted persistent session \
              on at least one workload, got {block_small_x:.2}x (small) and \
              {block_heavy_x:.2}x (page_heavy)"
         );

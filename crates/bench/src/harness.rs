@@ -84,34 +84,60 @@ impl BenchGroup {
 
     /// Runs one benchmark and records + prints its result.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> BenchResult {
-        // Warm up and estimate the cost of one iteration.
+        let mut f = || {
+            black_box(f());
+        };
+        let batch = self.batch_size(&mut f);
+        let times = (0..self.samples)
+            .map(|_| time_batch(batch, &mut f))
+            .collect();
+        self.record(name, batch, times)
+    }
+
+    /// Runs several benchmarks interleaved: each sample round times one
+    /// batch of every row in turn, so drift of the host during the run
+    /// reaches all rows alike and two rows compare round by round (see
+    /// [`median_ratio`]). Records and prints each row like
+    /// [`bench`](Self::bench), and returns each row's per-iteration times
+    /// in round order.
+    pub fn bench_interleaved(
+        &mut self,
+        rows: &mut [(&str, &mut dyn FnMut())],
+    ) -> Vec<Vec<Duration>> {
+        let batches: Vec<u32> = rows.iter_mut().map(|(_, f)| self.batch_size(f)).collect();
+        let mut rounds = vec![Vec::new(); rows.len()];
+        for _ in 0..self.samples {
+            for (((_, f), &batch), times) in rows.iter_mut().zip(&batches).zip(&mut rounds) {
+                times.push(time_batch(batch, f));
+            }
+        }
+        for (((name, _), &batch), times) in rows.iter().zip(&batches).zip(&rounds) {
+            self.record(name, batch, times.clone());
+        }
+        rounds
+    }
+
+    /// Warms `f` up and picks how many iterations one sample times.
+    fn batch_size(&self, f: &mut impl FnMut()) -> u32 {
         let calib_start = Instant::now();
         let mut calib_iters: u64 = 0;
         while calib_start.elapsed() < Duration::from_millis(25) {
-            black_box(f());
+            f();
             calib_iters += 1;
         }
         let per_iter = calib_start.elapsed().as_nanos().max(1) / u128::from(calib_iters);
-        let batch =
-            (self.target_sample_time.as_nanos() / per_iter.max(1)).clamp(1, 1_000_000) as u64;
+        (self.target_sample_time.as_nanos() / per_iter.max(1)).clamp(1, 1_000_000) as u32
+    }
 
-        let mut sample_times: Vec<Duration> = Vec::with_capacity(self.samples);
-        let mut total_iters = 0u64;
-        for _ in 0..self.samples {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            sample_times.push(start.elapsed() / batch as u32);
-            total_iters += batch;
-        }
-        sample_times.sort_unstable();
+    /// Records and prints row `name` from its per-iteration sample times.
+    fn record(&mut self, name: &str, batch: u32, mut times: Vec<Duration>) -> BenchResult {
+        times.sort_unstable();
         let result = BenchResult {
             name: format!("{}/{name}", self.name),
-            median: sample_times[sample_times.len() / 2],
-            min: sample_times[0],
-            max: *sample_times.last().unwrap(),
-            iters: total_iters,
+            median: times[times.len() / 2],
+            min: times[0],
+            max: *times.last().unwrap(),
+            iters: u64::from(batch) * times.len() as u64,
         };
         self.print(&result);
         self.results.push(result.clone());
@@ -190,6 +216,29 @@ pub fn write_json(
     }
 }
 
+/// Per-iteration time of one batch of `batch` calls of `f`.
+fn time_batch(batch: u32, f: &mut impl FnMut()) -> Duration {
+    let start = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    start.elapsed() / batch
+}
+
+/// The median, over sample rounds, of row `a`'s time divided by row `b`'s,
+/// for two rows of one [`BenchGroup::bench_interleaved`]: each ratio
+/// divides two timings taken back to back, so drift of the host between
+/// rounds cancels.
+pub fn median_ratio(a: &[Duration], b: &[Duration]) -> f64 {
+    let mut ratios: Vec<f64> = a
+        .iter()
+        .zip(b)
+        .map(|(a, b)| a.as_secs_f64() / b.as_secs_f64().max(1e-12))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
@@ -219,6 +268,33 @@ mod tests {
         let all = g.finish();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].name, "smoke/noop_sum");
+    }
+
+    #[test]
+    fn interleaved_rows_are_recorded_and_paired_by_round() {
+        std::env::set_var("COMPDIFF_BENCH_FAST", "1");
+        let mut g = BenchGroup::new("pair");
+        let mut short = || {
+            black_box((0..100u64).map(black_box).sum::<u64>());
+        };
+        let mut long = || {
+            black_box((0..400u64).map(black_box).sum::<u64>());
+        };
+        let rounds = g.bench_interleaved(&mut [("short", &mut short), ("long", &mut long)]);
+        assert_eq!(rounds.len(), 2);
+        assert_eq!(rounds[0].len(), 3);
+        assert_eq!(rounds[1].len(), 3);
+        assert!(median_ratio(&rounds[1], &rounds[0]) > 0.0);
+        let names: Vec<String> = g.finish().into_iter().map(|r| r.name).collect();
+        assert_eq!(names, ["pair/short", "pair/long"]);
+    }
+
+    #[test]
+    fn median_ratio_takes_the_middle_round() {
+        let ms = Duration::from_millis;
+        let a = [ms(30), ms(10), ms(40)];
+        let b = [ms(10), ms(10), ms(10)];
+        assert_eq!(median_ratio(&a, &b), 3.0);
     }
 
     #[test]

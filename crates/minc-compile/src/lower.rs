@@ -5,11 +5,17 @@
 //! (indirectly, through slot creation order consumed by the layout engine)
 //! stack object placement. At `-O0` every local lives in a frame slot; the
 //! `mem2reg` pass later promotes unaddressed scalars to registers.
+//!
+//! Lowering works out no MinC type of its own: every expression's type is
+//! the one sema recorded in [`CheckedProgram::types`], and every conversion
+//! to a declared type goes through `rvalue_as`. The one type lowering
+//! chooses is an operation's, in `lower_binop_values`, which compound
+//! assignment and `++`/`--` share with binary operators.
 
 use crate::ir::*;
 use crate::layout::StructLayouts;
 use crate::personality::{EvalOrder, LinePolicy, Personality};
-use minc::ast::{self, BinOp, Expr, ExprKind, Node, Stmt, StmtKind, Storage, UnOp};
+use minc::ast::{BinOp, Expr, ExprKind, Node, Stmt, StmtKind, Storage, UnOp};
 use minc::sema::{is_lvalue, CallTarget, LocalId, VarRef};
 use minc::span::Span;
 use minc::types::Type;
@@ -79,7 +85,7 @@ pub fn lower(checked: &CheckedProgram, personality: &Personality) -> IrProgram {
             ir,
             (fi as u32) << 16,
         );
-        fl.lower_fn(f);
+        fl.lower_fn(fi);
         functions.push(fl.f);
     }
 
@@ -100,11 +106,10 @@ pub fn lower(checked: &CheckedProgram, personality: &Personality) -> IrProgram {
 }
 
 /// Evaluates a global or static initializer exactly as run-time code: the
-/// expression is lowered like any other (`rvalue`, then `convert` to the
-/// declared type) into a scratch function, which the masking constant
-/// folder reduces to one constant. Sema admits only initializers that
-/// fold, except that an operation that traps (`7 / 0`) leaves the
-/// variable 0.
+/// expression is lowered like any other (`rvalue_as` the declared type)
+/// into a scratch function, which the masking constant folder reduces to
+/// one constant. Sema admits only initializers that fold, except that an
+/// operation that traps (`7 / 0`) leaves the variable 0.
 fn initial_value(
     e: &Expr,
     ty: &Type,
@@ -115,8 +120,7 @@ fn initial_value(
 ) -> ConstVal {
     let scratch = IrFunction::default();
     let mut fl = FnLowerer::new(checked, personality, layouts, strings, &[], scratch, 0);
-    let (v, vty) = fl.rvalue(e);
-    let v = fl.convert(v, &vty, ty);
+    let v = fl.rvalue_as(e, ty);
     let mut f = fl.f;
     crate::passes::const_fold(&mut f);
     let folded = f.blocks[0].insts.iter().find_map(|inst| match inst {
@@ -176,6 +180,8 @@ struct FnLowerer<'a> {
     strings: &'a mut Strings,
     static_globals: &'a [GlobalId],
     f: IrFunction,
+    /// The declared return type of the function being lowered.
+    ret: &'a Type,
     cur: BlockId,
     slot_of_local: Vec<SlotId>,
     loops: Vec<(BlockId, BlockId)>, // (continue target, break target)
@@ -204,6 +210,7 @@ impl<'a> FnLowerer<'a> {
             strings,
             static_globals,
             f,
+            ret: &Type::Void,
             cur,
             slot_of_local: Vec::new(),
             loops: Vec::new(),
@@ -213,7 +220,11 @@ impl<'a> FnLowerer<'a> {
         }
     }
 
-    fn lower_fn(&mut self, f: &ast::Function) {
+    /// Lowers function `fi` of the program.
+    fn lower_fn(&mut self, fi: usize) {
+        let checked = self.checked;
+        let f = &checked.program.functions[fi];
+        self.ret = &f.ret;
         self.stmt_span = f.span;
         // Scalar locals whose address is taken with `&` keep their slots.
         f.body.walk(&mut |n| {
@@ -227,7 +238,7 @@ impl<'a> FnLowerer<'a> {
             }) = n
             {
                 if let (ExprKind::Var(_), Some(VarRef::Local(l))) =
-                    (&operand.kind, self.checked.vars.get(&operand.id))
+                    (&operand.kind, checked.vars.get(&operand.id))
                 {
                     self.addressed.insert(*l);
                 }
@@ -240,17 +251,8 @@ impl<'a> FnLowerer<'a> {
         }
 
         // One slot per local, in declaration order (params first).
-        let infos = self.checked.function_info[self
-            .checked
-            .program
-            .functions
-            .iter()
-            .position(|g| g.name == f.name)
-            .unwrap()]
-        .locals
-        .clone();
-        for (i, l) in infos.iter().enumerate() {
-            let (size, align) = self.layouts.size_align(&l.ty, self.checked);
+        for (i, l) in checked.function_info[fi].locals.iter().enumerate() {
+            let (size, align) = self.layouts.size_align(&l.ty, checked);
             let addressed = self.addressed.contains(&LocalId(i as u32))
                 || matches!(l.ty, Type::Array(..) | Type::Struct(_));
             let scalar = match l.ty {
@@ -281,8 +283,6 @@ impl<'a> FnLowerer<'a> {
                 width: width_of(&p.ty),
             });
         }
-        // Parameter registers come first; reserve them.
-        // (new_reg above already accounted; ensure reg_count >= params.)
         self.lower_stmt(&f.body);
         // Implicit return if control falls off the end.
         if matches!(
@@ -368,48 +368,37 @@ impl<'a> FnLowerer<'a> {
         dst
     }
 
-    fn ty_of(&self, e: &Expr) -> Type {
-        self.checked.types[&e.id].clone()
+    /// The type sema gave `e` (an array not yet decayed).
+    fn ty_of(&self, e: &Expr) -> &'a Type {
+        &self.checked.types[&e.id]
     }
 
-    /// Converts a value of MinC type `from` to MinC type `to` (both scalar).
+    /// Lowers `e` and converts its value to `to`: the conversion of an
+    /// initializer, assignment, `return`, cast or ternary branch to the
+    /// type it is declared or written with.
+    fn rvalue_as(&mut self, e: &Expr, to: &Type) -> ValueId {
+        let v = self.rvalue(e);
+        self.convert(v, self.ty_of(e), to)
+    }
+
+    /// Converts a value of MinC type `from` to MinC type `to` (both scalar;
+    /// an array converts as the pointer it decays to).
     fn convert(&mut self, v: ValueId, from: &Type, to: &Type) -> ValueId {
-        let from = from.decay();
-        let to = to.decay();
         if from == to {
             return v;
         }
-        match (ir_ty(&from), ir_ty(&to)) {
-            (a, b) if a == b => {
-                // Same register class; handle char narrowing explicitly so
-                // `char c = 300;` behaves identically whether `c` lives in
-                // memory (store truncates) or in a register (mem2reg).
-                if to == Type::Char && from != Type::Char {
-                    let sh = self.const_i32(24);
-                    let t = self.bin(IrType::I32, BinKind::Shl, v, sh, false);
-                    return self.bin(IrType::I32, BinKind::ShrS, t, sh, false);
-                }
-                v
-            }
+        let v = match (ir_ty(from), ir_ty(to)) {
             (IrType::I32, IrType::I64) => {
-                let kind = if from == Type::UInt {
+                let kind = if *from == Type::UInt {
                     CastKind::ZextI32I64
                 } else {
                     CastKind::SextI32I64
                 };
                 self.cast(kind, v)
             }
-            (IrType::I64, IrType::I32) => {
-                let t = self.cast(CastKind::TruncI64I32, v);
-                if to == Type::Char {
-                    let sh = self.const_i32(24);
-                    let t2 = self.bin(IrType::I32, BinKind::Shl, t, sh, false);
-                    return self.bin(IrType::I32, BinKind::ShrS, t2, sh, false);
-                }
-                t
-            }
+            (IrType::I64, IrType::I32) => self.cast(CastKind::TruncI64I32, v),
             (IrType::I32, IrType::F64) => {
-                let kind = if from == Type::UInt {
+                let kind = if *from == Type::UInt {
                     CastKind::UI32F64
                 } else {
                     CastKind::SI32F64
@@ -417,24 +406,25 @@ impl<'a> FnLowerer<'a> {
                 self.cast(kind, v)
             }
             (IrType::I64, IrType::F64) => self.cast(CastKind::SI64F64, v),
-            (IrType::F64, IrType::I32) if to == Type::UInt => {
+            (IrType::F64, IrType::I32) if *to == Type::UInt => {
                 // Through i64: the signed i32 cast would saturate every
                 // value above `INT_MAX` that `unsigned int` holds.
                 let t = self.cast(CastKind::F64I64, v);
                 self.cast(CastKind::TruncI64I32, t)
             }
-            (IrType::F64, IrType::I32) => {
-                let t = self.cast(CastKind::F64I32, v);
-                if to == Type::Char {
-                    let sh = self.const_i32(24);
-                    let t2 = self.bin(IrType::I32, BinKind::Shl, t, sh, false);
-                    return self.bin(IrType::I32, BinKind::ShrS, t2, sh, false);
-                }
-                t
-            }
+            (IrType::F64, IrType::I32) => self.cast(CastKind::F64I32, v),
             (IrType::F64, IrType::I64) => self.cast(CastKind::F64I64, v),
             _ => v,
+        };
+        // Narrow to `char` explicitly, so `char c = 300;` behaves
+        // identically whether `c` lives in memory (store truncates) or in
+        // a register (mem2reg).
+        if *to == Type::Char && *from != Type::Char {
+            let sh = self.const_i32(24);
+            let t = self.bin(IrType::I32, BinKind::Shl, v, sh, false);
+            return self.bin(IrType::I32, BinKind::ShrS, t, sh, false);
         }
+        v
     }
 
     /// Lowers `e` as a branch condition, producing an i32 0/1 register.
@@ -446,18 +436,17 @@ impl<'a> FnLowerer<'a> {
             ExprKind::Binary { op, .. } if op.is_comparison()
         ) || matches!(&e.kind, ExprKind::Logical { .. })
             || matches!(&e.kind, ExprKind::Unary { op: UnOp::Not, .. });
-        let (v, ty) = self.rvalue(e);
+        let v = self.rvalue(e);
         if already_bool {
             v
         } else {
-            self.lower_bool(v, &ty)
+            self.lower_bool(v, self.ty_of(e))
         }
     }
 
     /// `v != 0` as an i32 0/1, for any scalar `v`.
     fn lower_bool(&mut self, v: ValueId, ty: &Type) -> ValueId {
-        let ty = ty.decay();
-        match ir_ty(&ty) {
+        match ir_ty(ty) {
             IrType::I32 => {
                 let z = self.const_i32(0);
                 self.bin(IrType::I32, BinKind::Ne, v, z, false)
@@ -475,88 +464,62 @@ impl<'a> FnLowerer<'a> {
 
     // ---- lvalues ----
 
-    /// Lowers an lvalue to `(address, object type)`.
-    fn addr(&mut self, e: &Expr) -> (ValueId, Type) {
+    /// Lowers an lvalue to the address of its object.
+    fn addr(&mut self, e: &Expr) -> ValueId {
         match &e.kind {
-            ExprKind::Var(_) => {
-                let ty = self.ty_of(e);
-                let r = self.checked.vars[&e.id];
-                let a = match r {
-                    VarRef::Local(LocalId(i)) => {
-                        let dst = self.new_reg(IrType::I64);
-                        self.push(Inst::FrameAddr {
-                            dst,
-                            slot: self.slot_of_local[i as usize],
-                        });
-                        dst
-                    }
-                    VarRef::Global(i) => {
-                        self.const_val(IrType::I64, ConstVal::GlobalAddr(GlobalId(i), 0))
-                    }
-                    VarRef::StaticLocal(s) => {
-                        let gid = self.static_globals[s.0 as usize];
-                        self.const_val(IrType::I64, ConstVal::GlobalAddr(gid, 0))
-                    }
-                };
-                (a, ty)
-            }
+            ExprKind::Var(_) => match self.checked.vars[&e.id] {
+                VarRef::Local(LocalId(i)) => {
+                    let dst = self.new_reg(IrType::I64);
+                    self.push(Inst::FrameAddr {
+                        dst,
+                        slot: self.slot_of_local[i as usize],
+                    });
+                    dst
+                }
+                VarRef::Global(i) => {
+                    self.const_val(IrType::I64, ConstVal::GlobalAddr(GlobalId(i), 0))
+                }
+                VarRef::StaticLocal(s) => {
+                    let gid = self.static_globals[s.0 as usize];
+                    self.const_val(IrType::I64, ConstVal::GlobalAddr(gid, 0))
+                }
+            },
             ExprKind::Unary {
                 op: UnOp::Deref,
                 operand,
-            } => {
-                let (p, pty) = self.rvalue(operand);
-                let pointee = pty
-                    .decay()
-                    .pointee()
-                    .cloned()
-                    .expect("sema: deref of non-pointer");
-                (p, pointee)
-            }
+            } => self.rvalue(operand),
             ExprKind::Index { base, index } => {
-                let (b, bty) = self.rvalue(base);
-                let elem = bty
-                    .decay()
-                    .pointee()
-                    .cloned()
-                    .expect("sema: index of non-pointer");
-                let (i, ity) = self.rvalue(index);
-                let i64v = self.convert(i, &ity, &Type::Long);
-                let elem_size = self.layouts.size_of(&elem, self.checked) as i64;
+                let b = self.rvalue(base);
+                let i = self.rvalue_as(index, &Type::Long);
+                let elem_size = self.layouts.size_of(self.ty_of(e), self.checked) as i64;
                 let sz = self.const_i64(elem_size);
-                let off = self.bin(IrType::I64, BinKind::Mul, i64v, sz, false);
-                let a = self.bin(IrType::I64, BinKind::Add, b, off, false);
-                (a, elem)
+                let off = self.bin(IrType::I64, BinKind::Mul, i, sz, false);
+                self.bin(IrType::I64, BinKind::Add, b, off, false)
             }
             ExprKind::Member { base, field } => {
-                let (a, bty) = self.addr(base);
-                let Type::Struct(name) = bty else {
-                    panic!("sema: member of non-struct")
-                };
-                let off = self.layouts.field_offset(&name, field, self.checked) as i64;
-                let fty = self.checked.types[&e.id].clone();
-                if off == 0 {
-                    return (a, fty);
-                }
-                let o = self.const_i64(off);
-                let fa = self.bin(IrType::I64, BinKind::Add, a, o, false);
-                (fa, fty)
+                let a = self.addr(base);
+                self.field_addr(a, self.ty_of(base), field)
             }
             ExprKind::Arrow { base, field } => {
-                let (p, pty) = self.rvalue(base);
-                let Some(Type::Struct(name)) = pty.decay().pointee().cloned() else {
-                    panic!("sema: arrow through non-struct pointer")
-                };
-                let off = self.layouts.field_offset(&name, field, self.checked) as i64;
-                let fty = self.checked.types[&e.id].clone();
-                if off == 0 {
-                    return (p, fty);
-                }
-                let o = self.const_i64(off);
-                let fa = self.bin(IrType::I64, BinKind::Add, p, o, false);
-                (fa, fty)
+                let p = self.rvalue(base);
+                let pointee = self.ty_of(base).pointee();
+                self.field_addr(p, pointee.expect("sema: arrow through non-pointer"), field)
             }
             other => panic!("not an lvalue: {other:?}"),
         }
+    }
+
+    /// The address of `field` in the struct of type `sty` at `a`.
+    fn field_addr(&mut self, a: ValueId, sty: &Type, field: &str) -> ValueId {
+        let Type::Struct(name) = sty else {
+            panic!("sema: member of non-struct")
+        };
+        let off = self.layouts.field_offset(name, field, self.checked) as i64;
+        if off == 0 {
+            return a;
+        }
+        let o = self.const_i64(off);
+        self.bin(IrType::I64, BinKind::Add, a, o, false)
     }
 
     /// Loads a scalar of MinC type `ty` from `addr`.
@@ -574,134 +537,96 @@ impl<'a> FnLowerer<'a> {
 
     // ---- rvalues ----
 
-    /// Lowers an expression to `(value register, decayed-but-precise type)`.
-    fn rvalue(&mut self, e: &Expr) -> (ValueId, Type) {
+    /// Lowers an expression to the register holding its value (an array's
+    /// value is its address).
+    fn rvalue(&mut self, e: &Expr) -> ValueId {
         if is_lvalue(e) {
-            let (a, oty) = self.addr(e);
-            return match oty {
-                Type::Array(ref elem, _) => (a, Type::Ptr(elem.clone())),
+            let a = self.addr(e);
+            return match self.ty_of(e) {
+                Type::Array(..) => a,
                 Type::Struct(_) => panic!("aggregate rvalue (sema forbids)"),
-                ref scalar => (self.load(a, scalar), scalar.clone()),
+                scalar => self.load(a, scalar),
             };
         }
         match &e.kind {
-            ExprKind::IntLit { value, long } => {
-                if *long {
-                    (self.const_i64(*value), Type::Long)
-                } else {
-                    (self.const_i32(*value as i32), Type::Int)
-                }
+            ExprKind::IntLit { value, .. } => {
+                let ty = ir_ty(self.ty_of(e));
+                self.const_val(ty, ConstVal::from_word(ty, *value as u64))
             }
-            ExprKind::FloatLit(v) => (self.const_val(IrType::F64, ConstVal::F64(*v)), Type::Double),
-            ExprKind::CharLit(c) => (self.const_i32(*c as i32), Type::Int),
+            ExprKind::FloatLit(v) => self.const_val(IrType::F64, ConstVal::F64(*v)),
+            ExprKind::CharLit(c) => self.const_i32(*c as i32),
             ExprKind::StrLit(bytes) => {
                 let id = self.strings.intern(bytes);
-                (
-                    self.const_val(IrType::I64, ConstVal::StrAddr(id, 0)),
-                    Type::Char.ptr_to(),
-                )
+                self.const_val(IrType::I64, ConstVal::StrAddr(id, 0))
             }
             ExprKind::Line => {
                 let line = match self.personality.line_policy {
                     LinePolicy::StartLine => self.stmt_span.line,
                     LinePolicy::EndLine => self.stmt_span.end_line.max(self.stmt_span.line),
                 };
-                (self.const_i32(line as i32), Type::Int)
+                self.const_i32(line as i32)
             }
-            ExprKind::Unary { op, operand } => self.lower_unary(*op, operand),
-            ExprKind::Binary { op, lhs, rhs } => self.lower_binary(*op, lhs, rhs),
+            ExprKind::Unary { op, operand } => self.lower_unary(e, *op, operand),
+            ExprKind::Binary { op, lhs, rhs } => {
+                let lv = self.rvalue(lhs);
+                let rv = self.rvalue(rhs);
+                self.lower_binop_values(*op, lv, self.ty_of(lhs), rv, self.ty_of(rhs))
+                    .0
+            }
             ExprKind::Logical { and, lhs, rhs } => self.lower_logical(*and, lhs, rhs),
             ExprKind::Assign { op, target, value } => self.lower_assign(*op, target, value),
             ExprKind::IncDec { inc, pre, target } => self.lower_incdec(*inc, *pre, target),
             ExprKind::Cond { cond, then, els } => self.lower_ternary(e, cond, then, els),
             ExprKind::Call { args, .. } => self.lower_call(e, args),
-            ExprKind::Cast { to, value } => {
-                let (v, vty) = self.rvalue(value);
-                if *to == Type::Void {
-                    return (v, Type::Void);
-                }
-                (self.convert(v, &vty, to), to.clone())
-            }
+            ExprKind::Cast {
+                to: Type::Void,
+                value,
+            } => self.rvalue(value),
+            ExprKind::Cast { to, value } => self.rvalue_as(value, to),
             ExprKind::SizeofType(t) => {
                 let sz = self.layouts.size_of(t, self.checked) as i64;
-                (self.const_i64(sz), Type::Long)
+                self.const_i64(sz)
             }
             ExprKind::SizeofExpr(inner) => {
-                let t = self.ty_of(inner);
-                let sz = self.layouts.size_of(&t, self.checked) as i64;
-                (self.const_i64(sz), Type::Long)
+                let sz = self.layouts.size_of(self.ty_of(inner), self.checked) as i64;
+                self.const_i64(sz)
             }
             // lvalue kinds handled above
             _ => unreachable!("lvalue kinds handled earlier"),
         }
     }
 
-    fn lower_unary(&mut self, op: UnOp, operand: &Expr) -> (ValueId, Type) {
-        match op {
-            UnOp::Addr => {
-                let (a, oty) = self.addr(operand);
-                (a, oty.ptr_to())
-            }
+    fn lower_unary(&mut self, e: &Expr, op: UnOp, operand: &Expr) -> ValueId {
+        let ty = self.ty_of(e);
+        let (op, ub_signed) = match op {
+            UnOp::Addr => return self.addr(operand),
             UnOp::Deref => unreachable!("deref is an lvalue"),
             UnOp::Not => {
-                let (v, vty) = self.rvalue(operand);
-                let b = self.lower_bool(v, &vty);
+                let v = self.rvalue(operand);
+                let b = self.lower_bool(v, self.ty_of(operand));
                 let one = self.const_i32(1);
-                (
-                    self.bin(IrType::I32, BinKind::Xor, b, one, false),
-                    Type::Int,
-                )
+                return self.bin(IrType::I32, BinKind::Xor, b, one, false);
             }
-            UnOp::Neg => {
-                let (v, vty) = self.rvalue(operand);
-                let vty = vty.decay();
-                if vty == Type::Double {
-                    let dst = self.new_reg(IrType::F64);
-                    self.push(Inst::Un {
-                        dst,
-                        ty: IrType::F64,
-                        op: UnKind::FNeg,
-                        a: v,
-                        ub_signed: false,
-                    });
-                    return (dst, Type::Double);
-                }
-                let rt = vty.promote();
-                let v = self.convert(v, &vty, &rt);
-                let dst = self.new_reg(ir_ty(&rt));
-                self.push(Inst::Un {
-                    dst,
-                    ty: ir_ty(&rt),
-                    op: UnKind::Neg,
-                    a: v,
-                    ub_signed: rt.is_signed_integer(),
-                });
-                (dst, rt)
-            }
-            UnOp::BitNot => {
-                let (v, vty) = self.rvalue(operand);
-                let rt = vty.decay().promote();
-                let v = self.convert(v, &vty, &rt);
-                let dst = self.new_reg(ir_ty(&rt));
-                self.push(Inst::Un {
-                    dst,
-                    ty: ir_ty(&rt),
-                    op: UnKind::BitNot,
-                    a: v,
-                    ub_signed: false,
-                });
-                (dst, rt)
-            }
-        }
+            UnOp::Neg if *ty == Type::Double => (UnKind::FNeg, false),
+            UnOp::Neg => (UnKind::Neg, ty.is_signed_integer()),
+            UnOp::BitNot => (UnKind::BitNot, false),
+        };
+        let a = self.rvalue_as(operand, ty);
+        let dst = self.new_reg(ir_ty(ty));
+        self.push(Inst::Un {
+            dst,
+            ty: ir_ty(ty),
+            op,
+            a,
+            ub_signed,
+        });
+        dst
     }
 
-    fn lower_binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> (ValueId, Type) {
-        let (lv, lty) = self.rvalue(lhs);
-        let (rv, rty) = self.rvalue(rhs);
-        self.lower_binop_values(op, lv, &lty, rv, &rty)
-    }
-
-    /// The heart of expression lowering; also reused by compound assignment.
+    /// Lowers `lv op rv` and returns the result with the operation's type.
+    /// The one place lowering picks a type: the operation type chooses the
+    /// IR operation, and compound assignment and `++`/`--` reach here with
+    /// no AST node of their own for sema to type.
     fn lower_binop_values(
         &mut self,
         op: BinOp,
@@ -899,7 +824,7 @@ impl<'a> FnLowerer<'a> {
         (self.bin(ir_ty(&common), kind, l, r, ub), result_ty)
     }
 
-    fn lower_logical(&mut self, and: bool, lhs: &Expr, rhs: &Expr) -> (ValueId, Type) {
+    fn lower_logical(&mut self, and: bool, lhs: &Expr, rhs: &Expr) -> ValueId {
         let result = self.new_reg(IrType::I32);
         let rhs_block = self.f.new_block();
         let short_block = self.f.new_block();
@@ -936,49 +861,52 @@ impl<'a> FnLowerer<'a> {
         });
         self.seal(Terminator::Jump(join), join);
 
-        (result, Type::Int)
+        result
     }
 
-    fn lower_assign(&mut self, op: Option<BinOp>, target: &Expr, value: &Expr) -> (ValueId, Type) {
-        let (a, oty) = self.addr(target);
+    fn lower_assign(&mut self, op: Option<BinOp>, target: &Expr, value: &Expr) -> ValueId {
+        let a = self.addr(target);
+        let oty = self.ty_of(target);
         let stored = match op {
-            None => {
-                let (v, vty) = self.rvalue(value);
-                self.convert(v, &vty, &oty)
-            }
+            None => self.rvalue_as(value, oty),
             Some(op) => {
-                let cur = self.load(a, &oty);
-                let (v, vty) = self.rvalue(value);
-                let (res, rty) = self.lower_binop_values(op, cur, &oty, v, &vty);
-                self.convert(res, &rty, &oty)
+                let cur = self.load(a, oty);
+                let v = self.rvalue(value);
+                let (res, rty) = self.lower_binop_values(op, cur, oty, v, self.ty_of(value));
+                self.convert(res, &rty, oty)
             }
         };
         self.push(Inst::Store {
             addr: a,
             src: stored,
-            width: width_of(&oty),
+            width: width_of(oty),
         });
-        (stored, oty)
+        stored
     }
 
-    fn lower_incdec(&mut self, inc: bool, pre: bool, target: &Expr) -> (ValueId, Type) {
-        let (a, oty) = self.addr(target);
-        let cur = self.load(a, &oty);
+    fn lower_incdec(&mut self, inc: bool, pre: bool, target: &Expr) -> ValueId {
+        let a = self.addr(target);
+        let oty = self.ty_of(target);
+        let cur = self.load(a, oty);
         let one_op = if inc { BinOp::Add } else { BinOp::Sub };
         let one = self.const_i32(1);
-        let (next, nty) = self.lower_binop_values(one_op, cur, &oty, one, &Type::Int);
-        let stored = self.convert(next, &nty, &oty);
+        let (next, nty) = self.lower_binop_values(one_op, cur, oty, one, &Type::Int);
+        let stored = self.convert(next, &nty, oty);
         self.push(Inst::Store {
             addr: a,
             src: stored,
-            width: width_of(&oty),
+            width: width_of(oty),
         });
-        (if pre { stored } else { cur }, oty)
+        if pre {
+            stored
+        } else {
+            cur
+        }
     }
 
-    fn lower_ternary(&mut self, e: &Expr, cond: &Expr, then: &Expr, els: &Expr) -> (ValueId, Type) {
+    fn lower_ternary(&mut self, e: &Expr, cond: &Expr, then: &Expr, els: &Expr) -> ValueId {
         let result_ty = self.ty_of(e);
-        let result = self.new_reg(ir_ty(&result_ty));
+        let result = self.new_reg(ir_ty(result_ty));
         let tb = self.f.new_block();
         let eb = self.f.new_block();
         let join = self.f.new_block();
@@ -993,94 +921,82 @@ impl<'a> FnLowerer<'a> {
             tb,
         );
 
-        let (tv, tty) = self.rvalue(then);
-        let tv = self.convert(tv, &tty, &result_ty);
+        let tv = self.rvalue_as(then, result_ty);
         self.push(Inst::Copy {
             dst: result,
-            ty: ir_ty(&result_ty),
+            ty: ir_ty(result_ty),
             src: tv,
         });
         self.seal(Terminator::Jump(join), eb);
 
-        let (ev, ety) = self.rvalue(els);
-        let ev = self.convert(ev, &ety, &result_ty);
+        let ev = self.rvalue_as(els, result_ty);
         self.push(Inst::Copy {
             dst: result,
-            ty: ir_ty(&result_ty),
+            ty: ir_ty(result_ty),
             src: ev,
         });
         self.seal(Terminator::Jump(join), join);
 
-        (result, result_ty)
+        result
     }
 
-    fn lower_call(&mut self, e: &Expr, args: &[Expr]) -> (ValueId, Type) {
-        let target = self.checked.calls[&e.id].clone();
-        let (param_tys, ret): (Vec<Option<Type>>, Type) = match &target {
-            CallTarget::Function(i) => {
-                let f = &self.checked.program.functions[*i as usize];
-                (
-                    f.params.iter().map(|p| Some(p.ty.clone())).collect(),
-                    f.ret.clone(),
-                )
-            }
-            CallTarget::Builtin(b) => {
-                let (p, _, r) = b.signature();
-                (p, r)
-            }
+    fn lower_call(&mut self, e: &Expr, args: &[Expr]) -> ValueId {
+        let (callee, param_tys): (Callee, Vec<Option<Type>>) = match self.checked.calls[&e.id] {
+            CallTarget::Function(i) => (
+                Callee::Func(FuncId(i)),
+                self.checked.program.functions[i as usize]
+                    .params
+                    .iter()
+                    .map(|p| Some(p.ty.clone()))
+                    .collect(),
+            ),
+            CallTarget::Builtin(b) => (Callee::Builtin(b), b.signature().0),
         };
 
         // Evaluate arguments in the *implementation's* order. The standard
         // allows any order; when two arguments have conflicting side effects
         // (e.g. both call a function returning a static buffer) the result
-        // is unstable — the paper's tcpdump EvalOrder bug.
-        let order: Vec<usize> = match self.personality.eval_order {
-            EvalOrder::LeftToRight => (0..args.len()).collect(),
-            EvalOrder::RightToLeft => (0..args.len()).rev().collect(),
-        };
-        let mut values: Vec<Option<(ValueId, Type)>> = vec![None; args.len()];
-        for i in order {
-            let (v, vty) = self.rvalue(&args[i]);
-            values[i] = Some((v, vty));
-        }
-
-        let mut arg_regs = Vec::with_capacity(args.len());
-        let mut arg_tys = Vec::with_capacity(args.len());
-        for (i, v) in values.into_iter().enumerate() {
-            let (v, vty) = v.unwrap();
-            let (cv, cty) = match param_tys.get(i) {
-                Some(Some(pt)) => (self.convert(v, &vty, pt), pt.clone()),
-                Some(None) => {
-                    // "any pointer" builtin slot.
-                    (self.convert(v, &vty, &Type::Long), Type::Long)
-                }
-                None => {
-                    // Variadic extras: default promotions (char -> int).
-                    let promoted = vty.decay().promote();
-                    (self.convert(v, &vty, &promoted), promoted)
-                }
+        // is unstable — the paper's tcpdump EvalOrder bug. Conversions to
+        // the parameter types follow, in argument order.
+        let n = args.len();
+        let mut values = vec![ValueId(0); n];
+        for k in 0..n {
+            let i = match self.personality.eval_order {
+                EvalOrder::LeftToRight => k,
+                EvalOrder::RightToLeft => n - 1 - k,
             };
-            arg_regs.push(cv);
-            arg_tys.push(ir_ty(&cty));
+            values[i] = self.rvalue(&args[i]);
         }
 
-        let callee = match target {
-            CallTarget::Function(i) => Callee::Func(FuncId(i)),
-            CallTarget::Builtin(b) => Callee::Builtin(b),
-        };
-        let (dst, ret_ir) = if ret == Type::Void {
+        let mut arg_regs = Vec::with_capacity(n);
+        let mut arg_tys = Vec::with_capacity(n);
+        for (i, (arg, v)) in args.iter().zip(values).enumerate() {
+            let from = self.ty_of(arg);
+            let to = match param_tys.get(i) {
+                Some(Some(pt)) => pt.clone(),
+                // "any pointer" builtin slot.
+                Some(None) => Type::Long,
+                // Variadic extras: default promotions (char -> int).
+                None => from.decay().promote(),
+            };
+            arg_regs.push(self.convert(v, from, &to));
+            arg_tys.push(ir_ty(&to));
+        }
+
+        let ret = self.ty_of(e);
+        let (dst, ret_ty) = if *ret == Type::Void {
             (None, IrType::I32)
         } else {
-            (Some(self.new_reg(ir_ty(&ret))), ir_ty(&ret))
+            (Some(self.new_reg(ir_ty(ret))), ir_ty(ret))
         };
         self.push(Inst::Call {
             dst,
-            ret_ty: ret_ir,
+            ret_ty,
             callee,
             args: arg_regs,
             arg_tys,
         });
-        (dst.unwrap_or(ValueId(0)), ret)
+        dst.unwrap_or(ValueId(0))
     }
 
     // ---- statements ----
@@ -1094,8 +1010,7 @@ impl<'a> FnLowerer<'a> {
                 Storage::Auto => {
                     if let Some(init) = init {
                         let slot = self.slot_of_local[self.checked.decl_slots[&s.id].0 as usize];
-                        let (v, vty) = self.rvalue(init);
-                        let cv = self.convert(v, &vty, ty);
+                        let cv = self.rvalue_as(init, ty);
                         let a = self.new_reg(IrType::I64);
                         self.push(Inst::FrameAddr { dst: a, slot });
                         self.push(Inst::Store {
@@ -1208,23 +1123,7 @@ impl<'a> FnLowerer<'a> {
                 self.seal(Terminator::Jump(head), exit);
             }
             StmtKind::Return(v) => {
-                let ret = match v {
-                    None => None,
-                    Some(e) => {
-                        let (v, vty) = self.rvalue(e);
-                        let want = self
-                            .f
-                            .ret_ty
-                            .expect("sema: value return from void function");
-                        // Convert to the declared return type.
-                        let target = match want {
-                            IrType::I32 => Type::Int,
-                            IrType::I64 => Type::Long,
-                            IrType::F64 => Type::Double,
-                        };
-                        Some(self.convert(v, &vty, &target))
-                    }
-                };
+                let ret = v.as_ref().map(|e| self.rvalue_as(e, self.ret));
                 self.seal_ret(ret);
             }
             StmtKind::Break => {
@@ -1265,6 +1164,35 @@ mod tests {
         assert_eq!(ir.main, FuncId(0));
         let f = &ir.functions[0];
         assert!(matches!(f.blocks[0].term, Terminator::Ret(Some(_))));
+    }
+
+    #[test]
+    fn return_converts_to_the_declared_return_type() {
+        let src = "char low(int x) { return x + 200; }\n\
+                   unsigned int big(double d) { return d; }\n\
+                   int main() { return low(1) + (int)big(1.0); }";
+        let ir = lower_src(src, Family::Gcc, OptLevel::O0);
+        // `low` returns the value narrowed to `char` (shift left, then
+        // arithmetic shift right, by 24).
+        let low = &ir.functions[0].blocks[0];
+        let Terminator::Ret(Some(r)) = low.term else {
+            panic!("low returns a value")
+        };
+        assert!(low.insts.iter().any(|i| matches!(
+            i,
+            Inst::Bin { dst, op: BinKind::ShrS, .. } if *dst == r
+        )));
+        // `big` converts the `double` through i64, so values above
+        // `INT_MAX` survive.
+        let casts: Vec<CastKind> = ir.functions[1].blocks[0]
+            .insts
+            .iter()
+            .filter_map(|i| match i {
+                Inst::Cast { kind, .. } => Some(*kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(casts, [CastKind::F64I64, CastKind::TruncI64I32]);
     }
 
     #[test]

@@ -337,6 +337,89 @@ fn double_to_unsigned_int_keeps_values_above_int_max() {
     );
 }
 
+/// Every context that converts a value to a declared type (initializer,
+/// assignment, argument, `return`) gives what a cast to that type gives,
+/// for constants and for values computed from the input, under all ten
+/// implementations alike.
+#[test]
+fn every_conversion_context_agrees_with_the_cast() {
+    // (tag, value, the target types it converts to); `x` holds the input
+    // byte 'A' (65). A double converts only to the types that hold its
+    // value: C leaves the other conversions undefined.
+    let values = [
+        ("sum", "x + 200", "ciuld"),
+        ("neg", "-1", "ciuld"),
+        ("negx", "x - 66", "ciuld"),
+        ("wide", "2147483647L + 1", "ciuld"),
+        ("widex", "(long)x + 2147483583L", "ciuld"),
+        ("umax", "(unsigned int)-1", "ciuld"),
+        ("chr", "(char)(x + 100)", "ciuld"),
+        ("big", "3000000000.0", "uld"),
+        ("bigx", "x * 46153846.0", "uld"),
+        ("frac", "-2.75", "cild"),
+    ];
+    let targets = [
+        ('c', "char", "%d"),
+        ('i', "int", "%d"),
+        ('u', "unsigned int", "%u"),
+        ('l', "long", "%ld"),
+        ('d', "double", "%f"),
+    ];
+    let mut helpers = String::from("int x;\n");
+    let mut body = String::new();
+    for (t, ty, fmt) in targets {
+        helpers += &format!("{ty} arg_{t}({ty} p) {{ return p; }}\n");
+        for (tag, v, _) in values.iter().filter(|(_, _, to)| to.contains(t)) {
+            let name = format!("{t}_{tag}");
+            helpers += &format!("{ty} ret_{name}() {{ return {v}; }}\n");
+            body += &format!("    {ty} i_{name} = {v};\n    {ty} a_{name};\n    a_{name} = {v};\n");
+            body += &format!(
+                "    printf(\"{name} {fmt} {fmt} {fmt} {fmt} {fmt}\\n\", ({ty})({v}), \
+                 i_{name}, a_{name}, arg_{t}({v}), ret_{name}());\n"
+            );
+        }
+    }
+    let src = format!("{helpers}int main() {{\n    x = getchar();\n{body}    return 0;\n}}\n");
+
+    let outputs: Vec<(CompilerImpl, String)> = CompilerImpl::default_set()
+        .into_iter()
+        .map(|ci| {
+            let r = run(&src, &ci.to_string(), b"A");
+            assert_eq!(r.status, ExitStatus::Code(0), "{ci}: {}", r.status);
+            (ci, String::from_utf8_lossy(&r.stdout).into_owned())
+        })
+        .collect();
+    let first = &outputs[0].1;
+    for (ci, o) in &outputs {
+        assert_eq!(o, first, "{ci} differs from {}", outputs[0].0);
+    }
+    let mut casts = std::collections::HashMap::new();
+    for line in first.lines() {
+        let fields: Vec<&str> = line.split(' ').collect();
+        assert!(
+            fields[2..].iter().all(|f| *f == fields[1]),
+            "init, assign, arg and return differ from the cast: {line}"
+        );
+        casts.insert(fields[0], fields[1]);
+    }
+    assert_eq!(casts.len(), 45);
+    for (name, cast) in [
+        ("c_sum", "9"),
+        ("i_sum", "265"),
+        ("u_neg", "4294967295"),
+        ("c_wide", "0"),
+        ("i_widex", "-2147483648"),
+        ("d_widex", "2147483648.000000"),
+        ("l_umax", "4294967295"),
+        ("u_chr", "4294967205"),
+        ("u_big", "3000000000"),
+        ("u_bigx", "2999999990"),
+        ("c_frac", "-2"),
+    ] {
+        assert_eq!(casts[name], cast, "{name}");
+    }
+}
+
 #[test]
 fn ternary_and_logical_short_circuit() {
     all_impls_agree(

@@ -2,7 +2,7 @@
 //!
 //! Produces a [`CheckedProgram`] with side tables that map AST nodes to
 //! types and resolved symbols. Lowering (in `minc-compile`) consumes these
-//! tables; it never re-resolves names.
+//! tables; it never re-resolves names or works out a type.
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, FrontendError, Phase};
@@ -202,8 +202,8 @@ pub enum CallTarget {
 pub struct CheckedProgram {
     /// The syntax tree.
     pub program: Program,
-    /// Type of every expression node (arrays *not* yet decayed — lowering
-    /// applies decay at use sites).
+    /// Type of every expression node (arrays *not* yet decayed). Lowering
+    /// reads each expression's type here and applies decay at use sites.
     pub types: HashMap<NodeId, Type>,
     /// Resolution of every `Var` node.
     pub vars: HashMap<NodeId, VarRef>,

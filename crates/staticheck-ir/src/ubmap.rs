@@ -29,7 +29,7 @@ use crate::dataflow::{scan_with_blocks, Point, Visit};
 use crate::detectors::{self, FnFacts, ProgramFacts};
 use crate::domains::{shift_width, Interval, IntervalAnalysis};
 use crate::summaries::FnSummaries;
-use crate::{reference_ir, rewrite_logs, Origin};
+use crate::{provenance_defect, reference_ir, rewrite_logs, Origin};
 use minc::{Builtin, CheckedProgram};
 use minc_compile::ir::{BinKind, BlockId, Callee, Inst, IrFunction, IrProgram, IrType, Terminator};
 use minc_compile::personality::CompilerImpl;
@@ -138,17 +138,6 @@ pub fn class_of_category(cat: &str) -> Option<UbClass> {
         "bad-free" => UbClass::BadFree,
         _ => return None,
     })
-}
-
-/// Maps a rewrite justification to its UB class.
-pub fn class_of_reason(reason: UbReason) -> UbClass {
-    match reason {
-        UbReason::SignedOverflowCheck => UbClass::SignedOverflow,
-        UbReason::NullCheckAfterDeref => UbClass::NullDeref,
-        UbReason::OversizedShift => UbClass::OversizedShift,
-        UbReason::UninitPromotion => UbClass::Uninit,
-        UbReason::UnrollTripCount => UbClass::LoopTripCount,
-    }
 }
 
 /// How certain the map is that the UB executes.
@@ -808,7 +797,8 @@ pub fn fuse<'a>(
         if e.reason == UbReason::UninitPromotion && !df.observed_junk.contains(&e.key) {
             continue;
         }
-        let class = class_of_reason(e.reason);
+        let class = class_of_defect(provenance_defect(e.reason))
+            .expect("every rewrite justification names a UB class");
         let key = (e.line, class);
         if df.clean.contains(&key) {
             let slot = contra
@@ -867,6 +857,23 @@ mod tests {
             line,
             key,
             detail: "synthetic".to_string(),
+        }
+    }
+
+    #[test]
+    fn each_rewrite_justification_keeps_its_class() {
+        for (reason, class) in [
+            (UbReason::SignedOverflowCheck, UbClass::SignedOverflow),
+            (UbReason::NullCheckAfterDeref, UbClass::NullDeref),
+            (UbReason::OversizedShift, UbClass::OversizedShift),
+            (UbReason::UninitPromotion, UbClass::Uninit),
+            (UbReason::UnrollTripCount, UbClass::LoopTripCount),
+        ] {
+            assert_eq!(
+                class_of_defect(provenance_defect(reason)),
+                Some(class),
+                "{reason}"
+            );
         }
     }
 

@@ -175,7 +175,10 @@ echo "== defined conversions (no finding, no sanitizer FN, C's value) =="
 # sum, and a negative `int` zero-extended to `long`, each reach a shift
 # amount the interval domain kept unwrapped and called oversized. A
 # double above INT_MAX converted to `unsigned int` saturated to
-# 2147483647 under all ten implementations.
+# 2147483647 under all ten implementations. A `return` converted to the
+# IR type instead of the declared return type, so a `char` result was
+# never narrowed (9 at -O0, 265 elsewhere) and a double returned as
+# `unsigned int` saturated.
 cat > "$san_dir/wrap_add.mc" <<'EOF'
 int main() {
     unsigned int a = 2147483647;
@@ -212,6 +215,18 @@ EOF
 ./target/release/compdiff run "$san_dir/double_to_uint.mc" > "$san_a"
 grep -q 'all 10 implementations agree' "$san_a"
 grep -qx '3000000000 4294967295' "$san_a"
+cat > "$san_dir/return_conv.mc" <<'EOF'
+char low(int x) { return x + 200; }
+unsigned int big(double d) { return d; }
+int main() { char c = low(getchar()); printf("%d %u\n", c, big(3000000000.0)); return 0; }
+EOF
+./target/release/compdiff run "$san_dir/return_conv.mc" --input A > "$san_a"
+grep -q 'all 10 implementations agree' "$san_a"
+grep -qx '9 3000000000' "$san_a"
+./target/release/compdiff lint "$san_dir/return_conv.mc" > "$san_a"
+grep -qx 'no findings' "$san_a"
+./target/release/compdiff sancheck "$san_dir/return_conv.mc" > "$san_b"
+grep -q ' san_fn=0 ' "$san_b"
 
 echo "== UB after a call that never returns (no must site, no sanitizer FN) =="
 # Each program prints "a" and exits 0 under all ten implementations, so
