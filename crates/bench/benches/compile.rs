@@ -12,7 +12,9 @@
 //!   and one prefix tree of passes per family) for each program of the
 //!   set.
 //!
-//! The set is the 23 catalog targets and the first 200
+//! The five single-program rows are timed interleaved, one batch of each
+//! per sample round, so drift of the host reaches them alike. The set is
+//! the 23 catalog targets and the first 200
 //! `progen::generate` programs at seed 1. One thread. Before timing,
 //! every shared result must equal `optimize_logged`'s (IR `==`, log
 //! `Debug` equal). Emits `BENCH_compile.json` (medians, per-program
@@ -24,6 +26,7 @@ use compdiff_bench::harness::{write_json, BenchGroup, BenchResult};
 use fuzzing::Rng;
 use minc::CheckedProgram;
 use minc_compile::{compile, optimize_all, optimize_logged, CompilerImpl};
+use std::hint::black_box;
 
 /// Generated programs in the set.
 const GENERATED: u64 = 200;
@@ -84,21 +87,36 @@ fn main() {
     let src = program(12);
     let checked = minc::check(&src).unwrap();
     let mut g = BenchGroup::new("compile");
-    for name in ["gcc-O0", "gcc-O2", "clang-O3", "clang-Os"] {
-        let ci = CompilerImpl::parse(name).unwrap();
-        g.bench(name, || compile(&checked, ci));
-    }
-    g.bench("frontend_check", || minc::check(&src).unwrap());
+    let levels = ["gcc-O0", "gcc-O2", "clang-O3", "clang-Os"];
+    let checked = &checked;
+    let mut compiles: Vec<_> = levels
+        .iter()
+        .map(|name| {
+            let ci = CompilerImpl::parse(name).unwrap();
+            move || {
+                black_box(compile(checked, ci));
+            }
+        })
+        .collect();
+    let mut frontend = || {
+        black_box(minc::check(&src).unwrap());
+    };
+    let mut rows: Vec<(&str, &mut dyn FnMut())> = levels
+        .into_iter()
+        .zip(compiles.iter_mut().map(|f| f as &mut dyn FnMut()))
+        .collect();
+    rows.push(("frontend_check", &mut frontend));
+    g.bench_interleaved(&mut rows);
     let ten = g.bench("ten_pipelines", || {
         for (_, checked) in &progs {
             for &ci in &impls {
-                std::hint::black_box(optimize_logged(checked, ci));
+                black_box(optimize_logged(checked, ci));
             }
         }
     });
     let shared = g.bench("shared_build", || {
         for (_, checked) in &progs {
-            std::hint::black_box(optimize_all(checked, &impls));
+            black_box(optimize_all(checked, &impls));
         }
     });
     let results = g.finish();

@@ -14,6 +14,10 @@
 //! * `printf_d` and `printf_s` — one `printf` of an `int` and of a
 //!   12-byte string.
 //!
+//! One more row, `first_run`, times a new [`ExecSession`] and its first
+//! run of `empty`: what a fresh session pays before any reuse (block
+//! translation, the loader, and materializing every page it touches).
+//!
 //! Before any timing, every row's block-dispatch run must equal the
 //! reference interpreter's ([`ExecSession::reference`]) and a fresh
 //! session's. With `COMPDIFF_BENCH_JSON_DIR` set it writes
@@ -107,6 +111,18 @@ fn main() {
             slot.steps
         });
     }
+    let (_, empty, _) = &programs[0];
+    let mut slot = ExecResult::default();
+    ExecSession::new(empty).run_into(empty, &[], &cfg, &mut NoHooks, &mut slot);
+    assert_eq!(
+        slot,
+        ExecSession::reference(empty).run(empty, &[], &cfg),
+        "first_run: a new session's first run != reference"
+    );
+    g.bench("first_run", || {
+        ExecSession::new(empty).run_into(empty, &[], &cfg, &mut NoHooks, &mut slot);
+        slot.steps
+    });
     let results = g.finish();
 
     let cores = std::thread::available_parallelism()

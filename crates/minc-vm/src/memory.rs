@@ -20,6 +20,12 @@
 //! `Memory`, which is what makes session reuse observably equivalent to
 //! fresh-VM execution.
 //!
+//! The snapshots are derived once per process: a table shared by every
+//! `Memory` keeps the 4096 junk bytes of each (seed, page number) it is
+//! asked for, up to 256 pages, so materializing a page costs one 4 KiB
+//! copy of the shared snapshot. A page past the limit is derived on the
+//! spot.
+//!
 //! The hot path avoids the page map entirely when consecutive accesses hit
 //! the same page (the common case for stack and array traffic), and
 //! aligned-width accesses within one page go through `from_le_bytes` /
@@ -27,9 +33,21 @@
 
 use minc_compile::Personality;
 use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 /// Page size in bytes.
 pub const PAGE_SIZE: u64 = 4096;
+
+/// Most pages the process-wide pristine table holds (1 MiB of junk). The
+/// runs of a workload touch few distinct pages per personality (a stack
+/// page or two, the globals, the first heap pages), far fewer than this.
+const PRISTINE_PAGES: usize = 256;
+
+/// Pristine junk pages, keyed by (personality seed, page number).
+type PristineTable = HashMap<(u64, u64), Arc<[u8]>>;
+
+/// The pristine table shared by every [`Memory`] of the process.
+static PRISTINE: LazyLock<Mutex<PristineTable>> = LazyLock::new(Default::default);
 
 const NO_PAGE: u32 = u32::MAX;
 
@@ -38,7 +56,9 @@ const NO_PAGE: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 struct Page {
     data: Box<[u8]>,
-    pristine: Box<[u8]>,
+    /// The page's junk, shared through the pristine table when it holds
+    /// the page.
+    pristine: Arc<[u8]>,
     /// Post-loader snapshot (junk overlaid with this binary's rodata and
     /// global initializers) captured by
     /// [`capture_loader_image`](Memory::capture_loader_image). When
@@ -134,8 +154,8 @@ impl Memory {
 
     /// Deterministic junk byte for an uninitialized address: what a
     /// freshly mapped page "happens to contain" under the implementation
-    /// whose personality seed is `seed`. Materializing a page calls it
-    /// once per byte.
+    /// whose personality seed is `seed`. Deriving a page's pristine junk
+    /// calls it once per byte.
     #[inline]
     fn junk_byte(seed: u64, addr: u64) -> u8 {
         let mut x = addr ^ seed;
@@ -143,6 +163,29 @@ impl Memory {
         x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
         x ^= x >> 33;
         (x & 0xff) as u8
+    }
+
+    /// The pristine junk of page `page_no` under `seed`: the table's copy,
+    /// derived by [`junk_byte`](Memory::junk_byte) the first time any
+    /// `Memory` asks for it, or, once the table is full, derived here.
+    /// Junk is a pure function of (seed, address), so where the bytes
+    /// come from cannot change what a run sees.
+    fn pristine(seed: u64, page_no: u64) -> Arc<[u8]> {
+        // Every update inserts one whole page, so the table stays valid
+        // even if a thread panicked while holding the lock.
+        let table = || PRISTINE.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(page) = table().get(&(seed, page_no)) {
+            return Arc::clone(page);
+        }
+        let base = page_no * PAGE_SIZE;
+        let page: Arc<[u8]> = (0..PAGE_SIZE)
+            .map(|i| Self::junk_byte(seed, base + i))
+            .collect();
+        let mut table = table();
+        if table.len() < PRISTINE_PAGES {
+            return Arc::clone(table.entry((seed, page_no)).or_insert(page));
+        }
+        page
     }
 
     /// Resolves `page_no` to its arena slot, materializing or restoring
@@ -171,17 +214,12 @@ impl Memory {
                 i
             }
             None => {
-                let base = page_no * PAGE_SIZE;
-                let mut p = vec![0u8; PAGE_SIZE as usize];
-                for (i, b) in p.iter_mut().enumerate() {
-                    *b = Self::junk_byte(self.seed, base + i as u64);
-                }
-                let data = p.into_boxed_slice();
+                let pristine = Self::pristine(self.seed, page_no);
                 self.materialized += 1;
                 let idx = self.pages.len() as u32;
                 self.pages.push(Page {
-                    pristine: data.clone(),
-                    data,
+                    data: Box::from(&pristine[..]),
+                    pristine,
                     loaded: None,
                     epoch: self.epoch,
                     lo: PAGE_SIZE as u32,
@@ -450,6 +488,93 @@ mod tests {
         assert_eq!(f.read(0x7100, 4), m.read(0x7100, 4));
         // Pages stay materialized (no allocation churn).
         assert!(m.page_count() >= 1);
+    }
+
+    /// Serializes the tests that depend on how full the pristine table is.
+    static TABLE_TESTS: Mutex<()> = Mutex::new(());
+
+    /// Reads pages `first..first + n` from `m` and checks every byte
+    /// against the junk function; returns each page's pristine bytes.
+    fn read_pages_as_junk(m: &mut Memory, first: u64, n: u64) -> Vec<Arc<[u8]>> {
+        (first..first + n)
+            .map(|page_no| {
+                let base = page_no * PAGE_SIZE;
+                for a in base..base + PAGE_SIZE {
+                    assert_eq!(m.read_u8(a), Memory::junk_byte(m.seed, a), "{a:#x}");
+                }
+                Arc::clone(&m.pages[m.index[&page_no] as usize].pristine)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_page_the_table_serves_is_the_junk_function() {
+        let _serial = TABLE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+        for ci in CompilerImpl::default_set() {
+            let p = ci.personality();
+            let first = read_pages_as_junk(&mut Memory::new(&p), 0x10_0000, 1);
+            let again = read_pages_as_junk(&mut Memory::new(&p), 0x10_0000, 1);
+            assert!(
+                Arc::ptr_eq(&first[0], &again[0]),
+                "{ci}: not from the table"
+            );
+        }
+    }
+
+    #[test]
+    fn pages_past_the_table_limit_are_the_junk_function() {
+        let _serial = TABLE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+        let saved = PRISTINE.lock().unwrap().clone();
+        // Ten personalities times this many pages is more distinct pages
+        // than the table holds, so the last ones are derived past it.
+        let per_seed = (PRISTINE_PAGES / 10 + 2) as u64;
+        let impls = CompilerImpl::default_set();
+        for ci in &impls {
+            read_pages_as_junk(&mut Memory::new(&ci.personality()), 0x30_0000, per_seed);
+        }
+        assert_eq!(PRISTINE.lock().unwrap().len(), PRISTINE_PAGES);
+        let p = impls.last().unwrap().personality();
+        let last = 0x30_0000 + per_seed - 1;
+        let first = read_pages_as_junk(&mut Memory::new(&p), last, 1);
+        let again = read_pages_as_junk(&mut Memory::new(&p), last, 1);
+        assert!(
+            !Arc::ptr_eq(&first[0], &again[0]),
+            "past the limit, yet shared"
+        );
+        // Put the table back, so the other table tests find room in it.
+        *PRISTINE.lock().unwrap() = saved;
+    }
+
+    #[test]
+    fn two_threads_materializing_the_same_pages_agree() {
+        let _serial = TABLE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+        let pages = 0x20_0000..0x20_0004;
+        let start = std::sync::Barrier::new(2);
+        let materialize = || {
+            start.wait();
+            CompilerImpl::default_set()
+                .into_iter()
+                .map(|ci| {
+                    let mut m = Memory::new(&ci.personality());
+                    for page_no in pages.clone() {
+                        m.read_u8(page_no * PAGE_SIZE);
+                    }
+                    m
+                })
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(materialize);
+            let b = s.spawn(materialize);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (mut ma, mut mb) in a.into_iter().zip(b) {
+            let pa = read_pages_as_junk(&mut ma, pages.start, 4);
+            let pb = read_pages_as_junk(&mut mb, pages.start, 4);
+            for (x, y) in pa.iter().zip(&pb) {
+                assert!(Arc::ptr_eq(x, y), "the table kept two copies of a page");
+            }
+        }
     }
 
     #[test]

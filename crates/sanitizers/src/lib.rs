@@ -10,6 +10,11 @@
 //! | [`Ubsan`] | arithmetic/shift/div/null UB | per-operation checks |
 //! | [`Msan`]  | uses of uninitialized memory | byte-granular definedness shadow, reported at branch/address/divisor uses |
 //!
+//! ASan's redzone and quarantine states and MSan's definedness bits live
+//! in a [`shadow::Shadow`]: one state per address, stored in 4 KiB pages,
+//! so marking a heap chunk or a stack frame fills one slice per page and
+//! checking an access reads one.
+//!
 //! Sanitizer binaries are *separate builds* (like `-fsanitize=` builds):
 //! [`sanitizer_personality`] is clang-sim `-O1` with extra frame padding so
 //! stack redzones exist, mirroring how real ASan instruments frames.

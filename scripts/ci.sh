@@ -150,6 +150,16 @@ for deep in "$san_dir/deep_and.mc" "$san_dir/deep_ternary.mc"; do
     timeout 5 ./target/release/compdiff sancheck "$deep" > /dev/null
 done
 
+echo "== sanitized large allocation time bound (an 8 MB malloc: sancheck within 5 s) =="
+# ASan and MSan mark all 8,000,000 bytes of the chunk on malloc or free,
+# ten builds each. A shadow kept in 4 KiB pages fills ~2,000 slices per
+# mark (0.1 s and 14 MB in all on a 2-vCPU host); one kept per byte took
+# 48 s and 446 MB there.
+cat > "$san_dir/big_malloc.mc" <<'EOF'
+int main() { char* p = (char*)malloc(8000000L); p[0] = 'a'; printf("%d\n", (int)p[0]); free(p); return 0; }
+EOF
+timeout 5 ./target/release/compdiff sancheck "$san_dir/big_malloc.mc" > /dev/null
+
 echo "== initializer robustness (former panics exit 0 or 1, never 101) =="
 # Global initializers that once panicked the lowering: `!1.5` now folds
 # like the same expression at run time, and a string literal anywhere but
