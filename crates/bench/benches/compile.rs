@@ -13,7 +13,9 @@
 //!   set.
 //!
 //! The five single-program rows are timed interleaved, one batch of each
-//! per sample round, so drift of the host reaches them alike. The set is
+//! per sample round, so drift of the host reaches them alike, and so are
+//! the two set rows; `shared_build_speedup` is the median over rounds of
+//! `ten_pipelines` divided by `shared_build`. The set is
 //! the 23 catalog targets and the first 200
 //! `progen::generate` programs at seed 1. One thread. Before timing,
 //! every shared result must equal `optimize_logged`'s (IR `==`, log
@@ -22,7 +24,7 @@
 //! count) when `COMPDIFF_BENCH_JSON_DIR` is set.
 
 use compdiff::Json;
-use compdiff_bench::harness::{write_json, BenchGroup, BenchResult};
+use compdiff_bench::harness::{median_ratio, write_json, BenchGroup, BenchResult};
 use fuzzing::Rng;
 use minc::CheckedProgram;
 use minc_compile::{compile, optimize_all, optimize_logged, CompilerImpl};
@@ -107,26 +109,33 @@ fn main() {
         .collect();
     rows.push(("frontend_check", &mut frontend));
     g.bench_interleaved(&mut rows);
-    let ten = g.bench("ten_pipelines", || {
+    let mut ten_pipelines = || {
         for (_, checked) in &progs {
             for &ci in &impls {
                 black_box(optimize_logged(checked, ci));
             }
         }
-    });
-    let shared = g.bench("shared_build", || {
+    };
+    let mut shared_build = || {
         for (_, checked) in &progs {
             black_box(optimize_all(checked, &impls));
         }
-    });
+    };
+    let rounds = g.bench_interleaved(&mut [
+        ("ten_pipelines", &mut ten_pipelines),
+        ("shared_build", &mut shared_build),
+    ]);
     let results = g.finish();
+    let [.., ten, shared] = &results[..] else {
+        unreachable!("the two set rows are recorded last");
+    };
 
     let per_program_us = |r: &BenchResult| r.median.as_secs_f64() * 1e6 / n as f64;
-    let speedup = ten.median.as_secs_f64() / shared.median.as_secs_f64();
+    let speedup = median_ratio(&rounds[0], &rounds[1]);
     println!();
     println!("| Row | µs per program |");
     println!("|---|---|");
-    for r in [&ten, &shared] {
+    for r in [ten, shared] {
         println!("| {} | {:.0} |", r.name, per_program_us(r));
     }
     println!("shared build: {speedup:.2}x the ten pipelines over {n} programs");
@@ -143,8 +152,8 @@ fn main() {
             (
                 "per_program_us",
                 Json::obj(vec![
-                    (ten.name.as_str(), Json::Float(per_program_us(&ten))),
-                    (shared.name.as_str(), Json::Float(per_program_us(&shared))),
+                    (ten.name.as_str(), Json::Float(per_program_us(ten))),
+                    (shared.name.as_str(), Json::Float(per_program_us(shared))),
                 ]),
             ),
             ("shared_build_speedup", Json::Float(speedup)),

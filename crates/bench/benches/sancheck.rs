@@ -16,6 +16,9 @@
 //!   (build, sanitizer);
 //! * `hooked_runs_kept` — 10 sessions × 3 runs, one session per build.
 //!
+//! The rows are timed interleaved, one batch of each per sample round,
+//! so drift of the host reaches them alike.
+//!
 //! Before timing, every program's `check_program` and lint output must
 //! hash to its digest in `tests/golden/sancheck/manifest.json`, and
 //! every kept-session hooked run must equal its fresh run. Emits
@@ -31,6 +34,7 @@ use minc_vm::{execute_with_hooks, ExecResult, ExecSession, Hooks, SanitizerKind,
 use sancheck::{PlannedSan, SanFaultPlan, SancheckConfig, SAN_KINDS};
 use sanitizers::{Asan, Msan, Ubsan};
 use staticheck_ir::{UbSiteMap, UnstableLint};
+use std::hint::black_box;
 
 /// Generated programs in the set (the first ones of the golden manifest).
 const GENERATED: u64 = 200;
@@ -177,49 +181,57 @@ fn main() {
     } else {
         11
     });
-    g.bench("check_program", || {
+    let mut check_program = || {
         for p in &progs {
-            std::hint::black_box(sancheck::check_program(&p.checked, 0, &p.config));
+            black_box(sancheck::check_program(&p.checked, 0, &p.config));
         }
-    });
-    g.bench("site_map", || {
+    };
+    let mut site_map = || {
         for p in &progs {
-            std::hint::black_box(UbSiteMap::build_with_logs(&p.checked, &p.logs));
+            black_box(UbSiteMap::build_with_logs(&p.checked, &p.logs));
         }
-    });
-    g.bench("sanitized_compiles", || {
+    };
+    let mut sanitized_compiles = || {
         for p in &progs {
             for ci in CompilerImpl::default_set() {
-                std::hint::black_box(sancheck::compile_sanitized_for(&p.checked, ci));
+                black_box(sancheck::compile_sanitized_for(&p.checked, ci));
             }
         }
-    });
-    g.bench("links", || {
+    };
+    let mut links = || {
         for p in &progs {
             for (ir, bin) in &p.builds {
-                std::hint::black_box(Binary::link(ir.clone(), bin.personality.clone()));
+                black_box(Binary::link(ir.clone(), bin.personality.clone()));
             }
         }
-    });
-    g.bench("hooked_runs_fresh", || {
+    };
+    let mut hooked_runs_fresh = || {
         for p in &progs {
             for (_, bin) in &p.builds {
                 for kind in SAN_KINDS {
-                    std::hint::black_box(hooked(None, bin, &p.config.input, kind));
+                    black_box(hooked(None, bin, &p.config.input, kind));
                 }
             }
         }
-    });
-    g.bench("hooked_runs_kept", || {
+    };
+    let mut hooked_runs_kept = || {
         for p in &progs {
             for (_, bin) in &p.builds {
                 let mut session = ExecSession::new(bin);
                 for kind in SAN_KINDS {
-                    std::hint::black_box(hooked(Some(&mut session), bin, &p.config.input, kind));
+                    black_box(hooked(Some(&mut session), bin, &p.config.input, kind));
                 }
             }
         }
-    });
+    };
+    g.bench_interleaved(&mut [
+        ("check_program", &mut check_program),
+        ("site_map", &mut site_map),
+        ("sanitized_compiles", &mut sanitized_compiles),
+        ("links", &mut links),
+        ("hooked_runs_fresh", &mut hooked_runs_fresh),
+        ("hooked_runs_kept", &mut hooked_runs_kept),
+    ]);
     let results = g.finish();
 
     let per_program_us = |r: &BenchResult| r.median.as_secs_f64() * 1e6 / n as f64;

@@ -18,6 +18,9 @@
 //! run of `empty`: what a fresh session pays before any reuse (block
 //! translation, the loader, and materializing every page it touches).
 //!
+//! The rows are timed interleaved, one batch of each per sample round,
+//! so drift of the host reaches them alike.
+//!
 //! Before any timing, every row's block-dispatch run must equal the
 //! reference interpreter's ([`ExecSession::reference`]) and a fresh
 //! session's. With `COMPDIFF_BENCH_JSON_DIR` set it writes
@@ -28,6 +31,7 @@ use compdiff::Json;
 use compdiff_bench::harness::{write_json, BenchGroup};
 use minc_compile::{compile_source, Binary, CompilerImpl};
 use minc_vm::{ExecResult, ExecSession, NoHooks, VmConfig};
+use std::hint::black_box;
 
 /// The rows: name, program, input.
 fn rows() -> Vec<(&'static str, &'static str, Vec<u8>)> {
@@ -102,27 +106,39 @@ fn main() {
         steps.push((*name, Json::Int(reference.steps as i64)));
     }
 
-    let mut g = BenchGroup::new("vm_ops");
-    for (name, bin, input) in &programs {
-        let mut session = ExecSession::new(bin);
-        let mut slot = ExecResult::default();
-        g.bench(name, || {
-            session.run_into(bin, input, &cfg, &mut NoHooks, &mut slot);
-            slot.steps
-        });
-    }
     let (_, empty, _) = &programs[0];
-    let mut slot = ExecResult::default();
-    ExecSession::new(empty).run_into(empty, &[], &cfg, &mut NoHooks, &mut slot);
+    let mut first = ExecResult::default();
+    ExecSession::new(empty).run_into(empty, &[], &cfg, &mut NoHooks, &mut first);
     assert_eq!(
-        slot,
+        first,
         ExecSession::reference(empty).run(empty, &[], &cfg),
         "first_run: a new session's first run != reference"
     );
-    g.bench("first_run", || {
-        ExecSession::new(empty).run_into(empty, &[], &cfg, &mut NoHooks, &mut slot);
-        slot.steps
-    });
+
+    let mut g = BenchGroup::new("vm_ops");
+    let mut warm: Vec<Box<dyn FnMut()>> = programs
+        .iter()
+        .map(|(_, bin, input)| {
+            let mut session = ExecSession::new(bin);
+            let mut slot = ExecResult::default();
+            let cfg = &cfg;
+            Box::new(move || {
+                session.run_into(bin, input, cfg, &mut NoHooks, &mut slot);
+                black_box(slot.steps);
+            }) as Box<dyn FnMut()>
+        })
+        .collect();
+    let mut first_run = || {
+        ExecSession::new(empty).run_into(empty, &[], &cfg, &mut NoHooks, &mut first);
+        black_box(first.steps);
+    };
+    let mut rows: Vec<(&str, &mut dyn FnMut())> = programs
+        .iter()
+        .map(|(name, _, _)| *name)
+        .zip(warm.iter_mut().map(|f| &mut **f as &mut dyn FnMut()))
+        .collect();
+    rows.push(("first_run", &mut first_run));
+    g.bench_interleaved(&mut rows);
     let results = g.finish();
 
     let cores = std::thread::available_parallelism()

@@ -10,7 +10,9 @@
 //! *unstable* across compiler implementations.
 
 use minc::Builtin;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Scalar value types in the IR. Pointers are `I64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,6 +76,68 @@ pub struct GlobalId(pub u32);
 /// A string literal in rodata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StrId(pub u32);
+
+/// A hash map for keys the compiler assigns: register, slot, block and
+/// local ids, and value-numbering keys built from them.
+///
+/// The passes make a lookup for nearly every instruction they visit, so
+/// the hash is on the shared build's hot path. [`IdHasher`] is a
+/// multiplicative hash in place of std's SipHash. It takes no random
+/// seed, which is safe because no map's iteration order reaches the IR
+/// or a log: the passes only look up, insert and `retain`, and the one
+/// scan, mem2reg's of `addr_reg`, collects into a set. Keys taken from
+/// the source text (string literals, struct names) are kept in
+/// `BTreeMap`s instead, since a source could choose them to collide.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set with [`IdMap`]'s hasher.
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// The hasher of [`IdMap`] and [`IdSet`]: each word written is mixed in
+/// by a rotate, an xor and one multiply.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Memory access width in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -5,7 +5,7 @@ use crate::ir::{GlobalSpec, IrFunction, SlotInfo};
 use crate::personality::{Personality, SlotOrder};
 use minc::types::{StructSizer, Type};
 use minc::CheckedProgram;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Computed layout of one struct.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,14 +24,16 @@ pub struct StructLayout {
 /// *where objects live*, not from field offsets.
 #[derive(Debug, Clone, Default)]
 pub struct StructLayouts {
-    map: HashMap<String, StructLayout>,
+    /// Keyed by struct name, which comes from the source: a `BTreeMap`,
+    /// so no source can choose names that collide under a hash.
+    map: BTreeMap<String, StructLayout>,
 }
 
 impl StructLayouts {
     /// Computes layouts for every struct in `checked`.
     pub fn compute(checked: &CheckedProgram) -> StructLayouts {
         let mut layouts = StructLayouts {
-            map: HashMap::new(),
+            map: BTreeMap::new(),
         };
         // Structs may reference earlier structs; iterate until settled
         // (sema guarantees acyclicity, so one pass in definition order with

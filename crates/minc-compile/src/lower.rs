@@ -20,7 +20,7 @@ use minc::sema::{is_lvalue, CallTarget, LocalId, VarRef};
 use minc::span::Span;
 use minc::types::Type;
 use minc::CheckedProgram;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Lowers a checked program to IR under the given personality.
 ///
@@ -131,11 +131,13 @@ fn initial_value(
 }
 
 /// The program's string literals, interned in first-use order (`StrId`
-/// indexes `list`); each is NUL-terminated.
+/// indexes `list`); each is NUL-terminated. `ids` is a `BTreeMap`, not an
+/// [`IdMap`]: its keys come from the source, and a source could choose
+/// them to collide under an unseeded hash.
 #[derive(Default)]
 struct Strings {
     list: Vec<Vec<u8>>,
-    ids: HashMap<Vec<u8>, StrId>,
+    ids: BTreeMap<Vec<u8>, StrId>,
 }
 
 impl Strings {
@@ -186,7 +188,7 @@ struct FnLowerer<'a> {
     slot_of_local: Vec<SlotId>,
     loops: Vec<(BlockId, BlockId)>, // (continue target, break target)
     stmt_span: Span,
-    addressed: HashSet<LocalId>,
+    addressed: IdSet<LocalId>,
     junk_counter: u32,
 }
 
@@ -215,7 +217,7 @@ impl<'a> FnLowerer<'a> {
             slot_of_local: Vec::new(),
             loops: Vec::new(),
             stmt_span: Span::dummy(),
-            addressed: HashSet::new(),
+            addressed: IdSet::default(),
             junk_counter: junk_base,
         }
     }

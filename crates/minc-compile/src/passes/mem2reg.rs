@@ -11,7 +11,6 @@
 use crate::ir::*;
 use crate::personality::CompilerImpl;
 use crate::rewrite_log::{RewriteLog, UbReason};
-use std::collections::{HashMap, HashSet};
 
 /// Promotes every promotable slot of `f`. `func_index` seeds junk ids so
 /// different functions get different indeterminate values.
@@ -73,9 +72,9 @@ fn run_inner(f: &mut IrFunction, func_index: u32) -> Vec<Promotion> {
     // Map: FrameAddr destination register -> slot, across the whole function
     // (each FrameAddr has a fresh, never-redefined destination by
     // construction; verify anyway).
-    let mut addr_reg: HashMap<ValueId, SlotId> = HashMap::new();
-    let mut multiply_defined: HashSet<ValueId> = HashSet::new();
-    let mut defined: HashSet<ValueId> = HashSet::new();
+    let mut addr_reg: IdMap<ValueId, SlotId> = IdMap::default();
+    let mut multiply_defined: IdSet<ValueId> = IdSet::default();
+    let mut defined: IdSet<ValueId> = IdSet::default();
     for b in &f.blocks {
         for inst in &b.insts {
             if let Some(d) = inst.dst() {
@@ -91,8 +90,8 @@ fn run_inner(f: &mut IrFunction, func_index: u32) -> Vec<Promotion> {
 
     // A slot is promotable iff every use of each of its address registers is
     // a Load/Store *address* of the slot's full scalar width.
-    let mut bad: HashSet<SlotId> = HashSet::new();
-    let cand_set: HashSet<SlotId> = candidates.iter().copied().collect();
+    let mut bad: IdSet<SlotId> = IdSet::default();
+    let cand_set: IdSet<SlotId> = candidates.iter().copied().collect();
     for (r, s) in &addr_reg {
         if multiply_defined.contains(r) {
             bad.insert(*s);
@@ -100,7 +99,7 @@ fn run_inner(f: &mut IrFunction, func_index: u32) -> Vec<Promotion> {
     }
     for b in &f.blocks {
         for inst in &b.insts {
-            let check = |v: ValueId, bad: &mut HashSet<SlotId>| {
+            let check = |v: ValueId, bad: &mut IdSet<SlotId>| {
                 if let Some(s) = addr_reg.get(&v) {
                     if cand_set.contains(s) {
                         bad.insert(*s);
@@ -142,10 +141,10 @@ fn run_inner(f: &mut IrFunction, func_index: u32) -> Vec<Promotion> {
     }
 
     // One register per promoted slot, junk-initialized in the entry block.
-    let mut slot_reg: HashMap<SlotId, ValueId> = HashMap::new();
+    let mut slot_reg: IdMap<SlotId, ValueId> = IdMap::default();
     let mut inits = Vec::new();
     let mut promos: Vec<Promotion> = Vec::new();
-    let mut promo_index: HashMap<SlotId, usize> = HashMap::new();
+    let mut promo_index: IdMap<SlotId, usize> = IdMap::default();
     for s in &promote {
         let ty = f.slots[s.0 as usize].scalar.expect("candidate is scalar");
         let r = f.new_reg(ty);

@@ -15,7 +15,6 @@ pub mod unroll;
 use crate::ir::*;
 use crate::personality::{PassKind, Personality};
 use crate::rewrite_log::RewriteLog;
-use std::collections::HashMap;
 
 /// Runs the personality's pipeline over the whole program.
 pub fn run_pipeline(prog: &mut IrProgram, personality: &Personality) {
@@ -122,7 +121,7 @@ pub fn const_fold(f: &mut IrFunction) {
 /// (`true` folds to 0 like clang-sim, `false` masks like gcc-sim/x86).
 pub fn const_fold_with(f: &mut IrFunction, shift_fold_zero: bool) {
     for b in 0..f.blocks.len() {
-        let mut known: HashMap<ValueId, ConstVal> = HashMap::new();
+        let mut known: IdMap<ValueId, ConstVal> = IdMap::default();
         let insts = std::mem::take(&mut f.blocks[b].insts);
         let mut out = Vec::with_capacity(insts.len());
         for inst in insts {
@@ -241,7 +240,7 @@ pub fn const_fold_with(f: &mut IrFunction, shift_fold_zero: bool) {
 }
 
 /// A constant usable in arithmetic (addresses and junk are opaque).
-fn pure_const(known: &HashMap<ValueId, ConstVal>, v: ValueId) -> Option<ConstVal> {
+fn pure_const(known: &IdMap<ValueId, ConstVal>, v: ValueId) -> Option<ConstVal> {
     match known.get(&v) {
         Some(c @ (ConstVal::I32(_) | ConstVal::I64(_) | ConstVal::F64(_))) => Some(*c),
         _ => None,
@@ -251,7 +250,7 @@ fn pure_const(known: &HashMap<ValueId, ConstVal>, v: ValueId) -> Option<ConstVal
 /// The word of constant register `v` when its kind matches what the
 /// operation reads: integer constants feed only integer operations, and
 /// `F64` constants only float ones.
-fn operand(known: &HashMap<ValueId, ConstVal>, v: ValueId, float: bool) -> Option<u64> {
+fn operand(known: &IdMap<ValueId, ConstVal>, v: ValueId, float: bool) -> Option<u64> {
     match known.get(&v)? {
         c @ (ConstVal::I32(_) | ConstVal::I64(_)) if !float => c.word(),
         ConstVal::F64(x) if float => Some(x.to_bits()),
@@ -273,7 +272,7 @@ fn shift_out_of_range(op: BinKind, ty: IrType, amount: u64) -> bool {
 /// `x+0`, `x*1`, `x*0`, `x&0`, `x|0`, `x^0`, `x-0`, `x/1` and commuted
 /// variants. Returns the replacement instruction, if any.
 fn algebraic(
-    known: &HashMap<ValueId, ConstVal>,
+    known: &IdMap<ValueId, ConstVal>,
     dst: ValueId,
     ty: IrType,
     op: BinKind,
@@ -335,8 +334,8 @@ fn algebraic(
 /// Replaces uses of registers that are block-locally known to be copies.
 pub fn copy_prop(f: &mut IrFunction) {
     for b in &mut f.blocks {
-        let mut alias: HashMap<ValueId, ValueId> = HashMap::new();
-        let invalidate = |alias: &mut HashMap<ValueId, ValueId>, r: ValueId| {
+        let mut alias: IdMap<ValueId, ValueId> = IdMap::default();
+        let invalidate = |alias: &mut IdMap<ValueId, ValueId>, r: ValueId| {
             alias.remove(&r);
             alias.retain(|_, v| *v != r);
         };
@@ -363,7 +362,7 @@ pub fn copy_prop(f: &mut IrFunction) {
 }
 
 /// Replaces `v` by the register it is a copy of, if `alias` knows one.
-fn forward(alias: &HashMap<ValueId, ValueId>, v: &mut ValueId) {
+fn forward(alias: &IdMap<ValueId, ValueId>, v: &mut ValueId) {
     if let Some(s) = alias.get(v) {
         *v = *s;
     }
@@ -395,10 +394,10 @@ pub fn cse(f: &mut IrFunction) {
         }
     }
     for b in &mut f.blocks {
-        let mut avail: HashMap<Key, ValueId> = HashMap::new();
+        let mut avail: IdMap<Key, ValueId> = IdMap::default();
         // Copy-forwarding within the pass so chained CSE opportunities
         // (e.g. identical constants feeding identical multiplies) are seen.
-        let mut alias: HashMap<ValueId, ValueId> = HashMap::new();
+        let mut alias: IdMap<ValueId, ValueId> = IdMap::default();
         let mut out = Vec::with_capacity(b.insts.len());
         for mut inst in b.insts.drain(..) {
             inst.for_each_use_mut(|v| forward(&alias, v));
@@ -417,7 +416,7 @@ pub fn cse(f: &mut IrFunction) {
             if matches!(inst, Inst::Store { .. } | Inst::Call { .. }) {
                 avail.retain(|k, _| !matches!(k, Key::Load(..)));
             }
-            let unalias = |alias: &mut HashMap<ValueId, ValueId>, r: ValueId| {
+            let unalias = |alias: &mut IdMap<ValueId, ValueId>, r: ValueId| {
                 alias.remove(&r);
                 alias.retain(|_, v| *v != r);
             };
@@ -453,7 +452,7 @@ pub fn cse(f: &mut IrFunction) {
         }
         b.insts = out;
 
-        fn invalidate_redefined(avail: &mut HashMap<Key, ValueId>, redefined: ValueId) {
+        fn invalidate_redefined(avail: &mut IdMap<Key, ValueId>, redefined: ValueId) {
             avail.retain(|k, v| {
                 if *v == redefined {
                     return false;
@@ -482,7 +481,7 @@ pub fn dce(f: &mut IrFunction) {
     loop {
         let mut used = vec![false; f.reg_count as usize];
         let reachable: Vec<BlockId> = f.reachable_blocks();
-        let reachable_set: std::collections::HashSet<u32> = reachable.iter().map(|b| b.0).collect();
+        let reachable_set: IdSet<u32> = reachable.iter().map(|b| b.0).collect();
         for bid in &reachable {
             let b = &f.blocks[bid.0 as usize];
             let mut mark = |u: ValueId| used[u.0 as usize] = true;
@@ -521,7 +520,7 @@ pub fn dce(f: &mut IrFunction) {
 /// register* is stored again before any load, call, or end of block.
 pub fn dse(f: &mut IrFunction) {
     for b in &mut f.blocks {
-        let mut pending: HashMap<(ValueId, MemWidth), usize> = HashMap::new();
+        let mut pending: IdMap<(ValueId, MemWidth), usize> = IdMap::default();
         let mut dead: Vec<usize> = Vec::new();
         for (i, inst) in b.insts.iter().enumerate() {
             match inst {
@@ -614,7 +613,7 @@ pub fn simplify_cfg(f: &mut IrFunction) {
 /// the paper's IntError example.
 pub fn widen_mul(f: &mut IrFunction) {
     for b in 0..f.blocks.len() {
-        let mut defs: HashMap<ValueId, (BinKind, ValueId, ValueId, bool)> = HashMap::new();
+        let mut defs: IdMap<ValueId, (BinKind, ValueId, ValueId, bool)> = IdMap::default();
         let mut rewrites: Vec<(usize, ValueId, ValueId, ValueId)> = Vec::new();
         for (i, inst) in f.blocks[b].insts.iter().enumerate() {
             match inst {

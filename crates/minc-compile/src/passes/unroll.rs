@@ -16,7 +16,6 @@
 use crate::ir::*;
 use crate::personality::{Family, Personality};
 use crate::rewrite_log::{RewriteLog, UbReason};
-use std::collections::HashMap;
 
 /// Maximum trip count that will be fully unrolled.
 const MAX_TRIP: i64 = 16;
@@ -57,7 +56,7 @@ struct Candidate {
 
 fn find_candidate(f: &mut IrFunction) -> Option<Candidate> {
     // Count defs of each register across the function.
-    let mut defs: HashMap<ValueId, Vec<(BlockId, usize)>> = HashMap::new();
+    let mut defs: IdMap<ValueId, Vec<(BlockId, usize)>> = IdMap::default();
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, inst) in b.insts.iter().enumerate() {
             if let Some(d) = inst.dst() {
@@ -117,9 +116,8 @@ fn find_candidate(f: &mut IrFunction) -> Option<Candidate> {
         let mut step_amt: Option<i64> = None;
         {
             // Block-local def map: reg -> (is_add_of_iv, amount) | copy-of-iv.
-            let mut add_of_iv: HashMap<ValueId, i64> = HashMap::new();
-            let mut alias_of_iv: std::collections::HashSet<ValueId> =
-                std::collections::HashSet::new();
+            let mut add_of_iv: IdMap<ValueId, i64> = IdMap::default();
+            let mut alias_of_iv: IdSet<ValueId> = IdSet::default();
             alias_of_iv.insert(iv);
             for inst in &sb.insts {
                 match inst {

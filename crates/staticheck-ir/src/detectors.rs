@@ -14,10 +14,10 @@ use crate::domains::{
 };
 use crate::summaries::FnSummaries;
 use minc_compile::ir::{
-    BinKind, CastKind, ConstVal, Inst, IrFunction, IrProgram, Terminator, ValueId,
+    BinKind, CastKind, ConstVal, IdMap, Inst, IrFunction, IrProgram, Terminator, ValueId,
 };
 use staticheck::Defect;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// One IR-level finding, before merging with the provenance channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,7 +121,7 @@ pub(crate) fn junk_sinks(
             _ => return,
         };
         for r in used {
-            if let Some(&id) = st.get(&r.0) {
+            if let Some(&id) = st.get(r.0) {
                 sinks.push((b, f.line_of(*r), id, what));
             }
         }
@@ -165,7 +165,7 @@ fn oversized_shifts(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<IrFindi
             ..
         }) = v
         {
-            if let Some(amt) = st.get(&b.0) {
+            if let Some(amt) = st.get(b.0) {
                 let width = shift_width(*ty);
                 if amt.lo >= width || amt.hi < 0 {
                     sink.push((f.line_of(*dst), width, *amt));
@@ -215,21 +215,20 @@ fn block_patterns(f: &IrFunction, out: &mut Vec<IrFinding>) {
     for blk in &f.blocks {
         // Versioned origins: a fresh version per non-copy definition, so
         // register reuse (the IR is not SSA) cannot alias stale values.
-        let mut origin: HashMap<u32, OriginId> = HashMap::new();
+        let mut origin: IdMap<u32, OriginId> = IdMap::default();
         let mut next_version = 0u32;
         // Overflow-check candidates: origin of an `ub_signed` Add/Sub ->
         // (is_add, origins of its operands).
-        let mut arith: HashMap<OriginId, (bool, OriginId, OriginId)> = HashMap::new();
-        let mut bases: HashMap<OriginId, PtrBase> = HashMap::new();
+        let mut arith: IdMap<OriginId, (bool, OriginId, OriginId)> = IdMap::default();
+        let mut bases: IdMap<OriginId, PtrBase> = IdMap::default();
 
-        let origin_of =
-            |r: ValueId, origin: &mut HashMap<u32, OriginId>, next_version: &mut u32| {
-                *origin.entry(r.0).or_insert_with(|| {
-                    *next_version += 1;
-                    (r.0, *next_version)
-                })
-            };
-        let fresh = |r: ValueId, origin: &mut HashMap<u32, OriginId>, next_version: &mut u32| {
+        let origin_of = |r: ValueId, origin: &mut IdMap<u32, OriginId>, next_version: &mut u32| {
+            *origin.entry(r.0).or_insert_with(|| {
+                *next_version += 1;
+                (r.0, *next_version)
+            })
+        };
+        let fresh = |r: ValueId, origin: &mut IdMap<u32, OriginId>, next_version: &mut u32| {
             *next_version += 1;
             let o = (r.0, *next_version);
             origin.insert(r.0, o);
@@ -381,7 +380,7 @@ fn null_check_after_deref(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<I
         }) = v
         {
             let null_cmp = |p: ValueId, z: ValueId| {
-                st.zeros.contains(&z.0) && st.derefed.contains(&st.root(p.0))
+                st.zeros.contains(z.0) && st.derefed.contains(st.root(p.0))
             };
             if null_cmp(*a, *b) || null_cmp(*b, *a) {
                 sink.push(f.line_of(*dst));

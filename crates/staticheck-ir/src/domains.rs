@@ -15,11 +15,160 @@
 //! functions consult the callee's summary instead of blindly killing the
 //! destination, which is what makes the lint interprocedural. Passing
 //! [`FnSummaries::empty`] reproduces the old intraprocedural behaviour.
+//!
+//! Every state is built from [`RegMap`], a register-keyed map kept as a
+//! vector sorted by register.
 
 use crate::dataflow::Analysis;
 use crate::summaries::{FnSummaries, PARAM_JUNK_BASE};
 use minc_compile::ir::{Callee, ConstVal, Inst, IrFunction, IrType};
-use std::collections::{BTreeMap, BTreeSet};
+
+// --------------------------------------------------------------- states
+
+/// A register-keyed map, kept as its entries sorted by register.
+///
+/// A state is cloned on every block visit and joined at every merge, and
+/// it holds the few registers a path has facts about, not every register
+/// of the function. So a clone is one allocation and copy, a join one
+/// linear merge ([`union_with`](Self::union_with),
+/// [`intersect_with`](Self::intersect_with)), and iteration runs in
+/// ascending register order. A dense array indexed by register would
+/// make each clone cost the function's whole register count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegMap<V> {
+    entries: Vec<(u32, V)>,
+}
+
+/// A set of registers.
+pub type RegSet = RegMap<()>;
+
+impl<V> Default for RegMap<V> {
+    fn default() -> Self {
+        RegMap {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V> RegMap<V> {
+    /// The empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Where `r`'s entry is, or where it would be inserted.
+    fn position(&self, r: u32) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&r, |&(k, _)| k)
+    }
+
+    /// The value of register `r`.
+    pub fn get(&self, r: u32) -> Option<&V> {
+        self.position(r).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// True if register `r` has an entry.
+    pub fn contains(&self, r: u32) -> bool {
+        self.position(r).is_ok()
+    }
+
+    /// Sets register `r`'s value, returning the old one.
+    pub fn insert(&mut self, r: u32, v: V) -> Option<V> {
+        match self.position(r) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, v)),
+            Err(i) => {
+                self.entries.insert(i, (r, v));
+                None
+            }
+        }
+    }
+
+    /// Removes register `r`'s entry, returning its value.
+    pub fn remove(&mut self, r: u32) -> Option<V> {
+        self.position(r).ok().map(|i| self.entries.remove(i).1)
+    }
+
+    /// Keeps only the entries for which `keep` holds.
+    pub fn retain(&mut self, mut keep: impl FnMut(u32, &mut V) -> bool) {
+        self.entries.retain_mut(|(r, v)| keep(*r, v));
+    }
+
+    /// The entries in ascending register order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &V)> {
+        self.entries.iter().map(|(r, v)| (*r, v))
+    }
+
+    /// Adds every entry of `from` that `self` lacks, and calls
+    /// `merge(mine, theirs)` for each register both have; returns true if
+    /// an entry was added or a `merge` returned true (it changed `mine`).
+    pub fn union_with(&mut self, from: &Self, mut merge: impl FnMut(&mut V, &V) -> bool) -> bool
+    where
+        V: Clone,
+    {
+        let mut changed = false;
+        let mut missing = 0;
+        let mut mine = self.entries.iter_mut().peekable();
+        for (r, theirs) in &from.entries {
+            while mine.next_if(|(m, _)| m < r).is_some() {}
+            match mine.next_if(|(m, _)| m == r) {
+                Some((_, v)) => changed |= merge(v, theirs),
+                None => missing += 1,
+            }
+        }
+        if missing > 0 {
+            let merged = Vec::with_capacity(self.entries.len() + missing);
+            let old = std::mem::replace(&mut self.entries, merged);
+            let mut theirs = from.entries.iter().peekable();
+            for (r, v) in old {
+                while let Some(e) = theirs.next_if(|(t, _)| *t < r) {
+                    self.entries.push(e.clone());
+                }
+                theirs.next_if(|(t, _)| *t == r);
+                self.entries.push((r, v));
+            }
+            self.entries.extend(theirs.cloned());
+            changed = true;
+        }
+        changed
+    }
+
+    /// Keeps the entries whose register `from` also has and for which
+    /// `keep(mine, theirs)` holds (it may change `mine`); returns true if
+    /// an entry was dropped.
+    pub fn intersect_with(
+        &mut self,
+        from: &Self,
+        mut keep: impl FnMut(&mut V, &V) -> bool,
+    ) -> bool {
+        let before = self.len();
+        let mut theirs = from.entries.iter().peekable();
+        self.retain(|r, v| {
+            while theirs.next_if(|(t, _)| *t < r).is_some() {}
+            match theirs.next_if(|(t, _)| *t == r) {
+                Some((_, w)) => keep(v, w),
+                None => false,
+            }
+        });
+        self.len() != before
+    }
+}
+
+impl Extend<u32> for RegSet {
+    fn extend<I: IntoIterator<Item = u32>>(&mut self, regs: I) {
+        for r in regs {
+            self.insert(r, ());
+        }
+    }
+}
 
 // ------------------------------------------------------------------- junk
 
@@ -45,7 +194,7 @@ impl<'a> JunkAnalysis<'a> {
 }
 
 /// State for [`JunkAnalysis`]: register -> junk id it may carry.
-pub type JunkState = BTreeMap<u32, u32>;
+pub type JunkState = RegMap<u32>;
 
 impl Analysis for JunkAnalysis<'_> {
     type State = JunkState;
@@ -69,26 +218,26 @@ impl Analysis for JunkAnalysis<'_> {
             } => {
                 st.insert(dst.0, *id);
             }
-            Inst::Copy { dst, src, .. } => match st.get(&src.0).copied() {
+            Inst::Copy { dst, src, .. } => match st.get(src.0).copied() {
                 Some(id) => {
                     st.insert(dst.0, id);
                 }
                 None => {
-                    st.remove(&dst.0);
+                    st.remove(dst.0);
                 }
             },
             // Junk is poison: arithmetic on an indeterminate value yields
             // an indeterminate value (the MSan shadow-propagation rule).
             Inst::Bin { .. } | Inst::Un { .. } | Inst::Cast { .. } => {
                 let mut tainted = None;
-                inst.for_each_use(|u| tainted = tainted.or_else(|| st.get(&u.0).copied()));
+                inst.for_each_use(|u| tainted = tainted.or_else(|| st.get(u.0).copied()));
                 let dst = inst.dst().expect("bin/un/cast produce a value");
                 match tainted {
                     Some(id) => {
                         st.insert(dst.0, id);
                     }
                     None => {
-                        st.remove(&dst.0);
+                        st.remove(dst.0);
                     }
                 }
             }
@@ -107,7 +256,7 @@ impl Analysis for JunkAnalysis<'_> {
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| s.param_junk_to_ret.get(*i).copied().unwrap_or(false))
-                        .filter_map(|(_, a)| st.get(&a.0).copied())
+                        .filter_map(|(_, a)| st.get(a.0).copied())
                         .min();
                     match (own, via_args) {
                         (Some(a), Some(b)) => Some(a.min(b)),
@@ -120,7 +269,7 @@ impl Analysis for JunkAnalysis<'_> {
                             st.insert(d.0, id);
                         }
                         None => {
-                            st.remove(&d.0);
+                            st.remove(d.0);
                         }
                     }
                 }
@@ -129,26 +278,22 @@ impl Analysis for JunkAnalysis<'_> {
             // lint only chases register junk introduced by promotion.
             _ => {
                 if let Some(dst) = inst.dst() {
-                    st.remove(&dst.0);
+                    st.remove(dst.0);
                 }
             }
         }
     }
 
     fn join(&self, into: &mut JunkState, from: &JunkState) -> bool {
-        let mut changed = false;
-        for (r, id) in from {
-            match into.get(r) {
-                // Two different junk sources meeting: keep the smaller id
-                // deterministically; either attribution is valid evidence.
-                Some(cur) if cur <= id => {}
-                _ => {
-                    into.insert(*r, *id);
-                    changed = true;
-                }
+        // Two different junk sources meeting: keep the smaller id
+        // deterministically; either attribution is valid evidence.
+        into.union_with(from, |cur, id| {
+            let smaller = *id < *cur;
+            if smaller {
+                *cur = *id;
             }
-        }
-        changed
+            smaller
+        })
     }
 }
 
@@ -159,22 +304,22 @@ impl Analysis for JunkAnalysis<'_> {
 #[derive(Clone, Default, PartialEq)]
 pub struct NullState {
     /// Roots dereferenced on all paths to this point.
-    pub derefed: BTreeSet<u32>,
+    pub derefed: RegSet,
     /// Copy aliases: register -> the root register it currently mirrors.
-    pub alias: BTreeMap<u32, u32>,
+    pub alias: RegMap<u32>,
     /// Registers currently holding the constant 0 (a null literal).
-    pub zeros: BTreeSet<u32>,
+    pub zeros: RegSet,
     /// Pointer-arithmetic derivations: register -> the root register its
     /// value offsets (`q = p + k`). A dereference of `q` implies `p` is
     /// non-null too (a null base plus an offset is already UB), which is
     /// what lets `p[i]`-style accesses feed the check-after-deref facts.
-    pub derived: BTreeMap<u32, u32>,
+    pub derived: RegMap<u32>,
 }
 
 impl NullState {
     /// Resolves a register through the copy-alias map.
     pub fn root(&self, r: u32) -> u32 {
-        self.alias.get(&r).copied().unwrap_or(r)
+        self.alias.get(r).copied().unwrap_or(r)
     }
 
     /// Resolves a register to the pointer base it was derived from:
@@ -193,7 +338,7 @@ impl NullState {
         let mut cur = self.root(r);
         let mut chain = vec![cur];
         for _ in 0..8 {
-            match self.derived.get(&cur) {
+            match self.derived.get(cur) {
                 Some(&b) => {
                     cur = self.root(b);
                     chain.push(cur);
@@ -229,25 +374,25 @@ impl Analysis for NullAnalysis<'_> {
     fn transfer_inst(&self, st: &mut NullState, inst: &Inst, _f: &IrFunction) {
         // Any (re)definition invalidates old facts about the register.
         let kill = |st: &mut NullState, d: u32| {
-            st.derefed.remove(&d);
-            st.alias.remove(&d);
-            st.zeros.remove(&d);
-            st.derived.remove(&d);
+            st.derefed.remove(d);
+            st.alias.remove(d);
+            st.zeros.remove(d);
+            st.derived.remove(d);
         };
         match inst {
             Inst::Copy { dst, src, .. } => {
                 let root = st.root(src.0);
-                let src_zero = st.zeros.contains(&src.0);
+                let src_zero = st.zeros.contains(src.0);
                 kill(st, dst.0);
                 st.alias.insert(dst.0, root);
                 if src_zero {
-                    st.zeros.insert(dst.0);
+                    st.zeros.insert(dst.0, ());
                 }
             }
             Inst::Const { dst, val, .. } => {
                 kill(st, dst.0);
                 if matches!(val, ConstVal::I64(0) | ConstVal::I32(0)) {
-                    st.zeros.insert(dst.0);
+                    st.zeros.insert(dst.0, ());
                 }
             }
             // A null literal reaches pointer width through a widening
@@ -258,10 +403,10 @@ impl Analysis for NullAnalysis<'_> {
                     minc_compile::ir::CastKind::SextI32I64 | minc_compile::ir::CastKind::ZextI32I64,
                 a,
             } => {
-                let src_zero = st.zeros.contains(&a.0);
+                let src_zero = st.zeros.contains(a.0);
                 kill(st, dst.0);
                 if src_zero {
-                    st.zeros.insert(dst.0);
+                    st.zeros.insert(dst.0, ());
                 }
             }
             Inst::Load { dst, addr, .. } => {
@@ -319,22 +464,12 @@ impl Analysis for NullAnalysis<'_> {
     }
 
     fn join(&self, into: &mut NullState, from: &NullState) -> bool {
-        let before = (
-            into.derefed.len(),
-            into.alias.len(),
-            into.zeros.len(),
-            into.derived.len(),
-        );
-        into.derefed.retain(|r| from.derefed.contains(r));
-        into.alias.retain(|r, root| from.alias.get(r) == Some(root));
-        into.zeros.retain(|r| from.zeros.contains(r));
-        into.derived.retain(|r, b| from.derived.get(r) == Some(b));
-        (
-            into.derefed.len(),
-            into.alias.len(),
-            into.zeros.len(),
-            into.derived.len(),
-        ) != before
+        let same = |a: &mut u32, b: &u32| *a == *b;
+        let derefed = into.derefed.intersect_with(&from.derefed, |_, _| true);
+        let alias = into.alias.intersect_with(&from.alias, same);
+        let zeros = into.zeros.intersect_with(&from.zeros, |_, _| true);
+        let derived = into.derived.intersect_with(&from.derived, same);
+        derefed | alias | zeros | derived
     }
 }
 
@@ -362,7 +497,7 @@ impl Interval {
 }
 
 /// State for [`IntervalAnalysis`]: register -> interval. Absent = unknown.
-pub type IntervalState = BTreeMap<u32, Interval>;
+pub type IntervalState = RegMap<Interval>;
 
 /// Interval analysis with widening at joins; precise enough to prove a
 /// shift amount constant (or constant-derived) and out of range.
@@ -388,7 +523,7 @@ impl Analysis for IntervalAnalysis<'_> {
 
     fn transfer_inst(&self, st: &mut IntervalState, inst: &Inst, _f: &IrFunction) {
         use minc_compile::ir::BinKind::*;
-        let get = |st: &IntervalState, v: u32| st.get(&v).copied();
+        let get = |st: &IntervalState, v: u32| st.get(v).copied();
         // Bounds are computed in i64, but the VM wraps an `I32` result:
         // one that leaves the i32 range is unknown.
         let fits = |ty: IrType, out: Option<Interval>| {
@@ -406,7 +541,7 @@ impl Analysis for IntervalAnalysis<'_> {
                         st.insert(dst.0, Interval::point(*v));
                     }
                     _ => {
-                        st.remove(&dst.0);
+                        st.remove(dst.0);
                     }
                 };
             }
@@ -415,7 +550,7 @@ impl Analysis for IntervalAnalysis<'_> {
                     st.insert(dst.0, i);
                 }
                 None => {
-                    st.remove(&dst.0);
+                    st.remove(dst.0);
                 }
             },
             Inst::Bin {
@@ -461,7 +596,7 @@ impl Analysis for IntervalAnalysis<'_> {
                         st.insert(dst.0, i);
                     }
                     None => {
-                        st.remove(&dst.0);
+                        st.remove(dst.0);
                     }
                 }
             }
@@ -480,7 +615,7 @@ impl Analysis for IntervalAnalysis<'_> {
                         st.insert(dst.0, i);
                     }
                     None => {
-                        st.remove(&dst.0);
+                        st.remove(dst.0);
                     }
                 }
             }
@@ -502,7 +637,7 @@ impl Analysis for IntervalAnalysis<'_> {
                         st.insert(dst.0, i);
                     }
                     None => {
-                        st.remove(&dst.0);
+                        st.remove(dst.0);
                     }
                 }
             }
@@ -517,20 +652,138 @@ impl Analysis for IntervalAnalysis<'_> {
                             st.insert(d.0, i);
                         }
                         None => {
-                            st.remove(&d.0);
+                            st.remove(d.0);
                         }
                     }
                 }
             }
             other => {
                 if let Some(d) = other.dst() {
-                    st.remove(&d.0);
+                    st.remove(d.0);
                 }
             }
         }
     }
 
     fn join(&self, into: &mut IntervalState, from: &IntervalState) -> bool {
+        let mut widened = false;
+        let dropped = into.intersect_with(from, |i, f| {
+            // Widen any growing bound straight to +-inf so loops
+            // converge in one extra iteration.
+            if f.lo < i.lo {
+                i.lo = i64::MIN;
+                widened = true;
+            }
+            if f.hi > i.hi {
+                i.hi = i64::MAX;
+                widened = true;
+            }
+            true
+        });
+        dropped || widened
+    }
+}
+
+/// Bit width of an IR type for shift-range checking.
+pub fn shift_width(ty: IrType) -> i64 {
+    match ty {
+        IrType::I32 => 32,
+        IrType::I64 => 64,
+        IrType::F64 => 64,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// SplitMix64 (public domain algorithm): draws the model test's
+    /// operations deterministically.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+
+        /// A register from a range small enough that draws collide.
+        fn reg(&mut self) -> u32 {
+            self.below(24) as u32
+        }
+    }
+
+    fn entries<V: Copy>(m: &RegMap<V>) -> Vec<(u32, V)> {
+        m.iter().map(|(r, v)| (r, *v)).collect()
+    }
+
+    fn tree_entries<V: Copy>(m: &BTreeMap<u32, V>) -> Vec<(u32, V)> {
+        m.iter().map(|(r, v)| (*r, *v)).collect()
+    }
+
+    fn set_of(s: &BTreeSet<u32>) -> RegSet {
+        let mut out = RegSet::new();
+        out.extend(s.iter().copied());
+        out
+    }
+
+    fn map_of<V: Copy>(m: &BTreeMap<u32, V>) -> RegMap<V> {
+        let mut out = RegMap::new();
+        for (r, v) in m {
+            out.insert(*r, *v);
+        }
+        out
+    }
+
+    /// A random map over few registers: empty, a subset of `like`, or
+    /// drawn afresh, so joins meet disjoint, overlapping and contained
+    /// states.
+    fn tree_map<V: Copy>(
+        rng: &mut Rng,
+        like: &BTreeMap<u32, V>,
+        mut value: impl FnMut(&mut Rng) -> V,
+    ) -> BTreeMap<u32, V> {
+        match rng.below(4) {
+            0 => BTreeMap::new(),
+            1 => like
+                .iter()
+                .filter(|_| rng.below(3) != 0)
+                .map(|(r, v)| (*r, *v))
+                .collect(),
+            _ => (0..rng.below(12))
+                .map(|_| (rng.reg(), value(rng)))
+                .collect(),
+        }
+    }
+
+    /// The join the junk state had as a `BTreeMap`.
+    fn tree_junk_join(into: &mut BTreeMap<u32, u32>, from: &BTreeMap<u32, u32>) -> bool {
+        let mut changed = false;
+        for (r, id) in from {
+            match into.get(r) {
+                Some(cur) if cur <= id => {}
+                _ => {
+                    into.insert(*r, *id);
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
+
+    /// The join the interval state had as a `BTreeMap`.
+    fn tree_interval_join(
+        into: &mut BTreeMap<u32, Interval>,
+        from: &BTreeMap<u32, Interval>,
+    ) -> bool {
         let mut changed = false;
         let keys: Vec<u32> = into.keys().copied().collect();
         for k in keys {
@@ -541,8 +794,6 @@ impl Analysis for IntervalAnalysis<'_> {
                 }
                 Some(f) => {
                     let i = into.get_mut(&k).expect("key just listed");
-                    // Widen any growing bound straight to +-inf so loops
-                    // converge in one extra iteration.
                     if f.lo < i.lo {
                         i.lo = i64::MIN;
                         changed = true;
@@ -556,13 +807,181 @@ impl Analysis for IntervalAnalysis<'_> {
         }
         changed
     }
-}
 
-/// Bit width of an IR type for shift-range checking.
-pub fn shift_width(ty: IrType) -> i64 {
-    match ty {
-        IrType::I32 => 32,
-        IrType::I64 => 64,
-        IrType::F64 => 64,
+    /// [`NullState`]'s four fields as the `BTreeSet`s and `BTreeMap`s
+    /// they were.
+    #[derive(Clone)]
+    struct TreeNull {
+        derefed: BTreeSet<u32>,
+        alias: BTreeMap<u32, u32>,
+        zeros: BTreeSet<u32>,
+        derived: BTreeMap<u32, u32>,
+    }
+
+    impl TreeNull {
+        fn random(rng: &mut Rng, like: &TreeNull) -> TreeNull {
+            let set = |rng: &mut Rng, like: &BTreeSet<u32>| {
+                let as_map: BTreeMap<u32, ()> = like.iter().map(|r| (*r, ())).collect();
+                tree_map(rng, &as_map, |_| ()).into_keys().collect()
+            };
+            let reg = |rng: &mut Rng| rng.reg();
+            TreeNull {
+                derefed: set(rng, &like.derefed),
+                alias: tree_map(rng, &like.alias, reg),
+                zeros: set(rng, &like.zeros),
+                derived: tree_map(rng, &like.derived, reg),
+            }
+        }
+
+        fn state(&self) -> NullState {
+            NullState {
+                derefed: set_of(&self.derefed),
+                alias: map_of(&self.alias),
+                zeros: set_of(&self.zeros),
+                derived: map_of(&self.derived),
+            }
+        }
+
+        /// The join the null state had over these fields.
+        fn join(&mut self, from: &TreeNull) -> bool {
+            let before = (
+                self.derefed.len(),
+                self.alias.len(),
+                self.zeros.len(),
+                self.derived.len(),
+            );
+            self.derefed.retain(|r| from.derefed.contains(r));
+            self.alias.retain(|r, root| from.alias.get(r) == Some(root));
+            self.zeros.retain(|r| from.zeros.contains(r));
+            self.derived.retain(|r, b| from.derived.get(r) == Some(b));
+            (
+                self.derefed.len(),
+                self.alias.len(),
+                self.zeros.len(),
+                self.derived.len(),
+            ) != before
+        }
+    }
+
+    #[test]
+    fn reg_map_matches_the_btree_map() {
+        let mut ops = [0usize; 7];
+        for seed in 0..64 {
+            let mut rng = Rng(seed);
+            let (mut a, mut b) = (RegMap::<u32>::new(), RegMap::<u32>::new());
+            let (mut ta, mut tb) = (BTreeMap::<u32, u32>::new(), BTreeMap::<u32, u32>::new());
+            let (mut s, mut ts) = (RegSet::new(), BTreeSet::<u32>::new());
+            for step in 0..200 {
+                let (m, t) = if rng.below(2) == 0 {
+                    (&mut a, &mut ta)
+                } else {
+                    (&mut b, &mut tb)
+                };
+                let r = rng.reg();
+                let op = rng.below(7) as usize;
+                ops[op] += 1;
+                match op {
+                    0 | 1 => {
+                        let v = rng.below(6) as u32;
+                        assert_eq!(m.insert(r, v), t.insert(r, v), "seed {seed} step {step}");
+                    }
+                    2 => assert_eq!(m.remove(r), t.remove(&r), "seed {seed} step {step}"),
+                    3 => {
+                        assert_eq!(m.get(r), t.get(&r), "seed {seed} step {step}");
+                        assert_eq!(m.contains(r), t.contains_key(&r));
+                    }
+                    4 => {
+                        let k = 1 + rng.below(4) as u32;
+                        m.retain(|r, v| (r + *v) % k != 0);
+                        t.retain(|r, v| (r + *v) % k != 0);
+                    }
+                    5 => {
+                        let regs: Vec<u32> = (0..rng.below(6)).map(|_| rng.reg()).collect();
+                        s.extend(regs.iter().copied());
+                        ts.extend(regs.iter().copied());
+                        let kept = rng.below(24) as u32;
+                        s.retain(|r, _| r != kept);
+                        ts.retain(|r| *r != kept);
+                    }
+                    _ => {
+                        assert_eq!(a == b, ta == tb, "seed {seed} step {step}");
+                        // Sometimes make the two equal, so `==` sees both answers.
+                        if rng.below(3) == 0 {
+                            b = a.clone();
+                            tb = ta.clone();
+                        }
+                    }
+                }
+                assert_eq!(entries(&a), tree_entries(&ta), "seed {seed} step {step}");
+                assert_eq!(entries(&b), tree_entries(&tb), "seed {seed} step {step}");
+                assert_eq!((a.len(), b.len()), (ta.len(), tb.len()));
+                assert_eq!(a.is_empty(), ta.is_empty());
+                let set: Vec<u32> = s.iter().map(|(r, _)| r).collect();
+                assert_eq!(set, ts.iter().copied().collect::<Vec<_>>(), "seed {seed}");
+                assert_eq!(s.len(), ts.len());
+            }
+        }
+        assert!(ops.iter().all(|&n| n > 1000), "{ops:?}");
+    }
+
+    #[test]
+    fn joins_match_the_btree_joins() {
+        let none = FnSummaries::empty();
+        let (junk, intervals, null) = (
+            JunkAnalysis::new(&none),
+            IntervalAnalysis::new(&none),
+            NullAnalysis::new(&none),
+        );
+        // How often each join reported a change, out of how many.
+        let mut changed = [0usize; 3];
+        let rounds = 4000;
+        let mut rng = Rng(7);
+        let interval = |rng: &mut Rng| {
+            let lo = rng.below(9) as i64 - 4;
+            Interval {
+                lo,
+                hi: lo + rng.below(5) as i64,
+            }
+        };
+        for round in 0..rounds {
+            let into = tree_map(&mut rng, &BTreeMap::new(), |rng| rng.below(6) as u32);
+            let from = tree_map(&mut rng, &into, |rng| rng.below(6) as u32);
+            let (mut t, mut m) = (into.clone(), map_of(&into));
+            let want = tree_junk_join(&mut t, &from);
+            assert_eq!(
+                junk.join(&mut m, &map_of(&from)),
+                want,
+                "junk round {round}"
+            );
+            assert_eq!(entries(&m), tree_entries(&t), "junk round {round}");
+            changed[0] += usize::from(want);
+
+            let into = tree_map(&mut rng, &BTreeMap::new(), interval);
+            let from = tree_map(&mut rng, &into, interval);
+            let (mut t, mut m) = (into.clone(), map_of(&into));
+            let want = tree_interval_join(&mut t, &from);
+            let got = intervals.join(&mut m, &map_of(&from));
+            assert_eq!(got, want, "interval round {round}");
+            assert_eq!(entries(&m), tree_entries(&t), "interval round {round}");
+            changed[1] += usize::from(want);
+
+            let empty = TreeNull {
+                derefed: BTreeSet::new(),
+                alias: BTreeMap::new(),
+                zeros: BTreeSet::new(),
+                derived: BTreeMap::new(),
+            };
+            let into = TreeNull::random(&mut rng, &empty);
+            let from = TreeNull::random(&mut rng, &into);
+            let (mut t, mut m) = (into.clone(), into.state());
+            let want = t.join(&from);
+            assert_eq!(null.join(&mut m, &from.state()), want, "null round {round}");
+            assert!(m == t.state(), "null round {round}");
+            changed[2] += usize::from(want);
+        }
+        // Both answers of every join's `changed` are exercised.
+        for n in changed {
+            assert!(n > rounds / 10 && n < rounds * 9 / 10, "{changed:?}");
+        }
     }
 }

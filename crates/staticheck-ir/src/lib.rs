@@ -366,8 +366,9 @@ mod tests {
 
     #[test]
     fn map_and_lint_run_each_analysis_once_per_function() {
-        // Three fixpoints per function for the summaries, then one per
-        // analysis, shared by the detectors and the map's collectors.
+        // Three fixpoints per called function for the summaries, then one
+        // per analysis and function, shared by the detectors and the
+        // map's collectors.
         let programs = [
             r#"
             int step(int k) { int u; if (k > 8) { return u; } return k + 1; }
@@ -397,7 +398,11 @@ mod tests {
         for src in programs {
             let checked = minc::check(src).unwrap();
             let logs = rewrite_logs(&checked, &CompilerImpl::default_set());
-            let expect = 6 * reference_ir(&checked).functions.len();
+            // Each program is `main` and one helper it calls: three
+            // fixpoints per function for the analyses, and three for the
+            // helper's summary (`main` has no caller, so no summary).
+            assert_eq!(reference_ir(&checked).functions.len(), 2, "{src}");
+            let expect = 3 * 2 + 3;
             let fixpoints = |run: &dyn Fn()| {
                 dataflow::FIXPOINTS.with(|c| c.set(0));
                 run();

@@ -8,7 +8,8 @@
 //! value and what the callee *requires* of its pointer arguments — and
 //! the domains consult it in their `Call` transfer functions.
 //!
-//! Summaries are computed callee-first over the call graph. Cycles
+//! Summaries are computed callee-first over the call graph, only for
+//! functions that some `Call` names (see [`FnSummaries::of`]). Cycles
 //! (recursion) are broken conservatively: an in-cycle callee contributes
 //! the unknown summary, which degrades precision (fewer facts, therefore
 //! fewer findings) but never soundness of what *is* reported.
@@ -48,7 +49,7 @@ pub struct FnSummary {
     pub ret_interval: Option<Interval>,
 }
 
-/// Summaries for every function of a program, keyed by [`FuncId`].
+/// Summaries for every called function of a program, keyed by [`FuncId`].
 #[derive(Debug, Clone, Default)]
 pub struct FnSummaries {
     map: BTreeMap<u32, FnSummary>,
@@ -61,12 +62,17 @@ impl FnSummaries {
         FnSummaries::default()
     }
 
-    /// Summary for `f`, if one has been computed.
+    /// Summary for `f`, if one has been computed: `None` for a function
+    /// no `Call` names, and at a call that closes a cycle, for the callee
+    /// still being summarized.
     pub fn get(&self, f: FuncId) -> Option<&FnSummary> {
         self.map.get(&f.0)
     }
 
-    /// Computes summaries for every function of `prog`, callees first.
+    /// Computes summaries for every function of `prog` that some `Call`
+    /// names, callees first. A summary is read only at a call site, so
+    /// functions nobody calls (`main`, dead helpers) get none, which saves
+    /// their three fixpoints.
     pub fn of(prog: &IrProgram) -> FnSummaries {
         let n = prog.functions.len();
         // Callee lists per function, deduplicated, deterministic order.
@@ -92,10 +98,18 @@ impl FnSummaries {
             })
             .collect();
 
+        let mut called = vec![false; n];
+        for &c in callees.iter().flatten() {
+            called[c as usize] = true;
+        }
+
         // Iterative DFS post-order; a function is summarized only after
         // every callee outside its own cycle. Back edges (recursion) hit
         // a function that is on the stack or not yet summarized — its
         // lookup simply misses, which is the conservative unknown.
+        // Uncalled functions (`main` among them) are walked too, since
+        // their callees are reached through them; they only go
+        // unsummarized.
         let mut summaries = FnSummaries::empty();
         let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
         for root in 0..n {
@@ -114,8 +128,10 @@ impl FnSummaries {
                 } else {
                     stack.pop();
                     state[f] = 2;
-                    let summary = summarize_one(prog, f, &summaries);
-                    summaries.map.insert(f as u32, summary);
+                    if called[f] {
+                        let summary = summarize_one(prog, f, &summaries);
+                        summaries.map.insert(f as u32, summary);
+                    }
                 }
             }
         }
@@ -144,7 +160,7 @@ fn summarize_one(prog: &IrProgram, idx: usize, done: &FnSummaries) -> FnSummary 
     let jstates = fixpoint(f, &junk);
     scan_with_blocks(f, &junk, &jstates, |_, st, v| {
         if let Visit::Term(Terminator::Ret(Some(r))) = v {
-            if let Some(&id) = st.get(&r.0) {
+            if let Some(&id) = st.get(r.0) {
                 if id >= PARAM_JUNK_BASE {
                     let p = (id - PARAM_JUNK_BASE) as usize;
                     if p < params {
@@ -167,7 +183,7 @@ fn summarize_one(prog: &IrProgram, idx: usize, done: &FnSummaries) -> FnSummary 
     scan_with_blocks(f, &null, &nstates, |_, st, v| {
         if let Visit::Term(Terminator::Ret(_)) = v {
             let here: Vec<bool> = (0..params as u32)
-                .map(|p| st.derefed.contains(&st.root(p)))
+                .map(|p| st.derefed.contains(st.root(p)))
                 .collect();
             derefed_at_rets = Some(match derefed_at_rets.take() {
                 None => here,
@@ -187,7 +203,7 @@ fn summarize_one(prog: &IrProgram, idx: usize, done: &FnSummaries) -> FnSummary 
     let mut acc: Option<Interval> = None;
     scan_with_blocks(f, &ivals, &istates, |_, st, v| {
         if let Visit::Term(Terminator::Ret(Some(r))) = v {
-            let here = st.get(&r.0).copied();
+            let here = st.get(r.0).copied();
             acc = if !seen_ret {
                 here
             } else {
@@ -228,7 +244,8 @@ mod tests {
         );
         let s = FnSummaries::of(&ir);
         assert!(summary_of(&ir, &s, "helper").returns_junk.is_some());
-        assert!(summary_of(&ir, &s, "main").returns_junk.is_none());
+        // No call names `main`, so nothing would read its summary.
+        assert!(s.get(ir.func_by_name("main").unwrap()).is_none());
     }
 
     #[test]

@@ -534,7 +534,7 @@ fn collect_intervals(
             } => {
                 let line = f.line_of(*dst);
                 let width = shift_width(*ty);
-                match st.get(&amt.0).copied() {
+                match st.get(amt.0).copied() {
                     None => recs.push(Rec::Unknown(UbClass::OversizedShift)),
                     Some(am) if am.lo >= width || am.hi < 0 => {
                         recs.push(Rec::Site(
@@ -563,7 +563,7 @@ fn collect_intervals(
                         // Amount in range. A signed left shift can still
                         // overflow; the clean proof needs the operand too.
                         if *op == BinKind::Shl && *ub_signed {
-                            match (st.get(&lhs.0).copied(), ty_range(*ty)) {
+                            match (st.get(lhs.0).copied(), ty_range(*ty)) {
                                 (Some(x), Some((_, max)))
                                     if x.lo >= 0
                                         && (x.hi as i128) << (am.hi.max(0) as u32) <= max =>
@@ -604,7 +604,7 @@ fn collect_intervals(
                 ..
             } => {
                 let line = f.line_of(*dst);
-                let d = st.get(&den.0).copied();
+                let d = st.get(den.0).copied();
                 match d {
                     None => recs.push(Rec::Unknown(UbClass::DivByZero)),
                     Some(dv) if dv == Interval::point(0) => {
@@ -628,7 +628,7 @@ fn collect_intervals(
                 // `MIN / -1` overflows in signed division.
                 if matches!(op, BinKind::DivS | BinKind::RemS) {
                     if let Some((min, _)) = ty_range(*ty) {
-                        let n = st.get(&num.0).copied();
+                        let n = st.get(num.0).copied();
                         let n_may_min = n.is_none_or(|i| i.contains(min as i64));
                         let d_may_neg1 = d.is_none_or(|i| i.contains(-1));
                         if n_may_min && d_may_neg1 {
@@ -667,7 +667,7 @@ fn collect_intervals(
                 let Some((min, max)) = ty_range(*ty) else {
                     return;
                 };
-                match (st.get(&lhs.0).copied(), st.get(&rhs.0).copied()) {
+                match (st.get(lhs.0).copied(), st.get(rhs.0).copied()) {
                     (Some(x), Some(y)) => {
                         let (xl, xh) = (x.lo as i128, x.hi as i128);
                         let (yl, yh) = (y.lo as i128, y.hi as i128);
@@ -713,7 +713,7 @@ fn collect_intervals(
             }
             Inst::Load { dst, addr, .. } | Inst::Store { addr, src: dst, .. } => {
                 let line = f.line_of(*dst);
-                match st.get(&addr.0).copied() {
+                match st.get(addr.0).copied() {
                     None => recs.push(Rec::Unknown(UbClass::NullDeref)),
                     Some(av) if av.lo >= 0 && av.hi < NULL_PAGE => {
                         recs.push(Rec::Site(

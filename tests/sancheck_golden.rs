@@ -1,17 +1,23 @@
 //! Golden digests of the sanitizer meta-oracle and the unstable lint.
 //!
 //! `tests/golden/sancheck/manifest.json` pins, per program, the hash of
-//! `sancheck::check_source(..).render()` and of
-//! `staticheck_ir::render(&UnstableLint::new().run_source(..))`. The
+//! `sancheck::check_source(..).render()`, of
+//! `staticheck_ir::render(&UnstableLint::new().run_source(..))` and of
+//! the shared build: the ten `compile_all` binaries rendered with
+//! `minc_compile::display::binary`, each followed by its rewrite log. The
 //! programs are the 23 catalog targets (empty input), 300
 //! `progen::generate` programs at seed 1 (each fed its first probe) and
 //! `juliet::generate(cwe, i)` for every CWE and `i < 2`, bad and good
 //! (empty input). Any change to how the map, the lint, the sanitized
 //! builds or the hooked runs are produced must leave every digest as
 //! pinned; `scripts/ci.sh` alone only compares two runs of one build.
+//! The build digest sees a pass that moves the IR or a log even when
+//! `optimize_all` and `optimize_logged` move alike, which
+//! `tests/pipeline_reuse.rs`, comparing the two, cannot.
 
 use compdiff::{hash64, Json};
 use fuzzing::Rng;
+use minc_compile::{compile_all, display, CompilerImpl};
 use sancheck::SancheckConfig;
 use staticheck_ir::UnstableLint;
 use std::path::PathBuf;
@@ -60,10 +66,10 @@ fn golden_programs() -> Vec<GoldenProgram> {
     out
 }
 
-/// `(sancheck digest, lint digest)` of one program. A frontend error is
-/// hashed as its message, so a program that stops checking also moves
-/// its digests.
-fn digests(p: &GoldenProgram) -> (u64, u64) {
+/// `(sancheck digest, lint digest, build digest)` of one program. A
+/// frontend error is hashed as its message, so a program that stops
+/// checking also moves its digests.
+fn digests(p: &GoldenProgram) -> (u64, u64, u64) {
     let cfg = SancheckConfig {
         input: p.input.clone(),
         ..SancheckConfig::default()
@@ -76,7 +82,25 @@ fn digests(p: &GoldenProgram) -> (u64, u64) {
         Ok(findings) => staticheck_ir::render(&findings),
         Err(e) => format!("frontend error: {e}"),
     };
-    (hash64(san.as_bytes()), hash64(lint.as_bytes()))
+    let build = match minc::check(&p.src) {
+        Ok(checked) => {
+            let (bins, logs) = compile_all(&checked, &CompilerImpl::default_set());
+            let mut out = String::new();
+            for (bin, log) in bins.iter().zip(&logs) {
+                out.push_str(&display::binary(bin));
+                for entry in &log.entries {
+                    out.push_str(&format!("{entry}\n"));
+                }
+            }
+            out
+        }
+        Err(e) => format!("frontend error: {e}"),
+    };
+    (
+        hash64(san.as_bytes()),
+        hash64(lint.as_bytes()),
+        hash64(build.as_bytes()),
+    )
 }
 
 fn manifest() -> Json {
@@ -101,12 +125,11 @@ fn sancheck_and_lint_digests_match_the_manifest() {
     for (p, entry) in programs.iter().zip(pinned) {
         let field = |k: &str| entry.get(k).and_then(Json::as_str).unwrap().to_string();
         assert_eq!(field("name"), p.name, "manifest order");
-        let (san, lint) = digests(p);
-        if format!("{san:016x}") != field("sancheck") {
-            drift.push(format!("{} (sancheck)", p.name));
-        }
-        if format!("{lint:016x}") != field("lint") {
-            drift.push(format!("{} (lint)", p.name));
+        let (san, lint, build) = digests(p);
+        for (key, digest) in [("sancheck", san), ("lint", lint), ("build", build)] {
+            if format!("{digest:016x}") != field(key) {
+                drift.push(format!("{} ({key})", p.name));
+            }
         }
     }
     assert!(
