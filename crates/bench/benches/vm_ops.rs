@@ -13,6 +13,10 @@
 //! * `call_return_32` — 32 calls to a two-argument function.
 //! * `printf_d` and `printf_s` — one `printf` of an `int` and of a
 //!   12-byte string.
+//! * `catalog_mix` — the catalog target `tcpdump`, one warm run of each of
+//!   its inputs per iteration: its three seeds, its three bug triggers, a
+//!   two-byte input that prints its usage line and a header whose second
+//!   magic byte is wrong.
 //!
 //! One more row, `first_run`, times a new [`ExecSession`] and its first
 //! run of `empty`: what a fresh session pays before any reuse (block
@@ -33,10 +37,23 @@ use minc_compile::{compile_source, Binary, CompilerImpl};
 use minc_vm::{ExecResult, ExecSession, NoHooks, VmConfig};
 use std::hint::black_box;
 
-/// The rows: name, program, input.
-fn rows() -> Vec<(&'static str, &'static str, Vec<u8>)> {
+/// The catalog target whose inputs make the `catalog_mix` row.
+const MIX_TARGET: &str = "tcpdump";
+
+/// The rows: name, program, inputs (one run of each per iteration).
+fn rows() -> Vec<(&'static str, String, Vec<Vec<u8>>)> {
     let input: Vec<u8> = (0u8..96).map(|i| i.wrapping_mul(37)).collect();
-    vec![
+    let spec = targets::catalog()
+        .into_iter()
+        .find(|t| t.name == MIX_TARGET)
+        .expect("the mix target is in the catalog");
+    let target = targets::build(&spec);
+    let [m0, m1] = spec.magic;
+    let mut mix = target.seeds.clone();
+    mix.extend(spec.bugs.iter().map(|b| target.trigger(b)));
+    mix.push(vec![m0, m1]);
+    mix.push(vec![m0, b'?', b'z', b'0']);
+    let rows: Vec<(&str, &str, Vec<u8>)> = vec![
         ("empty", "int main() { return 0; }", Vec::new()),
         (
             "read_input_96",
@@ -80,30 +97,38 @@ fn rows() -> Vec<(&'static str, &'static str, Vec<u8>)> {
             "int main() { char* s = \"hello, world\"; printf(\"%s\\n\", s); return 0; }",
             Vec::new(),
         ),
-    ]
+    ];
+    rows.into_iter()
+        .map(|(name, src, input)| (name, src.to_string(), vec![input]))
+        .chain([("catalog_mix", target.src, mix)])
+        .collect()
 }
 
 fn main() {
     let cfg = VmConfig::default();
     let gcc_o2 = CompilerImpl::parse("gcc-O2").unwrap();
-    let programs: Vec<(&str, Binary, Vec<u8>)> = rows()
+    let programs: Vec<(&str, Binary, Vec<Vec<u8>>)> = rows()
         .into_iter()
-        .map(|(name, src, input)| (name, compile_source(src, gcc_o2).unwrap(), input))
+        .map(|(name, src, inputs)| (name, compile_source(&src, gcc_o2).unwrap(), inputs))
         .collect();
 
     // Equality first: the warm block-dispatch run into a reused slot is
-    // the reference interpreter's run, bit for bit.
+    // the reference interpreter's run, bit for bit, on every input.
     let mut steps = Vec::new();
-    for (name, bin, input) in &programs {
-        let reference = ExecSession::reference(bin).run(bin, input, &cfg);
+    for (name, bin, inputs) in &programs {
         let mut session = ExecSession::new(bin);
         let mut slot = ExecResult::default();
-        for _ in 0..3 {
-            session.run_into(bin, input, &cfg, &mut NoHooks, &mut slot);
-            assert_eq!(slot, reference, "{name}: block dispatch != reference");
+        let mut row_steps = 0;
+        for input in inputs {
+            let reference = ExecSession::reference(bin).run(bin, input, &cfg);
+            for _ in 0..3 {
+                session.run_into(bin, input, &cfg, &mut NoHooks, &mut slot);
+                assert_eq!(slot, reference, "{name}: block dispatch != reference");
+            }
+            assert_eq!(session.run(bin, input, &cfg), reference, "{name}");
+            row_steps += reference.steps;
         }
-        assert_eq!(session.run(bin, input, &cfg), reference, "{name}");
-        steps.push((*name, Json::Int(reference.steps as i64)));
+        steps.push((*name, Json::Int(row_steps as i64)));
     }
 
     let (_, empty, _) = &programs[0];
@@ -118,13 +143,15 @@ fn main() {
     let mut g = BenchGroup::new("vm_ops");
     let mut warm: Vec<Box<dyn FnMut()>> = programs
         .iter()
-        .map(|(_, bin, input)| {
+        .map(|(_, bin, inputs)| {
             let mut session = ExecSession::new(bin);
             let mut slot = ExecResult::default();
             let cfg = &cfg;
             Box::new(move || {
-                session.run_into(bin, input, cfg, &mut NoHooks, &mut slot);
-                black_box(slot.steps);
+                for input in inputs {
+                    session.run_into(bin, input, cfg, &mut NoHooks, &mut slot);
+                    black_box(slot.steps);
+                }
             }) as Box<dyn FnMut()>
         })
         .collect();
@@ -151,6 +178,11 @@ fn main() {
             ("hardware_threads", Json::Int(cores as i64)),
             ("threads_used", Json::Int(1)),
             ("implementation", Json::Str(gcc_o2.to_string())),
+            ("catalog_mix_target", Json::Str(MIX_TARGET.to_string())),
+            (
+                "catalog_mix_inputs",
+                Json::Int(programs.last().map_or(0, |p| p.2.len()) as i64),
+            ),
             ("steps", Json::obj(steps)),
         ],
     );

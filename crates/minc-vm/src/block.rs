@@ -590,7 +590,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         // Hot state of the current activation, held in locals and spilled
         // only at call/return boundaries and on exit.
         let (mut func, mut frame_hi, mut regs, mut poison) = {
-            let a = self.s.frames.last_mut().expect("entry frame");
+            let a = self.s.frames.top_mut().expect("entry frame");
             (
                 a.func,
                 a.frame_hi,
@@ -865,7 +865,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                                 // Spill the caller's hot state and record the
                                 // resume point (translated block + next op index).
                                 {
-                                    let a = self.s.frames.last_mut().expect("caller frame");
+                                    let a = self.s.frames.top_mut().expect("caller frame");
                                     std::mem::swap(&mut a.regs, &mut regs);
                                     std::mem::swap(&mut a.poison, &mut poison);
                                     a.block = tb;
@@ -874,7 +874,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                                 if let Err(e) = self.push_frame(cf.func, &vals, &pois, cf.dst) {
                                     break 'outer e;
                                 }
-                                let a = self.s.frames.last_mut().expect("callee frame");
+                                let a = self.s.frames.top_mut().expect("callee frame");
                                 func = a.func;
                                 frame_hi = a.frame_hi;
                                 regs = std::mem::take(&mut a.regs);
@@ -950,17 +950,17 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                         Some(r) => (Some(rget(&regs, *r)), track && poison[*r as usize]),
                         None => (None, false),
                     };
-                    // Hand the register file back to the popping frame so
-                    // the pool keeps its capacity.
+                    // Hand the register file back to the popping frame's
+                    // slot so the slot keeps its capacity.
                     {
-                        let a = self.s.frames.last_mut().expect("returning frame");
+                        let a = self.s.frames.top_mut().expect("returning frame");
                         std::mem::swap(&mut a.regs, &mut regs);
                         std::mem::swap(&mut a.poison, &mut poison);
                     }
                     if let Err(e) = self.pop_frame(v, p) {
                         break 'outer e;
                     }
-                    let a = self.s.frames.last_mut().expect("caller frame");
+                    let a = self.s.frames.top_mut().expect("caller frame");
                     func = a.func;
                     frame_hi = a.frame_hi;
                     tb = a.block;
@@ -972,9 +972,9 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             }
         };
         // If we still hold the top activation's registers, give them back
-        // (keeps the frame pool's capacity; observable state is unchanged —
-        // `prepare()` clears and resizes pooled register files on reuse).
-        if let Some(a) = self.s.frames.last_mut() {
+        // (keeps the slot's capacity; observable state is unchanged — frame
+        // entry clears and resizes a slot's register file).
+        if let Some(a) = self.s.frames.top_mut() {
             if a.regs.is_empty() {
                 std::mem::swap(&mut a.regs, &mut regs);
                 std::mem::swap(&mut a.poison, &mut poison);

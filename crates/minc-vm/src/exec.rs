@@ -119,6 +119,10 @@ pub(crate) fn run_in_session<H: Hooks>(
     session.block = block;
 }
 
+/// Longest C string, in bytes, a builtin reads before it traps with a
+/// segfault.
+const CSTR_CAP: usize = 1 << 20;
+
 pub(crate) enum End {
     Exit(u8),
     Trap(Trap),
@@ -130,7 +134,7 @@ pub(crate) struct Vm<'s, 'b, 'h, H: Hooks> {
     pub(crate) bin: &'b Binary,
     pub(crate) config: &'b VmConfig,
     pub(crate) hooks: &'h mut H,
-    /// Session-owned state: memory, frames, frame pool, allocator maps.
+    /// Session-owned state: memory, the activation stack, allocator maps.
     pub(crate) s: &'s mut ExecSession,
     pub(crate) stdout: Vec<u8>,
     pub(crate) input: &'b [u8],
@@ -189,7 +193,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
     }
 
     fn loc(&self) -> Loc {
-        let f = self.s.frames.last().expect("active frame");
+        let f = self.s.frames.top().expect("active frame");
         Loc {
             func: f.func,
             block: f.block,
@@ -204,7 +208,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         args_poison: &[bool],
         ret_dst: Option<ValueId>,
     ) -> Result<(), End> {
-        if self.s.frames.len() >= self.config.max_frames {
+        if self.s.frames.depth() >= self.config.max_frames {
             return Err(End::Trap(Trap::StackOverflow));
         }
         let f = &self.bin.program.functions[func as usize];
@@ -215,10 +219,10 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             return Err(End::Trap(Trap::StackOverflow));
         }
         self.sp = lo;
-        // Pop a pooled activation (or default-construct the first time);
-        // clear+resize reproduces the all-zero register file of a fresh
-        // allocation, so pooling is observably identical.
-        let mut act = self.s.frame_pool.pop().unwrap_or_default();
+        // Rewrite the slot above the top in place; clear+resize reproduces
+        // the all-zero register file of a fresh allocation, so reusing the
+        // slot's vectors is observably identical.
+        let act = self.s.frames.enter();
         act.func = func;
         act.block = 0;
         act.inst = 0;
@@ -256,21 +260,18 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             );
             self.hooks.on_frame_enter(lo, base, &self.s.slot_scratch);
         }
-        self.s.frames.push(act);
         Ok(())
     }
 
     pub(crate) fn pop_frame(&mut self, ret: Option<u64>, ret_poison: bool) -> Result<(), End> {
-        let act = self.s.frames.pop().expect("frame to pop");
-        self.hooks.on_frame_exit(act.frame_lo, act.frame_hi);
-        self.sp = act.frame_hi;
-        let ret_dst = act.ret_dst;
-        self.s.frame_pool.push(act);
-        if self.s.frames.is_empty() {
+        let act = self.s.frames.leave();
+        let (lo, hi, ret_dst) = (act.frame_lo, act.frame_hi, act.ret_dst);
+        self.hooks.on_frame_exit(lo, hi);
+        self.sp = hi;
+        let Some(caller) = self.s.frames.top_mut() else {
             return Err(End::Exit(ret.unwrap_or(0) as u8));
-        }
+        };
         if let Some(dst) = ret_dst {
-            let caller = self.s.frames.last_mut().expect("caller frame");
             caller.regs[dst.0 as usize] = ret.unwrap_or(0);
             if self.track_poison {
                 caller.poison[dst.0 as usize] = ret_poison;
@@ -294,18 +295,40 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         if addr >= gs && end <= ge {
             return true;
         }
-        let p = &self.bin.personality;
-        // The whole configured stack band is accessible (like a mapped
-        // stack): reads below the frame see old junk, and one page above
-        // the initial stack pointer models the argv/environment area —
-        // realistic, and junk-filled per implementation.
-        if addr >= p.stack_base - p.stack_size && end <= p.stack_base + 4096 {
+        let (ss, se) = self.stack_band();
+        if addr >= ss && end <= se {
             return true;
         }
-        if addr >= p.heap_base && end <= self.heap_brk {
+        if addr >= self.bin.personality.heap_base && end <= self.heap_brk {
             return true;
         }
         false
+    }
+
+    /// The whole configured stack band, which is accessible like a mapped
+    /// stack: reads below the frame see old junk, and one page above the
+    /// initial stack pointer models the argv/environment area —
+    /// realistic, and junk-filled per implementation.
+    fn stack_band(&self) -> (u64, u64) {
+        let p = &self.bin.personality;
+        (p.stack_base - p.stack_size, p.stack_base + 4096)
+    }
+
+    /// How many bytes from `addr` on lie in the region where
+    /// [`addr_valid`](Vm::addr_valid) accepts a one-byte read of `addr`
+    /// (0 when it accepts none). Every byte of the run passes the same
+    /// check.
+    fn readable_run(&self, addr: u64) -> u64 {
+        let regions = [
+            self.rodata,
+            self.globals,
+            self.stack_band(),
+            (self.bin.personality.heap_base, self.heap_brk),
+        ];
+        regions
+            .into_iter()
+            .find(|&(start, end)| addr >= start && addr < end)
+            .map_or(0, |(_, end)| end - addr)
     }
 
     pub(crate) fn check_mem(
@@ -336,7 +359,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
             return Err(End::Timeout);
         }
         let (func, block, inst_idx) = {
-            let a = self.s.frames.last().expect("active frame");
+            let a = self.s.frames.top().expect("active frame");
             (a.func, a.block, a.inst)
         };
         // Reborrow the instruction stream through the `'b` binary, not
@@ -346,7 +369,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         let b = &f.blocks[block as usize];
         if inst_idx < b.insts.len() {
             let inst = &b.insts[inst_idx];
-            self.s.frames.last_mut().expect("active frame").inst += 1;
+            self.s.frames.top_mut().expect("active frame").inst += 1;
             self.exec_inst(inst)
         } else {
             self.exec_term(&b.term)
@@ -354,19 +377,19 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
     }
 
     fn reg(&self, v: ValueId) -> u64 {
-        self.s.frames.last().expect("frame").regs[v.0 as usize]
+        self.s.frames.top().expect("frame").regs[v.0 as usize]
     }
 
     fn reg_poison(&self, v: ValueId) -> bool {
         if !self.track_poison {
             return false;
         }
-        self.s.frames.last().expect("frame").poison[v.0 as usize]
+        self.s.frames.top().expect("frame").poison[v.0 as usize]
     }
 
     fn set_reg(&mut self, v: ValueId, val: u64, poisoned: bool) {
         let track = self.track_poison;
-        let f = self.s.frames.last_mut().expect("frame");
+        let f = self.s.frames.top_mut().expect("frame");
         f.regs[v.0 as usize] = val;
         if track {
             f.poison[v.0 as usize] = poisoned;
@@ -425,7 +448,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 Ok(())
             }
             Inst::FrameAddr { dst, slot } => {
-                let a = self.s.frames.last().expect("frame");
+                let a = self.s.frames.top().expect("frame");
                 let base = a.frame_hi;
                 let off = self.bin.frames[a.func as usize].offset_down[slot.0 as usize];
                 self.set_reg(*dst, base - off, false);
@@ -508,7 +531,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                         inst: 0,
                     },
                 );
-                let a = self.s.frames.last_mut().expect("frame");
+                let a = self.s.frames.top_mut().expect("frame");
                 a.block = t.0;
                 a.inst = 0;
                 Ok(())
@@ -528,7 +551,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                         inst: 0,
                     },
                 );
-                let a = self.s.frames.last_mut().expect("frame");
+                let a = self.s.frames.top_mut().expect("frame");
                 a.block = taken.0;
                 a.inst = 0;
                 Ok(())
@@ -573,21 +596,39 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
     }
 
     /// Reads the NUL-terminated string at `addr` into a caller-owned
-    /// buffer (appends without clearing), checking every byte's access.
+    /// buffer (appends without clearing), checking every byte's access; a
+    /// string longer than [`CSTR_CAP`] traps.
+    ///
+    /// When the hooks allow bulk access, the bytes come in chunks that end
+    /// at the first NUL, at the end of a page, at the end of the region
+    /// the per-byte check accepts the chunk's first byte in, or at the
+    /// byte that passes the cap, whichever is first; otherwise, and for a
+    /// byte outside every region, a chunk is one checked byte, which
+    /// traps there. So the bytes read, the pages touched, the trap and
+    /// where it lands are the per-byte loop's.
     fn cstr_checked_into(&mut self, addr: u64, loc: Loc, out: &mut Vec<u8>) -> Result<(), End> {
         let start = out.len();
         let mut a = addr;
         loop {
-            self.check_mem(a, 1, false, loc)?;
-            let b = self.s.mem.read_u8(a);
-            if b == 0 {
+            let run = if self.hooks.bulk_mem_ok() {
+                self.readable_run(a)
+            } else {
+                0
+            };
+            let len = if run > 0 {
+                run.min((CSTR_CAP + 1 - (out.len() - start)) as u64) as usize
+            } else {
+                self.check_mem(a, 1, false, loc)?;
+                1
+            };
+            let (n, nul) = self.s.mem.read_until_nul(a, len, out);
+            if nul {
                 return Ok(());
             }
-            out.push(b);
-            if out.len() - start > 1 << 20 {
+            if out.len() - start > CSTR_CAP {
                 return Err(End::Trap(Trap::Segv));
             }
-            a = a.wrapping_add(1);
+            a = a.wrapping_add(n as u64);
         }
     }
 
@@ -782,9 +823,13 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         }
     }
 
+    /// Returns 0 (NULL) when the rounded size or the new break does not
+    /// fit, as when the heap would pass `heap_limit`.
     fn malloc(&mut self, size: u64) -> u64 {
         let p = &self.bin.personality;
-        let asize = size.max(1).div_ceil(p.heap_align) * p.heap_align;
+        let Some(asize) = size.max(1).checked_next_multiple_of(p.heap_align) else {
+            return 0;
+        };
         let redzone = self.hooks.heap_redzone();
         if let Some(list) = self.s.free_lists.get_mut(&asize) {
             if let Some(addr) = list.pop() {
@@ -795,11 +840,13 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         }
         let payload = self.heap_brk + p.heap_header + redzone + self.corruption_bias;
         let payload = payload.div_ceil(p.heap_align) * p.heap_align;
-        let new_brk = payload + asize + redzone;
-        if new_brk - p.heap_base > self.config.heap_limit {
-            return 0; // OOM -> NULL
+        let new_brk = payload
+            .checked_add(asize)
+            .and_then(|brk| brk.checked_add(redzone));
+        match new_brk {
+            Some(brk) if brk - p.heap_base <= self.config.heap_limit => self.heap_brk = brk,
+            _ => return 0, // OOM -> NULL
         }
-        self.heap_brk = new_brk;
         self.s.live_chunks.insert(payload, asize);
         self.hooks.on_malloc(payload, size);
         payload
@@ -859,66 +906,69 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
     // ---- printf ----
 
     fn printf(&mut self, args: &[u64], arg_tys: &[IrType], loc: Loc) -> Result<i32, End> {
-        // Format string, rendered output and `%s`/`%f` argument go through
-        // session-pooled buffers; a faulting conversion discards the
-        // partial render (the buffers are handed back either way), exactly
-        // like the allocate-per-call version this replaces.
+        // The format string goes through the session's string buffer, and
+        // the call renders straight onto stdout, which a fault truncates
+        // back to where the call began: a faulting printf writes nothing.
         let mut fmt = std::mem::take(&mut self.s.cstr_buf);
-        let mut out = std::mem::take(&mut self.s.printf_out);
-        let mut arg = std::mem::take(&mut self.s.printf_arg);
+        let mut out = std::mem::take(&mut self.stdout);
         fmt.clear();
-        out.clear();
-        let r = match self.cstr_checked_into(args[0], loc, &mut fmt) {
-            Ok(()) => self.printf_into(&fmt, &mut out, &mut arg, args, arg_tys, loc),
-            Err(e) => Err(e),
-        };
-        let ret = match r {
-            Ok(()) => {
-                self.stdout.extend_from_slice(&out);
-                Ok(out.len() as i32)
-            }
-            Err(e) => Err(e),
-        };
+        let mark = out.len();
+        let r = self
+            .cstr_checked_into(args[0], loc, &mut fmt)
+            .and_then(|()| self.printf_into(&fmt, &mut out, args, arg_tys, loc));
+        if r.is_err() {
+            out.truncate(mark);
+        }
         self.s.cstr_buf = fmt;
-        self.s.printf_out = out;
-        self.s.printf_arg = arg;
-        ret
+        self.stdout = out;
+        r
     }
 
+    /// Renders `fmt` with `args` onto the end of `out` and returns what
+    /// `printf` returns: the number of bytes written, or -1 (glibc's
+    /// `EOVERFLOW`) when a field width does not fit an `int`, which ends
+    /// the call before that conversion writes anything.
     fn printf_into(
         &mut self,
         fmt: &[u8],
         out: &mut Vec<u8>,
-        arg: &mut Vec<u8>,
         args: &[u64],
         arg_tys: &[IrType],
         loc: Loc,
-    ) -> Result<(), End> {
+    ) -> Result<i32, End> {
+        let mark = out.len();
         let mut ai = 1usize; // next vararg
         let mut i = 0usize;
         while i < fmt.len() {
-            let c = fmt[i];
-            if c != b'%' {
-                out.push(c);
-                i += 1;
-                continue;
+            // The literal run up to the next conversion, copied whole.
+            let lit = fmt[i..].iter().position(|&c| c == b'%');
+            let lit = lit.unwrap_or(fmt.len() - i);
+            out.extend_from_slice(&fmt[i..i + lit]);
+            i += lit + 1;
+            if i > fmt.len() {
+                break;
             }
-            i += 1;
-            if i >= fmt.len() {
+            if i == fmt.len() {
                 out.push(b'%');
                 break;
             }
             // Flags and width.
             let mut zero_pad = false;
-            let mut width = 0usize;
+            let mut width = 0u64;
             if fmt[i] == b'0' {
                 zero_pad = true;
                 i += 1;
             }
             while i < fmt.len() && fmt[i].is_ascii_digit() {
-                width = width * 10 + (fmt[i] - b'0') as usize;
+                // Capped just past `i32::MAX`, so no run of digits can
+                // overflow it.
+                width = (width * 10 + u64::from(fmt[i] - b'0')).min(1 << 31);
                 i += 1;
             }
+            if width > i32::MAX as u64 {
+                return Ok(-1);
+            }
+            let width = width as usize;
             let mut long = false;
             if i < fmt.len() && fmt[i] == b'l' {
                 long = true;
@@ -941,11 +991,12 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 ai += 1;
                 (v, t)
             };
-            // Numeric conversions render into a stack buffer; only %s and
-            // %f still build an owned value.
+            // Each conversion renders onto `out` (numbers through a stack
+            // buffer); its padding goes in before it afterwards.
+            let at = out.len();
             let mut num = [0u8; 24];
-            let rendered: &[u8] = match conv {
-                b'%' => b"%",
+            match conv {
+                b'%' => out.push(b'%'),
                 b'd' | b'i' => {
                     let (v, _) = next(self);
                     let n = if long {
@@ -954,29 +1005,24 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                         v as u32 as i32 as i64
                     };
                     let len = fmt_dec_i64(n, &mut num);
-                    &num[..len]
+                    out.extend_from_slice(&num[..len]);
                 }
                 b'u' => {
                     let (v, _) = next(self);
                     let n = if long { v } else { v as u32 as u64 };
                     let len = fmt_dec_u64(n, &mut num);
-                    &num[..len]
+                    out.extend_from_slice(&num[..len]);
                 }
                 b'x' => {
                     let (v, _) = next(self);
                     let n = if long { v } else { v as u32 as u64 };
                     let len = fmt_hex_u64(n, &mut num);
-                    &num[..len]
+                    out.extend_from_slice(&num[..len]);
                 }
-                b'c' => {
-                    num[0] = next(self).0 as u8;
-                    &num[..1]
-                }
+                b'c' => out.push(next(self).0 as u8),
                 b's' => {
                     let (v, _) = next(self);
-                    arg.clear();
-                    self.cstr_checked_into(v, loc, arg)?;
-                    &arg[..]
+                    self.cstr_checked_into(v, loc, out)?;
                 }
                 b'f' => {
                     let (v, t) = next(self);
@@ -985,34 +1031,27 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                     } else {
                         v as i64 as f64 // %f with an int arg: garbage-ish
                     };
-                    arg.clear();
-                    write!(arg, "{x:.6}").expect("writing to a Vec cannot fail");
-                    &arg[..]
+                    write!(out, "{x:.6}").expect("writing to a Vec cannot fail");
                 }
                 b'p' => {
                     let (v, _) = next(self);
-                    num[0] = b'0';
-                    num[1] = b'x';
-                    let len = fmt_hex_u64(v, &mut num[2..]);
-                    &num[..2 + len]
+                    let len = fmt_hex_u64(v, &mut num);
+                    out.extend_from_slice(b"0x");
+                    out.extend_from_slice(&num[..len]);
                 }
-                other => {
-                    num[0] = b'%';
-                    num[1] = other;
-                    &num[..2]
-                }
-            };
-            if rendered.len() < width {
+                other => out.extend_from_slice(&[b'%', other]),
+            }
+            let len = out.len() - at;
+            if len < width {
                 let pad = if zero_pad && matches!(conv, b'd' | b'i' | b'u' | b'x') {
                     b'0'
                 } else {
                     b' '
                 };
-                out.extend(std::iter::repeat_n(pad, width - rendered.len()));
+                out.splice(at..at, std::iter::repeat_n(pad, width - len));
             }
-            out.extend_from_slice(rendered);
         }
-        Ok(())
+        Ok((out.len() - mark) as i32)
     }
 }
 

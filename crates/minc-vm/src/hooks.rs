@@ -150,10 +150,13 @@ pub trait Hooks {
     }
 
     /// Whether the VM may service whole-range `memcpy`/`memset`/
-    /// `read_input` with bulk page-slice operations. Only return `true`
-    /// when this hook set does *no* per-byte work: no load/store checks,
-    /// no poison tracking, no redzones. The VM still falls back to the
-    /// byte loop whenever any byte of the range is invalid, so traps and
+    /// `read_input` with bulk page-slice operations, and read C strings
+    /// (printf's format and `%s` argument, the string builtins' operands)
+    /// in page chunks up to the first NUL. Only return `true` when this
+    /// hook set does *no* per-byte work: no load/store checks, no poison
+    /// tracking, no redzones. The VM still falls back to the byte loop
+    /// whenever any byte of the range is invalid, and ends a string chunk
+    /// where the per-byte checks would change region or trap, so traps and
     /// partial writes are unaffected either way — this is purely a
     /// fast-path permission.
     fn bulk_mem_ok(&self) -> bool {

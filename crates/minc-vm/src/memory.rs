@@ -27,12 +27,16 @@
 //! spot.
 //!
 //! The hot path avoids the page map entirely when consecutive accesses hit
-//! the same page (the common case for stack and array traffic), and
-//! aligned-width accesses within one page go through `from_le_bytes` /
-//! `to_le_bytes` instead of a per-byte loop.
+//! the same page (the common case for stack and array traffic): that one
+//! comparison is inlined into every access, and only a different page
+//! calls out to the lookup, restore and materialize. Aligned-width
+//! accesses within one page go through `from_le_bytes` / `to_le_bytes`
+//! instead of a per-byte loop. The page index and the pristine table hash
+//! their page numbers with [`IdMap`]'s multiplicative hasher; neither is
+//! ever iterated, so no order can reach a result.
 
+use minc_compile::ir::IdMap;
 use minc_compile::Personality;
-use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 /// Page size in bytes.
@@ -44,12 +48,14 @@ pub const PAGE_SIZE: u64 = 4096;
 const PRISTINE_PAGES: usize = 256;
 
 /// Pristine junk pages, keyed by (personality seed, page number).
-type PristineTable = HashMap<(u64, u64), Arc<[u8]>>;
+type PristineTable = IdMap<(u64, u64), Arc<[u8]>>;
 
 /// The pristine table shared by every [`Memory`] of the process.
 static PRISTINE: LazyLock<Mutex<PristineTable>> = LazyLock::new(Default::default);
 
-const NO_PAGE: u32 = u32::MAX;
+/// A page number no address has (the largest is `u64::MAX / PAGE_SIZE`):
+/// the same-page memo holds it while it names no page.
+const NO_PAGE: u64 = u64::MAX;
 
 /// One materialized page: live bytes plus the pristine junk snapshot used
 /// to restore it cheaply after a [`Memory::reset`].
@@ -79,10 +85,11 @@ struct Page {
 /// Raw byte-addressable memory.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    index: HashMap<u64, u32>,
+    index: IdMap<u64, u32>,
     pages: Vec<Page>,
     seed: u64,
     epoch: u64,
+    /// The page the last access resolved, and its arena slot.
     cached_no: u64,
     cached_idx: u32,
     /// Dirty pages restored from their pristine snapshot (cumulative).
@@ -95,12 +102,12 @@ impl Memory {
     /// Creates memory whose junk pattern follows `personality`.
     pub fn new(personality: &Personality) -> Self {
         Memory {
-            index: HashMap::new(),
+            index: IdMap::default(),
             pages: Vec::new(),
             seed: personality.seed,
             epoch: 0,
-            cached_no: 0,
-            cached_idx: NO_PAGE,
+            cached_no: NO_PAGE,
+            cached_idx: 0,
             restored: 0,
             materialized: 0,
         }
@@ -115,7 +122,7 @@ impl Memory {
     /// loader's writes.
     pub fn reset(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
-        self.cached_idx = NO_PAGE;
+        self.cached_no = NO_PAGE;
     }
 
     /// Snapshots every page written in the current epoch as that page's
@@ -189,12 +196,19 @@ impl Memory {
     }
 
     /// Resolves `page_no` to its arena slot, materializing or restoring
-    /// the page as needed, and memoizes the result.
-    #[inline]
+    /// the page as needed, and memoizes the result. Only the same-page
+    /// check is inlined into the accesses.
+    #[inline(always)]
     fn locate(&mut self, page_no: u64) -> usize {
-        if self.cached_idx != NO_PAGE && self.cached_no == page_no {
+        if self.cached_no == page_no {
             return self.cached_idx as usize;
         }
+        self.locate_other(page_no)
+    }
+
+    /// [`locate`](Memory::locate) for a page other than the memoized one.
+    #[inline(never)]
+    fn locate_other(&mut self, page_no: u64) -> usize {
         let idx = match self.index.get(&page_no) {
             Some(&i) => {
                 let page = &mut self.pages[i as usize];
@@ -293,6 +307,24 @@ impl Memory {
             }
             v
         }
+    }
+
+    /// Appends the bytes from `addr` up to the first NUL to `out`, reading
+    /// at most `len` bytes and never past the end of `addr`'s page.
+    /// Returns how many bytes it appended and whether it met the NUL.
+    pub(crate) fn read_until_nul(
+        &mut self,
+        addr: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> (usize, bool) {
+        let off = (addr % PAGE_SIZE) as usize;
+        let end = off + len.min(PAGE_SIZE as usize - off);
+        let bytes = &self.page_ref(addr / PAGE_SIZE)[off..end];
+        let nul = bytes.iter().position(|&b| b == 0);
+        let n = nul.unwrap_or(bytes.len());
+        out.extend_from_slice(&bytes[..n]);
+        (n, nul.is_some())
     }
 
     /// Writes the low `width` bytes of `v` little-endian.

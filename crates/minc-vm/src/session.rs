@@ -6,9 +6,10 @@
 //! paid once. [`ExecSession`] is this repo's equivalent: it owns the VM
 //! state that is expensive to rebuild — the paged [`Memory`] (pages stay
 //! allocated across runs and are restored via an epoch/dirty scheme), the
-//! activation-record pool (register and poison vectors are recycled
-//! instead of re-allocated per call frame), and the allocator maps — and
-//! resets it between runs.
+//! activation stack (each call rewrites the slot above the top in place,
+//! so register and poison vectors keep their capacity instead of being
+//! re-allocated per call frame), and the allocator maps — and resets it
+//! between runs.
 //!
 //! A session run is **bit-for-bit equivalent** to a fresh
 //! [`execute`](crate::execute): same status, same stdout, same step count,
@@ -53,13 +54,12 @@ use crate::exec::{run_in_session, VmConfig};
 use crate::hooks::{Hooks, NoHooks};
 use crate::memory::Memory;
 use crate::result::ExecResult;
-use minc_compile::ir::ValueId;
+use minc_compile::ir::{IdMap, ValueId};
 use minc_compile::Binary;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One call frame (an activation record). Owned by the session so the
-/// register/poison vectors can be pooled across runs.
+/// register/poison vectors keep their capacity across calls and runs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Activation {
     pub(crate) func: u32,
@@ -70,6 +70,54 @@ pub(crate) struct Activation {
     pub(crate) frame_lo: u64,
     pub(crate) frame_hi: u64,
     pub(crate) ret_dst: Option<ValueId>,
+}
+
+/// The activation stack: `slots[..depth]` are the live frames, innermost
+/// last. A call rewrites the slot above the top in place and a return
+/// leaves it there, so no call or return moves an [`Activation`], and the
+/// slots keep their vectors for the next call that reaches their depth.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Frames {
+    slots: Vec<Activation>,
+    depth: usize,
+}
+
+impl Frames {
+    /// Number of live frames.
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Makes the slot above the top the new top and returns it as the
+    /// last frame at this depth left it; the caller rewrites every field.
+    pub(crate) fn enter(&mut self) -> &mut Activation {
+        if self.depth == self.slots.len() {
+            self.slots.push(Activation::default());
+        }
+        self.depth += 1;
+        &mut self.slots[self.depth - 1]
+    }
+
+    /// Pops the top frame, which stays in its slot, and returns it.
+    pub(crate) fn leave(&mut self) -> &Activation {
+        self.depth -= 1;
+        &self.slots[self.depth]
+    }
+
+    /// The innermost live frame.
+    pub(crate) fn top(&self) -> Option<&Activation> {
+        self.slots[..self.depth].last()
+    }
+
+    /// The innermost live frame, mutably.
+    pub(crate) fn top_mut(&mut self) -> Option<&mut Activation> {
+        self.slots[..self.depth].last_mut()
+    }
+
+    /// Pops every frame (the per-run reset).
+    pub(crate) fn clear(&mut self) {
+        self.depth = 0;
+    }
 }
 
 /// Cumulative execution statistics of one [`ExecSession`] — intrinsic
@@ -135,10 +183,14 @@ impl SessionStats {
 pub struct ExecSession {
     pub(crate) seed: u64,
     pub(crate) mem: Memory,
-    pub(crate) frames: Vec<Activation>,
-    pub(crate) frame_pool: Vec<Activation>,
-    pub(crate) free_lists: HashMap<u64, Vec<u64>>,
-    pub(crate) live_chunks: HashMap<u64, u64>,
+    pub(crate) frames: Frames,
+    /// The allocator's maps, keyed by chunk size and by chunk address.
+    /// Neither is iterated in an order that can reach a result: a run
+    /// clears every free list and asks whether any holds a pointer. The
+    /// program picks the keys, but the heap limit bounds how many it can
+    /// make, so an unseeded hash cannot be driven into many collisions.
+    pub(crate) free_lists: IdMap<u64, Vec<u64>>,
+    pub(crate) live_chunks: IdMap<u64, u64>,
     pub(crate) runs: u64,
     pub(crate) bulk_ops: u64,
     pub(crate) fallback_ops: u64,
@@ -167,12 +219,10 @@ pub struct ExecSession {
     pub(crate) loaded_uid: Option<u64>,
     pub(crate) loader_skips: u64,
     /// Pooled scratch for string operands (printf's format string, the
-    /// string builtins' arguments), printf's rendered output and its
-    /// `%s`/`%f` argument — printf is the hottest builtin and per-call
-    /// buffer allocations dominated its cost.
+    /// string builtins' arguments): printf is the hottest builtin and
+    /// per-call buffer allocations dominated its cost. printf renders
+    /// straight onto the run's stdout.
     pub(crate) cstr_buf: Vec<u8>,
-    pub(crate) printf_out: Vec<u8>,
-    pub(crate) printf_arg: Vec<u8>,
     /// Pooled scratch for a call's argument values and poison bits in the
     /// block loop, and for the stack-slot list instrumented hooks receive
     /// on frame entry.
@@ -194,10 +244,9 @@ impl ExecSession {
         ExecSession {
             seed: binary.personality.seed,
             mem: Memory::new(&binary.personality),
-            frames: Vec::new(),
-            frame_pool: Vec::new(),
-            free_lists: HashMap::new(),
-            live_chunks: HashMap::new(),
+            frames: Frames::default(),
+            free_lists: IdMap::default(),
+            live_chunks: IdMap::default(),
             runs: 0,
             bulk_ops: 0,
             fallback_ops: 0,
@@ -210,8 +259,6 @@ impl ExecSession {
             loaded_uid: None,
             loader_skips: 0,
             cstr_buf: Vec::new(),
-            printf_out: Vec::new(),
-            printf_arg: Vec::new(),
             call_vals: Vec::new(),
             call_pois: Vec::new(),
             slot_scratch: Vec::new(),
@@ -256,8 +303,9 @@ impl ExecSession {
     }
 
     /// Resets per-run state: memory enters a new epoch (pristine junk,
-    /// allocations kept), leftover frames from a trapped run return to the
-    /// pool, and the allocator maps are emptied.
+    /// allocations kept), the activation stack empties (leftover frames of
+    /// a trapped run stay in their slots), and the allocator maps are
+    /// emptied.
     fn prepare(&mut self, binary: &Binary) {
         if self.in_flight {
             // The previous run unwound mid-execution: the epoch/dirty
@@ -269,7 +317,6 @@ impl ExecSession {
             self.mem = Memory::new(&binary.personality);
             self.mem.restored = restored;
             self.mem.materialized = materialized;
-            self.frames.clear();
             self.poisoned += 1;
             self.in_flight = false;
             self.loaded_uid = None;
@@ -296,7 +343,7 @@ impl ExecSession {
                 self.loaded_uid = None;
             }
         }
-        self.frame_pool.append(&mut self.frames);
+        self.frames.clear();
         if self.free_lists.len() > KEPT_FREE_LIST_SIZES {
             self.free_lists.clear();
         } else {
@@ -308,7 +355,7 @@ impl ExecSession {
     }
 
     /// Runs `binary` on `input` with no instrumentation, reusing this
-    /// session's memory and frame pool. Equivalent to
+    /// session's memory and activation stack. Equivalent to
     /// [`execute`](crate::execute) bit for bit.
     pub fn run(&mut self, binary: &Binary, input: &[u8], config: &VmConfig) -> ExecResult {
         self.run_with_hooks(binary, input, config, &mut NoHooks)
@@ -667,7 +714,7 @@ mod tests {
     fn escalated_rerun_in_reused_session_matches_fresh_session() {
         // The differ's timeout-escalation policy re-runs a timed-out
         // implementation in the SAME session under a doubled step budget.
-        // A run abandoned at the step limit leaves dirty pages, pooled
+        // A run abandoned at the step limit leaves dirty pages, live
         // frames, and heap state behind; the epoch reset must clear all
         // of it so the escalated re-run — which skips the loader — is
         // bit-identical to one in a brand-new session, under block

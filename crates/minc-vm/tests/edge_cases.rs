@@ -40,14 +40,20 @@ fn malloc_zero_returns_distinct_valid_pointers() {
 
 #[test]
 fn malloc_oom_returns_null() {
-    let src = r#"
-        int main() {
-            char* p = (char*)malloc(1073741824L);
-            printf("%d\n", p == 0 ? 1 : 0);
-            return 0;
-        }
-    "#;
-    all_impls_agree(src, "1\n");
+    // Past the heap limit, and sizes whose rounding (`-1L`) or new break
+    // (`-17L`) does not fit 64 bits.
+    for size in ["1073741824L", "-1L", "-17L"] {
+        let src = format!(
+            r#"
+            int main() {{
+                char* p = (char*)malloc({size});
+                printf("%d\n", p == 0 ? 1 : 0);
+                return 0;
+            }}
+            "#
+        );
+        all_impls_agree(&src, "1\n");
+    }
 }
 
 #[test]
@@ -177,6 +183,25 @@ fn printf_edge_cases() {
         }
         "#,
         "%d is -3|00042|Q||\n1.500000\n4294967295\n",
+    );
+}
+
+#[test]
+fn printf_width_past_int_max_fails_the_call() {
+    // Like glibc, a field width above INT_MAX makes printf return -1
+    // (EOVERFLOW) and write nothing from that conversion on; what the call
+    // wrote before it stays.
+    all_impls_agree(
+        r#"
+        int main() {
+            printf("%99999999999999999999d\n", 5);
+            int r = printf("ab%2147483648d|cd\n", 5);
+            int s = printf("|%3d\n", 5);
+            printf("%d %d\n", r, s);
+            return 0;
+        }
+        "#,
+        "ab|  5\n-1 5\n",
     );
 }
 
