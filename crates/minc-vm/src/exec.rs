@@ -123,6 +123,20 @@ pub(crate) fn run_in_session<H: Hooks>(
 /// segfault.
 const CSTR_CAP: usize = 1 << 20;
 
+/// Most bytes one run writes to stdout. A write that would take the
+/// run's stdout past it is not made: `putchar` and `puts` return EOF, and
+/// `printf` stops there and returns -1. Every implementation shares these
+/// builtins, so outputs that first differ past the cap compare equal.
+const STDOUT_CAP: usize = 1 << 20;
+
+/// `EOF` (-1) as a builtin's return word.
+const EOF: u64 = -1i64 as u64;
+
+/// True when writing `more` bytes would take `stdout` past [`STDOUT_CAP`].
+fn past_cap(stdout: &[u8], more: usize) -> bool {
+    stdout.len() + more > STDOUT_CAP
+}
+
 pub(crate) enum End {
     Exit(u8),
     Trap(Trap),
@@ -654,11 +668,17 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 Ok(Some(n as u64))
             }
             Putchar => {
+                if past_cap(&self.stdout, 1) {
+                    return Ok(Some(EOF));
+                }
                 self.stdout.push(args[0] as u8);
                 Ok(Some(args[0] as u32 as i32 as i64 as u64))
             }
             // A faulting read emits nothing.
             Puts => self.with_cstrs([args[0]], loc, |vm, [s]| {
+                if past_cap(&vm.stdout, s.len() + 1) {
+                    return Ok(Some(EOF));
+                }
                 vm.stdout.extend_from_slice(s);
                 vm.stdout.push(b'\n');
                 Ok(Some(0))
@@ -925,9 +945,10 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
     }
 
     /// Renders `fmt` with `args` onto the end of `out` and returns what
-    /// `printf` returns: the number of bytes written, or -1 (glibc's
-    /// `EOVERFLOW`) when a field width does not fit an `int`, which ends
-    /// the call before that conversion writes anything.
+    /// `printf` returns: the number of bytes written, or -1 when a field
+    /// width does not fit an `int` (glibc's `EOVERFLOW`) or a literal run
+    /// or field would take `out` past [`STDOUT_CAP`], which ends the call
+    /// before that run or field writes anything.
     fn printf_into(
         &mut self,
         fmt: &[u8],
@@ -940,16 +961,18 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         let mut ai = 1usize; // next vararg
         let mut i = 0usize;
         while i < fmt.len() {
-            // The literal run up to the next conversion, copied whole.
-            let lit = fmt[i..].iter().position(|&c| c == b'%');
-            let lit = lit.unwrap_or(fmt.len() - i);
+            // The literal run up to the next conversion, copied whole; a
+            // `%` that ends the format is literal.
+            let lit = match fmt[i..].iter().position(|&c| c == b'%') {
+                Some(p) if i + p + 1 < fmt.len() => p,
+                _ => fmt.len() - i,
+            };
+            if past_cap(out, lit) {
+                return Ok(-1);
+            }
             out.extend_from_slice(&fmt[i..i + lit]);
             i += lit + 1;
             if i > fmt.len() {
-                break;
-            }
-            if i == fmt.len() {
-                out.push(b'%');
                 break;
             }
             // Flags and width.
@@ -1042,6 +1065,10 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
                 other => out.extend_from_slice(&[b'%', other]),
             }
             let len = out.len() - at;
+            if past_cap(&out[..at], len.max(width)) {
+                out.truncate(at);
+                return Ok(-1);
+            }
             if len < width {
                 let pad = if zero_pad && matches!(conv, b'd' | b'i' | b'u' | b'x') {
                     b'0'

@@ -2,7 +2,7 @@
 //! and cross-implementation agreement on tricky-but-defined semantics.
 
 use minc_compile::{compile_source, CompilerImpl};
-use minc_vm::{execute, ExitStatus, Trap, VmConfig};
+use minc_vm::{execute, ExecResult, ExecSession, ExitStatus, Trap, VmConfig};
 
 fn run(src: &str, impl_name: &str, input: &[u8]) -> minc_vm::ExecResult {
     let bin = compile_source(src, CompilerImpl::parse(impl_name).unwrap()).unwrap();
@@ -179,10 +179,13 @@ fn printf_edge_cases() {
             printf("%%d is %d|%05d|%c|%s|\n", -3, 42, 'Q', "");
             printf("%f\n", 1.5);
             printf("%u\n", -1);
+            int r = printf("ab%");
+            int s = printf("%");
+            printf("|%d %d\n", r, s);
             return 0;
         }
         "#,
-        "%d is -3|00042|Q||\n1.500000\n4294967295\n",
+        "%d is -3|00042|Q||\n1.500000\n4294967295\nab%%|3 1\n",
     );
 }
 
@@ -203,6 +206,92 @@ fn printf_width_past_int_max_fails_the_call() {
         "#,
         "ab|  5\n-1 5\n",
     );
+}
+
+/// Runs `src` on every implementation by block dispatch and by the
+/// reference interpreter, asserts the two results equal, and returns them.
+fn both_dispatches(src: &str) -> Vec<ExecResult> {
+    let cfg = VmConfig::default();
+    CompilerImpl::default_set()
+        .into_iter()
+        .map(|ci| {
+            let bin = compile_source(src, ci).unwrap();
+            let block = ExecSession::new(&bin).run(&bin, b"", &cfg);
+            let reference = ExecSession::reference(&bin).run(&bin, b"", &cfg);
+            assert_eq!(block, reference, "{ci}");
+            block
+        })
+        .collect()
+}
+
+/// The stdout cap: 1 MiB per run.
+const STDOUT_CAP: usize = 1 << 20;
+
+#[test]
+fn printf_fields_past_the_stdout_cap_fail_the_call() {
+    // Both widths fit an `int`, but the padding would take stdout past
+    // the cap, so neither field is written (or allocated).
+    for r in both_dispatches(
+        r#"
+        int main() {
+            int r = printf("%5000000d|\n", 1);
+            int s = printf("ab%2147483647d|\n", 1);
+            printf("%d %d\n", r, s);
+            return 0;
+        }
+        "#,
+    ) {
+        assert_eq!(r.status, ExitStatus::Code(0));
+        assert_eq!(String::from_utf8_lossy(&r.stdout), "ab-1 -1\n");
+    }
+}
+
+#[test]
+fn a_puts_loop_stops_at_the_stdout_cap() {
+    // Each `puts` would write 1,000,001 bytes: the first fits under the
+    // cap, the other 49 return EOF and write nothing.
+    for r in both_dispatches(
+        r#"
+        int main() {
+            char* s = (char*)malloc(1000001L);
+            memset(s, 'x', 1000000L);
+            s[1000000] = 0;
+            int eof = 0;
+            int i;
+            for (i = 0; i < 50; i++) { if (puts(s) == -1) { eof++; } }
+            printf("%d\n", eof);
+            return 0;
+        }
+        "#,
+    ) {
+        assert_eq!(r.status, ExitStatus::Code(0));
+        assert_eq!(r.stdout.len(), 1_000_001 + 3);
+        assert!(r.stdout.ends_with(b"x\n49\n"));
+    }
+}
+
+#[test]
+fn no_write_takes_stdout_past_the_cap() {
+    // `puts` fills the cap exactly; after it every write fails whole.
+    for r in both_dispatches(
+        r#"
+        int main() {
+            long n = 1048575L;
+            char* s = (char*)malloc(n + 1L);
+            memset(s, 'x', n);
+            s[n] = 0;
+            int a = puts(s);
+            int b = putchar('y');
+            int c = puts("");
+            int d = printf("z");
+            int e = printf("%s", "");
+            return (a == 0) + 2 * (b == -1) + 4 * (c == -1) + 8 * (d == -1) + 16 * (e == 0);
+        }
+        "#,
+    ) {
+        assert_eq!(r.status, ExitStatus::Code(31));
+        assert_eq!(r.stdout.len(), STDOUT_CAP);
+    }
 }
 
 #[test]

@@ -48,6 +48,9 @@ thread_local! {
     /// Fixpoints run on this thread, so tests can pin how often each
     /// analysis runs.
     pub(crate) static FIXPOINTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Fixpoint replays ([`scan_with_blocks`] calls) run on this thread,
+    /// so tests can pin how often each fixpoint is replayed.
+    pub(crate) static SCANS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Runs `a` to fixpoint over `f` and returns per-block input states.
@@ -158,6 +161,8 @@ pub fn scan_with_blocks<A: Analysis>(
     states: &BlockStates<A::State>,
     mut visit: impl FnMut(Point, &A::State, Visit),
 ) {
+    #[cfg(test)]
+    SCANS.with(|c| c.set(c.get() + 1));
     for (bi, blk) in f.blocks.iter().enumerate() {
         let Some(input) = &states.inputs[bi] else {
             continue;

@@ -7,59 +7,116 @@
 //! source line it was allocated for (copy propagation would erase the
 //! line-stamped copies).
 
-use crate::dataflow::{fixpoint, scan_with_blocks, BlockStates, Point, Visit};
-use crate::domains::{
-    shift_width, Interval, IntervalAnalysis, IntervalState, JunkAnalysis, JunkState, NullAnalysis,
-    NullState,
-};
+use crate::dataflow::{fixpoint, scan_with_blocks, Point, Visit};
+use crate::domains::{shift_width, Interval, IntervalAnalysis, JunkAnalysis, NullAnalysis};
 use crate::summaries::FnSummaries;
+use crate::ubmap::{UbClass, NULL_PAGE};
 use minc_compile::ir::{
-    BinKind, CastKind, ConstVal, IdMap, Inst, IrFunction, IrProgram, Terminator, ValueId,
+    BinKind, CastKind, ConstVal, IdMap, Inst, IrFunction, IrProgram, IrType, Terminator, ValueId,
 };
 use staticheck::Defect;
 use std::collections::BTreeSet;
 
 /// One IR-level finding, before merging with the provenance channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IrFinding {
+pub(crate) struct IrFinding {
     /// Function the finding is in.
-    pub function: String,
+    pub(crate) function: String,
     /// Defect class (shared with the staticheck tools).
-    pub defect: Defect,
+    pub(crate) defect: Defect,
     /// 1-based source line (0 if the IR carried no attribution).
-    pub line: u32,
+    pub(crate) line: u32,
     /// Human-readable detail.
-    pub message: String,
+    pub(crate) message: String,
     /// For uninitialized-use findings: the mem2reg junk id observed, used
     /// to corroborate `UninitPromotion` provenance entries.
-    pub junk_id: Option<u32>,
+    pub(crate) junk_id: Option<u32>,
 }
 
-/// The dataflow facts of one program: its summaries, and the fixpoint
-/// of each analysis over each function, each computed once. The lint's
-/// detectors and the UB-site map's collectors read the same states.
+/// The dataflow facts of one program: what each analysis's replay
+/// recorded over each function. The lint's detectors and the UB-site
+/// map read the same records.
 pub(crate) struct ProgramFacts<'p> {
-    /// Interprocedural summaries, computed callee-first.
-    pub(crate) summaries: FnSummaries,
     /// One entry per function, in program order.
     pub(crate) fns: Vec<FnFacts<'p>>,
 }
 
-/// The fixpoints of one function; scans replay them with an analysis
-/// built over [`ProgramFacts::summaries`].
+/// What the three analyses recorded over one function, each in scan
+/// order. The block states behind them are dropped once replayed.
 pub(crate) struct FnFacts<'p> {
     /// The function.
     pub(crate) f: &'p IrFunction,
-    /// [`JunkAnalysis`] input state per block.
-    junk: BlockStates<JunkState>,
-    /// [`IntervalAnalysis`] input state per block.
-    pub(crate) intervals: BlockStates<IntervalState>,
-    /// [`NullAnalysis`] input state per block.
-    null: BlockStates<NullState>,
+    /// Every observable use of a register that may carry mem2reg junk.
+    pub(crate) junk_sinks: Vec<JunkSink>,
+    /// The interval verdict at each shift, division, signed arithmetic
+    /// operation and memory access.
+    pub(crate) intervals: Vec<IntervalRec>,
+    /// Lines of `p == 0` / `p != 0` tests of a pointer already
+    /// dereferenced on every path to the test — exactly the checks the
+    /// optimizer deletes.
+    pub(crate) null_checks: Vec<u32>,
+}
+
+/// A call argument, stored value, branch condition or returned value
+/// that may carry mem2reg junk.
+pub(crate) struct JunkSink {
+    /// Where the use is.
+    pub(crate) point: Point,
+    /// The used register's source line.
+    pub(crate) line: u32,
+    /// The junk id it may carry.
+    pub(crate) id: u32,
+    /// What kind of use it is.
+    pub(crate) what: &'static str,
+}
+
+/// What the interval analysis decided about one UB class at one
+/// instruction.
+pub(crate) struct IntervalRec {
+    /// Where the instruction is.
+    pub(crate) point: Point,
+    /// Its source line.
+    pub(crate) line: u32,
+    /// The UB class decided.
+    pub(crate) class: UbClass,
+    /// The decision.
+    pub(crate) verdict: Verdict,
+}
+
+/// An interval decision.
+#[derive(Clone, Copy)]
+pub(crate) enum Verdict {
+    /// The UB is possible here, and certain whenever the instruction runs
+    /// when `exact` (the condition is proven, not just possible).
+    Site { exact: bool, why: Why },
+    /// The UB provably cannot happen here.
+    Clean,
+    /// The analysis has no fact to decide it.
+    Unknown,
+}
+
+/// The facts behind a site, from which each consumer renders its message.
+/// The comments give the `exact` reading first.
+#[derive(Clone, Copy)]
+pub(crate) enum Why {
+    /// A shift amount outside, or possibly leaving, `[0, width)`.
+    Shift { width: i64, amount: Interval },
+    /// A signed left shift that overflows, or that may overflow or shift
+    /// a negative value.
+    ShlOverflow,
+    /// A divisor interval that is `[0, 0]`, or that includes zero.
+    ZeroDivisor(Interval),
+    /// A signed division that hits, or may hit, `MIN / -1`.
+    DivOverflow,
+    /// A signed arithmetic result range outside, or exceeding, the type.
+    Overflow { lo: i128, hi: i128 },
+    /// An accessed address range inside, or overlapping, the null page.
+    NullPage(Interval),
 }
 
 impl<'p> ProgramFacts<'p> {
-    /// Summarizes `prog`, then runs each analysis over each function.
+    /// Summarizes `prog`, then runs each analysis to fixpoint over each
+    /// function and replays it once.
     pub(crate) fn of(prog: &'p IrProgram) -> ProgramFacts<'p> {
         let summaries = FnSummaries::of(prog);
         let fns = prog
@@ -67,12 +124,12 @@ impl<'p> ProgramFacts<'p> {
             .iter()
             .map(|f| FnFacts {
                 f,
-                junk: fixpoint(f, &JunkAnalysis::new(&summaries)),
-                intervals: fixpoint(f, &IntervalAnalysis::new(&summaries)),
-                null: fixpoint(f, &NullAnalysis::new(&summaries)),
+                junk_sinks: junk_sinks(f, &summaries),
+                intervals: interval_records(f, &summaries),
+                null_checks: null_checks(f, &summaries),
             })
             .collect();
-        ProgramFacts { summaries, fns }
+        ProgramFacts { fns }
     }
 }
 
@@ -80,18 +137,65 @@ impl<'p> ProgramFacts<'p> {
 pub(crate) fn scan_program(facts: &ProgramFacts) -> Vec<IrFinding> {
     let mut out = Vec::new();
     for ff in &facts.fns {
-        junk_reads(ff, &facts.summaries, &mut out);
-        oversized_shifts(ff, &facts.summaries, &mut out);
+        let finding = |defect, line, message, junk_id| IrFinding {
+            function: ff.f.name.clone(),
+            defect,
+            line,
+            message,
+            junk_id,
+        };
+        for s in &ff.junk_sinks {
+            out.push(finding(
+                Defect::Uninitialized,
+                s.line,
+                format!(
+                    "{} may observe an uninitialized (indeterminate) value",
+                    s.what
+                ),
+                Some(s.id),
+            ));
+        }
+        for r in &ff.intervals {
+            if let Verdict::Site {
+                exact: true,
+                why: Why::Shift { width, amount },
+            } = r.verdict
+            {
+                let shown = if amount.lo == amount.hi {
+                    format!("{}", amount.lo)
+                } else {
+                    format!("[{}, {}]", amount.lo, amount.hi)
+                };
+                out.push(finding(
+                    Defect::BadShift,
+                    r.line,
+                    format!(
+                        "shift amount {shown} is out of range for a {width}-bit value; \
+                         implementations legally disagree on the result"
+                    ),
+                    None,
+                ));
+            }
+        }
         block_patterns(ff.f, &mut out);
-        null_check_after_deref(ff, &facts.summaries, &mut out);
+        for &line in &ff.null_checks {
+            out.push(finding(
+                Defect::NullDeref,
+                line,
+                "null check of a pointer already dereferenced on this path; \
+                 optimizers delete the check, `-O0` keeps it"
+                    .to_string(),
+                None,
+            ));
+        }
     }
     // Deterministic order + per-line dedup (a junk value read five times
     // on one line is one finding).
     out.sort_by(|a, b| {
-        (a.line, &a.function, format!("{}", a.defect), &a.message).cmp(&(
+        (a.line, &a.function, a.defect.name(), &a.message).cmp(&(
             b.line,
             &b.function,
-            format!("{}", b.defect),
+            b.defect.name(),
             &b.message,
         ))
     });
@@ -99,18 +203,20 @@ pub(crate) fn scan_program(facts: &ProgramFacts) -> Vec<IrFinding> {
     out
 }
 
+/// The junk ids whose reads the junk sinks observed anywhere in `prog` —
+/// the corroboration set for `UninitPromotion` provenance entries.
+pub(crate) fn observed_junk_ids(findings: &[IrFinding]) -> BTreeSet<u32> {
+    findings.iter().filter_map(|f| f.junk_id).collect()
+}
+
 // ----------------------------------------------------- uninitialized use
 
 /// Every observable use of a register that may carry mem2reg junk — call
-/// arguments, stored values, branch conditions and return values — as
-/// `(point, line, junk id, what)`, in scan order.
-pub(crate) fn junk_sinks(
-    ff: &FnFacts,
-    summaries: &FnSummaries,
-) -> Vec<(Point, u32, u32, &'static str)> {
-    let f = ff.f;
+/// arguments, stored values, branch conditions and return values.
+fn junk_sinks(f: &IrFunction, summaries: &FnSummaries) -> Vec<JunkSink> {
+    let a = JunkAnalysis::new(summaries);
     let mut sinks = Vec::new();
-    scan_with_blocks(f, &JunkAnalysis::new(summaries), &ff.junk, |b, st, v| {
+    scan_with_blocks(f, &a, &fixpoint(f, &a), |point, st, v| {
         let (used, what) = match v {
             Visit::Inst(Inst::Call { args, .. }) => (&args[..], "call argument"),
             Visit::Inst(Inst::Store { src, .. }) => (std::slice::from_ref(src), "stored value"),
@@ -122,74 +228,206 @@ pub(crate) fn junk_sinks(
         };
         for r in used {
             if let Some(&id) = st.get(r.0) {
-                sinks.push((b, f.line_of(*r), id, what));
+                sinks.push(JunkSink {
+                    point,
+                    line: f.line_of(*r),
+                    id,
+                    what,
+                });
             }
         }
     });
     sinks
 }
 
-/// Flags every junk sink as a possibly uninitialized read.
-fn junk_reads(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
-    for (_, line, id, what) in junk_sinks(ff, summaries) {
-        out.push(IrFinding {
-            function: ff.f.name.clone(),
-            defect: Defect::Uninitialized,
-            line,
-            message: format!("{what} may observe an uninitialized (indeterminate) value"),
-            junk_id: Some(id),
-        });
+// ------------------------------------------------------ interval verdicts
+
+/// Numeric range of an IR integer type, or `None` for floats.
+fn ty_range(ty: IrType) -> Option<(i128, i128)> {
+    match ty {
+        IrType::I32 => Some((i32::MIN as i128, i32::MAX as i128)),
+        IrType::I64 => Some((i64::MIN as i128, i64::MAX as i128)),
+        IrType::F64 => None,
     }
 }
 
-/// The junk ids whose reads `junk_reads` observed anywhere in `prog` —
-/// the corroboration set for `UninitPromotion` provenance entries.
-pub fn observed_junk_ids(findings: &[IrFinding]) -> BTreeSet<u32> {
-    findings.iter().filter_map(|f| f.junk_id).collect()
+/// The interval verdicts of `f`: shift amounts against the operand width
+/// (and signed left shifts against the type), divisors against zero and
+/// `MIN / -1`, signed arithmetic against the type, and accessed addresses
+/// against the null page.
+fn interval_records(f: &IrFunction, summaries: &FnSummaries) -> Vec<IntervalRec> {
+    use BinKind::*;
+    use UbClass::{DivByZero, NullDeref, OversizedShift, SignedOverflow};
+    let a = IntervalAnalysis::new(summaries);
+    let site = |exact, why| Verdict::Site { exact, why };
+    let mut recs = Vec::new();
+    scan_with_blocks(f, &a, &fixpoint(f, &a), |point, st, v| {
+        let Visit::Inst(inst) = v else { return };
+        let mut push = |dst: &ValueId, class, verdict| {
+            recs.push(IntervalRec {
+                point,
+                line: f.line_of(*dst),
+                class,
+                verdict,
+            })
+        };
+        match inst {
+            Inst::Bin {
+                dst,
+                ty,
+                op: op @ (Shl | ShrS | ShrU),
+                a: lhs,
+                b: amt,
+                ub_signed,
+            } => {
+                let width = shift_width(*ty);
+                let verdict = match st.get(amt.0).copied() {
+                    None => Verdict::Unknown,
+                    Some(amount) if amount.lo >= width || amount.hi < 0 => {
+                        site(true, Why::Shift { width, amount })
+                    }
+                    Some(amount) if amount.lo < 0 || amount.hi >= width => {
+                        site(false, Why::Shift { width, amount })
+                    }
+                    // Amount in range. A signed left shift can still
+                    // overflow; the clean proof needs the operand too.
+                    Some(am) if *op == Shl && *ub_signed => {
+                        match (st.get(lhs.0).copied(), ty_range(*ty)) {
+                            (Some(x), Some((_, max)))
+                                if x.lo >= 0 && (x.hi as i128) << (am.hi.max(0) as u32) <= max =>
+                            {
+                                Verdict::Clean
+                            }
+                            (Some(x), Some((_, max))) => {
+                                let wide = (x.hi.max(x.lo.abs()) as i128) << (am.hi.max(0) as u32);
+                                let definite = x.lo >= 0 && (x.lo as i128) << am.lo > max;
+                                if x.lo < 0 || wide > max {
+                                    site(definite, Why::ShlOverflow)
+                                } else {
+                                    Verdict::Clean
+                                }
+                            }
+                            _ => Verdict::Unknown,
+                        }
+                    }
+                    Some(_) => Verdict::Clean,
+                };
+                push(dst, OversizedShift, verdict);
+            }
+            Inst::Bin {
+                dst,
+                ty,
+                op: op @ (DivS | DivU | RemS | RemU),
+                a: num,
+                b: den,
+                ..
+            } => {
+                let d = st.get(den.0).copied();
+                let verdict = match d {
+                    None => Verdict::Unknown,
+                    Some(dv) if dv.contains(0) => {
+                        site(dv == Interval::point(0), Why::ZeroDivisor(dv))
+                    }
+                    Some(_) => Verdict::Clean,
+                };
+                push(dst, DivByZero, verdict);
+                // `MIN / -1` overflows in signed division.
+                if let (DivS | RemS, Some((min, _))) = (op, ty_range(*ty)) {
+                    let n = st.get(num.0).copied();
+                    let n_may_min = n.is_none_or(|i| i.contains(min as i64));
+                    let d_may_neg1 = d.is_none_or(|i| i.contains(-1));
+                    if n_may_min && d_may_neg1 {
+                        let definite = n == Some(Interval::point(min as i64))
+                            && d == Some(Interval::point(-1));
+                        let verdict = if definite {
+                            site(true, Why::DivOverflow)
+                        } else if n.is_none() || d.is_none() {
+                            Verdict::Unknown
+                        } else {
+                            site(false, Why::DivOverflow)
+                        };
+                        push(dst, SignedOverflow, verdict);
+                    }
+                }
+            }
+            Inst::Bin {
+                dst,
+                ty,
+                op: op @ (Add | Sub | Mul),
+                a: lhs,
+                b: rhs,
+                ub_signed: true,
+            } => {
+                let Some((min, max)) = ty_range(*ty) else {
+                    return;
+                };
+                let (Some(x), Some(y)) = (st.get(lhs.0), st.get(rhs.0)) else {
+                    push(dst, SignedOverflow, Verdict::Unknown);
+                    return;
+                };
+                let (xl, xh) = (x.lo as i128, x.hi as i128);
+                let (yl, yh) = (y.lo as i128, y.hi as i128);
+                let (lo, hi) = match op {
+                    Add => (xl + yl, xh + yh),
+                    Sub => (xl - yh, xh - yl),
+                    _ => {
+                        let cs = [xl * yl, xl * yh, xh * yl, xh * yh];
+                        (
+                            cs.iter().copied().min().unwrap_or(0),
+                            cs.iter().copied().max().unwrap_or(0),
+                        )
+                    }
+                };
+                // In range: no record, and no clean proof either —
+                // SignedOverflowCheck provenance flags a *deleted check*,
+                // which is consistent with a non-overflow proof, not
+                // contradicted by it.
+                let exact = lo > max || hi < min;
+                if exact || lo < min || hi > max {
+                    push(dst, SignedOverflow, site(exact, Why::Overflow { lo, hi }));
+                }
+            }
+            Inst::Load { dst, addr, .. } | Inst::Store { addr, src: dst, .. } => {
+                let verdict = match st.get(addr.0).copied() {
+                    None => Verdict::Unknown,
+                    Some(av) if av.lo >= 0 && av.hi < NULL_PAGE => site(true, Why::NullPage(av)),
+                    Some(av) if av.lo < NULL_PAGE && av.hi >= 0 => site(false, Why::NullPage(av)),
+                    Some(_) => return,
+                };
+                push(dst, NullDeref, verdict);
+            }
+            _ => {}
+        }
+    });
+    recs
 }
 
-// ----------------------------------------------------------- bad shifts
+// --------------------------------------------- null check after deref
 
-/// Flags shifts whose amount is provably out of range for the operand
-/// width (`>= width` or negative) via interval analysis.
-fn oversized_shifts(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
-    let f = ff.f;
-    let a = IntervalAnalysis::new(summaries);
-    let mut sink: Vec<(u32, i64, Interval)> = Vec::new();
-    scan_with_blocks(f, &a, &ff.intervals, |_, st, v| {
+/// The lines of `p == 0` / `p != 0` tests of a pointer already
+/// dereferenced on every path to the test.
+fn null_checks(f: &IrFunction, summaries: &FnSummaries) -> Vec<u32> {
+    let a = NullAnalysis::new(summaries);
+    let mut lines = Vec::new();
+    scan_with_blocks(f, &a, &fixpoint(f, &a), |_, st, v| {
         if let Visit::Inst(Inst::Bin {
             dst,
-            ty,
-            op: BinKind::Shl | BinKind::ShrS | BinKind::ShrU,
+            ty: IrType::I64,
+            op: BinKind::Eq | BinKind::Ne,
+            a,
             b,
             ..
         }) = v
         {
-            if let Some(amt) = st.get(b.0) {
-                let width = shift_width(*ty);
-                if amt.lo >= width || amt.hi < 0 {
-                    sink.push((f.line_of(*dst), width, *amt));
-                }
+            let null_cmp = |p: ValueId, z: ValueId| {
+                st.zeros.contains(z.0) && st.derefed.contains(st.root(p.0))
+            };
+            if null_cmp(*a, *b) || null_cmp(*b, *a) {
+                lines.push(f.line_of(*dst));
             }
         }
     });
-    for (line, width, amt) in sink {
-        let shown = if amt.lo == amt.hi {
-            format!("{}", amt.lo)
-        } else {
-            format!("[{}, {}]", amt.lo, amt.hi)
-        };
-        out.push(IrFinding {
-            function: f.name.clone(),
-            defect: Defect::BadShift,
-            line,
-            message: format!(
-                "shift amount {shown} is out of range for a {width}-bit value; \
-                 implementations legally disagree on the result"
-            ),
-            junk_id: None,
-        });
-    }
+    lines
 }
 
 // ------------------------------------------- block-local pattern scans
@@ -359,43 +597,5 @@ fn block_patterns(f: &IrFunction, out: &mut Vec<IrFinding>) {
                 }
             }
         }
-    }
-}
-
-// --------------------------------------------- null check after deref
-
-/// Flags `p == 0` / `p != 0` tests of a pointer already dereferenced on
-/// every path to the test — exactly the checks the optimizer deletes.
-fn null_check_after_deref(ff: &FnFacts, summaries: &FnSummaries, out: &mut Vec<IrFinding>) {
-    let f = ff.f;
-    let mut sink: Vec<u32> = Vec::new();
-    scan_with_blocks(f, &NullAnalysis::new(summaries), &ff.null, |_, st, v| {
-        if let Visit::Inst(Inst::Bin {
-            dst,
-            ty: minc_compile::ir::IrType::I64,
-            op: BinKind::Eq | BinKind::Ne,
-            a,
-            b,
-            ..
-        }) = v
-        {
-            let null_cmp = |p: ValueId, z: ValueId| {
-                st.zeros.contains(z.0) && st.derefed.contains(st.root(p.0))
-            };
-            if null_cmp(*a, *b) || null_cmp(*b, *a) {
-                sink.push(f.line_of(*dst));
-            }
-        }
-    });
-    for line in sink {
-        out.push(IrFinding {
-            function: f.name.clone(),
-            defect: Defect::NullDeref,
-            line,
-            message: "null check of a pointer already dereferenced on this path; \
-                      optimizers delete the check, `-O0` keeps it"
-                .to_string(),
-            junk_id: None,
-        });
     }
 }

@@ -9,7 +9,7 @@
 //!    `mem2reg`): uninitialized promoted-slot reads, provably oversized
 //!    shifts, `a + b < a` overflow-check idioms, null checks after a
 //!    dereference, and relational compares of pointers into different
-//!    objects (see [`detectors`]).
+//!    objects.
 //! 2. **Rewrite provenance**: every implementation's optimization
 //!    pipeline is run with a [`minc_compile::RewriteLog`] attached; each
 //!    UB-justified rewrite names the instruction, the justification, and
@@ -40,12 +40,11 @@
 
 #![warn(missing_docs)]
 pub mod dataflow;
-pub mod detectors;
+mod detectors;
 pub mod domains;
 pub mod summaries;
 pub mod ubmap;
 
-pub use detectors::IrFinding;
 pub use summaries::{FnSummaries, FnSummary};
 pub use ubmap::{Certainty, UbClass, UbSite, UbSiteMap};
 
@@ -146,15 +145,19 @@ impl UnstableLint {
             origin: Option<Origin>,
             impls: Vec<String>,
         }
-        let mut merged: BTreeMap<(u32, String), Slot> = BTreeMap::new();
+        let mut merged: BTreeMap<(u32, &str), (Defect, Slot)> = BTreeMap::new();
         for d in &direct {
-            let slot = merged.entry((d.line, d.defect.to_string())).or_default();
+            let (_, slot) = merged
+                .entry((d.line, d.defect.name()))
+                .or_insert_with(|| (d.defect, Slot::default()));
             slot.message = d.message.clone();
             slot.origin = Some(Origin::Dataflow);
         }
         for e in entries {
             let defect = provenance_defect(e.reason);
-            let slot = merged.entry((e.line, defect.to_string())).or_default();
+            let (_, slot) = merged
+                .entry((e.line, defect.name()))
+                .or_insert_with(|| (defect, Slot::default()));
             match slot.origin {
                 Some(Origin::Dataflow) | Some(Origin::Both) => slot.origin = Some(Origin::Both),
                 _ => {
@@ -170,12 +173,12 @@ impl UnstableLint {
 
         merged
             .into_iter()
-            .map(|((line, defect_name), mut slot)| {
+            .map(|((line, _), (defect, mut slot))| {
                 slot.impls.sort();
                 LintFinding {
                     finding: Finding::new(
                         Tool::CompdiffLint,
-                        Defect::parse(&defect_name).expect("keys are defect names"),
+                        defect,
                         Span::new(0, 0, line),
                         slot.message,
                     ),
@@ -368,7 +371,8 @@ mod tests {
     fn map_and_lint_run_each_analysis_once_per_function() {
         // Three fixpoints per called function for the summaries, then one
         // per analysis and function, shared by the detectors and the
-        // map's collectors.
+        // map's collectors. Each fixpoint is replayed once, and both read
+        // the replays' records.
         let programs = [
             r#"
             int step(int k) { int u; if (k > 8) { return u; } return k + 1; }
@@ -399,22 +403,28 @@ mod tests {
             let checked = minc::check(src).unwrap();
             let logs = rewrite_logs(&checked, &CompilerImpl::default_set());
             // Each program is `main` and one helper it calls: three
-            // fixpoints per function for the analyses, and three for the
-            // helper's summary (`main` has no caller, so no summary).
+            // fixpoints and replays per function for the analyses, and
+            // three for the helper's summary (`main` has no caller, so no
+            // summary).
             assert_eq!(reference_ir(&checked).functions.len(), 2, "{src}");
             let expect = 3 * 2 + 3;
-            let fixpoints = |run: &dyn Fn()| {
+            let counts = |run: &dyn Fn()| {
                 dataflow::FIXPOINTS.with(|c| c.set(0));
+                dataflow::SCANS.with(|c| c.set(0));
                 run();
-                dataflow::FIXPOINTS.with(|c| c.get())
+                (
+                    dataflow::FIXPOINTS.with(|c| c.get()),
+                    dataflow::SCANS.with(|c| c.get()),
+                )
             };
-            let map = fixpoints(&|| {
+            let (map, map_scans) = counts(&|| {
                 UbSiteMap::build_with_logs(&checked, &logs);
             });
-            let lint = fixpoints(&|| {
+            let (lint, lint_scans) = counts(&|| {
                 UnstableLint::run_with_logs(&checked, &logs);
             });
-            assert_eq!((map, lint), (expect, expect), "{src}");
+            assert_eq!((map, lint), (expect, expect), "fixpoints: {src}");
+            assert_eq!((map_scans, lint_scans), (expect, expect), "replays: {src}");
         }
     }
 

@@ -25,13 +25,11 @@
 //! [`UbSiteMap::unknown`]; the meta-oracle only calls a firing spurious
 //! when the class is statically covered, not unknown, and has no site.
 
-use crate::dataflow::{scan_with_blocks, Point, Visit};
-use crate::detectors::{self, FnFacts, ProgramFacts};
-use crate::domains::{shift_width, Interval, IntervalAnalysis};
-use crate::summaries::FnSummaries;
+use crate::dataflow::Point;
+use crate::detectors::{self, ProgramFacts, Verdict, Why};
 use crate::{provenance_defect, reference_ir, rewrite_logs, Origin};
 use minc::{Builtin, CheckedProgram};
-use minc_compile::ir::{BinKind, BlockId, Callee, Inst, IrFunction, IrProgram, IrType, Terminator};
+use minc_compile::ir::{BlockId, Callee, Inst, IrFunction, IrProgram, Terminator};
 use minc_compile::personality::CompilerImpl;
 use minc_compile::{RewriteEntry, RewriteLog, UbReason};
 use staticheck::Defect;
@@ -264,28 +262,28 @@ impl UbSiteMap {
 
 /// One dataflow-channel site, pre-fusion.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DfSite {
+pub(crate) struct DfSite {
     /// The site is on the unconditional path and its condition is exact.
-    pub must: bool,
+    pub(crate) must: bool,
     /// Function name.
-    pub function: String,
+    pub(crate) function: String,
     /// Human-readable detail.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 /// Everything the dataflow channel learned about one program.
 #[derive(Debug, Clone, Default)]
-pub struct DataflowEvidence {
+pub(crate) struct DataflowEvidence {
     /// Sites keyed by `(line, class)`.
-    pub sites: BTreeMap<(u32, UbClass), DfSite>,
+    pub(crate) sites: BTreeMap<(u32, UbClass), DfSite>,
     /// `(line, class)` pairs *proved clean* — a provenance entry here is
     /// a contradiction, not evidence.
-    pub clean: BTreeSet<(u32, UbClass)>,
+    pub(crate) clean: BTreeSet<(u32, UbClass)>,
     /// Classes the analysis is blind to in this program.
-    pub unknown: BTreeSet<UbClass>,
+    pub(crate) unknown: BTreeSet<UbClass>,
     /// Junk ids observed reaching a sink (corroboration set for
     /// `UninitPromotion` provenance entries).
-    pub observed_junk: BTreeSet<u32>,
+    pub(crate) observed_junk: BTreeSet<u32>,
 }
 
 impl DataflowEvidence {
@@ -441,20 +439,10 @@ fn must_paths(prog: &IrProgram) -> BTreeMap<u32, MustPath> {
     out
 }
 
-/// Numeric range of an IR integer type, or `None` for floats.
-fn ty_range(ty: IrType) -> Option<(i128, i128)> {
-    match ty {
-        IrType::I32 => Some((i32::MIN as i128, i32::MAX as i128)),
-        IrType::I64 => Some((i64::MIN as i128, i64::MAX as i128)),
-        IrType::F64 => None,
-    }
-}
-
-/// Collects the dataflow channel's evidence over a reference IR. One
-/// `ProgramFacts` serves twice: the detectors' findings seed the map,
-/// then the same states give each site its certainty and the interval
-/// sites.
-pub fn dataflow_evidence(prog: &IrProgram) -> DataflowEvidence {
+/// Collects the dataflow channel's evidence over a reference IR from one
+/// set of [`ProgramFacts`]: the detectors' findings seed the map, then
+/// the same records give each site its certainty and the interval sites.
+pub(crate) fn dataflow_evidence(prog: &IrProgram) -> DataflowEvidence {
     let facts = ProgramFacts::of(prog);
     let mut ev = DataflowEvidence::default();
 
@@ -488,269 +476,30 @@ pub fn dataflow_evidence(prog: &IrProgram) -> DataflowEvidence {
     let mut must = must_paths(prog);
     for (fi, ff) in facts.fns.iter().enumerate() {
         let path = must.remove(&(fi as u32)).unwrap_or_default();
+        let name = &ff.f.name;
         // A junk read on the must path is a Must site: the join-free path
         // from entry makes the may-fact exact.
-        for (p, line, _, what) in detectors::junk_sinks(ff, &facts.summaries) {
+        for s in &ff.junk_sinks {
             ev.add_site(
-                line,
+                s.line,
                 UbClass::Uninit,
-                path.contains(p),
-                &ff.f.name,
-                &format!("{what} observes an uninitialized (indeterminate) value"),
+                path.contains(s.point),
+                name,
+                &format!("{} observes an uninitialized (indeterminate) value", s.what),
             );
         }
-        collect_intervals(ff, &facts.summaries, &path, &mut ev);
-    }
-    ev
-}
-
-/// Interval-driven evidence: shifts, division, signed arithmetic, and
-/// null-page addresses. Also records clean proofs and blindness.
-fn collect_intervals(
-    ff: &FnFacts,
-    summaries: &FnSummaries,
-    path: &MustPath,
-    ev: &mut DataflowEvidence,
-) {
-    let f = ff.f;
-    let a = IntervalAnalysis::new(summaries);
-    enum Rec {
-        Site(u32, UbClass, bool, String),
-        Clean(u32, UbClass),
-        Unknown(UbClass),
-    }
-    let mut recs: Vec<Rec> = Vec::new();
-    scan_with_blocks(f, &a, &ff.intervals, |p, st, v| {
-        let must = path.contains(p);
-        let Visit::Inst(inst) = v else { return };
-        match inst {
-            Inst::Bin {
-                dst,
-                ty,
-                op: op @ (BinKind::Shl | BinKind::ShrS | BinKind::ShrU),
-                a: lhs,
-                b: amt,
-                ub_signed,
-            } => {
-                let line = f.line_of(*dst);
-                let width = shift_width(*ty);
-                match st.get(amt.0).copied() {
-                    None => recs.push(Rec::Unknown(UbClass::OversizedShift)),
-                    Some(am) if am.lo >= width || am.hi < 0 => {
-                        recs.push(Rec::Site(
-                            line,
-                            UbClass::OversizedShift,
-                            must,
-                            format!(
-                                "shift amount [{}, {}] provably out of range for a \
-                                 {width}-bit value",
-                                am.lo, am.hi
-                            ),
-                        ));
-                    }
-                    Some(am) if am.lo < 0 || am.hi >= width => {
-                        recs.push(Rec::Site(
-                            line,
-                            UbClass::OversizedShift,
-                            false,
-                            format!(
-                                "shift amount [{}, {}] may leave the range [0, {width})",
-                                am.lo, am.hi
-                            ),
-                        ));
-                    }
-                    Some(am) => {
-                        // Amount in range. A signed left shift can still
-                        // overflow; the clean proof needs the operand too.
-                        if *op == BinKind::Shl && *ub_signed {
-                            match (st.get(lhs.0).copied(), ty_range(*ty)) {
-                                (Some(x), Some((_, max)))
-                                    if x.lo >= 0
-                                        && (x.hi as i128) << (am.hi.max(0) as u32) <= max =>
-                                {
-                                    recs.push(Rec::Clean(line, UbClass::OversizedShift));
-                                }
-                                (Some(x), Some((_, max))) => {
-                                    let wide =
-                                        (x.hi.max(x.lo.abs()) as i128) << (am.hi.max(0) as u32);
-                                    let definite = x.lo >= 0 && (x.lo as i128) << am.lo > max;
-                                    if x.lo < 0 || wide > max {
-                                        recs.push(Rec::Site(
-                                            line,
-                                            UbClass::OversizedShift,
-                                            must && definite,
-                                            "signed left shift may overflow or shift a \
-                                             negative value"
-                                                .to_string(),
-                                        ));
-                                    } else {
-                                        recs.push(Rec::Clean(line, UbClass::OversizedShift));
-                                    }
-                                }
-                                _ => recs.push(Rec::Unknown(UbClass::OversizedShift)),
-                            }
-                        } else {
-                            recs.push(Rec::Clean(line, UbClass::OversizedShift));
-                        }
-                    }
+        for r in &ff.intervals {
+            match r.verdict {
+                Verdict::Site { exact, why } => {
+                    let must = exact && path.contains(r.point);
+                    ev.add_site(r.line, r.class, must, name, &site_message(why, exact));
                 }
-            }
-            Inst::Bin {
-                dst,
-                ty,
-                op: op @ (BinKind::DivS | BinKind::DivU | BinKind::RemS | BinKind::RemU),
-                a: num,
-                b: den,
-                ..
-            } => {
-                let line = f.line_of(*dst);
-                let d = st.get(den.0).copied();
-                match d {
-                    None => recs.push(Rec::Unknown(UbClass::DivByZero)),
-                    Some(dv) if dv == Interval::point(0) => {
-                        recs.push(Rec::Site(
-                            line,
-                            UbClass::DivByZero,
-                            must,
-                            "divisor is provably zero".to_string(),
-                        ));
-                    }
-                    Some(dv) if dv.contains(0) => {
-                        recs.push(Rec::Site(
-                            line,
-                            UbClass::DivByZero,
-                            false,
-                            format!("divisor interval [{}, {}] includes zero", dv.lo, dv.hi),
-                        ));
-                    }
-                    Some(_) => recs.push(Rec::Clean(line, UbClass::DivByZero)),
+                Verdict::Clean => {
+                    ev.clean.insert((r.line, r.class));
                 }
-                // `MIN / -1` overflows in signed division.
-                if matches!(op, BinKind::DivS | BinKind::RemS) {
-                    if let Some((min, _)) = ty_range(*ty) {
-                        let n = st.get(num.0).copied();
-                        let n_may_min = n.is_none_or(|i| i.contains(min as i64));
-                        let d_may_neg1 = d.is_none_or(|i| i.contains(-1));
-                        if n_may_min && d_may_neg1 {
-                            let definite = n == Some(Interval::point(min as i64))
-                                && d == Some(Interval::point(-1));
-                            if definite {
-                                recs.push(Rec::Site(
-                                    line,
-                                    UbClass::SignedOverflow,
-                                    must,
-                                    "signed division MIN / -1 provably overflows".to_string(),
-                                ));
-                            } else if n.is_none() || d.is_none() {
-                                recs.push(Rec::Unknown(UbClass::SignedOverflow));
-                            } else {
-                                recs.push(Rec::Site(
-                                    line,
-                                    UbClass::SignedOverflow,
-                                    false,
-                                    "signed division may hit MIN / -1".to_string(),
-                                ));
-                            }
-                        }
-                    }
+                Verdict::Unknown => {
+                    ev.unknown.insert(r.class);
                 }
-            }
-            Inst::Bin {
-                dst,
-                ty,
-                op: op @ (BinKind::Add | BinKind::Sub | BinKind::Mul),
-                a: lhs,
-                b: rhs,
-                ub_signed: true,
-            } => {
-                let line = f.line_of(*dst);
-                let Some((min, max)) = ty_range(*ty) else {
-                    return;
-                };
-                match (st.get(lhs.0).copied(), st.get(rhs.0).copied()) {
-                    (Some(x), Some(y)) => {
-                        let (xl, xh) = (x.lo as i128, x.hi as i128);
-                        let (yl, yh) = (y.lo as i128, y.hi as i128);
-                        let (lo, hi) = match op {
-                            BinKind::Add => (xl + yl, xh + yh),
-                            BinKind::Sub => (xl - yh, xh - yl),
-                            _ => {
-                                let cs = [xl * yl, xl * yh, xh * yl, xh * yh];
-                                (
-                                    cs.iter().copied().min().unwrap_or(0),
-                                    cs.iter().copied().max().unwrap_or(0),
-                                )
-                            }
-                        };
-                        if lo > max || hi < min {
-                            recs.push(Rec::Site(
-                                line,
-                                UbClass::SignedOverflow,
-                                must,
-                                format!(
-                                    "signed arithmetic provably overflows: result range \
-                                     [{lo}, {hi}] lies outside the type"
-                                ),
-                            ));
-                        } else if lo < min || hi > max {
-                            recs.push(Rec::Site(
-                                line,
-                                UbClass::SignedOverflow,
-                                false,
-                                format!(
-                                    "signed arithmetic may overflow: result range \
-                                     [{lo}, {hi}] exceeds the type"
-                                ),
-                            ));
-                        }
-                        // In-range: no site, but no clean proof either —
-                        // SignedOverflowCheck provenance flags a *deleted
-                        // check*, which is consistent with a non-overflow
-                        // proof, not contradicted by it.
-                    }
-                    _ => recs.push(Rec::Unknown(UbClass::SignedOverflow)),
-                }
-            }
-            Inst::Load { dst, addr, .. } | Inst::Store { addr, src: dst, .. } => {
-                let line = f.line_of(*dst);
-                match st.get(addr.0).copied() {
-                    None => recs.push(Rec::Unknown(UbClass::NullDeref)),
-                    Some(av) if av.lo >= 0 && av.hi < NULL_PAGE => {
-                        recs.push(Rec::Site(
-                            line,
-                            UbClass::NullDeref,
-                            must,
-                            format!(
-                                "accessed address [{}, {}] is provably in the null page",
-                                av.lo, av.hi
-                            ),
-                        ));
-                    }
-                    Some(av) if av.lo < NULL_PAGE && av.hi >= 0 => {
-                        recs.push(Rec::Site(
-                            line,
-                            UbClass::NullDeref,
-                            false,
-                            format!(
-                                "accessed address [{}, {}] may fall in the null page",
-                                av.lo, av.hi
-                            ),
-                        ));
-                    }
-                    Some(_) => {}
-                }
-            }
-            _ => {}
-        }
-    });
-    for r in recs {
-        match r {
-            Rec::Site(line, c, must, msg) => ev.add_site(line, c, must, &f.name, &msg),
-            Rec::Clean(line, c) => {
-                ev.clean.insert((line, c));
-            }
-            Rec::Unknown(c) => {
-                ev.unknown.insert(c);
             }
         }
     }
@@ -758,11 +507,45 @@ fn collect_intervals(
     // instructions folded onto one source line): the site wins, because a
     // contradiction diagnostic needs the *proof* to be unequivocal.
     ev.clean.retain(|k| !ev.sites.contains_key(k));
+    ev
+}
+
+/// The map's message for an interval site.
+fn site_message(why: Why, exact: bool) -> String {
+    match why {
+        Why::Shift { width, amount: a } if exact => format!(
+            "shift amount [{}, {}] provably out of range for a {width}-bit value",
+            a.lo, a.hi
+        ),
+        Why::Shift { width, amount: a } => format!(
+            "shift amount [{}, {}] may leave the range [0, {width})",
+            a.lo, a.hi
+        ),
+        Why::ShlOverflow => "signed left shift may overflow or shift a negative value".to_string(),
+        Why::ZeroDivisor(_) if exact => "divisor is provably zero".to_string(),
+        Why::ZeroDivisor(d) => format!("divisor interval [{}, {}] includes zero", d.lo, d.hi),
+        Why::DivOverflow if exact => "signed division MIN / -1 provably overflows".to_string(),
+        Why::DivOverflow => "signed division may hit MIN / -1".to_string(),
+        Why::Overflow { lo, hi } if exact => format!(
+            "signed arithmetic provably overflows: result range [{lo}, {hi}] lies outside the type"
+        ),
+        Why::Overflow { lo, hi } => {
+            format!("signed arithmetic may overflow: result range [{lo}, {hi}] exceeds the type")
+        }
+        Why::NullPage(a) if exact => format!(
+            "accessed address [{}, {}] is provably in the null page",
+            a.lo, a.hi
+        ),
+        Why::NullPage(a) => format!(
+            "accessed address [{}, {}] may fall in the null page",
+            a.lo, a.hi
+        ),
+    }
 }
 
 /// Fuses the dataflow evidence with rewrite-provenance entries into the
 /// final map. Pure — tests drive every fusion case through it directly.
-pub fn fuse<'a>(
+pub(crate) fn fuse<'a>(
     df: &DataflowEvidence,
     entries: impl IntoIterator<Item = &'a RewriteEntry>,
 ) -> UbSiteMap {

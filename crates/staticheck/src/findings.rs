@@ -92,15 +92,14 @@ impl Defect {
         Defect::MiscompiledLoop,
     ];
 
-    /// The defect class whose [`Display`](fmt::Display) name is `name`.
+    /// The defect class whose [`name`](Defect::name) is `name`.
     pub fn parse(name: &str) -> Option<Defect> {
-        Defect::ALL.into_iter().find(|d| d.to_string() == name)
+        Defect::ALL.into_iter().find(|d| d.name() == name)
     }
-}
 
-impl fmt::Display for Defect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The class's name, as [`Display`](fmt::Display) prints it.
+    pub fn name(self) -> &'static str {
+        match self {
             Defect::OutOfBounds => "out-of-bounds",
             Defect::Uninitialized => "uninitialized-use",
             Defect::DivByZero => "division-by-zero",
@@ -116,8 +115,13 @@ impl fmt::Display for Defect {
             Defect::BadShift => "bad-shift",
             Defect::MissingReturn => "missing-return",
             Defect::MiscompiledLoop => "miscompiled-loop",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Defect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -179,6 +179,28 @@ int main() { char* p = (char*)malloc(8000000L); p[0] = 'a'; printf("%d\n", (int)
 EOF
 timeout 5 ./target/release/compdiff sancheck "$san_dir/big_malloc.mc" > /dev/null
 
+echo "== stdout bound (a run writes at most 1 MiB: compdiff run within 5 s and 256 MiB) =="
+# Fifty 1 MB `puts` and one 2 GiB printf field. A write that would take a
+# run's stdout past 1 MiB is not made; uncapped, the ten runs of the loop
+# held 500 MB and the field could not be allocated at all.
+cat > "$san_dir/puts_loop.mc" <<'EOF'
+int main() {
+    char* s = (char*)malloc(1000001L);
+    memset(s, 'x', 1000000L);
+    s[1000000] = 0;
+    int i;
+    for (i = 0; i < 50; i++) { puts(s); }
+    return 0;
+}
+EOF
+cat > "$san_dir/wide_field.mc" <<'EOF'
+int main() { printf("%2147483647d|\n", 1); return 0; }
+EOF
+for prog in puts_loop wide_field; do
+    timeout 5 prlimit --as=$((256 << 20)) ./target/release/compdiff run "$san_dir/$prog.mc" \
+        > /dev/null
+done
+
 echo "== initializer robustness (former panics exit 0 or 1, never 101) =="
 # Global initializers that once panicked the lowering: `!1.5` now folds
 # like the same expression at run time, and a string literal anywhere but
