@@ -492,9 +492,7 @@ fn config_frames_refuse_bad_fields() {
         (&["batch_size"], Unsigned),
         (&["fuzz_impl"], Str),
         (&["step_limit"], Unsigned),
-        (&["max_frames"], Unsigned),
         (&["heap_limit"], Unsigned),
-        (&["timeout_escalations"], U32),
         (&["fixed_clock_us"], Unsigned),
         (&["fault_plan"], Str),
         (&["targets"], Array),

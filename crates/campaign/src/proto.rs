@@ -242,12 +242,7 @@ pub(crate) fn config_frame(cfg: &CampaignConfig, targets: &[Target]) -> Json {
         ("batch_size", int(cfg.batch_size as u64)),
         ("fuzz_impl", Json::Str(cfg.fuzz_impl.to_string())),
         ("step_limit", int(vm.step_limit)),
-        ("max_frames", int(vm.max_frames as u64)),
         ("heap_limit", int(vm.heap_limit)),
-        (
-            "timeout_escalations",
-            int(cfg.diff_config.timeout_escalations.into()),
-        ),
         ("fixed_clock_us", cfg.fixed_clock_us.map_or(Json::Null, int)),
         (
             "fault_plan",
@@ -276,9 +271,7 @@ pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), St
     cfg.fuzz_impl =
         CompilerImpl::parse(fuzz_impl).ok_or(format!("unknown fuzz_impl `{fuzz_impl}`"))?;
     cfg.diff_config.vm.step_limit = v.int_field("step_limit")?;
-    cfg.diff_config.vm.max_frames = v.int_field("max_frames")?;
     cfg.diff_config.vm.heap_limit = v.int_field("heap_limit")?;
-    cfg.diff_config.timeout_escalations = v.int_field("timeout_escalations")?;
     cfg.fixed_clock_us = match v.field("fixed_clock_us")? {
         Json::Null => None,
         _ => Some(v.int_field("fixed_clock_us")?),

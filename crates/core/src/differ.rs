@@ -12,25 +12,12 @@ use minc_compile::{Binary, CompilerImpl};
 use minc_vm::{ExecResult, ExecSession, ExitStatus, NoHooks, VmConfig};
 
 /// Configuration of the differential engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DiffConfig {
     /// Per-binary execution limits.
     pub vm: VmConfig,
     /// Output scrubbing filters (RQ5: benign non-determinism).
     pub filters: Vec<OutputFilter>,
-    /// How many times to double the step budget when *some* binaries time
-    /// out while others terminate (RQ6's timeout-escalation policy).
-    pub timeout_escalations: u32,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig {
-            vm: VmConfig::default(),
-            filters: Vec::new(),
-            timeout_escalations: 3,
-        }
-    }
 }
 
 /// The outcome of one differential run. The default is an empty slot
@@ -71,7 +58,7 @@ pub trait DiffObserver {
     fn row_end(&mut self, _impl_idx: usize, _runs: usize) {}
 
     /// About to run implementation `impl_idx`; `escalation_round` is 0
-    /// for the initial sweep and `1..=timeout_escalations` for re-runs.
+    /// for the initial sweep and 1 to 3 for timeout-escalation re-runs.
     fn exec_begin(&mut self, _impl_idx: usize, _escalation_round: u32) {}
 
     /// Implementation `impl_idx` finished with `result`.
@@ -275,7 +262,9 @@ impl CompDiff {
         inputs: &[I],
         obs: &mut impl DiffObserver,
     ) -> Vec<DiffOutcome> {
-        self.run_batch_reusing(sessions, inputs, None, obs)
+        let mut outcomes = Vec::with_capacity(inputs.len());
+        self.run_batch_into(sessions, inputs, None, &mut outcomes, obs);
+        outcomes
     }
 
     /// The engine index whose result on every input is `binary`'s result
@@ -283,36 +272,12 @@ impl CompDiff {
     /// this engine's [`VmConfig`]. A fuzzer whose B_fuzz qualifies already
     /// holds that implementation's result for every input it hands the
     /// oracle, and can pass them to
-    /// [`run_batch_reusing`](CompDiff::run_batch_reusing).
+    /// [`run_batch_into`](CompDiff::run_batch_into).
     pub fn reusable_index(&self, binary: &Binary, vm: &VmConfig) -> Option<usize> {
         if *vm != self.config.vm {
             return None;
         }
         self.binaries.iter().position(|b| b.uid == binary.uid)
-    }
-
-    /// [`run_batch_observed`](CompDiff::run_batch_observed) for a caller
-    /// that may already hold one binary's results: `reused` is `(index,
-    /// results)`, with `results[j]` that engine binary's result on
-    /// `inputs[j]` as a run under this engine's [`VmConfig`] returns it
-    /// (see [`reusable_index`](CompDiff::reusable_index)). A fresh-outcome
-    /// wrapper around [`run_batch_into`](CompDiff::run_batch_into), whose
-    /// outcomes it returns.
-    ///
-    /// # Panics
-    ///
-    /// As [`run_batch_into`](CompDiff::run_batch_into).
-    pub fn run_batch_reusing<I: AsRef<[u8]>>(
-        &self,
-        sessions: &mut [ExecSession],
-        inputs: &[I],
-        reused: Option<(usize, Vec<ExecResult>)>,
-        obs: &mut impl DiffObserver,
-    ) -> Vec<DiffOutcome> {
-        let mut outcomes = Vec::with_capacity(inputs.len());
-        let reused = reused.as_ref().map(|(i, results)| (*i, results.as_slice()));
-        self.run_batch_into(sessions, inputs, reused, &mut outcomes, obs);
-        outcomes
     }
 
     /// The one differential sweep. Runs every binary on every input and
@@ -417,6 +382,11 @@ impl CompDiff {
         obs.batch(n, bisections);
     }
 
+    /// How many times [`escalate`](CompDiff::escalate) doubles the step
+    /// budget when *some* binaries time out while others terminate (RQ6's
+    /// timeout-escalation policy).
+    const TIMEOUT_ESCALATIONS: u32 = 3;
+
     /// RQ6: partial timeouts would truncate outputs and fake
     /// discrepancies; escalate the step budget for the timed-out binaries
     /// (doubling per round, re-running only the timed-out ones in the
@@ -439,7 +409,7 @@ impl CompDiff {
         // same sessions serve the re-runs, so a partial-timeout input does
         // not pay fresh-VM setup on top of its doubled step budget.
         let mut cfg = self.config.vm.clone();
-        for round in 1..=self.config.timeout_escalations {
+        for round in 1..=Self::TIMEOUT_ESCALATIONS {
             cfg.step_limit = cfg.step_limit.saturating_mul(2);
             for (i, b) in self.binaries.iter().enumerate() {
                 if results[i].status == ExitStatus::TimedOut {
@@ -903,15 +873,17 @@ mod tests {
         for reused in [0, k / 2, k - 1] {
             let bin = &diff.binaries()[reused];
             let mut own = ExecSession::new(bin);
-            let given = inputs
+            let given: Vec<_> = inputs
                 .iter()
                 .map(|i| own.run(bin, i, &diff.config.vm))
                 .collect();
             let mut log = ExecLog::default();
-            let reusing = diff.run_batch_reusing(
+            let mut reusing = Vec::new();
+            diff.run_batch_into(
                 &mut diff.make_sessions(),
                 &inputs,
-                Some((reused, given)),
+                Some((reused, &given)),
+                &mut reusing,
                 &mut log,
             );
             for (j, (a, b)) in reusing.iter().zip(&full).enumerate() {

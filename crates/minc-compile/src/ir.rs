@@ -25,6 +25,46 @@ pub enum IrType {
     F64,
 }
 
+impl IrType {
+    /// Width in bits of a register of this type.
+    #[inline(always)]
+    pub const fn bits(self) -> u32 {
+        match self {
+            IrType::I32 => 32,
+            IrType::I64 | IrType::F64 => 64,
+        }
+    }
+
+    /// `(MIN, MAX)` of a signed integer of this type's width.
+    #[inline(always)]
+    pub const fn signed_range(self) -> (i64, i64) {
+        match self {
+            IrType::I32 => (i32::MIN as i64, i32::MAX as i64),
+            IrType::I64 | IrType::F64 => (i64::MIN, i64::MAX),
+        }
+    }
+
+    /// The signed integer register word `w` holds at this type: an `I32`
+    /// reads its low 32 bits.
+    #[inline(always)]
+    pub const fn signed(self, w: u64) -> i64 {
+        match self {
+            IrType::I32 => w as i32 as i64,
+            IrType::I64 | IrType::F64 => w as i64,
+        }
+    }
+
+    /// The unsigned integer register word `w` holds at this type: an
+    /// `I32` reads its low 32 bits.
+    #[inline(always)]
+    pub const fn unsigned(self, w: u64) -> u64 {
+        match self {
+            IrType::I32 => w as u32 as u64,
+            IrType::I64 | IrType::F64 => w,
+        }
+    }
+}
+
 impl fmt::Display for IrType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -330,8 +370,8 @@ impl BinKind {
     ///
     /// `I32` operations read the low 32 bits and return the sign-extended
     /// result; comparisons return 0/1; shift amounts are masked to the
-    /// width (x86). `None` is the trap a CPU raises: a zero divisor, or
-    /// `MIN / -1`.
+    /// width (x86). `None` is the trap a CPU raises: exactly the
+    /// [`BinUb::DivByZero`] and [`BinUb::DivOverflow`] of [`BinKind::ub`].
     // `always`: with a plain `#[inline]` LLVM kept this a call from the
     // block dispatcher's generic division and float arm, a call into
     // another crate on the VM's hot path.
@@ -355,17 +395,8 @@ impl BinKind {
             });
         }
         let narrow = ty == IrType::I32;
-        let (sa, sb) = if narrow {
-            (a as i32 as i64, b as i32 as i64)
-        } else {
-            (a as i64, b as i64)
-        };
-        let (ua, ub) = if narrow {
-            (a as u32 as u64, b as u32 as u64)
-        } else {
-            (a, b)
-        };
-        let min = if narrow { i32::MIN as i64 } else { i64::MIN };
+        let (sa, sb) = (ty.signed(a), ty.signed(b));
+        let (ua, ub) = (ty.unsigned(a), ty.unsigned(b));
         let wrap = |v: i64| -> u64 {
             if narrow {
                 v as i32 as i64 as u64
@@ -377,10 +408,10 @@ impl BinKind {
             Add => wrap(sa.wrapping_add(sb)),
             Sub => wrap(sa.wrapping_sub(sb)),
             Mul => wrap(sa.wrapping_mul(sb)),
-            DivS | RemS if sb == 0 || (sa == min && sb == -1) => return None,
+            // A division's only UB is its trap; `ub_signed` is no part of it.
+            DivS | RemS | DivU | RemU if self.ub(ty, a, b, false).is_some() => return None,
             DivS => wrap(sa.wrapping_div(sb)),
             RemS => wrap(sa.wrapping_rem(sb)),
-            DivU | RemU if ub == 0 => return None,
             DivU => wrap((ua / ub) as i64),
             RemU => wrap((ua % ub) as i64),
             // `wrapping_shl`/`wrapping_shr` mask the count to the width of
@@ -407,6 +438,60 @@ impl BinKind {
             _ => unreachable!(),
         })
     }
+
+    /// Why `a op b` on register words at operand type `ty` is undefined
+    /// in C, or `None` when it is defined. `ub_signed` is the instruction's
+    /// flag: the operands are C signed integers, so `+`, `-`, `*` and `<<`
+    /// may overflow. This is the one definition of MinC's arithmetic UB:
+    /// UBSan reports it, [`BinKind::eval`] traps on its division cases,
+    /// and the constant folder and the UB-exploiting pass fold on its
+    /// [`BinUb::ShiftRange`]. Float operations are never undefined here.
+    #[inline(always)]
+    pub fn ub(self, ty: IrType, a: u64, b: u64, ub_signed: bool) -> Option<BinUb> {
+        use BinKind::*;
+        let (sa, sb) = (ty.signed(a), ty.signed(b));
+        let (min, max) = ty.signed_range();
+        match self {
+            // `I32` operands lie in `i32`'s range, so the `i64` operation
+            // is exact there and only the range test can fail.
+            Add | Sub | Mul if ub_signed => {
+                let exact = match self {
+                    Add => sa.checked_add(sb),
+                    Sub => sa.checked_sub(sb),
+                    _ => sa.checked_mul(sb),
+                };
+                exact
+                    .is_none_or(|v| v < min || v > max)
+                    .then_some(BinUb::Overflow)
+            }
+            // The zero tests read the words as the division does, which
+            // lets `eval`'s division arms drop their own zero checks.
+            DivS | RemS if sb == 0 => Some(BinUb::DivByZero),
+            DivU | RemU if ty.unsigned(b) == 0 => Some(BinUb::DivByZero),
+            DivS | RemS => (sa == min && sb == -1).then_some(BinUb::DivOverflow),
+            Shl | ShrS | ShrU if sb < 0 || sb >= i64::from(ty.bits()) => Some(BinUb::ShiftRange),
+            // `sa << sb` exceeds `max` exactly when `sa` exceeds `max >> sb`,
+            // which is never negative: a negative `sa` is not reported.
+            Shl if ub_signed => (sa > max >> sb).then_some(BinUb::ShlOverflow),
+            _ => None,
+        }
+    }
+}
+
+/// Why an integer operation is undefined in C: the verdicts of
+/// [`BinKind::ub`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BinUb {
+    /// A signed `+`, `-` or `*` whose exact result leaves the type's range.
+    Overflow,
+    /// A zero divisor of a signed or unsigned `/` or `%`.
+    DivByZero,
+    /// A signed `MIN / -1` or `MIN % -1`.
+    DivOverflow,
+    /// A shift amount that is negative or at least the operand width.
+    ShiftRange,
+    /// A signed `<<` of a non-negative value past the type's maximum.
+    ShlOverflow,
 }
 
 /// Unary operation kinds.

@@ -3,7 +3,7 @@
 
 use crate::ir::{GlobalSpec, IrFunction, SlotInfo};
 use crate::personality::{Personality, SlotOrder};
-use minc::types::{StructSizer, Type};
+use minc::types::Type;
 use minc::CheckedProgram;
 use std::collections::BTreeMap;
 
@@ -80,10 +80,7 @@ impl StructLayouts {
                 let (s, a) = self.size_align(inner, checked);
                 (s * n, a)
             }
-            other => (
-                other.size_packed(&NoStructsHere),
-                other.align(&NoStructsHere),
-            ),
+            scalar => (scalar.scalar_size(), scalar.scalar_size()),
         }
     }
 
@@ -106,17 +103,6 @@ impl StructLayouts {
             .expect("unknown field");
         let l = self.layout_of(name, checked);
         l.offsets[idx]
-    }
-}
-
-/// Scalar-only sizer (structs handled above).
-struct NoStructsHere;
-impl StructSizer for NoStructsHere {
-    fn packed_size(&self, name: &str) -> u64 {
-        panic!("struct `{name}` must go through StructLayouts");
-    }
-    fn align(&self, name: &str) -> u64 {
-        panic!("struct `{name}` must go through StructLayouts");
     }
 }
 

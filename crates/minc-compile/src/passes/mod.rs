@@ -156,7 +156,9 @@ pub fn const_fold_with(f: &mut IrFunction, shift_fold_zero: bool) {
                         (operand(&known, a, float), operand(&known, rb, float))
                     {
                         // clang folds an out-of-range constant shift to 0.
-                        let folded = if shift_fold_zero && shift_out_of_range(op, ty, wb) {
+                        let folded = if shift_fold_zero
+                            && op.ub(ty, wa, wb, ub_signed) == Some(BinUb::ShiftRange)
+                        {
                             Some(0)
                         } else {
                             op.eval(ty, wa, wb)
@@ -256,17 +258,6 @@ fn operand(known: &IdMap<ValueId, ConstVal>, v: ValueId, float: bool) -> Option<
         ConstVal::F64(x) if float => Some(x.to_bits()),
         _ => None,
     }
-}
-
-/// True for a shift by a negative amount or by at least the operand
-/// width, which the CPU (and [`BinKind::eval`]) masks.
-fn shift_out_of_range(op: BinKind, ty: IrType, amount: u64) -> bool {
-    let (amount, width) = if ty == IrType::I32 {
-        (amount as i32 as i64, 32)
-    } else {
-        (amount as i64, 64)
-    };
-    matches!(op, BinKind::Shl | BinKind::ShrS | BinKind::ShrU) && !(0..width).contains(&amount)
 }
 
 /// `x+0`, `x*1`, `x*0`, `x&0`, `x|0`, `x^0`, `x-0`, `x/1` and commuted

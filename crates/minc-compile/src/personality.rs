@@ -191,6 +191,11 @@ pub enum SlotOrder {
     AlignDescending,
 }
 
+/// The null page: no personality maps a segment below this address, so
+/// an access under it is a null dereference. UBSan's load and store
+/// checks and the UB-site map's null-page verdicts read it.
+pub const NULL_PAGE: u64 = 4096;
+
 /// The full set of implementation-defined choices for one compiler
 /// implementation. Everything here is *legal* per the C standard; the ten
 /// personalities only disagree where the standard permits disagreement.
@@ -431,6 +436,22 @@ mod tests {
         assert_ne!(g.line_policy, c.line_policy);
         assert_ne!(g.stack_base, c.stack_base);
         assert_ne!(g.heap_header, c.heap_header);
+    }
+
+    #[test]
+    fn no_segment_lies_in_the_null_page() {
+        for p in CompilerImpl::default_set()
+            .iter()
+            .map(CompilerImpl::personality)
+        {
+            let lowest = [
+                p.rodata_base,
+                p.globals_base,
+                p.heap_base,
+                p.stack_base - p.stack_size,
+            ];
+            assert!(lowest.iter().all(|&base| base >= NULL_PAGE), "{}", p.id);
+        }
     }
 
     #[test]

@@ -31,8 +31,6 @@ use std::io::Write as _;
 pub struct VmConfig {
     /// Maximum IR instructions to execute before reporting a timeout.
     pub step_limit: u64,
-    /// Maximum call depth.
-    pub max_frames: usize,
     /// Heap size limit in bytes.
     pub heap_limit: u64,
 }
@@ -41,7 +39,6 @@ impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
             step_limit: 5_000_000,
-            max_frames: 256,
             heap_limit: 1 << 26,
         }
     }
@@ -215,6 +212,9 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         }
     }
 
+    /// Maximum call depth.
+    const MAX_FRAMES: usize = 256;
+
     pub(crate) fn push_frame(
         &mut self,
         func: u32,
@@ -222,7 +222,7 @@ impl<'s, 'b, 'h, H: Hooks> Vm<'s, 'b, 'h, H> {
         args_poison: &[bool],
         ret_dst: Option<ValueId>,
     ) -> Result<(), End> {
-        if self.s.frames.depth() >= self.config.max_frames {
+        if self.s.frames.depth() >= Self::MAX_FRAMES {
             return Err(End::Trap(Trap::StackOverflow));
         }
         let f = &self.bin.program.functions[func as usize];

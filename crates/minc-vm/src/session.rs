@@ -307,23 +307,16 @@ impl ExecSession {
     /// a trapped run stay in their slots), and the allocator maps are
     /// emptied.
     fn prepare(&mut self, binary: &Binary) {
-        if self.in_flight {
-            // The previous run unwound mid-execution: the epoch/dirty
-            // bookkeeping may be torn, so the incremental reset cannot be
-            // trusted. Rebuild memory wholesale (page counters stay
-            // cumulative, like the seed-mismatch rebuild below).
-            let (restored, materialized) = (self.mem.restored, self.mem.materialized);
-            self.seed = binary.personality.seed;
-            self.mem = Memory::new(&binary.personality);
-            self.mem.restored = restored;
-            self.mem.materialized = materialized;
-            self.poisoned += 1;
-            self.in_flight = false;
-            self.loaded_uid = None;
-        } else if binary.personality.seed != self.seed {
-            // Session built for a different implementation: the junk
-            // pattern would be wrong, so rebuild memory from scratch.
-            // Page counters stay cumulative across the rebuild.
+        if self.in_flight || binary.personality.seed != self.seed {
+            // Either the previous run unwound mid-execution, so the
+            // epoch/dirty bookkeeping may be torn and the incremental reset
+            // cannot be trusted, or the session was built for a different
+            // implementation, whose junk pattern differs. Rebuild memory
+            // wholesale; page counters stay cumulative across the rebuild.
+            if self.in_flight {
+                self.poisoned += 1;
+                self.in_flight = false;
+            }
             let (restored, materialized) = (self.mem.restored, self.mem.materialized);
             self.seed = binary.personality.seed;
             self.mem = Memory::new(&binary.personality);

@@ -7,7 +7,7 @@
 use crate::ast::*;
 use crate::diag::{Diagnostic, FrontendError, Phase};
 use crate::span::{NodeId, Span};
-use crate::types::{StructSizer, Type};
+use crate::types::Type;
 use std::collections::HashMap;
 
 /// Identifies a local variable slot (parameters first, then declarations,
@@ -217,21 +217,6 @@ pub struct CheckedProgram {
     pub function_info: Vec<FunctionInfo>,
 }
 
-impl StructSizer for CheckedProgram {
-    fn packed_size(&self, name: &str) -> u64 {
-        let def = self.program.struct_def(name).expect("unknown struct");
-        def.fields.iter().map(|f| f.ty.size_packed(self)).sum()
-    }
-    fn align(&self, name: &str) -> u64 {
-        let def = self.program.struct_def(name).expect("unknown struct");
-        def.fields
-            .iter()
-            .map(|f| f.ty.align(self))
-            .max()
-            .unwrap_or(1)
-    }
-}
-
 /// Parses and checks `src` in one step.
 ///
 /// # Errors
@@ -283,6 +268,15 @@ pub fn check_program(program: Program) -> Result<CheckedProgram, FrontendError> 
 
 fn err(span: Span, msg: impl Into<String>) -> FrontendError {
     Diagnostic::new(Phase::Sema, span, msg).into()
+}
+
+/// `ptr` when arithmetic may step it: C forbids arithmetic on `void*`,
+/// whose pointee has no size.
+fn object_pointer(span: Span, ptr: &Type) -> Result<Type, FrontendError> {
+    if ptr.pointee() == Some(&Type::Void) {
+        return Err(err(span, format!("arithmetic on `{ptr}`")));
+    }
+    Ok(ptr.clone())
 }
 
 struct Checker<'p> {
@@ -769,6 +763,9 @@ impl<'p> Checker<'p> {
                 if matches!(t, Type::Array(..)) {
                     return Err(err(e.span, "cannot increment an array"));
                 }
+                if d.is_pointer() {
+                    object_pointer(e.span, &d)?;
+                }
                 Ok(t)
             }
             ExprKind::Cond { cond, then, els } => {
@@ -861,6 +858,8 @@ impl<'p> Checker<'p> {
                 let pointee = bt
                     .pointee()
                     .ok_or_else(|| err(base.span, format!("cannot index `{bt}`")))?;
+                // `p[i]` is `*(p + i)`.
+                object_pointer(e.span, &bt)?;
                 Ok(pointee.clone())
             }
             ExprKind::Member { base, field } => {
@@ -947,9 +946,9 @@ impl<'p> Checker<'p> {
                 if lt.is_arithmetic() && rt.is_arithmetic() {
                     Ok(Type::usual_arithmetic(lt, rt))
                 } else if lt.is_pointer() && rt.is_integer() {
-                    Ok(lt.clone())
+                    object_pointer(span, lt)
                 } else if lt.is_integer() && rt.is_pointer() {
-                    Ok(rt.clone())
+                    object_pointer(span, rt)
                 } else {
                     Err(err(span, format!("cannot add `{lt}` and `{rt}`")))
                 }
@@ -958,9 +957,11 @@ impl<'p> Checker<'p> {
                 if lt.is_arithmetic() && rt.is_arithmetic() {
                     Ok(Type::usual_arithmetic(lt, rt))
                 } else if lt.is_pointer() && rt.is_integer() {
-                    Ok(lt.clone())
+                    object_pointer(span, lt)
                 } else if lt.is_pointer() && rt.is_pointer() {
                     // Pointer subtraction: UB across objects (CWE-469).
+                    object_pointer(span, lt)?;
+                    object_pointer(span, rt)?;
                     Ok(Type::Long)
                 } else {
                     Err(err(span, format!("cannot subtract `{rt}` from `{lt}`")))

@@ -78,36 +78,21 @@ impl Type {
         }
     }
 
-    /// Size of the type in bytes on the (single) MinC target.
-    ///
-    /// Struct sizes depend on implementation-defined layout and must be
-    /// looked up through the compiler's layout engine; this returns the
-    /// *minimum* (packed) size for structs, which the frontend uses only to
-    /// validate `sizeof` on complete types.
+    /// Size in bytes of a scalar on the (single) MinC target, which is
+    /// also its alignment. Array and struct layouts are the compiler's
+    /// (`minc_compile::layout`), since struct padding is
+    /// implementation-defined.
     ///
     /// # Panics
     ///
-    /// Panics on `void`.
-    pub fn size_packed(&self, structs: &dyn StructSizer) -> u64 {
+    /// Panics on `void`, arrays and structs.
+    pub fn scalar_size(&self) -> u64 {
         match self {
+            Type::Char => 1,
+            Type::Int | Type::UInt => 4,
+            Type::Long | Type::Double | Type::Ptr(_) => 8,
             Type::Void => panic!("void has no size"),
-            Type::Char => 1,
-            Type::Int | Type::UInt => 4,
-            Type::Long | Type::Double | Type::Ptr(_) => 8,
-            Type::Array(t, n) => t.size_packed(structs) * n,
-            Type::Struct(name) => structs.packed_size(name),
-        }
-    }
-
-    /// Natural alignment of the type in bytes (structs: max field alignment).
-    pub fn align(&self, structs: &dyn StructSizer) -> u64 {
-        match self {
-            Type::Void => 1,
-            Type::Char => 1,
-            Type::Int | Type::UInt => 4,
-            Type::Long | Type::Double | Type::Ptr(_) => 8,
-            Type::Array(t, _) => t.align(structs),
-            Type::Struct(name) => structs.align(name),
+            Type::Array(..) | Type::Struct(_) => panic!("`{self}` is not a scalar"),
         }
     }
 
@@ -160,41 +145,18 @@ impl fmt::Display for Type {
     }
 }
 
-/// Resolves struct sizes/alignments; implemented by the semantic analyzer
-/// (packed sizes) and by compiler layout engines (padded, impl-defined).
-pub trait StructSizer {
-    /// Sum of packed field sizes.
-    fn packed_size(&self, name: &str) -> u64;
-    /// Maximum field alignment.
-    fn align(&self, name: &str) -> u64;
-}
-
-/// A [`StructSizer`] for programs without structs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoStructs;
-
-impl StructSizer for NoStructs {
-    fn packed_size(&self, name: &str) -> u64 {
-        panic!("unknown struct `{name}`")
-    }
-    fn align(&self, name: &str) -> u64 {
-        panic!("unknown struct `{name}`")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sizes_and_alignment() {
-        let s = NoStructs;
-        assert_eq!(Type::Char.size_packed(&s), 1);
-        assert_eq!(Type::Int.size_packed(&s), 4);
-        assert_eq!(Type::Long.size_packed(&s), 8);
-        assert_eq!(Type::Int.ptr_to().size_packed(&s), 8);
-        assert_eq!(Type::Array(Box::new(Type::Int), 10).size_packed(&s), 40);
-        assert_eq!(Type::Array(Box::new(Type::Char), 3).align(&s), 1);
+        assert_eq!(Type::Char.scalar_size(), 1);
+        assert_eq!(Type::Int.scalar_size(), 4);
+        assert_eq!(Type::UInt.scalar_size(), 4);
+        assert_eq!(Type::Long.scalar_size(), 8);
+        assert_eq!(Type::Double.scalar_size(), 8);
+        assert_eq!(Type::Int.ptr_to().scalar_size(), 8);
     }
 
     #[test]

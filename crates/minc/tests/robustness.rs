@@ -104,6 +104,23 @@ fn error_messages_are_lowercase_and_specific() {
             "struct s { int x; };\nint main() { struct s v; return v + 1; }",
             "cannot add",
         ),
+        // C forbids arithmetic on `void*`; each of these once panicked the
+        // lowering ("void has no size").
+        (
+            "void *f(void *p) { return p + 1; }",
+            "arithmetic on `void*`",
+        ),
+        (
+            "void *f(void *p) { return 1 + p; }",
+            "arithmetic on `void*`",
+        ),
+        (
+            "long f(void *p, void *q) { return p - q; }",
+            "arithmetic on `void*`",
+        ),
+        ("void f(void *p) { p++; }", "arithmetic on `void*`"),
+        ("void f(void *p) { p += 2; }", "arithmetic on `void*`"),
+        ("void f(void *p) { p[1]; }", "arithmetic on `void*`"),
     ] {
         let err = minc::check(src).unwrap_err();
         let msg = err.to_string();
@@ -224,7 +241,6 @@ fn source_mutants_check_compile_and_run_or_fail_typed() {
     let config = minc_vm::VmConfig {
         step_limit: 20_000,
         heap_limit: 1 << 20,
-        ..minc_vm::VmConfig::default()
     };
     let mut rng = fuzzing::Rng::new(0x5eed);
     let mut accepted = 0;

@@ -9,7 +9,7 @@
 use crate::shadow::Shadow;
 use minc_vm::hooks::{FreeDisposition, Hooks, Loc};
 use minc_vm::result::{Fault, SanitizerKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Shadow byte states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,6 @@ enum State {
 #[derive(Debug, Default)]
 pub struct Asan {
     shadow: Shadow<State>,
-    live: HashMap<u64, u64>,
     freed: HashSet<u64>,
 }
 
@@ -80,12 +79,10 @@ impl Hooks for Asan {
         self.shadow
             .mark(addr + size, Self::REDZONE, State::HeapRedzone);
         self.shadow.clear(addr, size);
-        self.live.insert(addr, size);
         self.freed.remove(&addr);
     }
 
     fn on_free(&mut self, addr: u64, size: u64, _loc: Loc) -> Result<FreeDisposition, Fault> {
-        self.live.remove(&addr);
         self.freed.insert(addr);
         self.shadow.mark(addr, size, State::Freed);
         Ok(FreeDisposition::Quarantine)

@@ -7,11 +7,10 @@
 //! scan reads one slice per page. `Option<S>` is one byte for both users
 //! (ASan's three states and MSan's `()`), so a page costs 4 KiB.
 
+// Addresses per shadow page: the VM's page size.
+use minc_vm::memory::PAGE_SIZE as PAGE;
 use std::collections::HashMap;
 use std::ops::Range;
-
-/// Addresses per shadow page.
-const PAGE: u64 = 4096;
 
 /// A sparse map from address to a shadow state. Unmarked addresses carry
 /// the default state (addressable / initialized).

@@ -8,12 +8,13 @@
 //! line-stamped copies).
 
 use crate::dataflow::{fixpoint, scan_with_blocks, Point, Visit};
-use crate::domains::{shift_width, Interval, IntervalAnalysis, JunkAnalysis, NullAnalysis};
+use crate::domains::{Interval, IntervalAnalysis, JunkAnalysis, NullAnalysis};
 use crate::summaries::FnSummaries;
-use crate::ubmap::{UbClass, NULL_PAGE};
+use crate::ubmap::UbClass;
 use minc_compile::ir::{
     BinKind, CastKind, ConstVal, IdMap, Inst, IrFunction, IrProgram, IrType, Terminator, ValueId,
 };
+use minc_compile::personality::NULL_PAGE;
 use staticheck::Defect;
 use std::collections::BTreeSet;
 
@@ -242,15 +243,6 @@ fn junk_sinks(f: &IrFunction, summaries: &FnSummaries) -> Vec<JunkSink> {
 
 // ------------------------------------------------------ interval verdicts
 
-/// Numeric range of an IR integer type, or `None` for floats.
-fn ty_range(ty: IrType) -> Option<(i128, i128)> {
-    match ty {
-        IrType::I32 => Some((i32::MIN as i128, i32::MAX as i128)),
-        IrType::I64 => Some((i64::MIN as i128, i64::MAX as i128)),
-        IrType::F64 => None,
-    }
-}
-
 /// The interval verdicts of `f`: shift amounts against the operand width
 /// (and signed left shifts against the type), divisors against zero and
 /// `MIN / -1`, signed arithmetic against the type, and accessed addresses
@@ -280,7 +272,7 @@ fn interval_records(f: &IrFunction, summaries: &FnSummaries) -> Vec<IntervalRec>
                 b: amt,
                 ub_signed,
             } => {
-                let width = shift_width(*ty);
+                let width = i64::from(ty.bits());
                 let verdict = match st.get(amt.0).copied() {
                     None => Verdict::Unknown,
                     Some(amount) if amount.lo >= width || amount.hi < 0 => {
@@ -292,13 +284,14 @@ fn interval_records(f: &IrFunction, summaries: &FnSummaries) -> Vec<IntervalRec>
                     // Amount in range. A signed left shift can still
                     // overflow; the clean proof needs the operand too.
                     Some(am) if *op == Shl && *ub_signed => {
-                        match (st.get(lhs.0).copied(), ty_range(*ty)) {
-                            (Some(x), Some((_, max)))
+                        let max = i128::from(ty.signed_range().1);
+                        match st.get(lhs.0).copied() {
+                            Some(x)
                                 if x.lo >= 0 && (x.hi as i128) << (am.hi.max(0) as u32) <= max =>
                             {
                                 Verdict::Clean
                             }
-                            (Some(x), Some((_, max))) => {
+                            Some(x) => {
                                 let wide = (x.hi.max(x.lo.abs()) as i128) << (am.hi.max(0) as u32);
                                 let definite = x.lo >= 0 && (x.lo as i128) << am.lo > max;
                                 if x.lo < 0 || wide > max {
@@ -307,7 +300,7 @@ fn interval_records(f: &IrFunction, summaries: &FnSummaries) -> Vec<IntervalRec>
                                     Verdict::Clean
                                 }
                             }
-                            _ => Verdict::Unknown,
+                            None => Verdict::Unknown,
                         }
                     }
                     Some(_) => Verdict::Clean,
@@ -332,13 +325,14 @@ fn interval_records(f: &IrFunction, summaries: &FnSummaries) -> Vec<IntervalRec>
                 };
                 push(dst, DivByZero, verdict);
                 // `MIN / -1` overflows in signed division.
-                if let (DivS | RemS, Some((min, _))) = (op, ty_range(*ty)) {
+                if matches!(op, DivS | RemS) {
+                    let min = ty.signed_range().0;
                     let n = st.get(num.0).copied();
-                    let n_may_min = n.is_none_or(|i| i.contains(min as i64));
+                    let n_may_min = n.is_none_or(|i| i.contains(min));
                     let d_may_neg1 = d.is_none_or(|i| i.contains(-1));
                     if n_may_min && d_may_neg1 {
-                        let definite = n == Some(Interval::point(min as i64))
-                            && d == Some(Interval::point(-1));
+                        let definite =
+                            n == Some(Interval::point(min)) && d == Some(Interval::point(-1));
                         let verdict = if definite {
                             site(true, Why::DivOverflow)
                         } else if n.is_none() || d.is_none() {
@@ -358,9 +352,8 @@ fn interval_records(f: &IrFunction, summaries: &FnSummaries) -> Vec<IntervalRec>
                 b: rhs,
                 ub_signed: true,
             } => {
-                let Some((min, max)) = ty_range(*ty) else {
-                    return;
-                };
+                let (min, max) = ty.signed_range();
+                let (min, max) = (i128::from(min), i128::from(max));
                 let (Some(x), Some(y)) = (st.get(lhs.0), st.get(rhs.0)) else {
                     push(dst, SignedOverflow, Verdict::Unknown);
                     return;
@@ -388,10 +381,11 @@ fn interval_records(f: &IrFunction, summaries: &FnSummaries) -> Vec<IntervalRec>
                 }
             }
             Inst::Load { dst, addr, .. } | Inst::Store { addr, src: dst, .. } => {
+                let page = NULL_PAGE as i64;
                 let verdict = match st.get(addr.0).copied() {
                     None => Verdict::Unknown,
-                    Some(av) if av.lo >= 0 && av.hi < NULL_PAGE => site(true, Why::NullPage(av)),
-                    Some(av) if av.lo < NULL_PAGE && av.hi >= 0 => site(false, Why::NullPage(av)),
+                    Some(av) if av.lo >= 0 && av.hi < page => site(true, Why::NullPage(av)),
+                    Some(av) if av.lo < page && av.hi >= 0 => site(false, Why::NullPage(av)),
                     Some(_) => return,
                 };
                 push(dst, NullDeref, verdict);

@@ -684,15 +684,6 @@ impl Analysis for IntervalAnalysis<'_> {
     }
 }
 
-/// Bit width of an IR type for shift-range checking.
-pub fn shift_width(ty: IrType) -> i64 {
-    match ty {
-        IrType::I32 => 32,
-        IrType::I64 => 64,
-        IrType::F64 => 64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

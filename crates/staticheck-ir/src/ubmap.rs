@@ -35,10 +35,6 @@ use minc_compile::{RewriteEntry, RewriteLog, UbReason};
 use staticheck::Defect;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// UBSan's null-page threshold: addresses below this are "null-like".
-/// Mirrors `crates/sanitizers`' load/store check.
-pub const NULL_PAGE: i64 = 4096;
-
 /// The UB classes the map speaks about. A superset of what the static
 /// side can prove: the dynamic-only classes (heap/stack errors) exist so
 /// sanitizer verdicts can be classified, but they never get `must` sites.

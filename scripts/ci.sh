@@ -201,13 +201,17 @@ for prog in puts_loop wide_field; do
         > /dev/null
 done
 
-echo "== initializer robustness (former panics exit 0 or 1, never 101) =="
+echo "== initializer and void* robustness (former panics exit 0 or 1, never 101) =="
 # Global initializers that once panicked the lowering: `!1.5` now folds
 # like the same expression at run time, and a string literal anywhere but
-# as the whole value of a pointer or `long` is a sema error.
+# as the whole value of a pointer or `long` is a sema error. So is
+# arithmetic on a `void*`, which C forbids and the lowering could not size.
 n=0
 for init in 'int g = (int)"abc";' 'char *p = "abc" + 1;' \
-    'int g = "abc" == "abc";' 'int g = !1.5;'; do
+    'int g = "abc" == "abc";' 'int g = !1.5;' \
+    'void *f(void *p) { return p + 1; }' 'void *f(void *p) { return 1 + p; }' \
+    'long f(void *p, void *q) { return p - q; }' 'void f(void *p) { p++; }' \
+    'void f(void *p) { p += 2; }' 'void f(void *p) { p[1]; }'; do
     n=$((n + 1))
     printf '%s\nint main() { return 0; }\n' "$init" > "$san_dir/init$n.mc"
     for cmd in run lint sancheck; do
@@ -220,6 +224,26 @@ for init in 'int g = (int)"abc";' 'char *p = "abc" + 1;' \
         fi
     done
 done
+
+echo "== UBSan reports each arithmetic UB under its category (sancheck --impls gcc-O0) =="
+# One program per verdict of `BinKind::ub`: signed overflow, a zero
+# divisor, `INT_MIN / -1`, a shift amount past the width, and a signed
+# `<<` past INT_MAX. `input_size()` is 0, so nothing folds the operands.
+n=0
+while IFS='|' read -r expr category; do
+    n=$((n + 1))
+    printf 'int main() { int x = %s; printf("%%d\\n", x); return 0; }\n' "$expr" \
+        > "$san_dir/ub$n.mc"
+    ./target/release/compdiff sancheck "$san_dir/ub$n.mc" --impls gcc-O0 > "$san_dir/ub$n.out"
+    grep -q "verdict gcc-O0 x UBSan: fired:$category\$" "$san_dir/ub$n.out" ||
+        { echo "UBSan did not report $category for: $expr" >&2; exit 1; }
+done <<'EOF'
+2147483647 + (int)input_size() + 1|signed-integer-overflow
+7 / (int)input_size()|integer-divide-by-zero
+(-2147483647 - 1) / ((int)input_size() - 1)|signed-integer-overflow
+1 << (40 + (int)input_size())|shift-out-of-bounds
+1 << (31 + (int)input_size())|shift-out-of-bounds
+EOF
 
 echo "== defined conversions (no finding, no sanitizer FN, C's value) =="
 # Defined programs the tools once got wrong. A wrapped `unsigned int`

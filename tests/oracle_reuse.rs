@@ -1,5 +1,5 @@
 //! The campaign oracle hands each fuzz-binary run to
-//! `CompDiff::run_batch_reusing` as the oracle's run of the same
+//! `CompDiff::run_batch_into` as the oracle's run of the same
 //! implementation. That is exact only if the two are the same run: the
 //! coverage-hooked run of the binary cache's `fuzz_binary` must equal the
 //! oracle's run of that implementation, and the reusing sweep
@@ -8,8 +8,8 @@
 //! timeout, which escalation then has to re-run.
 //!
 //! Checked on every catalog target, over its seeds plus a fixed set of
-//! mutants of them. The sweep behind both, `CompDiff::run_batch_into`,
-//! must also leave a reused outcome buffer exactly as fresh outcomes.
+//! mutants of them. The sweep must also leave a reused outcome buffer
+//! exactly as fresh outcomes.
 
 use campaign::{BinaryCache, CompiledTarget};
 use compdiff::{CompDiff, DiffConfig, DiffObserver, DiffOutcome};
@@ -122,10 +122,14 @@ fn the_fuzz_run_is_the_oracles_run_on_every_catalog_target() {
         // Batches of the campaign's default size, over persistent sessions.
         let (mut reusing_sessions, mut full_sessions) = (ct.diff_sessions(), ct.diff_sessions());
         for (chunk, given) in inputs.chunks(16).zip(fuzz.chunks(16)) {
-            let reused = Some((i, given.to_vec()));
-            let reusing = ct
-                .diff
-                .run_batch_reusing(&mut reusing_sessions, chunk, reused, &mut ());
+            let mut reusing = Vec::new();
+            ct.diff.run_batch_into(
+                &mut reusing_sessions,
+                chunk,
+                Some((i, given)),
+                &mut reusing,
+                &mut (),
+            );
             let full = ct
                 .diff
                 .run_batch_observed(&mut full_sessions, chunk, &mut ());
@@ -188,10 +192,12 @@ fn a_reused_timeout_is_re_run_by_escalation_on_every_catalog_target() {
             spec.name
         );
         let mut reruns = Reruns { of: i, count: 0 };
-        let reusing = diff.run_batch_reusing(
+        let mut reusing = Vec::new();
+        diff.run_batch_into(
             &mut diff.make_sessions(),
             &inputs,
-            Some((i, fuzz)),
+            Some((i, &fuzz)),
+            &mut reusing,
             &mut reruns,
         );
         let full = diff.run_batch_observed(&mut diff.make_sessions(), &inputs, &mut ());
@@ -226,7 +232,7 @@ fn partial_timeout_limit(diff: &CompDiff, inputs: &[Vec<u8>]) -> VmConfig {
 
 /// One outcome buffer reused across batches of 16, 3, 16, 0 and 1 inputs
 /// (and around again) ends each batch holding exactly the outcomes of
-/// `run_batch_reusing` into fresh outcomes, with and without the fuzz
+/// `run_batch_into` into a fresh buffer, with and without the fuzz
 /// binary's results handed in, at the default limit and at one that
 /// leaves some inputs partially timed out.
 #[test]
@@ -263,8 +269,8 @@ fn run_batch_into_a_reused_buffer_equals_fresh_outcomes() {
                     let chunk = &inputs[at..end];
                     let given = reuse.then(|| (i, &fuzz[at..end]));
                     diff.run_batch_into(&mut sessions, chunk, given, &mut buffer, &mut reruns);
-                    let given = given.map(|(i, r)| (i, r.to_vec()));
-                    let fresh = diff.run_batch_reusing(&mut fresh_sessions, chunk, given, &mut ());
+                    let mut fresh = Vec::new();
+                    diff.run_batch_into(&mut fresh_sessions, chunk, given, &mut fresh, &mut ());
                     let label = format!("{} reuse={reuse} limit={}", spec.name, vm.step_limit);
                     assert_same_outcomes(&label, &buffer, &fresh);
                     divergent += fresh.iter().filter(|o| o.divergent).count();
